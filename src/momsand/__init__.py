@@ -77,6 +77,7 @@ from .montecarlo import (
     EstimateWithCI,
     GoldieBracketRow,
     SandwichReport,
+    bracket_constants,
     brute_force_lhs,
     brute_force_perpetuity,
     coefficient_set,

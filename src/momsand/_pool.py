@@ -9,12 +9,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 
 def worker_count() -> int:
+    """The MOMSAND_THREADS cap (default 1); anything but an integer >= 1 raises."""
     raw = os.environ.get("MOMSAND_THREADS", "1")
     try:
         n = int(raw)
+        if n < 1:
+            raise ValueError
     except ValueError:
-        return 1
-    return max(1, n)
+        raise ValueError(f"MOMSAND_THREADS must be an integer >= 1, got {raw!r}") from None
+    return n
 
 
 def map_indexed(fn, items):

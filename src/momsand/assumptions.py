@@ -33,7 +33,6 @@ from . import dist_core as dc
 from .errors import (
     DegenerateModulusError,
     EmptyWindowError,
-    MomsandError,
     NoValidQError,
     NotNormalizedError,
 )
@@ -99,15 +98,8 @@ class NondegeneracyReport:
     candidate: tuple | None
 
 
-def _cert_moment(spec: dc.DistributionSpec, q: float) -> dc.MomentEstimate:
-    est = dc.abs_moment(spec, q)
-    if est.method == dc.MONTE_CARLO:
-        raise MomsandError("Monte Carlo moments are not allowed in certificates")
-    return est
-
-
 def _require_normalized(spec: dc.DistributionSpec, p: float) -> float:
-    mp = _cert_moment(spec, p).value
+    mp = dc.abs_moment(spec, p).value
     if abs(mp - 1.0) > _NORM_TOL:
         raise NotNormalizedError(
             f"spec has E|X|^p = {mp!r}, normalize to 1 before fitting"
@@ -117,7 +109,7 @@ def _require_normalized(spec: dc.DistributionSpec, p: float) -> float:
 
 def delta_window(spec: dc.DistributionSpec, p: float, a_param: float):
     """Window mass E(|X|^p - m) 1{m <= |X|^p <= A m}, m = E|X|^p; with error."""
-    m = _cert_moment(spec, p).value
+    m = dc.abs_moment(spec, p).value
     lo = m ** (1.0 / p)
     hi = (a_param * m) ** (1.0 / p)
 
@@ -141,7 +133,7 @@ def fit_small_p(
     if not (0.0 < p <= 1.0):
         raise ValueError(f"small-p fitter needs 0 < p <= 1, got {p}")
     mp = _require_normalized(spec, p)
-    half = _cert_moment(spec, p / 2.0)
+    half = dc.abs_moment(spec, p / 2.0)
     lam = half.value / math.sqrt(mp)
     if lam >= 1.0 - 1e-9:
         raise DegenerateModulusError(
@@ -221,7 +213,7 @@ def fit_large_p(
         raise NoValidQError(f"q grid has no points strictly inside ({lo_q}, {p})")
     best_q, best_lam = None, None
     for q in grid:
-        lam_q = _cert_moment(spec, q).value ** (1.0 / q) / norm_p
+        lam_q = dc.abs_moment(spec, q).value ** (1.0 / q) / norm_p
         if best_lam is None or lam_q < best_lam:
             best_q, best_lam = float(q), lam_q
     if best_lam >= 1.0 - 1e-9:
@@ -233,8 +225,8 @@ def fit_large_p(
     for k in range(1, math.ceil(p)):
         r_hi = p - k + 1.0
         r_lo = p - k
-        hi_norm = _cert_moment(spec, r_hi).value ** (1.0 / r_hi)
-        lo_norm = _cert_moment(spec, r_lo).value ** (1.0 / r_lo)
+        hi_norm = dc.abs_moment(spec, r_hi).value ** (1.0 / r_hi)
+        lo_norm = dc.abs_moment(spec, r_lo).value ** (1.0 / r_lo)
         lam_k = lo_norm / hi_norm
         if lam_k >= 1.0 - 1e-9:
             raise DegenerateModulusError(
@@ -263,8 +255,8 @@ def fit_large_p(
 
 def verify_small_p(spec: dc.DistributionSpec, cert: SmallPCertificate) -> dict:
     """Recompute the certificate inequalities; slack must survive re-checking."""
-    mp = _cert_moment(spec, cert.p).value
-    half = _cert_moment(spec, cert.p / 2.0).value
+    mp = dc.abs_moment(spec, cert.p).value
+    half = dc.abs_moment(spec, cert.p / 2.0).value
     lam_slack = cert.lam * math.sqrt(mp) - half
     delta, derr = delta_window(spec, cert.p, cert.a_param)
     return {
@@ -276,7 +268,7 @@ def verify_small_p(spec: dc.DistributionSpec, cert: SmallPCertificate) -> dict:
 
 
 def verify_large_p(spec: dc.DistributionSpec, cert: LargePCertificate) -> dict:
-    mp = _cert_moment(spec, cert.p).value
+    mp = dc.abs_moment(spec, cert.p).value
     norm_p = mp ** (1.0 / cert.p)
     m1, _ = dc.expect(spec, abs, breaks=[0.0])
     mad, _ = dc.expect(spec, lambda x: abs(abs(x) - m1), breaks=[-m1, 0.0, m1])
@@ -286,7 +278,7 @@ def verify_large_p(spec: dc.DistributionSpec, cert: LargePCertificate) -> dict:
         lambda x: abs(abs(x) - m1) if abs(x) > cut else 0.0,
         breaks=[-cut, -m1, m1, cut],
     )
-    lam_q = _cert_moment(spec, cert.q).value ** (1.0 / cert.q)
+    lam_q = dc.abs_moment(spec, cert.q).value ** (1.0 / cert.q)
     checks = {
         "mu_slack": mad - cert.mu * norm_p,
         "tail_slack": cert.mu / 4.0 * norm_p - tail,
@@ -295,8 +287,8 @@ def verify_large_p(spec: dc.DistributionSpec, cert: LargePCertificate) -> dict:
     for k, lam_k in enumerate(cert.lam_chain, start=1):
         r_hi = cert.p - k + 1.0
         r_lo = cert.p - k
-        hi_norm = _cert_moment(spec, r_hi).value ** (1.0 / r_hi)
-        lo_norm = _cert_moment(spec, r_lo).value ** (1.0 / r_lo)
+        hi_norm = dc.abs_moment(spec, r_hi).value ** (1.0 / r_hi)
+        lo_norm = dc.abs_moment(spec, r_lo).value ** (1.0 / r_lo)
         checks[f"chain_{k}_slack"] = lam_k * hi_norm - lo_norm
     return checks
 

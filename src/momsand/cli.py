@@ -35,6 +35,7 @@ import numpy as np
 from . import __version__
 from . import dist_core as dc
 from . import montecarlo as mc
+from ._pool import worker_count
 from .assumptions import (
     PairSpec,
     check_pair_nondegeneracy,
@@ -244,6 +245,8 @@ def _coefficient_sets(resolved: dict) -> list[mc.CoefficientSet]:
         if extra:
             raise ValueError(f"unknown random coefficient options: {sorted(extra)}")
         count = int(params.get("count", 20))
+        if count < 1:
+            raise ValueError(f"--coeffs {text}: count must be at least 1, got {count}")
         scale = float(params.get("scale", 1.0))
         cseed = int(params.get("seed", seed))
         n = _require(resolved, "n")
@@ -257,8 +260,7 @@ def _coefficient_sets(resolved: dict) -> list[mc.CoefficientSet]:
                     tuple(tuple(float(x) for x in row) for row in mat), norm
                 )
             )
-        return sets
-    if text:
+    elif text:
         text = str(text)
         if ";" in text:
             rows = [
@@ -266,12 +268,24 @@ def _coefficient_sets(resolved: dict) -> list[mc.CoefficientSet]:
             ]
         else:
             rows = [(float(x),) for x in text.split(",")]
-        return [mc.CoefficientSet(tuple(rows), norm)]
-    if resolved.get("n") is not None:
+        sets = [mc.CoefficientSet(tuple(rows), norm)]
+    elif resolved.get("n") is not None:
         resolved = dict(resolved)
         resolved["coeffs"] = "random:count=20,scale=1.0"
         return _coefficient_sets(resolved)
-    raise ValueError("verify needs --coeffs or --n")
+    else:
+        raise ValueError("verify needs --coeffs or --n")
+    for coeffs in sets:
+        _check_coefficients(text, coeffs.matrix())
+    return sets
+
+
+def _check_coefficients(text, values) -> None:
+    """Reject coefficients that leave the ratio of the two sides undefined."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"--coeffs {text}: coefficients must be finite")
+    if not np.any(values):
+        raise ValueError(f"--coeffs {text}: all coefficients are zero, so the ratio is undefined")
 
 
 def _certify_pipeline(spec, p: float, resolved: dict):
@@ -389,6 +403,7 @@ def cmd_riesz(resolved: dict):
         return results, 0
     if resolved.get("coeffs") is not None:
         comb = RieszCombination(seq, tuple(_float_list(resolved["coeffs"])))
+        _check_coefficients(resolved["coeffs"], np.asarray(comb.coefficients))
         report = corollary_check(comb, p, reps, src, quad_points)
         return {"lacunary": lac, "check": report}, 0
     if resolved.get("draws") is not None:
@@ -412,7 +427,7 @@ def cmd_perpetuity(resolved: dict):
         )
         n_list = _int_list(resolved.get("n_list") or "1,2,4,8,16,32,64")
         rows = mc.goldie_bracket(
-            pair, p, n_list, (0.05, 10.0), reps, src, require_normalized=False
+            pair, p, n_list, (0.05, 10.0, True), reps, src, require_normalized=False
         )
         middles = [row.middle.mean for row in rows]
         closed = [(2.0 * (1.0 - 0.5**n)) ** p / n for n in n_list]
@@ -442,9 +457,9 @@ def cmd_perpetuity(resolved: dict):
     )
     nondeg = check_pair_nondegeneracy(pair, 10_000, src.child(50))
     bundle, cert, recheck = _certify_pipeline(x_spec, p, resolved)
-    handle = (bundle, cert) if pair.coupling == "comonotone-scalar" else bundle
+    constants = mc.bracket_constants(pair, p, bundle, cert)
     n_list = _int_list(resolved.get("n_list") or "1,2,3,4,5,6")
-    rows = mc.goldie_bracket(pair, p, n_list, handle, reps, src.child(1))
+    rows = mc.goldie_bracket(pair, p, n_list, constants, reps, src.child(1))
     any_fail = any(row.verdict == mc.FAIL for row in rows)
     results = {
         "normalized_x": dc.spec_to_text(x_spec),
@@ -494,6 +509,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        worker_count()  # a bad MOMSAND_THREADS is a usage error for every command
         resolved = _resolve_config(args)
         results, code = _DISPATCH[args.command](resolved)
     except _HYPOTHESIS_ERRORS as exc:

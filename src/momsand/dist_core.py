@@ -63,7 +63,6 @@ FAMILIES = (
 # method tags for MomentEstimate
 CLOSED_FORM = "ClosedForm"
 QUADRATURE = "Quadrature"
-MONTE_CARLO = "MonteCarlo"
 FINITE_SUM = "FiniteSum"
 
 _PROB_SUM_TOL = 1e-9
@@ -233,12 +232,25 @@ def abs_moment(spec: DistributionSpec, q: float) -> MomentEstimate:
 
     Finite-support families sum exactly; uniform, lognormal, and exponential
     have closed forms; the Riesz factor is integrated by an algebraic-weight
-    quadrature rule that is exact to roundoff for every q > 0.
+    quadrature rule that is exact to roundoff for every q > 0.  For every
+    family, a moment that overflows or is not finite raises
+    NonfiniteMomentError.
     """
     if not (q > 0.0):
         raise InvalidOrderError(f"moment order must be positive, got {q}")
     q = float(q)
+    try:
+        est = _family_abs_moment(spec, q)
+    except OverflowError as exc:
+        raise NonfiniteMomentError(f"E|X|^q overflows at q = {q} for {spec_to_text(spec)}") from exc
+    if not math.isfinite(est.value):
+        raise NonfiniteMomentError(
+            f"E|X|^q = {est.value} is not finite at q = {q} for {spec_to_text(spec)}"
+        )
+    return est
 
+
+def _family_abs_moment(spec: DistributionSpec, q: float) -> MomentEstimate:
     if spec.family == SCALED:
         inner = abs_moment(spec.base, q)
         s = abs(spec.scale) ** q
@@ -256,14 +268,10 @@ def abs_moment(spec: DistributionSpec, q: float) -> MomentEstimate:
 
     if spec.family == LOGNORMAL:
         value = math.exp(q * spec.mu + 0.5 * q * q * spec.sigma * spec.sigma)
-        if not math.isfinite(value):
-            raise NonfiniteMomentError(f"lognormal moment overflow at q={q}")
         return MomentEstimate(q, value, 0.0, CLOSED_FORM)
 
     if spec.family == EXPONENTIAL:
         value = math.exp(special.gammaln(q + 1.0) - q * math.log(spec.rate))
-        if not math.isfinite(value):
-            raise NonfiniteMomentError(f"exponential moment overflow at q={q}")
         return MomentEstimate(q, value, 0.0, CLOSED_FORM)
 
     if spec.family == RIESZ_FACTOR:

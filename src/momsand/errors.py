@@ -14,7 +14,7 @@ class InvalidOrderError(MomsandError):
 
 
 class NonfiniteMomentError(MomsandError):
-    """Requested moment is not finite (reserved for future families)."""
+    """Requested moment overflows or is not finite."""
 
 
 class DegenerateZeroError(MomsandError):

@@ -1,57 +1,43 @@
-"""Monte Carlo and exact-enumeration engines for the moment sandwich.
+"""One step model, two backends: the moment sandwich and perpetuity sums.
 
-The quantity under study is E || sum_i v_i R_i ||^p where R_0 = 1 and
-R_i = X_1 ... X_i is a product of i.i.d. factors.  Three engines coexist:
+The sandwich sum sum_i v_i R_i (R_0 = 1, R_i = X_1 ... X_i, i.i.d.
+factors) and the perpetuity partial sum S_n = sum_{i=1..n} R_{i-1} B_i are
+one recursion: from acc = 0, r = 1, each step (x, b) does
 
-  * estimate_lhs: seeded Monte Carlo over independent product paths, with a
-    3-sigma confidence interval,
-  * brute_force_lhs: exact enumeration of all s^n outcomes of a finite-
-    support factor law (the oracle the estimators are judged against),
-  * rhs_sum: the comparison sum  sum_i ||v_i||^p (E|X|^p)^i  from the moment
-    oracle.
+    acc += r * b;  r *= x.
 
-Determinism contract: a report depends only on (seed, stream, reps), never
-on the worker count.  Replications are cut into fixed blocks of 4096; block
-j draws from the counter-offset generator RandomSource.generator(block=j),
-blocks are concatenated in index order, and reductions use numpy's pairwise
-summation on the assembled array.  The coefficient contraction is an
-explicit loop over the n+1 vectors (elementwise kernels only) so that BLAS
-threading cannot reorder floating-point sums.
+The sandwich's step i is (X_i, v_{i-1}) and R_n v_n is added after step n;
+the perpetuity's step i is (X_i, B_i) under the coupling PairSpec declares.
+E||acc||^p is computed by one of two backends:
 
-Enumeration walks outcomes lexicographically by factor index, factor 1 most
-significant, multiplying probabilities in index order; above 1e5 outcomes
-the walk is split by prefix so peak memory stays bounded.
+  * _sample_paths, seeded Monte Carlo: reps are cut into fixed blocks of
+    4096, block j draws from RandomSource.generator(block=j), blocks are
+    concatenated in index order and reduced by numpy's pairwise sums.
+    Kernels are elementwise, so no BLAS threading reorders a sum and a
+    report depends on (seed, stream, reps), never on the worker count.
+  * _walk, exact enumeration of finite per-step atoms (x, b, prob),
+    lexicographic with step 1 most significant; above 1e5 paths it is
+    split by prefix so peak memory stays bounded.
 
-The same machinery covers perpetuity partial sums S_n = sum_i R_{i-1} B_i
-driven by an i.i.d. pair (X, B) under the couplings PairSpec declares, the
-bracket (1/n) E||S_n||^p vs lower_c/upper_C multiples of E||B||^p, and the
-classical signed counterexample showing why a degenerate |X| breaks any
-two-sided comparison.
+_exact_or_sampled picks between them: enumerate when the outcome count
+fits the cap (ENUM_CAP = 1e7 for the sandwich, PERP_CAP = 1e6 for the
+perpetuity), otherwise sample.  The sandwich verdict against
+sum_i ||v_i||^p (E|X|^p)^i, the perpetuity bracket and the signed
+counterexample for a degenerate |X| are built on top.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import dist_core as dc
 from ._pool import map_indexed
-from .assumptions import (
-    LargePCertificate,
-    PairSpec,
-    SmallPCertificate,
-    draw_pair,
-)
-from .constants import (
-    LARGE_P,
-    SMALL_P,
-    ConstantBundle,
-    lower_constant_large_p,
-    lower_constant_small_p,
-)
+from .assumptions import LargePCertificate, PairSpec, draw_pair
+from .constants import LARGE_P, SMALL_P, ConstantBundle
 from .errors import ChainLengthMismatchError, EnumerationTooLargeError, NotNormalizedError
 
 CHUNK = 4096
@@ -168,6 +154,110 @@ def _stats(values: np.ndarray, reps: int, seed: int | None) -> EstimateWithCI:
     return EstimateWithCI(mean=mean, std_error=se, replications=reps, seed=seed, exact=False)
 
 
+def _exact(mean: float, count: int, seed: int | None = None) -> EstimateWithCI:
+    return EstimateWithCI(mean=mean, std_error=0.0, replications=count, seed=seed, exact=True)
+
+
+def _check_run(p: float, reps: int) -> None:
+    if p <= 0.0:
+        raise ValueError("p must be positive")
+    if reps < MIN_REPS:
+        raise ValueError(f"need at least {MIN_REPS} replications, got {reps}")
+
+
+# ---------------------------------------------------------------------------
+# the two backends of the step model
+
+
+def _sample_paths(block_steps, tail, dim: int, norm: str, p: float, reps: int,
+                  src: dc.RandomSource, csv_path: str | None) -> EstimateWithCI:
+    """Monte Carlo backend: mean of ||acc||^p over reps independent paths.
+
+    block_steps(m, gen) yields one block's steps (x, b) in order, drawing
+    from gen; tail, when given, adds r * tail after the last step.
+    """
+
+    def run_block(block) -> np.ndarray:
+        idx, m = block
+        r = np.ones(m)
+        acc = np.zeros((m, dim))
+        for x, b in block_steps(m, src.generator(block=idx)):
+            acc = acc + r[:, None] * b
+            r = r * x
+        if tail is not None:
+            acc = acc + r[:, None] * tail
+        return holder_norm(acc, norm) ** p
+
+    blocks = [(j, min(CHUNK, reps - start)) for j, start in enumerate(range(0, reps, CHUNK))]
+    values = np.concatenate(map_indexed(run_block, blocks))
+    if csv_path is not None:
+        _write_csv(csv_path, values)
+    return _stats(values, reps, src.seed)
+
+
+def _walk(steps, tail, dim: int, norm: str, p: float, cap: int):
+    """Enumeration backend: yield (values of ||acc||^p, probs) blocks in path order.
+
+    steps lists each step's atoms (x, b, prob), b holding one row per atom;
+    tail, when given, adds r * tail after the last step.  Each block is one
+    prefix of the first `split` steps grown through the same suffix of at
+    most ENUM_BLOCK paths, so the suffix atoms are tiled once.
+    """
+    widths = [len(x) for x, _, _ in steps]
+    total = math.prod(widths)
+    if total > cap:
+        raise EnumerationTooLargeError(
+            f"{total} outcomes over {len(widths)} steps exceed the cap of {cap:,}"
+        )
+    split = 0
+    while math.prod(widths[split:]) > ENUM_BLOCK:
+        split += 1
+    tiled = []
+    count = 1
+    for x, b, prob in steps[split:]:
+        tiled.append((np.tile(x, count), np.tile(b, (count, 1)), np.tile(prob, count)))
+        count *= len(x)
+    for combo in itertools.product(*(range(w) for w in widths[:split])):
+        acc0, r0, p0 = np.zeros(dim), 1.0, 1.0
+        for (x, b, prob), j in zip(steps, combo):
+            acc0 = acc0 + r0 * b[j]
+            r0 = r0 * float(x[j])
+            p0 = p0 * float(prob[j])
+        acc, r, pr = acc0[None, :], np.array([r0]), np.array([p0])
+        for x, b, prob in tiled:
+            width = len(x) // len(r)
+            r_rep = np.repeat(r, width)
+            acc = np.repeat(acc, width, axis=0) + r_rep[:, None] * b
+            r = r_rep * x
+            pr = np.repeat(pr, width) * prob
+        if tail is not None:
+            acc = acc + r[:, None] * tail
+        yield holder_norm(acc, norm) ** p, pr
+
+
+def _outcomes(blocks):
+    """All enumerated (values, probs), concatenated in walk order."""
+    values, probs = zip(*blocks)
+    return np.concatenate(values), np.concatenate(probs)
+
+
+def _exact_mean(blocks) -> EstimateWithCI:
+    """Exact mean as one pairwise sum over every outcome."""
+    values, probs = _outcomes(blocks)
+    return _exact(float(np.sum(values * probs)), len(values))
+
+
+def _exact_or_sampled(atoms, steps: int, cap: int, exact, sampled) -> EstimateWithCI:
+    """Run exact() when the step atoms are finite and width^steps <= cap, else sampled()."""
+    if atoms is not None and len(atoms[0]) ** steps <= cap:
+        return exact()
+    return sampled()
+
+
+# ---------------------------------------------------------------------------
+# the sandwich: steps (X_i, v_{i-1}) and the terminal term R_n v_n
+
+
 def estimate_lhs(
     spec: dc.DistributionSpec,
     coeffs: CoefficientSet,
@@ -177,137 +267,65 @@ def estimate_lhs(
     csv_path: str | None = None,
 ) -> EstimateWithCI:
     """Monte Carlo mean of ||sum_i v_i R_i||^p over independent paths."""
-    if p <= 0.0:
-        raise ValueError("p must be positive")
-    if reps < MIN_REPS:
-        raise ValueError(f"need at least {MIN_REPS} replications, got {reps}")
-    n = coeffs.n
-    if n == 0:
-        value = _vector_norm(coeffs.vectors[0], coeffs.norm) ** p
-        return EstimateWithCI(
-            mean=value, std_error=0.0, replications=0, seed=src.seed, exact=True
-        )
-
+    _check_run(p, reps)
+    if coeffs.n == 0:
+        return _exact(_vector_norm(coeffs.vectors[0], coeffs.norm) ** p, 0, src.seed)
     vmat = coeffs.matrix()
-    blocks = []
-    start = 0
-    j = 0
-    while start < reps:
-        m = min(CHUNK, reps - start)
-        blocks.append((j, m))
-        start += m
-        j += 1
 
-    def run_block(block) -> np.ndarray:
-        idx, m = block
-        gen = src.generator(block=idx)
-        draws = dc.sample(spec, (m, n), gen)
-        prods = np.cumprod(draws, axis=1)
-        acc = np.tile(vmat[0], (m, 1))
-        for i in range(1, n + 1):
-            acc = acc + prods[:, i - 1][:, None] * vmat[i][None, :]
-        return holder_norm(acc, coeffs.norm) ** p
+    def block_steps(m, gen):
+        return zip(dc.sample(spec, (m, coeffs.n), gen).T, vmat[:-1])
 
-    values = np.concatenate(map_indexed(run_block, blocks))
-    if csv_path is not None:
-        _write_csv(csv_path, values)
-    return _stats(values, reps, src.seed)
+    return _sample_paths(block_steps, vmat[-1], coeffs.dim, coeffs.norm, p, reps, src, csv_path)
 
 
-# ---------------------------------------------------------------------------
-# exact enumeration
-
-
-def _grow_paths(svals, sprobs, vmat, start, stop, acc0, r0, p0):
-    """Extend partial paths through factors start..stop, lexicographic order."""
-    acc = np.atleast_2d(np.asarray(acc0, dtype=float))
-    r = np.atleast_1d(np.asarray(r0, dtype=float))
-    pr = np.atleast_1d(np.asarray(p0, dtype=float))
-    s = len(svals)
-    for i in range(start, stop + 1):
-        r = (r[:, None] * svals[None, :]).ravel()
-        pr = (pr[:, None] * sprobs[None, :]).ravel()
-        acc = np.repeat(acc, s, axis=0) + r[:, None] * vmat[i][None, :]
-    return acc, r, pr
-
-
-def _enum_blocks(spec: dc.DistributionSpec, coeffs: CoefficientSet, p: float):
-    """Yield (values, probs) blocks of the outcome distribution, in order."""
+def _sandwich_walk(spec: dc.DistributionSpec, coeffs: CoefficientSet, p: float):
     support = dc.finite_support(spec)
     if support is None:
         raise ValueError("enumeration needs a finite-support factor law")
+    if coeffs.n == 0:
+        # one outcome, computed as rhs_sum computes it, so the ratio is exactly 1
+        value = _vector_norm(coeffs.vectors[0], coeffs.norm) ** p
+        return iter([(np.asarray([value]), np.asarray([1.0]))])
     svals, sprobs = support
-    s = len(svals)
-    n = coeffs.n
-    total = s**n
-    if total > ENUM_CAP:
-        raise EnumerationTooLargeError(
-            f"support^factors = {s}^{n} = {total} exceeds the 1e7 cap"
-        )
     vmat = coeffs.matrix()
-    if n == 0:
-        yield (
-            np.asarray([_vector_norm(coeffs.vectors[0], coeffs.norm) ** p]),
-            np.asarray([1.0]),
-        )
-        return
-    prefix_len = 0
-    while s ** (n - prefix_len) > ENUM_BLOCK:
-        prefix_len += 1
-    if prefix_len == 0:
-        acc, _, pr = _grow_paths(svals, sprobs, vmat, 1, n, vmat[0], 1.0, 1.0)
-        yield holder_norm(acc, coeffs.norm) ** p, pr
-        return
-    for combo in itertools.product(range(s), repeat=prefix_len):
-        acc0 = np.array(vmat[0], dtype=float)
-        r0 = 1.0
-        p0 = 1.0
-        for i, jdx in enumerate(combo, start=1):
-            r0 = r0 * float(svals[jdx])
-            p0 = p0 * float(sprobs[jdx])
-            acc0 = acc0 + r0 * vmat[i]
-        acc, _, pr = _grow_paths(svals, sprobs, vmat, prefix_len + 1, n, acc0, r0, p0)
-        yield holder_norm(acc, coeffs.norm) ** p, pr
+    steps = [(svals, np.tile(v, (len(svals), 1)), sprobs) for v in vmat[:-1]]
+    return _walk(steps, vmat[-1], coeffs.dim, coeffs.norm, p, ENUM_CAP)
 
 
 def enumerate_lhs_distribution(spec, coeffs: CoefficientSet, p: float):
     """Full outcome distribution (values of ||sum v_i R_i||^p, probabilities)."""
-    vals = []
-    probs = []
-    for v, pr in _enum_blocks(spec, coeffs, p):
-        vals.append(v)
-        probs.append(pr)
-    return np.concatenate(vals), np.concatenate(probs)
+    return _outcomes(_sandwich_walk(spec, coeffs, p))
 
 
 def brute_force_lhs(spec, coeffs: CoefficientSet, p: float) -> EstimateWithCI:
-    """Exact E||sum v_i R_i||^p by weighted enumeration."""
+    """Exact E||sum v_i R_i||^p by weighted enumeration, summed block by block."""
     if p <= 0.0:
         raise ValueError("p must be positive")
     partial = []
     count = 0
-    for v, pr in _enum_blocks(spec, coeffs, p):
+    for v, pr in _sandwich_walk(spec, coeffs, p):
         partial.append(float(np.sum(v * pr)))
         count += len(v)
-    return EstimateWithCI(
-        mean=math.fsum(partial),
-        std_error=0.0,
-        replications=count,
-        seed=None,
-        exact=True,
+    return _exact(math.fsum(partial), count)
+
+
+def _sandwich_lhs(spec, coeffs: CoefficientSet, p: float, reps: int, src) -> EstimateWithCI:
+    return _exact_or_sampled(
+        dc.finite_support(spec), coeffs.n, ENUM_CAP,
+        lambda: brute_force_lhs(spec, coeffs, p),
+        lambda: estimate_lhs(spec, coeffs, p, reps, src),
     )
 
 
 def rhs_sum(spec, coeffs: CoefficientSet, p: float) -> float:
     """sum_i ||v_i||^p (E|X|^p)^i with the exact moment oracle."""
-    mp = dc.abs_moment(spec, p).value
-    terms = [
-        _vector_norm(v, coeffs.norm) ** p * mp**i for i, v in enumerate(coeffs.vectors)
-    ]
-    return math.fsum(terms)
+    return lambda_weighted_sum(coeffs, p, dc.abs_moment(spec, p).value)
 
 
-def _bracket_verdict(ci_lo, ci_hi, lo_edge, hi_edge, check_lower=True):
+def _bracket_verdict(est: EstimateWithCI, lo_edge, hi_edge, check_lower=True):
+    """PASS, FAIL or INCONCLUSIVE for the 3-sigma interval of est against the edges."""
+    ci_lo = est.mean - 3.0 * est.std_error
+    ci_hi = est.mean + 3.0 * est.std_error
     if (ci_lo >= lo_edge or not check_lower) and ci_hi <= hi_edge:
         return PASS
     if ci_hi < lo_edge and check_lower:
@@ -330,18 +348,12 @@ def run_sandwich(
         raise ValueError("SmallP bundle used with p > 1")
     if bundle.regime == LARGE_P and not p > 1.0:
         raise ValueError("LargeP bundle used with p <= 1")
-    support = dc.finite_support(spec)
-    if support is not None and len(support[0]) ** coeffs.n <= ENUM_CAP:
-        lhs = brute_force_lhs(spec, coeffs, p)
-    else:
-        lhs = estimate_lhs(spec, coeffs, p, reps, src)
+    lhs = _sandwich_lhs(spec, coeffs, p, reps, src)
     rhs = rhs_sum(spec, coeffs, p)
     tol = 1e-9 * rhs
     lo_edge = bundle.lower_c * rhs - tol
     hi_edge = bundle.upper_C * rhs + tol
-    ci_lo = lhs.mean - 3.0 * lhs.std_error
-    ci_hi = lhs.mean + 3.0 * lhs.std_error
-    verdict = _bracket_verdict(ci_lo, ci_hi, lo_edge, hi_edge)
+    verdict = _bracket_verdict(lhs, lo_edge, hi_edge)
     ratio = lhs.mean / rhs if rhs > 0.0 else math.nan
     return SandwichReport(lhs=lhs, rhs_sum=rhs, bundle=bundle, verdict=verdict, ratio=ratio)
 
@@ -362,64 +374,38 @@ def khintchine_counterexample(
     if spec is None:
         spec = dc.rademacher_sign()
     coeffs = coefficient_set([0.0] + [1.0] * n)
-    support = dc.finite_support(spec)
-    if support is not None and len(support[0]) ** n <= ENUM_CAP:
-        lhs = brute_force_lhs(spec, coeffs, p)
-    else:
-        lhs = estimate_lhs(spec, coeffs, p, reps, src)
+    lhs = _sandwich_lhs(spec, coeffs, p, reps, src)
     rhs = rhs_sum(spec, coeffs, p)
-    return {
-        "n": n,
-        "p": p,
-        "lhs": lhs,
-        "rhs_sum": rhs,
-        "ratio": lhs.mean / rhs,
-    }
+    return {"n": n, "p": p, "lhs": lhs, "rhs_sum": rhs, "ratio": lhs.mean / rhs}
 
 
 # ---------------------------------------------------------------------------
-# perpetuity partial sums
+# perpetuity partial sums: steps (X_i, B_i)
 
 
 def perpetuity_lhs(
-    pair: PairSpec,
-    n: int,
-    p: float,
-    reps: int,
-    src: dc.RandomSource,
-    csv_path: str | None = None,
+    pair: PairSpec, n: int, p: float, reps: int, src: dc.RandomSource
 ) -> EstimateWithCI:
     """Monte Carlo E||S_n||^p with S_n = sum_{i=1..n} R_{i-1} B_i."""
     if n < 1:
         raise ValueError("need n >= 1 terms")
-    if p <= 0.0:
-        raise ValueError("p must be positive")
-    if reps < MIN_REPS:
-        raise ValueError(f"need at least {MIN_REPS} replications, got {reps}")
-    blocks = []
-    start = 0
-    j = 0
-    while start < reps:
-        m = min(CHUNK, reps - start)
-        blocks.append((j, m))
-        start += m
-        j += 1
+    _check_run(p, reps)
 
-    def run_block(block) -> np.ndarray:
-        idx, m = block
-        gen = src.generator(block=idx)
-        r = np.ones(m)
-        acc = np.zeros((m, pair.dim))
+    def block_steps(m, gen):
         for _ in range(n):
-            x, b = draw_pair(pair, m, gen)
-            acc = acc + r[:, None] * b
-            r = r * x
-        return holder_norm(acc, pair.norm) ** p
+            yield draw_pair(pair, m, gen)
 
-    values = np.concatenate(map_indexed(run_block, blocks))
-    if csv_path is not None:
-        _write_csv(csv_path, values)
-    return _stats(values, reps, src.seed)
+    return _sample_paths(block_steps, None, pair.dim, pair.norm, p, reps, src, None)
+
+
+def _product_atoms(supports):
+    """Lexicographic joint atoms of independent finite laws: (values, column j = law j; probs)."""
+    grids = np.meshgrid(*[np.arange(len(v)) for v, _ in supports], indexing="ij")
+    flat = [g.ravel() for g in grids]
+    prob = np.ones(flat[0].size)
+    for (_, pr), idx in zip(supports, flat):
+        prob = prob * pr[idx]
+    return np.column_stack([v[idx] for (v, _), idx in zip(supports, flat)]), prob
 
 
 def _pair_branches(pair: PairSpec):
@@ -431,28 +417,16 @@ def _pair_branches(pair: PairSpec):
     if any(b is None for b in bs):
         return None
     if pair.coupling == "comonotone-scalar":
-        xv, xp = xs
-        bv, bp = bs[0]
-        cuts = np.concatenate([[0.0], np.cumsum(xp)[:-1], np.cumsum(bp)[:-1], [1.0]])
-        cuts = np.unique(cuts)
+        xp, bp = xs[1], bs[0][1]
+        cuts = np.unique(np.concatenate([[0.0], np.cumsum(xp)[:-1], np.cumsum(bp)[:-1], [1.0]]))
         widths = np.diff(cuts)
         keep = widths > 1e-15
         mids = ((cuts[:-1] + cuts[1:]) / 2.0)[keep]
         x = dc.quantile(pair.x_spec, mids)
         b = dc.quantile(pair.b_specs[0], mids)[:, None]
         return x, b, widths[keep]
-    xv, xp = xs
-    idx_grids = np.meshgrid(
-        np.arange(len(xv)), *[np.arange(len(bv)) for bv, _ in bs], indexing="ij"
-    )
-    flat = [g.ravel() for g in idx_grids]
-    x = xv[flat[0]]
-    prob = xp[flat[0]].copy()
-    cols = []
-    for j, (bv, bp) in enumerate(bs):
-        cols.append(bv[flat[j + 1]])
-        prob *= bp[flat[j + 1]]
-    return x, np.column_stack(cols), prob
+    values, prob = _product_atoms([xs, *bs])
+    return values[:, 0], values[:, 1:], prob
 
 
 def brute_force_perpetuity(pair: PairSpec, n: int, p: float) -> EstimateWithCI:
@@ -462,29 +436,7 @@ def brute_force_perpetuity(pair: PairSpec, n: int, p: float) -> EstimateWithCI:
     branches = _pair_branches(pair)
     if branches is None:
         raise ValueError("exact perpetuity needs finite-support X and B")
-    xb, bb, pb = branches
-    width = len(xb)
-    if width**n > PERP_CAP:
-        raise EnumerationTooLargeError(
-            f"branching^steps = {width}^{n} exceeds the 1e6 cap"
-        )
-    r = np.ones(1)
-    acc = np.zeros((1, pair.dim))
-    pr = np.ones(1)
-    for _ in range(n):
-        m = len(r)
-        r_rep = np.repeat(r, width)
-        acc = np.repeat(acc, width, axis=0) + r_rep[:, None] * np.tile(bb, (m, 1))
-        r = r_rep * np.tile(xb, m)
-        pr = np.repeat(pr, width) * np.tile(pb, m)
-    values = holder_norm(acc, pair.norm) ** p
-    return EstimateWithCI(
-        mean=float(np.sum(values * pr)),
-        std_error=0.0,
-        replications=len(values),
-        seed=None,
-        exact=True,
-    )
+    return _exact_mean(_walk([branches] * n, None, pair.dim, pair.norm, p, PERP_CAP))
 
 
 def dependent_upper_constant(p: float, lambda_chain) -> float:
@@ -515,57 +467,27 @@ def _b_norm_moment(
 ) -> EstimateWithCI:
     """E||B||^p: exact for finite or scalar B, Monte Carlo otherwise."""
     supports = [dc.finite_support(b) for b in pair.b_specs]
-    if all(s is not None for s in supports):
-        sizes = 1
-        for s in supports:
-            sizes *= len(s[0])
-        if sizes <= PERP_CAP:
-            grids = np.meshgrid(*[np.arange(len(s[0])) for s in supports], indexing="ij")
-            flat = [g.ravel() for g in grids]
-            cols = []
-            prob = np.ones(sizes)
-            for j, (bv, bp) in enumerate(supports):
-                cols.append(bv[flat[j]])
-                prob *= bp[flat[j]]
-            values = holder_norm(np.column_stack(cols), pair.norm) ** p
-            return EstimateWithCI(
-                mean=float(np.sum(values * prob)),
-                std_error=0.0,
-                replications=sizes,
-                seed=None,
-                exact=True,
-            )
+    if all(s is not None for s in supports) and math.prod(len(s[0]) for s in supports) <= PERP_CAP:
+        b, prob = _product_atoms(supports)
+        one_step = [(np.ones(len(prob)), b, prob)]  # r after the step is never read
+        return _exact_mean(_walk(one_step, None, pair.dim, pair.norm, p, PERP_CAP))
     if pair.dim == 1:
-        est = dc.abs_moment(pair.b_specs[0], p)
-        return EstimateWithCI(
-            mean=est.value, std_error=0.0, replications=0, seed=None, exact=True
-        )
+        return _exact(dc.abs_moment(pair.b_specs[0], p).value, 0)
     gen = src.child(10_000).generator()
     _, b = draw_pair(pair, max(reps, MIN_REPS), gen)
     values = holder_norm(b, pair.norm) ** p
     return _stats(values, len(values), src.seed)
 
 
-def _resolve_bracket_constants(pair: PairSpec, p: float, bundle_or_certs):
-    """(lower_c, upper_C, lower_certified) for the declared coupling."""
-    cert = None
-    if isinstance(bundle_or_certs, tuple) and len(bundle_or_certs) == 2:
-        first, second = bundle_or_certs
-        if isinstance(first, ConstantBundle):
-            bundle, cert = first, second
-        else:
-            lo, hi = float(first), float(second)
-            return lo, hi, True
-    elif isinstance(bundle_or_certs, ConstantBundle):
-        bundle = bundle_or_certs
-    elif isinstance(bundle_or_certs, SmallPCertificate):
-        cert = bundle_or_certs
-        bundle = lower_constant_small_p(cert)
-    elif isinstance(bundle_or_certs, LargePCertificate):
-        cert = bundle_or_certs
-        bundle = lower_constant_large_p(cert)
-    else:
-        raise TypeError("pass a ConstantBundle, a certificate, or (lower, upper)")
+def bracket_constants(
+    pair: PairSpec, p: float, bundle: ConstantBundle, cert=None
+) -> tuple[float, float, bool]:
+    """(lower_c, upper_C, lower_certified) of the bracket for pair's coupling.
+
+    An independent pair takes the bundle as is.  A dependent pair keeps only
+    an uncertified lower constant; for p > 1 its upper constant comes from
+    the large-p certificate's ratio chain.
+    """
     if pair.coupling == "independent":
         return bundle.lower_c, bundle.upper_C, True
     if p <= 1.0:
@@ -582,16 +504,18 @@ def goldie_bracket(
     pair: PairSpec,
     p: float,
     n_list,
-    bundle_or_certs,
+    constants: tuple[float, float, bool],
     reps: int,
     src: dc.RandomSource,
     require_normalized: bool = True,
 ) -> list[GoldieBracketRow]:
     """Bracket (1/n) E||S_n||^p between lower_c and upper_C times E||B||^p.
 
-    The comparison presumes E X^p = 1 so that sum_i E R_{i-1}^p = n; pass
-    require_normalized=False only to demonstrate how the bracket fails
-    without that normalization (the fixed-point degeneracy).
+    constants is (lower_c, upper_C, lower_certified), as bracket_constants
+    returns it.  The comparison presumes E X^p = 1 so that
+    sum_i E R_{i-1}^p = n; pass require_normalized=False only to demonstrate
+    how the bracket fails without that normalization (the fixed-point
+    degeneracy).
     """
     if require_normalized:
         mp = dc.abs_moment(pair.x_spec, p).value
@@ -599,7 +523,7 @@ def goldie_bracket(
             raise NotNormalizedError(
                 f"pair has E X^p = {mp!r}; normalize X or pass require_normalized=False"
             )
-    lower_c, upper_c, lower_certified = _resolve_bracket_constants(pair, p, bundle_or_certs)
+    lower_c, upper_c, lower_certified = constants
     b_mom = _b_norm_moment(pair, p, reps, src)
     tol = 1e-9 * b_mom.mean
     lo_edge = lower_c * (b_mom.mean - 3.0 * b_mom.std_error) - tol
@@ -608,21 +532,13 @@ def goldie_bracket(
     rows = []
     branches = _pair_branches(pair)
     for idx, n in enumerate(n_list):
-        exact = branches is not None and len(branches[0]) ** n <= PERP_CAP
-        if exact:
-            est = brute_force_perpetuity(pair, n, p)
-        else:
-            est = perpetuity_lhs(pair, n, p, reps, src.child(idx))
-        middle = EstimateWithCI(
-            mean=est.mean / n,
-            std_error=est.std_error / n,
-            replications=est.replications,
-            seed=est.seed,
-            exact=est.exact,
+        est = _exact_or_sampled(
+            branches, n, PERP_CAP,
+            lambda: brute_force_perpetuity(pair, n, p),
+            lambda: perpetuity_lhs(pair, n, p, reps, src.child(idx)),
         )
-        ci_lo = middle.mean - 3.0 * middle.std_error
-        ci_hi = middle.mean + 3.0 * middle.std_error
-        verdict = _bracket_verdict(ci_lo, ci_hi, lo_edge, hi_edge, check_lower=lower_certified)
+        middle = replace(est, mean=est.mean / n, std_error=est.std_error / n)
+        verdict = _bracket_verdict(middle, lo_edge, hi_edge, check_lower=lower_certified)
         rows.append(
             GoldieBracketRow(
                 n=n,
@@ -649,29 +565,29 @@ def lambda_weighted_sum(coeffs: CoefficientSet, p: float, lam: float) -> float:
     )
 
 
-def tail_check_large_p(
-    spec, coeffs: CoefficientSet, p: float, q: float, lam: float, t_grid=(1.0, 2.0, 4.0, 8.0)
-) -> list[dict]:
-    """P(||sum v_i R_i||^p >= t * sum lambda^i ||v_i||^p) <= (1-lam)^((1-p)q/p) t^(-q/p)."""
+def _tail_rows(spec, coeffs: CoefficientSet, p: float, lam: float, t_grid, level, bound):
+    """Exact P(||sum v_i R_i||^p >= level(t) * sum lambda^i ||v_i||^p) vs bound(t)."""
     values, probs = enumerate_lhs_distribution(spec, coeffs, p)
     base = lambda_weighted_sum(coeffs, p, lam)
     rows = []
     for t in t_grid:
-        mass = float(np.sum(probs[values >= t * base]))
-        bound = (1.0 - lam) ** ((1.0 - p) * q / p) * t ** (-q / p)
-        rows.append({"t": t, "tail_prob": mass, "bound": bound, "ok": mass <= bound + 1e-12})
+        mass, edge = float(np.sum(probs[values >= level(t) * base])), bound(t)
+        rows.append({"t": t, "tail_prob": mass, "bound": edge, "ok": mass <= edge + 1e-12})
     return rows
+
+
+def tail_check_large_p(
+    spec, coeffs: CoefficientSet, p: float, q: float, lam: float, t_grid=(1.0, 2.0, 4.0, 8.0)
+) -> list[dict]:
+    """P(||sum v_i R_i||^p >= t * sum lambda^i ||v_i||^p) <= (1-lam)^((1-p)q/p) t^(-q/p)."""
+    return _tail_rows(
+        spec, coeffs, p, lam, t_grid, lambda t: t,
+        lambda t: (1.0 - lam) ** ((1.0 - p) * q / p) * t ** (-q / p),
+    )
 
 
 def tail_check_small_p(
     spec, coeffs: CoefficientSet, p: float, lam: float, t_grid=(1.0, 2.0, 4.0, 8.0)
 ) -> list[dict]:
     """P(||sum v_i R_i||^p >= (t/(1-lam)) sum lambda^i ||v_i||^p) <= t^(-1/2)."""
-    values, probs = enumerate_lhs_distribution(spec, coeffs, p)
-    base = lambda_weighted_sum(coeffs, p, lam)
-    rows = []
-    for t in t_grid:
-        mass = float(np.sum(probs[values >= (t / (1.0 - lam)) * base]))
-        bound = t ** (-0.5)
-        rows.append({"t": t, "tail_prob": mass, "bound": bound, "ok": mass <= bound + 1e-12})
-    return rows
+    return _tail_rows(spec, coeffs, p, lam, t_grid, lambda t: t / (1.0 - lam), lambda t: t**-0.5)

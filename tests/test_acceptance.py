@@ -302,10 +302,11 @@ def test_criterion_08_goldie_bracket():
     bundle = optimize_large_p(x_spec, 2.0)
     src = dc.RandomSource(seed=0, stream_id=3)
 
-    exact_rows = mc.goldie_bracket(pair, 2.0, list(range(1, 7)), bundle, 1000, src)
+    constants = mc.bracket_constants(pair, 2.0, bundle)
+    exact_rows = mc.goldie_bracket(pair, 2.0, list(range(1, 7)), constants, 1000, src)
     exact_ok = all(r.exact and r.verdict == mc.PASS for r in exact_rows)
 
-    mc_rows = mc.goldie_bracket(pair, 2.0, [10, 25, 50], bundle, 100_000, src.child(1))
+    mc_rows = mc.goldie_bracket(pair, 2.0, [10, 25, 50], constants, 100_000, src.child(1))
     mc_ok = all((not r.exact) and r.verdict == mc.PASS for r in mc_rows)
 
     demo_pair = PairSpec(
@@ -317,7 +318,7 @@ def test_criterion_08_goldie_bracket():
         demo_pair,
         1.0,
         [1, 2, 4, 8, 16, 32, 64],
-        (0.05, 10.0),
+        (0.05, 10.0, True),
         1000,
         src.child(2),
         require_normalized=False,

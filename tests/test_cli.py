@@ -4,16 +4,21 @@ import json
 
 import pytest
 
+from momsand._pool import worker_count
 from momsand.cli import main
 
 TP = "twopoint:a=0.5,b=1.5,pa=0.5"
 TP_LARGE = "twopoint:a=0.6,b=1.2806248474865698,pa=0.5"
 
 
+def _reject_constant(name):
+    raise ValueError(f"stdout is not strict JSON: {name}")
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    report = json.loads(out) if out.strip() else None
+    report = json.loads(out, parse_constant=_reject_constant) if out.strip() else None
     return code, report, out
 
 
@@ -286,3 +291,50 @@ def test_thread_count_does_not_change_report(tmp_path, capsys, monkeypatch):
     report1.pop("wall_time_s")
     report4.pop("wall_time_s")
     assert report1 == report4
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        "lognormal:mu=0,sigma=1",
+        "exponential:rate=1",
+        "uniform:lo=0,hi=2",
+        "riesz",
+        "twopoint:a=0.5,b=1.5,pa=0.5",
+    ],
+)
+def test_moment_overflow_is_usage_error(capsys, dist):
+    code = main(["moments", "--dist", dist, "--q", "2000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "E|X|^q" in captured.err and "q = 2000.0" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--dist", TP, "--p", "1.0", "--coeffs", "0,0,0"],
+        ["verify", "--dist", TP, "--p", "1.0", "--n", "3", "--coeffs", "random:count=0"],
+        ["verify", "--dist", TP, "--p", "1.0", "--coeffs", "nan,1"],
+        ["riesz", "--seq", "4,16,64", "--p", "2.0", "--coeffs", "0,0"],
+    ],
+)
+def test_degenerate_coefficients_are_usage_errors(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"--coeffs {argv[-1]}" in captured.err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])
+def test_bad_thread_count_is_usage_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("MOMSAND_THREADS", raw)
+    with pytest.raises(ValueError, match="MOMSAND_THREADS"):
+        worker_count()
+    code = main(["moments", "--dist", "riesz", "--q", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "MOMSAND_THREADS" in captured.err

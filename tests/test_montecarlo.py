@@ -253,3 +253,57 @@ def test_tail_large_p_certified_spec():
     assert all(row["ok"] for row in rows)
     bounds = [row["bound"] for row in rows]
     assert bounds == sorted(bounds, reverse=True)
+
+
+def test_csv_values_match_reference_kernel(tmp_path):
+    # reference: each block's single (m, n) draw, cumprod, then the explicit
+    # contraction over v_0 .. v_n; 5000 reps make one full and one partial block
+    spec = dc.uniform(0.0, 2.0)
+    coeffs = mc.CoefficientSet(((1.0, -0.5), (0.25, 2.0), (-1.5, 0.75), (0.5, 0.5)), "l2")
+    p, reps = 1.7, 5000
+    path = tmp_path / "values.csv"
+    mc.estimate_lhs(spec, coeffs, p, reps, src(8), csv_path=str(path))
+    lines = path.read_text().strip().splitlines()[1:]
+    got = np.array([float(line.split(",")[1]) for line in lines])
+
+    vmat = coeffs.matrix()
+    blocks = []
+    for j, start in enumerate(range(0, reps, mc.CHUNK)):
+        m = min(mc.CHUNK, reps - start)
+        prods = np.cumprod(dc.sample(spec, (m, coeffs.n), src(8).generator(block=j)), axis=1)
+        acc = np.tile(vmat[0], (m, 1))
+        for i in range(1, coeffs.n + 1):
+            acc = acc + prods[:, i - 1][:, None] * vmat[i][None, :]
+        blocks.append(mc.holder_norm(acc, coeffs.norm) ** p)
+    assert len(blocks) == 2
+    assert np.array_equal(got, np.concatenate(blocks))
+
+
+def _split_and_unsplit(monkeypatch, fn):
+    whole = fn()
+    monkeypatch.setattr(mc, "ENUM_BLOCK", 7)
+    return whole, fn()
+
+
+def test_prefix_split_walk_matches_unsplit_sandwich(monkeypatch):
+    spec = dc.finitely_supported([(0.5, 0.3), (1.0, 0.4), (2.0, 0.3)])
+    coeffs = mc.CoefficientSet(((1.0, 0.5), (-0.5, 1.0), (2.0, -1.0), (0.25, 0.0), (1.0, 1.0)))
+    whole, split = _split_and_unsplit(
+        monkeypatch, lambda: mc.enumerate_lhs_distribution(spec, coeffs, 1.5)
+    )
+    assert len(whole[0]) == 3**4
+    assert np.array_equal(whole[0], split[0])
+    assert np.array_equal(whole[1], split[1])
+
+
+@pytest.mark.parametrize("coupling", ["independent", "comonotone-scalar"])
+def test_prefix_split_walk_matches_unsplit_perpetuity(monkeypatch, coupling):
+    from momsand.assumptions import PairSpec
+
+    pair = PairSpec(
+        x_spec=dc.finitely_supported([(0.5, 0.3), (1.0, 0.4), (1.5, 0.3)]),
+        b_specs=(dc.two_point(0.5, 2.0, 0.4),),
+        coupling=coupling,
+    )
+    whole, split = _split_and_unsplit(monkeypatch, lambda: mc.brute_force_perpetuity(pair, 5, 2.5))
+    assert whole == split

@@ -12,6 +12,7 @@ from momsand.constants import lower_constant_large_p, optimize_small_p
 from momsand.errors import ChainLengthMismatchError, NotNormalizedError
 from momsand.montecarlo import (
     _b_norm_moment,
+    bracket_constants,
     brute_force_perpetuity,
     dependent_upper_constant,
     goldie_bracket,
@@ -130,7 +131,8 @@ def test_goldie_bracket_independent_exact_rows():
     pair = indep_pair()
     cert = fit_large_p(X_P2, 2.0)
     bundle = lower_constant_large_p(cert)
-    rows = goldie_bracket(pair, 2.0, [1, 2, 3, 4, 5, 6], bundle, reps=10_000, src=src())
+    constants = bracket_constants(pair, 2.0, bundle)
+    rows = goldie_bracket(pair, 2.0, [1, 2, 3, 4, 5, 6], constants, reps=10_000, src=src())
     assert len(rows) == 6
     for row in rows:
         assert row.exact
@@ -142,7 +144,8 @@ def test_goldie_bracket_independent_exact_rows():
 def test_goldie_bracket_monte_carlo_rows():
     pair = indep_pair()
     cert = fit_large_p(X_P2, 2.0)
-    rows = goldie_bracket(pair, 2.0, [10, 25, 50], cert, reps=100_000, src=src(3))
+    constants = bracket_constants(pair, 2.0, lower_constant_large_p(cert), cert)
+    rows = goldie_bracket(pair, 2.0, [10, 25, 50], constants, reps=100_000, src=src(3))
     for row in rows:
         assert not row.exact
         assert row.middle.std_error > 0
@@ -152,7 +155,8 @@ def test_goldie_bracket_monte_carlo_rows():
 def test_goldie_bracket_small_p_certificate():
     pair = indep_pair(x=X_P1, b=B_SPEC)
     bundle = optimize_small_p(X_P1, 1.0)
-    rows = goldie_bracket(pair, 1.0, [1, 2, 4], bundle, reps=10_000, src=src())
+    constants = bracket_constants(pair, 1.0, bundle)
+    rows = goldie_bracket(pair, 1.0, [1, 2, 4], constants, reps=10_000, src=src())
     for row in rows:
         assert row.verdict == mc.PASS
 
@@ -161,7 +165,8 @@ def test_goldie_bracket_dependent_upper_only():
     pair = PairSpec(x_spec=X_P2, b_specs=(B_SPEC,), coupling="comonotone-scalar")
     cert = fit_large_p(X_P2, 2.0)
     bundle = lower_constant_large_p(cert)
-    rows = goldie_bracket(pair, 2.0, [1, 2, 3], (bundle, cert), reps=10_000, src=src())
+    constants = bracket_constants(pair, 2.0, bundle, cert)
+    rows = goldie_bracket(pair, 2.0, [1, 2, 3], constants, reps=10_000, src=src())
     for row in rows:
         assert not row.lower_certified
         assert row.verdict == mc.PASS
@@ -171,7 +176,7 @@ def test_goldie_bracket_dependent_upper_only():
 def test_goldie_bracket_requires_normalization():
     pair = indep_pair(x=X_P1)  # E X^2 = 1.25, not normalized at p = 2
     with pytest.raises(NotNormalizedError):
-        goldie_bracket(pair, 2.0, [1], (0.1, 10.0), reps=10_000, src=src())
+        goldie_bracket(pair, 2.0, [1], (0.1, 10.0, True), reps=10_000, src=src())
 
 
 def test_fixed_point_demo_exits_bracket():
@@ -182,7 +187,7 @@ def test_fixed_point_demo_exits_bracket():
         pair,
         1.0,
         [1, 2, 4, 8, 16, 32, 64],
-        (0.05, 10.0),
+        (0.05, 10.0, True),
         reps=10_000,
         src=src(),
         require_normalized=False,
