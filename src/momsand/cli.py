@@ -391,6 +391,8 @@ def cmd_riesz(resolved: dict):
     lac = check_lacunary(seq)
     if resolved.get("term") is not None:
         i = int(resolved["term"])
+        if not 0 <= i <= seq.m:
+            raise ValueError(f"--term {i} is outside 0..{seq.m}, the products of --seq")
         comb = RieszCombination(seq, (0.0,) * i + (1.0,))
         torus = riesz_lp_norm(comb, p, quad_points)
         factor_p = dc.abs_moment(dc.riesz_factor(), p).value

@@ -38,7 +38,12 @@ from . import dist_core as dc
 from ._pool import map_indexed
 from .assumptions import LargePCertificate, PairSpec, draw_pair
 from .constants import LARGE_P, SMALL_P, ConstantBundle
-from .errors import ChainLengthMismatchError, EnumerationTooLargeError, NotNormalizedError
+from .errors import (
+    ChainLengthMismatchError,
+    EnumerationTooLargeError,
+    NonfiniteMomentError,
+    NotNormalizedError,
+)
 
 CHUNK = 4096
 ENUM_CAP = 10**7
@@ -560,9 +565,15 @@ def goldie_bracket(
 
 def lambda_weighted_sum(coeffs: CoefficientSet, p: float, lam: float) -> float:
     """sum_i lambda^i ||v_i||^p, the scale the tail bounds are stated in."""
-    return math.fsum(
-        _vector_norm(v, coeffs.norm) ** p * lam**i for i, v in enumerate(coeffs.vectors)
-    )
+    try:
+        total = math.fsum(
+            _vector_norm(v, coeffs.norm) ** p * lam**i for i, v in enumerate(coeffs.vectors)
+        )
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise NonfiniteMomentError(f"sum_i lambda^i ||v_i||^p overflows at p = {p}")
+    return total
 
 
 def _tail_rows(spec, coeffs: CoefficientSet, p: float, lam: float, t_grid, level, bound):

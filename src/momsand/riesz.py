@@ -16,9 +16,20 @@ L_p norms on the torus are computed by the uniform-grid mean over N points,
 which for periodic integrands is the trapezoid rule and is exact for
 trigonometric polynomials of degree below N.  |.|^p with non-integer p has
 kinks where the combination vanishes; the N vs N/2 Richardson difference is
-reported as the error estimate instead of special-casing roots.  Grids
-stream in fixed blocks so no full grid is ever stored, and partial sums
-combine in block order regardless of worker count.
+reported as the error estimate instead of special-casing roots.
+
+The integrand depends on t only through cos(n_j t), so it is even and has
+period 2 pi / g with g = gcd(n_j).  On the grid t_k = 2 pi k / N its values
+f_k therefore repeat with period M = N / gcd(g, N) and satisfy f_{M-k} = f_k,
+which folds the N-point mean onto k = 0 .. floor(M/2):
+
+    (1/N) sum_{k<N} f_k = (2 sum_{k<=M/2} f_k - f_0 - [M even] f_{M/2}) / M.
+
+The N/2 subgrid (even k) folds the same way over M/2 when M is even; when M
+is odd, 2k runs over every residue mod M, so the subgrid mean equals the
+N-point mean.  Only about N/(2g) points are evaluated.  Grids stream in fixed
+blocks so no full grid is ever stored, and partial sums combine in block
+order regardless of worker count.
 """
 
 from __future__ import annotations
@@ -30,7 +41,12 @@ import numpy as np
 
 from . import dist_core as dc
 from ._pool import map_indexed
-from .errors import NotIncreasingError, NotLacunaryError, TooFewPointsError
+from .errors import (
+    NonfiniteMomentError,
+    NotIncreasingError,
+    NotLacunaryError,
+    TooFewPointsError,
+)
 from .montecarlo import EstimateWithCI, coefficient_set, estimate_lhs
 
 MAX_TERM = 2**20
@@ -130,10 +146,15 @@ def _combination_values(comb: RieszCombination, t: np.ndarray) -> np.ndarray:
     coeffs = comb.coefficients
     acc = np.full_like(t, coeffs[0])
     prod = np.ones_like(t)
+    factor = np.empty_like(t)
     for i in range(1, len(coeffs)):
-        prod = prod * (1.0 + np.cos(comb.seq.terms[i - 1] * t))
+        np.multiply(comb.seq.terms[i - 1], t, out=factor)
+        np.cos(factor, out=factor)
+        factor += 1.0
+        prod *= factor
         if coeffs[i] != 0.0:
-            acc = acc + coeffs[i] * prod
+            np.multiply(coeffs[i], prod, out=factor)
+            acc += factor
     return acc
 
 
@@ -144,11 +165,15 @@ def riesz_lp_norm(
 
     The N-point grid mean equals the trapezoid rule for periodic functions
     and integrates trigonometric polynomials of degree < N exactly; the
-    error estimate is the difference against the N/2 subgrid.
+    error estimate is the difference against the N/2 subgrid.  Both means
+    come from the values f_k at k = 0 .. floor(M/2), M = N / gcd(g, N),
+    g = gcd(n_j), by the fold (2 sum f_k - f_0 - [M even] f_{M/2}) / M; for
+    odd M the subgrid mean is the N-point mean.  `points` reports N.
     """
     if p < 1.0:
         raise ValueError("torus norms are computed for p >= 1")
-    n_max = comb.seq.terms[len(comb.coefficients) - 2] if len(comb.coefficients) > 1 else 1
+    terms = comb.seq.terms[: len(comb.coefficients) - 1]
+    n_max = terms[-1] if terms else 1
     floor = max(MIN_POINTS, POINTS_PER_FREQ * n_max)
     n_pts = floor if quad_points is None else int(quad_points)
     if n_pts < floor:
@@ -157,11 +182,14 @@ def riesz_lp_norm(
         )
     if n_pts % 2:
         n_pts += 1
+    # math.gcd() of no terms is 0, so a constant folds onto the single point k = 0
+    period = n_pts // math.gcd(math.gcd(*terms), n_pts)
+    half = period // 2
 
     blocks = []
     start = 0
-    while start < n_pts:
-        stop = min(start + _BLOCK, n_pts)
+    while start <= half:
+        stop = min(start + _BLOCK, half + 1)
         blocks.append((start, stop))
         start = stop
 
@@ -169,16 +197,24 @@ def riesz_lp_norm(
 
     def run_block(block):
         lo, hi = block
-        t = np.arange(lo, hi, dtype=float) * step
-        vals = np.abs(_combination_values(comb, t)) ** p
+        vals = _combination_values(comb, np.arange(lo, hi, dtype=float) * step)
+        np.abs(vals, out=vals)
+        vals **= p
         evens = vals[0::2] if lo % 2 == 0 else vals[1::2]
-        return float(np.sum(vals)), float(np.sum(evens))
+        return float(np.sum(vals)), float(np.sum(evens)), float(vals[0]), float(vals[-1])
 
     partials = map_indexed(run_block, blocks)
-    total = math.fsum(s for s, _ in partials)
-    total_even = math.fsum(e for _, e in partials)
-    value = total / n_pts
-    half_value = total_even / (n_pts // 2)
+    f_first = partials[0][2]
+    f_half = partials[-1][3] if period % 2 == 0 else 0.0
+    total = math.fsum(s for s, _, _, _ in partials)
+    value = (2.0 * total - f_first - f_half) / period
+    if not math.isfinite(value):
+        raise NonfiniteMomentError(f"torus L_p norm at p = {p} is not finite")
+    if period % 2:
+        half_value = value
+    else:
+        total_even = math.fsum(e for _, e, _, _ in partials)
+        half_value = (2.0 * total_even - f_first - (f_half if half % 2 == 0 else 0.0)) / half
     return QuadResult(value=value, error_estimate=abs(value - half_value), points=n_pts)
 
 
@@ -210,11 +246,15 @@ def corollary_check(
     reps: int,
     src: dc.RandomSource,
     quad_points: int | None = None,
+    per_term_torus: list[float] | None = None,
 ) -> dict:
     """Torus norm vs probabilistic moment for one combination.
 
     Evidence, not certification: the comparison constants are not explicit,
     so the report carries both sides, their per-term norms, and the ratio.
+    per_term_torus, when given, holds the torus norms of Rbar_0 ..
+    Rbar_{len(coefficients)-1} at the same p and quad_points; a scan over
+    draws reuses the first draw's.
     """
     verdict = check_lacunary(comb.seq)
     if not verdict["lacunary"]:
@@ -223,17 +263,20 @@ def corollary_check(
         )
     torus = riesz_lp_norm(comb, p, quad_points)
     prob = _probabilistic_side(comb, p, reps, src)
-    factor_p = dc.abs_moment(dc.riesz_factor(), p).value
-    per_term = []
-    for i in range(len(comb.coefficients)):
-        unit = RieszCombination(comb.seq, (0.0,) * i + (1.0,))
-        per_term.append(
-            {
-                "i": i,
-                "torus": riesz_lp_norm(unit, p, quad_points).value,
-                "probabilistic": factor_p**i,
-            }
+    if not (math.isfinite(prob.mean) and math.isfinite(prob.std_error)):
+        raise NonfiniteMomentError(
+            f"probabilistic side E|sum a_i R_i|^p at p = {p} is not finite"
         )
+    factor_p = dc.abs_moment(dc.riesz_factor(), p).value
+    if per_term_torus is None:
+        per_term_torus = [
+            riesz_lp_norm(RieszCombination(comb.seq, (0.0,) * i + (1.0,)), p, quad_points).value
+            for i in range(len(comb.coefficients))
+        ]
+    per_term = [
+        {"i": i, "torus": value, "probabilistic": factor_p**i}
+        for i, value in enumerate(per_term_torus)
+    ]
     ratio = torus.value / prob.mean if prob.mean != 0.0 else math.inf
     return {
         "p": p,
@@ -263,11 +306,13 @@ def corollary_ratio_scan(
         raise ValueError("need at least one draw")
     ratios = []
     reports = []
+    per_term_torus = None  # depends only on (seq, p, quad_points): the first draw computes it
     for d in range(draws):
         gen = src.child(1000 + d).generator()
         coeffs = tuple(float(c) for c in gen.standard_normal(seq.m + 1))
         comb = RieszCombination(seq, coeffs)
-        rep = corollary_check(comb, p, reps, src.child(2000 + d), quad_points)
+        rep = corollary_check(comb, p, reps, src.child(2000 + d), quad_points, per_term_torus)
+        per_term_torus = [term["torus"] for term in rep["per_term"]]
         ratios.append(rep["ratio"])
         reports.append(rep)
     return {

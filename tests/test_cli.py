@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from momsand._pool import worker_count
@@ -171,6 +172,38 @@ def test_riesz_term(capsys):
 def test_riesz_needs_a_mode(capsys):
     code, _, _ = run_cli(capsys, ["riesz", "--seq", "4,16,64", "--p", "2.0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("term", ["-1", "4"])
+def test_riesz_term_out_of_range_is_usage_error(capsys, term):
+    code = main(["riesz", "--seq", "4,16,64", "--p", "3", "--term", term])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"--term {term}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["riesz", "--seq", "4,16,64", "--p", "4", "--coeffs=1e100,1e100", "--reps", "1000"],
+         "torus L_p norm"),
+        # the torus value is finite here, the Monte Carlo standard error is not
+        (["riesz", "--seq", "4,16,64", "--p", "3", "--coeffs=1e100,1e100", "--reps", "1000"],
+         "probabilistic side"),
+        (["verify", "--dist", TP, "--p", "4", "--n", "3", "--coeffs", "1e100,1e100,1e100,1e100"],
+         "sum_i lambda^i ||v_i||^p overflows"),
+    ],
+)
+def test_nonfinite_results_are_usage_errors(capsys, argv, message):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(argv)
+    captured = capsys.readouterr()
+    if captured.out.strip():
+        json.loads(captured.out, parse_constant=_reject_constant)
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_riesz_dense_sequence_exit_three(capsys):

@@ -1,11 +1,14 @@
 """Riesz products on the torus: quadrature anchors, moment identities."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from momsand import dist_core as dc
+from momsand import riesz as rz
 from momsand.errors import NotIncreasingError, NotLacunaryError, TooFewPointsError
 from momsand.riesz import (
     LacunarySequence,
@@ -178,3 +181,71 @@ def test_ratio_scan_band_p2():
     # p = 2 both sides share the exact bilinear form: ratios pin to 1
     for r in out["ratios"]:
         assert r == pytest.approx(1.0, rel=1e-6)
+
+
+def _unfolded(comb_, p, n_pts):
+    """Plain N-point grid mean and its distance to the N/2 subgrid mean."""
+    t = np.arange(n_pts) * (2.0 * math.pi / n_pts)
+    combo = sum(a * riesz_eval(comb_.seq, i, t) for i, a in enumerate(comb_.coefficients))
+    f = np.abs(combo) ** p
+    value = math.fsum(f) / n_pts
+    return value, abs(value - math.fsum(f[0::2]) / (n_pts // 2))
+
+
+GCD_ONE = LacunarySequence((3, 10, 31, 100))
+
+
+@pytest.mark.parametrize(
+    "seq, quad_points",
+    [
+        (GCD_ONE, None),  # g = 1, M = N even
+        (GCD_ONE, 64 * 100 + 2),  # g = 1, M/2 odd
+        (SEQ, None),  # g = 4 divides N
+        (SEQ, 64 * 256 + 2),  # g does not divide N: gcd 2, M odd
+        (SEQ, 64 * 256 + 8),  # gcd 4, M/2 odd
+    ],
+)
+@pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, 4.7])
+def test_fold_matches_unfolded_grid(seq, quad_points, p):
+    target = comb((1.0, -0.8, 0.6, -0.9, 0.7), seq)
+    out = riesz_lp_norm(target, p, quad_points)
+    value, error = _unfolded(target, p, out.points)
+    assert out.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert abs(out.error_estimate - error) <= 1e-11 * max(abs(value), 1.0)
+
+
+@pytest.mark.parametrize("seq, g", [(SEQ, 4), (GCD_ONE, 1)])
+def test_fold_evaluates_a_fraction_of_the_grid(monkeypatch, seq, g):
+    evaluated = []
+    real = rz._combination_values
+
+    def counting(comb_, t):
+        evaluated.append(len(t))
+        return real(comb_, t)
+
+    monkeypatch.setattr(rz, "_combination_values", counting)
+    out = riesz_lp_norm(comb((1.0, -0.5, 0.25, 0.75, -0.6), seq), 3.0)
+    assert sum(evaluated) <= out.points // (2 * g) + 2
+
+
+def test_ratio_scan_matches_per_draw_checks(monkeypatch):
+    seq = LacunarySequence((4, 16, 64, 256))
+    base = src(23)
+    calls = []
+    real = rz.riesz_lp_norm
+
+    def counting(comb_, p, quad_points=None):
+        calls.append(len(comb_.coefficients))
+        return real(comb_, p, quad_points)
+
+    monkeypatch.setattr(rz, "riesz_lp_norm", counting)
+    scan = corollary_ratio_scan(seq, 2.5, draws=3, reps=2000, src=base)
+    # one combination per draw, and the m + 1 per-term norms once per scan
+    assert len(calls) == 3 + seq.m + 1
+    for d, report in enumerate(scan["reports"]):
+        gen = base.child(1000 + d).generator()
+        coeffs = tuple(float(c) for c in gen.standard_normal(seq.m + 1))
+        alone = corollary_check(comb(coeffs, seq), 2.5, 2000, base.child(2000 + d))
+        assert json.dumps(report, sort_keys=True, default=dataclasses.asdict) == json.dumps(
+            alone, sort_keys=True, default=dataclasses.asdict
+        )
