@@ -12,6 +12,10 @@ constant formulas consume:
     lambda(q) = (E|X|^q)^{1/q} < 1, and the Lyapunov ratio chain
     lambda_k = (E|X|^{p-k})^{1/(p-k)} / (E|X|^{p-k+1})^{1/(p-k+1)}.
 
+SmallPParts and LargePParts hold what does not depend on the grid, fitted
+once; their certificate() assembles the certificate at one grid point, for
+fit_small_p/fit_large_p and for the scans in constants alike.
+
 Certificates carry margins (distance to the degenerate boundary plus the
 quadrature error absorbed) and re-verify against the moment oracle.  Only
 deterministic moment methods are allowed inside certificates; a Monte Carlo
@@ -24,6 +28,7 @@ P(Xv + B = v) < 1.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -107,9 +112,22 @@ def _require_normalized(spec: dc.DistributionSpec, p: float) -> float:
     return mp
 
 
-def delta_window(spec: dc.DistributionSpec, p: float, a_param: float):
-    """Window mass E(|X|^p - m) 1{m <= |X|^p <= A m}, m = E|X|^p; with error."""
-    m = dc.abs_moment(spec, p).value
+def _lp_norm(spec: dc.DistributionSpec, r: float) -> float:
+    return dc.abs_moment(spec, r).value ** (1.0 / r)
+
+
+def _tail_mass(spec: dc.DistributionSpec, m1: float, cut: float):
+    """E||X| - m1| 1{|X| > cut} with its absolute error."""
+    return dc.expect(
+        spec,
+        lambda x: abs(abs(x) - m1) if abs(x) > cut else 0.0,
+        breaks=[-cut, -m1, m1, cut],
+    )
+
+
+def delta_window(spec: dc.DistributionSpec, p: float, a_param: float, m: float | None = None):
+    """Window mass E(|X|^p - m) 1{m <= |X|^p <= A m}, m = E|X|^p if not given; with error."""
+    m = dc.abs_moment(spec, p).value if m is None else m
     lo = m ** (1.0 / p)
     hi = (a_param * m) ** (1.0 / p)
 
@@ -123,39 +141,58 @@ def delta_window(spec: dc.DistributionSpec, p: float, a_param: float):
     return value / m, err / m
 
 
-def fit_small_p(
-    spec: dc.DistributionSpec,
-    p: float,
-    a_param: float | None = None,
-    a_grid=DEFAULT_A_GRID_SMALL,
-) -> SmallPCertificate:
-    """Certificate for 0 < p <= 1; scans the A grid unless a_param pins A."""
+@dataclass(frozen=True)
+class SmallPParts:
+    """The part of a small-p certificate that does not depend on A."""
+
+    spec: dc.DistributionSpec
+    p: float
+    mp: float
+    lam: float
+    lam_abs_error: float
+
+    def certificate(self, a_val: float) -> SmallPCertificate:
+        """The certificate at A; EmptyWindowError unless delta(A) clears its error."""
+        if a_val > 1.0:
+            delta, derr = delta_window(self.spec, self.p, a_val, self.mp)
+            if delta > max(1e-12, 2.0 * derr):
+                margins = {
+                    "lambda_gap": 1.0 - self.lam,
+                    "delta": delta,
+                    "window_abs_error": derr,
+                    "moment_abs_error": self.lam_abs_error,
+                }
+                return SmallPCertificate(
+                    p=self.p, lam=self.lam, delta=delta, a_param=a_val, margins=margins
+                )
+        raise EmptyWindowError(f"delta(A) <= 0 at A = {a_val}")
+
+
+def small_p_parts(spec: dc.DistributionSpec, p: float) -> SmallPParts:
+    """Check E|X|^p = 1 and fit lambda for 0 < p <= 1."""
     if not (0.0 < p <= 1.0):
         raise ValueError(f"small-p fitter needs 0 < p <= 1, got {p}")
     mp = _require_normalized(spec, p)
     half = dc.abs_moment(spec, p / 2.0)
     lam = half.value / math.sqrt(mp)
     if lam >= 1.0 - 1e-9:
-        raise DegenerateModulusError(
-            f"lambda = {lam!r}: |X|^p carries no usable spread"
-        )
+        raise DegenerateModulusError(f"lambda = {lam!r}: |X|^p carries no usable spread")
+    return SmallPParts(spec, p, mp, lam, half.abs_error)
 
+
+def fit_small_p(
+    spec: dc.DistributionSpec,
+    p: float,
+    a_param: float | None = None,
+    a_grid=DEFAULT_A_GRID_SMALL,
+) -> SmallPCertificate:
+    """Certificate for 0 < p <= 1 at the first A of the grid, or at a_param, with delta(A) > 0."""
+    parts = small_p_parts(spec, p)
     candidates = [float(a_param)] if a_param is not None else [float(a) for a in a_grid]
     for a_val in candidates:
-        if not a_val > 1.0:
-            continue
-        delta, derr = delta_window(spec, p, a_val)
-        if delta > max(1e-12, 2.0 * derr):
-            margins = {
-                "lambda_gap": 1.0 - lam,
-                "delta": delta,
-                "window_abs_error": derr,
-                "moment_abs_error": half.abs_error,
-            }
-            return SmallPCertificate(p=p, lam=lam, delta=delta, a_param=a_val, margins=margins)
-    raise EmptyWindowError(
-        f"delta(A) <= 0 for all scanned A in {candidates}; widen the grid"
-    )
+        with contextlib.suppress(EmptyWindowError):
+            return parts.certificate(a_val)
+    raise EmptyWindowError(f"delta(A) <= 0 for all scanned A in {candidates}; widen the grid")
 
 
 def default_q_grid(p: float, count: int = 9) -> tuple[float, ...]:
@@ -167,90 +204,90 @@ def default_q_grid(p: float, count: int = 9) -> tuple[float, ...]:
     return tuple(lo + step * k for k in range(1, count + 1))
 
 
+@dataclass(frozen=True)
+class LargePParts:
+    """The parts of a large-p certificate that depend on neither A nor q."""
+
+    spec: dc.DistributionSpec
+    p: float
+    norm_p: float
+    m1: float
+    mu: float
+    mu_abs_error: float
+    chain: tuple[float, ...]
+
+    def tail(self, a_val: float):
+        """(tail, abs error) over ||X||_p at A if the tail is at most mu/4, else None."""
+        t_val, t_err = _tail_mass(self.spec, self.m1, a_val * self.norm_p)
+        t_val /= self.norm_p
+        return (t_val, t_err / self.norm_p) if t_val <= self.mu / 4.0 + _SLACK else None
+
+    def lam(self, q: float):
+        """lambda(q) = ||X||_q / ||X||_p for q strictly inside (max(p-1, 1), p), else None."""
+        if not max(self.p - 1.0, 1.0) < q < self.p:
+            return None
+        return _lp_norm(self.spec, q) / self.norm_p
+
+    def certificate(self, a_val: float, tail, q: float, lam) -> LargePCertificate:
+        """The certificate at (A, q) from tail(A) and lam(q); raises where a hypothesis fails."""
+        if tail is None:
+            raise EmptyWindowError(f"A = {a_val} does not meet the mu/4 tail condition")
+        if lam is None:
+            raise NoValidQError(f"q = {q} is not inside ({max(self.p - 1.0, 1.0)}, {self.p})")
+        if lam >= 1.0 - 1e-9:
+            raise DegenerateModulusError(f"lambda(q) = {lam!r} at q = {q}: no strict moment gap")
+        for k, lam_k in enumerate(self.chain, start=1):
+            if lam_k >= 1.0 - 1e-9:
+                raise DegenerateModulusError(
+                    f"chain ratio lambda_{k} = {lam_k!r} is not strictly below 1"
+                )
+        margins = {
+            "mu": self.mu,
+            "mu_abs_error": self.mu_abs_error,
+            "tail_slack": self.mu / 4.0 - tail[0],
+            "tail_abs_error": tail[1],
+            "lambda_gap": 1.0 - lam,
+            "chain_gap_min": min((1.0 - lk for lk in self.chain), default=1.0),
+        }
+        return LargePCertificate(
+            p=self.p, mu=self.mu, a_param=a_val, q=q, lam=lam, lam_chain=self.chain, margins=margins
+        )
+
+
+def large_p_parts(spec: dc.DistributionSpec, p: float) -> LargePParts:
+    """Check E|X|^p = 1 and fit E|X|, mu and the ratio chain for p > 1."""
+    if not (p > 1.0):
+        raise ValueError(f"large-p fitter needs p > 1, got {p}")
+    norm_p = _require_normalized(spec, p) ** (1.0 / p)
+    m1, m1_err = dc.expect(spec, abs, breaks=[0.0])
+    mu, mu_err = dc.expect(spec, lambda x: abs(abs(x) - m1), breaks=[-m1, 0.0, m1])
+    mu /= norm_p
+    if mu < 1e-9:
+        raise DegenerateModulusError(f"mu = {mu!r}: |X| is numerically constant")
+    chain = tuple(
+        _lp_norm(spec, p - k) / _lp_norm(spec, p - k + 1.0) for k in range(1, math.ceil(p))
+    )
+    return LargePParts(spec, p, norm_p, m1, mu, (mu_err + m1_err) / norm_p, chain)
+
+
 def fit_large_p(
     spec: dc.DistributionSpec,
     p: float,
     q_grid=None,
     a_grid=DEFAULT_A_GRID_LARGE,
 ) -> LargePCertificate:
-    """Certificate for p > 1 on a normalized spec."""
-    if not (p > 1.0):
-        raise ValueError(f"large-p fitter needs p > 1, got {p}")
-    mp = _require_normalized(spec, p)
-    norm_p = mp ** (1.0 / p)
-
-    m1, m1_err = dc.expect(spec, abs, breaks=[0.0])
-    mu, mu_err = dc.expect(spec, lambda x: abs(abs(x) - m1), breaks=[-m1, 0.0, m1])
-    mu /= norm_p
-    if mu < 1e-9:
-        raise DegenerateModulusError(f"mu = {mu!r}: |X| is numerically constant")
-
-    a_param = None
-    tail = None
-    tail_err = 0.0
+    """Certificate for p > 1 on a normalized spec: the first A of the grid
+    that meets the mu/4 tail condition and the q with the smallest lambda(q)."""
+    parts = large_p_parts(spec, p)
+    grid = default_q_grid(p) if q_grid is None else q_grid
+    lams = {float(q): lam for q in grid if (lam := parts.lam(q)) is not None}
+    if not lams:
+        raise NoValidQError(f"q grid has no points strictly inside ({max(p - 1.0, 1.0)}, {p})")
+    q = min(lams, key=lams.get)
     for a_val in a_grid:
-        cut = a_val * norm_p
-
-        def fn(x: float, _cut=cut) -> float:
-            if abs(x) > _cut:
-                return abs(abs(x) - m1)
-            return 0.0
-
-        t_val, t_err = dc.expect(spec, fn, breaks=[-cut, -m1, m1, cut])
-        t_val /= norm_p
-        if t_val <= mu / 4.0 + _SLACK:
-            a_param, tail, tail_err = float(a_val), t_val, t_err
-            break
-    if a_param is None:
-        raise EmptyWindowError(
-            f"no grid A in {tuple(a_grid)} meets the mu/4 tail condition"
-        )
-
-    lo_q = max(p - 1.0, 1.0)
-    grid = default_q_grid(p) if q_grid is None else tuple(q_grid)
-    grid = tuple(q for q in grid if lo_q < q < p)
-    if not grid:
-        raise NoValidQError(f"q grid has no points strictly inside ({lo_q}, {p})")
-    best_q, best_lam = None, None
-    for q in grid:
-        lam_q = dc.abs_moment(spec, q).value ** (1.0 / q) / norm_p
-        if best_lam is None or lam_q < best_lam:
-            best_q, best_lam = float(q), lam_q
-    if best_lam >= 1.0 - 1e-9:
-        raise DegenerateModulusError(
-            f"lambda(q) = {best_lam!r} at q = {best_q}: no strict moment gap"
-        )
-
-    chain = []
-    for k in range(1, math.ceil(p)):
-        r_hi = p - k + 1.0
-        r_lo = p - k
-        hi_norm = dc.abs_moment(spec, r_hi).value ** (1.0 / r_hi)
-        lo_norm = dc.abs_moment(spec, r_lo).value ** (1.0 / r_lo)
-        lam_k = lo_norm / hi_norm
-        if lam_k >= 1.0 - 1e-9:
-            raise DegenerateModulusError(
-                f"chain ratio lambda_{k} = {lam_k!r} is not strictly below 1"
-            )
-        chain.append(lam_k)
-
-    margins = {
-        "mu": mu,
-        "mu_abs_error": (mu_err + m1_err) / norm_p,
-        "tail_slack": mu / 4.0 - tail,
-        "tail_abs_error": tail_err / norm_p,
-        "lambda_gap": 1.0 - best_lam,
-        "chain_gap_min": min((1.0 - lk for lk in chain), default=1.0),
-    }
-    return LargePCertificate(
-        p=p,
-        mu=mu,
-        a_param=a_param,
-        q=best_q,
-        lam=best_lam,
-        lam_chain=tuple(chain),
-        margins=margins,
-    )
+        with contextlib.suppress(EmptyWindowError):
+            return parts.certificate(float(a_val), parts.tail(a_val), q, lams[q])
+    raise EmptyWindowError(f"no grid A in {tuple(a_grid)} meets the mu/4 tail condition")
 
 
 def verify_small_p(spec: dc.DistributionSpec, cert: SmallPCertificate) -> dict:
@@ -268,28 +305,19 @@ def verify_small_p(spec: dc.DistributionSpec, cert: SmallPCertificate) -> dict:
 
 
 def verify_large_p(spec: dc.DistributionSpec, cert: LargePCertificate) -> dict:
-    mp = dc.abs_moment(spec, cert.p).value
-    norm_p = mp ** (1.0 / cert.p)
+    norm_p = _lp_norm(spec, cert.p)
     m1, _ = dc.expect(spec, abs, breaks=[0.0])
     mad, _ = dc.expect(spec, lambda x: abs(abs(x) - m1), breaks=[-m1, 0.0, m1])
-    cut = cert.a_param * norm_p
-    tail, _ = dc.expect(
-        spec,
-        lambda x: abs(abs(x) - m1) if abs(x) > cut else 0.0,
-        breaks=[-cut, -m1, m1, cut],
-    )
-    lam_q = dc.abs_moment(spec, cert.q).value ** (1.0 / cert.q)
+    tail, _ = _tail_mass(spec, m1, cert.a_param * norm_p)
     checks = {
         "mu_slack": mad - cert.mu * norm_p,
         "tail_slack": cert.mu / 4.0 * norm_p - tail,
-        "lambda_slack": cert.lam * norm_p - lam_q,
+        "lambda_slack": cert.lam * norm_p - _lp_norm(spec, cert.q),
     }
     for k, lam_k in enumerate(cert.lam_chain, start=1):
-        r_hi = cert.p - k + 1.0
-        r_lo = cert.p - k
-        hi_norm = dc.abs_moment(spec, r_hi).value ** (1.0 / r_hi)
-        lo_norm = dc.abs_moment(spec, r_lo).value ** (1.0 / r_lo)
-        checks[f"chain_{k}_slack"] = lam_k * hi_norm - lo_norm
+        checks[f"chain_{k}_slack"] = lam_k * _lp_norm(spec, cert.p - k + 1.0) - _lp_norm(
+            spec, cert.p - k
+        )
     return checks
 
 

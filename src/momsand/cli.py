@@ -37,10 +37,10 @@ from . import dist_core as dc
 from . import montecarlo as mc
 from ._pool import worker_count
 from .assumptions import (
+    DEFAULT_A_GRID_LARGE,
+    DEFAULT_A_GRID_SMALL,
     PairSpec,
     check_pair_nondegeneracy,
-    fit_large_p,
-    fit_small_p,
     verify_large_p,
     verify_small_p,
 )
@@ -289,25 +289,14 @@ def _check_coefficients(text, values) -> None:
 
 
 def _certify_pipeline(spec, p: float, resolved: dict):
-    """Optimize the constants, then refit the certificate the winner used."""
+    """Scan the grid for the best constants, then recheck the winning certificate."""
     grid_a = _grid(resolved, "grid_a")
-    grid_q = _grid(resolved, "grid_q")
     if p <= 1.0:
-        bundle = optimize_small_p(spec, p, grid_a) if grid_a else optimize_small_p(spec, p)
-        best_a = bundle.trace[-1]["value"]
-        cert = fit_small_p(spec, p, a_param=best_a)
-        recheck = verify_small_p(spec, cert)
-    else:
-        kwargs = {}
-        if grid_a:
-            kwargs["a_grid"] = grid_a
-        if grid_q:
-            kwargs["q_grid"] = grid_q
-        bundle = optimize_large_p(spec, p, **kwargs)
-        best_a, best_q = bundle.trace[-1]["value"]
-        cert = fit_large_p(spec, p, q_grid=[best_q], a_grid=[best_a])
-        recheck = verify_large_p(spec, cert)
-    return bundle, cert, recheck
+        bundle, cert = optimize_small_p(spec, p, grid_a or DEFAULT_A_GRID_SMALL)
+        return bundle, cert, verify_small_p(spec, cert)
+    grid_q = _grid(resolved, "grid_q")
+    bundle, cert = optimize_large_p(spec, p, grid_a or DEFAULT_A_GRID_LARGE, grid_q or None)
+    return bundle, cert, verify_large_p(spec, cert)
 
 
 def cmd_moments(resolved: dict):

@@ -41,12 +41,18 @@ where each descent consumes the next chain element, and the closed product
 
 The recursion never exceeds the product (induction on the integer part), and
 we assert that on every call.
+
+optimize_small_p and optimize_large_p share one scan over the A or (A, q)
+grid.  The parts that do not depend on the grid are fitted once per scan,
+the large-p tail once per A and lambda(q) once per q; the first grid point
+with the largest lower_c wins (ties go to the earlier point), a failing
+point is recorded with lower_c None, and both return (bundle, certificate).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import dist_core as dc
 from .assumptions import (
@@ -55,8 +61,8 @@ from .assumptions import (
     LargePCertificate,
     SmallPCertificate,
     default_q_grid,
-    fit_large_p,
-    fit_small_p,
+    large_p_parts,
+    small_p_parts,
 )
 from .errors import (
     ChainLengthMismatchError,
@@ -109,21 +115,12 @@ def minimal_k(
     hi = max(2, math.ceil(k_star))
     lo = hi - 1
     while _f(hi, ln_lam, a_coef, b_coef) > ln_rhs:
-        lo = hi
-        hi *= 2
-        if lo >= K_CAP:
+        if hi >= K_CAP:
             raise KTooLargeError(
                 f"no admissible k up to the 10^9 cap (lambda = {math.exp(ln_lam)!r})",
                 trace=list(trace),
             )
-        if hi > K_CAP:
-            hi = K_CAP
-            if _f(hi, ln_lam, a_coef, b_coef) > ln_rhs:
-                raise KTooLargeError(
-                    f"no admissible k up to the 10^9 cap (lambda = {math.exp(ln_lam)!r})",
-                    trace=list(trace),
-                )
-            break
+        lo, hi = hi, min(2 * hi, K_CAP)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _f(mid, ln_lam, a_coef, b_coef) <= ln_rhs:
@@ -298,39 +295,39 @@ def upper_constant_large_p(p: float, lambda_chain) -> tuple[float, float]:
     return product, recursive
 
 
+def _scan(points, keys, certificate, lower_constant, scan_id, empty):
+    """(bundle, certificate) of the first grid point with the largest lower_c.
+
+    A point is built by certificate(*point), then lower_constant; when every
+    point fails, the last error (`empty` for no points) is raised again.
+    """
+    best, scan, last_err = None, [], empty
+    for point in points:
+        try:
+            cert = certificate(*point)
+            bundle = lower_constant(cert)
+        except (EmptyWindowError, NoValidQError, DegenerateModulusError, KTooLargeError) as exc:
+            bundle, last_err = None, exc
+        lower_c = None if bundle is None else bundle.lower_c
+        scan.append(dict(zip(keys, point), lower_c=lower_c))
+        if lower_c is not None and (best is None or lower_c > best[0].lower_c):
+            best = (bundle, cert, point)
+    if best is None:
+        raise last_err
+    bundle, cert, point = best
+    value = point[0] if len(point) == 1 else list(point)
+    entry = {"id": scan_id, "inputs": {"candidates": scan}, "value": value}
+    return replace(bundle, trace=bundle.trace + (entry,)), cert
+
+
 def optimize_small_p(
     spec: dc.DistributionSpec, p: float, a_grid=DEFAULT_A_GRID_SMALL
-) -> ConstantBundle:
-    """Best lower constant over the A grid; ties go to the smallest A."""
-    best = None
-    scan = []
-    last_err = None
-    for a_val in a_grid:
-        try:
-            cert = fit_small_p(spec, p, a_param=float(a_val))
-            bundle = lower_constant_small_p(cert)
-        except (EmptyWindowError, KTooLargeError) as exc:
-            scan.append({"a_param": float(a_val), "lower_c": None})
-            last_err = exc
-            continue
-        scan.append({"a_param": float(a_val), "lower_c": bundle.lower_c})
-        if best is None or bundle.lower_c > best.lower_c:
-            best = bundle
-    if best is None:
-        raise last_err if last_err is not None else EmptyWindowError(
-            "empty A grid for the small-p scan"
-        )
-    entry = {"id": "a_scan", "inputs": {"candidates": scan}, "value": best.trace[1]["inputs"]["a_param"]}
-    return ConstantBundle(
-        p=best.p,
-        regime=best.regime,
-        lower_c=best.lower_c,
-        upper_C=best.upper_C,
-        k=best.k,
-        c0=best.c0,
-        eps0=best.eps0,
-        eps1=best.eps1,
-        trace=best.trace + (entry,),
+) -> tuple[ConstantBundle, SmallPCertificate]:
+    """Best lower constant over the A grid, with its certificate."""
+    parts = small_p_parts(spec, p)
+    return _scan(
+        [(float(a),) for a in a_grid], ("a_param",), parts.certificate,
+        lower_constant_small_p, "a_scan", EmptyWindowError("empty A grid for the small-p scan"),
     )
 
 
@@ -339,38 +336,15 @@ def optimize_large_p(
     p: float,
     a_grid=DEFAULT_A_GRID_LARGE,
     q_grid=None,
-) -> ConstantBundle:
-    """Joint (A, q) grid scan maximizing the large-p lower constant."""
-    qs = tuple(q_grid) if q_grid is not None else default_q_grid(p)
-    best = None
-    scan = []
-    last_err = None
-    for a_val in a_grid:
-        for q in qs:
-            try:
-                cert = fit_large_p(spec, p, q_grid=[q], a_grid=[a_val])
-                bundle = lower_constant_large_p(cert)
-            except (EmptyWindowError, NoValidQError, DegenerateModulusError, KTooLargeError) as exc:
-                scan.append({"a_param": float(a_val), "q": float(q), "lower_c": None})
-                last_err = exc
-                continue
-            scan.append({"a_param": float(a_val), "q": float(q), "lower_c": bundle.lower_c})
-            if best is None or bundle.lower_c > best.lower_c:
-                best = bundle
-                best_at = (float(a_val), float(q))
-    if best is None:
-        raise last_err if last_err is not None else NoValidQError(
-            "empty (A, q) grid for the large-p scan"
-        )
-    entry = {"id": "aq_scan", "inputs": {"candidates": scan}, "value": list(best_at)}
-    return ConstantBundle(
-        p=best.p,
-        regime=best.regime,
-        lower_c=best.lower_c,
-        upper_C=best.upper_C,
-        k=best.k,
-        c0=best.c0,
-        eps0=best.eps0,
-        eps1=best.eps1,
-        trace=best.trace + (entry,),
+) -> tuple[ConstantBundle, LargePCertificate]:
+    """Joint (A, q) grid scan maximizing the large-p lower constant, with its certificate."""
+    a_grid = [float(a) for a in a_grid]
+    q_grid = [float(q) for q in (default_q_grid(p) if q_grid is None else q_grid)]
+    parts = large_p_parts(spec, p)
+    tails = {a: parts.tail(a) for a in a_grid}
+    lams = {q: parts.lam(q) for q in q_grid}
+    return _scan(
+        [(a, q) for a in a_grid for q in q_grid], ("a_param", "q"),
+        lambda a, q: parts.certificate(a, tails[a], q, lams[q]),
+        lower_constant_large_p, "aq_scan", NoValidQError("empty (A, q) grid for the large-p scan"),
     )

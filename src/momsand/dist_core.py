@@ -240,7 +240,8 @@ def abs_moment(spec: DistributionSpec, q: float) -> MomentEstimate:
         raise InvalidOrderError(f"moment order must be positive, got {q}")
     q = float(q)
     try:
-        est = _family_abs_moment(spec, q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = _family_abs_moment(spec, q)
     except OverflowError as exc:
         raise NonfiniteMomentError(f"E|X|^q overflows at q = {q} for {spec_to_text(spec)}") from exc
     if not math.isfinite(est.value):

@@ -151,11 +151,10 @@ def _write_csv(path: str, values: np.ndarray) -> None:
 
 
 def _stats(values: np.ndarray, reps: int, seed: int | None) -> EstimateWithCI:
-    mean = float(np.mean(values))
-    if reps > 1:
-        se = math.sqrt(float(np.var(values, ddof=1)) / reps)
-    else:
-        se = 0.0
+    # an overflowing sum gives inf or nan, which _bracket_verdict rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(values))
+        se = math.sqrt(float(np.var(values, ddof=1)) / reps) if reps > 1 else 0.0
     return EstimateWithCI(mean=mean, std_error=se, replications=reps, seed=seed, exact=False)
 
 
@@ -186,12 +185,13 @@ def _sample_paths(block_steps, tail, dim: int, norm: str, p: float, reps: int,
         idx, m = block
         r = np.ones(m)
         acc = np.zeros((m, dim))
-        for x, b in block_steps(m, src.generator(block=idx)):
-            acc = acc + r[:, None] * b
-            r = r * x
-        if tail is not None:
-            acc = acc + r[:, None] * tail
-        return holder_norm(acc, norm) ** p
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, b in block_steps(m, src.generator(block=idx)):
+                acc = acc + r[:, None] * b
+                r = r * x
+            if tail is not None:
+                acc = acc + r[:, None] * tail
+            return holder_norm(acc, norm) ** p
 
     blocks = [(j, min(CHUNK, reps - start)) for j, start in enumerate(range(0, reps, CHUNK))]
     values = np.concatenate(map_indexed(run_block, blocks))
@@ -229,15 +229,17 @@ def _walk(steps, tail, dim: int, norm: str, p: float, cap: int):
             r0 = r0 * float(x[j])
             p0 = p0 * float(prob[j])
         acc, r, pr = acc0[None, :], np.array([r0]), np.array([p0])
-        for x, b, prob in tiled:
-            width = len(x) // len(r)
-            r_rep = np.repeat(r, width)
-            acc = np.repeat(acc, width, axis=0) + r_rep[:, None] * b
-            r = r_rep * x
-            pr = np.repeat(pr, width) * prob
-        if tail is not None:
-            acc = acc + r[:, None] * tail
-        yield holder_norm(acc, norm) ** p, pr
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, b, prob in tiled:
+                width = len(x) // len(r)
+                r_rep = np.repeat(r, width)
+                acc = np.repeat(acc, width, axis=0) + r_rep[:, None] * b
+                r = r_rep * x
+                pr = np.repeat(pr, width) * prob
+            if tail is not None:
+                acc = acc + r[:, None] * tail
+            values = holder_norm(acc, norm) ** p
+        yield values, pr
 
 
 def _outcomes(blocks):
@@ -329,6 +331,8 @@ def rhs_sum(spec, coeffs: CoefficientSet, p: float) -> float:
 
 def _bracket_verdict(est: EstimateWithCI, lo_edge, hi_edge, check_lower=True):
     """PASS, FAIL or INCONCLUSIVE for the 3-sigma interval of est against the edges."""
+    if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
+        raise NonfiniteMomentError(f"estimate {est.mean} +- {est.std_error} is not finite")
     ci_lo = est.mean - 3.0 * est.std_error
     ci_hi = est.mean + 3.0 * est.std_error
     if (ci_lo >= lo_edge or not check_lower) and ci_hi <= hi_edge:
@@ -480,7 +484,8 @@ def _b_norm_moment(
         return _exact(dc.abs_moment(pair.b_specs[0], p).value, 0)
     gen = src.child(10_000).generator()
     _, b = draw_pair(pair, max(reps, MIN_REPS), gen)
-    values = holder_norm(b, pair.norm) ** p
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = holder_norm(b, pair.norm) ** p
     return _stats(values, len(values), src.seed)
 
 

@@ -197,11 +197,13 @@ def riesz_lp_norm(
 
     def run_block(block):
         lo, hi = block
-        vals = _combination_values(comb, np.arange(lo, hi, dtype=float) * step)
-        np.abs(vals, out=vals)
-        vals **= p
-        evens = vals[0::2] if lo % 2 == 0 else vals[1::2]
-        return float(np.sum(vals)), float(np.sum(evens)), float(vals[0]), float(vals[-1])
+        # an overflow leaves inf in the value, which is rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = _combination_values(comb, np.arange(lo, hi, dtype=float) * step)
+            np.abs(vals, out=vals)
+            vals **= p
+            evens = vals[0::2] if lo % 2 == 0 else vals[1::2]
+            return float(np.sum(vals)), float(np.sum(evens)), float(vals[0]), float(vals[-1])
 
     partials = map_indexed(run_block, blocks)
     f_first = partials[0][2]

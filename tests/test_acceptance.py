@@ -299,7 +299,7 @@ def test_criterion_08_goldie_bracket():
     x_spec = dc.two_point(0.6, math.sqrt(1.64), 0.5)  # E X^2 = 1
     b_spec = dc.two_point(0.5, 1.5, 0.5)
     pair = PairSpec(x_spec=x_spec, b_specs=(b_spec,), coupling="independent")
-    bundle = optimize_large_p(x_spec, 2.0)
+    bundle, _ = optimize_large_p(x_spec, 2.0)
     src = dc.RandomSource(seed=0, stream_id=3)
 
     constants = mc.bracket_constants(pair, 2.0, bundle)

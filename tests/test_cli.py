@@ -1,12 +1,17 @@
 """Command-line harness: exit codes, report shape, config precedence."""
 
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from momsand import dist_core as dc
 from momsand._pool import worker_count
+from momsand.assumptions import fit_large_p, fit_small_p
 from momsand.cli import main
+from momsand.constants import lower_constant_large_p, lower_constant_small_p
 
 TP = "twopoint:a=0.5,b=1.5,pa=0.5"
 TP_LARGE = "twopoint:a=0.6,b=1.2806248474865698,pa=0.5"
@@ -35,10 +40,11 @@ def test_moments_riesz_table(capsys):
 
 
 def test_malformed_dist_is_usage_error(capsys):
-    code, report, _ = run_cli(capsys, ["moments", "--dist", "nosuch:family=1"])
+    code = main(["moments", "--dist", "nosuch:family=1"])
+    out, err = capsys.readouterr()
     assert code == 2
-    assert report is None
-    assert "usage error" in capsys.readouterr().err or True
+    assert out == ""
+    assert "usage error" in err
 
 
 def test_missing_required_flag(capsys):
@@ -78,6 +84,48 @@ def test_certify_large_p_trace_witness(capsys):
     assert w["f_k"] <= w["ln_rhs"] + 1e-12
     if witnesses[0]["value"] > 1:
         assert w["f_k_minus_1"] > w["ln_rhs"] - 1e-12
+
+
+def _as_json(obj):
+    return json.loads(json.dumps(dataclasses.asdict(obj)))
+
+
+@pytest.mark.parametrize(
+    "dist, p, grids",
+    [
+        ("uniform:lo=0,hi=2", 0.5, []),
+        ("uniform:lo=0,hi=2", 0.5, ["--grid-a", "1.05,4,1.5"]),
+        ("exponential:rate=1", 3.5, []),
+        # q = 1.2 lies outside (max(p - 1, 1), p) = (1.5, 2.5)
+        ("uniform:lo=0,hi=2", 2.5, ["--grid-a", "3,1.5", "--grid-q", "2.4,1.2,1.6,2"]),
+    ],
+)
+def test_certify_reports_the_scan_winner(capsys, dist, p, grids):
+    code, report, _ = run_cli(capsys, ["certify", "--dist", dist, "--p", str(p), *grids])
+    assert code == 0
+    cert, bundle = report["results"]["certificate"], report["results"]["bundle"]
+    scan = bundle["trace"][-1]
+    spec, _ = dc.normalize_unit_p_moment(dc.parse_spec(dist), p)
+    if p <= 1.0:
+        assert scan["id"] == "a_scan"
+        fresh = fit_small_p(spec, p, a_param=scan["value"])
+        fresh_bundle = lower_constant_small_p(fresh)
+    else:
+        assert scan["id"] == "aq_scan"
+        a_val, q = scan["value"]
+        fresh = fit_large_p(spec, p, q_grid=[q], a_grid=[a_val])
+        fresh_bundle = lower_constant_large_p(fresh)
+    assert cert == _as_json(fresh)
+    expected = _as_json(fresh_bundle)
+    expected["trace"].append(scan)
+    assert bundle == expected
+    # the winner is the first candidate with the largest lower_c
+    candidates = scan["inputs"]["candidates"]
+    lower = [c["lower_c"] for c in candidates]
+    winner = candidates[lower.index(max(c for c in lower if c is not None))]
+    assert bundle["lower_c"] == winner["lower_c"]
+    point = [scan["value"]] if p <= 1.0 else scan["value"]
+    assert [winner[k] for k in ("a_param", "q")[: len(point)]] == point
 
 
 def test_verify_explicit_coefficients(capsys):
@@ -183,18 +231,33 @@ def test_riesz_term_out_of_range_is_usage_error(capsys, term):
     assert f"--term {term}" in captured.err
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["riesz", "--seq", "4,16,64", "--p", "4", "--coeffs=1e100,1e100", "--reps", "1000"],
-         "torus L_p norm"),
-        # the torus value is finite here, the Monte Carlo standard error is not
-        (["riesz", "--seq", "4,16,64", "--p", "3", "--coeffs=1e100,1e100", "--reps", "1000"],
-         "probabilistic side"),
-        (["verify", "--dist", TP, "--p", "4", "--n", "3", "--coeffs", "1e100,1e100,1e100,1e100"],
-         "sum_i lambda^i ||v_i||^p overflows"),
-    ],
-)
+NONFINITE_CASES = [
+    (["riesz", "--seq", "4,16,64", "--p", "4", "--coeffs=1e100,1e100", "--reps", "1000"],
+     "torus L_p norm"),
+    # the torus value is finite here, the Monte Carlo standard error is not
+    (["riesz", "--seq", "4,16,64", "--p", "3", "--coeffs=1e100,1e100", "--reps", "1000"],
+     "probabilistic side"),
+    (["verify", "--dist", TP, "--p", "4", "--n", "3", "--coeffs", "1e100,1e100,1e100,1e100"],
+     "sum_i lambda^i ||v_i||^p overflows"),
+    # E|S| is about 4e154, but the l2 norm squares the entries: exact enumeration
+    (["verify", "--dist", TP, "--p", "1", "--n", "3", "--coeffs", "1e154,1e154,1e154,1e154"],
+     "is not finite"),
+    # Monte Carlo: the sum of |S|^2 overflows, and for lognormal factors the squares do
+    (["verify", "--dist", "uniform:lo=0,hi=2", "--p", "2", "--n", "3",
+      "--coeffs", "1e153,1e153,1e153,1e153", "--reps", "2000"],
+     "is not finite"),
+    (["verify", "--dist", "lognormal:mu=0,sigma=1", "--p", "2", "--n", "3",
+      "--coeffs", "1e153,1e153,1e153,1e153", "--reps", "2000"],
+     "is not finite"),
+    # a perpetuity row and the Monte Carlo E||B||^p both overflow
+    (["perpetuity", "--dist", "uniform:lo=0,hi=2",
+      "--b-dist", "scaled:scale=1e200,base=(uniform:lo=0,hi=1)", "--b-dist", "uniform:lo=0,hi=1",
+      "--p", "2", "--n-list", "1", "--reps", "2000"],
+     "is not finite"),
+]
+
+
+@pytest.mark.parametrize("argv, message", NONFINITE_CASES)
 def test_nonfinite_results_are_usage_errors(capsys, argv, message):
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(argv)
@@ -204,6 +267,26 @@ def test_nonfinite_results_are_usage_errors(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv, _ in NONFINITE_CASES]
+    + [["moments", "--dist", TP, "--q", "2000"]],
+)
+def test_nonfinite_paths_emit_no_numpy_warnings(capsys, monkeypatch, threads, argv):
+    if threads is None:
+        monkeypatch.delenv("MOMSAND_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("MOMSAND_THREADS", threads)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
 
 
 def test_riesz_dense_sequence_exit_three(capsys):

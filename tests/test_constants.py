@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from momsand import dist_core as dc
-from momsand.assumptions import LargePCertificate, SmallPCertificate, fit_large_p
+from momsand.assumptions import (
+    DEFAULT_A_GRID_LARGE,
+    LargePCertificate,
+    SmallPCertificate,
+    default_q_grid,
+    fit_large_p,
+)
 from momsand.constants import (
     K_CAP,
     LARGE_P,
@@ -217,7 +223,7 @@ def test_bundle_determinism():
 
 
 def test_optimize_small_p_picks_smallest_penalizing_a():
-    bundle = optimize_small_p(TWO_POINT, 1.0)
+    bundle, _ = optimize_small_p(TWO_POINT, 1.0)
     scan = bundle.trace[-1]
     assert scan["id"] == "a_scan"
     assert scan["value"] == 1.5
@@ -227,7 +233,7 @@ def test_optimize_small_p_picks_smallest_penalizing_a():
 
 def test_optimize_small_p_interior_choice_uniform():
     spec, _ = dc.normalize_unit_p_moment(dc.uniform(0.0, 2.0), 1.0)
-    bundle = optimize_small_p(spec, 1.0)
+    bundle, _ = optimize_small_p(spec, 1.0)
     scan = bundle.trace[-1]["inputs"]["candidates"]
     tried = [c for c in scan if c["lower_c"] is not None]
     assert len(tried) >= 3
@@ -244,16 +250,47 @@ def test_optimize_propagates_degeneracy():
 def test_optimize_large_p_singleton_equals_direct():
     cert = fit_large_p(LARGE_SPEC, 2.0, q_grid=[1.5], a_grid=[2.0])
     direct = lower_constant_large_p(cert)
-    scanned = optimize_large_p(LARGE_SPEC, 2.0, a_grid=[2.0], q_grid=[1.5])
+    scanned, _ = optimize_large_p(LARGE_SPEC, 2.0, a_grid=[2.0], q_grid=[1.5])
     assert scanned.lower_c == direct.lower_c
     assert scanned.k == direct.k
 
 
 def test_optimize_large_p_grid_growth_never_hurts():
-    small_grid = optimize_large_p(LARGE_SPEC, 2.0, a_grid=[2.0, 3.0])
-    big_grid = optimize_large_p(LARGE_SPEC, 2.0, a_grid=[1.5, 2.0, 3.0, 5.0])
+    small_grid, _ = optimize_large_p(LARGE_SPEC, 2.0, a_grid=[2.0, 3.0])
+    big_grid, _ = optimize_large_p(LARGE_SPEC, 2.0, a_grid=[1.5, 2.0, 3.0, 5.0])
     assert big_grid.lower_c >= small_grid.lower_c
 
 
 def test_k_cap_constant():
     assert K_CAP == 10**9
+
+
+def _counting(monkeypatch, name):
+    """Count the calls to dc.<name> in the returned list."""
+    calls = []
+    original = getattr(dc, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dc, name, wrapper)
+    return calls
+
+
+def test_optimize_large_p_fits_each_part_once(monkeypatch):
+    # the tail is fitted once per A and lambda(q) once per q, so the q grid
+    # does not change the expect() count and the A grid not the abs_moment() count
+    spec, _ = dc.normalize_unit_p_moment(dc.uniform(0.0, 2.0), 3.5)
+    expects = _counting(monkeypatch, "expect")
+    moments = _counting(monkeypatch, "abs_moment")
+
+    def counts(**grids):
+        del expects[:], moments[:]
+        optimize_large_p(spec, 3.5, **grids)
+        return len(expects), len(moments)
+
+    q_grid = default_q_grid(3.5)
+    assert len(q_grid) == 9 and len(DEFAULT_A_GRID_LARGE) == 6
+    assert counts(q_grid=q_grid[:1])[0] == counts(q_grid=q_grid)[0]
+    assert counts(a_grid=DEFAULT_A_GRID_LARGE[:1])[1] == counts(a_grid=DEFAULT_A_GRID_LARGE)[1]

@@ -154,7 +154,7 @@ def test_goldie_bracket_monte_carlo_rows():
 
 def test_goldie_bracket_small_p_certificate():
     pair = indep_pair(x=X_P1, b=B_SPEC)
-    bundle = optimize_small_p(X_P1, 1.0)
+    bundle, _ = optimize_small_p(X_P1, 1.0)
     constants = bracket_constants(pair, 1.0, bundle)
     rows = goldie_bracket(pair, 1.0, [1, 2, 4], constants, reps=10_000, src=src())
     for row in rows:
