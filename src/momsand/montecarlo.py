@@ -143,6 +143,14 @@ def _vector_norm(vec, kind: str) -> float:
     return float(holder_norm(np.asarray([vec], dtype=float), kind)[0])
 
 
+def _lone_term(coeffs: CoefficientSet, p: float) -> float:
+    """||v_0||^p of a set with n = 0; an overflowing float power is non-finite."""
+    try:
+        return _vector_norm(coeffs.vectors[0], coeffs.norm) ** p
+    except OverflowError:
+        raise NonfiniteMomentError(f"||v_0||^p overflows at p = {p}") from None
+
+
 def _write_csv(path: str, values: np.ndarray) -> None:
     with open(path, "w") as fh:
         fh.write("rep,value\n")
@@ -187,10 +195,10 @@ def _sample_paths(block_steps, tail, dim: int, norm: str, p: float, reps: int,
         acc = np.zeros((m, dim))
         with np.errstate(over="ignore", invalid="ignore"):
             for x, b in block_steps(m, src.generator(block=idx)):
-                acc = acc + r[:, None] * b
-                r = r * x
+                acc += r[:, None] * b
+                r *= x
             if tail is not None:
-                acc = acc + r[:, None] * tail
+                acc += r[:, None] * tail
             return holder_norm(acc, norm) ** p
 
     blocks = [(j, min(CHUNK, reps - start)) for j, start in enumerate(range(0, reps, CHUNK))]
@@ -276,7 +284,7 @@ def estimate_lhs(
     """Monte Carlo mean of ||sum_i v_i R_i||^p over independent paths."""
     _check_run(p, reps)
     if coeffs.n == 0:
-        return _exact(_vector_norm(coeffs.vectors[0], coeffs.norm) ** p, 0, src.seed)
+        return _exact(_lone_term(coeffs, p), 0, src.seed)
     vmat = coeffs.matrix()
 
     def block_steps(m, gen):
@@ -291,8 +299,7 @@ def _sandwich_walk(spec: dc.DistributionSpec, coeffs: CoefficientSet, p: float):
         raise ValueError("enumeration needs a finite-support factor law")
     if coeffs.n == 0:
         # one outcome, computed as rhs_sum computes it, so the ratio is exactly 1
-        value = _vector_norm(coeffs.vectors[0], coeffs.norm) ** p
-        return iter([(np.asarray([value]), np.asarray([1.0]))])
+        return iter([(np.asarray([_lone_term(coeffs, p)]), np.asarray([1.0]))])
     svals, sprobs = support
     vmat = coeffs.matrix()
     steps = [(svals, np.tile(v, (len(svals), 1)), sprobs) for v in vmat[:-1]]

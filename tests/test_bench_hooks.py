@@ -15,9 +15,14 @@ from momsand import cli
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
-for p in ("0.5", "2.5"):
+runs = [["certify", "--dist", "uniform:lo=0,hi=2", "--p", p] for p in ("0.5", "2.5")]
+# Monte Carlo on a finite law (2^30 outcomes exceed the enumeration cap)
+runs.append(["verify", "--dist", "twopoint:a=0.5,b=1.5,pa=0.5", "--p", "1.5", "--n", "30",
+             "--coeffs", "random:count=1,seed=3", "--reps", "2000"])
+runs.append(["counterexample", "--n", "30", "--p", "4", "--reps", "2000"])
+for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["certify", "--dist", "uniform:lo=0,hi=2", "--p", p]) == 0
+        assert cli.main(argv) == 0, argv
 print(json.dumps(sorted({span[0] for span in tracer.spans})))
 """
 
@@ -33,3 +38,5 @@ def test_tracing_install_finds_its_hooks():
     names = json.loads(proc.stdout.splitlines()[-1])
     # certify reaches the scan and the recheck through the names the tracer rebinds
     assert {"constants.optimize", "assumptions.verify", "dist_core.expect"} <= set(names)
+    # the sampling runs keep their draw, quantile and path time in their own layers
+    assert {"dist_core.sample", "dist_core.quantile", "montecarlo.sample"} <= set(names)

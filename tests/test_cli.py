@@ -254,6 +254,10 @@ NONFINITE_CASES = [
       "--b-dist", "scaled:scale=1e200,base=(uniform:lo=0,hi=1)", "--b-dist", "uniform:lo=0,hi=1",
       "--p", "2", "--n-list", "1", "--reps", "2000"],
      "is not finite"),
+    # a single coefficient: ||v_0||^p is a Python float power, exact and Monte Carlo
+    (["verify", "--dist", TP, "--p", "4", "--coeffs", "1e100"], "||v_0||^p overflows"),
+    (["verify", "--dist", "uniform:lo=0,hi=2", "--p", "4", "--coeffs", "1e100"],
+     "||v_0||^p overflows"),
 ]
 
 
@@ -273,15 +277,16 @@ def test_nonfinite_results_are_usage_errors(capsys, argv, message):
 @pytest.mark.parametrize(
     "argv",
     [argv for argv, _ in NONFINITE_CASES]
-    + [["moments", "--dist", TP, "--q", "2000"]],
+    + [["moments", "--dist", TP, "--q", "2000"], ["moments", "--dist", "riesz", "--q", "2000"]],
 )
 def test_nonfinite_paths_emit_no_numpy_warnings(capsys, monkeypatch, threads, argv):
     if threads is None:
         monkeypatch.delenv("MOMSAND_THREADS", raising=False)
     else:
         monkeypatch.setenv("MOMSAND_THREADS", threads)
+    # every category: SciPy's IntegrationWarning is a UserWarning, not a RuntimeWarning
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("error")
         code = main(argv)
     out, err = capsys.readouterr()
     assert code == 2

@@ -134,6 +134,54 @@ def test_riesz_quantile_range():
     assert dc.quantile(dc.riesz_factor(), 0.5) == pytest.approx(1.0, abs=1e-12)
 
 
+def _searchsorted_quantile(spec, u):
+    # the binary-search inverse CDF the comparison ladder must reproduce bit for bit
+    if spec.family == dc.SCALED:
+        inner = u if spec.scale >= 0.0 else 1.0 - u
+        return spec.scale * _searchsorted_quantile(spec.base, inner)
+    vals, probs = dc.finite_support(spec)
+    order = np.argsort(vals, kind="stable")
+    cum = np.cumsum(probs[order])[:-1]
+    return vals[order][np.searchsorted(cum, u, side="right")]
+
+
+def _atoms_law(k):
+    rng = np.random.default_rng(k)
+    # unsorted values, a repeated one from four atoms on, unequal probabilities
+    vals = rng.normal(size=k)
+    if k >= 4:
+        vals[-1] = vals[0]
+    weights = rng.uniform(0.5, 2.0, size=k)
+    return dc.finitely_supported(zip(vals, weights / weights.sum()))
+
+
+LADDER_LAWS = {
+    **{f"{k}_atoms": _atoms_law(k) for k in (2, 3, 4, 32, 33, 64)},
+    "twopoint": dc.two_point(0.5, 1.5, 0.3),
+    "rademacher": dc.rademacher_sign(),
+    "scaled_negative": dc.scaled_copy(_atoms_law(5), -0.75),
+}
+
+
+@pytest.mark.parametrize("law", sorted(LADDER_LAWS))
+def test_finite_quantile_matches_searchsorted(law):
+    spec = LADDER_LAWS[law]
+    base = spec.base if spec.family == dc.SCALED else spec
+    vals, probs = dc.finite_support(base)
+    cuts = np.cumsum(probs[np.argsort(vals, kind="stable")])[:-1]
+    edges = np.concatenate(
+        [[0.0, np.nextafter(1.0, 0.0)], cuts, np.nextafter(cuts, 0.0)]
+    )
+    u = np.concatenate([edges, np.random.default_rng(7).random(10**5)])
+    u_before = u.copy()
+    got = dc.quantile(spec, u)
+    assert got.tobytes() == _searchsorted_quantile(spec, u).tobytes()
+    assert np.array_equal(u, u_before)
+    # a scalar u still gives a scalar
+    one = dc.quantile(spec, 0.25)
+    assert np.ndim(one) == 0 and one == _searchsorted_quantile(spec, np.array([0.25]))[0]
+
+
 def test_sampling_determinism_and_stream_separation():
     spec = dc.two_point(0.5, 1.5, 0.5)
     src = dc.RandomSource(123, 0)

@@ -7,7 +7,7 @@ import pytest
 
 from momsand import dist_core as dc
 from momsand import montecarlo as mc
-from momsand.assumptions import fit_large_p, fit_small_p
+from momsand.assumptions import PairSpec, fit_large_p, fit_small_p
 from momsand.constants import optimize_large_p, optimize_small_p
 from momsand.errors import EnumerationTooLargeError
 
@@ -307,3 +307,77 @@ def test_prefix_split_walk_matches_unsplit_perpetuity(monkeypatch, coupling):
     )
     whole, split = _split_and_unsplit(monkeypatch, lambda: mc.brute_force_perpetuity(pair, 5, 2.5))
     assert whole == split
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo bits pinned: float.hex of mean and std_error, so a change to the
+# order or kind of any floating-point operation in sampling or in the path
+# kernel shows.  5000 reps give one full block of mc.CHUNK and one partial
+# block.  The continuous laws' values depend on how the NumPy/SciPy build
+# rounds exp, log1p, cos and ndtri; another build may need them re-recorded.
+
+PIN_REPS = 5000
+PIN_LAWS = {
+    "twopoint": TWO_POINT,
+    "lognormal": dc.log_normal(0.0, 0.5),
+    "exponential": dc.exponential(1.0),
+    "uniform": dc.uniform(0.0, 2.0),
+    "riesz": dc.riesz_factor(),
+    "scaled": dc.scaled_copy(dc.exponential(1.0), -0.8),
+}
+
+
+def _pin_coeffs(n, dim, norm):
+    rows = [[math.cos(1.3 * i + 0.7 * j) for j in range(dim)] for i in range(n + 1)]
+    return mc.CoefficientSet(tuple(tuple(r) for r in rows), norm)
+
+
+def _pinned_runs():
+    runs = {"khintchine_n24": lambda: mc.khintchine_counterexample(
+        24, 4.0, PIN_REPS, src(21))["lhs"]}
+    for law, spec in PIN_LAWS.items():
+        # in one dimension every norm is |.|, so sup is pinned at d = 3 only
+        for dim, norm in ((1, "l2"), (3, "l2"), (3, "sup")):
+            runs[f"{law}_d{dim}_{norm}"] = (
+                lambda spec=spec, dim=dim, norm=norm: mc.estimate_lhs(
+                    spec, _pin_coeffs(6, dim, norm), 2.5, PIN_REPS, src(22)))
+    independent = PairSpec(dc.uniform(0.0, 2.0), (dc.uniform(0.0, 1.0), dc.log_normal(0.0, 0.5)))
+    # X's quantile runs first on the shared uniform and must leave it for B's
+    comonotone = PairSpec(dc.exponential(1.0), (TWO_POINT,), coupling="comonotone-scalar")
+    runs["perpetuity_independent_d2"] = lambda: mc.perpetuity_lhs(
+        independent, 5, 2.5, PIN_REPS, src(23))
+    runs["perpetuity_comonotone"] = lambda: mc.perpetuity_lhs(
+        comonotone, 5, 2.5, PIN_REPS, src(24))
+    return runs
+
+
+PINNED_BITS = {
+    "exponential_d1_l2": ("0x1.5d241bef7bae5p+7", "0x1.76b3b31ff3f83p+5"),
+    "exponential_d3_l2": ("0x1.2ef6973eb0885p+9", "0x1.19b48d5949605p+7"),
+    "exponential_d3_sup": ("0x1.62128560017f3p+8", "0x1.66223ff0460c1p+6"),
+    "khintchine_n24": ("0x1.9f1fbe76c8b44p+10", "0x1.32971565b5ad3p+6"),
+    "lognormal_d1_l2": ("0x1.61ed929f1a842p+5", "0x1.9c8f75f836b7ep+2"),
+    "lognormal_d3_l2": ("0x1.d9a92c08acf94p+6", "0x1.2f4ce1b78393cp+4"),
+    "lognormal_d3_sup": ("0x1.235a9ccd3c0afp+6", "0x1.8bac5e3a12339p+3"),
+    "perpetuity_comonotone": ("0x1.0d205579aca29p+9", "0x1.6f133e854acd0p+6"),
+    "perpetuity_independent_d2": ("0x1.b8bb8786b6d83p+7", "0x1.02ad339f49144p+3"),
+    "riesz_d1_l2": ("0x1.ccc7ff3d95b48p+4", "0x1.3ca1e5e392665p+1"),
+    "riesz_d3_l2": ("0x1.3a241f027aeffp+6", "0x1.90777ef14b672p+2"),
+    "riesz_d3_sup": ("0x1.55b395e1be551p+5", "0x1.bcb5fd65b1cc4p+1"),
+    "scaled_d1_l2": ("0x1.c1aa7b9777f7dp+2", "0x1.7e249209ce514p+1"),
+    "scaled_d3_l2": ("0x1.c636430da3766p+4", "0x1.6595f23e33303p+3"),
+    "scaled_d3_sup": ("0x1.e712b9ae05a6fp+3", "0x1.90ae8c9817a55p+2"),
+    "twopoint_d1_l2": ("0x1.d0b812b259d2cp+2", "0x1.724fa30abfd31p-2"),
+    "twopoint_d3_l2": ("0x1.0d025f102bfe6p+4", "0x1.8225f7c78aedbp-1"),
+    "twopoint_d3_sup": ("0x1.1b9b8ac136ac0p+3", "0x1.73ba74b41cffdp-2"),
+    "uniform_d1_l2": ("0x1.6e8e8d2594126p+3", "0x1.b1b46bf98059ap-1"),
+    "uniform_d3_l2": ("0x1.ca4ea386996c5p+4", "0x1.dff784c64497bp+0"),
+    "uniform_d3_sup": ("0x1.fd405a643051bp+3", "0x1.0dd179df411d9p+0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_pinned_runs()))
+def test_monte_carlo_bits_pinned(case):
+    est = _pinned_runs()[case]()
+    assert not est.exact and est.replications == PIN_REPS
+    assert (est.mean.hex(), est.std_error.hex()) == PINNED_BITS[case]
