@@ -50,7 +50,6 @@ from .dist_core import (
     rademacher_sign,
     riesz_factor,
     sample,
-    sample_products,
     scaled_copy,
     spec_to_text,
     two_point,

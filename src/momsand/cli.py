@@ -95,7 +95,6 @@ _DEFAULTS = {
     ("verify", "reps"): 50_000,
     ("verify", "seed"): 0,
     ("verify", "norm"): "l2",
-    ("verify", "dim"): 1,
     ("counterexample", "n"): 100,
     ("counterexample", "p"): 4.0,
     ("counterexample", "reps"): 100_000,
@@ -206,6 +205,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if value is None:
             value = _DEFAULTS.get((args.command, dest))
         resolved[dest] = value
+    if args.command == "verify" and resolved["dim"] is None:
+        # explicit vector --coeffs fix d by their row width; scalars and random ones mean d = 1
+        coeffs = str(resolved["coeffs"] or "")
+        resolved["dim"] = len(coeffs.split(";")[0].split(",")) if ";" in coeffs else 1
     return resolved
 
 
@@ -233,6 +236,7 @@ def _coefficient_sets(resolved: dict) -> list[mc.CoefficientSet]:
     text = resolved.get("coeffs")
     norm = resolved.get("norm") or "l2"
     seed = int(resolved.get("seed") or 0)
+    dim = int(resolved["dim"])
     if text and str(text).startswith("random:"):
         params = {}
         body = str(text)[len("random:"):]
@@ -250,7 +254,6 @@ def _coefficient_sets(resolved: dict) -> list[mc.CoefficientSet]:
         scale = float(params.get("scale", 1.0))
         cseed = int(params.get("seed", seed))
         n = _require(resolved, "n")
-        dim = int(resolved.get("dim") or 1)
         sets = []
         for d in range(count):
             gen = dc.RandomSource(cseed, 500 + d).generator()
@@ -269,6 +272,10 @@ def _coefficient_sets(resolved: dict) -> list[mc.CoefficientSet]:
         else:
             rows = [(float(x),) for x in text.split(",")]
         sets = [mc.CoefficientSet(tuple(rows), norm)]
+        if sets[0].dim != dim:
+            raise ValueError(
+                f"--dim {dim} differs from the row width {sets[0].dim} of --coeffs {text}"
+            )
     elif resolved.get("n") is not None:
         resolved = dict(resolved)
         resolved["coeffs"] = "random:count=20,scale=1.0"
@@ -326,6 +333,8 @@ def cmd_verify(resolved: dict):
     p = float(_require(resolved, "p"))
     reps = int(resolved["reps"])
     seed = int(resolved["seed"])
+    if int(resolved["dim"]) < 1:
+        raise ValueError(f"--dim {resolved['dim']}: the dimension must be at least 1")
     spec, scale = dc.normalize_unit_p_moment(spec0, p)
     src = dc.RandomSource(seed, 0)
     try:

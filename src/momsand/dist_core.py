@@ -9,8 +9,6 @@ specs the module provides
   * abs_moment: E|X|^q with a method tag (finite sum, closed form, or
     quadrature) and a certified absolute error,
   * normalize_unit_p_moment: rescale so that E|X|^p = 1,
-  * sample_products: seeded simulation of product paths R_0 = 1,
-    R_i = X_1 ... X_i,
   * expect: E f(X) for arbitrary integrands with declared kink locations,
     used by the hypothesis fitters.
 
@@ -412,18 +410,6 @@ def quantile(spec: DistributionSpec, u):
 def sample(spec: DistributionSpec, size: int, gen: np.random.Generator) -> np.ndarray:
     """Draw samples: one uniform per draw pushed through the quantile map."""
     return quantile(spec, gen.random(size))
-
-
-def sample_products(spec: DistributionSpec, n: int, src: RandomSource) -> np.ndarray:
-    """Product path R_0 = 1, R_i = R_{i-1} X_i for i = 1..n."""
-    if n < 0:
-        raise ValueError("path length must be nonnegative")
-    path = np.empty(n + 1)
-    path[0] = 1.0
-    if n > 0:
-        xs = sample(spec, n, src.generator())
-        path[1:] = np.cumprod(xs)
-    return path
 
 
 # ---------------------------------------------------------------------------

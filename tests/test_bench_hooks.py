@@ -20,6 +20,11 @@ runs = [["certify", "--dist", "uniform:lo=0,hi=2", "--p", p] for p in ("0.5", "2
 runs.append(["verify", "--dist", "twopoint:a=0.5,b=1.5,pa=0.5", "--p", "1.5", "--n", "30",
              "--coeffs", "random:count=1,seed=3", "--reps", "2000"])
 runs.append(["counterexample", "--n", "30", "--p", "4", "--reps", "2000"])
+# exact enumeration: a two-point sandwich and a two-point perpetuity
+runs.append(["verify", "--dist", "twopoint:a=0.5,b=1.5,pa=0.5", "--p", "2", "--n", "10",
+             "--coeffs", "random:count=1,seed=3"])
+runs.append(["perpetuity", "--dist", "twopoint:a=0.5,b=1.5,pa=0.5",
+             "--b-dist", "twopoint:a=0.4,b=1.3,pa=0.3", "--p", "2", "--n-list", "1,2,3"])
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
@@ -40,3 +45,5 @@ def test_tracing_install_finds_its_hooks():
     assert {"constants.optimize", "assumptions.verify", "dist_core.expect"} <= set(names)
     # the sampling runs keep their draw, quantile and path time in their own layers
     assert {"dist_core.sample", "dist_core.quantile", "montecarlo.sample"} <= set(names)
+    # the exact runs keep their enumeration time in its own layer
+    assert "montecarlo.enum" in names

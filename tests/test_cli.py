@@ -449,6 +449,34 @@ def test_degenerate_coefficients_are_usage_errors(capsys, argv):
     assert f"--coeffs {argv[-1]}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--dist", TP, "--p", "1.0", "--n", "3", "--dim", "0"],
+        ["verify", "--dist", TP, "--p", "1.0", "--n", "3", "--dim", "-2"],
+        ["verify", "--dist", TP, "--p", "1.0", "--dim", "3", "--coeffs", "1,2,3"],
+        ["verify", "--dist", TP, "--p", "1.0", "--dim", "1", "--coeffs", "1,0;0,1"],
+        # a degenerate law takes the counterexample branch, which must not skip the check
+        ["verify", "--dist", "rademacher", "--p", "4.0", "--n", "6", "--dim", "0"],
+    ],
+)
+def test_bad_dim_is_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ") and "--dim" in lines[0]
+
+
+def test_explicit_vector_coefficients_set_dim(capsys):
+    code, report, _ = run_cli(
+        capsys, ["verify", "--dist", TP, "--p", "1.0", "--coeffs", "1,0;0,1", "--reps", "2000"]
+    )
+    assert code == 0
+    assert report["config"]["dim"] == 2
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])
 def test_bad_thread_count_is_usage_error(capsys, monkeypatch, raw):
     monkeypatch.setenv("MOMSAND_THREADS", raw)

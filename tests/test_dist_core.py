@@ -194,15 +194,6 @@ def test_sampling_determinism_and_stream_separation():
     assert not np.array_equal(a, d)
 
 
-def test_sample_products_shape_and_unit_head():
-    src = dc.RandomSource(7, 0)
-    prods = dc.sample_products(dc.uniform(0.5, 1.5), 4, src)
-    assert prods.shape == (5,)
-    assert prods[0] == 1.0
-    redo = dc.sample_products(dc.uniform(0.5, 1.5), 4, dc.RandomSource(7, 0))
-    assert np.array_equal(prods, redo)
-
-
 def test_expect_kinked_integrand():
     spec = dc.uniform(0.0, 2.0)
     value, err = dc.expect(spec, lambda x: abs(x - 0.5), breaks=[0.5])

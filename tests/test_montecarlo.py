@@ -1,5 +1,6 @@
 """Sum-of-products moments: enumeration oracles, MC agreement, sandwich verdicts."""
 
+import itertools
 import math
 
 import numpy as np
@@ -307,6 +308,161 @@ def test_prefix_split_walk_matches_unsplit_perpetuity(monkeypatch, coupling):
     )
     whole, split = _split_and_unsplit(monkeypatch, lambda: mc.brute_force_perpetuity(pair, 5, 2.5))
     assert whole == split
+
+
+# ---------------------------------------------------------------------------
+# the suffix-once walk against a naive walk over every path
+
+WALK_LAWS = {
+    "twopoint": [(0.4, 0.3), (1.3, 0.7)],
+    "three_atoms": [(0.35, 0.3), (1.1, 0.4), (1.7, 0.3)],
+}
+
+
+def _naive_norm(vec, norm):
+    if norm == "l1":
+        return math.fsum(abs(c) for c in vec)
+    if norm == "l2":
+        return math.sqrt(math.fsum(c * c for c in vec))
+    return max(abs(c) for c in vec)
+
+
+def _naive_walk(steps, tail, norm, p):
+    """(values, probs) over every path, step 1 most significant; steps hold (x, b, prob) atoms."""
+    values, probs = [], []
+    for path in itertools.product(*steps):
+        acc, r, pr = [0.0] * len(path[0][1]), 1.0, 1.0
+        for x, b, prob in path:
+            acc = [a + r * c for a, c in zip(acc, b)]
+            r, pr = r * x, pr * prob
+        if tail is not None:
+            acc = [a + r * c for a, c in zip(acc, tail)]
+        values.append(_naive_norm(acc, norm) ** p)
+        probs.append(pr)
+    return np.array(values), np.array(probs)
+
+
+def _walk_coeffs(n, dim, norm):
+    # each column keeps one sign, so no path's sum cancels and 1e-14 relative
+    # bounds any regrouping; with sign-changing columns a path summing to
+    # 2e-4 from terms near 1 moved by 3e-14 relative
+    rows = [
+        [(-1.0) ** j * (0.3 + abs(math.cos(1.3 * i + 0.7 * j))) for j in range(dim)]
+        for i in range(n + 1)
+    ]
+    return mc.CoefficientSet(tuple(tuple(r) for r in rows), norm)
+
+
+def _assert_same_outcomes(got, want):
+    values, probs = got
+    assert len(values) == len(want[0])
+    np.testing.assert_allclose(values, want[0], rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(probs, want[1], rtol=1e-14, atol=0.0)
+    assert abs(math.fsum(probs) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("block", [1, 7, mc.ENUM_BLOCK])
+@pytest.mark.parametrize("norm", mc.NORM_KINDS)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("law", sorted(WALK_LAWS))
+def test_walk_matches_naive_sandwich(monkeypatch, law, dim, norm, block):
+    monkeypatch.setattr(mc, "ENUM_BLOCK", block)
+    atoms = WALK_LAWS[law]
+    n = 9 if len(atoms) == 2 else 6
+    coeffs = _walk_coeffs(n, dim, norm)
+    p = 2.5
+    want = _naive_walk(
+        [[(x, v, prob) for x, prob in atoms] for v in coeffs.vectors[:-1]],
+        coeffs.vectors[-1], norm, p,
+    )
+    spec = dc.finitely_supported(atoms)
+    _assert_same_outcomes(mc.enumerate_lhs_distribution(spec, coeffs, p), want)
+    mean = math.fsum(want[0] * want[1])
+    est = mc.brute_force_lhs(spec, coeffs, p)
+    assert est.exact and est.replications == len(want[0])
+    assert est.mean == pytest.approx(mean, rel=1e-14, abs=0.0)
+
+
+def _walk_pairs():
+    # B components of one sign each, for the reason _walk_coeffs gives
+    x = dc.finitely_supported(WALK_LAWS["three_atoms"])
+    b_laws = (
+        dc.finitely_supported(WALK_LAWS["twopoint"]),
+        dc.finitely_supported([(-0.6, 0.5), (-1.7, 0.5)]),
+        dc.finitely_supported([(0.45, 0.6), (1.2, 0.4)]),
+    )
+    for norm in mc.NORM_KINDS:
+        for dim in (1, 2, 3):
+            yield PairSpec(x, b_laws[:dim], norm=norm)
+        # cut points 0.3, 0.5, 0.7: four joint atoms
+        yield PairSpec(x, (b_laws[1],), coupling="comonotone-scalar", norm=norm)
+
+
+@pytest.mark.parametrize("block", [1, 7, mc.ENUM_BLOCK])
+@pytest.mark.parametrize(
+    "pair", list(_walk_pairs()), ids=lambda pair: f"{pair.coupling}-d{pair.dim}-{pair.norm}"
+)
+def test_walk_matches_naive_perpetuity(monkeypatch, pair, block):
+    monkeypatch.setattr(mc, "ENUM_BLOCK", block)
+    n, p = (3 if pair.dim < 3 else 2), 2.5
+    if pair.coupling == "independent":
+        # joint atoms by hand: X most significant, then each B component in order
+        laws = [dc.finite_support(s) for s in (pair.x_spec, *pair.b_specs)]
+        step = [
+            (combo[0][0], [c for c, _ in combo[1:]], math.prod(pr for _, pr in combo))
+            for combo in itertools.product(*(list(zip(*law)) for law in laws))
+        ]
+    else:
+        x, b, prob = mc._pair_branches(pair)
+        step = list(zip(x, b.tolist(), prob))
+    want = _naive_walk([step] * n, None, pair.norm, p)
+    walk = mc._walk([mc._pair_branches(pair)] * n, None, pair.dim, pair.norm, p, mc.PERP_CAP)
+    _assert_same_outcomes(mc._outcomes(walk), want)
+    est = mc.brute_force_perpetuity(pair, n, p)
+    assert est.exact and est.replications == len(want[0])
+    assert est.mean == pytest.approx(math.fsum(want[0] * want[1]), rel=1e-14, abs=0.0)
+
+
+def _norm_rows(dim):
+    """Rows whose entries span 1e-150 .. 1e150, with signed zeros mixed in."""
+    gen = np.random.default_rng(dim)
+    rows = gen.standard_normal((4096, dim)) * 10.0 ** gen.uniform(-150.0, 150.0, (4096, dim))
+    rows[::5, 0] = 0.0
+    rows[::7, -1] = -0.0
+    rows[::11] = -0.0
+    return rows
+
+
+def _reduced_norm(rows, kind):
+    a = np.abs(rows)
+    with np.errstate(over="ignore", under="ignore"):
+        if kind == "l1":
+            return a.sum(axis=1)
+        if kind == "l2":
+            return np.sqrt((a * a).sum(axis=1))
+        return a.max(axis=1)
+
+
+@pytest.mark.parametrize("kind", mc.NORM_KINDS)
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_column_norms_match_reduction_bits(kind, dim):
+    rows = _norm_rows(dim)
+    with np.errstate(over="ignore", under="ignore"):
+        got = mc.holder_norm(rows, kind)
+    assert got.view(np.uint64).tolist() == _reduced_norm(rows, kind).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("kind", mc.NORM_KINDS)
+@pytest.mark.parametrize("dim", [8, 16])
+def test_column_norms_drift_past_seven_columns(kind, dim):
+    # NumPy sums eight or more columns pairwise, so l1 and l2 may move in the last bits
+    rows = _norm_rows(dim)
+    with np.errstate(over="ignore", under="ignore"):
+        got = mc.holder_norm(rows, kind)
+    want = _reduced_norm(rows, kind)
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=dim * 2.0**-52, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
