@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -109,6 +110,7 @@ _DEFAULTS = {
 }
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momsand",
@@ -205,11 +207,23 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if value is None:
             value = _DEFAULTS.get((args.command, dest))
         resolved[dest] = value
-    if args.command == "verify" and resolved["dim"] is None:
-        # explicit vector --coeffs fix d by their row width; scalars and random ones mean d = 1
-        coeffs = str(resolved["coeffs"] or "")
-        resolved["dim"] = len(coeffs.split(";")[0].split(",")) if ";" in coeffs else 1
+    if args.command == "verify":
+        # explicit --coeffs fix d by their row width and an unset n by their row
+        # count; random ones and none mean d = 1 and leave n to --n
+        rows = _explicit_rows(resolved["coeffs"])
+        if resolved["dim"] is None:
+            resolved["dim"] = len(rows[0].split(",")) if rows else 1
+        if resolved["n"] is None and rows:
+            resolved["n"] = len(rows) - 1
     return resolved
+
+
+def _explicit_rows(text) -> list[str] | None:
+    """The row texts of explicit --coeffs, or None for random: ones and none."""
+    if not text or str(text).startswith("random:"):
+        return None
+    text = str(text)
+    return text.split(";") if ";" in text else text.split(",")
 
 
 def _require(resolved: dict, key: str):
@@ -264,13 +278,7 @@ def _coefficient_sets(resolved: dict) -> list[mc.CoefficientSet]:
                 )
             )
     elif text:
-        text = str(text)
-        if ";" in text:
-            rows = [
-                tuple(float(x) for x in chunk.split(",")) for chunk in text.split(";")
-            ]
-        else:
-            rows = [(float(x),) for x in text.split(",")]
+        rows = [tuple(float(x) for x in row.split(",")) for row in _explicit_rows(text)]
         sets = [mc.CoefficientSet(tuple(rows), norm)]
         if sets[0].dim != dim:
             raise ValueError(
@@ -335,13 +343,24 @@ def cmd_verify(resolved: dict):
     seed = int(resolved["seed"])
     if int(resolved["dim"]) < 1:
         raise ValueError(f"--dim {resolved['dim']}: the dimension must be at least 1")
+    n = resolved["n"]
+    if n is not None and int(n) < 0:
+        raise ValueError(f"--n {n}: the number of factors must be at least 0")
+    rows = _explicit_rows(resolved["coeffs"])
+    if rows and int(n) != len(rows) - 1:
+        raise ValueError(
+            f"--n {n} differs from the {len(rows) - 1} factors of --coeffs {resolved['coeffs']}"
+        )
     spec, scale = dc.normalize_unit_p_moment(spec0, p)
     src = dc.RandomSource(seed, 0)
     try:
         bundle, cert, recheck = _certify_pipeline(spec, p, resolved)
     except DegenerateModulusError as exc:
         # No certificate can exist; report the ratio blow-up that explains why.
-        n = int(resolved.get("n") or 100)
+        n = 100 if n is None else int(n)
+        if n < 1:
+            flag = f"--coeffs {resolved['coeffs']}" if rows else f"--n {n}"
+            raise ValueError(f"{flag}: the counterexample for a degenerate |X| needs n >= 1")
         ce = mc.khintchine_counterexample(n, p, reps, src, spec=spec)
         results = {
             "normalized_spec": dc.spec_to_text(spec),
@@ -494,7 +513,8 @@ _DISPATCH = {
 
 def _encode(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return dataclasses.asdict(obj)
+        # one level only: json calls _encode again for nested dataclasses
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, np.integer):
@@ -502,6 +522,14 @@ def _encode(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _dumps(report: dict) -> str:
+    """Strict JSON: a NaN or infinity left anywhere in the report is an error."""
+    try:
+        return json.dumps(report, indent=2, sort_keys=True, default=_encode, allow_nan=False)
+    except ValueError as exc:
+        raise NonfiniteMomentError(f"the report holds a non-finite number: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -512,21 +540,21 @@ def main(argv=None) -> int:
         worker_count()  # a bad MOMSAND_THREADS is a usage error for every command
         resolved = _resolve_config(args)
         results, code = _DISPATCH[args.command](resolved)
+        report = {
+            "tool": "momsand",
+            "version": __version__,
+            "command": args.command,
+            "config": resolved,
+            "results": results,
+            "wall_time_s": time.perf_counter() - t0,
+        }
+        text = _dumps(report)
     except _HYPOTHESIS_ERRORS as exc:
         print(f"hypothesis error: {exc}", file=sys.stderr)
         return 3
     except _USAGE_ERRORS as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    report = {
-        "tool": "momsand",
-        "version": __version__,
-        "command": args.command,
-        "config": resolved,
-        "results": results,
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    text = json.dumps(report, indent=2, sort_keys=True, default=_encode)
     print(text)
     if resolved.get("out"):
         with open(resolved["out"], "w") as fh:

@@ -22,6 +22,11 @@ E||acc||^p is computed by one of two backends:
     acc0 + r0 * S, one fused pass per outcome, and peak memory stays
     bounded.
 
+Both keep acc coordinate-major, (d, m) for m paths, so each update is one
+contiguous pass per coordinate instead of m short rows of d.  Each element
+still goes through the same IEEE operations (r * b is computed as b * r,
+which rounds the same), so no value changes with the layout.
+
 _exact_or_sampled picks between them: enumerate when the outcome count
 fits the cap (ENUM_CAP = 1e7 for the sandwich, PERP_CAP = 1e6 for the
 perpetuity), otherwise sample.  The sandwich verdict against
@@ -200,20 +205,21 @@ def _sample_paths(block_steps, tail, dim: int, norm: str, p: float, reps: int,
     """Monte Carlo backend: mean of ||acc||^p over reps independent paths.
 
     block_steps(m, gen) yields one block's steps (x, b) in order, drawing
-    from gen; tail, when given, adds r * tail after the last step.
+    from gen, b as (d, 1) or (d, m); tail, when given, adds r * tail after
+    the last step.  acc is held as (d, m), see the module docstring.
     """
 
     def run_block(block) -> np.ndarray:
         idx, m = block
         r = np.ones(m)
-        acc = np.zeros((m, dim))
+        acc = np.zeros((dim, m))
         with np.errstate(over="ignore", invalid="ignore"):
             for x, b in block_steps(m, src.generator(block=idx)):
-                acc += r[:, None] * b
+                acc += b * r
                 r *= x
             if tail is not None:
-                acc += r[:, None] * tail
-            return holder_norm(acc, norm) ** p
+                acc += tail[:, None] * r
+            return holder_norm(acc.T, norm) ** p
 
     blocks = [(j, min(CHUNK, reps - start)) for j, start in enumerate(range(0, reps, CHUNK))]
     values = np.concatenate(map_indexed(run_block, blocks))
@@ -230,7 +236,8 @@ def _walk(steps, tail, dim: int, norm: str, p: float, cap: int):
     most ENUM_BLOCK paths of them, form the suffix: it is walked once from
     acc = 0, r = 1, tail included, giving its sums S and probabilities q.
     Each prefix (acc0, r0, p0) of the first `split` steps then yields one
-    block, acc0 + r0 * S with probabilities p0 * q.
+    block, acc0 + r0 * S with probabilities p0 * q.  S is held as (d, M), see
+    the module docstring.
     """
     widths = [len(x) for x, _, _ in steps]
     total = math.prod(widths)
@@ -241,16 +248,16 @@ def _walk(steps, tail, dim: int, norm: str, p: float, cap: int):
     split = 0
     while math.prod(widths[split:]) > ENUM_BLOCK:
         split += 1
-    acc, r, q = np.zeros((1, dim)), np.ones(1), np.ones(1)
+    acc, r, q = np.zeros((dim, 1)), np.ones(1), np.ones(1)
     with np.errstate(over="ignore", invalid="ignore"):
         for x, b, prob in steps[split:]:
             count = len(r)
             r_rep = np.repeat(r, len(x))
-            acc = np.repeat(acc, len(x), axis=0) + r_rep[:, None] * np.tile(b, (count, 1))
+            acc = np.repeat(acc, len(x), axis=1) + np.tile(b.T, (1, count)) * r_rep
             r = r_rep * np.tile(x, count)
             q = np.repeat(q, len(x)) * np.tile(prob, count)
         if tail is not None:
-            acc += r[:, None] * tail
+            acc += tail[:, None] * r
     out = np.empty_like(acc)
     for combo in itertools.product(*(range(w) for w in widths[:split])):
         acc0, r0, p0 = np.zeros(dim), 1.0, 1.0
@@ -260,9 +267,9 @@ def _walk(steps, tail, dim: int, norm: str, p: float, cap: int):
             p0 = p0 * float(prob[j])
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(acc, r0, out=out)
-            out += acc0
+            out += acc0[:, None]
             # fresh arrays: _outcomes keeps every block while out is reused
-            values = holder_norm(out, norm) ** p
+            values = holder_norm(out.T, norm) ** p
         yield values, q * p0
 
 
@@ -304,7 +311,7 @@ def estimate_lhs(
     vmat = coeffs.matrix()
 
     def block_steps(m, gen):
-        return zip(dc.sample(spec, (m, coeffs.n), gen).T, vmat[:-1])
+        return zip(dc.sample(spec, (m, coeffs.n), gen).T, vmat[:-1, :, None])
 
     return _sample_paths(block_steps, vmat[-1], coeffs.dim, coeffs.norm, p, reps, src, csv_path)
 
@@ -425,7 +432,8 @@ def perpetuity_lhs(
 
     def block_steps(m, gen):
         for _ in range(n):
-            yield draw_pair(pair, m, gen)
+            x, b = draw_pair(pair, m, gen)
+            yield x, b.T
 
     return _sample_paths(block_steps, None, pair.dim, pair.norm, p, reps, src, None)
 

@@ -2,12 +2,16 @@
 
 import dataclasses
 import json
+import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from momsand import cli
 from momsand import dist_core as dc
+from momsand import montecarlo as mc
 from momsand._pool import worker_count
 from momsand.assumptions import fit_large_p, fit_small_p
 from momsand.cli import main
@@ -487,3 +491,144 @@ def test_bad_thread_count_is_usage_error(capsys, monkeypatch, raw):
     assert code == 2
     assert captured.out == ""
     assert "MOMSAND_THREADS" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, value",
+    [("moments", math.nan), ("counterexample", math.inf)],
+)
+def test_nonfinite_report_is_usage_error(capsys, monkeypatch, tmp_path, command, value):
+    # a value nested in a dataclass inside a list, as the real reports hold them
+    est = mc.EstimateWithCI(mean=value, std_error=0.0, replications=1, seed=0, exact=True)
+    monkeypatch.setitem(cli._DISPATCH, command, lambda resolved: ({"rows": [est]}, 0))
+    out_path = tmp_path / "report.json"
+    code = main([command, "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+    assert "NaN" not in captured.err and "Infinity" not in captured.err
+    assert not out_path.exists()
+
+
+UNIFORM = "uniform:lo=0,hi=2"
+
+
+def _usage_error_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+    return lines[0]
+
+
+def test_explicit_coefficients_set_n(capsys):
+    code, report, _ = run_cli(
+        capsys, ["verify", "--dist", UNIFORM, "--p", "2", "--coeffs", "1,2,3", "--reps", "2000"]
+    )
+    assert code == 0
+    assert report["config"]["n"] == 2
+
+
+def test_n_differing_from_coefficients_is_usage_error(capsys):
+    argv = ["verify", "--dist", UNIFORM, "--p", "2", "--n", "5", "--coeffs", "1,2,3"]
+    assert "--n 5" in _usage_error_line(capsys, argv)
+
+
+def test_degenerate_verify_runs_at_the_coefficients_n(capsys):
+    code, report, _ = run_cli(
+        capsys, ["verify", "--dist", "rademacher", "--p", "4", "--coeffs", "5,5,7", "--reps", "2000"]
+    )
+    assert code == 1
+    res = report["results"]
+    assert report["config"]["n"] == 2
+    assert res["verdict"] == "FAIL"
+    # exact over the 2^2 sign paths: E S^4 = 3 n^2 - 2n = 8 at n = 2, rhs_sum = n
+    assert res["counterexample"]["n"] == 2
+    assert res["counterexample"]["ratio"] == pytest.approx(4.0, abs=1e-12)
+
+
+def test_degenerate_verify_single_coefficient_is_usage_error(capsys):
+    argv = ["verify", "--dist", "rademacher", "--p", "4", "--coeffs", "5", "--reps", "2000"]
+    assert "--coeffs 5" in _usage_error_line(capsys, argv)
+
+
+@pytest.mark.parametrize("n", ["-3", "-1"])
+def test_negative_n_is_usage_error(capsys, n):
+    argv = ["verify", "--dist", TP, "--p", "1.0", "--n", n, "--reps", "2000"]
+    assert _usage_error_line(capsys, argv).startswith(f"usage error: --n {n}")
+
+
+def test_zero_n_is_the_lone_term(capsys):
+    code, report, _ = run_cli(capsys, ["verify", "--dist", TP, "--p", "1.0", "--n", "0", "--reps", "2000"])
+    assert code == 0
+    assert report["results"]["min_ratio"] == report["results"]["max_ratio"] == 1.0
+
+
+# one short argv of every report kind; the parser and the encoder see them all
+ONE_OF_EACH = {
+    "moments": ["moments", "--dist", "riesz", "--q", "1,2.5"],
+    "certify_small_p": ["certify", "--dist", TP, "--p", "0.5"],
+    "certify_large_p": ["certify", "--dist", TP_LARGE, "--p", "2.0"],
+    "verify_exact": ["verify", "--dist", TP, "--p", "1.5", "--coeffs", "1,0;0,1;1,1", "--reps", "2000"],
+    "verify_mc": ["verify", "--dist", UNIFORM, "--p", "2.5", "--n", "3", "--dim", "2",
+                  "--coeffs", "random:count=2", "--reps", "2000"],
+    "riesz": ["riesz", "--seq", "4,16,64", "--p", "3", "--coeffs", "1,0.5,-0.5,0.25",
+              "--reps", "2000"],
+    "perpetuity": ["perpetuity", "--dist", TP_LARGE, "--b-dist", TP, "--b-dist", UNIFORM,
+                   "--p", "2.0", "--n-list", "1,2", "--reps", "2000"],
+    "counterexample": ["counterexample", "--n", "30", "--p", "4", "--reps", "2000"],
+}
+
+
+def test_parser_built_once(capsys):
+    cli._build_parser.cache_clear()
+    for argv in ONE_OF_EACH.values():
+        code, _, _ = run_cli(capsys, argv)
+        assert code in (0, 1)
+        # errors in between leave the shared parser usable
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--no-such-flag"])
+        assert exc.value.code == 2
+        assert main(["moments", "--dist", "nosuch:family=1"]) == 2
+        capsys.readouterr()
+    info = cli._build_parser.cache_info()
+    assert info.misses == 1 and info.hits == 3 * len(ONE_OF_EACH) - 1
+    # the append action starts each call from its own empty list
+    for b_dists in ([TP], [UNIFORM, TP]):
+        argv = ["perpetuity", "--dist", TP_LARGE, "--p", "2.0", "--n-list", "1",
+                "--reps", "2000"]
+        for b in b_dists:
+            argv += ["--b-dist", b]
+        _, report, _ = run_cli(capsys, argv)
+        assert report["config"]["b_dist"] == b_dists
+
+
+def _asdict_encode(obj):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dataclasses.asdict(obj)
+    return cli._encode(obj)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_OF_EACH))
+def test_one_level_encoding_matches_asdict(name):
+    args = cli._build_parser().parse_args(ONE_OF_EACH[name])
+    results, _ = cli._DISPATCH[args.command](cli._resolve_config(args))
+    text = json.dumps(results, indent=2, sort_keys=True, default=cli._encode)
+    assert text == json.dumps(results, indent=2, sort_keys=True, default=_asdict_encode)
+
+
+def _without_wall_time(text):
+    return re.sub(r'\n *"wall_time_s": [^\n]*', "", text)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_OF_EACH))
+def test_same_argv_twice_same_report(capsys, name):
+    first = run_cli(capsys, ONE_OF_EACH[name])
+    second = run_cli(capsys, ONE_OF_EACH[name])
+    assert first[0] == second[0]
+    assert "wall_time_s" in first[2]
+    assert _without_wall_time(first[2]) == _without_wall_time(second[2])

@@ -1,5 +1,6 @@
 """Sum-of-products moments: enumeration oracles, MC agreement, sandwich verdicts."""
 
+import hashlib
 import itertools
 import math
 
@@ -537,3 +538,57 @@ def test_monte_carlo_bits_pinned(case):
     est = _pinned_runs()[case]()
     assert not est.exact and est.replications == PIN_REPS
     assert (est.mean.hex(), est.std_error.hex()) == PINNED_BITS[case]
+
+
+# ---------------------------------------------------------------------------
+# enumeration bits pinned: float.hex of the exact mean and a digest of every
+# outcome's value and probability, so a change to the order or kind of any
+# floating-point operation in the walk shows.  Each case is past
+# mc.ENUM_BLOCK, so it walks both a prefix and the shared suffix.
+
+PIN_ENUM_LAW = dc.finitely_supported([(0.35, 0.3), (1.1, 0.4), (1.7, 0.3)])
+PIN_ENUM_PAIR_B = (dc.two_point(0.5, 2.0, 0.4), dc.finitely_supported([(-0.6, 0.5), (1.7, 0.5)]))
+
+
+def _digest(values, probs):
+    return hashlib.blake2b(values.tobytes() + probs.tobytes(), digest_size=8).hexdigest()
+
+
+def _pinned_walks():
+    runs = {}
+    for dim in (2, 3):
+        for norm in mc.NORM_KINDS:
+            coeffs = _pin_coeffs(11, dim, norm)  # 3^11 outcomes
+            runs[f"sandwich_d{dim}_{norm}"] = (
+                lambda coeffs=coeffs: mc.brute_force_lhs(PIN_ENUM_LAW, coeffs, 2.5),
+                lambda coeffs=coeffs: mc.enumerate_lhs_distribution(PIN_ENUM_LAW, coeffs, 2.5),
+            )
+    for norm in mc.NORM_KINDS:
+        pair = PairSpec(PIN_ENUM_LAW, PIN_ENUM_PAIR_B, norm=norm)  # 12^5 outcomes
+        runs[f"perpetuity_d2_{norm}"] = (
+            lambda pair=pair: mc.brute_force_perpetuity(pair, 5, 2.5),
+            lambda pair=pair: mc._outcomes(
+                mc._walk([mc._pair_branches(pair)] * 5, None, 2, pair.norm, 2.5, mc.PERP_CAP)),
+        )
+    return runs
+
+
+PINNED_ENUM_BITS = {
+    "perpetuity_d2_l1": ("0x1.cc33f6177a9f6p+9", "4d1e27fb6aa84c7d"),
+    "perpetuity_d2_l2": ("0x1.de486a9db0260p+8", "122e3633a63c342c"),
+    "perpetuity_d2_sup": ("0x1.6803140b61ed8p+8", "8d5336d766b11291"),
+    "sandwich_d2_l1": ("0x1.2248f32e75dfbp+8", "e7a0796409a7c439"),
+    "sandwich_d2_l2": ("0x1.23e11d5a8ef29p+7", "56314aede7e48c80"),
+    "sandwich_d2_sup": ("0x1.a594d47af5a9bp+6", "ccd65a180effe930"),
+    "sandwich_d3_l1": ("0x1.e88b5ff2b33d2p+9", "e77d037f396e6893"),
+    "sandwich_d3_l2": ("0x1.4d50e0423283bp+8", "497d807d4ec3e0eb"),
+    "sandwich_d3_sup": ("0x1.8e37458b39ec2p+7", "482da27b4c6a467a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_pinned_walks()))
+def test_enumeration_bits_pinned(case):
+    exact, outcomes = _pinned_walks()[case]
+    est = exact()
+    assert est.exact and est.replications in (3**11, 12**5)
+    assert (est.mean.hex(), _digest(*outcomes())) == PINNED_ENUM_BITS[case]
