@@ -278,7 +278,10 @@ def _coefficient_sets(resolved: dict) -> list[mc.CoefficientSet]:
                 )
             )
     elif text:
-        rows = [tuple(float(x) for x in row.split(",")) for row in _explicit_rows(text)]
+        try:
+            rows = [tuple(float(x) for x in row.split(",")) for row in _explicit_rows(text)]
+        except ValueError as exc:
+            raise ValueError(f"--coeffs {text}: {exc}") from None
         sets = [mc.CoefficientSet(tuple(rows), norm)]
         if sets[0].dim != dim:
             raise ValueError(
@@ -357,6 +360,11 @@ def cmd_verify(resolved: dict):
         bundle, cert, recheck = _certify_pipeline(spec, p, resolved)
     except DegenerateModulusError as exc:
         # No certificate can exist; report the ratio blow-up that explains why.
+        if rows:
+            _coefficient_sets(resolved)  # explicit values are checked here as well
+        if int(resolved["dim"]) > 1:
+            flag = f"--coeffs {resolved['coeffs']}" if rows else f"--dim {resolved['dim']}"
+            raise ValueError(f"{flag}: the sign counterexample for a degenerate |X| is scalar")
         n = 100 if n is None else int(n)
         if n < 1:
             flag = f"--coeffs {resolved['coeffs']}" if rows else f"--n {n}"
@@ -524,14 +532,6 @@ def _encode(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _dumps(report: dict) -> str:
-    """Strict JSON: a NaN or infinity left anywhere in the report is an error."""
-    try:
-        return json.dumps(report, indent=2, sort_keys=True, default=_encode, allow_nan=False)
-    except ValueError as exc:
-        raise NonfiniteMomentError(f"the report holds a non-finite number: {exc}") from None
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -548,7 +548,8 @@ def main(argv=None) -> int:
             "results": results,
             "wall_time_s": time.perf_counter() - t0,
         }
-        text = _dumps(report)
+        # strict JSON: a NaN or infinity left anywhere in the report is a ValueError
+        text = json.dumps(report, indent=2, sort_keys=True, default=_encode, allow_nan=False)
     except _HYPOTHESIS_ERRORS as exc:
         print(f"hypothesis error: {exc}", file=sys.stderr)
         return 3

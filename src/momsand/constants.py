@@ -196,7 +196,7 @@ def lower_constant_large_p(cert: LargePCertificate) -> ConstantBundle:
     if not (0.0 < lam < 1.0 and mu > 0.0 and a_param > 1.0 and max(p - 1.0, 1.0) < q < p):
         raise ValueError("certificate out of range for the large-p constant")
     ln_c0 = _ln_c0(p, lam, a_param, q)
-    c0 = math.exp(ln_c0) if ln_c0 < 709.0 else math.inf
+    c0 = math.exp(ln_c0) if ln_c0 < 709.0 else None  # past float range; ln_c0 is in the trace
     ln_tail_base = 3.0 * p * math.log(mu) - 10.0 * p * math.log(2.0) - p * math.log(3.0)
     ln_rhs = math.log1p(-lam) + ln_tail_base - math.log(8.0) - ln_c0
     trace = [

@@ -115,17 +115,19 @@ class QuadResult:
 
 
 def check_lacunary(seq) -> dict:
-    """Ratio report; the lacunary flag needs every ratio >= 3."""
+    """Ratio report; the lacunary flag needs every ratio >= 3.
+
+    A single term has no ratio: min_ratio is None and the flag holds.
+    """
     if not isinstance(seq, LacunarySequence):
         seq = LacunarySequence(tuple(seq))
     ratios = seq.ratios
-    min_ratio = min(ratios) if ratios else math.inf
     return {
         "terms": list(seq.terms),
         "ratios": list(ratios),
-        "min_ratio": min_ratio,
+        "min_ratio": min(ratios) if ratios else None,
         "tail_sum": seq.tail_sum,
-        "lacunary": min_ratio >= RATIO_FLOOR,
+        "lacunary": all(r >= RATIO_FLOOR for r in ratios),
     }
 
 
@@ -279,7 +281,8 @@ def corollary_check(
         {"i": i, "torus": value, "probabilistic": factor_p**i}
         for i, value in enumerate(per_term_torus)
     ]
-    ratio = torus.value / prob.mean if prob.mean != 0.0 else math.inf
+    # None where the probabilistic side underflows to 0 (tiny coefficients)
+    ratio = torus.value / prob.mean if prob.mean != 0.0 else None
     return {
         "p": p,
         "sequence": list(comb.seq.terms),

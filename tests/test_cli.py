@@ -568,6 +568,50 @@ def test_zero_n_is_the_lone_term(capsys):
     assert report["results"]["min_ratio"] == report["results"]["max_ratio"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "coeffs, flag",
+    [
+        ("5,abc,7", "--coeffs 5,abc,7"),
+        ("0,0,0", "--coeffs 0,0,0"),
+        ("1,0;0,1;1,1", "--coeffs 1,0;0,1;1,1"),
+    ],
+)
+def test_degenerate_verify_checks_explicit_coefficients(capsys, coeffs, flag):
+    argv = ["verify", "--dist", "rademacher", "--p", "4", "--coeffs", coeffs, "--reps", "2000"]
+    assert _usage_error_line(capsys, argv).startswith(f"usage error: {flag}")
+
+
+def test_degenerate_verify_is_scalar(capsys):
+    argv = ["verify", "--dist", "rademacher", "--p", "4", "--n", "3", "--dim", "2"]
+    assert _usage_error_line(capsys, argv).startswith("usage error: --dim 2")
+
+
+def test_overflowing_c0_is_null(capsys):
+    # ln c0 passes 709 near p = 9.5, yet k exists and the certificate stands
+    code, report, _ = run_cli(capsys, ["certify", "--dist", TP, "--p", "10"])
+    assert code == 0
+    bundle = report["results"]["bundle"]
+    assert bundle["c0"] is None
+    (ln_c0,) = [row["value"] for row in bundle["trace"] if row["id"] == "ln_c0"]
+    assert ln_c0 >= 709.0
+    assert bundle["lower_c"] > 0.0
+
+
+def test_single_term_sequence_has_no_min_ratio(capsys):
+    code, report, _ = run_cli(capsys, ["riesz", "--seq", "4", "--term", "1", "--p", "3"])
+    assert code == 0
+    lac = report["results"]["lacunary"]
+    assert lac["ratios"] == [] and lac["min_ratio"] is None and lac["lacunary"] is True
+
+
+def test_underflowing_riesz_ratio_is_null(capsys):
+    argv = ["riesz", "--seq", "4,16", "--p", "2", "--coeffs", "0,1e-200", "--reps", "2000"]
+    code, report, _ = run_cli(capsys, argv)
+    assert code == 0
+    check = report["results"]["check"]
+    assert check["probabilistic"]["mean"] == 0.0 and check["ratio"] is None
+
+
 # one short argv of every report kind; the parser and the encoder see them all
 ONE_OF_EACH = {
     "moments": ["moments", "--dist", "riesz", "--q", "1,2.5"],
