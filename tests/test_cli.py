@@ -569,21 +569,18 @@ def test_zero_n_is_the_lone_term(capsys):
 
 
 @pytest.mark.parametrize(
-    "coeffs, flag",
+    "extra, flag",
     [
-        ("5,abc,7", "--coeffs 5,abc,7"),
-        ("0,0,0", "--coeffs 0,0,0"),
-        ("1,0;0,1;1,1", "--coeffs 1,0;0,1;1,1"),
+        (["--coeffs", "5,abc,7"], "--coeffs 5,abc,7"),
+        (["--coeffs", "0,0,0"], "--coeffs 0,0,0"),
+        (["--coeffs", "1,0;0,1;1,1"], "--coeffs 1,0;0,1;1,1"),
+        # the sign counterexample is scalar
+        (["--n", "3", "--dim", "2"], "--dim 2"),
     ],
 )
-def test_degenerate_verify_checks_explicit_coefficients(capsys, coeffs, flag):
-    argv = ["verify", "--dist", "rademacher", "--p", "4", "--coeffs", coeffs, "--reps", "2000"]
+def test_degenerate_verify_checks_its_coefficients(capsys, extra, flag):
+    argv = ["verify", "--dist", "rademacher", "--p", "4", *extra, "--reps", "2000"]
     assert _usage_error_line(capsys, argv).startswith(f"usage error: {flag}")
-
-
-def test_degenerate_verify_is_scalar(capsys):
-    argv = ["verify", "--dist", "rademacher", "--p", "4", "--n", "3", "--dim", "2"]
-    assert _usage_error_line(capsys, argv).startswith("usage error: --dim 2")
 
 
 def test_overflowing_c0_is_null(capsys):
