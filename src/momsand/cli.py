@@ -360,6 +360,11 @@ def cmd_verify(resolved: dict):
         bundle, cert, recheck = _certify_pipeline(spec, p, resolved)
     except DegenerateModulusError as exc:
         # No certificate can exist; report the ratio blow-up that explains why.
+        if str(resolved["coeffs"]).startswith("random:"):
+            raise ValueError(
+                f"--coeffs {resolved['coeffs']}: the sign counterexample for a degenerate |X| "
+                "sums all-ones coefficients, so random ones would go unused"
+            )
         if rows:
             _coefficient_sets(resolved)  # explicit values are checked here as well
         if int(resolved["dim"]) > 1:

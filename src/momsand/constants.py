@@ -52,6 +52,7 @@ point is recorded with lower_c None, and both return (bundle, certificate).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from . import dist_core as dc
@@ -70,6 +71,7 @@ from .errors import (
     EmptyWindowError,
     KTooLargeError,
     MomsandError,
+    NonfiniteMomentError,
     NoValidQError,
 )
 
@@ -78,6 +80,7 @@ LARGE_P = "LargeP"
 
 K_CAP = 10**9
 _MIN_NORMAL = 2.2250738585072014e-308
+_LN_MAX_FLOAT = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -287,6 +290,10 @@ def upper_constant_large_p(p: float, lambda_chain) -> tuple[float, float]:
     ln_product = p * (p + 1.0) / 2.0 * math.log(2.0)
     for j, lam in enumerate(chain, start=1):
         ln_product -= math.log1p(-(lam ** (p - j)))
+    if ln_product > _LN_MAX_FLOAT:
+        raise NonfiniteMomentError(
+            f"the upper constant exp({ln_product!r}) overflows at p = {p}"
+        )
     product = math.exp(ln_product)
     if not recursive <= product * (1.0 + 1e-12):
         raise MomsandError(

@@ -71,6 +71,8 @@ _PROB_SUM_TOL = 1e-9
 _DEGENERACY_TOL = 1e-9
 # finite laws with more cut points than this sample by binary search
 LADDER_MAX_CUTS = 32
+# draws per chunk of a finite law's gather: a 256 KB index array at most
+GATHER_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -351,7 +353,7 @@ def is_degenerate_modulus(spec: DistributionSpec, p: float) -> bool:
 # sampling
 
 
-def quantile(spec: DistributionSpec, u):
+def quantile(spec: DistributionSpec, u, out=None):
     """Inverse CDF, vectorized over u in [0, 1); monotone nondecreasing.
 
     A finite law with sorted values v_0 <= ... <= v_k and cut points
@@ -360,56 +362,84 @@ def quantile(spec: DistributionSpec, u):
     sum_j (u >= c_j), one vectorized pass per cut point; above that it is
     searchsorted(c, u, side="right").  Both count the same set, so the
     ladder only saves time: for a few atoms it beats the binary search.
-    Continuous families evaluate their closed forms in place on one output
-    array, with the same floating-point operations as the plain
-    expressions.  u itself is never written to.
+    The atoms are gathered over flat chunks of GATHER_CHUNK draws, so the
+    index arrays stay small whatever the size of u.  Continuous families
+    evaluate their closed forms in place, with the same floating-point
+    operations as the plain expressions.
+
+    out, when given, is a C-contiguous float array of u's shape that
+    receives the values and is returned; it may be u itself, which is then
+    overwritten.  With out=None a fresh array is returned and u is never
+    written to, which the comonotone coupling relies on.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim == 0:
         return quantile(spec, u[None])[0]
+    if out is None:
+        out = np.empty(u.shape)
+    elif not (out.shape == u.shape and out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous array of the shape of u")
     if spec.family == SCALED:
-        z = quantile(spec.base, u if spec.scale >= 0.0 else 1.0 - u)
-        z *= spec.scale
-        return z
+        if spec.scale < 0.0:
+            u = np.subtract(1.0, u, out=out)
+        quantile(spec.base, u, out=out)
+        out *= spec.scale
+        return out
     sup = finite_support(spec)
     if sup is not None:
-        vals, probs = sup
-        order = np.argsort(vals, kind="stable")
-        vals = vals[order]
-        cum = np.cumsum(probs[order])[:-1]
-        if len(cum) > LADDER_MAX_CUTS:
-            idx = np.searchsorted(cum, u, side="right")
-        else:
-            # one byte per count (at most LADDER_MAX_CUTS) keeps the passes cheap
-            idx = np.zeros(u.shape, dtype=np.uint8)
-            for c in cum:
-                idx += u >= c
-        return vals[idx]
-    if spec.family == UNIFORM:
-        z = u * (spec.hi - spec.lo)
-        z += spec.lo
+        _gather_atoms(sup, u, out)
+    elif spec.family == UNIFORM:
+        np.multiply(u, spec.hi - spec.lo, out=out)
+        out += spec.lo
     elif spec.family == LOGNORMAL:
-        z = special.ndtri(u)
-        z *= spec.sigma
-        z += spec.mu
-        np.exp(z, out=z)
+        special.ndtri(u, out=out)
+        out *= spec.sigma
+        out += spec.mu
+        np.exp(out, out=out)
     elif spec.family == EXPONENTIAL:
-        z = np.negative(u)
-        np.log1p(z, out=z)
-        np.negative(z, out=z)
-        z /= spec.rate
+        np.negative(u, out=out)
+        np.log1p(out, out=out)
+        np.negative(out, out=out)
+        out /= spec.rate
     elif spec.family == RIESZ_FACTOR:
-        z = np.pi * u
-        np.cos(z, out=z)
-        np.subtract(1.0, z, out=z)
+        np.multiply(np.pi, u, out=out)
+        np.cos(out, out=out)
+        np.subtract(1.0, out, out=out)
     else:
         raise AssertionError(f"unhandled family {spec.family}")
-    return z
+    return out
 
 
-def sample(spec: DistributionSpec, size: int, gen: np.random.Generator) -> np.ndarray:
-    """Draw samples: one uniform per draw pushed through the quantile map."""
-    return quantile(spec, gen.random(size))
+def _gather_atoms(support, u: np.ndarray, out: np.ndarray) -> None:
+    """Finite-law quantile of u into out, chunk by chunk of the flat arrays."""
+    vals, probs = support
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    cum = np.cumsum(probs[order])[:-1]
+    flat_u, flat_out = u.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_u.size, GATHER_CHUNK):
+        chunk = flat_u[start:start + GATHER_CHUNK]
+        if len(cum) > LADDER_MAX_CUTS:
+            idx = np.searchsorted(cum, chunk, side="right")
+        else:
+            # one byte per count (at most LADDER_MAX_CUTS) keeps the passes cheap
+            idx = np.zeros(chunk.shape, dtype=np.uint8)
+            for c in cum:
+                idx += chunk >= c
+        # idx never leaves 0..k, so "clip" changes no value; unlike the default
+        # "raise" it writes straight into out
+        np.take(vals, idx, out=flat_out[start:start + GATHER_CHUNK], mode="clip")
+
+
+def sample(spec: DistributionSpec, size, gen: np.random.Generator, out=None) -> np.ndarray:
+    """Draw samples: one uniform per draw pushed through the quantile map.
+
+    With out, a C-contiguous float array of shape size, the uniforms are
+    drawn into it (the same stream as gen.random(size)) and mapped in place,
+    so a caller that reuses out allocates nothing per draw.
+    """
+    u = gen.random(size) if out is None else gen.random(out=out)
+    return quantile(spec, u, out=u)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,11 @@ the perpetuity's step i is (X_i, B_i) under the coupling PairSpec declares.
 E||acc||^p is computed by one of two backends:
 
   * _sample_paths, seeded Monte Carlo: reps are cut into fixed blocks of
-    4096, block j draws from RandomSource.generator(block=j), blocks are
-    concatenated in index order and reduced by numpy's pairwise sums.
+    4096, block j draws from RandomSource.generator(block=j) and writes
+    its values into its own slice of one preallocated array, which numpy's
+    pairwise sums reduce.  Each worker thread draws into one buffer that it
+    reuses for every block it runs, so memory in flight is about one
+    block per worker.
     Kernels are elementwise, so no BLAS threading reorders a sum and a
     report depends on (seed, stream, reps), never on the worker count.
   * _walk, exact enumeration of finite per-step atoms (x, b, prob),
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -204,25 +208,35 @@ def _sample_paths(block_steps, tail, dim: int, norm: str, p: float, reps: int,
                   src: dc.RandomSource, csv_path: str | None) -> EstimateWithCI:
     """Monte Carlo backend: mean of ||acc||^p over reps independent paths.
 
-    block_steps(m, gen) yields one block's steps (x, b) in order, drawing
-    from gen, b as (d, 1) or (d, m); tail, when given, adds r * tail after
-    the last step.  acc is held as (d, m), see the module docstring.
+    block_steps(m, gen, scratch) yields one block's steps (x, b) in order,
+    drawing from gen, b as (d, 1) or (d, m); scratch(n) is the calling
+    worker's (CHUNK, n) buffer, allocated on its first block and reused by
+    the rest.  tail, when given, adds r * tail after the last step.  acc is
+    held as (d, m), see the module docstring.
     """
+    values = np.empty(reps)
+    local = threading.local()
 
-    def run_block(block) -> np.ndarray:
-        idx, m = block
+    def scratch(n: int) -> np.ndarray:
+        buf = getattr(local, "buf", None)
+        if buf is None:
+            buf = local.buf = np.empty((CHUNK, n))
+        return buf
+
+    def run_block(block) -> None:
+        idx, start = block
+        m = min(CHUNK, reps - start)
         r = np.ones(m)
         acc = np.zeros((dim, m))
         with np.errstate(over="ignore", invalid="ignore"):
-            for x, b in block_steps(m, src.generator(block=idx)):
+            for x, b in block_steps(m, src.generator(block=idx), scratch):
                 acc += b * r
                 r *= x
             if tail is not None:
                 acc += tail[:, None] * r
-            return holder_norm(acc.T, norm) ** p
+            np.power(holder_norm(acc.T, norm), p, out=values[start:start + m])
 
-    blocks = [(j, min(CHUNK, reps - start)) for j, start in enumerate(range(0, reps, CHUNK))]
-    values = np.concatenate(map_indexed(run_block, blocks))
+    map_indexed(run_block, list(enumerate(range(0, reps, CHUNK))))
     if csv_path is not None:
         _write_csv(csv_path, values)
     return _stats(values, reps, src.seed)
@@ -310,8 +324,9 @@ def estimate_lhs(
         return _exact(_lone_term(coeffs, p), 0, src.seed)
     vmat = coeffs.matrix()
 
-    def block_steps(m, gen):
-        return zip(dc.sample(spec, (m, coeffs.n), gen).T, vmat[:-1, :, None])
+    def block_steps(m, gen, scratch):
+        draws = dc.sample(spec, (m, coeffs.n), gen, out=scratch(coeffs.n)[:m])
+        return zip(draws.T, vmat[:-1, :, None])
 
     return _sample_paths(block_steps, vmat[-1], coeffs.dim, coeffs.norm, p, reps, src, csv_path)
 
@@ -430,7 +445,7 @@ def perpetuity_lhs(
         raise ValueError("need n >= 1 terms")
     _check_run(p, reps)
 
-    def block_steps(m, gen):
+    def block_steps(m, gen, scratch):
         for _ in range(n):
             x, b = draw_pair(pair, m, gen)
             yield x, b.T

@@ -28,8 +28,12 @@ which folds the N-point mean onto k = 0 .. floor(M/2):
 The N/2 subgrid (even k) folds the same way over M/2 when M is even; when M
 is odd, 2k runs over every residue mod M, so the subgrid mean equals the
 N-point mean.  Only about N/(2g) points are evaluated.  Grids stream in fixed
-blocks so no full grid is ever stored, and partial sums combine in block
-order regardless of worker count.
+blocks of _BLOCK = 2^19 points so no full grid is ever stored, and partial
+sums combine in block order regardless of worker count.  A block's arrays
+take about 4 MB each, four of them in flight per worker.  The block size
+sets how NumPy's pairwise sums group into the fsum partials, so it is part
+of the reported bits: halving it from 2^20 moved torus values by at most
+2.4e-16 relative and error estimates by at most 2.3e-16 times the value.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .montecarlo import EstimateWithCI, coefficient_set, estimate_lhs
 MAX_TERM = 2**20
 MIN_POINTS = 4096
 POINTS_PER_FREQ = 64
-_BLOCK = 2**20
+_BLOCK = 2**19
 
 RATIO_FLOOR = 3.0
 

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -12,7 +14,8 @@ import pytest
 from momsand import cli
 from momsand import dist_core as dc
 from momsand import montecarlo as mc
-from momsand._pool import worker_count
+from momsand import riesz
+from momsand._pool import map_indexed, worker_count
 from momsand.assumptions import fit_large_p, fit_small_p
 from momsand.cli import main
 from momsand.constants import lower_constant_large_p, lower_constant_small_p
@@ -262,6 +265,11 @@ NONFINITE_CASES = [
     (["verify", "--dist", TP, "--p", "4", "--coeffs", "1e100"], "||v_0||^p overflows"),
     (["verify", "--dist", "uniform:lo=0,hi=2", "--p", "4", "--coeffs", "1e100"],
      "||v_0||^p overflows"),
+    # the large-p upper constant's product form passes the float range
+    (["certify", "--dist", "uniform:lo=0,hi=2", "--p", "300"], "overflows at p = 300.0"),
+    (["perpetuity", "--dist", "uniform:lo=0,hi=2", "--b-dist", "uniform:lo=0,hi=1",
+      "--p", "300", "--n-list", "2", "--reps", "4096"],
+     "overflows at p = 300.0"),
 ]
 
 
@@ -481,6 +489,15 @@ def test_explicit_vector_coefficients_set_dim(capsys):
     assert report["config"]["dim"] == 2
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity masks")
+def test_worker_count_defaults_to_the_usable_cpus(monkeypatch):
+    monkeypatch.delenv("MOMSAND_THREADS", raising=False)
+    assert worker_count() == len(os.sched_getaffinity(0))
+    # a cap of 1 runs every item on the calling thread
+    monkeypatch.setenv("MOMSAND_THREADS", "1")
+    assert map_indexed(lambda _: threading.get_ident(), range(4)) == [threading.get_ident()] * 4
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])
 def test_bad_thread_count_is_usage_error(capsys, monkeypatch, raw):
     monkeypatch.setenv("MOMSAND_THREADS", raw)
@@ -576,6 +593,8 @@ def test_zero_n_is_the_lone_term(capsys):
         (["--coeffs", "1,0;0,1;1,1"], "--coeffs 1,0;0,1;1,1"),
         # the sign counterexample is scalar
         (["--n", "3", "--dim", "2"], "--dim 2"),
+        # and sums all-ones coefficients, so random draws would go unused
+        (["--n", "5", "--coeffs", "random:count=3"], "--coeffs random:count=3"),
     ],
 )
 def test_degenerate_verify_checks_its_coefficients(capsys, extra, flag):
@@ -673,3 +692,52 @@ def test_same_argv_twice_same_report(capsys, name):
     assert first[0] == second[0]
     assert "wall_time_s" in first[2]
     assert _without_wall_time(first[2]) == _without_wall_time(second[2])
+
+
+# reps = 10,000 is two full Monte Carlo blocks of mc.CHUNK and a partial third
+MULTI_BLOCK_CASES = {
+    "verify_lognormal": ["verify", "--dist", "lognormal:mu=0,sigma=0.5", "--p", "2.5",
+                         "--n", "6", "--coeffs", "random:count=2,seed=4"],
+    "verify_uniform_dim3": ["verify", "--dist", UNIFORM, "--p", "3.5", "--n", "6",
+                            "--dim", "3", "--coeffs", "random:count=2,seed=5"],
+    "verify_negative_scale": ["verify", "--dist", "scaled:scale=-1.5,base=(uniform:lo=0,hi=2)",
+                              "--p", "1.5", "--n", "6", "--coeffs", "random:count=2,seed=6"],
+    # 2^30 outcomes are past ENUM_CAP, so the finite law is sampled
+    "verify_twopoint_n30": ["verify", "--dist", TP, "--p", "1.5", "--n", "30",
+                            "--coeffs", "random:count=1,seed=7"],
+    "perpetuity_independent": ["perpetuity", "--dist", UNIFORM, "--b-dist", "uniform:lo=0,hi=1",
+                               "--b-dist", "exponential:rate=1", "--p", "2", "--n-list", "1,4"],
+    "perpetuity_comonotone": ["perpetuity", "--dist", UNIFORM, "--b-dist", "exponential:rate=1",
+                              "--coupling", "comonotone-scalar", "--p", "2.5", "--n-list", "1,4"],
+    # with riesz._BLOCK = 128 below, the 513 folded grid points take five blocks
+    "riesz_grid": ["riesz", "--seq", "4,16,64", "--p", "2.5", "--coeffs", "1,0.5,-0.25"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_BLOCK_CASES))
+def test_multi_block_reports_match_at_every_worker_count(capsys, monkeypatch, case):
+    monkeypatch.setattr(riesz, "_BLOCK", 128)
+    block_counts = []
+
+    def counting(fn, items):
+        items = list(items)
+        block_counts.append(len(items))
+        return map_indexed(fn, items)
+
+    for module in (mc, riesz):
+        monkeypatch.setattr(module, "map_indexed", counting)
+    argv = [*MULTI_BLOCK_CASES[case], "--reps", "10000", "--seed", "11"]
+    reports = {}
+    for threads in ("1", "2", "3", None):
+        if threads is None:
+            monkeypatch.delenv("MOMSAND_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MOMSAND_THREADS", threads)
+        code, report, _ = run_cli(capsys, argv)
+        assert code == 0
+        report.pop("wall_time_s")
+        reports[threads] = report
+    assert max(block_counts) >= 3
+    assert reports["2"] == reports["1"]
+    assert reports["3"] == reports["1"]
+    assert reports[None] == reports["1"]

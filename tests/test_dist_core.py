@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtri
 
 from momsand import dist_core as dc
 from momsand.errors import DegenerateZeroError, InvalidOrderError
@@ -180,6 +180,65 @@ def test_finite_quantile_matches_searchsorted(law):
     # a scalar u still gives a scalar
     one = dc.quantile(spec, 0.25)
     assert np.ndim(one) == 0 and one == _searchsorted_quantile(spec, np.array([0.25]))[0]
+
+
+def _plain_quantile(spec, u):
+    # one fresh array per operation: the in-place maps must reproduce these bits
+    if spec.family == dc.SCALED:
+        return spec.scale * _plain_quantile(spec.base, u if spec.scale >= 0.0 else 1.0 - u)
+    if dc.finite_support(spec) is not None:
+        return _searchsorted_quantile(spec, u)
+    if spec.family == dc.UNIFORM:
+        return u * (spec.hi - spec.lo) + spec.lo
+    if spec.family == dc.LOGNORMAL:
+        return np.exp(ndtri(u) * spec.sigma + spec.mu)
+    if spec.family == dc.EXPONENTIAL:
+        return -np.log1p(-u) / spec.rate
+    assert spec.family == dc.RIESZ_FACTOR
+    return 1.0 - np.cos(np.pi * u)
+
+
+SAMPLED_LAWS = {
+    **{f"{k}_atoms": _atoms_law(k) for k in (2, 5, 32, 33, 34)},
+    "scaled_atoms_negative": dc.scaled_copy(_atoms_law(5), -0.75),
+    "uniform": dc.uniform(-1.0, 2.0),
+    "lognormal": dc.log_normal(0.1, 0.7),
+    "exponential": dc.exponential(2.5),
+    "riesz": dc.riesz_factor(),
+    "rademacher": dc.rademacher_sign(),
+    "scaled_uniform_negative": dc.scaled_copy(dc.uniform(0.0, 2.0), -1.5),
+    "scaled_lognormal": dc.scaled_copy(dc.log_normal(0.0, 0.5), 2.0),
+}
+
+
+@pytest.mark.parametrize("law", sorted(SAMPLED_LAWS))
+def test_in_place_sampling_matches_fresh_arrays(law):
+    spec = SAMPLED_LAWS[law]
+    # 70,000 draws: two full gather chunks and a partial third
+    shape = (700, 100)
+    u = np.random.default_rng(3).random(shape)
+    u_before = u.copy()
+    want = _plain_quantile(spec, u).tobytes()
+    assert dc.quantile(spec, u).tobytes() == want
+    assert u.tobytes() == u_before.tobytes()
+    buf = np.full((1000, 100), np.nan)
+    assert dc.quantile(spec, u, out=buf[:700]).tobytes() == want
+    aliased = u.copy()
+    assert dc.quantile(spec, aliased, out=aliased).tobytes() == want
+
+    src = dc.RandomSource(5, 2)
+    drawn = dc.sample(spec, shape, src.generator(block=3))
+    assert drawn.tobytes() == _plain_quantile(spec, src.generator(block=3).random(shape)).tobytes()
+    into = dc.sample(spec, shape, src.generator(block=3), out=buf[:700])
+    assert into.tobytes() == drawn.tobytes()
+    assert np.shares_memory(into, buf)
+
+
+def test_quantile_rejects_an_out_it_cannot_fill():
+    u = np.linspace(0.0, 0.9, 10)
+    for out in (np.empty(9), np.empty(20)[::2]):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            dc.quantile(dc.uniform(0.0, 1.0), u, out=out)
 
 
 def test_sampling_determinism_and_stream_separation():

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,21 @@ def test_estimate_thread_count_invariance(monkeypatch):
     threaded = mc.estimate_lhs(TWO_POINT, coeffs, 2.0, reps=20_000, src=src(3))
     assert serial.mean == threaded.mean
     assert serial.std_error == threaded.std_error
+
+
+def test_serial_draws_reuse_one_block_buffer(monkeypatch):
+    # serial: one (CHUNK, n) draw buffer serves both blocks, and the finite
+    # law's gather adds only chunk-sized index arrays on top of it
+    monkeypatch.setenv("MOMSAND_THREADS", "1")
+    n = 100
+    coeffs = mc.coefficient_set([1.0] * (n + 1))
+    tracemalloc.start()
+    try:
+        mc.estimate_lhs(dc.rademacher_sign(), coeffs, 4.0, reps=2 * mc.CHUNK, src=src(4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * mc.CHUNK * n * 8
 
 
 def test_scale_equivariance():
