@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import sys
 import threading
 import warnings
 
@@ -728,15 +729,21 @@ def test_multi_block_reports_match_at_every_worker_count(capsys, monkeypatch, ca
         monkeypatch.setattr(module, "map_indexed", counting)
     argv = [*MULTI_BLOCK_CASES[case], "--reps", "10000", "--seed", "11"]
     reports = {}
-    for threads in ("1", "2", "3", None):
-        if threads is None:
-            monkeypatch.delenv("MOMSAND_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("MOMSAND_THREADS", threads)
-        code, report, _ = run_cli(capsys, argv)
-        assert code == 0
-        report.pop("wall_time_s")
-        reports[threads] = report
+    # frequent thread switches make a race between workers more likely to show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in ("1", "2", "3", None):
+            if threads is None:
+                monkeypatch.delenv("MOMSAND_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("MOMSAND_THREADS", threads)
+            code, report, _ = run_cli(capsys, argv)
+            assert code == 0
+            report.pop("wall_time_s")
+            reports[threads] = report
+    finally:
+        sys.setswitchinterval(interval)
     assert max(block_counts) >= 3
     assert reports["2"] == reports["1"]
     assert reports["3"] == reports["1"]
