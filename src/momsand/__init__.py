@@ -28,6 +28,7 @@ from .assumptions import (
 )
 from .constants import (
     ConstantBundle,
+    dependent_upper_constant,
     lower_constant_large_p,
     lower_constant_small_p,
     minimal_k,
@@ -61,6 +62,7 @@ from .errors import (
     DegenerateZeroError,
     EmptyWindowError,
     EnumerationTooLargeError,
+    HypothesisError,
     InvalidOrderError,
     KTooLargeError,
     MomsandError,
@@ -70,6 +72,7 @@ from .errors import (
     NotNormalizedError,
     NoValidQError,
     TooFewPointsError,
+    UsageError,
 )
 from .montecarlo import (
     CoefficientSet,
@@ -80,7 +83,6 @@ from .montecarlo import (
     brute_force_lhs,
     brute_force_perpetuity,
     coefficient_set,
-    dependent_upper_constant,
     enumerate_lhs_distribution,
     estimate_lhs,
     goldie_bracket,

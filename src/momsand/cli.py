@@ -46,21 +46,7 @@ from .assumptions import (
     verify_small_p,
 )
 from .constants import optimize_large_p, optimize_small_p
-from .errors import (
-    ChainLengthMismatchError,
-    DegenerateModulusError,
-    DegenerateZeroError,
-    EmptyWindowError,
-    EnumerationTooLargeError,
-    InvalidOrderError,
-    KTooLargeError,
-    NonfiniteMomentError,
-    NotIncreasingError,
-    NotLacunaryError,
-    NotNormalizedError,
-    NoValidQError,
-    TooFewPointsError,
-)
+from .errors import DegenerateModulusError, HypothesisError, UsageError
 from .riesz import (
     LacunarySequence,
     RieszCombination,
@@ -68,27 +54,6 @@ from .riesz import (
     corollary_check,
     corollary_ratio_scan,
     riesz_lp_norm,
-)
-
-_USAGE_ERRORS = (
-    ValueError,
-    OSError,
-    json.JSONDecodeError,
-    InvalidOrderError,
-    DegenerateZeroError,
-    NonfiniteMomentError,
-    EnumerationTooLargeError,
-    TooFewPointsError,
-    ChainLengthMismatchError,
-    NotIncreasingError,
-)
-_HYPOTHESIS_ERRORS = (
-    DegenerateModulusError,
-    EmptyWindowError,
-    NoValidQError,
-    KTooLargeError,
-    NotLacunaryError,
-    NotNormalizedError,
 )
 
 _DEFAULTS = {
@@ -207,23 +172,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if value is None:
             value = _DEFAULTS.get((args.command, dest))
         resolved[dest] = value
-    if args.command == "verify":
-        # explicit --coeffs fix d by their row width and an unset n by their row
-        # count; random ones and none mean d = 1 and leave n to --n
-        rows = _explicit_rows(resolved["coeffs"])
-        if resolved["dim"] is None:
-            resolved["dim"] = len(rows[0].split(",")) if rows else 1
-        if resolved["n"] is None and rows:
-            resolved["n"] = len(rows) - 1
     return resolved
-
-
-def _explicit_rows(text) -> list[str] | None:
-    """The row texts of explicit --coeffs, or None for random: ones and none."""
-    if not text or str(text).startswith("random:"):
-        return None
-    text = str(text)
-    return text.split(";") if ";" in text else text.split(",")
 
 
 def _require(resolved: dict, key: str):
@@ -233,27 +182,53 @@ def _require(resolved: dict, key: str):
     return value
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in str(text).split(",") if part.strip() != ""]
+def _list(resolved: dict, key: str, cast=float) -> list | None:
+    """The comma list a flag holds, None when unset; an empty list is a usage error."""
+    text = resolved.get(key)
+    if text is None:
+        return None
+    values = [cast(part) for part in str(text).split(",") if part.strip() != ""]
+    if not values:
+        raise ValueError(f"--{key.replace('_', '-')} {text!r}: the list is empty")
+    return values
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in str(text).split(",") if part.strip() != ""]
+def _verify_coefficients(resolved: dict) -> list[mc.CoefficientSet]:
+    """Check verify's --coeffs, --n and --dim once and build its coefficient sets.
 
-
-def _grid(resolved: dict, key: str):
-    raw = resolved.get(key)
-    return tuple(_float_list(raw)) if raw is not None else None
-
-
-def _coefficient_sets(resolved: dict) -> list[mc.CoefficientSet]:
-    text = resolved.get("coeffs")
-    norm = resolved.get("norm") or "l2"
-    seed = int(resolved.get("seed") or 0)
+    Explicit rows fix an unset --dim by their width and an unset --n by their
+    count, and the echoed config shows both; random draws and none mean d = 1
+    and leave n to --n, which alone draws random:count=20.  Neither flag gives
+    no sets, which only the degenerate counterexample accepts.
+    """
+    text, n = resolved["coeffs"], resolved["n"]
+    explicit = bool(text) and not str(text).startswith("random:")
+    rows = str(text).split(";" if ";" in str(text) else ",") if explicit else []
+    if resolved["dim"] is None:
+        resolved["dim"] = len(rows[0].split(",")) if rows else 1
+    if n is None and rows:
+        resolved["n"] = n = len(rows) - 1
     dim = int(resolved["dim"])
-    if text and str(text).startswith("random:"):
+    if dim < 1:
+        raise ValueError(f"--dim {resolved['dim']}: the dimension must be at least 1")
+    if n is not None and int(n) < 0:
+        raise ValueError(f"--n {n}: the number of factors must be at least 0")
+    if rows and int(n) != len(rows) - 1:
+        raise ValueError(f"--n {n} differs from the {len(rows) - 1} factors of --coeffs {text}")
+    norm = resolved.get("norm") or "l2"
+    if rows:
+        try:
+            values = tuple(tuple(float(x) for x in row.split(",")) for row in rows)
+        except ValueError as exc:
+            raise ValueError(f"--coeffs {text}: {exc}") from None
+        sets = [mc.CoefficientSet(values, norm)]
+        if sets[0].dim != dim:
+            raise ValueError(
+                f"--dim {dim} differs from the row width {sets[0].dim} of --coeffs {text}"
+            )
+    elif text or n is not None:
         params = {}
-        body = str(text)[len("random:"):]
+        body = str(text or "random:count=20")[len("random:"):]
         for item in body.split(","):
             if not item:
                 continue
@@ -266,7 +241,7 @@ def _coefficient_sets(resolved: dict) -> list[mc.CoefficientSet]:
         if count < 1:
             raise ValueError(f"--coeffs {text}: count must be at least 1, got {count}")
         scale = float(params.get("scale", 1.0))
-        cseed = int(params.get("seed", seed))
+        cseed = int(params.get("seed", resolved.get("seed") or 0))
         n = _require(resolved, "n")
         sets = []
         for d in range(count):
@@ -277,22 +252,8 @@ def _coefficient_sets(resolved: dict) -> list[mc.CoefficientSet]:
                     tuple(tuple(float(x) for x in row) for row in mat), norm
                 )
             )
-    elif text:
-        try:
-            rows = [tuple(float(x) for x in row.split(",")) for row in _explicit_rows(text)]
-        except ValueError as exc:
-            raise ValueError(f"--coeffs {text}: {exc}") from None
-        sets = [mc.CoefficientSet(tuple(rows), norm)]
-        if sets[0].dim != dim:
-            raise ValueError(
-                f"--dim {dim} differs from the row width {sets[0].dim} of --coeffs {text}"
-            )
-    elif resolved.get("n") is not None:
-        resolved = dict(resolved)
-        resolved["coeffs"] = "random:count=20,scale=1.0"
-        return _coefficient_sets(resolved)
     else:
-        raise ValueError("verify needs --coeffs or --n")
+        return []
     for coeffs in sets:
         _check_coefficients(text, coeffs.matrix())
     return sets
@@ -308,18 +269,18 @@ def _check_coefficients(text, values) -> None:
 
 def _certify_pipeline(spec, p: float, resolved: dict):
     """Scan the grid for the best constants, then recheck the winning certificate."""
-    grid_a = _grid(resolved, "grid_a")
+    grid_a = _list(resolved, "grid_a")
+    grid_q = _list(resolved, "grid_q")
     if p <= 1.0:
         bundle, cert = optimize_small_p(spec, p, grid_a or DEFAULT_A_GRID_SMALL)
         return bundle, cert, verify_small_p(spec, cert)
-    grid_q = _grid(resolved, "grid_q")
-    bundle, cert = optimize_large_p(spec, p, grid_a or DEFAULT_A_GRID_LARGE, grid_q or None)
+    bundle, cert = optimize_large_p(spec, p, grid_a or DEFAULT_A_GRID_LARGE, grid_q)
     return bundle, cert, verify_large_p(spec, cert)
 
 
 def cmd_moments(resolved: dict):
     spec = dc.parse_spec(_require(resolved, "dist"))
-    qs = _float_list(resolved["q"])
+    qs = _list(resolved, "q")
     table = [dc.abs_moment(spec, q) for q in qs]
     return {"table": table}, 0
 
@@ -344,35 +305,25 @@ def cmd_verify(resolved: dict):
     p = float(_require(resolved, "p"))
     reps = int(resolved["reps"])
     seed = int(resolved["seed"])
-    if int(resolved["dim"]) < 1:
-        raise ValueError(f"--dim {resolved['dim']}: the dimension must be at least 1")
-    n = resolved["n"]
-    if n is not None and int(n) < 0:
-        raise ValueError(f"--n {n}: the number of factors must be at least 0")
-    rows = _explicit_rows(resolved["coeffs"])
-    if rows and int(n) != len(rows) - 1:
-        raise ValueError(
-            f"--n {n} differs from the {len(rows) - 1} factors of --coeffs {resolved['coeffs']}"
-        )
+    sets = _verify_coefficients(resolved)
     spec, scale = dc.normalize_unit_p_moment(spec0, p)
     src = dc.RandomSource(seed, 0)
     try:
         bundle, cert, recheck = _certify_pipeline(spec, p, resolved)
     except DegenerateModulusError as exc:
         # No certificate can exist; report the ratio blow-up that explains why.
-        if str(resolved["coeffs"]).startswith("random:"):
+        text, n = resolved["coeffs"], resolved["n"]
+        if str(text).startswith("random:"):
             raise ValueError(
-                f"--coeffs {resolved['coeffs']}: the sign counterexample for a degenerate |X| "
+                f"--coeffs {text}: the sign counterexample for a degenerate |X| "
                 "sums all-ones coefficients, so random ones would go unused"
             )
-        if rows:
-            _coefficient_sets(resolved)  # explicit values are checked here as well
         if int(resolved["dim"]) > 1:
-            flag = f"--coeffs {resolved['coeffs']}" if rows else f"--dim {resolved['dim']}"
+            flag = f"--coeffs {text}" if text else f"--dim {resolved['dim']}"
             raise ValueError(f"{flag}: the sign counterexample for a degenerate |X| is scalar")
         n = 100 if n is None else int(n)
         if n < 1:
-            flag = f"--coeffs {resolved['coeffs']}" if rows else f"--n {n}"
+            flag = f"--coeffs {text}" if text else f"--n {n}"
             raise ValueError(f"{flag}: the counterexample for a degenerate |X| needs n >= 1")
         ce = mc.khintchine_counterexample(n, p, reps, src, spec=spec)
         results = {
@@ -383,7 +334,8 @@ def cmd_verify(resolved: dict):
             "note": "no two-sided comparison holds for a degenerate |X|",
         }
         return results, 1
-    sets = _coefficient_sets(resolved)
+    if not sets:
+        raise ValueError("verify needs --coeffs or --n")
     rows = []
     any_fail = False
     all_pass = True
@@ -411,7 +363,8 @@ def cmd_verify(resolved: dict):
 
 
 def cmd_riesz(resolved: dict):
-    seq = LacunarySequence(tuple(_int_list(_require(resolved, "seq"))))
+    _require(resolved, "seq")
+    seq = LacunarySequence(tuple(_list(resolved, "seq", int)))
     p = float(_require(resolved, "p"))
     reps = int(resolved["reps"])
     seed = int(resolved["seed"])
@@ -434,7 +387,7 @@ def cmd_riesz(resolved: dict):
         }
         return results, 0
     if resolved.get("coeffs") is not None:
-        comb = RieszCombination(seq, tuple(_float_list(resolved["coeffs"])))
+        comb = RieszCombination(seq, tuple(_list(resolved, "coeffs")))
         _check_coefficients(resolved["coeffs"], np.asarray(comb.coefficients))
         report = corollary_check(comb, p, reps, src, quad_points)
         return {"lacunary": lac, "check": report}, 0
@@ -457,7 +410,7 @@ def cmd_perpetuity(resolved: dict):
             coupling="independent",
             norm=norm,
         )
-        n_list = _int_list(resolved.get("n_list") or "1,2,4,8,16,32,64")
+        n_list = _list(resolved, "n_list", int) or [1, 2, 4, 8, 16, 32, 64]
         rows = mc.goldie_bracket(
             pair, p, n_list, (0.05, 10.0, True), reps, src, require_normalized=False
         )
@@ -490,7 +443,7 @@ def cmd_perpetuity(resolved: dict):
     nondeg = check_pair_nondegeneracy(pair, 10_000, src.child(50))
     bundle, cert, recheck = _certify_pipeline(x_spec, p, resolved)
     constants = mc.bracket_constants(pair, p, bundle, cert)
-    n_list = _int_list(resolved.get("n_list") or "1,2,3,4,5,6")
+    n_list = _list(resolved, "n_list", int) or [1, 2, 3, 4, 5, 6]
     rows = mc.goldie_bracket(pair, p, n_list, constants, reps, src.child(1))
     any_fail = any(row.verdict == mc.FAIL for row in rows)
     results = {
@@ -555,10 +508,10 @@ def main(argv=None) -> int:
         }
         # strict JSON: a NaN or infinity left anywhere in the report is a ValueError
         text = json.dumps(report, indent=2, sort_keys=True, default=_encode, allow_nan=False)
-    except _HYPOTHESIS_ERRORS as exc:
+    except HypothesisError as exc:
         print(f"hypothesis error: {exc}", file=sys.stderr)
         return 3
-    except _USAGE_ERRORS as exc:
+    except (UsageError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     print(text)

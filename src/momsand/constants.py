@@ -67,8 +67,8 @@ from .assumptions import (
 )
 from .errors import (
     ChainLengthMismatchError,
-    DegenerateModulusError,
     EmptyWindowError,
+    HypothesisError,
     KTooLargeError,
     MomsandError,
     NonfiniteMomentError,
@@ -263,17 +263,8 @@ def lower_constant_large_p(cert: LargePCertificate) -> ConstantBundle:
     )
 
 
-def _recursive_c(p: float, chain: tuple[float, ...]) -> float:
-    if p <= 1.0:
-        return 1.0
-    lam1 = chain[0]
-    rest = _recursive_c(p - 1.0, chain[1:])
-    ratio = lam1 ** (p - 1.0)
-    return 2.0**p * (1.0 + rest * ratio / (1.0 - ratio))
-
-
-def upper_constant_large_p(p: float, lambda_chain) -> tuple[float, float]:
-    """Both upper-constant forms for p > 0; returns (product_C, recursive_C)."""
+def _chain(p: float, lambda_chain) -> tuple[float, ...]:
+    """The ratio chain for p > 0: ceil(p) - 1 ratios strictly inside (0, 1)."""
     if p <= 0.0:
         raise ValueError("p must be positive")
     chain = tuple(float(x) for x in lambda_chain)
@@ -284,6 +275,28 @@ def upper_constant_large_p(p: float, lambda_chain) -> tuple[float, float]:
         )
     if any(not (0.0 < lam < 1.0) for lam in chain):
         raise ValueError("chain ratios must lie strictly inside (0, 1)")
+    return chain
+
+
+def _recursive_c(p: float, chain: tuple[float, ...]) -> float:
+    if p <= 1.0:
+        return 1.0
+    lam1 = chain[0]
+    rest = _recursive_c(p - 1.0, chain[1:])
+    ratio = lam1 ** (p - 1.0)
+    return 2.0**p * (1.0 + rest * ratio / (1.0 - ratio))
+
+
+def _dependent_c(p: float, chain: tuple[float, ...]) -> float:
+    if p <= 1.0:
+        return 1.0
+    rest = _dependent_c(p - 1.0, chain[1:])
+    return 2.0**p * (1.0 + rest / (1.0 - chain[0] ** (p - 1.0)))
+
+
+def upper_constant_large_p(p: float, lambda_chain) -> tuple[float, float]:
+    """Both upper-constant forms for p > 0; returns (product_C, recursive_C)."""
+    chain = _chain(p, lambda_chain)
     if p <= 1.0:
         return 1.0, 1.0
     recursive = _recursive_c(p, chain)
@@ -302,6 +315,16 @@ def upper_constant_large_p(p: float, lambda_chain) -> tuple[float, float]:
     return product, recursive
 
 
+def dependent_upper_constant(p: float, lambda_chain) -> float:
+    """Upper constant for pairs where B may depend on X.
+
+    Same descent as the independent recursion but the geometric tail starts
+    at exponent zero, so the chain factor multiplies only the denominator:
+    D(p) = 2^p (1 + D(p-1) / (1 - lambda_1^{p-1})), D(p) = 1 for p <= 1.
+    """
+    return _dependent_c(p, _chain(p, lambda_chain))
+
+
 def _scan(points, keys, certificate, lower_constant, scan_id, empty):
     """(bundle, certificate) of the first grid point with the largest lower_c.
 
@@ -313,7 +336,7 @@ def _scan(points, keys, certificate, lower_constant, scan_id, empty):
         try:
             cert = certificate(*point)
             bundle = lower_constant(cert)
-        except (EmptyWindowError, NoValidQError, DegenerateModulusError, KTooLargeError) as exc:
+        except HypothesisError as exc:
             bundle, last_err = None, exc
         lower_c = None if bundle is None else bundle.lower_c
         scan.append(dict(zip(keys, point), lower_c=lower_c))

@@ -1,7 +1,14 @@
 """Exception types shared across the package.
 
-Every failure that callers are expected to branch on gets its own class so
-the CLI can map families of errors to exit codes without string matching.
+Every failure that callers are expected to branch on gets its own class, and
+every class belongs to one of two families, so the CLI maps a family to its
+exit code without listing classes:
+
+* UsageError (exit 2): the input cannot be run as given.
+* HypothesisError (exit 3): one of the paper's hypotheses fails for the
+  input: |X| is degenerate, or no window, q or k certifies.
+
+A new class derives from the family whose exit code it should carry.
 """
 
 
@@ -9,35 +16,43 @@ class MomsandError(Exception):
     """Base class for package-specific failures."""
 
 
-class InvalidOrderError(MomsandError):
+class UsageError(MomsandError):
+    """The input cannot be run as given; the CLI exits 2."""
+
+
+class HypothesisError(MomsandError):
+    """A hypothesis of the comparison fails for the input; the CLI exits 3."""
+
+
+class InvalidOrderError(UsageError):
     """Moment order q must be strictly positive."""
 
 
-class NonfiniteMomentError(MomsandError):
+class NonfiniteMomentError(UsageError):
     """Requested moment overflows or is not finite."""
 
 
-class DegenerateZeroError(MomsandError):
+class DegenerateZeroError(UsageError):
     """Normalization impossible because the law is concentrated at zero."""
 
 
-class DegenerateModulusError(MomsandError):
+class DegenerateModulusError(HypothesisError):
     """|X| is numerically a single atom, so no strict certificate exists."""
 
 
-class NotNormalizedError(MomsandError):
+class NotNormalizedError(HypothesisError):
     """Operation requires a spec already normalized to E|X|^p = 1."""
 
 
-class EmptyWindowError(MomsandError):
+class EmptyWindowError(HypothesisError):
     """No scanned cutoff A produced positive window mass delta(A)."""
 
 
-class NoValidQError(MomsandError):
+class NoValidQError(HypothesisError):
     """The q grid does not intersect the admissible interval (max(p-1,1), p)."""
 
 
-class KTooLargeError(MomsandError):
+class KTooLargeError(HypothesisError):
     """The minimal integer k of the constant formulas exceeds the scan cap."""
 
     def __init__(self, message: str, trace=None):
@@ -45,21 +60,21 @@ class KTooLargeError(MomsandError):
         self.trace = list(trace) if trace is not None else []
 
 
-class ChainLengthMismatchError(MomsandError):
+class ChainLengthMismatchError(UsageError):
     """Moment-ratio chain length differs from ceil(p) - 1."""
 
 
-class EnumerationTooLargeError(MomsandError):
+class EnumerationTooLargeError(UsageError):
     """Exact enumeration would exceed the outcome cap."""
 
 
-class NotIncreasingError(MomsandError):
+class NotIncreasingError(UsageError):
     """Frequency sequence is not strictly increasing."""
 
 
-class TooFewPointsError(MomsandError):
+class TooFewPointsError(UsageError):
     """Quadrature grid is below the resolution floor for the sequence."""
 
 
-class NotLacunaryError(MomsandError):
+class NotLacunaryError(HypothesisError):
     """Sequence fails the ratio >= 3 requirement."""

@@ -49,9 +49,8 @@ import numpy as np
 from . import dist_core as dc
 from ._pool import map_indexed
 from .assumptions import LargePCertificate, PairSpec, draw_pair
-from .constants import LARGE_P, SMALL_P, ConstantBundle
+from .constants import LARGE_P, SMALL_P, ConstantBundle, dependent_upper_constant
 from .errors import (
-    ChainLengthMismatchError,
     EnumerationTooLargeError,
     NonfiniteMomentError,
     NotNormalizedError,
@@ -492,29 +491,6 @@ def brute_force_perpetuity(pair: PairSpec, n: int, p: float) -> EstimateWithCI:
     if branches is None:
         raise ValueError("exact perpetuity needs finite-support X and B")
     return _exact_mean(_walk([branches] * n, None, pair.dim, pair.norm, p, PERP_CAP))
-
-
-def dependent_upper_constant(p: float, lambda_chain) -> float:
-    """Upper constant for pairs where B may depend on X.
-
-    Same descent as the independent recursion but the geometric tail starts
-    at exponent zero, so the chain factor multiplies only the denominator:
-    D(p) = 2^p (1 + D(p-1) / (1 - lambda_1^{p-1})), D(p) = 1 for p <= 1.
-    """
-    if p <= 0.0:
-        raise ValueError("p must be positive")
-    chain = tuple(float(x) for x in lambda_chain)
-    need = max(math.ceil(p) - 1, 0)
-    if len(chain) != need:
-        raise ChainLengthMismatchError(
-            f"chain length {len(chain)} != ceil(p)-1 = {need} for p = {p}"
-        )
-    if p <= 1.0:
-        return 1.0
-    if any(not (0.0 < lam < 1.0) for lam in chain):
-        raise ValueError("chain ratios must lie strictly inside (0, 1)")
-    rest = dependent_upper_constant(p - 1.0, chain[1:])
-    return 2.0**p * (1.0 + rest / (1.0 - chain[0] ** (p - 1.0)))
 
 
 def _b_norm_moment(

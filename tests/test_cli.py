@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, report shape, config precedence."""
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from momsand import cli
+from momsand import cli, errors
 from momsand import dist_core as dc
 from momsand import montecarlo as mc
 from momsand import riesz
@@ -601,6 +602,84 @@ def test_zero_n_is_the_lone_term(capsys):
 def test_degenerate_verify_checks_its_coefficients(capsys, extra, flag):
     argv = ["verify", "--dist", "rademacher", "--p", "4", *extra, "--reps", "2000"]
     assert _usage_error_line(capsys, argv).startswith(f"usage error: {flag}")
+
+
+ERROR_CLASSES = [
+    cls
+    for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if cls not in (errors.MomsandError, errors.UsageError, errors.HypothesisError)
+]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_family_code(capsys, monkeypatch, cls):
+    families = [f for f in (errors.UsageError, errors.HypothesisError) if issubclass(cls, f)]
+    assert len(families) == 1
+
+    def fail(resolved):
+        raise cls("raised on purpose")
+
+    monkeypatch.setitem(cli._DISPATCH, "moments", fail)
+    code = main(["moments"])
+    captured = capsys.readouterr()
+    hypothesis = families[0] is errors.HypothesisError
+    assert code == (3 if hypothesis else 2)
+    assert captured.out == ""
+    kind = "hypothesis" if hypothesis else "usage"
+    assert captured.err.splitlines() == [f"{kind} error: raised on purpose"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--dist", TP, "--p", "1.0", "--n", "3", "--dim", "0"], "--dim 0"),
+        (["verify", "--dist", TP, "--p", "1.0", "--n", "3", "--dim", "-2"], "--dim -2"),
+        (["verify", "--dist", TP, "--p", "1.0", "--dim", "3", "--coeffs", "1,2,3"], "--dim 3"),
+        (["verify", "--dist", TP, "--p", "1.0", "--dim", "1", "--coeffs", "1,0;0,1"], "--dim 1"),
+        (["verify", "--dist", TP, "--p", "1.0", "--coeffs", "0,0,0"], "--coeffs 0,0,0"),
+        (
+            ["verify", "--dist", TP, "--p", "1.0", "--n", "3", "--coeffs", "random:count=0"],
+            "--coeffs random:count=0",
+        ),
+        (["verify", "--dist", TP, "--p", "1.0", "--coeffs", "nan,1"], "--coeffs nan,1"),
+        (["verify", "--dist", UNIFORM, "--p", "2", "--n", "5", "--coeffs", "1,2,3"], "--n 5"),
+        (["verify", "--dist", TP, "--p", "1.0", "--n", "-3", "--reps", "2000"], "--n -3"),
+        (["verify", "--dist", TP, "--p", "1.0", "--n", "-1", "--reps", "2000"], "--n -1"),
+        # a malformed coefficient is reported although this window also fails to certify
+        (
+            ["verify", "--dist", UNIFORM, "--p", "2.5", "--grid-a", "1.01", "--coeffs", "1,abc"],
+            "--coeffs 1,abc",
+        ),
+    ],
+)
+def test_coefficient_errors_come_before_fitting(capsys, monkeypatch, argv, flag):
+    fitted = []
+    monkeypatch.setattr(cli, "_certify_pipeline", lambda *args: fitted.append(args))
+    assert _usage_error_line(capsys, argv).startswith(f"usage error: {flag}")
+    assert fitted == []
+
+
+BRACKET = ["--dist", UNIFORM, "--b-dist", "uniform:lo=0,hi=1", "--reps", "2000"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["moments", "--dist", "riesz", "--q", ""], "--q"),
+        (["certify", "--dist", TP, "--p", "0.5", "--grid-a", ""], "--grid-a"),
+        (["certify", "--dist", TP_LARGE, "--p", "2.0", "--grid-q", ","], "--grid-q"),
+        # p <= 1 scans no q, but a list flag that is given must hold a value
+        (["certify", "--dist", TP, "--p", "0.5", "--grid-q", ""], "--grid-q"),
+        (["verify", "--dist", TP, "--p", "1.0", "--coeffs", "1,1", "--grid-a", ""], "--grid-a"),
+        (["verify", "--dist", UNIFORM, "--p", "2.5", "--coeffs", "1,1", "--grid-q", ""], "--grid-q"),
+        (["perpetuity", *BRACKET, "--p", "2.0", "--grid-a", ""], "--grid-a"),
+        (["perpetuity", *BRACKET, "--p", "2.0", "--grid-q", ""], "--grid-q"),
+        (["perpetuity", *BRACKET, "--p", "1.0", "--n-list", ""], "--n-list"),
+        (["perpetuity", "--fixed-point-demo", "--p", "1.0", "--n-list", ""], "--n-list"),
+    ],
+)
+def test_empty_list_flag_is_usage_error(capsys, argv, flag):
+    assert _usage_error_line(capsys, argv).startswith(f"usage error: {flag} ")
 
 
 def test_overflowing_c0_is_null(capsys):
