@@ -17,9 +17,10 @@ Exit codes: 0 all passed, 1 a verification verdict failed, 2 usage or
 parsing error, 3 a hypothesis could not be certified (degeneracy).
 
 Config files are JSON objects whose keys mirror the flag names with
-underscores (e.g. {"dist": "uniform:lo=0,hi=2", "p": 0.5}); explicit flags
-win over config values.  The resolved config embedded in each report can be
-fed back via --config to reproduce the run.
+underscores (e.g. {"dist": "uniform:lo=0,hi=2", "p": 0.5}).  The parser reads
+each value as that flag's --key=value, so it has the flag's type, choices and
+default; explicit flags win over config values.  The resolved config embedded
+in each report can be fed back via --config to reproduce the run.
 """
 
 from __future__ import annotations
@@ -56,24 +57,6 @@ from .riesz import (
     riesz_lp_norm,
 )
 
-_DEFAULTS = {
-    ("moments", "q"): "1,2",
-    ("verify", "reps"): 50_000,
-    ("verify", "seed"): 0,
-    ("verify", "norm"): "l2",
-    ("counterexample", "n"): 100,
-    ("counterexample", "p"): 4.0,
-    ("counterexample", "reps"): 100_000,
-    ("counterexample", "seed"): 0,
-    ("riesz", "reps"): 200_000,
-    ("riesz", "seed"): 0,
-    ("perpetuity", "reps"): 50_000,
-    ("perpetuity", "seed"): 0,
-    ("perpetuity", "norm"): "l2",
-    ("perpetuity", "coupling"): "independent",
-    ("perpetuity", "p"): 1.0,
-}
-
 
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,6 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--dist", help="distribution spec, e.g. twopoint:a=0.5,b=1.5,pa=0.5")
     sp.add_argument("--q", help="comma list of moment orders")
+    sp.set_defaults(q="1,2")
 
     sp = sub.add_parser("certify", help="fit certificates and derive constants")
     common(sp)
@@ -115,15 +99,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-a", dest="grid_a")
     sp.add_argument("--grid-q", dest="grid_q")
     sp.add_argument("--csv", help="dump per-replication samples of the first draw")
+    sp.set_defaults(reps=50_000, seed=0, norm="l2")
 
     sp = sub.add_parser("riesz", help="torus norms vs the probabilistic model")
     common(sp)
     sp.add_argument("--seq", help="comma list of increasing frequencies")
     sp.add_argument("--p", type=float)
-    sp.add_argument("--term", type=int, help="single product index i")
-    sp.add_argument("--coeffs", help="comma list a0,a1,...")
-    sp.add_argument("--draws", type=int, help="random coefficient draws to scan")
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--term", type=int, help="single product index i")
+    mode.add_argument("--coeffs", help="comma list a0,a1,...")
+    mode.add_argument("--draws", type=int, help="random coefficient draws to scan")
     sp.add_argument("--quad-points", dest="quad_points", type=int)
+    sp.set_defaults(reps=200_000, seed=0)
 
     sp = sub.add_parser("perpetuity", help="partial-sum bracket for an (X, B) pair")
     common(sp)
@@ -142,37 +129,44 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run the degenerate pair X=0.5, B=1 whose bracket must fail",
     )
+    sp.set_defaults(reps=50_000, seed=0, norm="l2", coupling="independent", p=1.0)
 
     sp = sub.add_parser("counterexample", help="signed-factor ratio blow-up")
     common(sp)
     sp.add_argument("--n", type=int)
     sp.add_argument("--p", type=float)
+    sp.set_defaults(n=100, p=4.0, reps=100_000, seed=0)
 
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> dict:
-    cfg = {}
+def _resolve_config(args: argparse.Namespace, argv=None) -> dict:
+    """The report's config: `argv` (sys.argv[1:] by default) parsed again with each
+    config-file value as a --key=value flag ahead of the command's own, which win."""
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
-    dests = sorted(
-        k for k in vars(args) if k not in ("command", "config")
-    )
-    unknown = set(cfg) - set(dests) - {"command", "config"}
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    resolved = {"command": args.command}
-    for dest in dests:
-        value = getattr(args, dest)
-        if value is None:
-            value = cfg.get(dest)
-        if value is None:
-            value = _DEFAULTS.get((args.command, dest))
-        resolved[dest] = value
-    return resolved
+        unknown = set(cfg) - set(vars(args))
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        tokens = []
+        for key, value in cfg.items():
+            flag = "--" + key.replace("_", "-")
+            if key in ("command", "config") or (key == "b_dist" and args.b_dist):
+                continue  # a command-line --b-dist replaces the config's list
+            if isinstance(value, list) and key != "b_dist":
+                raise ValueError(f"{flag}: a JSON list is accepted only for --b-dist")
+            for item in value if isinstance(value, list) else [value]:
+                if item is True:
+                    tokens.append(flag)
+                elif item is not None and item is not False:
+                    tokens.append(f"{flag}={item if isinstance(item, str) else json.dumps(item)}")
+        argv = sys.argv[1:] if argv is None else list(argv)
+        at = argv.index(args.command) + 1
+        args = _build_parser().parse_args([*argv[:at], *tokens, *argv[at:]])
+    return {key: value for key, value in vars(args).items() if key != "config"}
 
 
 def _require(resolved: dict, key: str):
@@ -182,12 +176,20 @@ def _require(resolved: dict, key: str):
     return value
 
 
+def _spec(flag: str, text: str) -> dc.DistributionSpec:
+    """The law a spec flag gives; a malformed spec is a usage error naming the flag."""
+    try:
+        return dc.parse_spec(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _list(resolved: dict, key: str, cast=float) -> list | None:
     """The comma list a flag holds, None when unset; an empty list is a usage error."""
     text = resolved.get(key)
     if text is None:
         return None
-    values = [cast(part) for part in str(text).split(",") if part.strip() != ""]
+    values = [cast(part) for part in text.split(",") if part.strip() != ""]
     if not values:
         raise ValueError(f"--{key.replace('_', '-')} {text!r}: the list is empty")
     return values
@@ -202,20 +204,22 @@ def _verify_coefficients(resolved: dict) -> list[mc.CoefficientSet]:
     no sets, which only the degenerate counterexample accepts.
     """
     text, n = resolved["coeffs"], resolved["n"]
-    explicit = bool(text) and not str(text).startswith("random:")
-    rows = str(text).split(";" if ";" in str(text) else ",") if explicit else []
+    if text is not None and not text.strip():
+        raise ValueError(f"--coeffs {text!r}: the list is empty")
+    explicit = text is not None and not text.startswith("random:")
+    rows = text.split(";" if ";" in text else ",") if explicit else []
     if resolved["dim"] is None:
         resolved["dim"] = len(rows[0].split(",")) if rows else 1
     if n is None and rows:
         resolved["n"] = n = len(rows) - 1
-    dim = int(resolved["dim"])
+    dim = resolved["dim"]
     if dim < 1:
-        raise ValueError(f"--dim {resolved['dim']}: the dimension must be at least 1")
-    if n is not None and int(n) < 0:
+        raise ValueError(f"--dim {dim}: the dimension must be at least 1")
+    if n is not None and n < 0:
         raise ValueError(f"--n {n}: the number of factors must be at least 0")
-    if rows and int(n) != len(rows) - 1:
+    if rows and n != len(rows) - 1:
         raise ValueError(f"--n {n} differs from the {len(rows) - 1} factors of --coeffs {text}")
-    norm = resolved.get("norm") or "l2"
+    norm = resolved["norm"]
     if rows:
         try:
             values = tuple(tuple(float(x) for x in row.split(",")) for row in rows)
@@ -226,9 +230,9 @@ def _verify_coefficients(resolved: dict) -> list[mc.CoefficientSet]:
             raise ValueError(
                 f"--dim {dim} differs from the row width {sets[0].dim} of --coeffs {text}"
             )
-    elif text or n is not None:
+    elif text is not None or n is not None:
         params = {}
-        body = str(text or "random:count=20")[len("random:"):]
+        body = (text or "random:count=20")[len("random:"):]
         for item in body.split(","):
             if not item:
                 continue
@@ -241,12 +245,12 @@ def _verify_coefficients(resolved: dict) -> list[mc.CoefficientSet]:
         if count < 1:
             raise ValueError(f"--coeffs {text}: count must be at least 1, got {count}")
         scale = float(params.get("scale", 1.0))
-        cseed = int(params.get("seed", resolved.get("seed") or 0))
+        cseed = int(params.get("seed", resolved["seed"]))
         n = _require(resolved, "n")
         sets = []
         for d in range(count):
             gen = dc.RandomSource(cseed, 500 + d).generator()
-            mat = scale * gen.standard_normal((int(n) + 1, dim))
+            mat = scale * gen.standard_normal((n + 1, dim))
             sets.append(
                 mc.CoefficientSet(
                     tuple(tuple(float(x) for x in row) for row in mat), norm
@@ -279,15 +283,15 @@ def _certify_pipeline(spec, p: float, resolved: dict):
 
 
 def cmd_moments(resolved: dict):
-    spec = dc.parse_spec(_require(resolved, "dist"))
+    spec = _spec("--dist", _require(resolved, "dist"))
     qs = _list(resolved, "q")
     table = [dc.abs_moment(spec, q) for q in qs]
     return {"table": table}, 0
 
 
 def cmd_certify(resolved: dict):
-    spec0 = dc.parse_spec(_require(resolved, "dist"))
-    p = float(_require(resolved, "p"))
+    spec0 = _spec("--dist", _require(resolved, "dist"))
+    p = _require(resolved, "p")
     spec, scale = dc.normalize_unit_p_moment(spec0, p)
     bundle, cert, recheck = _certify_pipeline(spec, p, resolved)
     results = {
@@ -301,27 +305,26 @@ def cmd_certify(resolved: dict):
 
 
 def cmd_verify(resolved: dict):
-    spec0 = dc.parse_spec(_require(resolved, "dist"))
-    p = float(_require(resolved, "p"))
-    reps = int(resolved["reps"])
-    seed = int(resolved["seed"])
+    spec0 = _spec("--dist", _require(resolved, "dist"))
+    p = _require(resolved, "p")
+    reps = resolved["reps"]
     sets = _verify_coefficients(resolved)
     spec, scale = dc.normalize_unit_p_moment(spec0, p)
-    src = dc.RandomSource(seed, 0)
+    src = dc.RandomSource(resolved["seed"], 0)
     try:
         bundle, cert, recheck = _certify_pipeline(spec, p, resolved)
     except DegenerateModulusError as exc:
         # No certificate can exist; report the ratio blow-up that explains why.
         text, n = resolved["coeffs"], resolved["n"]
-        if str(text).startswith("random:"):
+        if text and text.startswith("random:"):
             raise ValueError(
                 f"--coeffs {text}: the sign counterexample for a degenerate |X| "
                 "sums all-ones coefficients, so random ones would go unused"
             )
-        if int(resolved["dim"]) > 1:
+        if resolved["dim"] > 1:
             flag = f"--coeffs {text}" if text else f"--dim {resolved['dim']}"
             raise ValueError(f"{flag}: the sign counterexample for a degenerate |X| is scalar")
-        n = 100 if n is None else int(n)
+        n = 100 if n is None else n
         if n < 1:
             flag = f"--coeffs {text}" if text else f"--n {n}"
             raise ValueError(f"{flag}: the counterexample for a degenerate |X| needs n >= 1")
@@ -365,15 +368,13 @@ def cmd_verify(resolved: dict):
 def cmd_riesz(resolved: dict):
     _require(resolved, "seq")
     seq = LacunarySequence(tuple(_list(resolved, "seq", int)))
-    p = float(_require(resolved, "p"))
-    reps = int(resolved["reps"])
-    seed = int(resolved["seed"])
-    quad_points = resolved.get("quad_points")
-    quad_points = int(quad_points) if quad_points is not None else None
-    src = dc.RandomSource(seed, 0)
+    p = _require(resolved, "p")
+    reps = resolved["reps"]
+    quad_points = resolved["quad_points"]
+    src = dc.RandomSource(resolved["seed"], 0)
     lac = check_lacunary(seq)
     if resolved.get("term") is not None:
-        i = int(resolved["term"])
+        i = resolved["term"]
         if not 0 <= i <= seq.m:
             raise ValueError(f"--term {i} is outside 0..{seq.m}, the products of --seq")
         comb = RieszCombination(seq, (0.0,) * i + (1.0,))
@@ -392,17 +393,16 @@ def cmd_riesz(resolved: dict):
         report = corollary_check(comb, p, reps, src, quad_points)
         return {"lacunary": lac, "check": report}, 0
     if resolved.get("draws") is not None:
-        scan = corollary_ratio_scan(seq, p, int(resolved["draws"]), reps, src, quad_points)
+        scan = corollary_ratio_scan(seq, p, resolved["draws"], reps, src, quad_points)
         return {"lacunary": lac, "scan": scan}, 0
     raise ValueError("riesz needs one of --term, --coeffs, --draws")
 
 
 def cmd_perpetuity(resolved: dict):
-    p = float(_require(resolved, "p"))
-    reps = int(resolved["reps"])
-    seed = int(resolved["seed"])
-    norm = resolved.get("norm") or "l2"
-    src = dc.RandomSource(seed, 0)
+    p = resolved["p"]
+    reps = resolved["reps"]
+    norm = resolved["norm"]
+    src = dc.RandomSource(resolved["seed"], 0)
     if resolved.get("fixed_point_demo"):
         pair = PairSpec(
             x_spec=dc.finitely_supported([(0.5, 1.0)]),
@@ -428,11 +428,10 @@ def cmd_perpetuity(resolved: dict):
             "sinks below any positive lower edge",
         }
         return results, 0 if demo_ok else 1
-    x0 = dc.parse_spec(_require(resolved, "dist"))
-    b_texts = resolved.get("b_dist") or []
-    if not b_texts:
+    x0 = _spec("--dist", _require(resolved, "dist"))
+    if not resolved["b_dist"]:
         raise ValueError("perpetuity needs at least one --b-dist")
-    b_specs = tuple(dc.parse_spec(t) for t in b_texts)
+    b_specs = tuple(_spec("--b-dist", text) for text in resolved["b_dist"])
     x_spec, scale = dc.normalize_unit_p_moment(x0, p)
     pair = PairSpec(
         x_spec=x_spec,
@@ -459,11 +458,8 @@ def cmd_perpetuity(resolved: dict):
 
 
 def cmd_counterexample(resolved: dict):
-    n = int(resolved["n"])
-    p = float(resolved["p"])
-    reps = int(resolved["reps"])
-    src = dc.RandomSource(int(resolved["seed"]), 0)
-    report = mc.khintchine_counterexample(n, p, reps, src)
+    src = dc.RandomSource(resolved["seed"], 0)
+    report = mc.khintchine_counterexample(resolved["n"], resolved["p"], resolved["reps"], src)
     return {"counterexample": report}, 0
 
 
@@ -496,7 +492,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         worker_count()  # a bad MOMSAND_THREADS is a usage error for every command
-        resolved = _resolve_config(args)
+        resolved = _resolve_config(args, argv)
         results, code = _DISPATCH[args.command](resolved)
         report = {
             "tool": "momsand",

@@ -522,22 +522,24 @@ def _quad_segments(f, lo: float, hi: float, knots) -> tuple[float, float]:
 # text form
 
 
+# (text key, field) pairs of each family whose text is "family:key=value,..."
+_TEXT_KEYS = {
+    TWO_POINT: (("a", "a"), ("b", "b"), ("pa", "prob_a")),
+    UNIFORM: (("lo", "lo"), ("hi", "hi")),
+    LOGNORMAL: (("mu", "mu"), ("sigma", "sigma")),
+    EXPONENTIAL: (("rate", "rate"),),
+    RIESZ_FACTOR: (),
+    RADEMACHER: (),
+}
+
+
 def spec_to_text(spec: DistributionSpec) -> str:
-    if spec.family == TWO_POINT:
-        return f"twopoint:a={spec.a!r},b={spec.b!r},pa={spec.prob_a!r}"
+    if spec.family in _TEXT_KEYS:
+        body = ",".join(f"{key}={getattr(spec, field)!r}" for key, field in _TEXT_KEYS[spec.family])
+        return f"{spec.family}:{body}" if body else spec.family
     if spec.family == FINITE:
         body = "|".join(f"{v!r}@{p!r}" for v, p in spec.atoms)
         return f"finite:atoms={body}"
-    if spec.family == UNIFORM:
-        return f"uniform:lo={spec.lo!r},hi={spec.hi!r}"
-    if spec.family == LOGNORMAL:
-        return f"lognormal:mu={spec.mu!r},sigma={spec.sigma!r}"
-    if spec.family == EXPONENTIAL:
-        return f"exponential:rate={spec.rate!r}"
-    if spec.family == RIESZ_FACTOR:
-        return "riesz"
-    if spec.family == RADEMACHER:
-        return "rademacher"
     if spec.family == SCALED:
         return f"scaled:scale={spec.scale!r},base=({spec_to_text(spec.base)})"
     raise AssertionError(f"unhandled family {spec.family}")
@@ -550,24 +552,16 @@ def parse_spec(text: str) -> DistributionSpec:
     family = family.strip().lower()
     kv = _split_params(rest)
     try:
-        if family == TWO_POINT:
-            return two_point(float(kv["a"]), float(kv["b"]), float(kv["pa"]))
+        if family in _TEXT_KEYS:
+            return DistributionSpec(
+                family, **{field: float(kv[key]) for key, field in _TEXT_KEYS[family]}
+            )
         if family == FINITE:
             atoms = []
             for piece in kv["atoms"].split("|"):
                 v, _, pr = piece.partition("@")
                 atoms.append((float(v), float(pr)))
             return finitely_supported(atoms)
-        if family == UNIFORM:
-            return uniform(float(kv["lo"]), float(kv["hi"]))
-        if family == LOGNORMAL:
-            return log_normal(float(kv["mu"]), float(kv["sigma"]))
-        if family == EXPONENTIAL:
-            return exponential(float(kv["rate"]))
-        if family == RIESZ_FACTOR:
-            return riesz_factor()
-        if family == RADEMACHER:
-            return rademacher_sign()
         if family == SCALED:
             base_text = kv["base"]
             if base_text.startswith("(") and base_text.endswith(")"):

@@ -827,3 +827,119 @@ def test_multi_block_reports_match_at_every_worker_count(capsys, monkeypatch, ca
     assert reports["2"] == reports["1"]
     assert reports["3"] == reports["1"]
     assert reports[None] == reports["1"]
+
+
+def _run_with(capsys, tmp_path, command, cfg, via="config", extra=()):
+    """Run `command` with `cfg` as a config file or as flags; exit code, stdout, stderr."""
+    if via == "config":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(path), *extra]
+    else:
+        argv = [command, *(f"--{key.replace('_', '-')}={value}" for key, value in cfg.items())]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # the parser rejects a bad value as it rejects a bad flag
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+CONFIG_MISTAKES = {
+    # a list for a single-valued flag
+    "list_p": ("perpetuity", {"p": [1]}, "--p"),
+    "list_n": ("counterexample", {"n": [3]}, "--n"),
+    "list_term": ("riesz", {"seq": "4,16", "p": 3, "term": [1]}, "--term"),
+    # text or a float for an int flag
+    "text_reps": ("verify", {"dist": TP, "p": 1, "n": 2, "reps": "abc"}, "--reps"),
+    "float_seed": ("verify", {"dist": TP, "p": 1, "n": 2, "seed": 1.5}, "--seed"),
+    "number_dist": ("certify", {"dist": 5, "p": 2}, "--dist"),
+    "text_switch": ("perpetuity", {"fixed_point_demo": "no"}, "--fixed-point-demo"),
+    # a value outside the flag's choices
+    "bad_coupling": ("perpetuity", {"dist": UNIFORM, "b_dist": [UNIFORM], "coupling": "weird"},
+                     "--coupling"),
+    "bad_norm": ("verify", {"dist": TP, "p": 1, "n": 2, "norm": "l3"}, "--norm"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_MISTAKES))
+def test_config_mistake_is_usage_error(capsys, tmp_path, case):
+    command, cfg, flag = CONFIG_MISTAKES[case]
+    code, out, err = _run_with(capsys, tmp_path, command, cfg)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    # one usage error line, or the parser's usage text and its error line
+    assert re.search(rf"^(usage error: |momsand {command}: error: argument ){flag}\b",
+                     err.splitlines()[-1])
+
+
+def test_config_b_dist_text_is_one_spec(capsys, tmp_path):
+    cfg = {"dist": UNIFORM, "b_dist": "uniform:lo=0,hi=1", "p": 2, "n_list": "1", "reps": 2000,
+           "fixed_point_demo": False}
+    code, out, _ = _run_with(capsys, tmp_path, "perpetuity", cfg)
+    assert code == 0
+    # a typed echo: JSON 2 for --p is 2.0, and false leaves the switch unset
+    report = json.loads(out)
+    assert report["config"]["b_dist"] == ["uniform:lo=0,hi=1"]
+    assert report["config"]["fixed_point_demo"] is None
+    flags = ["perpetuity", "--dist", UNIFORM, "--b-dist", "uniform:lo=0,hi=1", "--p", "2",
+             "--n-list", "1", "--reps", "2000"]
+    assert _without_wall_time(out) == _without_wall_time(run_cli(capsys, flags)[2])
+
+
+def test_config_integer_for_float_flag_echoes_a_float(capsys, tmp_path):
+    code, out, _ = _run_with(capsys, tmp_path, "certify", {"dist": TP, "p": 1})
+    assert code == 0
+    p = json.loads(out)["config"]["p"]
+    assert p == 1.0 and isinstance(p, float)
+
+
+def test_command_line_b_dist_replaces_the_config_list(capsys, tmp_path):
+    cfg = {"dist": UNIFORM, "b_dist": ["uniform:lo=0,hi=1", "exponential:rate=1"], "p": 2,
+           "n_list": "1", "reps": 2000}
+    code, out, _ = _run_with(capsys, tmp_path, "perpetuity", cfg,
+                             extra=["--b-dist", "exponential:rate=1"])
+    assert code == 0
+    assert json.loads(out)["config"]["b_dist"] == ["exponential:rate=1"]
+
+
+EMPTY_COEFFS = {
+    # the parent drew random:count=20 here
+    "uniform": {"dist": UNIFORM, "p": 2.5, "coeffs": "", "n": 3, "reps": 2000},
+    # and ran the n = 100 sign counterexample here
+    "rademacher": {"dist": "rademacher", "p": 4, "coeffs": "", "reps": 1000},
+}
+
+
+@pytest.mark.parametrize("via", ["flags", "config"])
+@pytest.mark.parametrize("law", sorted(EMPTY_COEFFS))
+def test_empty_verify_coeffs_is_usage_error(capsys, monkeypatch, tmp_path, law, via):
+    fitted = []
+    monkeypatch.setattr(cli, "_certify_pipeline", lambda *args: fitted.append(args))
+    code, out, err = _run_with(capsys, tmp_path, "verify", EMPTY_COEFFS[law], via)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["usage error: --coeffs '': the list is empty"]
+    assert fitted == []
+
+
+RIESZ_MODE_PAIRS = {
+    "term_coeffs": {"term": 1, "coeffs": "1,2"},
+    "term_draws": {"term": 1, "draws": 2},
+    "coeffs_draws": {"coeffs": "1,2", "draws": 2},
+}
+
+
+@pytest.mark.parametrize("via", ["flags", "config"])
+@pytest.mark.parametrize("pair", sorted(RIESZ_MODE_PAIRS))
+def test_riesz_modes_exclude_each_other(capsys, tmp_path, pair, via):
+    cfg = {"seq": "4,16", "p": 3, "reps": 2000, **RIESZ_MODE_PAIRS[pair]}
+    code, out, err = _run_with(capsys, tmp_path, "riesz", cfg, via)
+    assert (code, out) == (2, "")
+    assert re.search(r"^momsand riesz: error: argument --\w+: not allowed with argument --\w+$",
+                     err.splitlines()[-1])
+
+
+def test_riesz_without_a_mode_names_all_three(capsys):
+    line = _usage_error_line(capsys, ["riesz", "--seq", "4,16", "--p", "3"])
+    assert line == "usage error: riesz needs one of --term, --coeffs, --draws"

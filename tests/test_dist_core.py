@@ -299,6 +299,36 @@ def test_spec_text_round_trips():
         assert dc.parse_spec(text) == spec
 
 
+# one spec of every family with its text form; the reports print these texts
+SPEC_TEXTS = {
+    dc.TWO_POINT: (dc.two_point(0.5, 1.5, 0.25), "twopoint:a=0.5,b=1.5,pa=0.25"),
+    dc.FINITE: (dc.finitely_supported([(0.5, 0.25), (2, 0.75)]), "finite:atoms=0.5@0.25|2.0@0.75"),
+    dc.UNIFORM: (dc.uniform(0, 2), "uniform:lo=0.0,hi=2.0"),
+    dc.LOGNORMAL: (dc.log_normal(0, 0.5), "lognormal:mu=0.0,sigma=0.5"),
+    dc.EXPONENTIAL: (dc.exponential(1), "exponential:rate=1.0"),
+    dc.RIESZ_FACTOR: (dc.riesz_factor(), "riesz"),
+    dc.RADEMACHER: (dc.rademacher_sign(), "rademacher"),
+    dc.SCALED: (
+        dc.scaled_copy(dc.two_point(0.5, 1.5, 0.25), -2),
+        "scaled:scale=-2.0,base=(twopoint:a=0.5,b=1.5,pa=0.25)",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", dc.FAMILIES)
+def test_every_family_text_round_trips(family):
+    spec, text = SPEC_TEXTS[family]
+    assert spec.family == family
+    assert dc.spec_to_text(spec) == text
+    assert dc.parse_spec(text) == spec
+
+
+def test_nested_scaled_text_composes_the_scales():
+    spec = dc.parse_spec("scaled:scale=2,base=(scaled:scale=3,base=(uniform:lo=0,hi=1))")
+    assert spec == dc.scaled_copy(dc.uniform(0, 1), 6)
+    assert dc.parse_spec(dc.spec_to_text(spec)) == spec
+
+
 def test_parse_spec_errors():
     for bad in (
         "nosuchfamily:a=1",
