@@ -43,7 +43,6 @@ from .dist_core import (
     abs_moment,
     exponential,
     finitely_supported,
-    is_degenerate_modulus,
     log_normal,
     normalize_unit_p_moment,
     parse_spec,

@@ -339,11 +339,12 @@ def cmd_verify(resolved: dict):
         return results, 1
     if not sets:
         raise ValueError("verify needs --coeffs or --n")
+    constants = mc.bracket_constants(p, bundle)
     rows = []
     any_fail = False
     all_pass = True
     for d, coeffs in enumerate(sets):
-        rep = mc.run_sandwich(spec, p, coeffs, bundle, reps, src.child(600 + d))
+        rep = mc.run_sandwich(spec, p, coeffs, constants, reps, src.child(600 + d))
         rows.append({"coefficients": list(coeffs.vectors), "report": rep})
         any_fail = any_fail or rep.verdict == mc.FAIL
         all_pass = all_pass and rep.verdict == mc.PASS
@@ -411,16 +412,15 @@ def cmd_perpetuity(resolved: dict):
             norm=norm,
         )
         n_list = _list(resolved, "n_list", int) or [1, 2, 4, 8, 16, 32, 64]
-        rows = mc.goldie_bracket(
-            pair, p, n_list, (0.05, 10.0, True), reps, src, require_normalized=False
-        )
+        constants = (0.05, 10.0, True)
+        rows = mc.goldie_bracket(pair, p, n_list, constants, reps, src, require_normalized=False)
         middles = [row.middle.mean for row in rows]
         closed = [(2.0 * (1.0 - 0.5**n)) ** p / n for n in n_list]
         decreasing = all(a > b for a, b in zip(middles, middles[1:]))
         demo_ok = decreasing and rows[-1].verdict == mc.FAIL
         results = {
             "pair": {"x": "finite:atoms=0.5@1", "b": ["finite:atoms=1@1"]},
-            "bracket": (0.05, 10.0),
+            "bracket": constants[:2],
             "rows": rows,
             "closed_form": closed,
             "demonstrated": demo_ok,
@@ -441,7 +441,7 @@ def cmd_perpetuity(resolved: dict):
     )
     nondeg = check_pair_nondegeneracy(pair, 10_000, src.child(50))
     bundle, cert, recheck = _certify_pipeline(x_spec, p, resolved)
-    constants = mc.bracket_constants(pair, p, bundle, cert)
+    constants = mc.bracket_constants(p, bundle, cert, pair.coupling)
     n_list = _list(resolved, "n_list", int) or [1, 2, 3, 4, 5, 6]
     rows = mc.goldie_bracket(pair, p, n_list, constants, reps, src.child(1))
     any_fail = any(row.verdict == mc.FAIL for row in rows)

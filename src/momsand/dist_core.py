@@ -68,7 +68,6 @@ QUADRATURE = "Quadrature"
 FINITE_SUM = "FiniteSum"
 
 _PROB_SUM_TOL = 1e-9
-_DEGENERACY_TOL = 1e-9
 # finite laws with more cut points than this sample by binary search
 LADDER_MAX_CUTS = 32
 # draws per chunk of a finite law's gather: a 256 KB index array at most
@@ -242,8 +241,8 @@ def abs_moment(spec: DistributionSpec, q: float) -> MomentEstimate:
     family, a moment that overflows or is not finite raises
     NonfiniteMomentError.
     """
-    if not (q > 0.0):
-        raise InvalidOrderError(f"moment order must be positive, got {q}")
+    if not (0.0 < q < math.inf):
+        raise InvalidOrderError(f"moment order must be positive and finite, got {q}")
     q = float(q)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -338,15 +337,6 @@ def normalize_unit_p_moment(spec: DistributionSpec, p: float):
         raise DegenerateZeroError("cannot normalize a law concentrated at zero")
     scale = est.value ** (-1.0 / p)
     return scaled_copy(spec, scale), scale
-
-
-def is_degenerate_modulus(spec: DistributionSpec, p: float) -> bool:
-    """Cauchy-Schwarz equality test: (E|X|^{p/2})^2 >= (1 - 1e-9) E|X|^p."""
-    half = abs_moment(spec, p / 2.0).value
-    full = abs_moment(spec, p).value
-    if full <= 0.0:
-        return True
-    return half * half >= (1.0 - _DEGENERACY_TOL) * full
 
 
 # ---------------------------------------------------------------------------

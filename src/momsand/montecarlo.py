@@ -121,7 +121,6 @@ class EstimateWithCI:
 class SandwichReport:
     lhs: EstimateWithCI
     rhs_sum: float
-    bundle: ConstantBundle
     verdict: str
     ratio: float
 
@@ -373,10 +372,20 @@ def rhs_sum(spec, coeffs: CoefficientSet, p: float) -> float:
     return lambda_weighted_sum(coeffs, p, dc.abs_moment(spec, p).value)
 
 
-def _bracket_verdict(est: EstimateWithCI, lo_edge, hi_edge, check_lower=True):
-    """PASS, FAIL or INCONCLUSIVE for the 3-sigma interval of est against the edges."""
+def _bracket_verdict(est: EstimateWithCI, constants, base: float, base_se: float = 0.0) -> str:
+    """PASS, FAIL or INCONCLUSIVE for the 3-sigma interval of est against the bracket.
+
+    constants is (lower_c, upper_C, lower_certified), as bracket_constants
+    returns it.  The edges are lower_c * (base - 3 base_se) and
+    upper_C * (base + 3 base_se), each widened by 1e-9 * base; an uncertified
+    lower edge is not checked.
+    """
     if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
         raise NonfiniteMomentError(f"estimate {est.mean} +- {est.std_error} is not finite")
+    lower_c, upper_c, check_lower = constants
+    tol = 1e-9 * base
+    lo_edge = lower_c * (base - 3.0 * base_se) - tol
+    hi_edge = upper_c * (base + 3.0 * base_se) + tol
     ci_lo = est.mean - 3.0 * est.std_error
     ci_hi = est.mean + 3.0 * est.std_error
     if (ci_lo >= lo_edge or not check_lower) and ci_hi <= hi_edge:
@@ -392,23 +401,16 @@ def run_sandwich(
     spec: dc.DistributionSpec,
     p: float,
     coeffs: CoefficientSet,
-    bundle: ConstantBundle,
+    constants: tuple[float, float, bool],
     reps: int,
     src: dc.RandomSource,
 ) -> SandwichReport:
-    """Compare the (estimated or exact) LHS against the certified bracket."""
-    if bundle.regime == SMALL_P and not p <= 1.0:
-        raise ValueError("SmallP bundle used with p > 1")
-    if bundle.regime == LARGE_P and not p > 1.0:
-        raise ValueError("LargeP bundle used with p <= 1")
+    """Compare the (estimated or exact) LHS against the bracket constants times rhs_sum."""
     lhs = _sandwich_lhs(spec, coeffs, p, reps, src)
     rhs = rhs_sum(spec, coeffs, p)
-    tol = 1e-9 * rhs
-    lo_edge = bundle.lower_c * rhs - tol
-    hi_edge = bundle.upper_C * rhs + tol
-    verdict = _bracket_verdict(lhs, lo_edge, hi_edge)
+    verdict = _bracket_verdict(lhs, constants, rhs)
     ratio = lhs.mean / rhs if rhs > 0.0 else math.nan
-    return SandwichReport(lhs=lhs, rhs_sum=rhs, bundle=bundle, verdict=verdict, ratio=ratio)
+    return SandwichReport(lhs=lhs, rhs_sum=rhs, verdict=verdict, ratio=ratio)
 
 
 def khintchine_counterexample(
@@ -500,8 +502,8 @@ def _b_norm_moment(
     supports = [dc.finite_support(b) for b in pair.b_specs]
     if all(s is not None for s in supports) and math.prod(len(s[0]) for s in supports) <= PERP_CAP:
         b, prob = _product_atoms(supports)
-        one_step = [(np.ones(len(prob)), b, prob)]  # r after the step is never read
-        return _exact_mean(_walk(one_step, None, pair.dim, pair.norm, p, PERP_CAP))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _exact(float(np.sum(holder_norm(b, pair.norm) ** p * prob)), len(prob))
     if pair.dim == 1:
         return _exact(dc.abs_moment(pair.b_specs[0], p).value, 0)
     gen = src.child(10_000).generator()
@@ -512,15 +514,20 @@ def _b_norm_moment(
 
 
 def bracket_constants(
-    pair: PairSpec, p: float, bundle: ConstantBundle, cert=None
+    p: float, bundle: ConstantBundle, cert=None, coupling: str = "independent"
 ) -> tuple[float, float, bool]:
-    """(lower_c, upper_C, lower_certified) of the bracket for pair's coupling.
+    """(lower_c, upper_C, lower_certified): the one form a bracket takes its constants in.
 
-    An independent pair takes the bundle as is.  A dependent pair keeps only
+    The bundle's regime must be p's.  The independent coupling, the
+    sandwich's too, takes the bundle as is.  A dependent coupling keeps only
     an uncertified lower constant; for p > 1 its upper constant comes from
     the large-p certificate's ratio chain.
     """
-    if pair.coupling == "independent":
+    if bundle.regime == SMALL_P and not p <= 1.0:
+        raise ValueError("SmallP bundle used with p > 1")
+    if bundle.regime == LARGE_P and not p > 1.0:
+        raise ValueError("LargeP bundle used with p <= 1")
+    if coupling == "independent":
         return bundle.lower_c, bundle.upper_C, True
     if p <= 1.0:
         return bundle.lower_c, 1.0, False
@@ -557,9 +564,6 @@ def goldie_bracket(
             )
     lower_c, upper_c, lower_certified = constants
     b_mom = _b_norm_moment(pair, p, reps, src)
-    tol = 1e-9 * b_mom.mean
-    lo_edge = lower_c * (b_mom.mean - 3.0 * b_mom.std_error) - tol
-    hi_edge = upper_c * (b_mom.mean + 3.0 * b_mom.std_error) + tol
 
     rows = []
     branches = _pair_branches(pair)
@@ -570,7 +574,7 @@ def goldie_bracket(
             lambda: perpetuity_lhs(pair, n, p, reps, src.child(idx)),
         )
         middle = replace(est, mean=est.mean / n, std_error=est.std_error / n)
-        verdict = _bracket_verdict(middle, lo_edge, hi_edge, check_lower=lower_certified)
+        verdict = _bracket_verdict(middle, constants, b_mom.mean, b_mom.std_error)
         rows.append(
             GoldieBracketRow(
                 n=n,

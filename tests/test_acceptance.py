@@ -302,7 +302,7 @@ def test_criterion_08_goldie_bracket():
     bundle, _ = optimize_large_p(x_spec, 2.0)
     src = dc.RandomSource(seed=0, stream_id=3)
 
-    constants = mc.bracket_constants(pair, 2.0, bundle)
+    constants = mc.bracket_constants(2.0, bundle)
     exact_rows = mc.goldie_bracket(pair, 2.0, list(range(1, 7)), constants, 1000, src)
     exact_ok = all(r.exact and r.verdict == mc.PASS for r in exact_rows)
 

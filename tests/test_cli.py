@@ -215,6 +215,19 @@ def test_verify_random_draws(capsys):
     assert 0.0 < res["min_ratio"] <= res["max_ratio"] <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("p", ["0.5", "2.5"])
+def test_verify_rows_take_the_top_level_bundle(capsys, p):
+    code, report, _ = run_cli(
+        capsys,
+        ["verify", "--dist", TP, "--p", p, "--n", "3", "--coeffs", "random:count=3,seed=1",
+         "--reps", "2000"],
+    )
+    assert code == 0
+    assert report["results"]["bundle"]["lower_c"] > 0.0
+    for row in report["results"]["reports"]:
+        assert set(row["report"]) == {"lhs", "ratio", "rhs_sum", "verdict"}
+
+
 def test_riesz_term(capsys):
     code, report, _ = run_cli(
         capsys, ["riesz", "--seq", "4,16,64", "--p", "2.0", "--term", "2"]
@@ -291,9 +304,17 @@ def test_nonfinite_results_are_usage_errors(capsys, argv, message):
 @pytest.mark.parametrize(
     "argv",
     [argv for argv, _ in NONFINITE_CASES]
-    + [["moments", "--dist", TP, "--q", "2000"], ["moments", "--dist", "riesz", "--q", "2000"]],
+    + [["moments", "--dist", TP, "--q", "2000"], ["moments", "--dist", "riesz", "--q", "2000"]]
+    # an infinite order is rejected before any family's quadrature runs
+    + [["verify", "--dist", "riesz", "--p", "inf", "--n", "3"],
+       ["moments", "--dist", "riesz", "--q", "inf"],
+       ["verify", "--config", "CONFIG"]],
 )
-def test_nonfinite_paths_emit_no_numpy_warnings(capsys, monkeypatch, threads, argv):
+def test_nonfinite_paths_emit_no_numpy_warnings(capsys, monkeypatch, tmp_path, threads, argv):
+    if "CONFIG" in argv:
+        path = tmp_path / "cfg.json"
+        path.write_text('{"dist": "riesz", "p": 1e400, "n": 3}')  # JSON's 1e400 reads as inf
+        argv = [str(path) if arg == "CONFIG" else arg for arg in argv]
     if threads is None:
         monkeypatch.delenv("MOMSAND_THREADS", raising=False)
     else:

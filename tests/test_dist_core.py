@@ -93,13 +93,6 @@ def test_normalize_degenerate_zero():
         dc.normalize_unit_p_moment(spec, 1.0)
 
 
-def test_degenerate_modulus_detection():
-    assert dc.is_degenerate_modulus(dc.rademacher_sign(), 1.0)
-    assert dc.is_degenerate_modulus(dc.finitely_supported([(1.0, 1.0)]), 2.0)
-    assert not dc.is_degenerate_modulus(dc.two_point(0.5, 1.5, 0.5), 1.0)
-    assert not dc.is_degenerate_modulus(dc.uniform(0.0, 2.0), 1.0)
-
-
 def test_quantile_finite_support_masses():
     spec = dc.finitely_supported([(0.5, 0.25), (1.5, 0.5), (2.5, 0.25)])
     u = np.linspace(0.0005, 0.9995, 2000)

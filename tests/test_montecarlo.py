@@ -175,7 +175,8 @@ def test_rhs_sum_anchors():
 def test_run_sandwich_alternating_passes():
     bundle, _ = optimize_small_p(TWO_POINT, 1.0)
     coeffs = mc.coefficient_set([1.0, -1.0, 1.0])
-    report = mc.run_sandwich(TWO_POINT, 1.0, coeffs, bundle, reps=10_000, src=src())
+    constants = mc.bracket_constants(1.0, bundle)
+    report = mc.run_sandwich(TWO_POINT, 1.0, coeffs, constants, reps=10_000, src=src())
     assert report.verdict == mc.PASS
     assert report.lhs.exact
     assert report.ratio == pytest.approx(1.0 / 3.0, rel=1e-12)
@@ -186,13 +187,14 @@ def test_run_sandwich_regime_mismatch():
     bundle, _ = optimize_small_p(TWO_POINT, 1.0)
     coeffs = mc.coefficient_set([1.0])
     with pytest.raises(ValueError):
-        mc.run_sandwich(TWO_POINT, 2.0, coeffs, bundle, reps=1000, src=src())
+        mc.bracket_constants(2.0, bundle)
 
 
 def test_run_sandwich_single_term_ratio_one():
     bundle, _ = optimize_small_p(TWO_POINT, 1.0)
     coeffs = mc.coefficient_set([2.0])
-    report = mc.run_sandwich(TWO_POINT, 1.0, coeffs, bundle, reps=1000, src=src())
+    constants = mc.bracket_constants(1.0, bundle)
+    report = mc.run_sandwich(TWO_POINT, 1.0, coeffs, constants, reps=1000, src=src())
     assert report.verdict == mc.PASS
     assert report.ratio == pytest.approx(1.0, rel=1e-12)
 
@@ -200,7 +202,8 @@ def test_run_sandwich_single_term_ratio_one():
 def test_run_sandwich_nonnegative_p1_is_tight():
     bundle, _ = optimize_small_p(TWO_POINT, 1.0)
     coeffs = mc.coefficient_set([0.3, 1.2, 0.7, 2.0])
-    report = mc.run_sandwich(TWO_POINT, 1.0, coeffs, bundle, reps=1000, src=src())
+    constants = mc.bracket_constants(1.0, bundle)
+    report = mc.run_sandwich(TWO_POINT, 1.0, coeffs, constants, reps=1000, src=src())
     # nonnegative summands at p = 1: expectation is additive, ratio exactly 1
     assert report.ratio == pytest.approx(1.0, rel=1e-13)
     assert report.verdict == mc.PASS
@@ -209,7 +212,8 @@ def test_run_sandwich_nonnegative_p1_is_tight():
 def test_run_sandwich_large_p_estimate_path():
     bundle, _ = optimize_large_p(LARGE_SPEC, 2.0)
     coeffs = mc.coefficient_set([1.0, -1.0, 0.5, 0.25])
-    report = mc.run_sandwich(LARGE_SPEC, 2.0, coeffs, bundle, reps=5000, src=src(2))
+    constants = mc.bracket_constants(2.0, bundle)
+    report = mc.run_sandwich(LARGE_SPEC, 2.0, coeffs, constants, reps=5000, src=src(2))
     assert report.lhs.exact  # two-point, 2^4 outcomes: enumerated, not sampled
     assert report.verdict == mc.PASS
 

@@ -131,7 +131,7 @@ def test_goldie_bracket_independent_exact_rows():
     pair = indep_pair()
     cert = fit_large_p(X_P2, 2.0)
     bundle = lower_constant_large_p(cert)
-    constants = bracket_constants(pair, 2.0, bundle)
+    constants = bracket_constants(2.0, bundle)
     rows = goldie_bracket(pair, 2.0, [1, 2, 3, 4, 5, 6], constants, reps=10_000, src=src())
     assert len(rows) == 6
     for row in rows:
@@ -144,7 +144,7 @@ def test_goldie_bracket_independent_exact_rows():
 def test_goldie_bracket_monte_carlo_rows():
     pair = indep_pair()
     cert = fit_large_p(X_P2, 2.0)
-    constants = bracket_constants(pair, 2.0, lower_constant_large_p(cert), cert)
+    constants = bracket_constants(2.0, lower_constant_large_p(cert), cert)
     rows = goldie_bracket(pair, 2.0, [10, 25, 50], constants, reps=100_000, src=src(3))
     for row in rows:
         assert not row.exact
@@ -155,7 +155,7 @@ def test_goldie_bracket_monte_carlo_rows():
 def test_goldie_bracket_small_p_certificate():
     pair = indep_pair(x=X_P1, b=B_SPEC)
     bundle, _ = optimize_small_p(X_P1, 1.0)
-    constants = bracket_constants(pair, 1.0, bundle)
+    constants = bracket_constants(1.0, bundle)
     rows = goldie_bracket(pair, 1.0, [1, 2, 4], constants, reps=10_000, src=src())
     for row in rows:
         assert row.verdict == mc.PASS
@@ -165,12 +165,23 @@ def test_goldie_bracket_dependent_upper_only():
     pair = PairSpec(x_spec=X_P2, b_specs=(B_SPEC,), coupling="comonotone-scalar")
     cert = fit_large_p(X_P2, 2.0)
     bundle = lower_constant_large_p(cert)
-    constants = bracket_constants(pair, 2.0, bundle, cert)
+    constants = bracket_constants(2.0, bundle, cert, pair.coupling)
     rows = goldie_bracket(pair, 2.0, [1, 2, 3], constants, reps=10_000, src=src())
     for row in rows:
         assert not row.lower_certified
         assert row.verdict == mc.PASS
         assert row.upper_edge > row.middle.mean
+
+
+@pytest.mark.parametrize("coupling", ["independent", "comonotone-scalar"])
+def test_bracket_constants_rejects_a_regime_mismatch(coupling):
+    pair = PairSpec(x_spec=X_P2, b_specs=(B_SPEC,), coupling=coupling)
+    small, _ = optimize_small_p(X_P1, 1.0)
+    cert = fit_large_p(X_P2, 2.0)
+    with pytest.raises(ValueError, match="SmallP bundle used with p > 1"):
+        bracket_constants(2.0, small, cert, pair.coupling)
+    with pytest.raises(ValueError, match="LargeP bundle used with p <= 1"):
+        bracket_constants(1.0, lower_constant_large_p(cert), cert, pair.coupling)
 
 
 def test_goldie_bracket_requires_normalization():

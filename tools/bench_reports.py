@@ -1,0 +1,57 @@
+"""Write every benchmark operation's report to one text file per operation.
+
+    PYTHONPATH=src python3 tools/bench_reports.py OUTDIR SEED [SEED ...]
+
+Builds each workload's batch for each SEED (bench/workloads.py), runs every
+operation through `momsand.cli.main` in this process, and writes
+OUTDIR/<workload>-<seed>-<op>.txt holding the exit code, stdout with its
+wall_time_s line removed (bench/checks.py) and stderr.  Two checkouts'
+reports are byte-identical exactly when `diff -r` of their two OUTDIRs is
+empty; PYTHONPATH picks the checkout whose momsand runs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
+
+from checks import strip_wall_time  # noqa: E402
+from workloads import WORKLOADS, build  # noqa: E402
+
+
+def run_op(main, argv) -> str:
+    """Exit code, stripped stdout and stderr of one CLI call, as one text."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    stdout = strip_wall_time(out.getvalue())
+    return f"exit: {code}\n--- stdout\n{stdout}--- stderr\n{err.getvalue()}"
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) < 2:
+        print("usage: bench_reports.py OUTDIR SEED [SEED ...]", file=sys.stderr)
+        return 2
+    outdir, seeds = args[0], [int(s) for s in args[1:]]
+    from momsand.cli import main as cli_main
+
+    os.makedirs(outdir, exist_ok=True)
+    for workload in WORKLOADS:
+        for seed in seeds:
+            for op in build(workload, seed):
+                path = os.path.join(outdir, f"{workload}-{seed}-{op['id']}.txt")
+                with open(path, "w") as fh:
+                    fh.write(run_op(cli_main, op["argv"]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
