@@ -321,22 +321,6 @@ def verify_large_p(spec: dc.DistributionSpec, cert: LargePCertificate) -> dict:
     return checks
 
 
-def affine_truncated_moment(
-    spec: dc.DistributionSpec, p: float, u: float, v: float, cut: float
-):
-    """E|uX + v|^p 1{|X| <= cut}, the quantity behind the one-step lower bounds."""
-    breaks = [-cut, cut]
-    if u != 0.0:
-        breaks.append(-v / u)
-
-    def fn(x: float) -> float:
-        if abs(x) <= cut:
-            return abs(u * x + v) ** p
-        return 0.0
-
-    return dc.expect(spec, fn, breaks=breaks)
-
-
 # ---------------------------------------------------------------------------
 # pair sampling and the advisory nondegeneracy check
 

@@ -26,6 +26,11 @@ Text form: specs parse from "family:key=value,..." strings, for example
 "twopoint:a=0.5,b=1.5,pa=0.5", "uniform:lo=0,hi=2", "riesz",
 "finite:atoms=-1@0.25|0.5@0.5|2@0.25", and
 "scaled:scale=0.5,base=(twopoint:a=1,b=3,pa=0.5)".
+
+SciPy loads on first use: in quadrature (integrate.quad, called as a module
+attribute so that rebinding it reaches every call), the exponential moment
+(gammaln) and the lognormal quantile (ndtri).  Importing the package and any
+work on finite laws never load it.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import (
     DegenerateZeroError,
@@ -277,6 +281,8 @@ def _family_abs_moment(spec: DistributionSpec, q: float) -> MomentEstimate:
         return MomentEstimate(q, value, 0.0, CLOSED_FORM)
 
     if spec.family == EXPONENTIAL:
+        from scipy import special
+
         value = math.exp(special.gammaln(q + 1.0) - q * math.log(spec.rate))
         return MomentEstimate(q, value, 0.0, CLOSED_FORM)
 
@@ -308,6 +314,8 @@ def _riesz_factor_moment(q: float) -> tuple[float, float]:
     (sin u / u)^{2q} * u^{2q} with the u^{2q} factor treated analytically and
     is exact to roundoff for every q > 0.
     """
+    from scipy import integrate
+
     a = 2.0 * q
     # an overflowing prefactor raises before any quadrature runs or warns
     c = 2.0 ** (q + 1.0) / math.pi
@@ -382,6 +390,8 @@ def quantile(spec: DistributionSpec, u, out=None):
         np.multiply(u, spec.hi - spec.lo, out=out)
         out += spec.lo
     elif spec.family == LOGNORMAL:
+        from scipy import special
+
         special.ndtri(u, out=out)
         out *= spec.sigma
         out += spec.mu
@@ -491,6 +501,8 @@ def expect(spec: DistributionSpec, fn, breaks=()):
 
 
 def _quad_segments(f, lo: float, hi: float, knots) -> tuple[float, float]:
+    from scipy import integrate
+
     pts = sorted({float(k) for k in knots if lo < k < hi})
     if math.isinf(hi):
         edges = [lo] + pts

@@ -172,19 +172,19 @@ def _lone_term(coeffs: CoefficientSet, p: float) -> float:
         raise NonfiniteMomentError(f"||v_0||^p overflows at p = {p}") from None
 
 
-def _write_csv(path: str, values: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write("rep,value\n")
-        for r, v in enumerate(values):
-            fh.write(f"{r},{float(v)!r}\n")
-
-
 def _stats(values: np.ndarray, reps: int, seed: int | None) -> EstimateWithCI:
+    """Mean and standard error of values, which it consumes: they end as squared deviations.
+
+    The operations are np.mean's and np.var(ddof=1)'s in their order, so both
+    figures match those functions bit for bit without a temporary of values' size.
+    """
     # an overflowing sum gives inf or nan, which _bracket_verdict rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.mean(values))
-        se = math.sqrt(float(np.var(values, ddof=1)) / reps) if reps > 1 else 0.0
-    return EstimateWithCI(mean=mean, std_error=se, replications=reps, seed=seed, exact=False)
+        mean = np.add.reduce(values) / reps
+        dev = np.subtract(values, mean, out=values)
+        var = np.add.reduce(np.multiply(dev, dev, out=dev)) / (reps - 1) if reps > 1 else 0.0
+        se = math.sqrt(float(var) / reps)
+    return EstimateWithCI(mean=float(mean), std_error=se, replications=reps, seed=seed, exact=False)
 
 
 def _exact(mean: float, count: int, seed: int | None = None) -> EstimateWithCI:
@@ -235,8 +235,10 @@ def _sample_paths(block_steps, tail, dim: int, norm: str, p: float, reps: int,
             np.power(holder_norm(acc.T, norm), p, out=values[start:start + m])
 
     map_indexed(run_block, list(enumerate(range(0, reps, CHUNK))))
-    if csv_path is not None:
-        _write_csv(csv_path, values)
+    if csv_path is not None:  # before _stats overwrites values
+        with open(csv_path, "w") as fh:
+            fh.write("rep,value\n")
+            fh.writelines(f"{r},{float(v)!r}\n" for r, v in enumerate(values))
     return _stats(values, reps, src.seed)
 
 

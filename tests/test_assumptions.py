@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from momsand import dist_core as dc
 from momsand.assumptions import (
     PairSpec,
-    affine_truncated_moment,
     check_pair_nondegeneracy,
     default_q_grid,
     delta_window,
@@ -134,6 +133,22 @@ def test_verify_large_p_slack():
     for key, slack in checks.items():
         if key.endswith("_slack"):
             assert slack >= -1e-9, key
+
+
+def affine_truncated_moment(
+    spec: dc.DistributionSpec, p: float, u: float, v: float, cut: float
+):
+    """E|uX + v|^p 1{|X| <= cut}, the quantity behind the one-step lower bounds."""
+    breaks = [-cut, cut]
+    if u != 0.0:
+        breaks.append(-v / u)
+
+    def fn(x: float) -> float:
+        if abs(x) <= cut:
+            return abs(u * x + v) ** p
+        return 0.0
+
+    return dc.expect(spec, fn, breaks=breaks)
 
 
 def test_one_step_window_lower_bound():

@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, report shape, config precedence."""
 
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -378,6 +379,17 @@ def test_counterexample_command(capsys):
     )
     assert code == 0
     assert report["results"]["counterexample"]["ratio"] > 250.0
+
+
+def test_csv_dump_is_written_before_the_stats_consume_it(tmp_path, capsys):
+    path = tmp_path / "draws.csv"
+    argv = ["verify", "--dist", "uniform:lo=0,hi=2", "--p", "1.5", "--coeffs", "1,-0.5,0.25",
+            "--reps", "5000", "--seed", "3", "--csv", str(path)]
+    assert main(argv) == 0
+    data = path.read_bytes()
+    assert data.startswith(b"rep,value\n") and data.count(b"\n") == 5001
+    # pinned bytes: the values as the kernel wrote them, before _stats consumed them
+    assert hashlib.blake2b(data, digest_size=8).hexdigest() == "30ec41d74b71ad3a"
 
 
 def test_config_file_and_precedence(tmp_path, capsys):

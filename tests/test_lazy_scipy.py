@@ -1,0 +1,95 @@
+"""SciPy stays off the import path and loads only where a command needs it.
+
+Each check runs in a fresh interpreter: the test process itself has SciPy
+loaded already (other test modules import it).
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TP = "twopoint:a=0.5,b=1.5,pa=0.5"
+
+COMMANDS = """
+import contextlib, io, json, sys
+from momsand import cli
+
+rows = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    rows.append([argv[0], code, "scipy" in sys.modules])
+print(json.dumps(rows))
+"""
+
+THREADED_FIRST_IMPORT = """
+import sys
+sys.setswitchinterval(1e-6)
+from momsand import dist_core as dc
+from momsand import montecarlo as mc
+
+assert "scipy" not in sys.modules
+spec = dc.parse_spec("lognormal:mu=0,sigma=0.5")
+coeffs = mc.coefficient_set([1.0, -0.5, 0.25])
+est = mc.estimate_lhs(spec, coeffs, 1.5, 3 * mc.CHUNK + 5, dc.RandomSource(seed=11, stream_id=2))
+assert "scipy" in sys.modules
+print(est.mean.hex(), est.std_error.hex())
+"""
+
+
+def _python(code, *args, threads=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if threads is not None:
+        env["MOMSAND_THREADS"] = str(threads)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=ROOT, env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    code = "import sys, momsand, momsand.cli; print('scipy' in sys.modules)"
+    assert _python(code) == "False"
+
+
+def test_finite_law_commands_never_load_scipy():
+    runs = [
+        ["--help"],
+        ["counterexample", "--n", "30", "--p", "4", "--reps", "2000"],
+        # exact enumeration: 2^10 outcomes
+        ["verify", "--dist", TP, "--p", "2", "--n", "10", "--coeffs", "random:count=1,seed=3"],
+        # Monte Carlo: 2^30 outcomes exceed ENUM_CAP
+        ["verify", "--dist", TP, "--p", "1.5", "--n", "30", "--coeffs", "random:count=1,seed=3",
+         "--reps", "2000"],
+        ["certify", "--dist", TP, "--p", "1.0"],
+        # a continuous law needs quadrature, so it comes last
+        ["certify", "--dist", "uniform:lo=0,hi=2", "--p", "1.0"],
+    ]
+    rows = json.loads(_python(COMMANDS, json.dumps(runs)))
+    assert rows == [
+        ["--help", 0, False],
+        ["counterexample", 0, False],
+        ["verify", 0, False],
+        ["verify", 0, False],
+        ["certify", 0, False],
+        ["certify", 0, True],
+    ]
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_first_import_on_worker_threads_changes_no_figure(threads):
+    # four blocks: the workers' first quantile calls import scipy.special together
+    threaded = _python(THREADED_FIRST_IMPORT, threads=threads)
+    assert threaded == _python(THREADED_FIRST_IMPORT, threads=1)

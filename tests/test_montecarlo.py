@@ -612,3 +612,34 @@ def test_enumeration_bits_pinned(case):
     est = exact()
     assert est.exact and est.replications in (3**11, 12**5)
     assert (est.mean.hex(), _digest(*outcomes())) == PINNED_ENUM_BITS[case]
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4097, 10**6])
+@pytest.mark.parametrize("poison", [None, math.inf])
+def test_stats_match_numpy_bit_for_bit(n, poison):
+    values = np.random.default_rng(n).lognormal(0.0, 2.0, n)
+    if poison is not None:
+        values[n // 2] = poison
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(values))
+        se = math.sqrt(float(np.var(values, ddof=1)) / n)
+    est = mc._stats(values.copy(), n, seed=None)
+    assert (_bits(est.mean), _bits(est.std_error)) == (_bits(mean), _bits(se))
+    if poison is not None:
+        assert est.mean == math.inf and math.isnan(est.std_error)
+
+
+def test_stats_allocates_no_copy_of_its_input():
+    values = np.random.default_rng(0).random(10**6)
+    tracemalloc.start()
+    try:
+        mc._stats(values, len(values), seed=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an 8 MB temporary of deviations would show here
+    assert peak < 2**20
