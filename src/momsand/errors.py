@@ -25,7 +25,7 @@ class HypothesisError(MomsandError):
 
 
 class InvalidOrderError(UsageError):
-    """Moment order q must be strictly positive."""
+    """A moment order is outside the range the computation accepts."""
 
 
 class NonfiniteMomentError(UsageError):

@@ -254,6 +254,24 @@ def test_riesz_term_out_of_range_is_usage_error(capsys, term):
     assert f"--term {term}" in captured.err
 
 
+RIESZ_SEQ_8 = ",".join(str(4**k) for k in range(1, 9))
+
+
+@pytest.mark.parametrize("mode", [["--term", "8"], ["--coeffs", "1,0.5,-0.5"], ["--draws", "1"]])
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf", "0.5"])
+def test_riesz_order_outside_one_to_inf_is_rejected_before_the_grid(capsys, monkeypatch, p, mode):
+    def no_grid(comb, t):
+        raise AssertionError("a torus grid pass ran")
+
+    monkeypatch.setattr(riesz, "_combination_values", no_grid)
+    code = main(["riesz", "--seq", RIESZ_SEQ_8, f"--p={p}", *mode])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"usage error: torus norms need a finite p >= 1, got p = {float(p)}"
+    ]
+
+
 NONFINITE_CASES = [
     (["riesz", "--seq", "4,16,64", "--p", "4", "--coeffs=1e100,1e100", "--reps", "1000"],
      "torus L_p norm"),
@@ -860,6 +878,33 @@ def test_multi_block_reports_match_at_every_worker_count(capsys, monkeypatch, ca
     assert reports["2"] == reports["1"]
     assert reports["3"] == reports["1"]
     assert reports[None] == reports["1"]
+
+
+def test_bench_combination_grid_spreads_over_workers(capsys, monkeypatch):
+    block_counts = []
+
+    def counting(fn, items):
+        items = list(items)
+        block_counts.append(len(items))
+        return map_indexed(fn, items)
+
+    monkeypatch.setattr(riesz, "map_indexed", counting)
+    # the torus workload's riesz_coeffs: 524,289 folded grid points on 4^1 .. 4^8
+    argv = ["riesz", "--seq", RIESZ_SEQ_8, "--p", "3",
+            "--coeffs=0.3,-1.2,0.8,0.05,-0.6,1.1,-0.4,0.9,-0.7", "--seed", "11"]
+    texts = {}
+    for threads in ("1", "2", None):
+        if threads is None:
+            monkeypatch.delenv("MOMSAND_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MOMSAND_THREADS", threads)
+        code, _, out = run_cli(capsys, argv)
+        assert code == 0
+        texts[threads] = _without_wall_time(out)
+    # the combination's pass comes first; several blocks keep both workers busy
+    assert block_counts[0] >= 4
+    assert texts["2"] == texts["1"]
+    assert texts[None] == texts["1"]
 
 
 def _run_with(capsys, tmp_path, command, cfg, via="config", extra=()):

@@ -249,3 +249,27 @@ def test_ratio_scan_matches_per_draw_checks(monkeypatch):
         assert json.dumps(report, sort_keys=True, default=dataclasses.asdict) == json.dumps(
             alone, sort_keys=True, default=dataclasses.asdict
         )
+
+
+# ratio-4 sequences: the folded grid of 4^1 .. 4^6 is 32,769 points, of 4^1 .. 4^8 524,289
+POWERS_OF_4 = {m: LacunarySequence(tuple(4**k for k in range(1, m + 1))) for m in (6, 8)}
+
+
+@pytest.mark.parametrize("m", sorted(POWERS_OF_4))
+@pytest.mark.parametrize("p", [1.0, 2.5, 3.0, 4.5])
+def test_block_size_moves_values_by_a_few_ulps(monkeypatch, m, p):
+    seq = POWERS_OF_4[m]
+    rng = np.random.default_rng(m)
+    combs = [comb(rng.standard_normal(m + 1), seq) for _ in range(2)]
+    combs += [comb((0.0,) * i + (1.0,), seq) for i in range(m + 1)]
+    blocked = [riesz_lp_norm(c, p) for c in combs]
+    monkeypatch.setattr(rz, "_BLOCK", 2**30)  # every grid in a single block
+    single = [riesz_lp_norm(c, p) for c in combs]
+    for ours, one in zip(blocked, single):
+        assert abs(ours.value - one.value) <= 2e-15 * one.value
+        assert abs(ours.error_estimate - one.error_estimate) <= 2e-15 * one.value
+    if p == 3.0:  # E(1 + cos U)^3 = 5/2, exact on the torus for ratio-4 sequences
+        # Rbar_8 is left out: its cos(n_j t) arguments reach 4^8 pi, and their
+        # rounding leaves it 1.6e-14 off at either block size
+        for i, out in enumerate(blocked[2:10]):
+            assert out.value == pytest.approx(2.5**i, rel=1e-15, abs=0.0)
