@@ -1,7 +1,7 @@
 """Benchmark two commits in alternating pairs and write one BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py PARENT CHANGE OUT.json [--seeds 1-10]
-        [--seconds 18] [--one-cpu torus]
+        [--seconds 18] [--workload torus ...] [--one-cpu torus]
 
 PARENT and CHANGE are commits of this repository.  Each is unpacked with
 `git archive` into its own temporary directory, and every run there is
@@ -31,7 +31,10 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("mc_paths", "torus", "exact_certify")
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
 RUN = "bench/run.py --workload {workload} --seed {seed} --seconds {seconds} --trace 0"
 
 
@@ -77,7 +80,7 @@ def _pairs(dirs: dict, workload: str, seeds: list[int], seconds: float, one_cpu:
                   f"{rows[side][-1]}", file=sys.stderr)
     wins = {name: sum(c[name] < p[name] for p, c in zip(rows["parent"], rows["change"]))
             for name in names}
-    return {"parent": _summary(rows["parent"], names),
+    return {"seeds": seeds, "pairs": len(seeds), "parent": _summary(rows["parent"], names),
             "change": _summary(rows["change"], names), "change_lower_pairs": wins}
 
 
@@ -93,7 +96,10 @@ def main(argv=None) -> int:
     parser.add_argument("out")
     parser.add_argument("--seeds", type=_seed_range, default=_seed_range("1-10"))
     parser.add_argument("--seconds", type=float, default=18.0)
-    parser.add_argument("--one-cpu", action="append", default=[], choices=WORKLOADS)
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        help="a workload to run (default: all)")
+    parser.add_argument("--one-cpu", action="append", default=[], choices=WORKLOADS,
+                        help="a workload to run again pinned to one CPU")
     args = parser.parse_args(argv)
     commits = {side: _git("rev-parse", getattr(args, side)).decode().strip()
                for side in ("parent", "change")}
@@ -104,7 +110,7 @@ def main(argv=None) -> int:
         for side, commit in commits.items():
             _unpack(commit, dirs[side])
         workloads = {}
-        for workload in WORKLOADS:
+        for workload in args.workload or WORKLOADS:
             workloads[workload] = {
                 "default": _pairs(dirs, workload, args.seeds, args.seconds, False, names)}
             if workload in args.one_cpu:
@@ -114,8 +120,6 @@ def main(argv=None) -> int:
         "argv": f"python3 {RUN}",
         "one_cpu": "the run's process pinned to one CPU, so the pool's default is one worker",
         "commits": commits,
-        "seeds": args.seeds,
-        "pairs": len(args.seeds),
         "seconds": args.seconds,
         "machine": {"cpus": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                     "platform": platform.platform()},
