@@ -1,17 +1,19 @@
 """Benchmark two commits in alternating pairs and write one BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py PARENT CHANGE OUT.json [--seeds 1-10]
-        [--seconds 18] [--workload torus ...] [--one-cpu torus]
+        [--workload torus ...] [--one-cpu torus]
 
 PARENT and CHANGE are commits of this repository.  Each is unpacked with
 `git archive` into its own temporary directory, and every run there is
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
-so each side runs its own bench/ and src/.  For seed k the parent runs first
-when k is odd and the change first when k is even.  Per workload, OUT.json
-gives each side's median and quartiles of every end-to-end metric, every
-run's values and failed count, and the number of pairs the change won.
+so each side runs its own bench/ and src/.  T is `run_seconds` from the
+change's BENCHMARK.json, the run length the benchmark sets.  For seed k the
+parent runs first when k is odd and the change first when k is even.  Per
+workload, OUT.json gives each side's median and quartiles of every
+end-to-end metric, every run's values and failed count, and the number of
+pairs the change won.
 The --one-cpu workloads run a second set of pairs with the child pinned to
 one CPU: the pool's default is then one worker, which is the
 MOMSAND_THREADS=1 path, as run.py unsets MOMSAND_THREADS in its timed pass.
@@ -95,7 +97,6 @@ def main(argv=None) -> int:
     parser.add_argument("change")
     parser.add_argument("out")
     parser.add_argument("--seeds", type=_seed_range, default=_seed_range("1-10"))
-    parser.add_argument("--seconds", type=float, default=18.0)
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="a workload to run (default: all)")
     parser.add_argument("--one-cpu", action="append", default=[], choices=WORKLOADS,
@@ -105,6 +106,7 @@ def main(argv=None) -> int:
                for side in ("parent", "change")}
     declared = json.loads(_git("show", f"{commits['change']}:BENCHMARK.json"))
     names = [m["name"] for m in declared["end_to_end"]]
+    seconds = declared["run_seconds"]
     with tempfile.TemporaryDirectory() as tmp:
         dirs = {side: os.path.join(tmp, side) for side in commits}
         for side, commit in commits.items():
@@ -112,15 +114,15 @@ def main(argv=None) -> int:
         workloads = {}
         for workload in args.workload or WORKLOADS:
             workloads[workload] = {
-                "default": _pairs(dirs, workload, args.seeds, args.seconds, False, names)}
+                "default": _pairs(dirs, workload, args.seeds, seconds, False, names)}
             if workload in args.one_cpu:
                 workloads[workload]["one_cpu"] = _pairs(
-                    dirs, workload, args.seeds, args.seconds, True, names)
+                    dirs, workload, args.seeds, seconds, True, names)
     report = {
         "argv": f"python3 {RUN}",
         "one_cpu": "the run's process pinned to one CPU, so the pool's default is one worker",
         "commits": commits,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "machine": {"cpus": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                     "platform": platform.platform()},
         "workloads": workloads,
