@@ -61,6 +61,7 @@ from .errors import (
     DegenerateZeroError,
     EmptyWindowError,
     EnumerationTooLargeError,
+    GridTooLargeError,
     HypothesisError,
     InvalidOrderError,
     KTooLargeError,

@@ -76,5 +76,9 @@ class TooFewPointsError(UsageError):
     """Quadrature grid is below the resolution floor for the sequence."""
 
 
+class GridTooLargeError(UsageError):
+    """Quadrature grid is above the 2^31-point cap."""
+
+
 class NotLacunaryError(HypothesisError):
     """Sequence fails the ratio >= 3 requirement."""

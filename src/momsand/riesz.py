@@ -35,9 +35,17 @@ arrays of 256 KB in flight per worker, which fit a 2 MB L2 cache, and the
 Of 2^13 .. 2^19, 2^15 gave that grid its fastest two-worker pass (45 ms,
 against 100 ms at 2^19, on 2 vCPUs).  The block size sets how NumPy's
 pairwise sums group into the fsum partials, so it is part of the reported
-bits and must not follow the worker count: cutting it from 2^19 moved torus
-values by at most 2.3e-16 relative and error estimates by at most 3.1e-16
-times the value.
+bits and must not follow the worker count.
+
+Factors use exact phases: cos(n_j t_k) depends only on the residue
+(n_j k) mod N, taken in int64 (N <= MAX_POINTS = 2^31 and n_j <= 2^20 keep
+n_j k below 2^51).  With k = s + i, s a multiple of _SUB = 2^10 and i < _SUB,
+each call tabulates cos and sin of theta_i = 2 pi ((n_j i) mod N) / N (144 KB
+for 9 factors), each row s takes those of A_s = 2 pi ((n_j s) mod N) / N, and
+1 + cos A_s cos theta_i - sin A_s sin theta_i replaces a libm cos per point
+(12-15 ns).  Every argument is below 2 pi, so Rbar_8 on 4^1 .. 4^8 at p = 3
+reads 2.5^8 to 1.5e-16.  _BLOCK is a multiple of _SUB, so rows start at
+multiples of _SUB and a point's value does not depend on the block split.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ import numpy as np
 from . import dist_core as dc
 from ._pool import map_indexed
 from .errors import (
+    GridTooLargeError,
     InvalidOrderError,
     NonfiniteMomentError,
     NotIncreasingError,
@@ -60,8 +69,10 @@ from .montecarlo import EstimateWithCI, coefficient_set, estimate_lhs
 
 MAX_TERM = 2**20
 MIN_POINTS = 4096
+MAX_POINTS = 2**31
 POINTS_PER_FREQ = 64
 _BLOCK = 2**15
+_SUB = 2**10
 
 RATIO_FLOOR = 3.0
 
@@ -153,18 +164,28 @@ def riesz_eval(seq: LacunarySequence, i: int, t):
     return out
 
 
-def _combination_values(comb: RieszCombination, t: np.ndarray) -> np.ndarray:
+def _combination_values(comb: RieszCombination, tables, n_pts: int, lo: int, hi: int):
+    """sum a_i Rbar_i(2 pi k / N) for k = lo .. hi - 1, by the phase tables above."""
     coeffs = comb.coefficients
-    acc = np.full_like(t, coeffs[0])
-    prod = np.ones_like(t)
-    factor = np.empty_like(t)
-    for i in range(1, len(coeffs)):
-        np.multiply(comb.seq.terms[i - 1], t, out=factor)
-        np.cos(factor, out=factor)
+    n = hi - lo
+    acc = np.full(n, coeffs[0])
+    prod = np.ones(n)
+    factor = np.empty(n)
+    tmp = np.empty(n)
+    full = n - n % _SUB
+    rows = [(a, b) for a, b in ((0, full), (full, n)) if b > a]  # whole rows, then the rest
+    for n_j, a_i, (cos_theta, sin_theta) in zip(comb.seq.terms, coeffs[1:], tables):
+        for a, b in rows:
+            w = min(_SUB, b - a)
+            starts = np.arange(lo + a, lo + b, _SUB, dtype=np.int64)
+            phase = (n_j * starts) % n_pts * (2.0 * math.pi / n_pts)
+            np.multiply(np.cos(phase)[:, None], cos_theta[:w], out=factor[a:b].reshape(-1, w))
+            np.multiply(np.sin(phase)[:, None], sin_theta[:w], out=tmp[a:b].reshape(-1, w))
+        factor -= tmp
         factor += 1.0
         prod *= factor
-        if coeffs[i] != 0.0:
-            np.multiply(coeffs[i], prod, out=factor)
+        if a_i != 0.0:
+            np.multiply(a_i, prod, out=factor)
             acc += factor
     return acc
 
@@ -191,6 +212,8 @@ def riesz_lp_norm(
         raise TooFewPointsError(
             f"{n_pts} grid points < required max(4096, 64 * n_max) = {floor}"
         )
+    if n_pts > MAX_POINTS:  # also keeps n_j * k below 2^51 in int64
+        raise GridTooLargeError(f"{n_pts} grid points exceed the cap of 2^31 = {MAX_POINTS}")
     if n_pts % 2:
         n_pts += 1
     # math.gcd() of no terms is 0, so a constant folds onto the single point k = 0
@@ -204,13 +227,15 @@ def riesz_lp_norm(
         blocks.append((start, stop))
         start = stop
 
-    step = 2.0 * math.pi / n_pts
+    theta = np.multiply.outer(np.array(terms, dtype=np.int64), np.arange(_SUB)) % n_pts
+    theta = theta * (2.0 * math.pi / n_pts)
+    tables = list(zip(np.cos(theta), np.sin(theta)))
 
     def run_block(block):
         lo, hi = block
         # an overflow leaves inf in the value, which is rejected below
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = _combination_values(comb, np.arange(lo, hi, dtype=float) * step)
+            vals = _combination_values(comb, tables, n_pts, lo, hi)
             np.abs(vals, out=vals)
             vals **= p
             evens = vals[0::2] if lo % 2 == 0 else vals[1::2]

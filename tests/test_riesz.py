@@ -219,9 +219,10 @@ def test_fold_evaluates_a_fraction_of_the_grid(monkeypatch, seq, g):
     evaluated = []
     real = rz._combination_values
 
-    def counting(comb_, t):
-        evaluated.append(len(t))
-        return real(comb_, t)
+    def counting(comb_, *args):
+        vals = real(comb_, *args)
+        evaluated.append(len(vals))
+        return vals
 
     monkeypatch.setattr(rz, "_combination_values", counting)
     out = riesz_lp_norm(comb((1.0, -0.5, 0.25, 0.75, -0.6), seq), 3.0)
