@@ -272,6 +272,21 @@ def test_riesz_order_outside_one_to_inf_is_rejected_before_the_grid(capsys, monk
     ]
 
 
+@pytest.mark.parametrize("mode", [["--term", "8"], ["--coeffs", "1,0.5,-0.5"], ["--draws", "1"]])
+@pytest.mark.parametrize("points", [2**31 + 1, 2**31 + 2, 10**18])
+def test_riesz_grid_above_the_cap_is_rejected_before_the_grid(capsys, monkeypatch, points, mode):
+    def no_grid(*args):
+        raise AssertionError("a torus grid pass ran")
+
+    monkeypatch.setattr(riesz, "_combination_values", no_grid)
+    code = main(["riesz", "--seq", RIESZ_SEQ_8, "--p", "3", "--quad-points", str(points), *mode])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"usage error: {points} grid points exceed the cap of 2^31 = 2147483648"
+    ]
+
+
 NONFINITE_CASES = [
     (["riesz", "--seq", "4,16,64", "--p", "4", "--coeffs=1e100,1e100", "--reps", "1000"],
      "torus L_p norm"),

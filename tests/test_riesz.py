@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -254,6 +255,7 @@ def test_ratio_scan_matches_per_draw_checks(monkeypatch):
 
 # ratio-4 sequences: the folded grid of 4^1 .. 4^6 is 32,769 points, of 4^1 .. 4^8 524,289
 POWERS_OF_4 = {m: LacunarySequence(tuple(4**k for k in range(1, m + 1))) for m in (6, 8)}
+POWERS_OF_4_TO_9 = LacunarySequence(tuple(4**k for k in range(1, 10)))
 
 
 @pytest.mark.parametrize("m", sorted(POWERS_OF_4))
@@ -264,13 +266,29 @@ def test_block_size_moves_values_by_a_few_ulps(monkeypatch, m, p):
     combs = [comb(rng.standard_normal(m + 1), seq) for _ in range(2)]
     combs += [comb((0.0,) * i + (1.0,), seq) for i in range(m + 1)]
     blocked = [riesz_lp_norm(c, p) for c in combs]
+    if p == 3.0:  # E(1 + cos U)^3 = 5/2, exact on the torus for ratio-4 sequences
+        pure = blocked[2:]
+        if m == 8:  # and Rbar_9 on 4^1 .. 4^9, the bench's riesz_term9
+            pure.append(riesz_lp_norm(comb((0.0,) * 9 + (1.0,), POWERS_OF_4_TO_9), p))
+        for i, out in enumerate(pure):
+            assert out.value == pytest.approx(2.5**i, rel=1e-15, abs=0.0)
     monkeypatch.setattr(rz, "_BLOCK", 2**30)  # every grid in a single block
     single = [riesz_lp_norm(c, p) for c in combs]
     for ours, one in zip(blocked, single):
         assert abs(ours.value - one.value) <= 2e-15 * one.value
         assert abs(ours.error_estimate - one.error_estimate) <= 2e-15 * one.value
-    if p == 3.0:  # E(1 + cos U)^3 = 5/2, exact on the torus for ratio-4 sequences
-        # Rbar_8 is left out: its cos(n_j t) arguments reach 4^8 pi, and their
-        # rounding leaves it 1.6e-14 off at either block size
-        for i, out in enumerate(blocked[2:10]):
-            assert out.value == pytest.approx(2.5**i, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("m", sorted(POWERS_OF_4))
+def test_p2_norm_is_the_exact_bilinear_form(m):
+    # E (sum a_i Rbar_i)^2 = sum_{i,j} a_i a_j (3/2)^{min(i,j)}, summed in rationals
+    rng = np.random.default_rng(100 + m)
+    for _ in range(3):
+        coeffs = rng.standard_normal(m + 1)
+        exact = sum(
+            Fraction(ai) * Fraction(aj) * Fraction(3, 2) ** min(i, j)
+            for i, ai in enumerate(coeffs)
+            for j, aj in enumerate(coeffs)
+        )
+        out = riesz_lp_norm(comb(coeffs, POWERS_OF_4[m]), 2.0)
+        assert out.value == pytest.approx(float(exact), rel=1e-15, abs=0.0)
