@@ -6,8 +6,8 @@ lognormal, exponential, the "Riesz factor" law of 1 + cos U with U uniform on
 [0, 2pi], Rademacher signs, and scaled copies of any of these).  On top of the
 specs the module provides
 
-  * abs_moment: E|X|^q with a method tag (finite sum, closed form, or
-    quadrature) and a certified absolute error,
+  * abs_moment: E|X|^q with a method tag (finite sum or closed form; no
+    family needs quadrature) and an absolute error of 0.0,
   * normalize_unit_p_moment: rescale so that E|X|^p = 1,
   * expect: E f(X) for arbitrary integrands with declared kink locations,
     used by the hypothesis fitters.
@@ -27,10 +27,10 @@ Text form: specs parse from "family:key=value,..." strings, for example
 "finite:atoms=-1@0.25|0.5@0.5|2@0.25", and
 "scaled:scale=0.5,base=(twopoint:a=1,b=3,pa=0.5)".
 
-SciPy loads on first use: in quadrature (integrate.quad, called as a module
-attribute so that rebinding it reaches every call), the exponential moment
-(gammaln) and the lognormal quantile (ndtri).  Importing the package and any
-work on finite laws never load it.
+SciPy loads on first use, in two places: quadrature for expect
+(integrate.quad, called as a module attribute so that rebinding it reaches
+every call) and the lognormal quantile (ndtri).  Importing the package,
+abs_moment and any work on finite laws never load it.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ FAMILIES = (
 
 # method tags for MomentEstimate
 CLOSED_FORM = "ClosedForm"
-QUADRATURE = "Quadrature"
 FINITE_SUM = "FiniteSum"
 
 _PROB_SUM_TOL = 1e-9
@@ -237,12 +236,21 @@ def is_nonnegative(spec: DistributionSpec) -> bool:
 
 
 def abs_moment(spec: DistributionSpec, q: float) -> MomentEstimate:
-    """E|X|^q with a certified absolute error.
+    """E|X|^q from a finite sum or a closed form, with abs_error 0.0.
 
-    Finite-support families sum exactly; uniform, lognormal, and exponential
-    have closed forms; the Riesz factor is integrated by an algebraic-weight
-    quadrature rule that is exact to roundoff for every q > 0.  For every
-    family, a moment that overflows or is not finite raises
+    No family needs quadrature.  Each value carries only the rounding of its
+    formula (u = 2^-53):
+      * finite support: math.fsum of p |v|^q, within about 2u relative;
+      * uniform: a difference of powers over (q + 1)(hi - lo), within a few u
+        unless 0 <= lo is close to hi, where the difference cancels;
+      * lognormal: exp(q mu + q^2 sigma^2 / 2), within about u times the
+        magnitude of the exponent;
+      * exponential: exp(lgamma(q + 1) - q log rate), within about u times
+        the magnitude of the exponent plus lgamma's own error; 3.3e-14
+        relative at most on q in (0, 40] for rates 0.7 to 2;
+      * Riesz factor: correctly rounded at integer q, and within 6e-15
+        relative elsewhere on (0, 1023] (see _riesz_factor_moment).
+    For every family, a moment that overflows or is not finite raises
     NonfiniteMomentError.
     """
     if not (0.0 < q < math.inf):
@@ -281,14 +289,11 @@ def _family_abs_moment(spec: DistributionSpec, q: float) -> MomentEstimate:
         return MomentEstimate(q, value, 0.0, CLOSED_FORM)
 
     if spec.family == EXPONENTIAL:
-        from scipy import special
-
-        value = math.exp(special.gammaln(q + 1.0) - q * math.log(spec.rate))
+        value = math.exp(math.lgamma(q + 1.0) - q * math.log(spec.rate))
         return MomentEstimate(q, value, 0.0, CLOSED_FORM)
 
     if spec.family == RIESZ_FACTOR:
-        value, err = _riesz_factor_moment(q)
-        return MomentEstimate(q, value, err, QUADRATURE)
+        return MomentEstimate(q, _riesz_factor_moment(q), 0.0, CLOSED_FORM)
 
     raise AssertionError(f"unhandled family {spec.family}")
 
@@ -305,37 +310,27 @@ def _uniform_abs_moment(lo: float, hi: float, q: float) -> float:
     return num / ((q + 1.0) * width)
 
 
-def _riesz_factor_moment(q: float) -> tuple[float, float]:
-    """(1/2pi) int_0^{2pi} (1+cos t)^q dt by singularity-aware quadrature.
+def _riesz_factor_moment(q: float) -> float:
+    """E(1 + cos U)^q = 2^q Gamma(q + 1/2) / (sqrt(pi) Gamma(q + 1)) =: M(q).
 
-    Reduction: the integral equals (2^{q+1}/pi) int_0^{pi/2} sin^{2q} u du.
-    The integrand vanishes like u^{2q} at u = 0, so a plain panel rule stalls
-    for small q; QUADPACK's algebraic-weight rule integrates
-    (sin u / u)^{2q} * u^{2q} with the u^{2q} factor treated analytically and
-    is exact to roundoff for every q > 0.
+    At integer q = k, M(k) = C(2k, k) / 2^k, and the integer division rounds
+    correctly.  Otherwise q = m + f with 0 < f < 1, and M(f) from math.gamma
+    is carried up by M(x) = 2 (1 - 1/(2x)) M(x - 1) for x = f + 1, ..., q:
+    the power 2^m is applied exactly at the end, and each factor adds about
+    two roundings.  Against mpmath this stays within 6e-15 relative on
+    [0.01, 1023], where math.gamma(q + 1) alone is 7e-14 off near q = 127.
     """
-    from scipy import integrate
-
-    a = 2.0 * q
-    # an overflowing prefactor raises before any quadrature runs or warns
-    c = 2.0 ** (q + 1.0) / math.pi
-
-    def smooth_part(u: float) -> float:
-        if u == 0.0:
-            return 1.0
-        return (math.sin(u) / u) ** a
-
-    val, err = integrate.quad(
-        smooth_part,
-        0.0,
-        math.pi / 2.0,
-        weight="alg",
-        wvar=(a, 0.0),
-        epsabs=1e-14,
-        epsrel=1e-13,
-        limit=200,
-    )
-    return c * val, c * abs(err)
+    if q > 1100.0:
+        # M(q) > 2^q / sqrt(pi (q + 1)) passes the float range before q = 1031
+        raise OverflowError(f"the Riesz factor moment overflows at q = {q}")
+    m = math.floor(q)
+    if q == m:
+        return math.comb(2 * m, m) / 2**m
+    f = q - m
+    value = 2.0**f * (math.gamma(f + 0.5) / math.gamma(f + 1.0)) / math.sqrt(math.pi)
+    for j in range(1, m + 1):
+        value *= 1.0 - 0.5 / (f + j)
+    return math.ldexp(value, m)
 
 
 def normalize_unit_p_moment(spec: DistributionSpec, p: float):

@@ -319,6 +319,9 @@ NONFINITE_CASES = [
     (["perpetuity", "--dist", "uniform:lo=0,hi=2", "--b-dist", "uniform:lo=0,hi=1",
       "--p", "300", "--n-list", "2", "--reps", "4096"],
      "overflows at p = 300.0"),
+    # E(1 + cos U)^q passes the float range at q = 1030; 10^9 must not run comb(2q, q)
+    (["moments", "--dist", "riesz", "--q", "1100"], "overflows at q = 1100.0"),
+    (["moments", "--dist", "riesz", "--q", "1000000000"], "overflows at q = 1000000000.0"),
 ]
 
 
@@ -336,15 +339,19 @@ def test_nonfinite_results_are_usage_errors(capsys, argv, message):
 
 @pytest.mark.parametrize("threads", [None, "2"])
 @pytest.mark.parametrize(
-    "argv",
-    [argv for argv, _ in NONFINITE_CASES]
-    + [["moments", "--dist", TP, "--q", "2000"], ["moments", "--dist", "riesz", "--q", "2000"]]
-    # an infinite order is rejected before any family's quadrature runs
-    + [["verify", "--dist", "riesz", "--p", "inf", "--n", "3"],
-       ["moments", "--dist", "riesz", "--q", "inf"],
-       ["verify", "--config", "CONFIG"]],
+    "argv, exit_code",
+    [(argv, 2) for argv, _ in NONFINITE_CASES]
+    + [(["moments", "--dist", TP, "--q", "2000"], 2),
+       (["moments", "--dist", "riesz", "--q", "2000"], 2)]
+    # an infinite order is rejected before any family's moment runs
+    + [(["verify", "--dist", "riesz", "--p", "inf", "--n", "3"], 2),
+       (["moments", "--dist", "riesz", "--q", "inf"], 2),
+       (["verify", "--config", "CONFIG"], 2)]
+    # finite moments past q = 510, where a quadrature raised an IntegrationWarning
+    + [(["moments", "--dist", "riesz", "--q", "600,1000.5"], 0)],
 )
-def test_nonfinite_paths_emit_no_numpy_warnings(capsys, monkeypatch, tmp_path, threads, argv):
+def test_nonfinite_paths_emit_no_numpy_warnings(capsys, monkeypatch, tmp_path, threads, argv,
+                                                exit_code):
     if "CONFIG" in argv:
         path = tmp_path / "cfg.json"
         path.write_text('{"dist": "riesz", "p": 1e400, "n": 3}')  # JSON's 1e400 reads as inf
@@ -358,7 +365,11 @@ def test_nonfinite_paths_emit_no_numpy_warnings(capsys, monkeypatch, tmp_path, t
         warnings.simplefilter("error")
         code = main(argv)
     out, err = capsys.readouterr()
-    assert code == 2
+    assert code == exit_code
+    if exit_code == 0:
+        assert err == ""
+        json.loads(out, parse_constant=_reject_constant)
+        return
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
 

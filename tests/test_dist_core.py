@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,11 +57,48 @@ def test_riesz_factor_moments_vs_gamma_oracle():
     spec = dc.riesz_factor()
     for q in (0.15, 0.5, 1.0, 2.0, 2.7, 3.0, 5.0, 7.3):
         est = dc.abs_moment(spec, q)
-        assert est.method == dc.QUADRATURE
+        assert est.method == dc.CLOSED_FORM
+        assert est.abs_error == 0.0
         assert est.value == pytest.approx(riesz_moment_oracle(q), rel=1e-12)
     assert dc.abs_moment(spec, 1.0).value == pytest.approx(1.0, rel=1e-13)
     assert dc.abs_moment(spec, 2.0).value == pytest.approx(1.5, rel=1e-13)
     assert dc.abs_moment(spec, 3.0).value == pytest.approx(2.5, rel=1e-13)
+
+
+def _max_rel_error(values, exact) -> float:
+    return max(float(abs(mpmath.mpf(v) / e - 1)) for v, e in zip(values, exact))
+
+
+@pytest.mark.parametrize("lo, hi, bound", [(0.01, 12.0, 4e-15), (12.0, 170.0, 4e-14),
+                                           (170.0, 1023.0, 4e-12)])
+def test_riesz_factor_moment_accuracy_vs_mpmath(lo, hi, bound):
+    spec = dc.riesz_factor()
+    qs = [float(q) for q in np.linspace(lo, hi, 1001)]
+    with mpmath.workdps(40):
+        exact = [
+            2 ** mpmath.mpf(q) * mpmath.gamma(mpmath.mpf(q) + 0.5)
+            / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(q) + 1))
+            for q in qs
+        ]
+        assert _max_rel_error([dc.abs_moment(spec, q).value for q in qs], exact) <= bound
+
+
+def test_riesz_factor_moment_is_correctly_rounded_at_integer_order():
+    spec = dc.riesz_factor()
+    assert [dc.abs_moment(spec, q).value for q in (1.0, 2.0, 3.0)] == [1.0, 1.5, 2.5]
+    for k in range(1, 61):
+        # int / int rounds the exact quotient once
+        assert dc.abs_moment(spec, float(k)).value == math.comb(2 * k, k) / 2**k
+
+
+@pytest.mark.parametrize("rate", [0.7, 1.0, 2.0])
+def test_exponential_moment_accuracy_vs_mpmath(rate):
+    spec = dc.exponential(rate)
+    # the grid's q = 31.42215 is lgamma's worst point at rate 0.7 (3.2e-14)
+    qs = [float(q) for q in np.linspace(0.01, 40.0, 2001)]
+    with mpmath.workdps(40):
+        exact = [mpmath.gamma(mpmath.mpf(q) + 1) / mpmath.mpf(rate) ** mpmath.mpf(q) for q in qs]
+        assert _max_rel_error([dc.abs_moment(spec, q).value for q in qs], exact) <= 3.5e-14
 
 
 def test_scaled_copy_moment_scaling():

@@ -88,6 +88,20 @@ def test_finite_law_commands_never_load_scipy():
     ]
 
 
+def test_closed_form_moment_commands_never_load_scipy():
+    seq = ["--seq", "4,16,64"]
+    runs = [
+        ["riesz", *seq, "--p", "3", "--term", "2"],
+        # p = 2.5 has no exact probabilistic side, so Monte Carlo runs
+        ["riesz", *seq, "--p", "2.5", "--coeffs", "1,0.5,-0.25", "--reps", "2000"],
+        ["riesz", *seq, "--p", "2.5", "--draws", "2", "--reps", "2000"],
+        ["moments", "--dist", "riesz", "--q", "0.5,3,600"],
+        ["moments", "--dist", "exponential:rate=1", "--q", "0.5,3"],
+    ]
+    rows = json.loads(_python(COMMANDS, json.dumps(runs)))
+    assert rows == [[argv[0], 0, False] for argv in runs]
+
+
 @pytest.mark.parametrize("threads", [2, 4])
 def test_first_import_on_worker_threads_changes_no_figure(threads):
     # four blocks: the workers' first quantile calls import scipy.special together
