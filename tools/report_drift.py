@@ -43,34 +43,26 @@ def relative_change(old, new) -> float:
     return abs(new - old) / abs(old) if old != 0 else math.inf
 
 
-def walk(old, new, path=""):
-    """Yield ("key", path, where) for keys that differ and ("leaf", path, old, new).
+MISSING = object()
 
-    where is "old" or "new" for a key on one side only, or the two types
-    where a container stands against something else.
+
+def walk(old, new, path=""):
+    """Yield (path, old, new) for every leaf that differs between two JSON values.
+
+    A key or list index on one side only yields MISSING on the other side;
+    so does nothing else, and a container is yielded whole only where it
+    stands against a value of another kind.
     """
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(old.keys() | new.keys()):
             sub = f"{path}.{key}" if path else key
-            if key not in new:
-                yield "key", sub, "old"
-            elif key not in old:
-                yield "key", sub, "new"
-            else:
-                yield from walk(old[key], new[key], sub)
+            yield from walk(old.get(key, MISSING), new.get(key, MISSING), sub)
     elif isinstance(old, list) and isinstance(new, list):
         for i in range(max(len(old), len(new))):
-            sub = f"{path}[{i}]"
-            if i >= len(new):
-                yield "key", sub, "old"
-            elif i >= len(old):
-                yield "key", sub, "new"
-            else:
-                yield from walk(old[i], new[i], sub)
-    elif isinstance(old, (dict, list)) or isinstance(new, (dict, list)):
-        yield "key", path or "stdout", f"{type(old).__name__} -> {type(new).__name__}"
+            yield from walk(old[i] if i < len(old) else MISSING,
+                            new[i] if i < len(new) else MISSING, f"{path}[{i}]")
     elif old != new or type(old) is not type(new):
-        yield "leaf", path, old, new
+        yield path or "stdout", old, new
 
 
 def compare(old_dir: str, new_dir: str) -> int:
@@ -90,26 +82,26 @@ def compare(old_dir: str, new_dir: str) -> int:
             new_text = fh.read()
         if old_text == new_text:
             continue
-        (old_code, old_body, old_err), (new_code, new_body, new_err) = (
-            parse_report(old_text), parse_report(new_text))
+        old_code, old_body, old_err = parse_report(old_text)
+        new_code, new_body, new_err = parse_report(new_text)
         print(f"{report}: exit {old_code} -> {new_code}")
         if old_code != new_code:
             status = 1
-        for item in walk(old_body, new_body):
-            if item[0] == "key":
-                where = item[2] if " -> " in item[2] else f"only in {item[2]}"
-                print(f"  key {item[1]}: {where}")
+        for path, old, new in walk(old_body, new_body):
+            if old is MISSING or new is MISSING:
+                print(f"  key {path}: only in {'old' if new is MISSING else 'new'}")
                 status = 1
-                continue
-            _, path, old, new = item
-            if _is_number(old) and _is_number(new):
+            elif isinstance(old, (dict, list)) or isinstance(new, (dict, list)):
+                print(f"  key {path}: {type(old).__name__} -> {type(new).__name__}")
+                status = 1
+            elif _is_number(old) and _is_number(new):
                 rel = relative_change(old, new)
-                print(f"  {path or 'stdout'}: {old!r} -> {new!r} (rel {rel:.2g})")
+                print(f"  {path}: {old!r} -> {new!r} (rel {rel:.2g})")
                 op = report.split("-", 2)[-1]
                 if rel > largest.get(op, (-1.0,))[0]:
                     largest[op] = (rel, report, path)
             else:
-                print(f"  {path or 'stdout'}: {old!r} -> {new!r}")
+                print(f"  {path}: {old!r} -> {new!r}")
         if old_err != new_err:
             print(f"  stderr: {old_err!r} -> {new_err!r}")
     if largest:
