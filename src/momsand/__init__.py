@@ -38,7 +38,6 @@ from .constants import (
 )
 from .dist_core import (
     DistributionSpec,
-    MomentEstimate,
     RandomSource,
     abs_moment,
     exponential,

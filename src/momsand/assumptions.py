@@ -104,7 +104,7 @@ class NondegeneracyReport:
 
 
 def _require_normalized(spec: dc.DistributionSpec, p: float) -> float:
-    mp = dc.abs_moment(spec, p).value
+    mp = dc.abs_moment(spec, p)
     if abs(mp - 1.0) > _NORM_TOL:
         raise NotNormalizedError(
             f"spec has E|X|^p = {mp!r}, normalize to 1 before fitting"
@@ -113,7 +113,7 @@ def _require_normalized(spec: dc.DistributionSpec, p: float) -> float:
 
 
 def _lp_norm(spec: dc.DistributionSpec, r: float) -> float:
-    return dc.abs_moment(spec, r).value ** (1.0 / r)
+    return dc.abs_moment(spec, r) ** (1.0 / r)
 
 
 def _tail_mass(spec: dc.DistributionSpec, m1: float, cut: float):
@@ -127,7 +127,7 @@ def _tail_mass(spec: dc.DistributionSpec, m1: float, cut: float):
 
 def delta_window(spec: dc.DistributionSpec, p: float, a_param: float, m: float | None = None):
     """Window mass E(|X|^p - m) 1{m <= |X|^p <= A m}, m = E|X|^p if not given; with error."""
-    m = dc.abs_moment(spec, p).value if m is None else m
+    m = dc.abs_moment(spec, p) if m is None else m
     lo = m ** (1.0 / p)
     hi = (a_param * m) ** (1.0 / p)
 
@@ -149,7 +149,6 @@ class SmallPParts:
     p: float
     mp: float
     lam: float
-    lam_abs_error: float
 
     def certificate(self, a_val: float) -> SmallPCertificate:
         """The certificate at A; EmptyWindowError unless delta(A) clears its error."""
@@ -160,7 +159,6 @@ class SmallPParts:
                     "lambda_gap": 1.0 - self.lam,
                     "delta": delta,
                     "window_abs_error": derr,
-                    "moment_abs_error": self.lam_abs_error,
                 }
                 return SmallPCertificate(
                     p=self.p, lam=self.lam, delta=delta, a_param=a_val, margins=margins
@@ -173,11 +171,10 @@ def small_p_parts(spec: dc.DistributionSpec, p: float) -> SmallPParts:
     if not (0.0 < p <= 1.0):
         raise ValueError(f"small-p fitter needs 0 < p <= 1, got {p}")
     mp = _require_normalized(spec, p)
-    half = dc.abs_moment(spec, p / 2.0)
-    lam = half.value / math.sqrt(mp)
+    lam = dc.abs_moment(spec, p / 2.0) / math.sqrt(mp)
     if lam >= 1.0 - 1e-9:
         raise DegenerateModulusError(f"lambda = {lam!r}: |X|^p carries no usable spread")
-    return SmallPParts(spec, p, mp, lam, half.abs_error)
+    return SmallPParts(spec, p, mp, lam)
 
 
 def fit_small_p(
@@ -292,8 +289,8 @@ def fit_large_p(
 
 def verify_small_p(spec: dc.DistributionSpec, cert: SmallPCertificate) -> dict:
     """Recompute the certificate inequalities; slack must survive re-checking."""
-    mp = dc.abs_moment(spec, cert.p).value
-    half = dc.abs_moment(spec, cert.p / 2.0).value
+    mp = dc.abs_moment(spec, cert.p)
+    half = dc.abs_moment(spec, cert.p / 2.0)
     lam_slack = cert.lam * math.sqrt(mp) - half
     delta, derr = delta_window(spec, cert.p, cert.a_param)
     return {

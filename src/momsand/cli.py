@@ -285,7 +285,7 @@ def _certify_pipeline(spec, p: float, resolved: dict):
 def cmd_moments(resolved: dict):
     spec = _spec("--dist", _require(resolved, "dist"))
     qs = _list(resolved, "q")
-    table = [dc.abs_moment(spec, q) for q in qs]
+    table = [{"q": q, "value": dc.abs_moment(spec, q)} for q in qs]
     return {"table": table}, 0
 
 
@@ -380,7 +380,7 @@ def cmd_riesz(resolved: dict):
             raise ValueError(f"--term {i} is outside 0..{seq.m}, the products of --seq")
         comb = RieszCombination(seq, (0.0,) * i + (1.0,))
         torus = riesz_lp_norm(comb, p, quad_points)
-        factor_p = dc.abs_moment(dc.riesz_factor(), p).value
+        factor_p = dc.abs_moment(dc.riesz_factor(), p)
         results = {
             "lacunary": lac,
             "term": i,

@@ -6,8 +6,8 @@ lognormal, exponential, the "Riesz factor" law of 1 + cos U with U uniform on
 [0, 2pi], Rademacher signs, and scaled copies of any of these).  On top of the
 specs the module provides
 
-  * abs_moment: E|X|^q with a method tag (finite sum or closed form; no
-    family needs quadrature) and an absolute error of 0.0,
+  * abs_moment: E|X|^q as a float, from a finite sum or a closed form (no
+    family needs quadrature),
   * normalize_unit_p_moment: rescale so that E|X|^p = 1,
   * expect: E f(X) for arbitrary integrands with declared kink locations,
     used by the hypothesis fitters.
@@ -65,10 +65,6 @@ FAMILIES = (
     RADEMACHER,
     SCALED,
 )
-
-# method tags for MomentEstimate
-CLOSED_FORM = "ClosedForm"
-FINITE_SUM = "FiniteSum"
 
 _PROB_SUM_TOL = 1e-9
 # finite laws with more cut points than this sample by binary search
@@ -164,14 +160,6 @@ def scaled_copy(base: DistributionSpec, scale: float) -> DistributionSpec:
 
 
 @dataclass(frozen=True)
-class MomentEstimate:
-    q: float
-    value: float
-    abs_error: float
-    method: str
-
-
-@dataclass(frozen=True)
 class RandomSource:
     """Counter-based stream identity: (seed, stream_id) keys a Philox stream.
 
@@ -235,8 +223,8 @@ def is_nonnegative(spec: DistributionSpec) -> bool:
 # moments
 
 
-def abs_moment(spec: DistributionSpec, q: float) -> MomentEstimate:
-    """E|X|^q from a finite sum or a closed form, with abs_error 0.0.
+def abs_moment(spec: DistributionSpec, q: float) -> float:
+    """E|X|^q from a finite sum or a closed form.
 
     No family needs quadrature.  Each value carries only the rounding of its
     formula (u = 2^-53):
@@ -258,42 +246,36 @@ def abs_moment(spec: DistributionSpec, q: float) -> MomentEstimate:
     q = float(q)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            est = _family_abs_moment(spec, q)
+            value = _family_abs_moment(spec, q)
     except OverflowError as exc:
         raise NonfiniteMomentError(f"E|X|^q overflows at q = {q} for {spec_to_text(spec)}") from exc
-    if not math.isfinite(est.value):
+    if not math.isfinite(value):
         raise NonfiniteMomentError(
-            f"E|X|^q = {est.value} is not finite at q = {q} for {spec_to_text(spec)}"
+            f"E|X|^q = {value} is not finite at q = {q} for {spec_to_text(spec)}"
         )
-    return est
+    return value
 
 
-def _family_abs_moment(spec: DistributionSpec, q: float) -> MomentEstimate:
+def _family_abs_moment(spec: DistributionSpec, q: float) -> float:
     if spec.family == SCALED:
-        inner = abs_moment(spec.base, q)
-        s = abs(spec.scale) ** q
-        return MomentEstimate(q, s * inner.value, s * inner.abs_error, inner.method)
+        return abs_moment(spec.base, q) * abs(spec.scale) ** q
 
     sup = finite_support(spec)
     if sup is not None:
         vals, probs = sup
-        value = math.fsum(p * abs(v) ** q for v, p in zip(vals, probs))
-        return MomentEstimate(q, value, 0.0, FINITE_SUM)
+        return math.fsum(p * abs(v) ** q for v, p in zip(vals, probs))
 
     if spec.family == UNIFORM:
-        value = _uniform_abs_moment(spec.lo, spec.hi, q)
-        return MomentEstimate(q, value, 0.0, CLOSED_FORM)
+        return _uniform_abs_moment(spec.lo, spec.hi, q)
 
     if spec.family == LOGNORMAL:
-        value = math.exp(q * spec.mu + 0.5 * q * q * spec.sigma * spec.sigma)
-        return MomentEstimate(q, value, 0.0, CLOSED_FORM)
+        return math.exp(q * spec.mu + 0.5 * q * q * spec.sigma * spec.sigma)
 
     if spec.family == EXPONENTIAL:
-        value = math.exp(math.lgamma(q + 1.0) - q * math.log(spec.rate))
-        return MomentEstimate(q, value, 0.0, CLOSED_FORM)
+        return math.exp(math.lgamma(q + 1.0) - q * math.log(spec.rate))
 
     if spec.family == RIESZ_FACTOR:
-        return MomentEstimate(q, _riesz_factor_moment(q), 0.0, CLOSED_FORM)
+        return _riesz_factor_moment(q)
 
     raise AssertionError(f"unhandled family {spec.family}")
 
@@ -335,10 +317,10 @@ def _riesz_factor_moment(q: float) -> float:
 
 def normalize_unit_p_moment(spec: DistributionSpec, p: float):
     """Return (scaled spec, scale) with E|scale*X|^p = 1."""
-    est = abs_moment(spec, p)
-    if est.value <= 0.0:
+    mp = abs_moment(spec, p)
+    if mp <= 0.0:
         raise DegenerateZeroError("cannot normalize a law concentrated at zero")
-    scale = est.value ** (-1.0 / p)
+    scale = mp ** (-1.0 / p)
     return scaled_copy(spec, scale), scale
 
 

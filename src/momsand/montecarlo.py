@@ -52,6 +52,7 @@ from .assumptions import LargePCertificate, PairSpec, draw_pair
 from .constants import LARGE_P, SMALL_P, ConstantBundle, dependent_upper_constant
 from .errors import (
     EnumerationTooLargeError,
+    InvalidOrderError,
     NonfiniteMomentError,
     NotNormalizedError,
 )
@@ -294,9 +295,13 @@ def _outcomes(blocks):
 
 
 def _exact_mean(blocks) -> EstimateWithCI:
-    """Exact mean as one pairwise sum over every outcome."""
-    values, probs = _outcomes(blocks)
-    return _exact(float(np.sum(values * probs)), len(values))
+    """Exact mean over (values, probs) blocks: math.fsum of each block's pairwise sum."""
+    partial = []
+    count = 0
+    for values, probs in blocks:
+        partial.append(float(np.sum(values * probs)))
+        count += len(values)
+    return _exact(math.fsum(partial), count)
 
 
 def _exact_or_sampled(atoms, steps: int, cap: int, exact, sampled) -> EstimateWithCI:
@@ -350,15 +355,10 @@ def enumerate_lhs_distribution(spec, coeffs: CoefficientSet, p: float):
 
 
 def brute_force_lhs(spec, coeffs: CoefficientSet, p: float) -> EstimateWithCI:
-    """Exact E||sum v_i R_i||^p by weighted enumeration, summed block by block."""
+    """Exact E||sum v_i R_i||^p by weighted enumeration."""
     if p <= 0.0:
         raise ValueError("p must be positive")
-    partial = []
-    count = 0
-    for v, pr in _sandwich_walk(spec, coeffs, p):
-        partial.append(float(np.sum(v * pr)))
-        count += len(v)
-    return _exact(math.fsum(partial), count)
+    return _exact_mean(_sandwich_walk(spec, coeffs, p))
 
 
 def _sandwich_lhs(spec, coeffs: CoefficientSet, p: float, reps: int, src) -> EstimateWithCI:
@@ -371,7 +371,7 @@ def _sandwich_lhs(spec, coeffs: CoefficientSet, p: float, reps: int, src) -> Est
 
 def rhs_sum(spec, coeffs: CoefficientSet, p: float) -> float:
     """sum_i ||v_i||^p (E|X|^p)^i with the exact moment oracle."""
-    return lambda_weighted_sum(coeffs, p, dc.abs_moment(spec, p).value)
+    return lambda_weighted_sum(coeffs, p, dc.abs_moment(spec, p))
 
 
 def _bracket_verdict(est: EstimateWithCI, constants, base: float, base_se: float = 0.0) -> str:
@@ -505,9 +505,9 @@ def _b_norm_moment(
     if all(s is not None for s in supports) and math.prod(len(s[0]) for s in supports) <= PERP_CAP:
         b, prob = _product_atoms(supports)
         with np.errstate(over="ignore", invalid="ignore"):
-            return _exact(float(np.sum(holder_norm(b, pair.norm) ** p * prob)), len(prob))
+            return _exact_mean([(holder_norm(b, pair.norm) ** p, prob)])
     if pair.dim == 1:
-        return _exact(dc.abs_moment(pair.b_specs[0], p).value, 0)
+        return _exact(dc.abs_moment(pair.b_specs[0], p), 0)
     gen = src.child(10_000).generator()
     _, b = draw_pair(pair, max(reps, MIN_REPS), gen)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -558,8 +558,10 @@ def goldie_bracket(
     how the bracket fails without that normalization (the fixed-point
     degeneracy).
     """
+    if not (0.0 < p < math.inf):
+        raise InvalidOrderError(f"moment order must be positive and finite, got {p}")
     if require_normalized:
-        mp = dc.abs_moment(pair.x_spec, p).value
+        mp = dc.abs_moment(pair.x_spec, p)
         if abs(mp - 1.0) > 1e-9:
             raise NotNormalizedError(
                 f"pair has E X^p = {mp!r}; normalize X or pass require_normalized=False"

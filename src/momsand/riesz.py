@@ -65,7 +65,7 @@ from .errors import (
     NotLacunaryError,
     TooFewPointsError,
 )
-from .montecarlo import EstimateWithCI, coefficient_set, estimate_lhs
+from .montecarlo import EstimateWithCI, _exact, coefficient_set, estimate_lhs
 
 MAX_TERM = 2**20
 MIN_POINTS = 4096
@@ -268,13 +268,9 @@ def _probabilistic_side(
         for i, ai in enumerate(coeffs):
             for j, aj in enumerate(coeffs):
                 total += ai * aj * m2 ** min(i, j)
-        return EstimateWithCI(
-            mean=total, std_error=0.0, replications=0, seed=None, exact=True
-        )
+        return _exact(total, 0)
     if p == 1.0 and all(a >= 0.0 for a in coeffs):
-        return EstimateWithCI(
-            mean=math.fsum(coeffs), std_error=0.0, replications=0, seed=None, exact=True
-        )
+        return _exact(math.fsum(coeffs), 0)
     return estimate_lhs(spec, coefficient_set(list(coeffs)), p, reps, src)
 
 
@@ -305,7 +301,7 @@ def corollary_check(
         raise NonfiniteMomentError(
             f"probabilistic side E|sum a_i R_i|^p at p = {p} is not finite"
         )
-    factor_p = dc.abs_moment(dc.riesz_factor(), p).value
+    factor_p = dc.abs_moment(dc.riesz_factor(), p)
     if per_term_torus is None:
         per_term_torus = [
             riesz_lp_norm(RieszCombination(comb.seq, (0.0,) * i + (1.0,)), p, quad_points).value

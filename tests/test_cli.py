@@ -46,7 +46,7 @@ def test_moments_riesz_table(capsys):
     table = report["results"]["table"]
     assert table[0]["value"] == pytest.approx(1.0)
     assert table[1]["value"] == pytest.approx(1.5)
-    assert table[0]["method"] != "MonteCarlo"
+    assert [sorted(row) for row in table] == [["q", "value"]] * 2
 
 
 def test_malformed_dist_is_usage_error(capsys):
@@ -339,6 +339,11 @@ def test_nonfinite_results_are_usage_errors(capsys, argv, message):
 
 # finite Riesz moments past q = 510, where a quadrature raised an IntegrationWarning
 FINITE_LARGE_Q = ["moments", "--dist", "riesz", "--q", "600,1000.5"]
+# the demo never normalizes X, so its bracket must check the order itself
+FIXED_POINT_ORDERS = [
+    ["perpetuity", "--fixed-point-demo", f"--p={p}", "--reps", "2000"]
+    for p in ("0", "-1", "nan", "inf")
+]
 
 
 @pytest.mark.parametrize("threads", [None, "2"])
@@ -350,7 +355,8 @@ FINITE_LARGE_Q = ["moments", "--dist", "riesz", "--q", "600,1000.5"]
     + [["verify", "--dist", "riesz", "--p", "inf", "--n", "3"],
        ["moments", "--dist", "riesz", "--q", "inf"],
        ["verify", "--config", "CONFIG"]]
-    + [FINITE_LARGE_Q],
+    + [FINITE_LARGE_Q]
+    + FIXED_POINT_ORDERS,
 )
 def test_nonfinite_paths_emit_no_numpy_warnings(capsys, monkeypatch, tmp_path, threads, argv):
     if "CONFIG" in argv:
@@ -373,6 +379,8 @@ def test_nonfinite_paths_emit_no_numpy_warnings(capsys, monkeypatch, tmp_path, t
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+    if argv in FIXED_POINT_ORDERS:
+        assert "moment order must be positive and finite" in err
 
 
 def test_riesz_dense_sequence_exit_three(capsys):

