@@ -20,10 +20,10 @@ E||acc||^p is computed by one of two backends:
     report depends on (seed, stream, reps), never on the worker count.
   * _walk, exact enumeration of finite per-step atoms (x, b, prob),
     lexicographic with step 1 most significant.  The last steps, at most
-    1e5 paths of them, are walked once from acc = 0, r = 1 into sums S;
-    each prefix (acc0, r0) of the earlier steps then yields one block
-    acc0 + r0 * S, one fused pass per outcome, and peak memory stays
-    bounded.
+    1e5 paths of them (or the last step alone, if it is wider), are walked
+    once from acc = 0, r = 1 into sums S; each prefix (acc0, r0) of the
+    earlier steps then yields one block acc0 + r0 * S, one fused pass per
+    outcome, and peak memory stays bounded.
 
 Both keep acc coordinate-major, (d, m) for m paths, so each update is one
 contiguous pass per coordinate instead of m short rows of d.  Each element
@@ -248,8 +248,10 @@ def _walk(steps, tail, dim: int, norm: str, p: float, cap: int):
 
     steps lists each step's atoms (x, b, prob), b holding one row per atom;
     tail, when given, adds r * tail after the last step.  The last steps, at
-    most ENUM_BLOCK paths of them, form the suffix: it is walked once from
-    acc = 0, r = 1, tail included, giving its sums S and probabilities q.
+    most ENUM_BLOCK paths of them, form the suffix; a last step wider than
+    ENUM_BLOCK forms it alone, so that its atoms make one block and not one
+    block each.  The suffix is walked once from acc = 0, r = 1, tail
+    included, giving its sums S and probabilities q.
     Each prefix (acc0, r0, p0) of the first `split` steps then yields one
     block, acc0 + r0 * S with probabilities p0 * q.  S is held as (d, M), see
     the module docstring.
@@ -261,7 +263,7 @@ def _walk(steps, tail, dim: int, norm: str, p: float, cap: int):
             f"{total} outcomes over {len(widths)} steps exceed the cap of {cap:,}"
         )
     split = 0
-    while math.prod(widths[split:]) > ENUM_BLOCK:
+    while split < len(widths) - 1 and math.prod(widths[split:]) > ENUM_BLOCK:
         split += 1
     acc, r, q = np.zeros((dim, 1)), np.ones(1), np.ones(1)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -223,9 +223,14 @@ def _plain_quantile(spec, u):
     return 1.0 - np.cos(np.pi * u)
 
 
+QUARTERS = dc.finitely_supported([(2.0, 0.25), (-1.0, 0.5), (0.5, 0.25)])
+EIGHTHS = dc.finitely_supported([(0.3, 0.125), (-2.0, 0.25), (1.0, 0.5), (-0.7, 0.125)])
+
 SAMPLED_LAWS = {
     **{f"{k}_atoms": _atoms_law(k) for k in (2, 5, 32, 33, 34)},
     "scaled_atoms_negative": dc.scaled_copy(_atoms_law(5), -0.75),
+    "eighths": EIGHTHS,
+    "scaled_quarters_negative": dc.scaled_copy(QUARTERS, -1.5),
     "uniform": dc.uniform(-1.0, 2.0),
     "lognormal": dc.log_normal(0.1, 0.7),
     "exponential": dc.exponential(2.5),
@@ -234,6 +239,34 @@ SAMPLED_LAWS = {
     "scaled_uniform_negative": dc.scaled_copy(dc.uniform(0.0, 2.0), -1.5),
     "scaled_lognormal": dc.scaled_copy(dc.log_normal(0.0, 0.5), 2.0),
 }
+
+
+def _dyadic_bits(spec):
+    """The least k <= 8 with every probability a multiple of 2^-k, or None."""
+    support = dc.finite_support(spec)
+    if support is None:
+        return None
+    return next(
+        (k for k in range(1, 9) if all((pr * 2**k).is_integer() for pr in support[1])), None
+    )
+
+
+def _reference_draws(spec, shape, gen):
+    """sample's contract by its letter, in one call over all the draws.
+
+    A dyadic law reads k bits per draw, ceil(draws k / 64) raw words spread
+    by np.unpackbits, and each group of k bits, first bit most significant,
+    picks the quantile at the midpoint (j + 1/2) / 2^k of slot j.  Any other
+    law maps one uniform per draw.
+    """
+    k = _dyadic_bits(spec)
+    if k is None:
+        return _plain_quantile(spec, gen.random(shape))
+    count = math.prod(shape) * k
+    words = gen.bit_generator.random_raw(-(-count // 64))
+    bits = np.unpackbits(words.view(np.uint8), count=count).reshape(-1, k)
+    idx = bits @ (1 << np.arange(k - 1, -1, -1))
+    return _plain_quantile(spec, (idx + 0.5) / 2**k).reshape(shape)
 
 
 @pytest.mark.parametrize("law", sorted(SAMPLED_LAWS))
@@ -251,9 +284,11 @@ def test_in_place_sampling_matches_fresh_arrays(law):
     aliased = u.copy()
     assert dc.quantile(spec, aliased, out=aliased).tobytes() == want
 
+    # rademacher, eighths and scaled_quarters_negative are dyadic and draw
+    # from bits (past two chunks of draws); every other law from one uniform each
     src = dc.RandomSource(5, 2)
     drawn = dc.sample(spec, shape, src.generator(block=3))
-    assert drawn.tobytes() == _plain_quantile(spec, src.generator(block=3).random(shape)).tobytes()
+    assert drawn.tobytes() == _reference_draws(spec, shape, src.generator(block=3)).tobytes()
     into = dc.sample(spec, shape, src.generator(block=3), out=buf[:700])
     assert into.tobytes() == drawn.tobytes()
     assert np.shares_memory(into, buf)
@@ -264,6 +299,60 @@ def test_quantile_rejects_an_out_it_cannot_fill():
     for out in (np.empty(9), np.empty(20)[::2]):
         with pytest.raises(ValueError, match="C-contiguous"):
             dc.quantile(dc.uniform(0.0, 1.0), u, out=out)
+
+
+DYADIC_LAWS = {
+    "twopoint_half": (dc.two_point(0.5, 1.5, 0.5), 1),
+    "rademacher": (dc.rademacher_sign(), 1),
+    "quarters_unsorted": (QUARTERS, 2),
+    "eighths": (EIGHTHS, 3),
+    "at_2^-8": (dc.finitely_supported([(0.25, 1 / 256), (4.0, 127 / 256), (-0.5, 0.5)]), 8),
+    "scaled_quarters_negative": (dc.scaled_copy(QUARTERS, -1.5), 2),
+}
+
+
+@pytest.mark.parametrize("law", sorted(DYADIC_LAWS))
+def test_dyadic_table_gives_each_atom_its_slots(law):
+    spec, k = DYADIC_LAWS[law]
+    table = dc._dyadic_table(spec)
+    assert table.size == 2**k and _dyadic_bits(spec) == k
+    assert np.all(np.diff(table) >= 0.0)
+    vals, probs = dc.finite_support(spec)
+    for v in np.unique(vals):
+        assert np.count_nonzero(table == v) == math.fsum(probs[vals == v]) * 2**k
+    # the table is cached and read-only
+    assert dc._dyadic_table(spec) is table and not table.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [dc.two_point(0.5, 1.5, 0.3), dc.finitely_supported([(1.0, 2.0**-9), (2.0, 1.0 - 2.0**-9)])],
+    ids=["pa_0.3", "at_2^-9"],
+)
+def test_non_dyadic_laws_keep_the_uniform_draw(spec):
+    assert dc._dyadic_table(spec) is None
+    src = dc.RandomSource(8, 1)
+    drawn = dc.sample(spec, 5000, src.generator())
+    assert drawn.tobytes() == dc.quantile(spec, src.generator().random(5000)).tobytes()
+
+
+@pytest.mark.parametrize("law", ["twopoint_half", "quarters_unsorted", "eighths"])
+def test_dyadic_draw_frequencies(law):
+    spec, _ = DYADIC_LAWS[law]
+    draws = 10**6
+    x = dc.sample(spec, draws, dc.RandomSource(17, 3).generator())
+    vals, probs = dc.finite_support(spec)
+    assert np.isin(x, vals).all()
+    for v, pr in zip(vals, probs):
+        # each count is Binomial(draws, pr); 5 standard deviations
+        sd = math.sqrt(draws * pr * (1.0 - pr))
+        assert abs(np.count_nonzero(x == v) - draws * pr) <= 5.0 * sd
+
+
+@pytest.mark.parametrize("spec", [dc.rademacher_sign(), dc.uniform(0.0, 1.0)], ids=["bits", "uniform"])
+def test_sample_rejects_an_out_it_cannot_fill(spec):
+    with pytest.raises(ValueError, match="contiguous"):
+        dc.sample(spec, 10, dc.RandomSource(1).generator(), out=np.empty(20)[::2])
 
 
 def test_sampling_determinism_and_stream_separation():
