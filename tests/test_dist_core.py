@@ -231,6 +231,8 @@ SAMPLED_LAWS = {
     "scaled_atoms_negative": dc.scaled_copy(_atoms_law(5), -0.75),
     "eighths": EIGHTHS,
     "scaled_quarters_negative": dc.scaled_copy(QUARTERS, -1.5),
+    "twopoint_pa_0.3": dc.two_point(0.5, 1.5, 0.3),
+    "at_2^-9": dc.finitely_supported([(1.0, 2.0**-9), (2.0, 1.0 - 2.0**-9)]),
     "uniform": dc.uniform(-1.0, 2.0),
     "lognormal": dc.log_normal(0.1, 0.7),
     "exponential": dc.exponential(2.5),
@@ -285,7 +287,8 @@ def test_in_place_sampling_matches_fresh_arrays(law):
     assert dc.quantile(spec, aliased, out=aliased).tobytes() == want
 
     # rademacher, eighths and scaled_quarters_negative are dyadic and draw
-    # from bits (past two chunks of draws); every other law from one uniform each
+    # from bits (past two chunks of draws); every other law, twopoint_pa_0.3
+    # and at_2^-9 among them, from one uniform each
     src = dc.RandomSource(5, 2)
     drawn = dc.sample(spec, shape, src.generator(block=3))
     assert drawn.tobytes() == _reference_draws(spec, shape, src.generator(block=3)).tobytes()
@@ -322,18 +325,6 @@ def test_dyadic_table_gives_each_atom_its_slots(law):
         assert np.count_nonzero(table == v) == math.fsum(probs[vals == v]) * 2**k
     # the table is cached and read-only
     assert dc._dyadic_table(spec) is table and not table.flags.writeable
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [dc.two_point(0.5, 1.5, 0.3), dc.finitely_supported([(1.0, 2.0**-9), (2.0, 1.0 - 2.0**-9)])],
-    ids=["pa_0.3", "at_2^-9"],
-)
-def test_non_dyadic_laws_keep_the_uniform_draw(spec):
-    assert dc._dyadic_table(spec) is None
-    src = dc.RandomSource(8, 1)
-    drawn = dc.sample(spec, 5000, src.generator())
-    assert drawn.tobytes() == dc.quantile(spec, src.generator().random(5000)).tobytes()
 
 
 @pytest.mark.parametrize("law", ["twopoint_half", "quarters_unsorted", "eighths"])
