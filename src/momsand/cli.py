@@ -309,6 +309,8 @@ def cmd_verify(resolved: dict):
     p = _require(resolved, "p")
     reps = resolved["reps"]
     sets = _verify_coefficients(resolved)
+    if resolved["csv"] and sets and sets[0].n == 0:
+        raise ValueError(f"--csv {resolved['csv']}: the first set has n = 0, so no path is sampled")
     spec, scale = dc.normalize_unit_p_moment(spec0, p)
     src = dc.RandomSource(resolved["seed"], 0)
     try:
@@ -316,6 +318,8 @@ def cmd_verify(resolved: dict):
     except DegenerateModulusError as exc:
         # No certificate can exist; report the ratio blow-up that explains why.
         text, n = resolved["coeffs"], resolved["n"]
+        if resolved["csv"]:
+            raise ValueError(f"--csv {resolved['csv']}: a degenerate |X| samples no paths to dump")
         if text and text.startswith("random:"):
             raise ValueError(
                 f"--coeffs {text}: the sign counterexample for a degenerate |X| "
@@ -348,7 +352,7 @@ def cmd_verify(resolved: dict):
         rows.append({"coefficients": list(coeffs.vectors), "report": rep})
         any_fail = any_fail or rep.verdict == mc.FAIL
         all_pass = all_pass and rep.verdict == mc.PASS
-    if resolved.get("csv"):
+    if resolved["csv"]:
         mc.estimate_lhs(spec, sets[0], p, reps, src.child(700), csv_path=resolved["csv"])
     ratios = [row["report"].ratio for row in rows]
     results = {
@@ -405,10 +409,14 @@ def cmd_perpetuity(resolved: dict):
     norm = resolved["norm"]
     src = dc.RandomSource(resolved["seed"], 0)
     if resolved.get("fixed_point_demo"):
+        for key in ("dist", "b_dist", "grid_a", "grid_q"):
+            if resolved[key]:
+                raise ValueError(f"--{key.replace('_', '-')}: --fixed-point-demo runs its own pair")
+        if resolved["coupling"] != "independent":
+            raise ValueError("--coupling: --fixed-point-demo runs its own independent pair")
         pair = PairSpec(
             x_spec=dc.finitely_supported([(0.5, 1.0)]),
             b_specs=(dc.finitely_supported([(1.0, 1.0)]),),
-            coupling="independent",
             norm=norm,
         )
         n_list = _list(resolved, "n_list", int) or [1, 2, 4, 8, 16, 32, 64]

@@ -30,11 +30,11 @@ contiguous pass per coordinate instead of m short rows of d.  Each element
 still goes through the same IEEE operations (r * b is computed as b * r,
 which rounds the same), so no value changes with the layout.
 
-_exact_or_sampled picks between them: enumerate when the outcome count
-fits the cap (ENUM_CAP = 1e7 for the sandwich, PERP_CAP = 1e6 for the
-perpetuity), otherwise sample.  The sandwich verdict against
-sum_i ||v_i||^p (E|X|^p)^i, the perpetuity bracket and the signed
-counterexample for a degenerate |X| are built on top.
+_exact_or_sampled alone picks between them, for the sandwich, each
+perpetuity row and E||B||^p = E||S_1||^p: enumerate when the step atoms are
+finite and their outcomes fit ENUM_CAP = 1e7, otherwise sample.  The
+sandwich verdict against sum_i ||v_i||^p (E|X|^p)^i, the perpetuity bracket
+and the signed counterexample for a degenerate |X| are built on top.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .errors import (
 CHUNK = 4096
 ENUM_CAP = 10**7
 ENUM_BLOCK = 10**5
-PERP_CAP = 10**6
 MIN_REPS = 10**3
 
 PASS = "PASS"
@@ -243,7 +242,7 @@ def _sample_paths(block_steps, tail, dim: int, norm: str, p: float, reps: int,
     return _stats(values, reps, src.seed)
 
 
-def _walk(steps, tail, dim: int, norm: str, p: float, cap: int):
+def _walk(steps, tail, dim: int, norm: str, p: float):
     """Enumeration backend: yield (values of ||acc||^p, probs) blocks in path order.
 
     steps lists each step's atoms (x, b, prob), b holding one row per atom;
@@ -257,11 +256,6 @@ def _walk(steps, tail, dim: int, norm: str, p: float, cap: int):
     the module docstring.
     """
     widths = [len(x) for x, _, _ in steps]
-    total = math.prod(widths)
-    if total > cap:
-        raise EnumerationTooLargeError(
-            f"{total} outcomes over {len(widths)} steps exceed the cap of {cap:,}"
-        )
     split = 0
     while split < len(widths) - 1 and math.prod(widths[split:]) > ENUM_BLOCK:
         split += 1
@@ -306,10 +300,14 @@ def _exact_mean(blocks) -> EstimateWithCI:
     return _exact(math.fsum(partial), count)
 
 
-def _exact_or_sampled(atoms, steps: int, cap: int, exact, sampled) -> EstimateWithCI:
-    """Run exact() when the step atoms are finite and width^steps <= cap, else sampled()."""
-    if atoms is not None and len(atoms[0]) ** steps <= cap:
+def _exact_or_sampled(atoms, steps: int, exact, sampled=None):
+    """The engine choice: exact() when atoms, one step's, are finite and steps of them make
+    at most ENUM_CAP outcomes, else sampled(); with no sampled, EnumerationTooLargeError."""
+    total = math.inf if atoms is None else len(atoms[0]) ** steps
+    if total <= ENUM_CAP:
         return exact()
+    if sampled is None:
+        raise EnumerationTooLargeError(f"{total} outcomes exceed the cap of {ENUM_CAP:,}")
     return sampled()
 
 
@@ -348,7 +346,9 @@ def _sandwich_walk(spec: dc.DistributionSpec, coeffs: CoefficientSet, p: float):
     svals, sprobs = support
     vmat = coeffs.matrix()
     steps = [(svals, np.tile(v, (len(svals), 1)), sprobs) for v in vmat[:-1]]
-    return _walk(steps, vmat[-1], coeffs.dim, coeffs.norm, p, ENUM_CAP)
+    return _exact_or_sampled(
+        support, coeffs.n, lambda: _walk(steps, vmat[-1], coeffs.dim, coeffs.norm, p)
+    )
 
 
 def enumerate_lhs_distribution(spec, coeffs: CoefficientSet, p: float):
@@ -365,7 +365,7 @@ def brute_force_lhs(spec, coeffs: CoefficientSet, p: float) -> EstimateWithCI:
 
 def _sandwich_lhs(spec, coeffs: CoefficientSet, p: float, reps: int, src) -> EstimateWithCI:
     return _exact_or_sampled(
-        dc.finite_support(spec), coeffs.n, ENUM_CAP,
+        dc.finite_support(spec), coeffs.n,
         lambda: brute_force_lhs(spec, coeffs, p),
         lambda: estimate_lhs(spec, coeffs, p, reps, src),
     )
@@ -458,26 +458,13 @@ def perpetuity_lhs(
     return _sample_paths(block_steps, None, pair.dim, pair.norm, p, reps, src, None)
 
 
-def _product_atoms(supports):
-    """Lexicographic joint atoms of independent finite laws: (values, column j = law j; probs)."""
-    grids = np.meshgrid(*[np.arange(len(v)) for v, _ in supports], indexing="ij")
-    flat = [g.ravel() for g in grids]
-    prob = np.ones(flat[0].size)
-    for (_, pr), idx in zip(supports, flat):
-        prob = prob * pr[idx]
-    return np.column_stack([v[idx] for (v, _), idx in zip(supports, flat)]), prob
-
-
 def _pair_branches(pair: PairSpec):
     """Joint (x, B, prob) atoms of one step, or None if not finite."""
-    xs = dc.finite_support(pair.x_spec)
-    if xs is None:
-        return None
-    bs = [dc.finite_support(b) for b in pair.b_specs]
-    if any(b is None for b in bs):
+    laws = [dc.finite_support(s) for s in (pair.x_spec, *pair.b_specs)]
+    if any(law is None for law in laws):
         return None
     if pair.coupling == "comonotone-scalar":
-        xp, bp = xs[1], bs[0][1]
+        xp, bp = laws[0][1], laws[1][1]
         cuts = np.unique(np.concatenate([[0.0], np.cumsum(xp)[:-1], np.cumsum(bp)[:-1], [1.0]]))
         widths = np.diff(cuts)
         keep = widths > 1e-15
@@ -485,7 +472,13 @@ def _pair_branches(pair: PairSpec):
         x = dc.quantile(pair.x_spec, mids)
         b = dc.quantile(pair.b_specs[0], mids)[:, None]
         return x, b, widths[keep]
-    values, prob = _product_atoms([xs, *bs])
+    # independent laws: lexicographic joint atoms, X most significant, column j = law j
+    grids = np.meshgrid(*[np.arange(len(v)) for v, _ in laws], indexing="ij")
+    flat = [g.ravel() for g in grids]
+    prob = np.ones(flat[0].size)
+    for (_, pr), idx in zip(laws, flat):
+        prob = prob * pr[idx]
+    values = np.column_stack([v[idx] for (v, _), idx in zip(laws, flat)])
     return values[:, 0], values[:, 1:], prob
 
 
@@ -496,25 +489,23 @@ def brute_force_perpetuity(pair: PairSpec, n: int, p: float) -> EstimateWithCI:
     branches = _pair_branches(pair)
     if branches is None:
         raise ValueError("exact perpetuity needs finite-support X and B")
-    return _exact_mean(_walk([branches] * n, None, pair.dim, pair.norm, p, PERP_CAP))
+    return _exact_or_sampled(
+        branches, n, lambda: _exact_mean(_walk([branches] * n, None, pair.dim, pair.norm, p))
+    )
 
 
 def _b_norm_moment(
     pair: PairSpec, p: float, reps: int, src: dc.RandomSource
 ) -> EstimateWithCI:
-    """E||B||^p: exact for finite or scalar B, Monte Carlo otherwise."""
-    supports = [dc.finite_support(b) for b in pair.b_specs]
-    if all(s is not None for s in supports) and math.prod(len(s[0]) for s in supports) <= PERP_CAP:
-        b, prob = _product_atoms(supports)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _exact_mean([(holder_norm(b, pair.norm) ** p, prob)])
-    if pair.dim == 1:
+    """E||B||^p as the row n = 1, E||S_1||^p; in closed form for a scalar B that is not finite."""
+    if pair.dim == 1 and dc.finite_support(pair.b_specs[0]) is None:
         return _exact(dc.abs_moment(pair.b_specs[0], p), 0)
-    gen = src.child(10_000).generator()
-    _, b = draw_pair(pair, max(reps, MIN_REPS), gen)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = holder_norm(b, pair.norm) ** p
-    return _stats(values, len(values), src.seed)
+    b_only = replace(pair, x_spec=dc.finitely_supported([(1.0, 1.0)]), coupling="independent")
+    return _exact_or_sampled(
+        _pair_branches(b_only), 1,
+        lambda: brute_force_perpetuity(b_only, 1, p),
+        lambda: perpetuity_lhs(pair, 1, p, max(reps, MIN_REPS), src.child(10_000)),
+    )
 
 
 def bracket_constants(
@@ -575,7 +566,7 @@ def goldie_bracket(
     branches = _pair_branches(pair)
     for idx, n in enumerate(n_list):
         est = _exact_or_sampled(
-            branches, n, PERP_CAP,
+            branches, n,
             lambda: brute_force_perpetuity(pair, n, p),
             lambda: perpetuity_lhs(pair, n, p, reps, src.child(idx)),
         )

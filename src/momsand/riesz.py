@@ -65,7 +65,7 @@ from .errors import (
     NotLacunaryError,
     TooFewPointsError,
 )
-from .montecarlo import EstimateWithCI, _exact, coefficient_set, estimate_lhs
+from .montecarlo import EstimateWithCI, _exact, _sandwich_lhs, coefficient_set
 
 MAX_TERM = 2**20
 MIN_POINTS = 4096
@@ -271,7 +271,7 @@ def _probabilistic_side(
         return _exact(total, 0)
     if p == 1.0 and all(a >= 0.0 for a in coeffs):
         return _exact(math.fsum(coeffs), 0)
-    return estimate_lhs(spec, coefficient_set(list(coeffs)), p, reps, src)
+    return _sandwich_lhs(spec, coefficient_set(list(coeffs)), p, reps, src)
 
 
 def corollary_check(

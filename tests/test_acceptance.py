@@ -306,7 +306,8 @@ def test_criterion_08_goldie_bracket():
     exact_rows = mc.goldie_bracket(pair, 2.0, list(range(1, 7)), constants, 1000, src)
     exact_ok = all(r.exact and r.verdict == mc.PASS for r in exact_rows)
 
-    mc_rows = mc.goldie_bracket(pair, 2.0, [10, 25, 50], constants, 100_000, src.child(1))
+    # 4^10 outcomes fit ENUM_CAP, so the first sampled horizon is n = 12 (4^12 ~ 16.8M)
+    mc_rows = mc.goldie_bracket(pair, 2.0, [12, 25, 50], constants, 100_000, src.child(1))
     mc_ok = all((not r.exact) and r.verdict == mc.PASS for r in mc_rows)
 
     demo_pair = PairSpec(
@@ -333,7 +334,7 @@ def test_criterion_08_goldie_bracket():
     conclude(
         ok,
         "criterion 8: bracket holds exactly for n=1..6, by MC (1e5 reps) for "
-        f"n=10,25,50, and the fixed-point pair sinks to {middles[-1]:.4f} "
+        f"n=12,25,50, and the fixed-point pair sinks to {middles[-1]:.4f} "
         "(< 0.05 lower edge, verdict FAIL)",
     )
 

@@ -445,6 +445,23 @@ def test_csv_dump_is_written_before_the_stats_consume_it(tmp_path, capsys):
     assert hashlib.blake2b(data, digest_size=8).hexdigest() == "30ec41d74b71ad3a"
 
 
+def test_csv_with_a_lone_term_is_usage_error(tmp_path, capsys):
+    # n = 0 samples no path, so there is nothing to dump
+    path = tmp_path / "draws.csv"
+    argv = ["verify", "--dist", TP, "--p", "1.0", "--coeffs", "1", "--csv", str(path)]
+    assert _usage_error_line(capsys, argv).startswith("usage error: --csv ")
+    assert not path.exists()
+
+
+def test_csv_with_a_degenerate_modulus_is_usage_error(tmp_path, capsys):
+    # a degenerate |X| runs the sign counterexample, which dumps nothing
+    path = tmp_path / "draws.csv"
+    argv = ["verify", "--dist", "rademacher", "--p", "4", "--n", "10", "--reps", "2000",
+            "--csv", str(path)]
+    assert _usage_error_line(capsys, argv).startswith("usage error: --csv ")
+    assert not path.exists()
+
+
 def test_config_file_and_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -985,6 +1002,23 @@ def test_config_mistake_is_usage_error(capsys, tmp_path, case):
     # one usage error line, or the parser's usage text and its error line
     assert re.search(rf"^(usage error: |momsand {command}: error: argument ){flag}\b",
                      err.splitlines()[-1])
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("dist", UNIFORM), ("b_dist", "uniform:lo=0,hi=1"), ("grid_a", "2"), ("grid_q", "3"),
+     ("coupling", "comonotone-scalar")],
+)
+def test_fixed_point_demo_rejects_a_pair_it_would_not_run(capsys, tmp_path, key, value, via):
+    flag = "--" + key.replace("_", "-")
+    if via == "flag":
+        argv = ["perpetuity", "--fixed-point-demo", f"{flag}={value}"]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"fixed_point_demo": True, key: value}))
+        argv = ["perpetuity", "--config", str(path)]
+    assert _usage_error_line(capsys, argv).startswith(f"usage error: {flag}")
 
 
 def test_config_b_dist_text_is_one_spec(capsys, tmp_path):

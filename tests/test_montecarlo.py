@@ -347,7 +347,7 @@ def test_prefix_split_walk_matches_unsplit_perpetuity(monkeypatch, coupling):
     whole, split = _split_and_unsplit(
         monkeypatch,
         lambda: mc._outcomes(
-            mc._walk([mc._pair_branches(pair)] * 5, None, pair.dim, pair.norm, 2.5, mc.PERP_CAP)
+            mc._walk([mc._pair_branches(pair)] * 5, None, pair.dim, pair.norm, 2.5)
         ),
     )
     assert len(whole[0]) == len(mc._pair_branches(pair)[0]) ** 5
@@ -376,7 +376,7 @@ def test_walk_keeps_a_wide_last_step_in_one_block(monkeypatch):
     est = mc.brute_force_perpetuity(pair, 1, 2.0)
     assert blocks == [1]
     assert est.exact and est.replications == 2 * 400 * 400
-    values, probs = mc._outcomes(mc._walk([mc._pair_branches(pair)], None, 2, "l2", 2.0, mc.PERP_CAP))
+    values, probs = mc._outcomes(mc._walk([mc._pair_branches(pair)], None, 2, "l2", 2.0))
     assert est.mean == pytest.approx(math.fsum(values * probs), rel=2.0**-52, abs=0.0)
 
 
@@ -486,7 +486,7 @@ def test_walk_matches_naive_perpetuity(monkeypatch, pair, block):
         x, b, prob = mc._pair_branches(pair)
         step = list(zip(x, b.tolist(), prob))
     want = _naive_walk([step] * n, None, pair.norm, p)
-    walk = mc._walk([mc._pair_branches(pair)] * n, None, pair.dim, pair.norm, p, mc.PERP_CAP)
+    walk = mc._walk([mc._pair_branches(pair)] * n, None, pair.dim, pair.norm, p)
     _assert_same_outcomes(mc._outcomes(walk), want)
     est = mc.brute_force_perpetuity(pair, n, p)
     assert est.exact and est.replications == len(want[0])
@@ -638,7 +638,7 @@ def _pinned_walks():
         runs[f"perpetuity_d2_{norm}"] = (
             lambda pair=pair: mc.brute_force_perpetuity(pair, 5, 2.5),
             lambda pair=pair: mc._outcomes(
-                mc._walk([mc._pair_branches(pair)] * 5, None, 2, pair.norm, 2.5, mc.PERP_CAP)),
+                mc._walk([mc._pair_branches(pair)] * 5, None, 2, pair.norm, 2.5)),
         )
     return runs
 

@@ -9,7 +9,7 @@ from momsand import dist_core as dc
 from momsand import montecarlo as mc
 from momsand.assumptions import PairSpec, fit_large_p, fit_small_p
 from momsand.constants import lower_constant_large_p, optimize_small_p
-from momsand.errors import ChainLengthMismatchError, NotNormalizedError
+from momsand.errors import ChainLengthMismatchError, EnumerationTooLargeError, NotNormalizedError
 from momsand.montecarlo import (
     _b_norm_moment,
     bracket_constants,
@@ -127,6 +127,36 @@ def test_b_norm_moment_vector_exact():
     assert out.mean == pytest.approx(expected, rel=1e-13)
 
 
+def test_b_norm_moment_samples_a_continuous_vector_b_as_the_first_row():
+    # S_1 = B_1, so a B that is neither finite nor scalar is the n = 1 perpetuity row
+    pair = PairSpec(X_P1, (dc.uniform(0.0, 1.0), dc.exponential(1.0)), norm="l2")
+    out = _b_norm_moment(pair, 2.0, reps=5000, src=src(4))
+    want = perpetuity_lhs(pair, 1, 2.0, 5000, src(4).child(10_000))
+    assert not out.exact
+    assert out == want  # every field, mean and std_error bit for bit
+    # too few reps are raised to MIN_REPS, as for every sampled moment
+    assert _b_norm_moment(pair, 2.0, reps=0, src=src(4)).replications == mc.MIN_REPS
+
+
+# five X atoms times two B atoms: 10 joint atoms per step, so 10^n outcomes
+TEN_ATOM_PAIR = PairSpec(
+    dc.finitely_supported([(0.2, 0.2), (0.6, 0.2), (1.0, 0.2), (1.4, 0.2), (1.8, 0.2)]),
+    (B_SPEC,),
+)
+
+
+def test_one_cap_bounds_the_perpetuity_rows():
+    rows = goldie_bracket(
+        TEN_ATOM_PAIR, 1.0, [7, 8], (0.01, 100.0, True), reps=1000, src=src(),
+        require_normalized=False,
+    )
+    assert [(row.n, row.exact, row.middle.replications) for row in rows] == [
+        (7, True, mc.ENUM_CAP), (8, False, 1000)
+    ]
+    with pytest.raises(EnumerationTooLargeError):
+        brute_force_perpetuity(TEN_ATOM_PAIR, 8, 1.0)
+
+
 def test_goldie_bracket_independent_exact_rows():
     pair = indep_pair()
     cert = fit_large_p(X_P2, 2.0)
@@ -145,7 +175,8 @@ def test_goldie_bracket_monte_carlo_rows():
     pair = indep_pair()
     cert = fit_large_p(X_P2, 2.0)
     constants = bracket_constants(2.0, lower_constant_large_p(cert), cert)
-    rows = goldie_bracket(pair, 2.0, [10, 25, 50], constants, reps=100_000, src=src(3))
+    # 4^10 outcomes fit ENUM_CAP, so the first sampled horizon is n = 12 (4^12 ~ 16.8M)
+    rows = goldie_bracket(pair, 2.0, [12, 25, 50], constants, reps=100_000, src=src(3))
     for row in rows:
         assert not row.exact
         assert row.middle.std_error > 0

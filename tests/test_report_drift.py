@@ -1,13 +1,22 @@
-"""tools/report_drift.py on two small hand-written report directories."""
+"""tools/report_drift.py on two small hand-written report directories, and the
+strict JSON that tools/bench_reports.py stores."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-_spec = importlib.util.spec_from_file_location("report_drift", ROOT / "tools" / "report_drift.py")
-report_drift = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(report_drift)
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+report_drift = _load("report_drift")
+bench_reports = _load("bench_reports")
 
 
 def _report(code, stdout, stderr=""):
@@ -21,17 +30,16 @@ def _write(directory, reports):
 
 
 def test_report_drift_lists_changed_leaves_keys_and_exit_codes(tmp_path, capsys):
-    # bench_reports.py strips the last key, wall_time_s, and leaves its comma behind
-    same = _report(0, '{\n  "value": 1.0,\n\n}\n')
+    same = _report(0, '{\n  "value": 1.0\n}\n')
     old = {
         "torus-1-same": same,
-        "torus-1-term": _report(0, '{\n  "a": [2.0, 3.0],\n  "tag": "Quadrature",\n\n}\n'),
-        "torus-7-term": _report(0, '{\n  "a": [2.0, 4.0],\n\n}\n'),
+        "torus-1-term": _report(0, '{\n  "a": [2.0, 3.0],\n  "tag": "Quadrature"\n}\n'),
+        "torus-7-term": _report(0, '{\n  "a": [2.0, 4.0]\n}\n'),
     }
     new = {
         "torus-1-same": same,
-        "torus-1-term": _report(0, '{\n  "a": [2.0, 3.0000000000000004],\n  "tag": "ClosedForm",\n\n}\n'),
-        "torus-7-term": _report(0, '{\n  "a": [2.0, 4.4],\n\n}\n'),
+        "torus-1-term": _report(0, '{\n  "a": [2.0, 3.0000000000000004],\n  "tag": "ClosedForm"\n}\n'),
+        "torus-7-term": _report(0, '{\n  "a": [2.0, 4.4]\n}\n'),
     }
     _write(tmp_path / "old", old)
     _write(tmp_path / "new", new)
@@ -63,3 +71,15 @@ def test_report_drift_lists_changed_leaves_keys_and_exit_codes(tmp_path, capsys)
         "  key stdout: dict -> NoneType",
         "  stderr: '' -> 'usage error: x\\n'",
     ]
+
+
+def test_bench_reports_stores_strict_json_without_wall_time():
+    from momsand.cli import main
+
+    text = bench_reports.run_op(main, ["moments", "--dist", "riesz", "--q", "1,2"])
+    code, body, err = report_drift.parse_report(text)
+    assert (code, err) == ("0", "")
+    assert isinstance(body, dict) and "wall_time_s" not in body
+    assert body["results"]["table"][1]["value"] == 1.5
+    # written back as the CLI writes it
+    assert f"--- stdout\n{json.dumps(body, indent=2, sort_keys=True)}\n--- stderr\n" in text

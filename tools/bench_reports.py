@@ -4,34 +4,40 @@
 
 Builds each workload's batch for each SEED (bench/workloads.py), runs every
 operation through `momsand.cli.main` in this process, and writes
-OUTDIR/<workload>-<seed>-<op>.txt holding the exit code, stdout with its
-wall_time_s line removed (bench/checks.py) and stderr.  Two checkouts'
-reports are byte-identical exactly when `diff -r` of their two OUTDIRs is
-empty; PYTHONPATH picks the checkout whose momsand runs.
+OUTDIR/<workload>-<seed>-<op>.txt holding the exit code, stdout and stderr.
+The stdout report is parsed, its wall_time_s key dropped and the rest
+written back as the CLI writes it (indent 2, sorted keys), so every stored
+report is strict JSON.  Two checkouts' reports are byte-identical exactly
+when `diff -r` of their two OUTDIRs is empty; PYTHONPATH picks the checkout
+whose momsand runs.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
 
-from checks import strip_wall_time  # noqa: E402
 from workloads import WORKLOADS, build  # noqa: E402
 
 
 def run_op(main, argv) -> str:
-    """Exit code, stripped stdout and stderr of one CLI call, as one text."""
+    """Exit code, stdout report without wall_time_s and stderr of one CLI call, as one text."""
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     except SystemExit as exc:
         code = exc.code
-    stdout = strip_wall_time(out.getvalue())
+    stdout = out.getvalue()
+    if stdout:
+        report = json.loads(stdout)
+        del report["wall_time_s"]
+        stdout = json.dumps(report, indent=2, sort_keys=True) + "\n"
     return f"exit: {code}\n--- stdout\n{stdout}--- stderr\n{err.getvalue()}"
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import sys
 
 
@@ -24,8 +23,6 @@ def parse_report(text: str):
     """(exit code, stdout JSON or text, stderr) of one bench_reports.py file."""
     head, _, rest = text.partition("\n--- stdout\n")
     stdout, _, stderr = rest.partition("--- stderr\n")
-    # removing the last key, wall_time_s, leaves a comma before the closing brace
-    stdout = re.sub(r",\s*}\s*$", "\n}\n", stdout)
     try:
         body = json.loads(stdout) if stdout.strip() else None
     except ValueError:
