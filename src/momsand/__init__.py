@@ -2,11 +2,12 @@
 
 The objects of study are sums sum_i v_i R_i where R_0 = 1 and R_i is the
 running product X_1 ... X_i of i.i.d. factors.  The package fits the
-hypothesis certificates (moment ratios, window masses, truncation levels),
-derives the explicit sandwich constants with full derivation traces, and
-verifies the resulting bounds by exact enumeration, quadrature, and seeded
-Monte Carlo -- including the perpetuity partial sums S_n = sum R_{i-1} B_i
-and the torus-side Riesz product comparison.
+hypothesis certificates (moment ratios, window masses, truncation levels)
+from closed-form moments and truncated moments, derives the explicit
+sandwich constants with full derivation traces, and verifies the resulting
+bounds by exact enumeration, seeded Monte Carlo and torus quadrature --
+including the perpetuity partial sums S_n = sum R_{i-1} B_i and the
+torus-side Riesz product comparison.
 """
 
 __version__ = "0.1.0"

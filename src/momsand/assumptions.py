@@ -16,10 +16,10 @@ SmallPParts and LargePParts hold what does not depend on the grid, fitted
 once; their certificate() assembles the certificate at one grid point, for
 fit_small_p/fit_large_p and for the scans in constants alike.
 
-Certificates carry margins (distance to the degenerate boundary plus the
-quadrature error absorbed) and re-verify against the moment oracle.  Only
-deterministic moment methods are allowed inside certificates; a Monte Carlo
-moment would poison reproducibility.
+Certificates carry margins (distances to the degenerate boundary) and
+re-verify against the closed-form oracles dist_core.abs_moment and, for E|X|,
+mu, the tail and delta(A), dist_core.expect.  Only deterministic moments are
+allowed inside certificates; a Monte Carlo moment would poison reproducibility.
 
 The module also owns PairSpec, the (X, B) pair model for perpetuity partial
 sums, and an advisory fixed-point check for the nondegeneracy condition
@@ -116,29 +116,10 @@ def _lp_norm(spec: dc.DistributionSpec, r: float) -> float:
     return dc.abs_moment(spec, r) ** (1.0 / r)
 
 
-def _tail_mass(spec: dc.DistributionSpec, m1: float, cut: float):
-    """E||X| - m1| 1{|X| > cut} with its absolute error."""
-    return dc.expect(
-        spec,
-        lambda x: abs(abs(x) - m1) if abs(x) > cut else 0.0,
-        breaks=[-cut, -m1, m1, cut],
-    )
-
-
 def delta_window(spec: dc.DistributionSpec, p: float, a_param: float, m: float | None = None):
-    """Window mass E(|X|^p - m) 1{m <= |X|^p <= A m}, m = E|X|^p if not given; with error."""
+    """Window mass E(|X|^p - m) 1{m <= |X|^p <= A m} over m, m = E|X|^p if not given."""
     m = dc.abs_moment(spec, p) if m is None else m
-    lo = m ** (1.0 / p)
-    hi = (a_param * m) ** (1.0 / p)
-
-    def fn(x: float) -> float:
-        ax = abs(x) ** p
-        if m <= ax <= a_param * m:
-            return ax - m
-        return 0.0
-
-    value, err = dc.expect(spec, fn, breaks=[-hi, -lo, lo, hi])
-    return value / m, err / m
+    return dc.expect(spec, p, m, m, a_param * m) / m
 
 
 @dataclass(frozen=True)
@@ -151,15 +132,11 @@ class SmallPParts:
     lam: float
 
     def certificate(self, a_val: float) -> SmallPCertificate:
-        """The certificate at A; EmptyWindowError unless delta(A) clears its error."""
+        """The certificate at A; EmptyWindowError unless delta(A) > 1e-12."""
         if a_val > 1.0:
-            delta, derr = delta_window(self.spec, self.p, a_val, self.mp)
-            if delta > max(1e-12, 2.0 * derr):
-                margins = {
-                    "lambda_gap": 1.0 - self.lam,
-                    "delta": delta,
-                    "window_abs_error": derr,
-                }
+            delta = delta_window(self.spec, self.p, a_val, self.mp)
+            if delta > 1e-12:
+                margins = {"lambda_gap": 1.0 - self.lam, "delta": delta}
                 return SmallPCertificate(
                     p=self.p, lam=self.lam, delta=delta, a_param=a_val, margins=margins
                 )
@@ -210,14 +187,12 @@ class LargePParts:
     norm_p: float
     m1: float
     mu: float
-    mu_abs_error: float
     chain: tuple[float, ...]
 
-    def tail(self, a_val: float):
-        """(tail, abs error) over ||X||_p at A if the tail is at most mu/4, else None."""
-        t_val, t_err = _tail_mass(self.spec, self.m1, a_val * self.norm_p)
-        t_val /= self.norm_p
-        return (t_val, t_err / self.norm_p) if t_val <= self.mu / 4.0 + _SLACK else None
+    def tail(self, a_val: float) -> float | None:
+        """E||X| - E|X|| 1{|X| > A ||X||_p} over ||X||_p if it is at most mu/4, else None."""
+        t_val = dc.expect(self.spec, 1.0, self.m1, a_val * self.norm_p) / self.norm_p
+        return t_val if t_val <= self.mu / 4.0 + _SLACK else None
 
     def lam(self, q: float):
         """lambda(q) = ||X||_q / ||X||_p for q strictly inside (max(p-1, 1), p), else None."""
@@ -240,9 +215,7 @@ class LargePParts:
                 )
         margins = {
             "mu": self.mu,
-            "mu_abs_error": self.mu_abs_error,
-            "tail_slack": self.mu / 4.0 - tail[0],
-            "tail_abs_error": tail[1],
+            "tail_slack": self.mu / 4.0 - tail,
             "lambda_gap": 1.0 - lam,
             "chain_gap_min": min((1.0 - lk for lk in self.chain), default=1.0),
         }
@@ -256,15 +229,14 @@ def large_p_parts(spec: dc.DistributionSpec, p: float) -> LargePParts:
     if not (p > 1.0):
         raise ValueError(f"large-p fitter needs p > 1, got {p}")
     norm_p = _require_normalized(spec, p) ** (1.0 / p)
-    m1, m1_err = dc.expect(spec, abs, breaks=[0.0])
-    mu, mu_err = dc.expect(spec, lambda x: abs(abs(x) - m1), breaks=[-m1, 0.0, m1])
-    mu /= norm_p
+    m1 = dc.expect(spec, 1.0)
+    mu = dc.expect(spec, 1.0, m1) / norm_p
     if mu < 1e-9:
         raise DegenerateModulusError(f"mu = {mu!r}: |X| is numerically constant")
     chain = tuple(
         _lp_norm(spec, p - k) / _lp_norm(spec, p - k + 1.0) for k in range(1, math.ceil(p))
     )
-    return LargePParts(spec, p, norm_p, m1, mu, (mu_err + m1_err) / norm_p, chain)
+    return LargePParts(spec, p, norm_p, m1, mu, chain)
 
 
 def fit_large_p(
@@ -292,20 +264,19 @@ def verify_small_p(spec: dc.DistributionSpec, cert: SmallPCertificate) -> dict:
     mp = dc.abs_moment(spec, cert.p)
     half = dc.abs_moment(spec, cert.p / 2.0)
     lam_slack = cert.lam * math.sqrt(mp) - half
-    delta, derr = delta_window(spec, cert.p, cert.a_param)
+    delta = delta_window(spec, cert.p, cert.a_param)
     return {
         "lambda_slack": lam_slack,
         "delta_recomputed": delta,
         "delta_gap": delta - cert.delta,
-        "window_abs_error": derr,
     }
 
 
 def verify_large_p(spec: dc.DistributionSpec, cert: LargePCertificate) -> dict:
     norm_p = _lp_norm(spec, cert.p)
-    m1, _ = dc.expect(spec, abs, breaks=[0.0])
-    mad, _ = dc.expect(spec, lambda x: abs(abs(x) - m1), breaks=[-m1, 0.0, m1])
-    tail, _ = _tail_mass(spec, m1, cert.a_param * norm_p)
+    m1 = dc.expect(spec, 1.0)
+    mad = dc.expect(spec, 1.0, m1)
+    tail = dc.expect(spec, 1.0, m1, cert.a_param * norm_p)
     checks = {
         "mu_slack": mad - cert.mu * norm_p,
         "tail_slack": cert.mu / 4.0 * norm_p - tail,

@@ -309,8 +309,6 @@ def cmd_verify(resolved: dict):
     p = _require(resolved, "p")
     reps = resolved["reps"]
     sets = _verify_coefficients(resolved)
-    if resolved["csv"] and sets and sets[0].n == 0:
-        raise ValueError(f"--csv {resolved['csv']}: the first set has n = 0, so no path is sampled")
     spec, scale = dc.normalize_unit_p_moment(spec0, p)
     src = dc.RandomSource(resolved["seed"], 0)
     try:
@@ -348,12 +346,13 @@ def cmd_verify(resolved: dict):
     any_fail = False
     all_pass = True
     for d, coeffs in enumerate(sets):
-        rep = mc.run_sandwich(spec, p, coeffs, constants, reps, src.child(600 + d))
+        csv_path = resolved["csv"] if d == 0 else None
+        rep = mc.run_sandwich(spec, p, coeffs, constants, reps, src.child(600 + d), csv_path)
         rows.append({"coefficients": list(coeffs.vectors), "report": rep})
         any_fail = any_fail or rep.verdict == mc.FAIL
         all_pass = all_pass and rep.verdict == mc.PASS
-    if resolved["csv"]:
-        mc.estimate_lhs(spec, sets[0], p, reps, src.child(700), csv_path=resolved["csv"])
+    if resolved["csv"] and rows[0]["report"].lhs.exact:
+        raise ValueError(f"--csv {resolved['csv']}: the first set is exact, so no path is sampled")
     ratios = [row["report"].ratio for row in rows]
     results = {
         "normalized_spec": dc.spec_to_text(spec),

@@ -9,8 +9,9 @@ specs the module provides
   * abs_moment: E|X|^q as a float, from a finite sum or a closed form (no
     family needs quadrature),
   * normalize_unit_p_moment: rescale so that E|X|^p = 1,
-  * expect: E f(X) for arbitrary integrands with declared kink locations,
-    used by the hypothesis fitters.
+  * expect: the truncated moment E||X|^r - shift| 1{a < |X|^r <= b} behind
+    E|X|, the mean absolute deviation, its tail and the window mass that
+    the hypothesis fitters use, again from a finite sum or a closed form.
 
 Sampling is counter-based: a RandomSource is a (seed, stream_id) pair and
 every draw is a deterministic function of it, so identical sources reproduce
@@ -30,10 +31,10 @@ Text form: specs parse from "family:key=value,..." strings, for example
 "finite:atoms=-1@0.25|0.5@0.5|2@0.25", and
 "scaled:scale=0.5,base=(twopoint:a=1,b=3,pa=0.5)".
 
-SciPy loads on first use, in two places: quadrature for expect
-(integrate.quad, called as a module attribute so that rebinding it reaches
-every call) and the lognormal quantile (ndtri).  Importing the package,
-abs_moment and any work on finite laws never load it.
+SciPy loads on first use, as scipy.special only, in two places: expect on
+an exponential or Riesz factor law (the incomplete gamma and beta functions)
+and the lognormal quantile (ndtri).  Importing the package, abs_moment, any
+work on finite laws and expect on the other laws never load it.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def _family_abs_moment(spec: DistributionSpec, q: float) -> float:
         return math.fsum(p * abs(v) ** q for v, p in zip(vals, probs))
 
     if spec.family == UNIFORM:
-        return _uniform_abs_moment(spec.lo, spec.hi, q)
+        return _truncated_moment(spec, q, 0.0, math.inf, False)
 
     if spec.family == LOGNORMAL:
         return math.exp(q * spec.mu + 0.5 * q * q * spec.sigma * spec.sigma)
@@ -284,18 +285,6 @@ def _family_abs_moment(spec: DistributionSpec, q: float) -> float:
         return _riesz_factor_moment(q)
 
     raise AssertionError(f"unhandled family {spec.family}")
-
-
-def _uniform_abs_moment(lo: float, hi: float, q: float) -> float:
-    # integral of |x|^q over [lo, hi] divided by the width; split at 0 if needed
-    width = hi - lo
-    if lo >= 0.0:
-        num = hi ** (q + 1.0) - lo ** (q + 1.0)
-    elif hi <= 0.0:
-        num = (-lo) ** (q + 1.0) - (-hi) ** (q + 1.0)
-    else:
-        num = (-lo) ** (q + 1.0) + hi ** (q + 1.0)
-    return num / ((q + 1.0) * width)
 
 
 def _riesz_factor_moment(q: float) -> float:
@@ -470,81 +459,73 @@ def _dyadic_table(spec: DistributionSpec):
 
 
 # ---------------------------------------------------------------------------
-# general expectations (used by the hypothesis fitters)
+# truncated moments (used by the hypothesis fitters)
 
 
-def expect(spec: DistributionSpec, fn, breaks=()):
-    """E fn(X) and an absolute error bound.
+def expect(spec: DistributionSpec, r: float, shift: float = 0.0, a: float = -1.0,
+           b: float = math.inf) -> float:
+    """E||X|^r - shift| 1{a < |X|^r <= b} for r > 0 and shift >= 0.
 
-    fn is a scalar callable.  breaks lists x-locations where fn kinks or
-    jumps; quadrature subdivides there so window indicators and absolute
-    values integrate accurately.  Finite-support laws sum exactly.
+    A finite law sums its atoms' terms with math.fsum.  A scaled copy sX is
+    |s|^r times its base's value at shift, a and b over |s|^r.  A continuous
+    law splits the window at |X|^r = shift and reads the side below from
+    lower truncated moments, the side above from upper (tail) ones, so that
+    a deep tail keeps its relative accuracy.
     """
-    if spec.family == SCALED:
-        s = spec.scale
-        inner_breaks = [bk / s for bk in breaks]
-        return expect(spec.base, lambda x: fn(s * x), inner_breaks)
-
     sup = finite_support(spec)
     if sup is not None:
-        vals, probs = sup
-        value = math.fsum(p * fn(v) for v, p in zip(vals, probs))
-        return value, 0.0
+        terms = [pr * abs(t - shift) for v, pr in zip(*sup) if a < (t := abs(v) ** r) <= b]
+        return math.fsum(terms)
+    if spec.family == SCALED:
+        c = abs(spec.scale) ** r
+        return c * expect(spec.base, r, shift / c, a / c, b / c)
+    total = 0.0
+    for t_lo, t_hi, upper in ((a, min(b, shift), False), (max(a, shift), b, True)):
+        x_lo, x_hi = max(t_lo, 0.0) ** (1.0 / r), max(t_hi, 0.0) ** (1.0 / r)
+        if x_lo < x_hi:
+            side = (_truncated_moment(spec, r, x_lo, x_hi, upper)
+                    - shift * _truncated_moment(spec, 0.0, x_lo, x_hi, upper))
+            total += side if upper else -side
+    return total
 
+
+def _truncated_moment(spec: DistributionSpec, k: float, lo: float, hi: float,
+                      upper: bool) -> float:
+    """E|X|^k 1{lo < |X| <= hi} of a continuous law, 0 <= lo < hi <= inf.
+
+    Uniform: powers of the parts of [lo, hi] on either side of 0.  Otherwise
+    E|X|^k times the increment of the law tilted by |x|^k, read from its
+    upper tail when upper is set: the normal CDF at (log x - mu) / sigma -
+    k sigma (math.erfc) for a lognormal law, the regularized incomplete gamma
+    function at (k + 1, rate x) for an exponential one, and the regularized
+    incomplete beta function at (k + 1/2, 1/2, x / 2) for the Riesz factor,
+    since X / 2 is Beta(1/2, 1/2).
+    """
     if spec.family == UNIFORM:
-        width = spec.hi - spec.lo
-        return _quad_segments(lambda x: fn(x) / width, spec.lo, spec.hi, breaks)
-
-    if spec.family == LOGNORMAL:
-        m, s = spec.mu, spec.sigma
-
-        def integrand(x: float) -> float:
-            z = (math.log(x) - m) / s
-            dens = math.exp(-0.5 * z * z) / (x * s * math.sqrt(2.0 * math.pi))
-            return fn(x) * dens
-
-        return _quad_segments(integrand, 0.0, math.inf, breaks)
-
-    if spec.family == EXPONENTIAL:
-        r = spec.rate
-
-        def integrand(x: float) -> float:
-            return fn(x) * r * math.exp(-r * x)
-
-        return _quad_segments(integrand, 0.0, math.inf, breaks)
-
-    if spec.family == RIESZ_FACTOR:
-        # X = 1 + cos t with t uniform on [0, pi] by symmetry
-        t_breaks = [
-            math.acos(min(1.0, max(-1.0, bk - 1.0))) for bk in breaks if 0.0 <= bk <= 2.0
-        ]
-
-        def integrand(t: float) -> float:
-            return fn(1.0 + math.cos(t)) / math.pi
-
-        return _quad_segments(integrand, 0.0, math.pi, t_breaks)
-
-    raise AssertionError(f"unhandled family {spec.family}")
-
-
-def _quad_segments(f, lo: float, hi: float, knots) -> tuple[float, float]:
-    from scipy import integrate
-
-    pts = sorted({float(k) for k in knots if lo < k < hi})
-    if math.isinf(hi):
-        edges = [lo] + pts
         total = 0.0
-        err = 0.0
-        for left, right in zip(edges[:-1], edges[1:]):
-            v, e = integrate.quad(f, left, right, epsabs=1e-13, epsrel=1e-12, limit=200)
-            total += v
-            err += abs(e)
-        v, e = integrate.quad(f, edges[-1], math.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
-        return total + v, err + abs(e)
-    v, e = integrate.quad(
-        f, lo, hi, points=pts or None, epsabs=1e-13, epsrel=1e-12, limit=200
-    )
-    return v, abs(e)
+        for u, v in ((max(spec.lo, 0.0), spec.hi), (max(-spec.hi, 0.0), -spec.lo)):
+            u, v = max(u, lo), min(v, hi)
+            if u < v:
+                total += v ** (k + 1.0) - u ** (k + 1.0)
+        return total / ((k + 1.0) * (spec.hi - spec.lo))
+    if spec.family == LOGNORMAL:
+        z = [(math.log(x) - spec.mu) / spec.sigma - k * spec.sigma if x > 0.0 else -math.inf
+             for x in (lo, hi)]
+        cdf = [0.5 * math.erfc((zx if upper else -zx) / math.sqrt(2.0)) for zx in z]
+    elif spec.family == EXPONENTIAL:
+        from scipy import special
+
+        fn = special.gammaincc if upper else special.gammainc
+        cdf = fn(k + 1.0, spec.rate * np.array([lo, hi]))
+    elif spec.family == RIESZ_FACTOR:
+        from scipy import special
+
+        fn = special.betaincc if upper else special.betainc
+        cdf = fn(k + 0.5, 0.5, np.minimum([lo, hi], 2.0) / 2.0)
+    else:
+        raise AssertionError(f"unhandled family {spec.family}")
+    mass = float(cdf[0] - cdf[1] if upper else cdf[1] - cdf[0])
+    return mass * _family_abs_moment(spec, k) if k > 0.0 else mass
 
 
 # ---------------------------------------------------------------------------

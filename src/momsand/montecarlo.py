@@ -32,7 +32,8 @@ which rounds the same), so no value changes with the layout.
 
 _exact_or_sampled alone picks between them, for the sandwich, each
 perpetuity row and E||B||^p = E||S_1||^p: enumerate when the step atoms are
-finite and their outcomes fit ENUM_CAP = 1e7, otherwise sample.  The
+finite and their outcomes, counted from the supports' sizes before any atom
+is built, fit ENUM_CAP = 1e7, otherwise sample.  The
 sandwich verdict against sum_i ||v_i||^p (E|X|^p)^i, the perpetuity bracket
 and the signed counterexample for a degenerate |X| are built on top.
 """
@@ -300,10 +301,11 @@ def _exact_mean(blocks) -> EstimateWithCI:
     return _exact(math.fsum(partial), count)
 
 
-def _exact_or_sampled(atoms, steps: int, exact, sampled=None):
-    """The engine choice: exact() when atoms, one step's, are finite and steps of them make
-    at most ENUM_CAP outcomes, else sampled(); with no sampled, EnumerationTooLargeError."""
-    total = math.inf if atoms is None else len(atoms[0]) ** steps
+def _exact_or_sampled(width: int | None, steps: int, exact, sampled=None):
+    """The engine choice: exact() when each step has width atoms (None: not finite) and
+    steps of them make at most ENUM_CAP outcomes, else sampled(); with no sampled,
+    EnumerationTooLargeError.  Neither engine has run when it is called."""
+    total = math.inf if width is None else width**steps
     if total <= ENUM_CAP:
         return exact()
     if sampled is None:
@@ -347,7 +349,7 @@ def _sandwich_walk(spec: dc.DistributionSpec, coeffs: CoefficientSet, p: float):
     vmat = coeffs.matrix()
     steps = [(svals, np.tile(v, (len(svals), 1)), sprobs) for v in vmat[:-1]]
     return _exact_or_sampled(
-        support, coeffs.n, lambda: _walk(steps, vmat[-1], coeffs.dim, coeffs.norm, p)
+        len(svals), coeffs.n, lambda: _walk(steps, vmat[-1], coeffs.dim, coeffs.norm, p)
     )
 
 
@@ -363,11 +365,14 @@ def brute_force_lhs(spec, coeffs: CoefficientSet, p: float) -> EstimateWithCI:
     return _exact_mean(_sandwich_walk(spec, coeffs, p))
 
 
-def _sandwich_lhs(spec, coeffs: CoefficientSet, p: float, reps: int, src) -> EstimateWithCI:
+def _sandwich_lhs(spec, coeffs: CoefficientSet, p: float, reps: int, src,
+                  csv_path: str | None = None) -> EstimateWithCI:
+    """The reported E||sum v_i R_i||^p; csv_path, if the set is sampled, receives its values."""
+    support = dc.finite_support(spec)
     return _exact_or_sampled(
-        dc.finite_support(spec), coeffs.n,
+        None if support is None else len(support[0]), coeffs.n,
         lambda: brute_force_lhs(spec, coeffs, p),
-        lambda: estimate_lhs(spec, coeffs, p, reps, src),
+        lambda: estimate_lhs(spec, coeffs, p, reps, src, csv_path),
     )
 
 
@@ -408,9 +413,11 @@ def run_sandwich(
     constants: tuple[float, float, bool],
     reps: int,
     src: dc.RandomSource,
+    csv_path: str | None = None,
 ) -> SandwichReport:
-    """Compare the (estimated or exact) LHS against the bracket constants times rhs_sum."""
-    lhs = _sandwich_lhs(spec, coeffs, p, reps, src)
+    """Compare the (estimated or exact) LHS against the bracket constants times rhs_sum;
+    a sampled LHS writes its per-path values to csv_path, when given."""
+    lhs = _sandwich_lhs(spec, coeffs, p, reps, src, csv_path)
     rhs = rhs_sum(spec, coeffs, p)
     verdict = _bracket_verdict(lhs, constants, rhs)
     ratio = lhs.mean / rhs if rhs > 0.0 else math.nan
@@ -458,20 +465,33 @@ def perpetuity_lhs(
     return _sample_paths(block_steps, None, pair.dim, pair.norm, p, reps, src, None)
 
 
-def _pair_branches(pair: PairSpec):
-    """Joint (x, B, prob) atoms of one step, or None if not finite."""
+def _comonotone_cells(laws):
+    """(midpoints, widths) of the cells the cut points of X and of B split [0, 1] into."""
+    xp, bp = laws[0][1], laws[1][1]
+    cuts = np.unique(np.concatenate([[0.0], np.cumsum(xp)[:-1], np.cumsum(bp)[:-1], [1.0]]))
+    widths = np.diff(cuts)
+    keep = widths > 1e-15
+    return ((cuts[:-1] + cuts[1:]) / 2.0)[keep], widths[keep]
+
+
+def _pair_width(pair: PairSpec) -> int | None:
+    """How many joint atoms one step has, counted without building them; None if not finite."""
     laws = [dc.finite_support(s) for s in (pair.x_spec, *pair.b_specs)]
     if any(law is None for law in laws):
         return None
     if pair.coupling == "comonotone-scalar":
-        xp, bp = laws[0][1], laws[1][1]
-        cuts = np.unique(np.concatenate([[0.0], np.cumsum(xp)[:-1], np.cumsum(bp)[:-1], [1.0]]))
-        widths = np.diff(cuts)
-        keep = widths > 1e-15
-        mids = ((cuts[:-1] + cuts[1:]) / 2.0)[keep]
+        return len(_comonotone_cells(laws)[1])
+    return math.prod(len(values) for values, _ in laws)
+
+
+def _pair_branches(pair: PairSpec):
+    """Joint (x, B, prob) atoms of one step of a pair whose laws are all finite."""
+    laws = [dc.finite_support(s) for s in (pair.x_spec, *pair.b_specs)]
+    if pair.coupling == "comonotone-scalar":
+        mids, widths = _comonotone_cells(laws)
         x = dc.quantile(pair.x_spec, mids)
         b = dc.quantile(pair.b_specs[0], mids)[:, None]
-        return x, b, widths[keep]
+        return x, b, widths
     # independent laws: lexicographic joint atoms, X most significant, column j = law j
     grids = np.meshgrid(*[np.arange(len(v)) for v, _ in laws], indexing="ij")
     flat = [g.ravel() for g in grids]
@@ -486,11 +506,12 @@ def brute_force_perpetuity(pair: PairSpec, n: int, p: float) -> EstimateWithCI:
     """Exact E||S_n||^p by enumerating the joint step atoms."""
     if n < 1:
         raise ValueError("need n >= 1 terms")
-    branches = _pair_branches(pair)
-    if branches is None:
+    width = _pair_width(pair)
+    if width is None:
         raise ValueError("exact perpetuity needs finite-support X and B")
     return _exact_or_sampled(
-        branches, n, lambda: _exact_mean(_walk([branches] * n, None, pair.dim, pair.norm, p))
+        width, n,
+        lambda: _exact_mean(_walk([_pair_branches(pair)] * n, None, pair.dim, pair.norm, p)),
     )
 
 
@@ -502,7 +523,7 @@ def _b_norm_moment(
         return _exact(dc.abs_moment(pair.b_specs[0], p), 0)
     b_only = replace(pair, x_spec=dc.finitely_supported([(1.0, 1.0)]), coupling="independent")
     return _exact_or_sampled(
-        _pair_branches(b_only), 1,
+        _pair_width(b_only), 1,
         lambda: brute_force_perpetuity(b_only, 1, p),
         lambda: perpetuity_lhs(pair, 1, p, max(reps, MIN_REPS), src.child(10_000)),
     )
@@ -563,10 +584,10 @@ def goldie_bracket(
     b_mom = _b_norm_moment(pair, p, reps, src)
 
     rows = []
-    branches = _pair_branches(pair)
+    width = _pair_width(pair)
     for idx, n in enumerate(n_list):
         est = _exact_or_sampled(
-            branches, n,
+            width, n,
             lambda: brute_force_perpetuity(pair, n, p),
             lambda: perpetuity_lhs(pair, n, p, reps, src.child(idx)),
         )

@@ -441,8 +441,29 @@ def test_csv_dump_is_written_before_the_stats_consume_it(tmp_path, capsys):
     assert main(argv) == 0
     data = path.read_bytes()
     assert data.startswith(b"rep,value\n") and data.count(b"\n") == 5001
-    # pinned bytes: the values as the kernel wrote them, before _stats consumed them
-    assert hashlib.blake2b(data, digest_size=8).hexdigest() == "30ec41d74b71ad3a"
+    # pinned bytes: the values of the reported run (stream 600) as the kernel wrote
+    # them, before _stats consumed them
+    assert hashlib.blake2b(data, digest_size=8).hexdigest() == "bd3502b1bbd17ba6"
+
+
+def test_csv_mean_is_the_reported_mean(tmp_path, capsys):
+    path = tmp_path / "draws.csv"
+    argv = ["verify", "--dist", "uniform:lo=0,hi=2", "--p", "1.5", "--coeffs", "1,-0.5,0.25",
+            "--reps", "5000", "--seed", "3", "--csv", str(path)]
+    code, report, _ = run_cli(capsys, argv)
+    assert code == 0
+    values = np.array([float(line.split(",")[1]) for line in path.read_text().splitlines()[1:]])
+    lhs = report["results"]["reports"][0]["report"]["lhs"]
+    assert lhs["exact"] is False and lhs["replications"] == len(values) == 5000
+    assert np.mean(values) == lhs["mean"]
+
+
+def test_csv_with_an_enumerated_first_set_is_usage_error(tmp_path, capsys):
+    # 2^2 outcomes: the first set is computed exactly, so there are no samples to dump
+    path = tmp_path / "draws.csv"
+    argv = ["verify", "--dist", TP, "--p", "1.0", "--coeffs", "1,-0.5,0.25", "--csv", str(path)]
+    assert _usage_error_line(capsys, argv).startswith("usage error: --csv ")
+    assert not path.exists()
 
 
 def test_csv_with_a_lone_term_is_usage_error(tmp_path, capsys):

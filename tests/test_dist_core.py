@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, ndtri
 
 from momsand import dist_core as dc
+from momsand.assumptions import DEFAULT_A_GRID_LARGE, DEFAULT_A_GRID_SMALL
 from momsand.errors import DegenerateZeroError, InvalidOrderError
 
 
@@ -360,20 +361,115 @@ def test_sampling_determinism_and_stream_separation():
 
 def test_expect_kinked_integrand():
     spec = dc.uniform(0.0, 2.0)
-    value, err = dc.expect(spec, lambda x: abs(x - 0.5), breaks=[0.5])
-    # integral of |x - 1/2| / 2 over [0, 2]
-    assert value == pytest.approx((0.125 + 1.125) / 2.0, rel=1e-12)
-    assert err < 1e-9
+    # E|X - 1/2|: the integral of |x - 1/2| / 2 over [0, 2]
+    assert dc.expect(spec, 1.0, 0.5) == pytest.approx((0.125 + 1.125) / 2.0, rel=1e-15)
 
 
 def test_expect_finite_and_scaled():
     spec = dc.two_point(0.5, 1.5, 0.5)
-    value, err = dc.expect(spec, lambda x: x * x)
-    assert value == pytest.approx(1.25, rel=1e-15)
-    assert err == 0.0
+    assert dc.expect(spec, 2.0) == 1.25
     flipped = dc.scaled_copy(spec, -1.0)
-    value2, _ = dc.expect(flipped, lambda x: x)
-    assert value2 == pytest.approx(-1.0, rel=1e-15)
+    assert dc.expect(flipped, 1.0) == 1.0
+    # only the atom 1.5 lies in the window 1 < |X| <= 2: 0.5 * |1.5 - 1|
+    assert dc.expect(flipped, 1.0, 1.0, 1.0, 2.0) == 0.25
+
+
+# the benchmark's continuous certify laws; each is normalized at every CERTIFY_PS
+CERTIFY_CONTINUOUS = (
+    "riesz",
+    "lognormal:mu=0,sigma=0.5",
+    "exponential:rate=1",
+    "uniform:lo=0,hi=2",
+    "scaled:scale=2,base=(uniform:lo=0,hi=1)",
+)
+CERTIFY_PS = (0.5, 0.9, 1.25, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 8.5)
+
+
+def _truncated_moment_mp(base: dc.DistributionSpec, k, lo, hi):
+    """E Y^k 1{lo < Y <= hi} for a nonnegative continuous base law Y, in mpmath."""
+    if base.family == dc.UNIFORM:
+        lo, hi = max(lo, mpmath.mpf(base.lo)), min(hi, mpmath.mpf(base.hi))
+        if lo >= hi:
+            return mpmath.mpf(0)
+        return (hi ** (k + 1) - lo ** (k + 1)) / ((k + 1) * (mpmath.mpf(base.hi) - base.lo))
+    if base.family == dc.EXPONENTIAL:
+        rate = mpmath.mpf(base.rate)
+        return mpmath.gammainc(k + 1, rate * lo, rate * hi) / rate**k
+    if base.family == dc.RIESZ_FACTOR:
+        # Y / 2 is Beta(1/2, 1/2)
+        lo, hi = min(lo / 2, 1), min(hi / 2, 1)
+        half = mpmath.mpf(0.5)
+        return (2**k * mpmath.betainc(k + half, half, lo, hi) / mpmath.pi)
+    if base.family == dc.LOGNORMAL:
+        mu, sigma = mpmath.mpf(base.mu), mpmath.mpf(base.sigma)
+
+        def z(x):
+            if x == 0:
+                return -mpmath.inf
+            return (mpmath.log(x) - mu) / sigma - k * sigma
+
+        z_lo, z_hi = z(lo), z(hi)
+        # erfc of the side away from the centre, so that tails keep their digits
+        if z_lo >= 0:
+            mass = (mpmath.erfc(z_lo / mpmath.sqrt(2)) - mpmath.erfc(z_hi / mpmath.sqrt(2))) / 2
+        else:
+            mass = (mpmath.erfc(-z_hi / mpmath.sqrt(2)) - mpmath.erfc(-z_lo / mpmath.sqrt(2))) / 2
+        return mpmath.exp(k * mu + k * k * sigma * sigma / 2) * mass
+    raise AssertionError(base.family)
+
+
+def expect_mp(spec: dc.DistributionSpec, r, shift=0.0, a=-1.0, b=math.inf):
+    """E|(sY)^r - shift| 1{a < (sY)^r <= b} for spec = sY, s > 0, at 40 digits."""
+    with mpmath.workdps(40):
+        s, r, shift = mpmath.mpf(spec.scale), mpmath.mpf(r), mpmath.mpf(shift)
+        y_of = lambda t: mpmath.mpf(max(t, 0.0)) ** (1 / r) / s  # noqa: E731
+        y_lo, y_split, y_hi = y_of(a), y_of(shift), y_of(b)
+        total = mpmath.mpf(0)
+        if y_lo < min(y_split, y_hi):
+            lo, hi = y_lo, min(y_split, y_hi)
+            total += (shift * _truncated_moment_mp(spec.base, 0, lo, hi)
+                      - s**r * _truncated_moment_mp(spec.base, r, lo, hi))
+        if max(y_lo, y_split) < y_hi:
+            lo, hi = max(y_lo, y_split), y_hi
+            total += (s**r * _truncated_moment_mp(spec.base, r, lo, hi)
+                      - shift * _truncated_moment_mp(spec.base, 0, lo, hi))
+        return total
+
+
+def _fitter_shapes(spec, p):
+    """(name, r, shift, a, b) of every expect call the fitters make on spec at p."""
+    m1 = dc.expect(spec, 1.0)
+    shapes = [("E|X|", 1.0, 0.0, -1.0, math.inf), ("mu", 1.0, m1, -1.0, math.inf)]
+    if p > 1.0:
+        norm_p = dc.abs_moment(spec, p) ** (1.0 / p)
+        shapes += [(f"tail {a}", 1.0, m1, a * norm_p, math.inf) for a in DEFAULT_A_GRID_LARGE]
+    else:
+        m = dc.abs_moment(spec, p)
+        shapes += [(f"delta {a}", p, m, m, a * m) for a in DEFAULT_A_GRID_SMALL]
+    return shapes
+
+
+# measured maxima on this grid: 9.7e-17, 5.2e-16, 1.0e-14 (lognormal and exponential
+# tails at A = 20) and 1.2e-13 (exponential, p = 0.9, A = 1.1: the narrow window
+# E(|X|^p - m) over E|X|^p cancels about twentyfold)
+EXPECT_BOUNDS = {"E|X|": 4e-16, "mu": 2e-15, "tail": 4e-14, "delta": 5e-13}
+
+
+def test_expect_matches_mpmath_on_the_fitters_shapes():
+    worst = dict.fromkeys(EXPECT_BOUNDS, 0.0)
+    for law in CERTIFY_CONTINUOUS:
+        for p in CERTIFY_PS:
+            spec, _ = dc.normalize_unit_p_moment(dc.parse_spec(law), p)
+            for name, r, shift, a, b in _fitter_shapes(spec, p):
+                exact, value = expect_mp(spec, r, shift, a, b), dc.expect(spec, r, shift, a, b)
+                if exact == 0:  # a bounded law with no mass past the level
+                    assert value == 0.0, (law, p, name)
+                    continue
+                with mpmath.workdps(40):
+                    err = float(abs(mpmath.mpf(value) / exact - 1))
+                kind = name.split()[0]
+                worst[kind] = max(worst[kind], err)
+    assert all(worst[kind] <= bound for kind, bound in EXPECT_BOUNDS.items()), worst
 
 
 def test_finite_support_contents():

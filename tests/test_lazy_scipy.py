@@ -27,7 +27,7 @@ for argv in json.loads(sys.argv[1]):
             code = cli.main(argv)
     except SystemExit as exc:
         code = exc.code
-    rows.append([argv[0], code, "scipy" in sys.modules])
+    rows.append([argv[0], code, sys.argv[2] in sys.modules])
 print(json.dumps(rows))
 """
 
@@ -44,6 +44,11 @@ est = mc.estimate_lhs(spec, coeffs, 1.5, 3 * mc.CHUNK + 5, dc.RandomSource(seed=
 assert "scipy" in sys.modules
 print(est.mean.hex(), est.std_error.hex())
 """
+
+
+def _loads(runs, module="scipy"):
+    """[command, exit code, whether module is loaded after it] for each argv, in one interpreter."""
+    return json.loads(_python(COMMANDS, json.dumps(runs), module))
 
 
 def _python(code, *args, threads=None):
@@ -74,18 +79,44 @@ def test_finite_law_commands_never_load_scipy():
         ["verify", "--dist", TP, "--p", "1.5", "--n", "30", "--coeffs", "random:count=1,seed=3",
          "--reps", "2000"],
         ["certify", "--dist", TP, "--p", "1.0"],
-        # a continuous law needs quadrature, so it comes last
+        # the uniform law's truncated moments are powers, so no quadrature
         ["certify", "--dist", "uniform:lo=0,hi=2", "--p", "1.0"],
     ]
-    rows = json.loads(_python(COMMANDS, json.dumps(runs)))
+    rows = _loads(runs)
     assert rows == [
         ["--help", 0, False],
         ["counterexample", 0, False],
         ["verify", 0, False],
         ["verify", 0, False],
         ["certify", 0, False],
-        ["certify", 0, True],
+        ["certify", 0, False],
     ]
+
+
+def test_certify_on_closed_form_continuous_laws_never_loads_scipy():
+    laws = ["uniform:lo=0,hi=2", "lognormal:mu=0,sigma=0.5",
+            "scaled:scale=2,base=(uniform:lo=0,hi=1)"]
+    runs = [["certify", "--dist", law, "--p", p] for law in laws for p in ("0.5", "2.5")]
+    assert _loads(runs) == [["certify", 0, False]] * len(runs)
+
+
+def test_no_command_loads_scipy_integrate():
+    seq = ["--seq", "4,16,64"]
+    runs = [
+        ["certify", "--dist", "exponential:rate=1", "--p", "0.5"],
+        ["certify", "--dist", "riesz", "--p", "2.5"],
+        ["verify", "--dist", "lognormal:mu=0,sigma=0.5", "--p", "1.5", "--coeffs", "1,-0.5,0.25",
+         "--reps", "2000"],
+        ["perpetuity", "--dist", "exponential:rate=1", "--b-dist", "riesz", "--p", "2",
+         "--n-list", "1,2", "--reps", "2000"],
+        ["riesz", *seq, "--p", "2.5", "--coeffs", "1,0.5,-0.25", "--reps", "2000"],
+        ["moments", "--dist", "lognormal:mu=0,sigma=0.5", "--q", "0.5,3"],
+        ["counterexample", "--n", "30", "--p", "4", "--reps", "2000"],
+    ]
+    rows = _loads(runs, "scipy.integrate")
+    assert rows == [[argv[0], 0, False] for argv in runs]
+    # the commands did load SciPy: the incomplete gamma and beta functions come from it
+    assert _loads(runs[:1]) == [["certify", 0, True]]
 
 
 def test_closed_form_moment_commands_never_load_scipy():
@@ -98,8 +129,7 @@ def test_closed_form_moment_commands_never_load_scipy():
         ["moments", "--dist", "riesz", "--q", "0.5,3,600"],
         ["moments", "--dist", "exponential:rate=1", "--q", "0.5,3"],
     ]
-    rows = json.loads(_python(COMMANDS, json.dumps(runs)))
-    assert rows == [[argv[0], 0, False] for argv in runs]
+    assert _loads(runs) == [[argv[0], 0, False] for argv in runs]
 
 
 @pytest.mark.parametrize("threads", [2, 4])

@@ -157,6 +157,20 @@ def test_one_cap_bounds_the_perpetuity_rows():
         brute_force_perpetuity(TEN_ATOM_PAIR, 8, 1.0)
 
 
+def test_sampled_rows_never_build_the_pairs_joint_atoms(monkeypatch):
+    # 2 x 300 x 300 = 180,000 joint atoms per step: 180,000^2 outcomes pass ENUM_CAP
+    wide = dc.finitely_supported([(float(k), 1.0 / 300) for k in range(1, 301)])
+    pair = PairSpec(x_spec=X_P1, b_specs=(wide, wide))
+    built = []
+    real = mc._pair_branches
+    monkeypatch.setattr(mc, "_pair_branches", lambda p: built.append(p) or real(p))
+    rows = goldie_bracket(pair, 1.0, [2, 3], (0.01, 100.0, True), reps=1000, src=src())
+    assert [row.exact for row in rows] == [False, False]
+    # only E||B||^p enumerates: the 90,000 atoms of B alone, X held at 1
+    assert rows[0].b_moment.exact and rows[0].b_moment.replications == 90_000
+    assert pair not in built
+
+
 def test_goldie_bracket_independent_exact_rows():
     pair = indep_pair()
     cert = fit_large_p(X_P2, 2.0)
