@@ -345,14 +345,15 @@ def cmd_verify(resolved: dict):
     rows = []
     any_fail = False
     all_pass = True
+    csv_path = resolved["csv"]  # the first set's samples, if it is sampled
     for d, coeffs in enumerate(sets):
-        csv_path = resolved["csv"] if d == 0 else None
         rep = mc.run_sandwich(spec, p, coeffs, constants, reps, src.child(600 + d), csv_path)
+        if csv_path and rep.lhs.exact:
+            raise ValueError(f"--csv {csv_path}: the first set is exact, so no path is sampled")
+        csv_path = None
         rows.append({"coefficients": list(coeffs.vectors), "report": rep})
         any_fail = any_fail or rep.verdict == mc.FAIL
         all_pass = all_pass and rep.verdict == mc.PASS
-    if resolved["csv"] and rows[0]["report"].lhs.exact:
-        raise ValueError(f"--csv {resolved['csv']}: the first set is exact, so no path is sampled")
     ratios = [row["report"].ratio for row in rows]
     results = {
         "normalized_spec": dc.spec_to_text(spec),
