@@ -2,14 +2,23 @@
 
 By default the pool has one worker per CPU this process may run on;
 MOMSAND_THREADS caps it, and MOMSAND_THREADS=1 runs every item serially on
-the calling thread.  Results are returned in submission order, so callers
-that combine partial results positionally get the same answer at every
-worker count.  Each worker holds one item's buffers at a time, so memory in
-flight grows with the worker count, by about one item's footprint each.
+the calling thread.  The cap is read on every call, and the process keeps
+one pool per worker count, so its threads start once and later calls reuse
+them.  A call made from inside a pool worker runs its items serially on
+that worker, so nested calls cannot wait on each other.  Results are
+returned in submission order, so callers that combine partial results
+positionally get the same answer at every worker count.  Each worker holds
+one item's buffers at a time, so memory in flight grows with the worker
+count, by about one item's footprint each.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+
+_pools: dict[int, ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
+_worker = threading.local()
 
 
 def _available_cpus() -> int:
@@ -36,11 +45,30 @@ def worker_count() -> int:
     return n
 
 
+def _mark_worker() -> None:
+    _worker.busy = True
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    with _pools_lock:
+        pool = _pools.get(workers)
+        if pool is None:
+            pool = _pools[workers] = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="momsand", initializer=_mark_worker
+            )
+        return pool
+
+
 def map_indexed(fn, items):
-    """Apply fn to every item, preserving list order in the results."""
+    """Apply fn to every item, preserving list order in the results.
+
+    Every item has run when it returns or raises; an item's exception is
+    raised in list order.
+    """
     items = list(items)
     workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
+    if workers <= 1 or len(items) <= 1 or getattr(_worker, "busy", False):
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    futures = [_pool(workers).submit(fn, item) for item in items]
+    wait(futures)
+    return [future.result() for future in futures]

@@ -403,7 +403,8 @@ def _gather_atoms(support, u: np.ndarray, out: np.ndarray) -> None:
         np.take(vals, idx, out=flat_out[start:start + GATHER_CHUNK], mode="clip")
 
 
-def sample(spec: DistributionSpec, size, gen: np.random.Generator, out=None) -> np.ndarray:
+def sample(spec: DistributionSpec, size, gen: np.random.Generator, out=None,
+           raw: bool = False) -> np.ndarray:
     """Draw samples from gen: k random bits per draw for a dyadic finite law,
     one uniform per draw pushed through the quantile map for every other law.
 
@@ -417,16 +418,19 @@ def sample(spec: DistributionSpec, size, gen: np.random.Generator, out=None) -> 
     are read in chunks of GATHER_CHUNK draws, each a whole number of words,
     so they are the bits of one call over all the draws.
 
-    With out, a C-contiguous float array of shape size, the values are
-    written into it (the uniforms too, which are mapped in place), so a
-    caller that reuses out allocates nothing of its size per draw.
+    raw=True stops before the last map and returns the raw draws, which
+    from_raw maps later, all at once: a dyadic law's table indices (uint8)
+    and every other law's uniforms.  With out, a C-contiguous array of
+    shape size and of the returned dtype, the draws are written into it
+    (the uniforms too, which are mapped in place), so a caller that reuses
+    out allocates nothing of its size per draw.
     """
-    table = _dyadic_table(spec)
+    table = dyadic_table(spec)
     if table is None:
         u = gen.random(size) if out is None else gen.random(out=out)
-        return quantile(spec, u, out=u)
+        return u if raw else quantile(spec, u, out=u)
     if out is None:
-        out = np.empty(size)
+        out = np.empty(size, dtype=np.uint8 if raw else float)
     elif not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous array")
     bits_per_draw = table.size.bit_length() - 1
@@ -436,16 +440,31 @@ def sample(spec: DistributionSpec, size, gen: np.random.Generator, out=None) -> 
         count = chunk.size * bits_per_draw
         words = np.asarray(gen.bit_generator.random_raw(-(-count // 64)), dtype="<u8")
         bits = np.unpackbits(words.view(np.uint8), count=count).reshape(-1, bits_per_draw)
-        idx = bits[:, 0].copy()
+        idx = chunk if raw else np.empty(chunk.size, dtype=np.uint8)
+        idx[:] = bits[:, 0]
         for j in range(1, bits_per_draw):
             idx <<= 1
             idx |= bits[:, j]
-        np.take(table, idx, out=chunk, mode="clip")
+        if not raw:
+            np.take(table, idx, out=chunk, mode="clip")
     return out
 
 
+def from_raw(spec: DistributionSpec, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """spec's values of the raw draws sample(spec, ..., raw=True) returned, written into out.
+
+    Table indices (uint8) are looked up in dyadic_table(spec); uniforms go
+    through quantile, and out may then be raw itself.
+    """
+    if raw.dtype == np.uint8:
+        # the indices never leave the table, so "clip" changes no value; unlike
+        # the default "raise" it writes straight into out
+        return np.take(dyadic_table(spec), raw, out=out, mode="clip")
+    return quantile(spec, raw, out=out)
+
+
 @functools.lru_cache(maxsize=64)
-def _dyadic_table(spec: DistributionSpec):
+def dyadic_table(spec: DistributionSpec):
     """The 2^k midpoint quantiles of a dyadic finite law (see sample), else None."""
     support = finite_support(spec)
     if support is None:

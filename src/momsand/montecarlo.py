@@ -11,13 +11,17 @@ the perpetuity's step i is (X_i, B_i) under the coupling PairSpec declares.
 E||acc||^p is computed by one of two backends:
 
   * _sample_paths, seeded Monte Carlo: reps are cut into fixed blocks of
-    4096, block j draws from RandomSource.generator(block=j) and writes
-    its values into its own slice of one preallocated array, which numpy's
-    pairwise sums reduce.  Each worker thread draws into one buffer that it
-    reuses for every block it runs, so memory in flight is about one
-    block per worker.
-    Kernels are elementwise, so no BLAS threading reorders a sum and a
-    report depends on (seed, stream, reps), never on the worker count.
+    4096 paths, and block j draws from RandomSource.generator(block=j).  A
+    worker steps a group of consecutive blocks together, one ufunc call per
+    step over all their paths, and writes their values into the group's
+    slice of one preallocated array, which numpy's pairwise sums reduce.
+    Each block still draws from its own key into its own part of the
+    group's buffers, so a group holds about what one block of float draws
+    did: a dyadic sandwich keeps one-byte table indices and steps 7 blocks,
+    a continuous one keeps its float draws and steps one.
+    Kernels are elementwise, so no BLAS threading reorders a sum, and a
+    report depends on (seed, stream, reps), never on the worker count or
+    the grouping.
   * _walk, exact enumeration of finite per-step atoms (x, b, prob),
     lexicographic with step 1 most significant.  The last steps, at most
     1e5 paths of them (or the last step alone, if it is wider), are walked
@@ -48,8 +52,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dist_core as dc
-from ._pool import map_indexed
-from .assumptions import LargePCertificate, PairSpec, draw_pair
+from ._pool import map_indexed, worker_count
+from .assumptions import LargePCertificate, PairSpec
 from .constants import LARGE_P, SMALL_P, ConstantBundle, dependent_upper_constant
 from .errors import (
     EnumerationTooLargeError,
@@ -203,39 +207,55 @@ def _check_run(p: float, reps: int) -> None:
 # the two backends of the step model
 
 
-def _sample_paths(block_steps, tail, dim: int, norm: str, p: float, reps: int,
-                  src: dc.RandomSource, csv_path: str | None) -> EstimateWithCI:
+def _sample_paths(group_steps, group_cap: int, x_table, tail, dim: int, norm: str, p: float,
+                  reps: int, src: dc.RandomSource, csv_path: str | None) -> EstimateWithCI:
     """Monte Carlo backend: mean of ||acc||^p over reps independent paths.
 
-    block_steps(m, gen, scratch) yields one block's steps (x, b) in order,
-    drawing from gen, b as (d, 1) or (d, m); scratch(n) is the calling
-    worker's (CHUNK, n) buffer, allocated on its first block and reused by
-    the rest.  tail, when given, adds r * tail after the last step.  acc is
-    held as (d, m), see the module docstring.
+    reps are cut into blocks of CHUNK paths, and block j draws from
+    src.generator(block=j).  One pool task steps a group of G consecutive
+    blocks together, G = min(ceil(blocks / workers), group_cap), so each
+    step is one ufunc call over all the group's paths; group_cap is the most
+    blocks whose draw buffers fit in CHUNK * n * 8 bytes, one block's float
+    draws.  group_steps(gens, sizes, scratch) yields the group's steps
+    (x, b) in order: gens and sizes are its blocks' generators and path
+    counts, x runs over the blocks' paths in block order, b is (d, 1) or
+    (d, paths), and scratch(shape, dtype) is the calling worker's buffer,
+    allocated on its first request and reused by the later ones, which it
+    reallocates only when a request outgrows it.  With
+    x_table, x holds indices into it, gathered into the step temporary.
+    tail, when given, adds r * tail after the last step.  acc is held as
+    (d, paths), see the module docstring.
     """
     values = np.empty(reps)
     local = threading.local()
+    blocks = -(-reps // CHUNK)
+    group = max(1, min(-(-blocks // worker_count()), group_cap))
 
-    def scratch(n: int) -> np.ndarray:
+    def scratch(shape, dtype=float) -> np.ndarray:
         buf = getattr(local, "buf", None)
-        if buf is None:
-            buf = local.buf = np.empty((CHUNK, n))
-        return buf
+        if buf is None or buf.shape[0] < shape[0] or buf.shape[1] < shape[1]:
+            buf = local.buf = np.empty(shape, dtype)
+        return buf[:shape[0], :shape[1]]
 
-    def run_block(block) -> None:
-        idx, start = block
-        m = min(CHUNK, reps - start)
+    def run_group(first: int) -> None:
+        ids = range(first, min(first + group, blocks))
+        sizes = [min(CHUNK, reps - j * CHUNK) for j in ids]
+        lo = first * CHUNK
+        m = sum(sizes)
+        # a sandwich draws its group here, before the step temporaries exist
+        steps = group_steps([src.generator(block=j) for j in ids], sizes, scratch)
         r = np.ones(m)
         acc = np.zeros((dim, m))
+        tmp = np.empty((dim, m))
         with np.errstate(over="ignore", invalid="ignore"):
-            for x, b in block_steps(m, src.generator(block=idx), scratch):
-                acc += b * r
-                r *= x
+            for x, b in steps:
+                acc += np.multiply(b, r, out=tmp)
+                r *= x if x_table is None else np.take(x_table, x, out=tmp[0], mode="clip")
             if tail is not None:
-                acc += tail[:, None] * r
-            np.power(holder_norm(acc.T, norm), p, out=values[start:start + m])
+                acc += np.multiply(tail[:, None], r, out=tmp)
+            np.power(holder_norm(acc.T, norm), p, out=values[lo:lo + m])
 
-    map_indexed(run_block, list(enumerate(range(0, reps, CHUNK))))
+    map_indexed(run_group, range(0, blocks, group))
     if csv_path is not None:  # before _stats overwrites values
         with open(csv_path, "w") as fh:
             fh.write("rep,value\n")
@@ -329,13 +349,27 @@ def estimate_lhs(
     _check_run(p, reps)
     if coeffs.n == 0:
         return _exact(_lone_term(coeffs, p), 0, src.seed)
-    vmat = coeffs.matrix()
+    n, vmat = coeffs.n, coeffs.matrix()
+    table = dc.dyadic_table(spec)
 
-    def block_steps(m, gen, scratch):
-        draws = dc.sample(spec, (m, coeffs.n), gen, out=scratch(coeffs.n)[:m])
-        return zip(draws.T, vmat[:-1, :, None])
+    def group_steps(gens, sizes, scratch):
+        if table is None:  # float draws fill the budget: one block, path-major
+            (gen,), (m,) = gens, sizes
+            draws = dc.sample(spec, (m, n), gen, out=scratch((m, n)))
+            return zip(draws.T, vmat[:-1, :, None])
+        # one byte per draw, step-major, so each step reads one contiguous row
+        idx = scratch((n, sum(sizes)), np.uint8)
+        lo = 0
+        for gen, m in zip(gens, sizes):
+            idx[:, lo:lo + m] = dc.sample(spec, (m, n), gen, raw=True).T
+            lo += m
+        return zip(idx, vmat[:-1, :, None])
 
-    return _sample_paths(block_steps, vmat[-1], coeffs.dim, coeffs.norm, p, reps, src, csv_path)
+    # one block's float draws hold the one-byte indices of 8 blocks; one of those
+    # is the block being drawn, before it moves into the group's buffer
+    group_cap = 1 if table is None else np.dtype(float).itemsize - 1
+    return _sample_paths(group_steps, group_cap, table, vmat[-1], coeffs.dim, coeffs.norm, p,
+                         reps, src, csv_path)
 
 
 def _sandwich_walk(spec: dc.DistributionSpec, coeffs: CoefficientSet, p: float):
@@ -457,12 +491,33 @@ def perpetuity_lhs(
         raise ValueError("need n >= 1 terms")
     _check_run(p, reps)
 
-    def block_steps(m, gen, scratch):
-        for _ in range(n):
-            x, b = draw_pair(pair, m, gen)
-            yield x, b.T
+    comonotone = pair.coupling == "comonotone-scalar"
+    # what each block draws at every step, in order: X, then each B column; or
+    # the comonotone coupling's one shared uniform, the raw draw of U(0, 1)
+    laws = [dc.uniform(0.0, 1.0)] if comonotone else [pair.x_spec, *pair.b_specs]
+    x_table = None if comonotone else dc.dyadic_table(pair.x_spec)
 
-    return _sample_paths(block_steps, None, pair.dim, pair.norm, p, reps, src, None)
+    def group_steps(gens, sizes, scratch):
+        m = sum(sizes)
+        b = np.empty((pair.dim, m))
+        # one raw row per law: a dyadic law's table indices, else its uniforms,
+        # which a B column draws into its own row of b and maps there
+        raws = [np.empty(m, np.uint8) if dc.dyadic_table(law) is not None else row
+                for law, row in zip(laws, [np.empty(m), *b])]
+        for _ in range(n):
+            lo = 0
+            for gen, size in zip(gens, sizes):
+                for law, raw in zip(laws, raws):
+                    dc.sample(law, size, gen, out=raw[lo:lo + size], raw=True)
+                lo += size
+            for spec, raw, row in zip(pair.b_specs, raws[:1] if comonotone else raws[1:], b):
+                dc.from_raw(spec, raw, out=row)
+            x = raws[0]
+            yield x if x_table is not None else dc.quantile(pair.x_spec, x, out=x), b
+
+    # a step's draws take 1 + d floats per path, and one block's float draws n
+    return _sample_paths(group_steps, n // (1 + pair.dim), x_table, None, pair.dim, pair.norm,
+                         p, reps, src, None)
 
 
 def _comonotone_cells(laws):

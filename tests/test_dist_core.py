@@ -318,14 +318,14 @@ DYADIC_LAWS = {
 @pytest.mark.parametrize("law", sorted(DYADIC_LAWS))
 def test_dyadic_table_gives_each_atom_its_slots(law):
     spec, k = DYADIC_LAWS[law]
-    table = dc._dyadic_table(spec)
+    table = dc.dyadic_table(spec)
     assert table.size == 2**k and _dyadic_bits(spec) == k
     assert np.all(np.diff(table) >= 0.0)
     vals, probs = dc.finite_support(spec)
     for v in np.unique(vals):
         assert np.count_nonzero(table == v) == math.fsum(probs[vals == v]) * 2**k
     # the table is cached and read-only
-    assert dc._dyadic_table(spec) is table and not table.flags.writeable
+    assert dc.dyadic_table(spec) is table and not table.flags.writeable
 
 
 @pytest.mark.parametrize("law", ["twopoint_half", "quarters_unsorted", "eighths"])

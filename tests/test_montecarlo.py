@@ -135,7 +135,7 @@ def test_serial_uniform_draws_reuse_one_block_buffer(monkeypatch):
     n = 100
     coeffs = mc.coefficient_set([1.0] * (n + 1))
     spec = dc.two_point(-1.0, 1.0, 0.3)
-    assert dc._dyadic_table(spec) is None
+    assert dc.dyadic_table(spec) is None
     tracemalloc.start()
     try:
         mc.estimate_lhs(spec, coeffs, 4.0, reps=2 * mc.CHUNK, src=src(4))
@@ -143,6 +143,71 @@ def test_serial_uniform_draws_reuse_one_block_buffer(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * mc.CHUNK * n * 8
+
+
+def test_serial_dyadic_groups_stay_within_one_block_of_float_draws(monkeypatch):
+    # 16 blocks at one thread form full groups: the group's one-byte indices,
+    # the draw moved into them and the step temporaries stay within the bound
+    # that one block of float draws set at one block per task
+    monkeypatch.setenv("MOMSAND_THREADS", "1")
+    n = 100
+    coeffs = mc.coefficient_set([1.0] * (n + 1))
+    # a first small run loads numpy.random's modules, which are no buffer of the run
+    mc.estimate_lhs(dc.rademacher_sign(), coeffs, 4.0, reps=mc.MIN_REPS, src=src(4))
+    tracemalloc.start()
+    try:
+        mc.estimate_lhs(dc.rademacher_sign(), coeffs, 4.0, reps=16 * mc.CHUNK, src=src(4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * mc.CHUNK * n * 8
+
+
+# 11 full blocks and a short one: at 1, 2 and 3 workers the groups split them
+# as 7 + 5, 6 + 6 and 4 + 4 + 4 blocks when the dyadic cap of 7 applies
+GROUPED_REPS = 11 * mc.CHUNK + 5
+
+
+def _reference_values(reps, src_, block_steps, dim, tail, norm, p):
+    """||acc||^p per path, each block stepped alone from its own generator, as the
+    stream contract has it: block j draws from src_.generator(block=j)."""
+    values = []
+    for j, start in enumerate(range(0, reps, mc.CHUNK)):
+        m = min(mc.CHUNK, reps - start)
+        acc, r = np.zeros((dim, m)), np.ones(m)
+        for x, b in block_steps(m, src_.generator(block=j)):
+            acc = acc + b * r
+            r = r * x
+        if tail is not None:
+            acc = acc + tail[:, None] * r
+        values.append(mc.holder_norm(acc.T, norm) ** p)
+    return np.concatenate(values)
+
+
+@pytest.mark.parametrize("spec, vectors", [
+    (dc.rademacher_sign(), [[1.0], [-0.5], [2.0], [0.25], [1.0], [0.5], [-1.0], [1.5], [0.75]]),
+    (dc.finitely_supported([(0.5, 0.125), (1.0, 0.5), (2.0, 0.375)]),
+     [[1.0], [0.5], [-1.0], [2.0], [0.5], [0.25], [1.0], [-0.5], [1.0]]),
+    (dc.two_point(0.5, 1.5, 0.3), [[1.0], [-0.5], [2.0], [0.25], [1.0], [0.5]]),
+    (dc.uniform(0.0, 2.0), [[1.0, 0.5, -1.0], [0.25, 2.0, 0.0], [-1.5, 0.75, 1.0], [0.5, 0.5, 0.5]]),
+], ids=["rademacher", "dyadic_k3", "twopoint_pa03", "uniform_dim3"])
+def test_grouped_blocks_match_the_per_block_reference(monkeypatch, tmp_path, spec, vectors):
+    coeffs = mc.CoefficientSet(tuple(map(tuple, vectors)), "l2")
+    vmat = coeffs.matrix()
+    p, reps = 2.5, GROUPED_REPS
+
+    def block_steps(m, gen):
+        draws = dc.sample(spec, (m, coeffs.n), gen)
+        return zip(draws.T, vmat[:-1, :, None])
+
+    expect = _reference_values(reps, src(21), block_steps, coeffs.dim, vmat[-1], "l2", p)
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("MOMSAND_THREADS", threads)
+        path = tmp_path / f"values_{threads}.csv"
+        est = mc.estimate_lhs(spec, coeffs, p, reps, src(21), csv_path=str(path))
+        got = np.array([float(line.split(",")[1]) for line in path.read_text().split()[1:]])
+        assert np.array_equal(got, expect)
+        assert est == mc._stats(expect.copy(), reps, 21)
 
 
 def test_scale_equivariance():

@@ -1,0 +1,31 @@
+"""tools/op_times.py on one probe operation."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("op_times", ROOT / "tools" / "op_times.py")
+op_times = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(op_times)
+
+
+def test_op_times_reports_each_setting_and_restores_the_cap(monkeypatch):
+    monkeypatch.setenv("MOMSAND_THREADS", "3")
+    ops = [op for op in op_times.build("mc_paths", 1) if op["id"] == "probe_enum"]
+    best = op_times.time_ops(ops, repeat=2)
+    assert list(best) == ["probe_enum"]
+    assert set(best["probe_enum"]) == {1, 2}
+    assert all(0.0 < t < math.inf for t in best["probe_enum"].values())
+    lines = op_times.table(best).splitlines()
+    assert lines[0].split() == ["op", "1", "thread", "2", "threads", "ratio"]
+    assert [line.split()[0] for line in lines[1:]] == ["probe_enum", "total"]
+    assert op_times.os.environ["MOMSAND_THREADS"] == "3"
+
+
+def test_op_times_rejects_zero_repeats(capsys):
+    with pytest.raises(SystemExit) as exc:
+        op_times.main(["torus", "--repeat", "0"])
+    assert exc.value.code == 2

@@ -7,7 +7,7 @@ import pytest
 
 from momsand import dist_core as dc
 from momsand import montecarlo as mc
-from momsand.assumptions import PairSpec, fit_large_p, fit_small_p
+from momsand.assumptions import PairSpec, draw_pair, fit_large_p, fit_small_p
 from momsand.constants import lower_constant_large_p, optimize_small_p
 from momsand.errors import ChainLengthMismatchError, EnumerationTooLargeError, NotNormalizedError
 from momsand.montecarlo import (
@@ -94,6 +94,37 @@ def test_perpetuity_determinism_and_threads(monkeypatch):
     monkeypatch.setenv("MOMSAND_THREADS", "4")
     b = perpetuity_lhs(pair, 12, 2.0, reps=20_000, src=src(5))
     assert a == b
+
+
+@pytest.mark.parametrize("pair", [
+    # a vector B with a dyadic and a continuous component
+    PairSpec(x_spec=dc.uniform(0.0, 2.0), b_specs=(B_SPEC, dc.exponential(1.0))),
+    # a dyadic X, which steps by its table indices
+    PairSpec(x_spec=X_P2, b_specs=(dc.uniform(0.0, 1.0), dc.two_point(0.4, 1.3, 0.3))),
+    PairSpec(x_spec=dc.uniform(0.0, 2.0), b_specs=(dc.exponential(1.0),),
+             coupling="comonotone-scalar"),
+    # comonotone with a dyadic B: the shared uniform, never B's random bits
+    PairSpec(x_spec=X_P2, b_specs=(B_SPEC,), coupling="comonotone-scalar"),
+], ids=["independent_mixed_b", "independent_dyadic_x", "comonotone", "comonotone_dyadic"])
+def test_grouped_blocks_match_the_per_block_reference(monkeypatch, pair):
+    # 11 full blocks and a short one; at n = 30 the groups split them unevenly
+    # at 1, 2 and 3 workers.  The reference steps each block alone: block j
+    # draws every step's (X, B) from its own generator, in order
+    n, p, reps = 30, 2.0, 11 * mc.CHUNK + 5
+    values = []
+    for j, start in enumerate(range(0, reps, mc.CHUNK)):
+        m = min(mc.CHUNK, reps - start)
+        gen = src(6).generator(block=j)
+        acc, r = np.zeros((pair.dim, m)), np.ones(m)
+        for _ in range(n):
+            x, b = draw_pair(pair, m, gen)
+            acc = acc + b.T * r
+            r = r * x
+        values.append(mc.holder_norm(acc.T, pair.norm) ** p)
+    expect = mc._stats(np.concatenate(values), reps, 6)
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("MOMSAND_THREADS", threads)
+        assert perpetuity_lhs(pair, n, p, reps, src(6)) == expect
 
 
 def test_dependent_upper_constant_anchors():
