@@ -53,9 +53,7 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     with _pools_lock:
         pool = _pools.get(workers)
         if pool is None:
-            pool = _pools[workers] = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="momsand", initializer=_mark_worker
-            )
+            pool = _pools[workers] = ThreadPoolExecutor(workers, initializer=_mark_worker)
         return pool
 
 
