@@ -22,8 +22,9 @@ mu, the tail and delta(A), dist_core.expect.  Only deterministic moments are
 allowed inside certificates; a Monte Carlo moment would poison reproducibility.
 
 The module also owns PairSpec, the (X, B) pair model for perpetuity partial
-sums, and an advisory fixed-point check for the nondegeneracy condition
-P(Xv + B = v) < 1.
+sums, with the cells of its comonotone coupling, and the decision of the
+nondegeneracy condition P(Xv + B = v) < 1 for every v: no draws, exact for
+every independent pair and every comonotone pair of finite laws.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ DEFAULT_A_GRID_LARGE = (1.5, 2.0, 3.0, 5.0, 10.0, 20.0)
 
 _SLACK = 1e-9
 _NORM_TOL = 1e-9
+_GRID_CELLS = 256
+
+NORM_KINDS = ("l1", "l2", "sup")
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ class PairSpec:
             raise ValueError(f"unknown coupling {self.coupling!r}")
         if self.coupling == "comonotone-scalar" and len(self.b_specs) != 1:
             raise ValueError("comonotone coupling is defined for scalar B only")
-        if self.norm not in ("l1", "l2", "sup"):
+        if self.norm not in NORM_KINDS:
             raise ValueError(f"unknown norm {self.norm!r}")
         if not self.b_specs:
             raise ValueError("B needs at least one component")
@@ -94,21 +98,38 @@ class PairSpec:
     def dim(self) -> int:
         return len(self.b_specs)
 
+    def comonotone_cells(self):
+        """(midpoints, widths) of the cells the cut points of X and B split [0, 1] into.
+
+        A finite law cuts at its cumulative probabilities in increasing value
+        order, as dc.quantile does, so it is one atom on each cell; a
+        continuous law cuts at the fixed points k / _GRID_CELLS."""
+        cuts = [np.array([0.0, 1.0])]
+        for spec in (self.x_spec, *self.b_specs):
+            support = dc.finite_support(spec)
+            if support is None:
+                cuts.append(np.arange(1, _GRID_CELLS) / _GRID_CELLS)
+            else:
+                values, probs = support
+                cuts.append(np.cumsum(probs[np.argsort(values, kind="stable")])[:-1])
+        cuts = np.unique(np.concatenate(cuts))
+        widths = np.diff(cuts)
+        keep = widths > 1e-15
+        return ((cuts[:-1] + cuts[1:]) / 2.0)[keep], widths[keep]
+
 
 @dataclass(frozen=True)
 class NondegeneracyReport:
-    margin: float
-    suspected: bool
-    samples_used: int
-    candidate: tuple | None
+    """A v with P(Xv + B = v) = 1 or None; exact unless decided on grid cells."""
+
+    fixed_point: tuple[float, ...] | None
+    exact: bool
 
 
-def _require_normalized(spec: dc.DistributionSpec, p: float) -> float:
+def check_normalized(spec: dc.DistributionSpec, p: float) -> float:
     mp = dc.abs_moment(spec, p)
     if abs(mp - 1.0) > _NORM_TOL:
-        raise NotNormalizedError(
-            f"spec has E|X|^p = {mp!r}, normalize to 1 before fitting"
-        )
+        raise NotNormalizedError(f"E|X|^p = {mp!r} at p = {p}; normalize X to E|X|^p = 1")
     return mp
 
 
@@ -147,7 +168,7 @@ def small_p_parts(spec: dc.DistributionSpec, p: float) -> SmallPParts:
     """Check E|X|^p = 1 and fit lambda for 0 < p <= 1."""
     if not (0.0 < p <= 1.0):
         raise ValueError(f"small-p fitter needs 0 < p <= 1, got {p}")
-    mp = _require_normalized(spec, p)
+    mp = check_normalized(spec, p)
     lam = dc.abs_moment(spec, p / 2.0) / math.sqrt(mp)
     if lam >= 1.0 - 1e-9:
         raise DegenerateModulusError(f"lambda = {lam!r}: |X|^p carries no usable spread")
@@ -228,7 +249,7 @@ def large_p_parts(spec: dc.DistributionSpec, p: float) -> LargePParts:
     """Check E|X|^p = 1 and fit E|X|, mu and the ratio chain for p > 1."""
     if not (p > 1.0):
         raise ValueError(f"large-p fitter needs p > 1, got {p}")
-    norm_p = _require_normalized(spec, p) ** (1.0 / p)
+    norm_p = check_normalized(spec, p) ** (1.0 / p)
     m1 = dc.expect(spec, 1.0)
     mu = dc.expect(spec, 1.0, m1) / norm_p
     if mu < 1e-9:
@@ -290,7 +311,7 @@ def verify_large_p(spec: dc.DistributionSpec, cert: LargePCertificate) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# pair sampling and the advisory nondegeneracy check
+# pair sampling and the nondegeneracy decision
 
 
 def draw_pair(pair: PairSpec, size: int, gen: np.random.Generator):
@@ -307,40 +328,34 @@ def draw_pair(pair: PairSpec, size: int, gen: np.random.Generator):
     return x, b
 
 
-def check_pair_nondegeneracy(
-    pair: PairSpec, samples: int = 10_000, src: dc.RandomSource | None = None
-) -> NondegeneracyReport:
-    """Advisory check of P(Xv + B = v) < 1 for every v.
+def _point_mass(spec: dc.DistributionSpec) -> float | None:
+    """The value of a law concentrated on one point, else None."""
+    support = dc.finite_support(spec)
+    return None if support is None or np.ptp(support[0]) > 0.0 else float(support[0][0])
 
-    A violating v would force B/(1 - X) to sit on a single point wherever
-    X != 1 (and B = 0 wherever X = 1), so we measure the dispersion of that
-    ratio.  Evidence only: sampling cannot prove the condition.
+
+def check_pair_nondegeneracy(pair: PairSpec) -> NondegeneracyReport:
+    """Decide whether B = v(1 - X) almost surely for some v, without draws.
+
+    Independent coupling: B = v(1 - X) independent of X is constant, so v
+    exists iff B == 0 (v = 0), or X == x0 != 1 and B == b0 (v = b0 / (1 - x0)).
+    Comonotone coupling: b = v(1 - x) at the midpoints of pair.comonotone_cells(),
+    v fitted by least squares, to 1e-9 times max |b|; exact for finite laws,
+    where X and B are one atom on each cell, and a grid check otherwise.
     """
-    src = src or dc.RandomSource(0, 0)
-    gen = src.generator()
-    x, b = draw_pair(pair, samples, gen)
-    usable = np.abs(1.0 - x) > 1e-9
-    used = int(np.count_nonzero(usable))
-    if used == 0:
-        # X == 1 everywhere: a fixed point exists iff B is identically zero
-        center = np.median(b, axis=0)
-        spread = np.mean(np.abs(b - center), axis=0) + np.abs(center)
-        margin = float(np.max(spread / (1.0 + np.abs(center))))
-        return NondegeneracyReport(
-            margin=margin,
-            suspected=margin < 1e-8,
-            samples_used=0,
-            candidate=tuple(np.zeros(pair.dim)) if margin < 1e-8 else None,
-        )
-    ratios = b[usable] / (1.0 - x[usable])[:, None]
-    center = np.median(ratios, axis=0)
-    spread = np.mean(np.abs(ratios - center), axis=0)
-    rel = spread / (1.0 + np.abs(center))
-    margin = float(np.max(rel))
-    suspected = margin < 1e-8
-    return NondegeneracyReport(
-        margin=margin,
-        suspected=suspected,
-        samples_used=used,
-        candidate=tuple(float(c) for c in center) if suspected else None,
-    )
+    if pair.coupling == "independent":
+        x0, *b0 = (_point_mass(s) for s in (pair.x_spec, *pair.b_specs))
+        if all(b == 0.0 for b in b0):
+            return NondegeneracyReport((0.0,) * pair.dim, True)
+        if x0 is not None and x0 != 1.0 and None not in b0:
+            return NondegeneracyReport(tuple(b / (1.0 - x0) for b in b0), True)
+        return NondegeneracyReport(None, True)
+    mids, _ = pair.comonotone_cells()
+    gap = 1.0 - dc.quantile(pair.x_spec, mids)
+    b = dc.quantile(pair.b_specs[0], mids)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = gap @ gap
+        v = float(b @ gap / norm2) if norm2 > 0.0 else 0.0
+        fits = bool(np.all(np.abs(b - v * gap) <= _NORM_TOL * np.max(np.abs(b))))
+    exact = all(dc.finite_support(s) is not None for s in (pair.x_spec, *pair.b_specs))
+    return NondegeneracyReport((v,) if fits else None, exact)

@@ -447,7 +447,7 @@ def cmd_perpetuity(resolved: dict):
         coupling=resolved["coupling"],
         norm=norm,
     )
-    nondeg = check_pair_nondegeneracy(pair, 10_000, src.child(50))
+    nondeg = check_pair_nondegeneracy(pair)
     bundle, cert, recheck = _certify_pipeline(x_spec, p, resolved)
     constants = mc.bracket_constants(p, bundle, cert, pair.coupling)
     n_list = _list(resolved, "n_list", int) or [1, 2, 3, 4, 5, 6]

@@ -230,6 +230,12 @@ def is_nonnegative(spec: DistributionSpec) -> bool:
 # moments
 
 
+def check_order(q: float) -> None:
+    """InvalidOrderError unless the moment order q lies in (0, inf); nan does not."""
+    if not (0.0 < q < math.inf):
+        raise InvalidOrderError(f"moment order must be positive and finite, got {q}")
+
+
 def abs_moment(spec: DistributionSpec, q: float) -> float:
     """E|X|^q from a finite sum or a closed form.
 
@@ -248,8 +254,7 @@ def abs_moment(spec: DistributionSpec, q: float) -> float:
     For every family, a moment that overflows or is not finite raises
     NonfiniteMomentError.
     """
-    if not (0.0 < q < math.inf):
-        raise InvalidOrderError(f"moment order must be positive and finite, got {q}")
+    check_order(q)
     q = float(q)
     try:
         with np.errstate(over="ignore", invalid="ignore"):

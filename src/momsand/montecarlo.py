@@ -53,14 +53,9 @@ import numpy as np
 
 from . import dist_core as dc
 from ._pool import map_indexed, worker_count
-from .assumptions import LargePCertificate, PairSpec
+from .assumptions import NORM_KINDS, LargePCertificate, PairSpec, check_normalized
 from .constants import LARGE_P, SMALL_P, ConstantBundle, dependent_upper_constant
-from .errors import (
-    EnumerationTooLargeError,
-    InvalidOrderError,
-    NonfiniteMomentError,
-    NotNormalizedError,
-)
+from .errors import EnumerationTooLargeError, NonfiniteMomentError
 
 CHUNK = 4096
 ENUM_CAP = 10**7
@@ -70,8 +65,6 @@ MIN_REPS = 10**3
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-NORM_KINDS = ("l1", "l2", "sup")
 
 
 @dataclass(frozen=True)
@@ -197,8 +190,7 @@ def _exact(mean: float, count: int, seed: int | None = None) -> EstimateWithCI:
 
 
 def _check_run(p: float, reps: int) -> None:
-    if p <= 0.0:
-        raise ValueError("p must be positive")
+    dc.check_order(p)
     if reps < MIN_REPS:
         raise ValueError(f"need at least {MIN_REPS} replications, got {reps}")
 
@@ -394,8 +386,7 @@ def enumerate_lhs_distribution(spec, coeffs: CoefficientSet, p: float):
 
 def brute_force_lhs(spec, coeffs: CoefficientSet, p: float) -> EstimateWithCI:
     """Exact E||sum v_i R_i||^p by weighted enumeration."""
-    if p <= 0.0:
-        raise ValueError("p must be positive")
+    dc.check_order(p)
     return _exact_mean(_sandwich_walk(spec, coeffs, p))
 
 
@@ -520,33 +511,24 @@ def perpetuity_lhs(
                          p, reps, src, None)
 
 
-def _comonotone_cells(laws):
-    """(midpoints, widths) of the cells the cut points of X and of B split [0, 1] into."""
-    xp, bp = laws[0][1], laws[1][1]
-    cuts = np.unique(np.concatenate([[0.0], np.cumsum(xp)[:-1], np.cumsum(bp)[:-1], [1.0]]))
-    widths = np.diff(cuts)
-    keep = widths > 1e-15
-    return ((cuts[:-1] + cuts[1:]) / 2.0)[keep], widths[keep]
-
-
 def _pair_width(pair: PairSpec) -> int | None:
     """How many joint atoms one step has, counted without building them; None if not finite."""
     laws = [dc.finite_support(s) for s in (pair.x_spec, *pair.b_specs)]
     if any(law is None for law in laws):
         return None
     if pair.coupling == "comonotone-scalar":
-        return len(_comonotone_cells(laws)[1])
+        return len(pair.comonotone_cells()[1])
     return math.prod(len(values) for values, _ in laws)
 
 
 def _pair_branches(pair: PairSpec):
     """Joint (x, B, prob) atoms of one step of a pair whose laws are all finite."""
-    laws = [dc.finite_support(s) for s in (pair.x_spec, *pair.b_specs)]
     if pair.coupling == "comonotone-scalar":
-        mids, widths = _comonotone_cells(laws)
+        mids, widths = pair.comonotone_cells()
         x = dc.quantile(pair.x_spec, mids)
         b = dc.quantile(pair.b_specs[0], mids)[:, None]
         return x, b, widths
+    laws = [dc.finite_support(s) for s in (pair.x_spec, *pair.b_specs)]
     # independent laws: lexicographic joint atoms, X most significant, column j = law j
     grids = np.meshgrid(*[np.arange(len(v)) for v, _ in laws], indexing="ij")
     flat = [g.ravel() for g in grids]
@@ -559,6 +541,7 @@ def _pair_branches(pair: PairSpec):
 
 def brute_force_perpetuity(pair: PairSpec, n: int, p: float) -> EstimateWithCI:
     """Exact E||S_n||^p by enumerating the joint step atoms."""
+    dc.check_order(p)
     if n < 1:
         raise ValueError("need n >= 1 terms")
     width = _pair_width(pair)
@@ -627,14 +610,9 @@ def goldie_bracket(
     how the bracket fails without that normalization (the fixed-point
     degeneracy).
     """
-    if not (0.0 < p < math.inf):
-        raise InvalidOrderError(f"moment order must be positive and finite, got {p}")
+    dc.check_order(p)
     if require_normalized:
-        mp = dc.abs_moment(pair.x_spec, p)
-        if abs(mp - 1.0) > 1e-9:
-            raise NotNormalizedError(
-                f"pair has E X^p = {mp!r}; normalize X or pass require_normalized=False"
-            )
+        check_normalized(pair.x_spec, p)
     lower_c, upper_c, lower_certified = constants
     b_mom = _b_norm_moment(pair, p, reps, src)
 

@@ -200,17 +200,15 @@ def test_nondegeneracy_flags_fixed_point():
         x_spec=dc.finitely_supported([(0.5, 1.0)]),
         b_specs=(dc.finitely_supported([(1.0, 1.0)]),),
     )
-    report = check_pair_nondegeneracy(degenerate, samples=2000)
-    assert report.suspected
-    assert report.candidate[0] == pytest.approx(2.0, abs=1e-9)
+    report = check_pair_nondegeneracy(degenerate)
+    assert report.fixed_point == (2.0,) and report.exact
 
     healthy = PairSpec(
         x_spec=dc.two_point(0.5, 1.5, 0.5),
         b_specs=(dc.two_point(1.0, 2.0, 0.5),),
     )
-    report = check_pair_nondegeneracy(healthy, samples=2000)
-    assert not report.suspected
-    assert report.margin > 0.05
+    report = check_pair_nondegeneracy(healthy)
+    assert report.fixed_point is None and report.exact
 
 
 def test_nondegeneracy_x_identically_one():
@@ -219,11 +217,51 @@ def test_nondegeneracy_x_identically_one():
         x_spec=dc.finitely_supported([(1.0, 1.0)]),
         b_specs=(dc.finitely_supported([(0.0, 1.0)]),),
     )
-    report = check_pair_nondegeneracy(fixed, samples=500)
-    assert report.suspected and report.samples_used == 0
+    report = check_pair_nondegeneracy(fixed)
+    assert report.fixed_point == (0.0,) and report.exact
     moving = PairSpec(
         x_spec=dc.finitely_supported([(1.0, 1.0)]),
         b_specs=(dc.finitely_supported([(3.0, 1.0)]),),
     )
-    report = check_pair_nondegeneracy(moving, samples=500)
-    assert not report.suspected
+    report = check_pair_nondegeneracy(moving)
+    assert report.fixed_point is None and report.exact
+
+
+def _point(value):
+    return dc.finitely_supported([(value, 1.0)])
+
+
+# B = 3(X - 1) atom by atom, so v = -3 is a fixed point
+_X3 = ((0.5, 0.2), (1.0, 0.3), (1.5, 0.5))
+_B3 = tuple((3.0 * (x - 1.0), pr) for x, pr in _X3)
+
+
+@pytest.mark.parametrize("pair, fixed_point, exact", [
+    (PairSpec(_point(0.5), (_point(1.0),)), (2.0,), True),
+    (PairSpec(_point(1.0), (_point(0.0),)), (0.0,), True),
+    (PairSpec(_point(1.0), (_point(3.0),)), None, True),
+    (PairSpec(dc.uniform(0.0, 2.0), (_point(0.0), _point(0.0))), (0.0, 0.0), True),
+    # the two perpetuity pairs of the mc_paths benchmark
+    (PairSpec(dc.uniform(0.0, 2.0), (dc.uniform(0.0, 1.0), dc.exponential(1.0))), None, True),
+    (PairSpec(dc.uniform(0.0, 2.0), (dc.exponential(1.0),), "comonotone-scalar"), None, False),
+    (PairSpec(dc.finitely_supported(_X3), (dc.finitely_supported(_B3),), "comonotone-scalar"),
+     (-3.0,), True),
+    (PairSpec(dc.finitely_supported(_X3[::-1]), (dc.finitely_supported(_B3[::-1]),),
+              "comonotone-scalar"), (-3.0,), True),
+    # B = 6U - 3 = -3(1 - 2U) = -3(1 - X)
+    (PairSpec(dc.uniform(0.0, 2.0), (dc.uniform(-3.0, 3.0),), "comonotone-scalar"), (-3.0,), False),
+    (PairSpec(dc.uniform(0.0, 2.0), (dc.uniform(-3.0, 4.0),), "comonotone-scalar"), None, False),
+], ids=["demo", "x_one_b_zero", "x_one_b_three", "continuous_x_b_zero", "bench_independent",
+        "bench_comonotone", "comonotone_ascending", "comonotone_descending", "uniform_line",
+        "uniform_off_line"])
+def test_nondegeneracy_decision_table(monkeypatch, pair, fixed_point, exact):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the nondegeneracy decision built a generator")
+
+    monkeypatch.setattr(dc.RandomSource, "generator", no_draws)
+    report = check_pair_nondegeneracy(pair)
+    assert report.exact is exact
+    if fixed_point is None:
+        assert report.fixed_point is None
+    else:
+        assert report.fixed_point == pytest.approx(fixed_point, rel=1e-12, abs=1e-12)

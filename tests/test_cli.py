@@ -411,7 +411,33 @@ def test_perpetuity_independent_rows(capsys):
     res = report["results"]
     assert len(res["rows"]) == 3
     assert all(row["verdict"] == "PASS" for row in res["rows"])
-    assert res["nondegeneracy"]["suspected"] is False
+    assert res["nondegeneracy"] == {"exact": True, "fixed_point": None}
+
+
+def test_perpetuity_rows_ignore_the_declared_atom_order(capsys):
+    # the comonotone cells cut at each law's atoms in value order, as the quantile does;
+    # finite laws, since twopoint's 1 - pa makes the two declarations differ in a bit
+    rows = []
+    for x in ("finite:atoms=1.5@0.3|0.5@0.7", "finite:atoms=0.5@0.7|1.5@0.3"):
+        code, report, _ = run_cli(
+            capsys,
+            ["perpetuity", "--dist", x, "--b-dist", "finite:atoms=1@0.5|2@0.5",
+             "--coupling", "comonotone-scalar", "--p", "2", "--n-list", "1,2,3"],
+        )
+        assert code == 0
+        assert all(row["exact"] for row in report["results"]["rows"])
+        rows.append(report["results"]["rows"])
+    assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("p", ["0", "-1", "nan", "inf"])
+def test_counterexample_rejects_the_order_before_sampling(capsys, monkeypatch, p):
+    def spy(*args, **kwargs):
+        raise AssertionError("sampled before the order check")
+
+    monkeypatch.setattr(mc, "_sample_paths", spy)
+    line = _usage_error_line(capsys, ["counterexample", f"--p={p}", "--reps", "1000"])
+    assert "moment order must be positive and finite" in line
 
 
 def test_perpetuity_fixed_point_demo(capsys):

@@ -12,7 +12,7 @@ from momsand import dist_core as dc
 from momsand import montecarlo as mc
 from momsand.assumptions import PairSpec, fit_large_p, fit_small_p
 from momsand.constants import optimize_large_p, optimize_small_p
-from momsand.errors import EnumerationTooLargeError
+from momsand.errors import EnumerationTooLargeError, InvalidOrderError
 
 TWO_POINT = dc.two_point(0.5, 1.5, 0.5)
 LARGE_SPEC = dc.two_point(0.6, math.sqrt(1.64), 0.5)
@@ -92,6 +92,26 @@ def test_estimate_rejects_tiny_runs():
     coeffs = mc.coefficient_set([1.0, 1.0])
     with pytest.raises(ValueError):
         mc.estimate_lhs(TWO_POINT, coeffs, 1.0, reps=10, src=src())
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
+def test_every_engine_rejects_the_order_before_any_draw_or_walk(monkeypatch, p):
+    calls = []
+    monkeypatch.setattr(mc, "_sample_paths", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(mc, "_walk", lambda *args, **kwargs: calls.append(args))
+    coeffs = mc.coefficient_set([1.0, 1.0])
+    pair = PairSpec(x_spec=TWO_POINT, b_specs=(TWO_POINT,))
+    runs = [
+        lambda: mc.estimate_lhs(TWO_POINT, coeffs, p, reps=1000, src=src()),
+        lambda: mc.brute_force_lhs(TWO_POINT, coeffs, p),
+        lambda: mc.perpetuity_lhs(pair, 2, p, reps=1000, src=src()),
+        lambda: mc.brute_force_perpetuity(pair, 2, p),
+        lambda: mc.goldie_bracket(pair, p, [2], (0.1, 10.0, True), reps=1000, src=src()),
+    ]
+    for run in runs:
+        with pytest.raises(InvalidOrderError):
+            run()
+    assert calls == []
 
 
 def test_estimate_determinism_same_source():

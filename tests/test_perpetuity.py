@@ -78,6 +78,17 @@ def test_brute_vs_monte_carlo_comonotone():
     assert abs(est.mean - exact) <= 4.0 * est.std_error
 
 
+def test_comonotone_cells_follow_the_atoms_value_order():
+    # the same laws declared in decreasing atom order give the same cells and bits
+    b = dc.finitely_supported([(1.0, 0.5), (2.0, 0.5)])
+    up = PairSpec(dc.two_point(0.5, 1.5, 0.7), (b,), coupling="comonotone-scalar")
+    down = PairSpec(dc.two_point(1.5, 0.5, 0.3), (dc.finitely_supported([(2.0, 0.5), (1.0, 0.5)]),),
+                    coupling="comonotone-scalar")
+    exact = brute_force_perpetuity(up, 3, 2.0)
+    assert brute_force_perpetuity(down, 3, 2.0) == exact
+    assert exact.mean == pytest.approx(17.16375, rel=1e-12)
+
+
 def test_comonotone_differs_from_independent():
     dep = PairSpec(x_spec=X_P2, b_specs=(B_SPEC,), coupling="comonotone-scalar")
     ind = indep_pair()
