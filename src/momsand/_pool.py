@@ -9,7 +9,9 @@ that worker, so nested calls cannot wait on each other.  Results are
 returned in submission order, so callers that combine partial results
 positionally get the same answer at every worker count.  Each worker holds
 one item's buffers at a time, so memory in flight grows with the worker
-count, by about one item's footprint each.
+count, by about one item's footprint each.  concurrency(count) says how
+many items run at once, so a caller can allocate that many buffer sets in
+its own thread and hand them out (the exact mean does).
 """
 
 import os
@@ -57,16 +59,22 @@ def _pool(workers: int) -> ThreadPoolExecutor:
         return pool
 
 
+def concurrency(count: int) -> int:
+    """How many of count items map_indexed runs at once: 1 inside a pool worker."""
+    if getattr(_worker, "busy", False):
+        return 1
+    return max(1, min(worker_count(), count))
+
+
 def map_indexed(fn, items):
     """Apply fn to every item, preserving list order in the results.
 
     Every item has run when it returns or raises; an item's exception is
-    raised in list order.
+    raised in list order.  At most concurrency(len(items)) items run at once.
     """
     items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1 or getattr(_worker, "busy", False):
+    if concurrency(len(items)) <= 1:
         return [fn(item) for item in items]
-    futures = [_pool(workers).submit(fn, item) for item in items]
+    futures = [_pool(worker_count()).submit(fn, item) for item in items]
     wait(futures)
     return [future.result() for future in futures]

@@ -44,9 +44,12 @@ we assert that on every call.
 
 optimize_small_p and optimize_large_p share one scan over the A or (A, q)
 grid.  The parts that do not depend on the grid are fitted once per scan,
-the large-p tail once per A and lambda(q) once per q; the first grid point
-with the largest lower_c wins (ties go to the earlier point), a failing
-point is recorded with lower_c None, and both return (bundle, certificate).
+the large-p tail once per A and lambda(q) once per q; each point computes
+only its lower_c, and the full bundle (trace, upper constants, eps0 and
+eps1) is built once, for the winner, and for the first point that
+succeeds.  The first grid point with the largest lower_c wins (ties go to
+the earlier point), a failing point is recorded with lower_c None, and
+both return (bundle, certificate).
 """
 
 from __future__ import annotations
@@ -194,12 +197,16 @@ def _ln_c0(p: float, lam: float, a_param: float, q: float) -> float:
     )
 
 
-def lower_constant_large_p(cert: LargePCertificate) -> ConstantBundle:
+def _large_p_lower(cert: LargePCertificate) -> tuple[float, int, float, float, list]:
+    """The large-p lower constant at one point: (lower_c, k, ln_c0, ln_lower_c, trace).
+
+    Raises ValueError for a certificate out of range, and KTooLargeError,
+    carrying the trace up to the k search, when no k fits under the cap.
+    """
     p, mu, lam, q, a_param = cert.p, cert.mu, cert.lam, cert.q, cert.a_param
     if not (0.0 < lam < 1.0 and mu > 0.0 and a_param > 1.0 and max(p - 1.0, 1.0) < q < p):
         raise ValueError("certificate out of range for the large-p constant")
     ln_c0 = _ln_c0(p, lam, a_param, q)
-    c0 = math.exp(ln_c0) if ln_c0 < 709.0 else None  # past float range; ln_c0 is in the trace
     ln_tail_base = 3.0 * p * math.log(mu) - 10.0 * p * math.log(2.0) - p * math.log(3.0)
     ln_rhs = math.log1p(-lam) + ln_tail_base - math.log(8.0) - ln_c0
     trace = [
@@ -225,6 +232,13 @@ def lower_constant_large_p(cert: LargePCertificate) -> ConstantBundle:
             {"id": "lower_c_underflow", "inputs": {"ln_lower_c": ln_lower}, "value": 0.0}
         )
         lower_c = 0.0
+    return lower_c, k, ln_c0, ln_lower, trace
+
+
+def lower_constant_large_p(cert: LargePCertificate) -> ConstantBundle:
+    p, mu = cert.p, cert.mu
+    lower_c, k, ln_c0, ln_lower, trace = _large_p_lower(cert)
+    c0 = math.exp(ln_c0) if ln_c0 < 709.0 else None  # past float range; ln_c0 is in the trace
     product_c, recursive_c = upper_constant_large_p(p, cert.lam_chain)
     upper = min(product_c, recursive_c)
     eps0 = min(
@@ -325,26 +339,31 @@ def dependent_upper_constant(p: float, lambda_chain) -> float:
     return _dependent_c(p, _chain(p, lambda_chain))
 
 
-def _scan(points, keys, certificate, lower_constant, scan_id, empty):
+def _scan(points, keys, certificate, lower_c, lower_constant, scan_id, empty):
     """(bundle, certificate) of the first grid point with the largest lower_c.
 
-    A point is built by certificate(*point), then lower_constant; when every
-    point fails, the last error (`empty` for no points) is raised again.
+    A point is built by certificate(*point), then only its lower_c(cert);
+    the full bundle, lower_constant(cert), is built for the winner, and for
+    the first point that succeeds, so that an error of the parts every point
+    shares (the large-p upper constant) is raised there, where a scan of full
+    bundles raised it.  When every point fails, the last error (`empty` for
+    no points) is raised again.
     """
     best, scan, last_err = None, [], empty
     for point in points:
         try:
             cert = certificate(*point)
-            bundle = lower_constant(cert)
+            value = lower_c(cert)
         except HypothesisError as exc:
-            bundle, last_err = None, exc
-        lower_c = None if bundle is None else bundle.lower_c
-        scan.append(dict(zip(keys, point), lower_c=lower_c))
-        if lower_c is not None and (best is None or lower_c > best[0].lower_c):
-            best = (bundle, cert, point)
+            value, last_err = None, exc
+        scan.append(dict(zip(keys, point), lower_c=value))
+        if value is not None and (best is None or value > best[0]):
+            best = (value, cert, point, lower_constant(cert) if best is None else None)
     if best is None:
         raise last_err
-    bundle, cert, point = best
+    _, cert, point, bundle = best
+    if bundle is None:
+        bundle = lower_constant(cert)
     value = point[0] if len(point) == 1 else list(point)
     entry = {"id": scan_id, "inputs": {"candidates": scan}, "value": value}
     return replace(bundle, trace=bundle.trace + (entry,)), cert
@@ -357,7 +376,8 @@ def optimize_small_p(
     parts = small_p_parts(spec, p)
     return _scan(
         [(float(a),) for a in a_grid], ("a_param",), parts.certificate,
-        lower_constant_small_p, "a_scan", EmptyWindowError("empty A grid for the small-p scan"),
+        lambda cert: lower_constant_small_p(cert).lower_c, lower_constant_small_p, "a_scan",
+        EmptyWindowError("empty A grid for the small-p scan"),
     )
 
 
@@ -376,5 +396,6 @@ def optimize_large_p(
     return _scan(
         [(a, q) for a in a_grid for q in q_grid], ("a_param", "q"),
         lambda a, q: parts.certificate(a, tails[a], q, lams[q]),
-        lower_constant_large_p, "aq_scan", NoValidQError("empty (A, q) grid for the large-p scan"),
+        lambda cert: _large_p_lower(cert)[0], lower_constant_large_p, "aq_scan",
+        NoValidQError("empty (A, q) grid for the large-p scan"),
     )

@@ -26,8 +26,11 @@ E||acc||^p is computed by one of two backends:
     lexicographic with step 1 most significant.  The last steps, at most
     1e5 paths of them (or the last step alone, if it is wider), are walked
     once from acc = 0, r = 1 into sums S; each prefix (acc0, r0) of the
-    earlier steps then yields one block acc0 + r0 * S, one fused pass per
-    outcome, and peak memory stays bounded.
+    earlier steps then makes one block acc0 + r0 * S, one fused pass per
+    outcome.  _exact_mean runs the blocks on the pool, each worker in one
+    set of buffers the calling thread allocates, and adds the blocks' sums
+    with math.fsum in walk order, so the mean does not depend on the worker
+    count; _outcomes keeps every block in fresh arrays.
 
 Both keep acc coordinate-major, (d, m) for m paths, so each update is one
 contiguous pass per coordinate instead of m short rows of d.  Each element
@@ -52,7 +55,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dist_core as dc
-from ._pool import map_indexed, worker_count
+from ._pool import concurrency, map_indexed, worker_count
 from .assumptions import NORM_KINDS, LargePCertificate, PairSpec, check_normalized
 from .constants import LARGE_P, SMALL_P, ConstantBundle, dependent_upper_constant
 from .errors import EnumerationTooLargeError, NonfiniteMomentError
@@ -135,24 +138,25 @@ class GoldieBracketRow:
     exact: bool
 
 
-def holder_norm(points: np.ndarray, kind: str) -> np.ndarray:
-    """Row norms of an (m, d) array, accumulated column by column.
+def holder_norm(points: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Row norms of an (m, d) array, accumulated column by column, into out when given.
 
     A loop over the d columns is several times faster than a reduction along
     axis 1 for the small d used here.  For d <= 7 it adds in the order NumPy's
     reduction does, so the bits match; from d = 8 NumPy sums pairwise and the
-    l1 and l2 norms may differ from it in the last bits.
+    l1 and l2 norms may differ from it in the last bits.  out, an (m,) float
+    array, gets the same bits as a fresh result.
     """
     cols = points.T
     if kind == "l2":
-        out = cols[0] * cols[0]
+        out = np.multiply(cols[0], cols[0], out=out)
         for c in cols[1:]:
             out += c * c
         return np.sqrt(out, out=out)
     fold = {"l1": np.add, "sup": np.maximum}.get(kind)
     if fold is None:
         raise ValueError(f"unknown norm {kind!r}")
-    out = np.abs(cols[0])
+    out = np.abs(cols[0], out=out)
     for c in cols[1:]:
         fold(out, np.abs(c), out=out)
     return out
@@ -255,24 +259,37 @@ def _sample_paths(group_steps, group_cap: int, x_table, tail, dim: int, norm: st
     return _stats(values, reps, src.seed)
 
 
-def _walk(steps, tail, dim: int, norm: str, p: float):
-    """Enumeration backend: yield (values of ||acc||^p, probs) blocks in path order.
+@dataclass(frozen=True)
+class _Walk:
+    """Suffix sums S, (d, M), their probabilities q and the prefixes (acc0, r0, p0)
+    in walk order: a prefix's block is ||acc0 + r0 * S||^p with probabilities p0 * q."""
+
+    sums: np.ndarray
+    probs: np.ndarray
+    prefixes: list
+    norm: str
+    p: float
+
+
+def _walk(steps, tail, dim: int, norm: str, p: float) -> _Walk:
+    """Enumeration backend: the suffix sums and the prefixes of a lexicographic walk.
 
     steps lists each step's atoms (x, b, prob), b holding one row per atom;
     tail, when given, adds r * tail after the last step.  The last steps, at
     most ENUM_BLOCK paths of them, form the suffix; a last step wider than
     ENUM_BLOCK forms it alone, so that its atoms make one block and not one
     block each.  The suffix is walked once from acc = 0, r = 1, tail
-    included, giving its sums S and probabilities q.
-    Each prefix (acc0, r0, p0) of the first `split` steps then yields one
-    block, acc0 + r0 * S with probabilities p0 * q.  S is held as (d, M), see
-    the module docstring.
+    included, giving its sums S and probabilities q; each prefix (acc0, r0,
+    p0) of the first `split` steps then makes one block.  S is held as
+    (d, M), see the module docstring.  Overflow gives inf or nan values,
+    which the verdicts reject, and no warning.
     """
     widths = [len(x) for x, _, _ in steps]
     split = 0
     while split < len(widths) - 1 and math.prod(widths[split:]) > ENUM_BLOCK:
         split += 1
     acc, r, q = np.zeros((dim, 1)), np.ones(1), np.ones(1)
+    prefixes = []
     with np.errstate(over="ignore", invalid="ignore"):
         for x, b, prob in steps[split:]:
             count = len(r)
@@ -282,35 +299,68 @@ def _walk(steps, tail, dim: int, norm: str, p: float):
             q = np.repeat(q, len(x)) * np.tile(prob, count)
         if tail is not None:
             acc += tail[:, None] * r
-    out = np.empty_like(acc)
-    for combo in itertools.product(*(range(w) for w in widths[:split])):
-        acc0, r0, p0 = np.zeros(dim), 1.0, 1.0
-        for (x, b, prob), j in zip(steps, combo):
-            acc0 = acc0 + r0 * b[j]
-            r0 = r0 * float(x[j])
-            p0 = p0 * float(prob[j])
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(acc, r0, out=out)
-            out += acc0[:, None]
-            # fresh arrays: _outcomes keeps every block while out is reused
-            values = holder_norm(out.T, norm) ** p
-        yield values, q * p0
+        for combo in itertools.product(*(range(w) for w in widths[:split])):
+            acc0, r0, p0 = np.zeros(dim), 1.0, 1.0
+            for (x, b, prob), j in zip(steps, combo):
+                acc0 = acc0 + r0 * b[j]
+                r0 = r0 * float(x[j])
+                p0 = p0 * float(prob[j])
+            prefixes.append((acc0, r0, p0))
+    return _Walk(acc, q, prefixes, norm, p)
 
 
-def _outcomes(blocks):
-    """All enumerated (values, probs), concatenated in walk order."""
-    values, probs = zip(*blocks)
+def _block_values(walk: _Walk, prefix, out=None, values=None) -> np.ndarray:
+    """One prefix's ||acc0 + r0 * S||^p, through out and into values when given."""
+    acc0, r0, _ = prefix
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.multiply(walk.sums, r0, out=out)
+        out += acc0[:, None]
+        values = holder_norm(out.T, walk.norm, out=values)
+        values **= walk.p  # as ** does, with its fast paths for p = 0.5, 1 and 2
+    return values
+
+
+def _outcomes(walk: _Walk):
+    """All enumerated (values, probs), concatenated in walk order.
+
+    Each block's values are a fresh array, since every block is kept.
+    """
+    out = np.empty_like(walk.sums)
+    values = [_block_values(walk, prefix, out) for prefix in walk.prefixes]
+    probs = [walk.probs * p0 for _, _, p0 in walk.prefixes]
     return np.concatenate(values), np.concatenate(probs)
 
 
-def _exact_mean(blocks) -> EstimateWithCI:
-    """Exact mean over (values, probs) blocks: math.fsum of each block's pairwise sum."""
-    partial = []
-    count = 0
-    for values, probs in blocks:
-        partial.append(float(np.sum(values * probs)))
-        count += len(values)
-    return _exact(math.fsum(partial), count)
+def _exact_mean(walk: _Walk) -> EstimateWithCI:
+    """Exact mean: math.fsum, in walk order, of each block's pairwise sum of values * probs.
+
+    The blocks run on the pool when there are at least 4 per worker, since
+    a worker's first touch of its buffers costs about one block.  Each
+    running block takes one set of buffers (out, values, probs) from a free
+    list that the calling thread fills, one set per block run at once.
+    fsum rounds the exact sum of the block sums once, so the mean has the
+    same bits at every worker count.
+    """
+    sums, q, prefixes = walk.sums, walk.probs, walk.prefixes
+    width = concurrency(len(prefixes))
+    if len(prefixes) < 4 * width:
+        width = 1
+    free = [(np.empty_like(sums), np.empty_like(q), np.empty_like(q)) for _ in range(width)]
+
+    def block(prefix) -> float:
+        buffers = free.pop()
+        try:
+            out, values, probs = buffers
+            _block_values(walk, prefix, out, values)
+            # NumPy's error state is per thread, so each block sets its own
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(q, prefix[2], out=probs)
+                return float(np.add.reduce(np.multiply(values, probs, out=probs)))
+        finally:
+            free.append(buffers)
+
+    partial = map_indexed(block, prefixes) if width > 1 else [block(pre) for pre in prefixes]
+    return _exact(math.fsum(partial), len(prefixes) * len(q))
 
 
 def _exact_or_sampled(width: int | None, steps: int, exact, sampled=None):
@@ -364,13 +414,14 @@ def estimate_lhs(
                          reps, src, csv_path)
 
 
-def _sandwich_walk(spec: dc.DistributionSpec, coeffs: CoefficientSet, p: float):
+def _sandwich_walk(spec: dc.DistributionSpec, coeffs: CoefficientSet, p: float) -> _Walk | None:
+    """The sandwich's walk; None for n = 0, whose one outcome is _lone_term, computed as
+    rhs_sum computes it, so the ratio is exactly 1."""
     support = dc.finite_support(spec)
     if support is None:
         raise ValueError("enumeration needs a finite-support factor law")
     if coeffs.n == 0:
-        # one outcome, computed as rhs_sum computes it, so the ratio is exactly 1
-        return iter([(np.asarray([_lone_term(coeffs, p)]), np.asarray([1.0]))])
+        return None
     svals, sprobs = support
     vmat = coeffs.matrix()
     steps = [(svals, np.tile(v, (len(svals), 1)), sprobs) for v in vmat[:-1]]
@@ -381,13 +432,17 @@ def _sandwich_walk(spec: dc.DistributionSpec, coeffs: CoefficientSet, p: float):
 
 def enumerate_lhs_distribution(spec, coeffs: CoefficientSet, p: float):
     """Full outcome distribution (values of ||sum v_i R_i||^p, probabilities)."""
-    return _outcomes(_sandwich_walk(spec, coeffs, p))
+    walk = _sandwich_walk(spec, coeffs, p)
+    if walk is None:
+        return np.asarray([_lone_term(coeffs, p)]), np.ones(1)
+    return _outcomes(walk)
 
 
 def brute_force_lhs(spec, coeffs: CoefficientSet, p: float) -> EstimateWithCI:
     """Exact E||sum v_i R_i||^p by weighted enumeration."""
     dc.check_order(p)
-    return _exact_mean(_sandwich_walk(spec, coeffs, p))
+    walk = _sandwich_walk(spec, coeffs, p)
+    return _exact(_lone_term(coeffs, p), 1) if walk is None else _exact_mean(walk)
 
 
 def _sandwich_lhs(spec, coeffs: CoefficientSet, p: float, reps: int, src,

@@ -1,10 +1,14 @@
 """Constant formulas: k-search vs a linear-scan oracle, frozen anchors."""
 
+import importlib.util
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from momsand import constants
 from momsand import dist_core as dc
 from momsand.assumptions import (
     DEFAULT_A_GRID_LARGE,
@@ -12,11 +16,13 @@ from momsand.assumptions import (
     SmallPCertificate,
     default_q_grid,
     fit_large_p,
+    large_p_parts,
 )
 from momsand.constants import (
     K_CAP,
     LARGE_P,
     SMALL_P,
+    ConstantBundle,
     lower_constant_large_p,
     lower_constant_small_p,
     minimal_k,
@@ -27,7 +33,10 @@ from momsand.constants import (
 from momsand.errors import (
     ChainLengthMismatchError,
     DegenerateModulusError,
+    HypothesisError,
     KTooLargeError,
+    NonfiniteMomentError,
+    NoValidQError,
 )
 
 TWO_POINT = dc.two_point(0.5, 1.5, 0.5)
@@ -294,3 +303,94 @@ def test_optimize_large_p_fits_each_part_once(monkeypatch):
     assert len(q_grid) == 9 and len(DEFAULT_A_GRID_LARGE) == 6
     assert counts(q_grid=q_grid[:1])[0] == counts(q_grid=q_grid)[0]
     assert counts(a_grid=DEFAULT_A_GRID_LARGE[:1])[1] == counts(a_grid=DEFAULT_A_GRID_LARGE)[1]
+
+
+# ---------------------------------------------------------------------------
+# the lean (A, q) scan against a scan of full bundles
+
+_workloads_spec = importlib.util.spec_from_file_location(
+    "workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+)
+_workloads = importlib.util.module_from_spec(_workloads_spec)
+_workloads_spec.loader.exec_module(_workloads)
+
+
+def _full_scan(spec, p, a_grid=DEFAULT_A_GRID_LARGE, q_grid=None):
+    """optimize_large_p as a scan that builds lower_constant_large_p at every point."""
+    q_grid = default_q_grid(p) if q_grid is None else q_grid
+    parts = large_p_parts(spec, p)
+    best, scan, last_err = None, [], NoValidQError("empty (A, q) grid for the large-p scan")
+    for a in a_grid:
+        for q in q_grid:
+            try:
+                cert = parts.certificate(a, parts.tail(a), q, parts.lam(q))
+                bundle = lower_constant_large_p(cert)
+            except HypothesisError as exc:
+                bundle, last_err = None, exc
+            lower_c = None if bundle is None else bundle.lower_c
+            scan.append({"a_param": a, "q": q, "lower_c": lower_c})
+            if lower_c is not None and (best is None or lower_c > best[0].lower_c):
+                best = (bundle, cert, [a, q])
+    if best is None:
+        raise last_err
+    bundle, cert, point = best
+    entry = {"id": "aq_scan", "inputs": {"candidates": scan}, "value": point}
+    return replace(bundle, trace=bundle.trace + (entry,)), cert
+
+
+def _normalized(law, p):
+    return dc.normalize_unit_p_moment(dc.parse_spec(law), p)[0]
+
+
+@pytest.mark.parametrize("p", [1.25, 2.5, 4.5, 8.5])
+@pytest.mark.parametrize("law", _workloads.CERTIFY_LAWS)
+def test_lean_scan_matches_the_full_scan(law, p):
+    spec = _normalized(law, p)
+    bundle, cert = optimize_large_p(spec, p)
+    want_bundle, want_cert = _full_scan(spec, p)
+    assert bundle == want_bundle
+    assert cert == want_cert
+
+
+def _raised(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    exc = info.value
+    return type(exc), str(exc), getattr(exc, "trace", None)
+
+
+def test_lean_scan_raises_as_the_full_scan_when_every_point_fails(monkeypatch):
+    monkeypatch.setattr(constants, "K_CAP", 10)
+    spec = _normalized("uniform:lo=0,hi=2", 1.25)
+    got = _raised(lambda: optimize_large_p(spec, 1.25))
+    assert got[0] is KTooLargeError and got[2]
+    assert got == _raised(lambda: _full_scan(spec, 1.25))
+
+
+def test_lean_scan_raises_the_shared_upper_error_at_the_first_success():
+    # at p = 45 the upper constant overflows; A = 2 succeeds first, and
+    # A = 1 meets the tail condition but not the range check A > 1
+    spec = _normalized("uniform:lo=0,hi=2", 45.0)
+    for a_grid, kind in (([2.0, 1.0], NonfiniteMomentError), ([1.0, 2.0], ValueError)):
+        got = _raised(lambda: optimize_large_p(spec, 45.0, a_grid=a_grid))
+        assert got[0] is kind
+        assert got == _raised(lambda: _full_scan(spec, 45.0, a_grid=a_grid))
+
+
+def test_scan_ties_go_to_the_earlier_point_and_build_two_bundles():
+    built = []
+
+    def lower_constant(cert):
+        built.append(cert)
+        return ConstantBundle(2.0, LARGE_P, lower_c(cert), 1.0, 1, None, 0.0, 0.0, ())
+
+    def lower_c(cert):
+        return {1.0: 0.1, 2.0: 0.5, 3.0: 0.5, 4.0: 0.2}[cert]
+
+    bundle, cert = constants._scan(
+        [(1.0,), (2.0,), (3.0,), (4.0,)], ("a_param",), lambda a: a, lower_c,
+        lower_constant, "a_scan", None,
+    )
+    assert cert == 2.0 and bundle.lower_c == 0.5 and bundle.trace[-1]["value"] == 2.0
+    # the first success and the winner; no other point builds a bundle
+    assert built == [1.0, 2.0]

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -452,8 +453,7 @@ def test_walk_keeps_a_wide_last_step_in_one_block(monkeypatch):
     blocks = []
 
     def counting_mean(walk):
-        walk = list(walk)
-        blocks.append(len(walk))
+        blocks.append(len(walk.prefixes))
         return exact_mean(walk)
 
     exact_mean = mc._exact_mean
@@ -578,6 +578,101 @@ def test_walk_matches_naive_perpetuity(monkeypatch, pair, block):
     assert est.mean == pytest.approx(math.fsum(want[0] * want[1]), rel=1e-14, abs=0.0)
 
 
+# ---------------------------------------------------------------------------
+# the exact mean on the worker pool against the serial fresh-array reference
+
+
+def _reference_mean(walk):
+    """(mean, count) of a walk as a serial loop takes it: fresh arrays per block,
+    np.sum of values * probs, then math.fsum of the block sums in walk order."""
+    partial, count = [], 0
+    out = np.empty_like(walk.sums)
+    for acc0, r0, p0 in walk.prefixes:
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(walk.sums, r0, out=out)
+            out += acc0[:, None]
+            values = mc.holder_norm(out.T, walk.norm) ** walk.p
+            partial.append(float(np.sum(values * (walk.probs * p0))))
+        count += len(values)
+    return math.fsum(partial), count
+
+
+def _means_at_each_worker_count(monkeypatch, exact, walk):
+    """exact()'s (mean bits, count) at MOMSAND_THREADS=1 and =2, and the reference's;
+    the walk must have enough blocks that two workers take them."""
+    pooled = []
+    map_indexed = mc.map_indexed
+    monkeypatch.setattr(mc, "map_indexed", lambda fn, items: pooled.append(1) or map_indexed(fn, items))
+    got = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MOMSAND_THREADS", threads)
+        est = exact()
+        assert est.exact
+        got.append((est.mean.hex(), est.replications))
+    assert pooled and len(walk.prefixes) >= 8
+    mean, count = _reference_mean(walk)
+    return got, (mean.hex(), count)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 2.5, 3.5])
+@pytest.mark.parametrize("norm", mc.NORM_KINDS)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sandwich_exact_mean_bits_match_the_serial_reference(monkeypatch, dim, norm, p):
+    monkeypatch.setattr(mc, "ENUM_BLOCK", 7)
+    spec = dc.finitely_supported(WALK_LAWS["three_atoms"])
+    coeffs = _walk_coeffs(6, dim, norm)
+    got, want = _means_at_each_worker_count(
+        monkeypatch, lambda: mc.brute_force_lhs(spec, coeffs, p),
+        mc._sandwich_walk(spec, coeffs, p),
+    )
+    assert got == [want, want]
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 2.5, 3.5])
+@pytest.mark.parametrize(
+    "pair", list(_walk_pairs()), ids=lambda pair: f"{pair.coupling}-d{pair.dim}-{pair.norm}"
+)
+def test_perpetuity_exact_mean_bits_match_the_serial_reference(monkeypatch, pair, p):
+    monkeypatch.setattr(mc, "ENUM_BLOCK", 7)
+    n = 3
+    got, want = _means_at_each_worker_count(
+        monkeypatch, lambda: mc.brute_force_perpetuity(pair, n, p),
+        mc._walk([mc._pair_branches(pair)] * n, None, pair.dim, pair.norm, p),
+    )
+    assert got == [want, want]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_overflowing_exact_mean_warns_from_no_worker(monkeypatch, threads):
+    # partial sums reach 1e300 * 1e200: the blocks overflow to inf inside the
+    # pool's workers, whose NumPy error state is not the caller's
+    monkeypatch.setattr(mc, "ENUM_BLOCK", 4)
+    monkeypatch.setenv("MOMSAND_THREADS", threads)
+    spec = dc.finitely_supported([(0.5, 0.5), (1e200, 0.5)])
+    coeffs = mc.coefficient_set([1e300] * 6)
+    assert len(mc._sandwich_walk(spec, coeffs, 2.0).prefixes) > 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc.brute_force_lhs(spec, coeffs, 2.0)
+        values, _ = mc.enumerate_lhs_distribution(spec, coeffs, 2.0)
+    assert est.mean == math.inf and est.replications == 2**5
+    assert np.isinf(values).any()
+
+
+def test_outcomes_blocks_alias_no_reused_buffer(monkeypatch):
+    # with one buffer reused across blocks every block would read as the last one
+    monkeypatch.setattr(mc, "ENUM_BLOCK", 7)
+    spec = dc.finitely_supported(WALK_LAWS["three_atoms"])
+    walk = mc._sandwich_walk(spec, _walk_coeffs(6, 2, "l2"), 2.5)
+    values, probs = mc._outcomes(walk)
+    m = walk.sums.shape[1]
+    blocks = [mc._block_values(walk, prefix) for prefix in walk.prefixes]
+    assert len(blocks) > 2
+    assert np.array_equal(values, np.concatenate(blocks))
+    assert np.array_equal(probs, np.concatenate([walk.probs * p0 for _, _, p0 in walk.prefixes]))
+    assert len({values[j * m:(j + 1) * m].tobytes() for j in range(len(blocks))}) == len(blocks)
+
+
 def _norm_rows(dim):
     """Rows whose entries span 1e-150 .. 1e150, with signed zeros mixed in."""
     gen = np.random.default_rng(dim)
@@ -618,6 +713,18 @@ def test_column_norms_drift_past_seven_columns(kind, dim):
     assert np.array_equal(np.isfinite(got), np.isfinite(want))
     finite = np.isfinite(want)
     np.testing.assert_allclose(got[finite], want[finite], rtol=dim * 2.0**-52, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", mc.NORM_KINDS)
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_column_norms_into_out_match_fresh_bits(kind, dim):
+    rows = _norm_rows(dim)
+    out = np.full(len(rows), np.nan)
+    with np.errstate(over="ignore", under="ignore"):
+        got = mc.holder_norm(rows, kind, out=out)
+        want = mc.holder_norm(rows, kind)
+    assert got is out
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 # ---------------------------------------------------------------------------
