@@ -602,7 +602,12 @@ def _means_at_each_worker_count(monkeypatch, exact, walk):
     the walk must have enough blocks that two workers take them."""
     pooled = []
     map_indexed = mc.map_indexed
-    monkeypatch.setattr(mc, "map_indexed", lambda fn, items: pooled.append(1) or map_indexed(fn, items))
+
+    def counting_map(fn, items):
+        pooled.append(len(items))
+        return map_indexed(fn, items)
+
+    monkeypatch.setattr(mc, "map_indexed", counting_map)
     got = []
     for threads in ("1", "2"):
         monkeypatch.setenv("MOMSAND_THREADS", threads)
@@ -643,19 +648,24 @@ def test_perpetuity_exact_mean_bits_match_the_serial_reference(monkeypatch, pair
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_overflowing_exact_mean_warns_from_no_worker(monkeypatch, threads):
+@pytest.mark.parametrize("atoms, mean", [
+    ([(0.5, 0.5), (1e200, 0.5)], math.inf),
+    # a path through two 1e-200 atoms has probability 0 and value inf: inf * 0 is nan
+    ([(0.5, 0.5), (1e200, 0.5), (2.0, 1e-200)], math.nan),
+])
+def test_overflowing_exact_mean_warns_from_no_worker(monkeypatch, threads, atoms, mean):
     # partial sums reach 1e300 * 1e200: the blocks overflow to inf inside the
     # pool's workers, whose NumPy error state is not the caller's
     monkeypatch.setattr(mc, "ENUM_BLOCK", 4)
     monkeypatch.setenv("MOMSAND_THREADS", threads)
-    spec = dc.finitely_supported([(0.5, 0.5), (1e200, 0.5)])
+    spec = dc.finitely_supported(atoms)
     coeffs = mc.coefficient_set([1e300] * 6)
-    assert len(mc._sandwich_walk(spec, coeffs, 2.0).prefixes) > 2
+    assert len(mc._sandwich_walk(spec, coeffs, 2.0).prefixes) >= 8
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = mc.brute_force_lhs(spec, coeffs, 2.0)
         values, _ = mc.enumerate_lhs_distribution(spec, coeffs, 2.0)
-    assert est.mean == math.inf and est.replications == 2**5
+    assert est.mean.hex() == mean.hex() and est.replications == len(values) == len(atoms)**5
     assert np.isinf(values).any()
 
 
