@@ -5,11 +5,13 @@ inequality of the shape
 
     k * lambda^(a k + b) <= RHS(certificate),
 
-worked in the log domain: f(k) = ln k + (a k + b) ln lambda is unimodal with
+worked in the log domain: f(k) = ln k + (a k + b) ln lambda is concave with
 peak at k* = -1/(a ln lambda), so once f(1) fails every k below the peak
-fails, and the minimal admissible k sits on the decreasing branch where
-doubling plus bisection finds it exactly.  A linear scan gives the same k;
-the tests keep one as an oracle.
+fails, and the minimal admissible k sits on the decreasing branch.  Newton's
+method on f(x) = ln RHS, started past the peak, gives a candidate k, taken
+when f(k) <= ln RHS < f(k - 1); when that check fails, doubling plus
+bisection finds k exactly.  A linear scan gives the same k; the tests keep
+one as an oracle.
 
 Small exponents (0 < p <= 1):
     k lambda^(2k-2) <= delta^3 (1-lambda)^2 / (2^12 A),
@@ -45,11 +47,12 @@ we assert that on every call.
 optimize_small_p and optimize_large_p share one scan over the A or (A, q)
 grid.  The parts that do not depend on the grid are fitted once per scan,
 the large-p tail once per A and lambda(q) once per q; each point computes
-only its lower_c, and the full bundle (trace, upper constants, eps0 and
-eps1) is built once, for the winner, and for the first point that
-succeeds.  The first grid point with the largest lower_c wins (ties go to
-the earlier point), a failing point is recorded with lower_c None, and
-both return (bundle, certificate).
+only its lower_c, a large-p point through the same formula as its bundle
+but without building its trace, and the full bundle (trace, upper
+constants, eps0 and eps1) is built once, for the winner, and for the first
+point that succeeds.  The first grid point with the largest lower_c wins
+(ties go to the earlier point), a failing point is recorded with lower_c
+None, and both return (bundle, certificate).
 """
 
 from __future__ import annotations
@@ -103,10 +106,37 @@ def _f(k: int, ln_lam: float, a_coef: float, b_coef: float) -> float:
     return math.log(k) + (a_coef * k + b_coef) * ln_lam
 
 
+def _newton_k(ln_lam: float, a_coef: float, b_coef: float, ln_rhs: float, k_star: float) -> int:
+    """The ceiling of the root of f(x) = ln_rhs past the peak k_star, by Newton's
+    method; 0 when the steps do not settle below the cap.
+
+    f is concave, so its tangents lie above it: from x = max(2 k_star, 1),
+    where f' < 0, the first step lands at or past the root, and each later
+    step moves down towards it.
+    """
+    slope = a_coef * ln_lam
+    x = max(2.0 * k_star, 1.0)
+    for _ in range(100):
+        df = 1.0 / x + slope
+        if not df < 0.0:  # at the peak, in rounding
+            return 0
+        step = (math.log(x) + (a_coef * x + b_coef) * ln_lam - ln_rhs) / df
+        x -= step
+        if abs(step) < 1e-3:
+            return math.ceil(x) if x < K_CAP else 0
+    return 0
+
+
 def minimal_k(
     ln_lam: float, a_coef: float, b_coef: float, ln_rhs: float, trace: list
 ) -> int:
-    """Smallest k >= 1 with ln k + (a k + b) ln_lam <= ln_rhs, cap 10^9."""
+    """Smallest k >= 1 with ln k + (a k + b) ln_lam <= ln_rhs, cap 10^9.
+
+    Newton's candidate k is taken once f(k) <= ln_rhs < f(k - 1) holds;
+    otherwise doubling and bisection find k.  Either way f(k) <= ln_rhs <
+    f(k - 1), so both give the one k where f, decreasing there, crosses
+    ln_rhs.
+    """
     if not ln_lam < 0.0:
         raise ValueError("minimal_k needs lambda < 1")
     if _f(1, ln_lam, a_coef, b_coef) <= ln_rhs:
@@ -117,6 +147,12 @@ def minimal_k(
             f"k search still increasing at the 10^9 cap (peak near {k_star:.3e})",
             trace=list(trace),
         )
+    k = _newton_k(ln_lam, a_coef, b_coef, ln_rhs, k_star)
+    if (
+        k >= 2
+        and _f(k, ln_lam, a_coef, b_coef) <= ln_rhs < _f(k - 1, ln_lam, a_coef, b_coef)
+    ):
+        return k
     # all integers below the peak inherit f >= f(1) > ln_rhs, so start there
     hi = max(2, math.ceil(k_star))
     lo = hi - 1
@@ -197,9 +233,13 @@ def _ln_c0(p: float, lam: float, a_param: float, q: float) -> float:
     )
 
 
-def _large_p_lower(cert: LargePCertificate) -> tuple[float, int, float, float, list]:
-    """The large-p lower constant at one point: (lower_c, k, ln_c0, ln_lower_c, trace).
+def _large_p_lower(
+    cert: LargePCertificate, trace: list | None = None
+) -> tuple[float, int, float, float]:
+    """The large-p lower constant at one point: (lower_c, k, ln_c0, ln_lower_c).
 
+    Its trace entries, from mu to the k witness and an underflow, go to
+    trace when one is given; the scan scores its points without one.
     Raises ValueError for a certificate out of range, and KTooLargeError,
     carrying the trace up to the k search, when no k fits under the cap.
     """
@@ -209,35 +249,50 @@ def _large_p_lower(cert: LargePCertificate) -> tuple[float, int, float, float, l
     ln_c0 = _ln_c0(p, lam, a_param, q)
     ln_tail_base = 3.0 * p * math.log(mu) - 10.0 * p * math.log(2.0) - p * math.log(3.0)
     ln_rhs = math.log1p(-lam) + ln_tail_base - math.log(8.0) - ln_c0
-    trace = [
-        {"id": "mu", "inputs": {"p": p}, "value": mu},
-        {"id": "lambda_q", "inputs": {"q": q}, "value": lam},
-        {
-            "id": "ln_c0",
-            "inputs": {"p": p, "lambda": lam, "a_param": a_param, "q": q},
-            "value": ln_c0,
-        },
-        {
-            "id": "ln_rhs_large",
-            "inputs": {"mu": mu, "lambda": lam, "ln_c0": ln_c0},
-            "value": ln_rhs,
-        },
-    ]
-    k = minimal_k(math.log(lam), p, 0.0, ln_rhs, trace)
-    trace.append(_witness(k, math.log(lam), p, 0.0, ln_rhs))
+    ln_lam = math.log(lam)
+    if trace is not None:
+        trace += [
+            {"id": "mu", "inputs": {"p": p}, "value": mu},
+            {"id": "lambda_q", "inputs": {"q": q}, "value": lam},
+            {
+                "id": "ln_c0",
+                "inputs": {"p": p, "lambda": lam, "a_param": a_param, "q": q},
+                "value": ln_c0,
+            },
+            {
+                "id": "ln_rhs_large",
+                "inputs": {"mu": mu, "lambda": lam, "ln_c0": ln_c0},
+                "value": ln_rhs,
+            },
+        ]
+    k = minimal_k(ln_lam, p, 0.0, ln_rhs, () if trace is None else trace)
     ln_lower = ln_tail_base - math.log(8.0 * k)
     lower_c = math.exp(ln_lower)
-    if 0.0 < lower_c < _MIN_NORMAL or (lower_c == 0.0 and math.isfinite(ln_lower)):
-        trace.append(
-            {"id": "lower_c_underflow", "inputs": {"ln_lower_c": ln_lower}, "value": 0.0}
-        )
+    underflow = 0.0 < lower_c < _MIN_NORMAL or (lower_c == 0.0 and math.isfinite(ln_lower))
+    if underflow:
         lower_c = 0.0
-    return lower_c, k, ln_c0, ln_lower, trace
+    if trace is not None:
+        trace.append(_witness(k, ln_lam, p, 0.0, ln_rhs))
+        if underflow:
+            trace.append(
+                {"id": "lower_c_underflow", "inputs": {"ln_lower_c": ln_lower}, "value": 0.0}
+            )
+    return lower_c, k, ln_c0, ln_lower
+
+
+def _large_p_score(cert: LargePCertificate) -> float:
+    """The scan's lower_c at one point, built without a trace; when no k fits,
+    the point is built again with one, for the KTooLargeError to carry."""
+    try:
+        return _large_p_lower(cert)[0]
+    except KTooLargeError:
+        return _large_p_lower(cert, [])[0]  # raises the error again, with the trace
 
 
 def lower_constant_large_p(cert: LargePCertificate) -> ConstantBundle:
     p, mu = cert.p, cert.mu
-    lower_c, k, ln_c0, ln_lower, trace = _large_p_lower(cert)
+    trace: list = []
+    lower_c, k, ln_c0, ln_lower = _large_p_lower(cert, trace)
     c0 = math.exp(ln_c0) if ln_c0 < 709.0 else None  # past float range; ln_c0 is in the trace
     product_c, recursive_c = upper_constant_large_p(p, cert.lam_chain)
     upper = min(product_c, recursive_c)
@@ -396,6 +451,6 @@ def optimize_large_p(
     return _scan(
         [(a, q) for a in a_grid for q in q_grid], ("a_param", "q"),
         lambda a, q: parts.certificate(a, tails[a], q, lams[q]),
-        lambda cert: _large_p_lower(cert)[0], lower_constant_large_p, "aq_scan",
+        _large_p_score, lower_constant_large_p, "aq_scan",
         NoValidQError("empty (A, q) grid for the large-p scan"),
     )

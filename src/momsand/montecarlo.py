@@ -30,7 +30,7 @@ E||acc||^p is computed by one of two backends:
     outcome.  _exact_mean runs the blocks on the pool, each worker in one
     set of buffers the calling thread allocates, and adds the blocks' sums
     with math.fsum in walk order, so the mean does not depend on the worker
-    count; _outcomes keeps every block in fresh arrays.
+    count; _outcomes writes every block into its slice of one pair of arrays.
 
 Both keep acc coordinate-major, (d, m) for m paths, so each update is one
 contiguous pass per coordinate instead of m short rows of d.  Each element
@@ -321,14 +321,15 @@ def _block_values(walk: _Walk, prefix, out=None, values=None) -> np.ndarray:
 
 
 def _outcomes(walk: _Walk):
-    """All enumerated (values, probs), concatenated in walk order.
-
-    Each block's values are a fresh array, since every block is kept.
-    """
+    """All enumerated (values, probs) in walk order, each block written into its
+    slice of one preallocated pair of arrays."""
+    m, total = len(walk.probs), len(walk.probs) * len(walk.prefixes)
+    values, probs = np.empty(total), np.empty(total)
     out = np.empty_like(walk.sums)
-    values = [_block_values(walk, prefix, out) for prefix in walk.prefixes]
-    probs = [walk.probs * p0 for _, _, p0 in walk.prefixes]
-    return np.concatenate(values), np.concatenate(probs)
+    for lo, prefix in zip(range(0, total, m), walk.prefixes):
+        _block_values(walk, prefix, out, values[lo:lo + m])
+        np.multiply(walk.probs, prefix[2], out=probs[lo:lo + m])
+    return values, probs
 
 
 def _exact_mean(walk: _Walk) -> EstimateWithCI:

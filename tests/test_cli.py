@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momsand import cli, errors
 from momsand import dist_core as dc
@@ -664,7 +666,8 @@ def test_bad_thread_count_is_usage_error(capsys, monkeypatch, raw):
 
 @pytest.mark.parametrize(
     "command, value",
-    [("moments", math.nan), ("counterexample", math.inf)],
+    [("moments", math.nan), ("counterexample", math.inf), ("riesz", -math.inf),
+     ("certify", np.float64(math.nan))],
 )
 def test_nonfinite_report_is_usage_error(capsys, monkeypatch, tmp_path, command, value):
     # a value nested in a dataclass inside a list, as the real reports hold them
@@ -675,8 +678,10 @@ def test_nonfinite_report_is_usage_error(capsys, monkeypatch, tmp_path, command,
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+    # the message of the json.dumps call the writer stands in for
+    with pytest.raises(ValueError) as info:
+        _json_dumps({"rows": [est]})
+    assert captured.err == f"usage error: {info.value}\n"
     assert "NaN" not in captured.err and "Infinity" not in captured.err
     assert not out_path.exists()
 
@@ -909,6 +914,63 @@ def test_one_level_encoding_matches_asdict(name):
     results, _ = cli._DISPATCH[args.command](cli._resolve_config(args))
     text = json.dumps(results, indent=2, sort_keys=True, default=cli._encode)
     assert text == json.dumps(results, indent=2, sort_keys=True, default=_asdict_encode)
+
+
+def _json_dumps(report):
+    """The json.dumps call cli._dumps stands in for."""
+    return json.dumps(report, indent=2, sort_keys=True, default=cli._encode, allow_nan=False)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_OF_EACH))
+def test_writer_matches_json_dumps_on_each_report(monkeypatch, capsys, name):
+    reports = []
+    dumps = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda report: reports.append(report) or dumps(report))
+    code, _, out = run_cli(capsys, ONE_OF_EACH[name])
+    assert code in (0, 1) and len(reports) == 1
+    assert out == _json_dumps(reports[0]) + "\n"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Pair:
+    first: object
+    second: object
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LEAVES = st.one_of(
+    st.text(st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é€😀')),
+            max_size=6),
+    st.booleans(),
+    st.none(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    _FINITE,
+    st.sampled_from([-0.0, 5e-324, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]),
+    _FINITE.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.lists(_FINITE, max_size=3).map(np.array),
+    st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=2).map(np.array),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        # written as text: True, 1 and 1.0 are one key but three texts
+        st.dictionaries(st.one_of(st.integers(-2, 2), st.booleans(), st.sampled_from([1.0, -0.5])),
+                        children, max_size=3),
+        st.builds(_Pair, children, children),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_TREES)
+def test_writer_matches_json_dumps_on_any_tree(tree):
+    assert cli._dumps(tree) == _json_dumps(tree)
 
 
 def _without_wall_time(text):

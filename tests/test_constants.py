@@ -126,6 +126,93 @@ def test_minimal_k_matches_scan_large_regime():
         assert k == scan_k(math.log(lam), p, 0.0, ln_rhs)
 
 
+def scan_k_far(ln_lam, a_coef, b_coef, ln_rhs, cap=10**8, chunk=2**18):
+    """scan_k for k in the millions.  NumPy's log, within 1e-9 of math.log's,
+    skips each k that fails by more than that margin; from the first k it
+    keeps, math.log decides k by k as scan_k does."""
+    for lo in range(1, cap + 1, chunk):
+        ks = np.arange(lo, min(lo + chunk, cap + 1))
+        near = np.flatnonzero(np.log(ks) + (a_coef * ks + b_coef) * ln_lam <= ln_rhs + 1e-9)
+        if len(near):
+            for k in range(int(ks[near[0]]), cap + 1):
+                if math.log(k) + (a_coef * k + b_coef) * ln_lam <= ln_rhs:
+                    return k
+            return None
+    return None
+
+
+@pytest.mark.parametrize("shift", [-1, 1, 3, None])
+def test_minimal_k_checks_the_newton_candidate(monkeypatch, shift):
+    # a candidate off by one or more, or none (0), goes to doubling and bisection
+    newton = constants._newton_k
+    monkeypatch.setattr(
+        constants, "_newton_k", lambda *args: 0 if shift is None else newton(*args) + shift
+    )
+    rng = np.random.default_rng(20240304)
+    for _ in range(100):
+        p, lam, ln_rhs = rng.uniform(1.05, 4.0), rng.uniform(0.1, 0.99), rng.uniform(-40.0, 0.0)
+        k = minimal_k(math.log(lam), p, 0.0, ln_rhs, [])
+        assert k == scan_k(math.log(lam), p, 0.0, ln_rhs)
+
+
+@pytest.mark.parametrize("a_coef, b_coef", [(2.0, -2.0), (1.3, 0.0), (4.0, 0.0)])
+def test_minimal_k_matches_scan_next_to_the_peak(a_coef, b_coef):
+    # ln_rhs just below f(ceil k*): the first integer past the peak fails by a
+    # hair and f is nearly flat there
+    f = lambda j, ln_lam: math.log(j) + (a_coef * j + b_coef) * ln_lam
+    rng = np.random.default_rng(20240303)
+    past_ceil = 0
+    for k_star in np.concatenate([rng.uniform(0.3, 3.0, 60), 10.0 ** rng.uniform(0.5, 4.5, 20)]):
+        ln_lam = -1.0 / (a_coef * k_star)
+        top = f(math.ceil(k_star), ln_lam)
+        for ln_rhs in (math.nextafter(top, -math.inf), top - 1e-12 * max(1.0, abs(top)),
+                       top - 1e-6):
+            k = minimal_k(ln_lam, a_coef, b_coef, ln_rhs, [])
+            assert k == scan_k(ln_lam, a_coef, b_coef, ln_rhs)
+            past_ceil += k > math.ceil(k_star)
+    assert past_ceil > 20
+
+
+@pytest.mark.parametrize("lam", [0.999, 1.0 - 1e-4, 1.0 - 1e-5, 1.0 - 1e-6])
+def test_minimal_k_matches_scan_small_regime_lambda_near_one(lam):
+    ln_rhs = 3.0 * math.log(0.5) + 2.0 * math.log1p(-lam) - 12.0 * math.log(2.0) - math.log(2.0)
+    k = minimal_k(math.log(lam), 2.0, -2.0, ln_rhs, [])
+    assert k == scan_k_far(math.log(lam), 2.0, -2.0, ln_rhs)
+    if k <= 200_000:
+        assert k == scan_k(math.log(lam), 2.0, -2.0, ln_rhs)
+
+
+@pytest.mark.parametrize("build, message, trace", [
+    (lambda: lower_constant_small_p(small_cert(1.0 - 1e-9, 0.5, 2.0)),
+     "no admissible k up to the 10^9 cap (lambda = 0.999999999)",
+     [{"id": "lambda", "inputs": {"p": 1.0}, "value": 0.999999999},
+      {"id": "delta", "inputs": {"a_param": 2.0}, "value": 0.5},
+      {"id": "ln_rhs_small", "inputs": {"delta": 0.5, "lambda": 0.999999999, "a_param": 2.0},
+       "value": -52.53688661941581}]),
+    (lambda: lower_constant_small_p(small_cert(1.0 - 1e-10, 0.5, 2.0)),
+     "k search still increasing at the 10^9 cap (peak near 5.000e+09)",
+     [{"id": "lambda", "inputs": {"p": 1.0}, "value": 0.9999999999},
+      {"id": "delta", "inputs": {"a_param": 2.0}, "value": 0.5},
+      {"id": "ln_rhs_small", "inputs": {"delta": 0.5, "lambda": 0.9999999999, "a_param": 2.0},
+       "value": -57.142056583359306}]),
+    (lambda: lower_constant_large_p(large_cert(2.0, 0.5, 2.0, 1.5, 1.0 - 1e-9, (0.5,))),
+     "no admissible k up to the 10^9 cap (lambda = 0.999999999)",
+     [{"id": "mu", "inputs": {"p": 2.0}, "value": 0.5},
+      {"id": "lambda_q", "inputs": {"q": 1.5}, "value": 0.999999999},
+      {"id": "ln_c0", "inputs": {"p": 2.0, "lambda": 0.999999999, "a_param": 2.0, "q": 1.5},
+       "value": 55.5295107157437},
+      {"id": "ln_rhs_large", "inputs": {"mu": 0.5, "lambda": 0.999999999,
+                                        "ln_c0": 55.5295107157437},
+       "value": -98.55126939454667}]),
+])
+def test_k_too_large_message_and_trace(build, message, trace):
+    # the message and trace the doubling-and-bisection search alone gave
+    with pytest.raises(KTooLargeError) as info:
+        build()
+    assert str(info.value) == message
+    assert info.value.trace == trace
+
+
 def test_large_p_anchor_direct_formula():
     p, mu, lam, a_param, q = 2.0, 2.0, 0.5, 2.0, 1.5
     cert = large_cert(p, mu, a_param, q, lam, (0.5,))
@@ -350,6 +437,29 @@ def test_lean_scan_matches_the_full_scan(law, p):
     want_bundle, want_cert = _full_scan(spec, p)
     assert bundle == want_bundle
     assert cert == want_cert
+
+
+LARGE_TRACE_IDS = [
+    "mu", "lambda_q", "ln_c0", "ln_rhs_large", "k_minimality", "lower_c_large",
+    "upper_C_recursive", "upper_C_product", "upper_C", "eps0_large", "eps1_large",
+]
+
+
+def test_large_p_bundles_carry_the_full_trace():
+    bundle = lower_constant_large_p(large_cert(2.0, 2.0, 2.0, 1.5, 0.5, (0.5,)))
+    assert [entry["id"] for entry in bundle.trace] == LARGE_TRACE_IDS
+    witness = bundle.trace[4]["inputs"]
+    assert witness["k"] == bundle.k > 1
+    assert witness["f_k"] <= witness["ln_rhs"] < witness["f_k_minus_1"]
+    under = lower_constant_large_p(large_cert(5.0, 1e-30, 2.0, 4.5, 0.5, (0.5,) * 4))
+    assert [entry["id"] for entry in under.trace] == (
+        LARGE_TRACE_IDS[:5] + ["lower_c_underflow"] + LARGE_TRACE_IDS[5:]
+    )
+    # the scan's winner: the full bundle of its certificate, then the scan entry
+    for law in _workloads.CERTIFY_LAWS:
+        best, cert = optimize_large_p(_normalized(law, 2.5), 2.5)
+        assert best.trace[:-1] == lower_constant_large_p(cert).trace
+        assert [entry["id"] for entry in best.trace] == LARGE_TRACE_IDS + ["aq_scan"]
 
 
 def _raised(fn):

@@ -670,17 +670,20 @@ def test_overflowing_exact_mean_warns_from_no_worker(monkeypatch, threads, atoms
 
 
 def test_outcomes_blocks_alias_no_reused_buffer(monkeypatch):
-    # with one buffer reused across blocks every block would read as the last one
+    # with one buffer reused across blocks every block would read as the last one;
+    # the reference concatenates each block's fresh arrays, and the bits must match
     monkeypatch.setattr(mc, "ENUM_BLOCK", 7)
     spec = dc.finitely_supported(WALK_LAWS["three_atoms"])
-    walk = mc._sandwich_walk(spec, _walk_coeffs(6, 2, "l2"), 2.5)
-    values, probs = mc._outcomes(walk)
-    m = walk.sums.shape[1]
-    blocks = [mc._block_values(walk, prefix) for prefix in walk.prefixes]
-    assert len(blocks) > 2
-    assert np.array_equal(values, np.concatenate(blocks))
-    assert np.array_equal(probs, np.concatenate([walk.probs * p0 for _, _, p0 in walk.prefixes]))
-    assert len({values[j * m:(j + 1) * m].tobytes() for j in range(len(blocks))}) == len(blocks)
+    for dim in (1, 2, 3):
+        walk = mc._sandwich_walk(spec, _walk_coeffs(6, dim, "l2"), 2.5)
+        values, probs = mc._outcomes(walk)
+        m = walk.sums.shape[1]
+        blocks = [mc._block_values(walk, prefix) for prefix in walk.prefixes]
+        assert len(blocks) > 2
+        assert values.tobytes() == np.concatenate(blocks).tobytes()
+        want_probs = np.concatenate([walk.probs * p0 for _, _, p0 in walk.prefixes])
+        assert probs.tobytes() == want_probs.tobytes()
+        assert len({values[j * m:(j + 1) * m].tobytes() for j in range(len(blocks))}) == len(blocks)
 
 
 def _norm_rows(dim):

@@ -83,3 +83,16 @@ def test_bench_reports_stores_strict_json_without_wall_time():
     assert body["results"]["table"][1]["value"] == 1.5
     # written back as the CLI writes it
     assert f"--- stdout\n{json.dumps(body, indent=2, sort_keys=True)}\n--- stderr\n" in text
+
+
+def test_bench_reports_keeps_the_cli_bytes_but_the_top_level_wall_time():
+    lines = ['{', '  "b": [1.50, 2],', '  "c": {', '    "wall_time_s": 3', '  },',
+             '  "wall_time_s": 0.25,', '  "z": "x"', '}']
+
+    def fake_main(argv):
+        print("\n".join(lines))
+        return 1
+
+    text = bench_reports.run_op(fake_main, [])
+    kept = lines[:4] + ['  },', '  "z": "x"', '}']
+    assert text == "exit: 1\n--- stdout\n" + "\n".join(kept) + "\n--- stderr\n"
