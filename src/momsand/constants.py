@@ -128,7 +128,7 @@ def _newton_k(ln_lam: float, a_coef: float, b_coef: float, ln_rhs: float, k_star
 
 
 def minimal_k(
-    ln_lam: float, a_coef: float, b_coef: float, ln_rhs: float, trace: list
+    ln_lam: float, a_coef: float, b_coef: float, ln_rhs: float, trace: list | tuple
 ) -> int:
     """Smallest k >= 1 with ln k + (a k + b) ln_lam <= ln_rhs, cap 10^9.
 
@@ -266,17 +266,16 @@ def _large_p_lower(
             },
         ]
     k = minimal_k(ln_lam, p, 0.0, ln_rhs, () if trace is None else trace)
-    ln_lower = ln_tail_base - math.log(8.0 * k)
-    lower_c = math.exp(ln_lower)
-    underflow = 0.0 < lower_c < _MIN_NORMAL or (lower_c == 0.0 and math.isfinite(ln_lower))
-    if underflow:
-        lower_c = 0.0
     if trace is not None:
         trace.append(_witness(k, ln_lam, p, 0.0, ln_rhs))
-        if underflow:
+    ln_lower = ln_tail_base - math.log(8.0 * k)
+    lower_c = math.exp(ln_lower)
+    if 0.0 < lower_c < _MIN_NORMAL or (lower_c == 0.0 and math.isfinite(ln_lower)):
+        if trace is not None:
             trace.append(
                 {"id": "lower_c_underflow", "inputs": {"ln_lower_c": ln_lower}, "value": 0.0}
             )
+        lower_c = 0.0
     return lower_c, k, ln_c0, ln_lower
 
 
