@@ -15,6 +15,9 @@ constant formulas consume:
 SmallPParts and LargePParts hold what does not depend on the grid, fitted
 once; their certificate() assembles the certificate at one grid point, for
 fit_small_p/fit_large_p and for the scans in constants alike.
+LargePParts.check() raises as certificate() does without building one, so
+the large-p scan checks every point and builds only the certificates it
+keeps.
 
 Certificates carry margins (distances to the degenerate boundary) and
 re-verify against the closed-form oracles dist_core.abs_moment and, for E|X|,
@@ -221,8 +224,8 @@ class LargePParts:
             return None
         return _lp_norm(self.spec, q) / self.norm_p
 
-    def certificate(self, a_val: float, tail, q: float, lam) -> LargePCertificate:
-        """The certificate at (A, q) from tail(A) and lam(q); raises where a hypothesis fails."""
+    def check(self, a_val: float, tail, q: float, lam) -> None:
+        """Raise where a hypothesis fails at (A, q), given tail(A) and lam(q)."""
         if tail is None:
             raise EmptyWindowError(f"A = {a_val} does not meet the mu/4 tail condition")
         if lam is None:
@@ -234,6 +237,10 @@ class LargePParts:
                 raise DegenerateModulusError(
                     f"chain ratio lambda_{k} = {lam_k!r} is not strictly below 1"
                 )
+
+    def certificate(self, a_val: float, tail, q: float, lam) -> LargePCertificate:
+        """The certificate at (A, q) from tail(A) and lam(q); raises as check does."""
+        self.check(a_val, tail, q, lam)
         margins = {
             "mu": self.mu,
             "tail_slack": self.mu / 4.0 - tail,

@@ -47,16 +47,18 @@ we assert that on every call.
 optimize_small_p and optimize_large_p share one scan over the A or (A, q)
 grid.  The parts that do not depend on the grid are fitted once per scan,
 the large-p tail once per A and lambda(q) once per q; each point computes
-only its lower_c, a large-p point through the same formula as its bundle
-but without building its trace, and the full bundle (trace, upper
-constants, eps0 and eps1) is built once, for the winner, and for the first
-point that succeeds.  The first grid point with the largest lower_c wins
+only its lower_c, a large-p point from (p, mu, lambda, q, A) through the
+same formula as its bundle but without building its certificate or trace.
+The certificate and the full bundle (trace, upper constants, eps0 and
+eps1) are built twice at most: for the winner, and for the first point
+that succeeds.  The first grid point with the largest lower_c wins
 (ties go to the earlier point), a failing point is recorded with lower_c
 None, and both return (bundle, certificate).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -234,16 +236,15 @@ def _ln_c0(p: float, lam: float, a_param: float, q: float) -> float:
 
 
 def _large_p_lower(
-    cert: LargePCertificate, trace: list | None = None
+    p: float, mu: float, lam: float, q: float, a_param: float, trace: list | None = None
 ) -> tuple[float, int, float, float]:
     """The large-p lower constant at one point: (lower_c, k, ln_c0, ln_lower_c).
 
     Its trace entries, from mu to the k witness and an underflow, go to
     trace when one is given; the scan scores its points without one.
-    Raises ValueError for a certificate out of range, and KTooLargeError,
+    Raises ValueError for a point out of range, and KTooLargeError,
     carrying the trace up to the k search, when no k fits under the cap.
     """
-    p, mu, lam, q, a_param = cert.p, cert.mu, cert.lam, cert.q, cert.a_param
     if not (0.0 < lam < 1.0 and mu > 0.0 and a_param > 1.0 and max(p - 1.0, 1.0) < q < p):
         raise ValueError("certificate out of range for the large-p constant")
     ln_c0 = _ln_c0(p, lam, a_param, q)
@@ -279,19 +280,19 @@ def _large_p_lower(
     return lower_c, k, ln_c0, ln_lower
 
 
-def _large_p_score(cert: LargePCertificate) -> float:
+def _large_p_score(p: float, mu: float, lam: float, q: float, a_param: float) -> float:
     """The scan's lower_c at one point, built without a trace; when no k fits,
     the point is built again with one, for the KTooLargeError to carry."""
     try:
-        return _large_p_lower(cert)[0]
+        return _large_p_lower(p, mu, lam, q, a_param)[0]
     except KTooLargeError:
-        return _large_p_lower(cert, [])[0]  # raises the error again, with the trace
+        return _large_p_lower(p, mu, lam, q, a_param, [])[0]  # raises again, with the trace
 
 
 def lower_constant_large_p(cert: LargePCertificate) -> ConstantBundle:
     p, mu = cert.p, cert.mu
     trace: list = []
-    lower_c, k, ln_c0, ln_lower = _large_p_lower(cert, trace)
+    lower_c, k, ln_c0, ln_lower = _large_p_lower(p, mu, cert.lam, cert.q, cert.a_param, trace)
     c0 = math.exp(ln_c0) if ln_c0 < 709.0 else None  # past float range; ln_c0 is in the trace
     product_c, recursive_c = upper_constant_large_p(p, cert.lam_chain)
     upper = min(product_c, recursive_c)
@@ -393,30 +394,34 @@ def dependent_upper_constant(p: float, lambda_chain) -> float:
     return _dependent_c(p, _chain(p, lambda_chain))
 
 
-def _scan(points, keys, certificate, lower_c, lower_constant, scan_id, empty):
+def _scan(points, keys, certificate, score, lower_constant, scan_id, empty):
     """(bundle, certificate) of the first grid point with the largest lower_c.
 
-    A point is built by certificate(*point), then only its lower_c(cert);
-    the full bundle, lower_constant(cert), is built for the winner, and for
-    the first point that succeeds, so that an error of the parts every point
-    shares (the large-p upper constant) is raised there, where a scan of full
-    bundles raised it.  When every point fails, the last error (`empty` for
-    no points) is raised again.
+    Each point is scored by score(*point), its lower_c, which raises where
+    certificate(*point) would.  The certificate and the full bundle,
+    lower_constant(cert), are built for the winner, and for the first point
+    that succeeds, so that an error of the parts every point shares (the
+    large-p upper constant) is raised there, where a scan of full bundles
+    raised it.  When every point fails, the last error (`empty` for no
+    points) is raised again.
     """
     best, scan, last_err = None, [], empty
     for point in points:
         try:
-            cert = certificate(*point)
-            value = lower_c(cert)
+            value = score(*point)
         except HypothesisError as exc:
             value, last_err = None, exc
         scan.append(dict(zip(keys, point), lower_c=value))
-        if value is not None and (best is None or value > best[0]):
-            best = (value, cert, point, lower_constant(cert) if best is None else None)
+        if value is not None and best is None:
+            cert = certificate(*point)
+            best = (value, point, cert, lower_constant(cert))
+        elif value is not None and value > best[0]:
+            best = (value, point, None, None)
     if best is None:
         raise last_err
-    _, cert, point, bundle = best
+    _, point, cert, bundle = best
     if bundle is None:
+        cert = certificate(*point)
         bundle = lower_constant(cert)
     value = point[0] if len(point) == 1 else list(point)
     entry = {"id": scan_id, "inputs": {"candidates": scan}, "value": value}
@@ -427,11 +432,12 @@ def optimize_small_p(
     spec: dc.DistributionSpec, p: float, a_grid=DEFAULT_A_GRID_SMALL
 ) -> tuple[ConstantBundle, SmallPCertificate]:
     """Best lower constant over the A grid, with its certificate."""
-    parts = small_p_parts(spec, p)
+    # the window mass delta(A) is the fit at A, so each point builds its certificate
+    certificate = functools.cache(small_p_parts(spec, p).certificate)
     return _scan(
-        [(float(a),) for a in a_grid], ("a_param",), parts.certificate,
-        lambda cert: lower_constant_small_p(cert).lower_c, lower_constant_small_p, "a_scan",
-        EmptyWindowError("empty A grid for the small-p scan"),
+        [(float(a),) for a in a_grid], ("a_param",), certificate,
+        lambda a: lower_constant_small_p(certificate(a)).lower_c, lower_constant_small_p,
+        "a_scan", EmptyWindowError("empty A grid for the small-p scan"),
     )
 
 
@@ -447,9 +453,14 @@ def optimize_large_p(
     parts = large_p_parts(spec, p)
     tails = {a: parts.tail(a) for a in a_grid}
     lams = {q: parts.lam(q) for q in q_grid}
+
+    def score(a, q):
+        parts.check(a, tails[a], q, lams[q])
+        return _large_p_score(p, parts.mu, lams[q], q, a)
+
     return _scan(
         [(a, q) for a in a_grid for q in q_grid], ("a_param", "q"),
         lambda a, q: parts.certificate(a, tails[a], q, lams[q]),
-        _large_p_score, lower_constant_large_p, "aq_scan",
+        score, lower_constant_large_p, "aq_scan",
         NoValidQError("empty (A, q) grid for the large-p scan"),
     )

@@ -11,7 +11,11 @@ specs the module provides
   * normalize_unit_p_moment: rescale so that E|X|^p = 1,
   * expect: the truncated moment E||X|^r - shift| 1{a < |X|^r <= b} behind
     E|X|, the mean absolute deviation, its tail and the window mass that
-    the hypothesis fitters use, again from a finite sum or a closed form.
+    the hypothesis fitters use, again from a finite sum or a closed form,
+  * gamma_inc and beta_inc: the regularized incomplete gamma and beta
+    functions behind expect on exponential and Riesz factor laws, by their
+    series and continued fractions (DLMF 8.7.1, 8.9.2 and 8.17.22) in
+    plain Python.
 
 Sampling is counter-based: a RandomSource is a (seed, stream_id) pair and
 every draw is a deterministic function of it, so identical sources reproduce
@@ -31,16 +35,17 @@ Text form: specs parse from "family:key=value,..." strings, for example
 "finite:atoms=-1@0.25|0.5@0.5|2@0.25", and
 "scaled:scale=0.5,base=(twopoint:a=1,b=3,pa=0.5)".
 
-SciPy loads on first use, as scipy.special only, in two places: expect on
-an exponential or Riesz factor law (the incomplete gamma and beta functions)
-and the lognormal quantile (ndtri).  Importing the package, abs_moment, any
-work on finite laws and expect on the other laws never load it.
+SciPy loads on first use, as scipy.special only, in one place: the
+lognormal quantile (ndtri).  Importing the package, abs_moment, expect and
+any work on the other laws never load it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -521,9 +526,10 @@ def _truncated_moment(spec: DistributionSpec, k: float, lo: float, hi: float,
     E|X|^k times the increment of the law tilted by |x|^k, read from its
     upper tail when upper is set: the normal CDF at (log x - mu) / sigma -
     k sigma (math.erfc) for a lognormal law, the regularized incomplete gamma
-    function at (k + 1, rate x) for an exponential one, and the regularized
-    incomplete beta function at (k + 1/2, 1/2, x / 2) for the Riesz factor,
-    since X / 2 is Beta(1/2, 1/2).
+    function gamma_inc at (k + 1, rate x) for an exponential one, and the
+    regularized incomplete beta function beta_inc at (k + 1/2, 1/2, x / 2)
+    for the Riesz factor, since X / 2 is Beta(1/2, 1/2).  Each computes the
+    side asked for directly, so a deep tail keeps its relative accuracy.
     """
     if spec.family == UNIFORM:
         total = 0.0
@@ -537,19 +543,131 @@ def _truncated_moment(spec: DistributionSpec, k: float, lo: float, hi: float,
              for x in (lo, hi)]
         cdf = [0.5 * math.erfc((zx if upper else -zx) / math.sqrt(2.0)) for zx in z]
     elif spec.family == EXPONENTIAL:
-        from scipy import special
-
-        fn = special.gammaincc if upper else special.gammainc
-        cdf = fn(k + 1.0, spec.rate * np.array([lo, hi]))
+        cdf = [gamma_inc(k + 1.0, spec.rate * x, upper) for x in (lo, hi)]
     elif spec.family == RIESZ_FACTOR:
-        from scipy import special
-
-        fn = special.betaincc if upper else special.betainc
-        cdf = fn(k + 0.5, 0.5, np.minimum([lo, hi], 2.0) / 2.0)
+        cdf = [beta_inc(k + 0.5, 0.5, min(x, 2.0) / 2.0, upper) for x in (lo, hi)]
     else:
         raise AssertionError(f"unhandled family {spec.family}")
-    mass = float(cdf[0] - cdf[1] if upper else cdf[1] - cdf[0])
+    mass = cdf[0] - cdf[1] if upper else cdf[1] - cdf[0]
     return mass * _family_abs_moment(spec, k) if k > 0.0 else mass
+
+
+# a series or continued fraction stops once a step changes it by at most an ulp
+_EPS = 2.0**-52
+# the steps allowed before a series or continued fraction counts as not converging
+_MAX_STEPS = 10_000
+# stands in for a zero denominator of the modified Lentz method
+_TINY = 1e-300
+
+
+def gamma_inc(a: float, x: float, upper: bool = False) -> float:
+    """The regularized incomplete gamma function P(a, x), or Q(a, x) = 1 - P(a, x)
+    when upper is set; a > 0, x >= 0.
+
+    Below x = a + 1 the series DLMF 8.7.1 gives P; from there Legendre's
+    continued fraction DLMF 8.9.2, in its even part and by the modified
+    Lentz method, gives Q.  The other side is one minus that, and is not
+    small where it is taken that way, so the side asked for keeps its
+    relative accuracy however deep its tail.  Against mpmath, within 2e-15
+    relative down to values near 1e-300 for a in [1, 10] (see _gamma_front).
+    Exactly 0 or 1 at x = 0 and x = inf; ArithmeticError if the steps do not
+    settle, as for a nan.
+    """
+    if x <= 0.0:
+        return float(upper)
+    if x == math.inf:
+        return float(not upper)
+    if x < a + 1.0:
+        # P = x^a e^-x / Gamma(a + 1) * sum_n x^n / ((a + 1) ... (a + n))
+        term = total = 1.0
+        for n in range(1, _MAX_STEPS):
+            term *= x / (a + n)
+            total += term
+            if term <= total * _EPS:
+                return _side(total * _gamma_front(a, x) / a, upper, False)
+    else:
+        # Q = x^a e^-x / Gamma(a) / (x + 1 - a - 1 (1 - a) / (x + 3 - a - 2 (2 - a) / ...))
+        b = x + 1.0 - a
+        c, d = 1.0 / _TINY, 1.0 / b
+        frac = d
+        for i in range(1, _MAX_STEPS):
+            an = -i * (i - a)
+            b += 2.0
+            d = 1.0 / (an * d + b or _TINY)
+            c = b + an / c or _TINY
+            step = c * d
+            frac *= step
+            if abs(step - 1.0) <= _EPS:
+                return _side(frac * _gamma_front(a, x), upper, True)
+    raise ArithmeticError(f"the incomplete gamma function did not converge at a = {a}, x = {x}")
+
+
+def _side(value: float, upper: bool, value_is_upper: bool) -> float:
+    """value on the side asked for: itself, or one minus it."""
+    return value if value_is_upper == upper else 1.0 - value
+
+
+def _gamma_front(a: float, x: float) -> float:
+    """x^a e^-x / Gamma(a) from the powers themselves, each within about an
+    ulp, while the value is a normal float (e^-x is taken as two halves to
+    reach x = 1400); otherwise, or when a power leaves the float range, as
+    exp(a ln x - x - lgamma(a)), whose rounding grows with the exponent:
+    4e-14 relative near 1e-300."""
+    if x < 1400.0:
+        half = math.exp(-0.5 * x)
+        with contextlib.suppress(OverflowError):
+            value = x**a * half / math.gamma(a) * half
+            if value >= sys.float_info.min:
+                return value
+    return math.exp(a * math.log(x) - x - math.lgamma(a))
+
+
+def beta_inc(a: float, b: float, x: float, upper: bool = False) -> float:
+    """The regularized incomplete beta function I_x(a, b), or 1 - I_x(a, b)
+    when upper is set; a, b > 0, 0 <= x <= 1.
+
+    The continued fraction DLMF 8.17.22, by the modified Lentz method, for
+    x <= (a + 1) / (a + b + 2), where it converges fast; above that the
+    same fraction of I_{1-x}(b, a) = 1 - I_x(a, b).  As with gamma_inc the
+    side asked for is computed directly, not as one minus a value near 1.
+    Against mpmath, within 3e-15 relative down to values near 1e-300 for
+    b = 1/2 and a in [1/2, 9] (see _beta_front).  Exactly 0 or 1 at x = 0
+    and x >= 1; ArithmeticError if the steps do not settle, as for a nan.
+    """
+    if x <= 0.0:
+        return float(upper)
+    if x >= 1.0:
+        return float(not upper)
+    value_is_upper = x > (a + 1.0) / (a + b + 2.0)
+    if value_is_upper:
+        a, b, x = b, a, 1.0 - x
+    # I_x(a, b) = x^a (1 - x)^b / (a B(a, b)) / (1 + d_1 / (1 + d_2 / (1 + ...))),
+    # d_2m = m (b - m) x / ((a + 2m - 1)(a + 2m)),
+    # d_2m+1 = -(a + m)(a + b + m) x / ((a + 2m)(a + 2m + 1))
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0) or _TINY)
+    frac = d
+    for m in range(1, _MAX_STEPS):
+        for dm in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                   -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 / (1.0 + dm * d or _TINY)
+            c = 1.0 + dm / c or _TINY
+            step = c * d
+            frac *= step
+        if abs(step - 1.0) <= _EPS:
+            return _side(frac * _beta_front(a, b, x) / a, upper, value_is_upper)
+    raise ArithmeticError(f"the incomplete beta function did not converge at a = {a}, "
+                          f"b = {b}, x = {x}")
+
+
+def _beta_front(a: float, b: float, x: float) -> float:
+    """x^a (1 - x)^b / B(a, b) from the powers themselves while the value is a
+    normal float, otherwise from its logarithm (see _gamma_front)."""
+    with contextlib.suppress(OverflowError):
+        value = x**a * (1.0 - x) ** b * math.gamma(a + b) / (math.gamma(a) * math.gamma(b))
+        if value >= sys.float_info.min:
+            return value
+    return math.exp(a * math.log(x) + b * math.log1p(-x)
+                    + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
 
 
 # ---------------------------------------------------------------------------

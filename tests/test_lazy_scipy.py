@@ -1,4 +1,5 @@
-"""SciPy stays off the import path and loads only where a command needs it.
+"""SciPy stays off the import path and loads only where a command needs it:
+sampling a lognormal law, whose quantile is scipy.special.ndtri.
 
 Each check runs in a fresh interpreter: the test process itself has SciPy
 loaded already (other test modules import it).
@@ -94,8 +95,11 @@ def test_finite_law_commands_never_load_scipy():
 
 
 def test_certify_on_closed_form_continuous_laws_never_loads_scipy():
+    # the exponential and Riesz factor fits use dist_core's own incomplete
+    # gamma and beta functions
     laws = ["uniform:lo=0,hi=2", "lognormal:mu=0,sigma=0.5",
-            "scaled:scale=2,base=(uniform:lo=0,hi=1)"]
+            "scaled:scale=2,base=(uniform:lo=0,hi=1)", "exponential:rate=1", "riesz",
+            "scaled:scale=2,base=(exponential:rate=1)"]
     runs = [["certify", "--dist", law, "--p", p] for law in laws for p in ("0.5", "2.5")]
     assert _loads(runs) == [["certify", 0, False]] * len(runs)
 
@@ -115,8 +119,8 @@ def test_no_command_loads_scipy_integrate():
     ]
     rows = _loads(runs, "scipy.integrate")
     assert rows == [[argv[0], 0, False] for argv in runs]
-    # the commands did load SciPy: the incomplete gamma and beta functions come from it
-    assert _loads(runs[:1]) == [["certify", 0, True]]
+    # nor scipy.special: the incomplete gamma and beta functions are dist_core's own
+    assert _loads(runs[:1]) == [["certify", 0, False]]
 
 
 def test_closed_form_moment_commands_never_load_scipy():
@@ -128,6 +132,9 @@ def test_closed_form_moment_commands_never_load_scipy():
         ["riesz", *seq, "--p", "2.5", "--draws", "2", "--reps", "2000"],
         ["moments", "--dist", "riesz", "--q", "0.5,3,600"],
         ["moments", "--dist", "exponential:rate=1", "--q", "0.5,3"],
+        # the bracket constants come from the fits on X
+        ["perpetuity", "--dist", "exponential:rate=1", "--b-dist", "riesz", "--p", "2",
+         "--n-list", "1,2", "--reps", "2000"],
     ]
     assert _loads(runs) == [[argv[0], 0, False] for argv in runs]
 
