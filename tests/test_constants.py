@@ -13,6 +13,7 @@ from momsand import dist_core as dc
 from momsand.assumptions import (
     DEFAULT_A_GRID_LARGE,
     LargePCertificate,
+    LargePParts,
     SmallPCertificate,
     default_q_grid,
     fit_large_p,
@@ -485,6 +486,24 @@ def test_lean_scan_raises_the_shared_upper_error_at_the_first_success():
         got = _raised(lambda: optimize_large_p(spec, 45.0, a_grid=a_grid))
         assert got[0] is kind
         assert got == _raised(lambda: _full_scan(spec, 45.0, a_grid=a_grid))
+
+
+@pytest.mark.parametrize("law", _workloads.CERTIFY_LAWS)
+def test_large_p_scan_builds_certificates_for_the_first_success_and_the_winner_only(
+    law, monkeypatch
+):
+    built = []
+    original = LargePParts.certificate
+
+    def certificate(self, a_val, tail, q, lam):
+        built.append((a_val, q))
+        return original(self, a_val, tail, q, lam)
+
+    monkeypatch.setattr(LargePParts, "certificate", certificate)
+    _, cert = optimize_large_p(_normalized(law, 3.5), 3.5)
+    # 54 grid points, at most two certificates; the winner's is built last
+    assert 1 <= len(built) <= 2
+    assert built[-1] == (cert.a_param, cert.q)
 
 
 def test_scan_ties_go_to_the_earlier_point_and_build_two_bundles():
