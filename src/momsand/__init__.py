@@ -5,9 +5,9 @@ running product X_1 ... X_i of i.i.d. factors.  The package fits the
 hypothesis certificates (moment ratios, window masses, truncation levels)
 from closed-form moments and truncated moments, derives the explicit
 sandwich constants with full derivation traces, and verifies the resulting
-bounds by exact enumeration, seeded Monte Carlo and torus quadrature --
-including the perpetuity partial sums S_n = sum R_{i-1} B_i and the
-torus-side Riesz product comparison.
+bounds by exact enumeration, enclosures from exact moments, seeded Monte
+Carlo and torus quadrature -- including the perpetuity partial sums
+S_n = sum R_{i-1} B_i and the torus-side Riesz product comparison.
 """
 
 __version__ = "0.1.0"
@@ -40,6 +40,7 @@ from .constants import (
 from .dist_core import (
     DistributionSpec,
     RandomSource,
+    RawMoment,
     abs_moment,
     exponential,
     finitely_supported,
@@ -48,6 +49,7 @@ from .dist_core import (
     parse_spec,
     quantile,
     rademacher_sign,
+    raw_moment,
     riesz_factor,
     sample,
     scaled_copy,
@@ -65,6 +67,7 @@ from .errors import (
     HypothesisError,
     InvalidOrderError,
     KTooLargeError,
+    MomentsUnavailableError,
     MomsandError,
     NonfiniteMomentError,
     NotIncreasingError,
@@ -76,20 +79,27 @@ from .errors import (
 )
 from .montecarlo import (
     CoefficientSet,
+    ENGINES,
     EstimateWithCI,
     GoldieBracketRow,
+    MomentEnclosure,
     SandwichReport,
     bracket_constants,
     brute_force_lhs,
     brute_force_perpetuity,
+    choose_engine,
     coefficient_set,
     enumerate_lhs_distribution,
     estimate_lhs,
     goldie_bracket,
     khintchine_counterexample,
+    moment_order,
     perpetuity_lhs,
+    perpetuity_moments,
     rhs_sum,
     run_sandwich,
+    run_sandwiches,
+    sandwich_moments,
     tail_check_large_p,
     tail_check_small_p,
 )

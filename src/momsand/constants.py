@@ -48,8 +48,9 @@ optimize_small_p and optimize_large_p share one scan over the A or (A, q)
 grid.  The parts that do not depend on the grid are fitted once per scan,
 the large-p tail once per A and lambda(q) once per q; each point computes
 only its lower_c, a large-p point from (p, mu, lambda, q, A) through the
-same formula as its bundle but without building its certificate or trace.
-The certificate and the full bundle (trace, upper constants, eps0 and
+same formula as its bundle but without building its certificate or trace,
+and a small-p point from its certificate (the fit at A) by k and
+delta^3 / (16 k), without a bundle or trace.  The full bundle (trace, upper constants, eps0 and
 eps1) are built twice at most: for the winner, and for the first point
 that succeeds.  The first grid point with the largest lower_c wins
 (ties go to the earlier point), a failing point is recorded with lower_c
@@ -188,23 +189,47 @@ def _witness(k: int, ln_lam: float, a_coef: float, b_coef: float, ln_rhs: float)
     return entry
 
 
-def lower_constant_small_p(cert: SmallPCertificate) -> ConstantBundle:
+def _small_p_lower(cert: SmallPCertificate, trace: list | None = None) -> tuple[float, int]:
+    """The small-p lower constant delta^3 / (16 k) of a certificate, and k.
+
+    Its trace entries, from lambda to the k witness, go to trace when one is
+    given; the scan scores its points without one.  Raises ValueError for a
+    certificate out of range, and KTooLargeError, carrying the trace up to
+    the k search, when no k fits under the cap.
+    """
     if not (0.0 < cert.lam < 1.0 and cert.delta > 0.0 and cert.a_param > 1.0):
         raise ValueError("certificate out of range: need lambda<1, delta>0, A>1")
-    p, lam, delta, a_param = cert.p, cert.lam, cert.delta, cert.a_param
+    lam, delta, a_param = cert.lam, cert.delta, cert.a_param
     ln_rhs = 3.0 * math.log(delta) + 2.0 * math.log1p(-lam) - 12.0 * math.log(2.0) - math.log(a_param)
-    trace = [
-        {"id": "lambda", "inputs": {"p": p}, "value": lam},
-        {"id": "delta", "inputs": {"a_param": a_param}, "value": delta},
-        {
-            "id": "ln_rhs_small",
-            "inputs": {"delta": delta, "lambda": lam, "a_param": a_param},
-            "value": ln_rhs,
-        },
-    ]
-    k = minimal_k(math.log(lam), 2.0, -2.0, ln_rhs, trace)
-    trace.append(_witness(k, math.log(lam), 2.0, -2.0, ln_rhs))
-    lower_c = delta**3 / (16.0 * k)
+    if trace is not None:
+        trace += [
+            {"id": "lambda", "inputs": {"p": cert.p}, "value": lam},
+            {"id": "delta", "inputs": {"a_param": a_param}, "value": delta},
+            {
+                "id": "ln_rhs_small",
+                "inputs": {"delta": delta, "lambda": lam, "a_param": a_param},
+                "value": ln_rhs,
+            },
+        ]
+    k = minimal_k(math.log(lam), 2.0, -2.0, ln_rhs, () if trace is None else trace)
+    if trace is not None:
+        trace.append(_witness(k, math.log(lam), 2.0, -2.0, ln_rhs))
+    return delta**3 / (16.0 * k), k
+
+
+def _small_p_score(cert: SmallPCertificate) -> float:
+    """The scan's lower_c at one point, built without a trace; when no k fits,
+    the point is built again with one, for the KTooLargeError to carry."""
+    try:
+        return _small_p_lower(cert)[0]
+    except KTooLargeError:
+        return _small_p_lower(cert, [])[0]  # raises again, with the trace
+
+
+def lower_constant_small_p(cert: SmallPCertificate) -> ConstantBundle:
+    p, delta = cert.p, cert.delta
+    trace: list = []
+    lower_c, k = _small_p_lower(cert, trace)
     eps0 = delta / 8.0
     eps1 = delta**3 / 8.0
     trace += [
@@ -436,7 +461,7 @@ def optimize_small_p(
     certificate = functools.cache(small_p_parts(spec, p).certificate)
     return _scan(
         [(float(a),) for a in a_grid], ("a_param",), certificate,
-        lambda a: lower_constant_small_p(certificate(a)).lower_c, lower_constant_small_p,
+        lambda a: _small_p_score(certificate(a)), lower_constant_small_p,
         "a_scan", EmptyWindowError("empty A grid for the small-p scan"),
     )
 

@@ -65,7 +65,7 @@ from .errors import (
     NotLacunaryError,
     TooFewPointsError,
 )
-from .montecarlo import EstimateWithCI, _exact, _sandwich_lhs, coefficient_set
+from .montecarlo import EstimateWithCI, _exact, _sandwich_lhs, coefficient_set, sandwich_moments
 
 MAX_TERM = 2**20
 MIN_POINTS = 4096
@@ -259,19 +259,18 @@ def riesz_lp_norm(
 def _probabilistic_side(
     comb: RieszCombination, p: float, reps: int, src: dc.RandomSource
 ) -> EstimateWithCI:
-    """E|sum a_i R_i|^p for products of i.i.d. 1 + cos(U) factors."""
-    coeffs = comb.coefficients
+    """E|sum a_i R_i|^p for products of i.i.d. 1 + cos(U) factors.
+
+    At p = 2, and at p = 1 with nonnegative coefficients, |S|^p is S^p, and
+    the moment engine's exact value of that order is reported; every other p
+    is sampled.
+    """
     spec = dc.riesz_factor()
-    if p == 2.0:
-        m2 = 1.5
-        total = 0.0
-        for i, ai in enumerate(coeffs):
-            for j, aj in enumerate(coeffs):
-                total += ai * aj * m2 ** min(i, j)
-        return _exact(total, 0)
-    if p == 1.0 and all(a >= 0.0 for a in coeffs):
-        return _exact(math.fsum(coeffs), 0)
-    return _sandwich_lhs(spec, coefficient_set(list(coeffs)), p, reps, src)
+    coeffs = coefficient_set(list(comb.coefficients))
+    if p == 2.0 or (p == 1.0 and all(a >= 0.0 for a in comb.coefficients)):
+        values, _ = sandwich_moments(spec, [coeffs], int(p))
+        return _exact(float(values[0, 0, 0, int(p), 0]), 0)
+    return _sandwich_lhs(spec, coeffs, p, reps, src, engine="montecarlo")[0]
 
 
 def corollary_check(

@@ -228,7 +228,7 @@ def test_verify_rows_take_the_top_level_bundle(capsys, p):
     assert code == 0
     assert report["results"]["bundle"]["lower_c"] > 0.0
     for row in report["results"]["reports"]:
-        assert set(row["report"]) == {"lhs", "ratio", "rhs_sum", "verdict"}
+        assert set(row["report"]) == {"engine", "lhs", "ratio", "reason", "rhs_sum", "verdict"}
 
 
 def test_riesz_term(capsys):
@@ -302,16 +302,28 @@ NONFINITE_CASES = [
      "is not finite"),
     # Monte Carlo: the sum of |S|^2 overflows, and for lognormal factors the squares do
     (["verify", "--dist", "uniform:lo=0,hi=2", "--p", "2", "--n", "3",
-      "--coeffs", "1e153,1e153,1e153,1e153", "--reps", "2000"],
+      "--coeffs", "1e153,1e153,1e153,1e153", "--reps", "2000", "--engine", "montecarlo"],
      "is not finite"),
     (["verify", "--dist", "lognormal:mu=0,sigma=1", "--p", "2", "--n", "3",
-      "--coeffs", "1e153,1e153,1e153,1e153", "--reps", "2000"],
+      "--coeffs", "1e153,1e153,1e153,1e153", "--reps", "2000", "--engine", "montecarlo"],
      "is not finite"),
     # a perpetuity row and the Monte Carlo E||B||^p both overflow
     (["perpetuity", "--dist", "uniform:lo=0,hi=2",
       "--b-dist", "scaled:scale=1e200,base=(uniform:lo=0,hi=1)", "--b-dist", "uniform:lo=0,hi=1",
-      "--p", "2", "--n-list", "1", "--reps", "2000"],
+      "--p", "2", "--n-list", "1", "--reps", "2000", "--engine", "montecarlo"],
      "is not finite"),
+    # the moment engine: v^4 passes the float range though sum ||v_i||^p does not,
+    # and a component's E B^2 overflows before any row runs
+    (["verify", "--dist", "uniform:lo=0,hi=2", "--p", "2.5", "--n", "2",
+      "--coeffs", "1e80,1e80,1e80"],
+     "the moments of order up to 4 overflow"),
+    (["verify", "--dist", "uniform:lo=0,hi=2", "--p", "2", "--n", "3",
+      "--coeffs", "1e153,1e153,1e153,1e153"],
+     "the moments of order up to 4 overflow"),
+    (["perpetuity", "--dist", "uniform:lo=0,hi=2",
+      "--b-dist", "scaled:scale=1e200,base=(uniform:lo=0,hi=1)", "--b-dist", "uniform:lo=0,hi=1",
+      "--p", "2", "--n-list", "1"],
+     "E X^2 overflows"),
     # a single coefficient: ||v_0||^p is a Python float power, exact and Monte Carlo
     (["verify", "--dist", TP, "--p", "4", "--coeffs", "1e100"], "||v_0||^p overflows"),
     (["verify", "--dist", "uniform:lo=0,hi=2", "--p", "4", "--coeffs", "1e100"],
@@ -465,7 +477,7 @@ def test_counterexample_command(capsys):
 def test_csv_dump_is_written_before_the_stats_consume_it(tmp_path, capsys):
     path = tmp_path / "draws.csv"
     argv = ["verify", "--dist", "uniform:lo=0,hi=2", "--p", "1.5", "--coeffs", "1,-0.5,0.25",
-            "--reps", "5000", "--seed", "3", "--csv", str(path)]
+            "--reps", "5000", "--seed", "3", "--csv", str(path), "--engine", "montecarlo"]
     assert main(argv) == 0
     data = path.read_bytes()
     assert data.startswith(b"rep,value\n") and data.count(b"\n") == 5001
@@ -477,7 +489,7 @@ def test_csv_dump_is_written_before_the_stats_consume_it(tmp_path, capsys):
 def test_csv_mean_is_the_reported_mean(tmp_path, capsys):
     path = tmp_path / "draws.csv"
     argv = ["verify", "--dist", "uniform:lo=0,hi=2", "--p", "1.5", "--coeffs", "1,-0.5,0.25",
-            "--reps", "5000", "--seed", "3", "--csv", str(path)]
+            "--reps", "5000", "--seed", "3", "--csv", str(path), "--engine", "montecarlo"]
     code, report, _ = run_cli(capsys, argv)
     assert code == 0
     values = np.array([float(line.split(",")[1]) for line in path.read_text().splitlines()[1:]])
@@ -1019,6 +1031,8 @@ def test_multi_block_reports_match_at_every_worker_count(capsys, monkeypatch, ca
     for module in (mc, riesz):
         monkeypatch.setattr(module, "map_indexed", counting)
     argv = [*MULTI_BLOCK_CASES[case], "--reps", "10000", "--seed", "11"]
+    if argv[0] != "riesz":
+        argv += ["--engine", "montecarlo"]  # the sampled blocks are what is checked
     reports = {}
     # frequent thread switches make a race between workers more likely to show
     interval = sys.getswitchinterval()
@@ -1098,7 +1112,69 @@ CONFIG_MISTAKES = {
     "bad_coupling": ("perpetuity", {"dist": UNIFORM, "b_dist": [UNIFORM], "coupling": "weird"},
                      "--coupling"),
     "bad_norm": ("verify", {"dist": TP, "p": 1, "n": 2, "norm": "l3"}, "--norm"),
+    "bad_engine_verify": ("verify", {"dist": TP, "p": 1, "n": 2, "engine": "exact"}, "--engine"),
+    "bad_engine_perpetuity": ("perpetuity", {"dist": UNIFORM, "b_dist": [UNIFORM],
+                                             "engine": "cells"}, "--engine"),
 }
+
+
+@pytest.mark.parametrize("command", ["verify", "perpetuity"])
+def test_bad_engine_flag_is_usage_error(capsys, tmp_path, command):
+    cfg = ({"dist": TP, "p": 1, "n": 2} if command == "verify"
+           else {"dist": UNIFORM, "b_dist": UNIFORM})
+    code, out, err = _run_with(capsys, tmp_path, command, {**cfg, "engine": "fast"}, via="flag")
+    assert (code, out) == (2, "")
+    assert re.search(rf"^momsand {command}: error: argument --engine: invalid choice",
+                     err.splitlines()[-1])
+
+
+def test_enumerate_engine_past_the_cap_is_its_typed_error(capsys, monkeypatch):
+    # 2^30 outcomes pass ENUM_CAP: the enumeration engine refuses before any work
+    monkeypatch.setattr(mc, "_walk", lambda *a: pytest.fail("walked past the cap"))
+    with pytest.raises(errors.EnumerationTooLargeError):
+        mc.run_sandwich(dc.two_point(0.5, 1.5, 0.5), 1.5, mc.coefficient_set([1.0] * 31),
+                        (0.0, 10.0, True), 1000, dc.RandomSource(1), engine="enumerate")
+    argv = ["verify", "--dist", TP, "--p", "1.5", "--n", "30", "--coeffs", "random:count=1,seed=7",
+            "--engine", "enumerate"]
+    line = _usage_error_line(capsys, argv)
+    assert line == "usage error: 1073741824 outcomes exceed the cap of 10,000,000"
+
+
+@pytest.mark.parametrize("engine, kind", [("auto", "moments"), ("moments", "moments"),
+                                          ("enumerate", "enumerate")])
+def test_csv_with_a_first_set_not_sampled_names_the_montecarlo_engine(tmp_path, capsys,
+                                                                      engine, kind):
+    path = tmp_path / "draws.csv"
+    law = UNIFORM if kind == "moments" else TP
+    argv = ["verify", "--dist", law, "--p", "1.5", "--coeffs", "1,-0.5,0.25", "--reps", "2000",
+            "--csv", str(path), "--engine", engine]
+    line = _usage_error_line(capsys, argv)
+    assert line.startswith(f"usage error: --csv {path}: the first set is not sampled ({kind}: ")
+    assert "--engine montecarlo" in line
+    assert not path.exists()
+
+
+def test_overflowing_enclosure_is_its_typed_error(capsys):
+    # sum_i ||v_i||^p fits the float range, but the fourth moments pass it
+    coeffs = mc.coefficient_set([1e80, 1e80, 1e80])
+    with pytest.raises(errors.NonfiniteMomentError):
+        mc.run_sandwich(dc.uniform(0.0, 2.0), 2.5, coeffs, (0.0, 10.0, True), 1000,
+                        dc.RandomSource(1))
+    line = _usage_error_line(capsys, ["verify", "--dist", UNIFORM, "--p", "2.5",
+                                      "--coeffs", "1e80,1e80,1e80"])
+    assert line == "usage error: the moments of order up to 4 overflow"
+
+
+def test_moment_engine_without_joint_moments_is_usage_error_and_auto_samples(capsys):
+    argv = ["perpetuity", "--dist", UNIFORM, "--b-dist", "lognormal:mu=0,sigma=0.5",
+            "--coupling", "comonotone-scalar", "--p", "2", "--n-list", "40", "--reps", "2000"]
+    line = _usage_error_line(capsys, [*argv, "--engine", "moments"])
+    assert "joint moments of a comonotone pair only" in line
+    code, report, _ = run_cli(capsys, argv)
+    assert code == 0
+    (row,) = report["results"]["rows"]
+    assert row["engine"] == "montecarlo"
+    assert row["reason"].startswith("the law is not finitely supported; the moment engine")
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_MISTAKES))

@@ -906,3 +906,14 @@ def test_stats_allocates_no_copy_of_its_input():
         tracemalloc.stop()
     # an 8 MB temporary of deviations would show here
     assert peak < 2**20
+
+
+def test_counterexample_reference_is_the_moment_enclosure_of_3n_minus_2():
+    # signs: E|R_1 + ... + R_n|^4 = 3n^2 - 2n against sum_i E|R_i|^4 = n
+    out = mc.khintchine_counterexample(100, 4.0, reps=1000, src=src(7))
+    ref = out["reference"]
+    assert ref["engine"] == "moments" and ref["orders"] == (4,)
+    lo, hi = ref["ratio"]
+    assert lo <= 298.0 <= hi and hi - lo <= 1e-8 * 298.0
+    # past the moment engine's top order there is no reference
+    assert mc.khintchine_counterexample(3, 20.0, reps=1000, src=src(7))["reference"] is None
