@@ -95,11 +95,9 @@ from .montecarlo import (
     khintchine_counterexample,
     moment_order,
     perpetuity_lhs,
-    perpetuity_moments,
     rhs_sum,
     run_sandwich,
     run_sandwiches,
-    sandwich_moments,
     tail_check_large_p,
     tail_check_small_p,
 )

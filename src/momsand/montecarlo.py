@@ -31,13 +31,13 @@ E||acc||^p is computed by one of three backends:
     set of buffers the calling thread allocates, and adds the blocks' sums
     with math.fsum in walk order, so the mean does not depend on the worker
     count; _outcomes writes every block into its slice of one pair of arrays.
-  * the moment backend, sandwich_moments and perpetuity_moments: the same
-    steps taken backward, T <- b + x T, carry the exact mixed moments
-    E[T_c^a T_e^b] (a + b <= moment_order(p)) of every coordinate pair, for
-    all coefficient sets or every perpetuity row at once.  _enclose turns
-    them into a MomentEnclosure of E||acc||^p by the log-convexity of
-    t -> log E|S|^t (Lyapunov), widened by a forward bound on the rounding
-    (Higham 2002, ch. 3).
+  * the moment backend, in the module moments: the same steps taken
+    backward, T <- b + x T, carry the exact mixed moments E[T_c^a T_e^b]
+    (a + b <= moment_order(p)) of every coordinate pair, for all
+    coefficient sets or every perpetuity row at once, and give a
+    MomentEnclosure of E||acc||^p by the log-convexity of t -> log E|S|^t
+    (Lyapunov), widened by a forward bound on the rounding (Higham 2002,
+    ch. 3).  It is imported when a choice first needs it.
 
 Sampling and enumeration keep acc coordinate-major, (d, m) for m paths, so
 each update is one contiguous pass per coordinate instead of m short rows of
@@ -49,8 +49,8 @@ choose_engine alone picks the backend, for the sandwich, each perpetuity row
 and E||B||^p = E||S_1||^p, from ENGINES: auto enumerates when the step atoms
 are finite and their outcomes, counted from the supports' sizes before any
 atom is built, fit ENUM_CAP = 1e7, and takes the moment backend past it;
-montecarlo samples past the cap instead, as every release before the moment
-backend did; enumerate and moments insist on their backend.  The sandwich
+montecarlo samples past the cap instead; enumerate and moments insist on
+their backend.  The sandwich
 verdict against sum_i ||v_i||^p (E|X|^p)^i, the perpetuity bracket and the
 signed counterexample for a degenerate |X| are built on top.
 """
@@ -82,7 +82,6 @@ MIN_REPS = 10**3
 ENGINES = ("auto", "enumerate", "moments", "montecarlo")
 # the moment backend's top order; its tensors grow as the order's fourth power
 MAX_MOMENT_ORDER = 16
-_U = 2.0**-53
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -445,10 +444,6 @@ def _ends(est) -> tuple[float, float]:
     return est.mean, est.mean
 
 
-# ---------------------------------------------------------------------------
-# the moment backend: exact mixed moments of T <- b + x T, taken backward
-
-
 def moment_order(p: float) -> int:
     """The top moment order an enclosure of E||S||^p uses: the even order at or above p,
     and 4 at least."""
@@ -461,283 +456,6 @@ def _no_moments(p: float) -> str | None:
     if order > MAX_MOMENT_ORDER:
         return f"p = {p} needs moments of order {order} > {MAX_MOMENT_ORDER}"
     return None
-
-
-def _gamma(k: float) -> float:
-    """Higham's gamma_k = k u / (1 - k u): the relative error of k roundings."""
-    return k * _U / (1.0 - k * _U)
-
-
-def _binomials(order: int) -> np.ndarray:
-    """C(a, j) for a, j = 0 .. order, zero above the diagonal."""
-    return np.array([[math.comb(a, j) for j in range(order + 1)] for a in range(order + 1)],
-                    dtype=float)
-
-
-def _law_moments(spec: dc.DistributionSpec, order: int) -> tuple[np.ndarray, float]:
-    """E X^l and its magnitude for l = 0 .. order, stacked (2, order + 1), and the
-    largest rounding bound among them, in ulps."""
-    rows = [dc.raw_moment(spec, l) for l in range(order + 1)]
-    table = np.array([[r.value for r in rows], [r.magnitude for r in rows]])
-    return table, max(r.ulps for r in rows)
-
-
-def sandwich_moments(spec: dc.DistributionSpec, sets, order: int):
-    """(values, errors): E[S_c^a S_e^b] for a + b <= order of S = sum_i v_i R_i, for
-    each set, and bounds on their rounding; each (sets, d, d, order + 1, order + 1).
-
-    The sets share n and d.  From T = 0 the steps v_n, ..., v_0 each do
-    T <- v + X T, that is
-
-        E[(v_c + X T_c)^a (v_e + X T_e)^b]
-            = sum_{j,l} C(a,j) v_c^(a-j) C(b,l) v_e^(b-l) E X^(j+l) E[T_c^j T_e^l],
-
-    two batched matmuls over every set and coordinate pair.  Entries with
-    a + b > order are kept at zero.  The same recursion on |v|, the
-    magnitudes of E X^l (dist_core.raw_moment) and of the moments bounds the
-    sum of the absolute values of every term, and each value lies within
-    gamma(2N) of that bound, N being the longest chain of roundings: per
-    step, the powers of v, the product with E X^(j+l), two sums of
-    order + 1 terms and the rounding of E X^l itself.
-    """
-    law, law_ulps = _law_moments(spec, order)
-    k1 = order + 1
-    jl = np.add.outer(np.arange(k1), np.arange(k1))
-    tri = jl <= order
-    x_mat = np.where(tri, law[:, np.minimum(jl, order)], 0.0)[:, None, None, None]
-    binom = _binomials(order)
-    shift = np.subtract.outer(np.arange(k1), np.arange(k1))  # a - j
-    vecs = np.stack([c.matrix() for c in sets])  # (sets, n + 1, d)
-    count, steps, dim = vecs.shape
-    mom = np.zeros((2, count, dim, dim, k1, k1))
-    mom[..., 0, 0] = 1.0
-    powers = np.ones((count, dim, k1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps - 1, -1, -1):
-            np.cumprod(np.repeat(vecs[:, i, :, None], order, axis=-1), axis=-1,
-                      out=powers[..., 1:])
-            coef = np.where(shift >= 0, binom * powers[..., np.maximum(shift, 0)], 0.0)
-            coef = np.stack([coef, np.abs(coef)])  # (2, sets, d, a, j)
-            mom = coef[:, :, :, None] @ (x_mat * mom) @ np.swapaxes(coef, -1, -2)[:, :, None]
-            mom *= tri
-    chain = steps * (4 * order + 8 + law_ulps)
-    return mom[0], _gamma(2 * chain) * mom[1]
-
-
-def _u_poly(spec: dc.DistributionSpec):
-    """spec's quantile at U as a polynomial {(t, k): coefficient} in U and
-    L = -log(1 - U), for uniform and exponential laws and positive scalings of
-    them; None for any other law."""
-    if spec.family == dc.SCALED and spec.scale > 0.0:
-        base = _u_poly(spec.base)
-        return None if base is None else {key: spec.scale * c for key, c in base.items()}
-    if spec.family == dc.UNIFORM:
-        return {(0, 0): spec.lo, (1, 0): spec.hi - spec.lo}
-    if spec.family == dc.EXPONENTIAL:
-        return {(0, 1): 1.0 / spec.rate}
-    return None
-
-
-def _u_moment(t: int, k: int) -> tuple[float, float]:
-    """E[U^t L^k] = sum_i C(t, i) (-1)^i k! / (i + 1)^(k + 1) and the sum of its terms'
-    magnitudes (substitute W = 1 - U: E[W^i (-log W)^k] = k! / (i + 1)^(k + 1))."""
-    if k == 0:
-        return 1.0 / (t + 1), 1.0 / (t + 1)
-    terms = [(-1) ** i * math.comb(t, i) * math.factorial(k) / (i + 1) ** (k + 1)
-             for i in range(t + 1)]
-    return math.fsum(terms), math.fsum(map(abs, terms))
-
-
-def _poly_powers(poly: dict, order: int) -> list[dict]:
-    """poly^m for m = 0 .. order, each {(t, k): (coefficient, magnitude)}."""
-    out = [{(0, 0): (1.0, 1.0)}]
-    for _ in range(order):
-        nxt: dict = {}
-        for (t, k), (c, m) in out[-1].items():
-            for (t2, k2), c2 in poly.items():
-                v, w = nxt.get((t + t2, k + k2), (0.0, 0.0))
-                nxt[(t + t2, k + k2)] = (v + c * c2, w + m * abs(c2))
-        out.append(nxt)
-    return out
-
-
-def _comonotone_moments(pair: PairSpec, order: int) -> tuple[np.ndarray, float]:
-    """E[B^j X^m] and its magnitude, (2, order + 1, order + 1), for j + m <= order, of a
-    comonotone pair, and its rounding bound in ulps: a sum over
-    PairSpec.comonotone_cells for finite laws, else closed forms in U and L."""
-    k1 = order + 1
-    out = np.zeros((2, k1, k1))
-    if _pair_width(pair) is not None:
-        mids, widths = pair.comonotone_cells()
-        pw = np.arange(k1)
-        xp = dc.quantile(pair.x_spec, mids)[:, None] ** pw
-        bp = dc.quantile(pair.b_specs[0], mids)[:, None] ** pw
-        out[0] = np.einsum("k,kj,km->jm", widths, bp, xp)
-        out[1] = np.einsum("k,kj,km->jm", widths, np.abs(bp), np.abs(xp))
-        return out, 8.0 + len(widths)
-    x_pows = _poly_powers(_u_poly(pair.x_spec), order)
-    b_pows = _poly_powers(_u_poly(pair.b_specs[0]), order)
-    for j in range(k1):
-        for m in range(k1 - j):
-            for (t, k), (c, w) in b_pows[j].items():
-                for (t2, k2), (c2, w2) in x_pows[m].items():
-                    value, size = _u_moment(t + t2, k + k2)
-                    out[0, j, m] += c * c2 * value
-                    out[1, j, m] += w * w2 * size
-    return out, 10.0 * order + 20.0
-
-
-def _no_pair_moments(pair: PairSpec) -> str | None:
-    """Why the moment backend has no joint moments of pair's steps, or None."""
-    if (pair.coupling == "independent" or _pair_width(pair) is not None
-            or all(_u_poly(s) is not None for s in (pair.x_spec, *pair.b_specs))):
-        return None
-    return ("the moment engine has joint moments of a comonotone pair only for two finite laws, "
-            "or for uniform and exponential ones")
-
-
-def _pair_moments(pair: PairSpec, order: int) -> tuple[np.ndarray, float]:
-    """J[c, e, a, b, m] = E[B_c^a B_e^b X^m] and its magnitude, (2, d, d, k1, k1, k1),
-    valid for a + b + m <= order, and its rounding bound in ulps."""
-    k1 = order + 1
-    ab = np.minimum(np.add.outer(np.arange(k1), np.arange(k1)), order)
-    if pair.coupling == "comonotone-scalar":
-        joint, ulps = _comonotone_moments(pair, order)
-        return joint[:, ab][:, None, None], ulps
-    x, x_ulps = _law_moments(pair.x_spec, order)
-    laws = [_law_moments(s, order) for s in pair.b_specs]
-    b = np.stack([m for m, _ in laws], axis=1)  # (2, d, k1)
-    bb = b[:, :, None, :, None] * b[:, None, :, None, :]  # independent components
-    diag = np.arange(pair.dim)
-    bb[:, diag, diag] = b[:, :, ab]  # one component: E B_c^(a+b)
-    ulps = x_ulps + 2.0 * max(u for _, u in laws) + 2.0
-    return bb[..., None] * x[:, None, None, None, None, :], ulps
-
-
-def perpetuity_moments(pair: PairSpec, n_list, order: int) -> dict:
-    """{n: (values, errors)} of E[S_c^a S_e^b], a + b <= order, for each row n, each
-    (d, d, order + 1, order + 1), from one pass of max(n_list) steps.
-
-    S_n has the law of n steps of T <- B + X T from T = 0, so
-
-        E[(B_c + X T_c)^a (B_e + X T_e)^b]
-            = sum_{j,l} C(a,j) C(b,l) E[B_c^(a-j) B_e^(b-l) X^(j+l)] E[T_c^j T_e^l]
-
-    is one matmul per step by a kernel built once.  The joint moments factor
-    under the independent coupling; the comonotone one takes them from
-    _comonotone_moments.  Rounding is bounded as in sandwich_moments.
-    """
-    joint, joint_ulps = _pair_moments(pair, order)
-    k1, dim = order + 1, pair.dim
-    a, b, j, l = np.ix_(*[np.arange(k1)] * 4)
-    binom = _binomials(order)
-    kernel = joint[:, :, :, np.maximum(a - j, 0), np.maximum(b - l, 0), np.minimum(j + l, order)]
-    valid = (j <= a) & (l <= b) & (a + b <= order)
-    kernel = np.where(valid, binom[a, j] * binom[b, l] * kernel, 0.0)
-    kernel = kernel.reshape(2, dim, dim, k1 * k1, k1 * k1)
-    mom = np.zeros((2, dim, dim, k1 * k1, 1))
-    mom[..., 0, 0] = 1.0
-    chain = k1 * k1 + 4 + joint_ulps
-    wanted, out = set(n_list), {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, max(wanted) + 1):
-            mom = kernel @ mom
-            if step in wanted:
-                values, sizes = mom.reshape(2, dim, dim, k1, k1)
-                out[step] = values, _gamma(2 * step * chain) * sizes
-    return out
-
-
-def _ln(x: float) -> float:
-    return math.log(x) if x > 0.0 else -math.inf
-
-
-def _exp(x: float) -> float:
-    return math.exp(x) if x < 709.0 else math.inf
-
-
-def _log_convex(p: float, moments: dict, step: int):
-    """(lower, upper, orders) of E|Y|^p from intervals (lo, hi) of E|Y|^k for
-    k = 0, step, 2 step, ...
-
-    t -> ln E|Y|^t is convex on [0, inf) (Lyapunov), with E|Y|^0 = P(Y != 0)
-    <= 1.  So the chord over the orders a < p < b next to p bounds it from
-    above, and the chords beside them, extended to p, bound it from below.
-    Past the top order the upper end is inf.
-    """
-    if p in moments:
-        lo, hi = moments[p]
-        return max(lo, 0.0), hi, (int(p),)
-    lo_ln = {k: _ln(lo) for k, (lo, _) in moments.items()}
-    hi_ln = {k: _ln(hi) for k, (_, hi) in moments.items()}
-    hi_ln[0] = 0.0
-    a = step * math.floor(p / step)
-    b = a + step
-    upper, lowers = math.inf, [(-math.inf, ())]
-    if b in moments:
-        upper = _exp(((b - p) * hi_ln[a] + (p - a) * hi_ln[b]) / step)
-    if a >= step and lo_ln[a] > -math.inf:  # the chord (a - step, a), extended forward
-        lowers.append((lo_ln[a] + (p - a) / step * (lo_ln[a] - hi_ln[a - step]), (a - step, a)))
-    if b + step in moments and lo_ln[b] > -math.inf:  # the chord (b, b + step), extended back
-        lowers.append((lo_ln[b] - (b - p) / step * (hi_ln[b + step] - lo_ln[b]), (b, b + step)))
-    lower, used = max(lowers)
-    orders = set(used) | ({a, b} if upper < math.inf else set())
-    return _exp(lower), upper, tuple(sorted(orders - {0}))
-
-
-def _enclose(values, errors, p: float, norm: str, signs, divide: int = 1) -> MomentEnclosure:
-    """E||S||^p / divide enclosed from one set's or row's mixed moments (d, d, k1, k1).
-
-    Each coordinate takes the even orders, or every order when signs[c] says
-    S_c keeps one sign (+1 or -1; 0 when it may change sign).  For d > 1 the
-    l2 norm also takes E||S||^2 and E||S||^4, and the norms are tied to the
-    coordinates by max_c |x_c| <= ||x||_inf <= ||x||_2 <= ||x||_1 <= sqrt(d) ||x||_2,
-    ||x||_2^p <= d^max(p/2 - 1, 0) sum_c |x_c|^p, ||x||_1^p <= d^max(p - 1, 0)
-    sum_c |x_c|^p and ||x||_inf^p <= sum_c |x_c|^p.
-    """
-    dim, order = values.shape[0], values.shape[-1] - 1
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(errors))):
-        raise NonfiniteMomentError(f"the moments of order up to {order} overflow")
-    diag = np.arange(dim)
-    coords = []
-    for c, sign in enumerate(signs):
-        step = 1 if sign else 2
-        moms = {}
-        for k in range(0, order + 1, step):
-            value, err = (sign or 1) ** k * values[c, c, k, 0], errors[c, c, k, 0]
-            moms[k] = (value - err, value + err)
-        coords.append(_log_convex(p, moms, step))
-    lower, upper, orders = coords[0]
-    if dim > 1:
-        sums = []
-        for k, sub in ((2, values[diag, diag, 2, 0]), (4, values[:, :, 2, 2])):
-            err = (errors[diag, diag, 2, 0] if k == 2 else errors[:, :, 2, 2]).sum()
-            total = float(sub.sum())
-            err += _gamma(dim * dim) * float(np.abs(sub).sum())
-            sums.append((k, (total - err, total + err)))
-        lo2, hi2, orders = _log_convex(p, {0: (1.0, 1.0), **dict(sums)}, 2)
-        lo_c, hi_c = max(c[0] for c in coords), math.fsum(c[1] for c in coords)
-        if norm == "l2":
-            lower, upper = max(lo2, lo_c), min(hi2, dim ** max(p / 2.0 - 1.0, 0.0) * hi_c)
-        elif norm == "l1":
-            lower = max(lo2, lo_c)
-            upper = min(dim ** (p / 2.0) * hi2, dim ** max(p - 1.0, 0.0) * hi_c)
-        else:
-            lower, upper = max(dim ** (-p / 2.0) * lo2, lo_c), min(hi2, hi_c)
-        orders = tuple(sorted(set(orders).union(*(c[2] for c in coords))))
-    lower, upper = lower / divide, upper / divide
-    if not math.isfinite(upper):
-        raise NonfiniteMomentError(f"the enclosure of E||S||^p at p = {p} is not finite")
-    # the logs, powers and products above: a few roundings each, relative to the logs' size
-    if lower > 0.0:
-        lower *= 1.0 - 64.0 * _U * (1.0 + abs(math.log(lower)))
-    if upper > 0.0:
-        upper *= 1.0 + 64.0 * _U * (1.0 + abs(math.log(upper)))
-    used = [k for k in orders if k <= order]
-    sizes = np.abs(values[diag, diag][..., used, 0])
-    rel = errors[diag, diag][..., used, 0] / np.where(sizes > 0.0, sizes, np.inf)
-    return MomentEnclosure(lower=float(lower), upper=float(upper), orders=orders,
-                           rounding=float(np.max(rel, initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -818,41 +536,15 @@ def _sandwich_choice(spec, n: int, p: float, engine: str) -> tuple[str, str]:
     return choose_engine(engine, None if support is None else len(support[0]), n, _no_moments(p))
 
 
-def _sign(spec: dc.DistributionSpec) -> int:
-    """+1 when X >= 0, -1 when X <= 0 can be read off the parameters, else 0."""
-    if dc.is_nonnegative(spec):
-        return 1
-    return -1 if dc.is_nonnegative(dc.scaled_copy(spec, -1.0)) else 0
-
-
-def _sandwich_enclosures(spec, sets, p: float) -> list[MomentEnclosure]:
-    """Moment enclosures of E||sum v_i R_i||^p for sets sharing n and d, from one pass.
-
-    A coordinate keeps one sign when X >= 0 and its coefficients do."""
-    dc.check_order(p)
-    if len({(c.n, c.dim) for c in sets}) > 1:
-        raise ValueError("the moment engine takes sets that share n and d")
-    values, errors = sandwich_moments(spec, sets, moment_order(p))
-    nonneg = dc.is_nonnegative(spec)
-    out = []
-    for vals, errs, coeffs in zip(values, errors, sets):
-        vmat = coeffs.matrix()
-        signs = [nonneg * (int(np.all(col >= 0.0)) - int(np.all(col <= 0.0))) for col in vmat.T]
-        out.append(_enclose(vals, errs, p, coeffs.norm, signs))
-    return out
-
-
 def _sandwich_lhs(spec, coeffs: CoefficientSet, p: float, reps: int, src,
-                  csv_path: str | None = None, engine: str = "auto"):
-    """(lhs, (engine, reason)): the reported E||sum v_i R_i||^p and how it was made;
-    csv_path, if the set is sampled, receives its values."""
-    choice = _sandwich_choice(spec, coeffs.n, p, engine)
-    if choice[0] == "moments":
-        return _sandwich_enclosures(spec, [coeffs], p)[0], choice
-    if choice[0] == "enumerate" and dc.finite_support(spec) is not None:
-        return brute_force_lhs(spec, coeffs, p), choice
+                  csv_path: str | None = None) -> EstimateWithCI:
+    """E||sum v_i R_i||^p as the montecarlo engine takes it, enumerated within the cap
+    and sampled past it; csv_path, if the set is sampled, receives its values."""
+    chosen, _ = _sandwich_choice(spec, coeffs.n, p, "montecarlo")
+    if chosen == "enumerate" and dc.finite_support(spec) is not None:
+        return brute_force_lhs(spec, coeffs, p)
     # sampled, or the lone term of a continuous law, which estimate_lhs returns
-    return estimate_lhs(spec, coeffs, p, reps, src, csv_path), choice
+    return estimate_lhs(spec, coeffs, p, reps, src, csv_path)
 
 
 def rhs_sum(spec, coeffs: CoefficientSet, p: float) -> float:
@@ -885,9 +577,9 @@ def _bracket_verdict(lhs: tuple[float, float], constants, base: tuple[float, flo
     return INCONCLUSIVE
 
 
-def run_sandwiches(spec: dc.DistributionSpec, p: float, sets, constants: tuple[float, float, bool],
-                   reps: int, srcs, csv_path: str | None = None,
-                   engine: str = "auto") -> list[SandwichReport]:
+def run_sandwiches(spec: dc.DistributionSpec, p: float, sets,
+                   constants: tuple[float, float, bool], reps: int, srcs,
+                   csv_path: str | None = None, engine: str = "auto") -> list[SandwichReport]:
     """run_sandwich over sets sharing n and d, each with its source in srcs; the moment
     engine takes them all in one pass.  csv_path, which the first set's sampled values
     fill, is a usage error, raised before any work, when that set is not sampled."""
@@ -900,19 +592,22 @@ def run_sandwiches(spec: dc.DistributionSpec, p: float, sets, constants: tuple[f
             "only --engine montecarlo samples, and only past the enumeration cap"
         )
     if chosen == "moments":
-        lhs = _sandwich_enclosures(spec, sets, p)
-    else:
-        lhs = [_sandwich_lhs(spec, coeffs, p, reps, src, csv_path if d == 0 else None, engine)[0]
+        from . import moments
+
+        lhs = moments.sandwich_enclosures(spec, sets, p)
+    else:  # within the cap every other engine enumerates; past it they sample or raised
+        lhs = [_sandwich_lhs(spec, coeffs, p, reps, src, csv_path if d == 0 else None)
                for d, (coeffs, src) in enumerate(zip(sets, srcs))]
     reports = []
     for est, coeffs in zip(lhs, sets):
         rhs = rhs_sum(spec, coeffs, p)
         verdict = _bracket_verdict(_interval(est), constants, (rhs, rhs), 1e-9 * rhs)
-        if rhs > 0.0:
-            lo, hi = _ends(est)
-            ratio = (lo / rhs, hi / rhs) if chosen == "moments" else est.mean / rhs
-        else:
+        if not rhs > 0.0:
             ratio = math.nan
+        elif chosen == "moments":
+            ratio = (est.lower / rhs, est.upper / rhs)
+        else:
+            ratio = est.mean / rhs
         reports.append(SandwichReport(lhs=est, rhs_sum=rhs, verdict=verdict, ratio=ratio,
                                       engine=chosen, reason=reason))
     return reports
@@ -944,7 +639,7 @@ def khintchine_counterexample(
     bound, which is exactly what a degenerate |X| (lambda = 1, mu = 0) does
     to any would-be two-sided comparison.  Pass another degenerate-|X| spec
     to watch the same blow-up there.  The ratio is enumerated within the cap
-    and sampled past it, as the montecarlo engine does; `reference` is the
+    and sampled past it, as the montecarlo engine takes it; `reference` is the
     moment engine's enclosure of it (3n - 2 at p = 4 for signs), or None past
     MAX_MOMENT_ORDER.
     """
@@ -953,11 +648,13 @@ def khintchine_counterexample(
     if spec is None:
         spec = dc.rademacher_sign()
     coeffs = coefficient_set([0.0] + [1.0] * n)
-    lhs, _ = _sandwich_lhs(spec, coeffs, p, reps, src, engine="montecarlo")
+    lhs = _sandwich_lhs(spec, coeffs, p, reps, src)
     rhs = rhs_sum(spec, coeffs, p)
     reference = None
     if _no_moments(p) is None:
-        enc = _sandwich_enclosures(spec, [coeffs], p)[0]
+        from . import moments
+
+        enc = moments.sandwich_enclosures(spec, [coeffs], p)[0]
         reference = {"engine": "moments", "ratio": (enc.lower / rhs, enc.upper / rhs),
                      "orders": enc.orders, "rounding": enc.rounding}
     return {"n": n, "p": p, "lhs": lhs, "rhs_sum": rhs, "ratio": lhs.mean / rhs,
@@ -1045,16 +742,6 @@ def brute_force_perpetuity(pair: PairSpec, n: int, p: float) -> EstimateWithCI:
     return _exact_mean(_walk([_pair_branches(pair)] * n, None, pair.dim, pair.norm, p))
 
 
-def _perpetuity_enclosures(pair: PairSpec, n_list, p: float) -> dict:
-    """{n: enclosure of (1/n) E||S_n||^p} for the rows n_list, from one moment pass.
-
-    X >= 0, so a coordinate keeps the sign of its B component when that has one."""
-    moments = perpetuity_moments(pair, n_list, moment_order(p))
-    signs = [_sign(spec) for spec in pair.b_specs]
-    return {n: _enclose(values, errors, p, pair.norm, signs, n)
-            for n, (values, errors) in moments.items()}
-
-
 def _b_norm_moment(pair: PairSpec, p: float, reps: int, src: dc.RandomSource,
                    engine: str = "auto") -> EstimateWithCI | MomentEnclosure:
     """E||B||^p as the row n = 1, E||S_1||^p, taken by choose_engine; in closed form for
@@ -1064,7 +751,9 @@ def _b_norm_moment(pair: PairSpec, p: float, reps: int, src: dc.RandomSource,
     b_only = replace(pair, x_spec=dc.finitely_supported([(1.0, 1.0)]), coupling="independent")
     chosen, _ = choose_engine(engine, _pair_width(b_only), 1, _no_moments(p))
     if chosen == "moments":
-        return _perpetuity_enclosures(b_only, [1], p)[1]
+        from . import moments
+
+        return moments.perpetuity_enclosures(b_only, [1], p)[1]
     if chosen == "enumerate":
         return brute_force_perpetuity(b_only, 1, p)
     return perpetuity_lhs(pair, 1, p, max(reps, MIN_REPS), src.child(10_000))
@@ -1125,11 +814,13 @@ def goldie_bracket(
     b_mom = _b_norm_moment(pair, p, reps, src, engine)
     b_lo, b_hi = _ends(b_mom)
 
+    from . import moments
+
     width = _pair_width(pair)
-    no_moments = _no_moments(p) or _no_pair_moments(pair)
+    no_moments = _no_moments(p) or moments.no_pair_moments(pair)
     choices = [choose_engine(engine, width, n, no_moments) for n in n_list]
     moment_rows = [n for n, (chosen, _) in zip(n_list, choices) if chosen == "moments"]
-    enclosures = _perpetuity_enclosures(pair, moment_rows, p) if moment_rows else {}
+    enclosures = moments.perpetuity_enclosures(pair, moment_rows, p) if moment_rows else {}
     rows = []
     for idx, (n, (chosen, reason)) in enumerate(zip(n_list, choices)):
         if chosen == "moments":

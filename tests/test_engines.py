@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from momsand import dist_core as dc
+from momsand import moments as mo
 from momsand import montecarlo as mc
 from momsand.assumptions import PairSpec
 from momsand.cli import main
@@ -185,15 +186,15 @@ SANDWICH_LAWS = [SIGNED, TWO_POINT, dc.uniform(-0.5, 2.0), dc.exponential(1.5),
 @pytest.mark.parametrize("spec", SANDWICH_LAWS, ids=lambda s: dc.spec_to_text(s))
 def test_float_sandwich_moments_stay_within_their_bound(spec):
     for coeffs in (SCALAR, VECTOR):
-        values, errors = mc.sandwich_moments(spec, [coeffs], 6)
+        values, errors = mo.sandwich_moments(spec, [coeffs], 6)
         _within_bound(values[0], errors[0], horner_sandwich(spec, coeffs, 6))
 
 
 def test_float_sandwich_moments_batch_the_sets():
     sets = [VECTOR, mc.coefficient_set([(0.5, -1.0)] * 5), mc.coefficient_set([(2.0, 1.0)] * 5)]
-    values, errors = mc.sandwich_moments(SIGNED, sets, 4)
+    values, errors = mo.sandwich_moments(SIGNED, sets, 4)
     for d, coeffs in enumerate(sets):
-        one, _ = mc.sandwich_moments(SIGNED, [coeffs], 4)
+        one, _ = mo.sandwich_moments(SIGNED, [coeffs], 4)
         assert abs(values[d] - one[0]).max() <= errors[d].max()
         _within_bound(values[d], errors[d], horner_sandwich(SIGNED, coeffs, 4))
 
@@ -257,7 +258,7 @@ def horner_continuous_pair(pair, n, order):
 @pytest.mark.parametrize("name", sorted(PAIRS) + sorted(CONTINUOUS_PAIRS))
 def test_float_perpetuity_moments_stay_within_their_bound(name):
     pair = PAIRS.get(name) or CONTINUOUS_PAIRS[name]
-    rows = mc.perpetuity_moments(pair, [1, 3], 6)
+    rows = mo.perpetuity_moments(pair, [1, 3], 6)
     for n in (1, 3):
         exact = (horner_perpetuity(pair, n, 6) if name in PAIRS
                  else horner_continuous_pair(pair, n, 6))
@@ -278,7 +279,7 @@ def test_sandwich_enclosures_contain_the_enumerated_value(norm):
              for spec in (SIGNED, TWO_POINT) for coeffs in (SCALAR, VECTOR, POSITIVE)]
     for p in P_GRID:
         for spec, coeffs in cases:
-            enc = mc._sandwich_enclosures(spec, [coeffs], p)[0]
+            enc = mo.sandwich_enclosures(spec, [coeffs], p)[0]
             want = mc.brute_force_lhs(spec, coeffs, p).mean
             assert _contains(enc, want), (p, dc.spec_to_text(spec), coeffs, enc, want)
             assert 0.0 < enc.lower and enc.orders
@@ -289,18 +290,18 @@ def test_perpetuity_enclosures_contain_the_enumerated_value(norm):
     pairs = [PairSpec(pair.x_spec, pair.b_specs, pair.coupling, norm) for pair in PAIRS.values()]
     for p in P_GRID:
         for pair in pairs:
-            encs = mc._perpetuity_enclosures(pair, [1, 2, 4], p)
+            encs = mo.perpetuity_enclosures(pair, [1, 2, 4], p)
             for n, enc in encs.items():
                 want = mc.brute_force_perpetuity(pair, n, p).mean / n
                 assert _contains(enc, want), (p, pair, n, enc, want)
 
 
 def test_nonnegative_sums_use_the_integer_orders_next_to_p():
-    enc = mc._sandwich_enclosures(TWO_POINT, [POSITIVE], 2.5)[0]
+    enc = mo.sandwich_enclosures(TWO_POINT, [POSITIVE], 2.5)[0]
     assert enc.orders in ((1, 2, 3), (2, 3, 4))
-    signed = mc._sandwich_enclosures(TWO_POINT, [SCALAR], 2.5)[0]
+    signed = mo.sandwich_enclosures(TWO_POINT, [SCALAR], 2.5)[0]
     assert signed.orders == (2, 4)
-    exact = mc._sandwich_enclosures(TWO_POINT, [POSITIVE], 3.0)[0]
+    exact = mo.sandwich_enclosures(TWO_POINT, [POSITIVE], 3.0)[0]
     assert exact.orders == (3,)
     want = mc.brute_force_lhs(TWO_POINT, POSITIVE, 3.0).mean
     assert exact.lower <= want <= exact.upper
