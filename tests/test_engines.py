@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -332,3 +333,21 @@ def test_montecarlo_engine_reproduces_the_sampled_reports(capsys, name, argv):
     assert report["config"]["engine"] == "montecarlo"
     want = (FIXTURES / f"{name}.json").read_text().rstrip("\n")
     assert _without_added_keys(out.rstrip("\n")) == want
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_the_sampled_bench_ops_are_decided_by_moments(capsys, seed):
+    # the mc_paths batch's verify and perpetuity ops, past the cap or on continuous laws
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        from workloads import build
+    finally:
+        sys.path.pop(0)
+    ops = [op for op in build("mc_paths", seed)
+           if op["argv"][0] in ("verify", "perpetuity") and not op["id"].startswith("probe")]
+    assert len(ops) == 5
+    for op in ops:
+        assert main(op["argv"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        rows = results.get("rows") or [row["report"] for row in results["reports"]]
+        assert {(row["engine"], row["verdict"]) for row in rows} == {("moments", "PASS")}, op["id"]
