@@ -67,7 +67,6 @@ from .errors import (
     HypothesisError,
     InvalidOrderError,
     KTooLargeError,
-    MomentsUnavailableError,
     MomsandError,
     NonfiniteMomentError,
     NotIncreasingError,
@@ -79,7 +78,6 @@ from .errors import (
 )
 from .montecarlo import (
     CoefficientSet,
-    ENGINES,
     EstimateWithCI,
     GoldieBracketRow,
     MomentEnclosure,

@@ -75,13 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="base seed for all streams")
         sp.add_argument("--reps", type=int, help="Monte Carlo replications")
 
-    def engine_flag(sp):
-        sp.add_argument(
-            "--engine", choices=mc.ENGINES, default="auto",
-            help="auto: enumerate within the cap, exact moments past it; montecarlo: "
-            "sample past the cap; enumerate, moments: that engine or exit 2",
-        )
-
     sp = sub.add_parser("moments", help="moment table for a distribution spec")
     common(sp)
     sp.add_argument("--dist", help="distribution spec, e.g. twopoint:a=0.5,b=1.5,pa=0.5")
@@ -108,8 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--grid-a", dest="grid_a")
     sp.add_argument("--grid-q", dest="grid_q")
-    sp.add_argument("--csv", help="dump per-replication samples of the first draw")
-    engine_flag(sp)
+    sp.add_argument("--csv", help="dump per-replication samples of the first draw, which "
+                    "is then sampled past the enumeration cap instead of enclosed by moments")
     sp.set_defaults(reps=50_000, seed=0, norm="l2")
 
     sp = sub.add_parser("riesz", help="torus norms vs the probabilistic model")
@@ -140,7 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run the degenerate pair X=0.5, B=1 whose bracket must fail",
     )
-    engine_flag(sp)
     sp.set_defaults(reps=50_000, seed=0, norm="l2", coupling="independent", p=1.0)
 
     sp = sub.add_parser("counterexample", help="signed-factor ratio blow-up")
@@ -355,9 +347,8 @@ def cmd_verify(resolved: dict):
         raise ValueError("verify needs --coeffs or --n")
     constants = mc.bracket_constants(p, bundle)
     srcs = [src.child(600 + d) for d in range(len(sets))]
-    # the first set's samples go to --csv, if it is sampled
-    reports = mc.run_sandwiches(spec, p, sets, constants, reps, srcs, resolved["csv"],
-                                resolved["engine"])
+    # --csv samples past the cap, and the first set's samples go to it
+    reports = mc.run_sandwiches(spec, p, sets, constants, reps, srcs, resolved["csv"])
     rows = [{"coefficients": list(c.vectors), "report": rep} for c, rep in zip(sets, reports)]
     any_fail = any(rep.verdict == mc.FAIL for rep in reports)
     all_pass = all(rep.verdict == mc.PASS for rep in reports)
@@ -422,8 +413,6 @@ def cmd_perpetuity(resolved: dict):
                 raise ValueError(f"--{key.replace('_', '-')}: --fixed-point-demo runs its own pair")
         if resolved["coupling"] != "independent":
             raise ValueError("--coupling: --fixed-point-demo runs its own independent pair")
-        if resolved["engine"] == "moments":
-            raise ValueError("--engine moments: --fixed-point-demo enumerates its one-atom pair")
         pair = PairSpec(
             x_spec=dc.finitely_supported([(0.5, 1.0)]),
             b_specs=(dc.finitely_supported([(1.0, 1.0)]),),
@@ -461,8 +450,7 @@ def cmd_perpetuity(resolved: dict):
     bundle, cert, recheck = _certify_pipeline(x_spec, p, resolved)
     constants = mc.bracket_constants(p, bundle, cert, pair.coupling)
     n_list = _list(resolved, "n_list", int) or [1, 2, 3, 4, 5, 6]
-    rows = mc.goldie_bracket(pair, p, n_list, constants, reps, src.child(1),
-                             engine=resolved["engine"])
+    rows = mc.goldie_bracket(pair, p, n_list, constants, reps, src.child(1))
     any_fail = any(row.verdict == mc.FAIL for row in rows)
     results = {
         "normalized_x": dc.spec_to_text(x_spec),

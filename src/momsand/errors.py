@@ -83,6 +83,3 @@ class GridTooLargeError(UsageError):
 class NotLacunaryError(HypothesisError):
     """Sequence fails the ratio >= 3 requirement."""
 
-
-class MomentsUnavailableError(UsageError):
-    """The moment engine has no exact moments for the input."""

@@ -1,20 +1,33 @@
 """The moment backend of the step model: exact moments, and enclosures from them.
 
 The steps (x, b) of montecarlo's step model, taken backward as T <- b + x T
-from T = 0, carry the exact mixed moments E[T_c^a T_e^b], a + b <= order, of
-every coordinate pair:
+from T = 0, with X independent of T, carry what an enclosure of E||S||^p
+reads and no more:
 
-    E[(b_c + X T_c)^a (b_e + X T_e)^b]
-        = sum_{j,l} C(a,j) C(b,l) E[b_c^(a-j) b_e^(b-l) X^(j+l)] E[T_c^j T_e^l].
+  * every coordinate's E T_c^a, a <= order:
 
-sandwich_moments runs them over v_n, ..., v_0 for all coefficient sets at
-once; perpetuity_moments runs the (X, B) steps of a pair and keeps every row
-of an n-list from one pass.  Both run in float64, and the same recursion on
-magnitudes (|v|, the magnitudes of the raw moments, of the joint moments and
-of the moments themselves) bounds the rounding: each value lies within
-gamma(2N) = 2N u / (1 - 2N u) of its magnitude, N the longest chain of
-roundings (Higham 2002, ch. 3).  _enclose turns the moments of one set or
-row into a MomentEnclosure of E||S||^p by the log-convexity of
+        E (b_c + X T_c)^a = sum_j C(a, j) E[b_c^(a-j) X^j] E T_c^j;
+
+  * for d > 1, E||T||_2^4.  With ||T'||^2 = ||b||^2 + 2 X <b, T> + X^2 ||T||^2
+    and X independent of b (the sandwich's fixed v, and the independent
+    coupling) it follows from m = E T, M = E[T T^t], m3 = E[T ||T||^2] and
+    q = E||T||^4, with mu_l = E X^l:
+
+        m'  = E b + mu_1 m
+        M'  = E[b b^t] + mu_1 (E b m^t + m E b^t) + mu_2 M
+        m3' = E[b ||b||^2] + 2 mu_1 E[b b^t] m + mu_2 E b tr M + mu_1 E||b||^2 m
+              + 2 mu_2 M E b + mu_3 m3
+        q'  = E||b||^4 + 4 mu_2 <E[b b^t], M> + mu_4 q + 4 mu_1 <E[b ||b||^2], m>
+              + 2 mu_2 E||b||^2 tr M + 4 mu_3 <E b, m3>.
+
+So a set holds O(d order + d^2) floats, whatever the order; sandwich_moments
+runs its sets in blocks of at most _BLOCK floats per d x d layer, and
+perpetuity_moments keeps every row of an n-list from one pass.  Both run in
+float64, and the same recursions on magnitudes (|v|, the magnitudes of the
+raw moments and of the moments themselves) bound the rounding: each value
+lies within gamma(2N) = 2N u / (1 - 2N u) of its magnitude, N the longest
+chain of roundings (Higham 2002, ch. 3).  _enclose turns the moments of one
+set or row into a MomentEnclosure of E||S||^p by the log-convexity of
 t -> log E|S|^t (Lyapunov).
 
 montecarlo imports this module when an engine choice first needs it, so
@@ -24,6 +37,7 @@ importing the package does not compile it.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +47,8 @@ from .errors import NonfiniteMomentError
 from .montecarlo import MomentEnclosure, _pair_width, moment_order
 
 _U = 2.0**-53
+# floats in one layer of a block of sets' d x d second moments: 8 MB
+_BLOCK = 2**20
 
 
 def _gamma(k: float) -> float:
@@ -40,10 +56,26 @@ def _gamma(k: float) -> float:
     return k * _U / (1.0 - k * _U)
 
 
+@dataclass(frozen=True)
+class Moments:
+    """E S_c^k for each coordinate c and k = 0 .. order, (d, order + 1), and
+    E||S||_2^4 when d > 1 (else None), each with a bound on its rounding."""
+
+    coords: np.ndarray
+    coord_errors: np.ndarray
+    norm4: float | None = None
+    norm4_error: float | None = None
+
+
 def _binomials(order: int) -> np.ndarray:
     """C(a, j) for a, j = 0 .. order, zero above the diagonal."""
     return np.array([[math.comb(a, j) for j in range(order + 1)] for a in range(order + 1)],
                     dtype=float)
+
+
+def _shift(order: int) -> np.ndarray:
+    """a - j for a, j = 0 .. order."""
+    return np.subtract.outer(np.arange(order + 1), np.arange(order + 1))
 
 
 def _law_moments(spec: dc.DistributionSpec, order: int) -> tuple[np.ndarray, float]:
@@ -54,46 +86,102 @@ def _law_moments(spec: dc.DistributionSpec, order: int) -> tuple[np.ndarray, flo
     return table, max(r.ulps for r in rows)
 
 
-def sandwich_moments(spec: dc.DistributionSpec, sets, order: int):
-    """(values, errors): E[S_c^a S_e^b] for a + b <= order of S = sum_i v_i R_i, for
-    each set, and bounds on their rounding; each (sets, d, d, order + 1, order + 1).
+def _fixed_b(v: np.ndarray):
+    """(E b, E[b b^t], E[b ||b||^2], E||b||^2, E||b||^4) of a fixed b = v, (2, sets, d)."""
+    n2 = (v * v).sum(axis=-1)
+    return v, v[..., :, None] * v[..., None, :], v * n2[..., None], n2, n2 * n2
 
-    The sets share n and d.  From T = 0 the steps v_n, ..., v_0 each do
-    T <- v + X T, that is
 
-        E[(v_c + X T_c)^a (v_e + X T_e)^b]
-            = sum_{j,l} C(a,j) v_c^(a-j) C(b,l) v_e^(b-l) E X^(j+l) E[T_c^j T_e^l],
+def _independent_b(beta: np.ndarray):
+    """The same for B of independent components, from beta[..., c, k] = E B_c^k, k <= 4,
+    (2, d, 5); each with a set axis of one."""
+    b1, b2 = beta[:, None, :, 1], beta[:, None, :, 2]
+    others = 1.0 - np.eye(b1.shape[-1])  # c != e: the components factor
+    bb = b1[..., :, None] * b1[..., None, :] * others + np.eye(b1.shape[-1]) * b2[..., None]
+    n2 = b2.sum(axis=-1)
+    b3 = beta[:, None, :, 3] + b1 * (b2[..., None, :] * others).sum(axis=-1)
+    n4 = beta[:, None, :, 4].sum(axis=-1) + (b2[..., :, None] * b2[..., None, :] * others).sum(
+        axis=-1).sum(axis=-1)
+    return b1, bb, b3, n2, n4
 
-    two batched matmuls over every set and coordinate pair.  Entries with
-    a + b > order are kept at zero.  The same recursion on |v|, the
-    magnitudes of E X^l (dist_core.raw_moment) and of the moments bounds the
-    sum of the absolute values of every term, and each value lies within
-    gamma(2N) of that bound, N being the longest chain of roundings: per
-    step, the powers of v, the product with E X^(j+l), two sums of
-    order + 1 terms and the rounding of E X^l itself.
+
+def _norm_step(state, mu: np.ndarray, b):
+    """One step T <- b + X T of state = (m, M, m3, q) (module docstring), each with the
+    leading axes (layer, set), from b's moments as _fixed_b gives them and
+    mu[:, l] = E X^l, l <= 4.  Sums run elementwise, not through BLAS."""
+    m, mm, m3, q = state
+    b1, bb, b3, n2, n4 = b
+    mu1, mu2, mu3, mu4 = (mu[:, None, l] for l in range(1, 5))  # (layer, 1)
+    tr = np.trace(mm, axis1=-2, axis2=-1)
+    q_new = (n4 + 4.0 * mu2 * (bb * mm).sum(axis=-1).sum(axis=-1) + mu4 * q
+             + 4.0 * mu1 * (b3 * m).sum(axis=-1) + 2.0 * mu2 * n2 * tr
+             + 4.0 * mu3 * (b1 * m3).sum(axis=-1))
+    m3_new = (b3 + 2.0 * mu1[..., None] * (bb * m[..., None, :]).sum(axis=-1)
+              + (mu2 * tr)[..., None] * b1 + (mu1 * n2)[..., None] * m
+              + 2.0 * mu2[..., None] * (mm * b1[..., None, :]).sum(axis=-1)
+              + mu3[..., None] * m3)
+    cross = b1[..., :, None] * m[..., None, :]
+    mm_new = (bb + mu1[..., None, None] * (cross + np.swapaxes(cross, -1, -2))
+              + mu2[..., None, None] * mm)
+    return b1 + mu1[..., None] * m, mm_new, m3_new, q_new
+
+
+def _norm_start(count: int, dim: int):
+    """The state of T = 0 for count sets."""
+    return (np.zeros((2, count, dim)), np.zeros((2, count, dim, dim)), np.zeros((2, count, dim)),
+            np.zeros((2, count)))
+
+
+def sandwich_moments(spec: dc.DistributionSpec, sets, order: int) -> list[Moments]:
+    """The Moments of S = sum_i v_i R_i for each set, the sets sharing n and d.
+
+    From T = 0 the steps v_n, ..., v_0 each do T <- v + X T; a coordinate's
+    step is E (v_c + X T_c)^a = sum_j C(a,j) v_c^(a-j) E X^j E T_c^j, one
+    batched matmul over every set and coordinate, and for d > 1 _norm_step
+    carries E||T||_2^4.  The same recursions on |v|, the magnitudes of E X^l
+    (dist_core.raw_moment) and of the moments bound the sum of the absolute
+    values of every term, and each value lies within gamma(2N) of that bound,
+    N being the longest chain of roundings: per step, the powers of v, the
+    product with E X^j, a sum of order + 1 terms and the rounding of E X^l
+    itself; for the norm, two sums of d terms, the sums of d terms that b's
+    moments take, and a dozen products and sums.
     """
-    law, law_ulps = _law_moments(spec, order)
-    k1 = order + 1
-    jl = np.add.outer(np.arange(k1), np.arange(k1))
-    tri = jl <= order
-    x_mat = np.where(tri, law[:, np.minimum(jl, order)], 0.0)[:, None, None, None]
-    binom = _binomials(order)
-    shift = np.subtract.outer(np.arange(k1), np.arange(k1))  # a - j
+    law, law_ulps = _law_moments(spec, max(order, 4))
     vecs = np.stack([c.matrix() for c in sets])  # (sets, n + 1, d)
     count, steps, dim = vecs.shape
-    mom = np.zeros((2, count, dim, dim, k1, k1))
-    mom[..., 0, 0] = 1.0
+    block = max(1, _BLOCK // (dim * max(dim, (order + 1) ** 2)))
+    out = []
+    for lo in range(0, count, block):
+        out += _sandwich_block(law, vecs[lo:lo + block], order)
+    coord_err = _gamma(2 * steps * (4 * order + 8 + law_ulps))
+    norm_err = _gamma(2 * steps * (4 * dim + 24 + law_ulps))
+    return [Moments(values, coord_err * sizes, None if q is None else float(q[0]),
+                    None if q is None else norm_err * float(q[1]))
+            for (values, sizes), q in out]
+
+
+def _sandwich_block(law: np.ndarray, vecs: np.ndarray, order: int):
+    """[((values, magnitudes) of the coordinates' moments, (E||S||^4, its magnitude)
+    or None)] for one block of sets."""
+    k1 = order + 1
+    binom, shift = _binomials(order), _shift(order)
+    mu = law[:, None, None, :k1]
+    count, steps, dim = vecs.shape
+    mom = np.zeros((2, count, dim, k1))
+    mom[..., 0] = 1.0
     powers = np.ones((count, dim, k1))
+    norm = _norm_start(count, dim) if dim > 1 else None
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps - 1, -1, -1):
-            np.cumprod(np.repeat(vecs[:, i, :, None], order, axis=-1), axis=-1,
-                      out=powers[..., 1:])
+            v = vecs[:, i]
+            np.cumprod(np.repeat(v[..., None], order, axis=-1), axis=-1, out=powers[..., 1:])
             coef = np.where(shift >= 0, binom * powers[..., np.maximum(shift, 0)], 0.0)
             coef = np.stack([coef, np.abs(coef)])  # (2, sets, d, a, j)
-            mom = coef[:, :, :, None] @ (x_mat * mom) @ np.swapaxes(coef, -1, -2)[:, :, None]
-            mom *= tri
-    chain = steps * (4 * order + 8 + law_ulps)
-    return mom[0], _gamma(2 * chain) * mom[1]
+            mom = (coef @ (mu * mom)[..., None])[..., 0]
+            if norm is not None:
+                norm = _norm_step(norm, law, _fixed_b(np.stack([v, np.abs(v)])))
+    q = [None] * count if norm is None else norm[3].T
+    return [((mom[0, s], mom[1, s]), q[s]) for s in range(count)]
 
 
 def _u_poly(spec: dc.DistributionSpec):
@@ -159,64 +247,50 @@ def _comonotone_moments(pair: PairSpec, order: int) -> tuple[np.ndarray, float]:
     return out, 10.0 * order + 20.0
 
 
-def no_pair_moments(pair: PairSpec) -> str | None:
-    """Why the moment backend has no joint moments of pair's steps, or None."""
-    if (pair.coupling == "independent" or _pair_width(pair) is not None
-            or all(_u_poly(s) is not None for s in (pair.x_spec, *pair.b_specs))):
-        return None
-    return ("the moment engine has joint moments of a comonotone pair only for two finite laws, "
-            "or for uniform and exponential ones")
-
-
-def _pair_moments(pair: PairSpec, order: int) -> tuple[np.ndarray, float]:
-    """J[c, e, a, b, m] = E[B_c^a B_e^b X^m] and its magnitude, (2, d, d, k1, k1, k1),
-    valid for a + b + m <= order, and its rounding bound in ulps."""
-    k1 = order + 1
-    ab = np.minimum(np.add.outer(np.arange(k1), np.arange(k1)), order)
-    if pair.coupling == "comonotone-scalar":
-        joint, ulps = _comonotone_moments(pair, order)
-        return joint[:, ab][:, None, None], ulps
-    x, x_ulps = _law_moments(pair.x_spec, order)
-    laws = [_law_moments(s, order) for s in pair.b_specs]
-    b = np.stack([m for m, _ in laws], axis=1)  # (2, d, k1)
-    bb = b[:, :, None, :, None] * b[:, None, :, None, :]  # independent components
-    diag = np.arange(pair.dim)
-    bb[:, diag, diag] = b[:, :, ab]  # one component: E B_c^(a+b)
-    ulps = x_ulps + 2.0 * max(u for _, u in laws) + 2.0
-    return bb[..., None] * x[:, None, None, None, None, :], ulps
-
-
 def perpetuity_moments(pair: PairSpec, n_list, order: int) -> dict:
-    """{n: (values, errors)} of E[S_c^a S_e^b], a + b <= order, for each row n, each
-    (d, d, order + 1, order + 1), from one pass of max(n_list) steps.
+    """{n: Moments of S_n} for each row n, from one pass of max(n_list) steps.
 
-    S_n has the law of n steps of T <- B + X T from T = 0, so
-
-        E[(B_c + X T_c)^a (B_e + X T_e)^b]
-            = sum_{j,l} C(a,j) C(b,l) E[B_c^(a-j) B_e^(b-l) X^(j+l)] E[T_c^j T_e^l]
-
-    is one matmul per step by a kernel built once.  The joint moments factor
-    under the independent coupling; the comonotone one takes them from
-    _comonotone_moments.  Rounding is bounded as in sandwich_moments.
+    S_n has the law of n steps of T <- B + X T from T = 0, so a coordinate's
+    step is E (B_c + X T_c)^a = sum_j C(a,j) E[B_c^(a-j) X^j] E T_c^j, one
+    matmul by a kernel built once, and for d > 1 _norm_step carries
+    E||T||_2^4.  The joint moments factor under the independent coupling;
+    the comonotone one, scalar, takes them from _comonotone_moments.
+    Rounding is bounded as in sandwich_moments.
     """
-    joint, joint_ulps = _pair_moments(pair, order)
     k1, dim = order + 1, pair.dim
-    a, b, j, l = np.ix_(*[np.arange(k1)] * 4)
-    binom = _binomials(order)
-    kernel = joint[:, :, :, np.maximum(a - j, 0), np.maximum(b - l, 0), np.minimum(j + l, order)]
-    valid = (j <= a) & (l <= b) & (a + b <= order)
-    kernel = np.where(valid, binom[a, j] * binom[b, l] * kernel, 0.0)
-    kernel = kernel.reshape(2, dim, dim, k1 * k1, k1 * k1)
-    mom = np.zeros((2, dim, dim, k1 * k1, 1))
-    mom[..., 0, 0] = 1.0
-    chain = k1 * k1 + 4 + joint_ulps
+    x, x_ulps = _law_moments(pair.x_spec, max(order, 4))
+    if pair.coupling == "comonotone-scalar":
+        joint, joint_ulps = _comonotone_moments(pair, order)
+        joint = joint[:, None]  # (2, d = 1, B power, X power)
+        beta, b_ulps = None, 0.0
+    else:
+        laws = [_law_moments(s, max(order, 4)) for s in pair.b_specs]
+        beta = np.stack([m for m, _ in laws], axis=1)  # (2, d, max(order, 4) + 1)
+        b_ulps = max(u for _, u in laws)
+        joint = beta[:, :, :k1, None] * x[:, None, None, :k1]
+        joint_ulps = x_ulps + b_ulps + 1.0
+    shift = _shift(order)
+    kernel = joint[..., np.maximum(shift, 0), np.arange(k1)]  # [a, j] = E[B^(a-j) X^j]
+    kernel = np.where(shift >= 0, _binomials(order) * kernel, 0.0)
+    mom = np.zeros((2, dim, k1))
+    mom[..., 0] = 1.0
+    norm = b_stats = None
+    if dim > 1:
+        norm, b_stats = _norm_start(1, dim), _independent_b(beta)
+    coord_chain = k1 + 4 + joint_ulps
+    norm_chain = 4 * dim + 24 + x_ulps + b_ulps
     wanted, out = set(n_list), {}
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, max(wanted) + 1):
-            mom = kernel @ mom
+            mom = (kernel @ mom[..., None])[..., 0]
+            if norm is not None:
+                norm = _norm_step(norm, x, b_stats)
             if step in wanted:
-                values, sizes = mom.reshape(2, dim, dim, k1, k1)
-                out[step] = values, _gamma(2 * step * chain) * sizes
+                q = None if norm is None else norm[3][:, 0]
+                out[step] = Moments(
+                    mom[0], _gamma(2 * step * coord_chain) * mom[1],
+                    None if q is None else float(q[0]),
+                    None if q is None else _gamma(2 * step * norm_chain) * float(q[1]))
     return out
 
 
@@ -235,7 +309,8 @@ def _log_convex(p: float, moments: dict, step: int):
     t -> ln E|Y|^t is convex on [0, inf) (Lyapunov), with E|Y|^0 = P(Y != 0)
     <= 1.  So the chord over the orders a < p < b next to p bounds it from
     above, and the chords beside them, extended to p, bound it from below.
-    Past the top order the upper end is inf.
+    Past the top order the upper end is inf, and the chord over the top two
+    orders, extended to p, bounds it from below.
     """
     if p in moments:
         lo, hi = moments[p]
@@ -243,7 +318,7 @@ def _log_convex(p: float, moments: dict, step: int):
     lo_ln = {k: _ln(lo) for k, (lo, _) in moments.items()}
     hi_ln = {k: _ln(hi) for k, (_, hi) in moments.items()}
     hi_ln[0] = 0.0
-    a = step * math.floor(p / step)
+    a = min(step * math.floor(p / step), max(moments))
     b = a + step
     upper, lowers = math.inf, [(-math.inf, ())]
     if b in moments:
@@ -257,8 +332,8 @@ def _log_convex(p: float, moments: dict, step: int):
     return _exp(lower), upper, tuple(sorted(orders - {0}))
 
 
-def _enclose(values, errors, p: float, norm: str, signs, divide: int = 1) -> MomentEnclosure:
-    """E||S||^p / divide enclosed from one set's or row's mixed moments (d, d, k1, k1).
+def _enclose(mom: Moments, p: float, norm: str, signs, divide: int = 1) -> MomentEnclosure:
+    """E||S||^p / divide enclosed from one set's or row's Moments.
 
     Each coordinate takes the even orders, or every order when signs[c] says
     S_c keeps one sign (+1 or -1; 0 when it may change sign).  For d > 1 the
@@ -267,27 +342,27 @@ def _enclose(values, errors, p: float, norm: str, signs, divide: int = 1) -> Mom
     ||x||_2^p <= d^max(p/2 - 1, 0) sum_c |x_c|^p, ||x||_1^p <= d^max(p - 1, 0)
     sum_c |x_c|^p and ||x||_inf^p <= sum_c |x_c|^p.
     """
-    dim, order = values.shape[0], values.shape[-1] - 1
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(errors))):
+    values, errors = mom.coords, mom.coord_errors
+    dim, order = values.shape[0], values.shape[1] - 1
+    extra = [] if mom.norm4 is None else [mom.norm4, mom.norm4_error]
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(errors))
+            and all(map(math.isfinite, extra))):
         raise NonfiniteMomentError(f"the moments of order up to {order} overflow")
-    diag = np.arange(dim)
     coords = []
     for c, sign in enumerate(signs):
         step = 1 if sign else 2
         moms = {}
         for k in range(0, order + 1, step):
-            value, err = (sign or 1) ** k * values[c, c, k, 0], errors[c, c, k, 0]
+            value, err = (sign or 1) ** k * values[c, k], errors[c, k]
             moms[k] = (value - err, value + err)
         coords.append(_log_convex(p, moms, step))
     lower, upper, orders = coords[0]
     if dim > 1:
-        sums = []
-        for k, sub in ((2, values[diag, diag, 2, 0]), (4, values[:, :, 2, 2])):
-            err = (errors[diag, diag, 2, 0] if k == 2 else errors[:, :, 2, 2]).sum()
-            total = float(sub.sum())
-            err += _gamma(dim * dim) * float(np.abs(sub).sum())
-            sums.append((k, (total - err, total + err)))
-        lo2, hi2, orders = _log_convex(p, {0: (1.0, 1.0), **dict(sums)}, 2)
+        total = float(values[:, 2].sum())
+        err = float(errors[:, 2].sum()) + _gamma(dim) * float(np.abs(values[:, 2]).sum())
+        sums = {2: (total - err, total + err),
+                4: (mom.norm4 - mom.norm4_error, mom.norm4 + mom.norm4_error)}
+        lo2, hi2, orders = _log_convex(p, {0: (1.0, 1.0), **sums}, 2)
         lo_c, hi_c = max(c[0] for c in coords), math.fsum(c[1] for c in coords)
         if norm == "l2":
             lower, upper = max(lo2, lo_c), min(hi2, dim ** max(p / 2.0 - 1.0, 0.0) * hi_c)
@@ -306,8 +381,8 @@ def _enclose(values, errors, p: float, norm: str, signs, divide: int = 1) -> Mom
     if upper > 0.0:
         upper *= 1.0 + 64.0 * _U * (1.0 + abs(math.log(upper)))
     used = [k for k in orders if k <= order]
-    sizes = np.abs(values[diag, diag][..., used, 0])
-    rel = errors[diag, diag][..., used, 0] / np.where(sizes > 0.0, sizes, np.inf)
+    sizes = np.abs(values[:, used])
+    rel = errors[:, used] / np.where(sizes > 0.0, sizes, np.inf)
     return MomentEnclosure(lower=float(lower), upper=float(upper), orders=orders,
                            rounding=float(np.max(rel, initial=0.0)))
 
@@ -326,13 +401,12 @@ def sandwich_enclosures(spec, sets, p: float) -> list[MomentEnclosure]:
     dc.check_order(p)
     if len({(c.n, c.dim) for c in sets}) > 1:
         raise ValueError("the moment engine takes sets that share n and d")
-    values, errors = sandwich_moments(spec, sets, moment_order(p))
     nonneg = dc.is_nonnegative(spec)
     out = []
-    for vals, errs, coeffs in zip(values, errors, sets):
+    for mom, coeffs in zip(sandwich_moments(spec, sets, moment_order(p)), sets):
         vmat = coeffs.matrix()
         signs = [nonneg * (int(np.all(col >= 0.0)) - int(np.all(col <= 0.0))) for col in vmat.T]
-        out.append(_enclose(vals, errs, p, coeffs.norm, signs))
+        out.append(_enclose(mom, p, coeffs.norm, signs))
     return out
 
 
@@ -342,5 +416,4 @@ def perpetuity_enclosures(pair: PairSpec, n_list, p: float) -> dict:
     X >= 0, so a coordinate keeps the sign of its B component when that has one."""
     moments = perpetuity_moments(pair, n_list, moment_order(p))
     signs = [_sign(spec) for spec in pair.b_specs]
-    return {n: _enclose(values, errors, p, pair.norm, signs, n)
-            for n, (values, errors) in moments.items()}
+    return {n: _enclose(mom, p, pair.norm, signs, n) for n, mom in moments.items()}

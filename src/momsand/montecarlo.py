@@ -32,12 +32,12 @@ E||acc||^p is computed by one of three backends:
     with math.fsum in walk order, so the mean does not depend on the worker
     count; _outcomes writes every block into its slice of one pair of arrays.
   * the moment backend, in the module moments: the same steps taken
-    backward, T <- b + x T, carry the exact mixed moments E[T_c^a T_e^b]
-    (a + b <= moment_order(p)) of every coordinate pair, for all
-    coefficient sets or every perpetuity row at once, and give a
-    MomentEnclosure of E||acc||^p by the log-convexity of t -> log E|S|^t
-    (Lyapunov), widened by a forward bound on the rounding (Higham 2002,
-    ch. 3).  It is imported when a choice first needs it.
+    backward, T <- b + x T, carry each coordinate's exact moments E T_c^a
+    (a <= moment_order(p)) and, for d > 1, E||T||_2^4, for all coefficient
+    sets or every perpetuity row at once, and give a MomentEnclosure of
+    E||acc||^p by the log-convexity of t -> log E|S|^t (Lyapunov), widened
+    by a forward bound on the rounding (Higham 2002, ch. 3).  It is
+    imported when a choice first needs it.
 
 Sampling and enumeration keep acc coordinate-major, (d, m) for m paths, so
 each update is one contiguous pass per coordinate instead of m short rows of
@@ -46,13 +46,13 @@ computed as b * r, which rounds the same), so no value changes with the
 layout.
 
 choose_engine alone picks the backend, for the sandwich, each perpetuity row
-and E||B||^p = E||S_1||^p, from ENGINES: auto enumerates when the step atoms
-are finite and their outcomes, counted from the supports' sizes before any
-atom is built, fit ENUM_CAP = 1e7, and takes the moment backend past it;
-montecarlo samples past the cap instead; enumerate and moments insist on
-their backend.  The sandwich
-verdict against sum_i ||v_i||^p (E|X|^p)^i, the perpetuity bracket and the
-signed counterexample for a degenerate |X| are built on top.
+and E||B||^p = E||S_1||^p: it enumerates when the step atoms are finite and
+their outcomes, counted from the supports' sizes before any atom is built,
+fit ENUM_CAP = 1e7, and past the cap takes the moment backend, or samples
+when the caller asks for samples (verify's --csv, the counterexample, the
+Riesz side) or the moment backend does not apply.  The sandwich verdict
+against sum_i ||v_i||^p (E|X|^p)^i, the perpetuity bracket and the signed
+counterexample for a degenerate |X| are built on top.
 """
 
 from __future__ import annotations
@@ -68,20 +68,15 @@ from . import dist_core as dc
 from ._pool import concurrency, map_indexed, worker_count
 from .assumptions import NORM_KINDS, LargePCertificate, PairSpec, check_normalized
 from .constants import LARGE_P, SMALL_P, ConstantBundle, dependent_upper_constant
-from .errors import (
-    EnumerationTooLargeError,
-    MomentsUnavailableError,
-    NonfiniteMomentError,
-    UsageError,
-)
+from .errors import EnumerationTooLargeError, NonfiniteMomentError, UsageError
 
 CHUNK = 4096
 ENUM_CAP = 10**7
 ENUM_BLOCK = 10**5
 MIN_REPS = 10**3
-ENGINES = ("auto", "enumerate", "moments", "montecarlo")
-# the moment backend's top order; its tensors grow as the order's fourth power
+# the moment backend's top order, and its top dimension: a set holds d x d second moments
 MAX_MOMENT_ORDER = 16
+MAX_MOMENT_DIM = 1024
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -235,7 +230,7 @@ def _check_run(p: float, reps: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the two backends of the step model
+# the sampling and enumeration backends of the step model
 
 
 def _sample_paths(group_steps, group_cap: int, x_table, tail, dim: int, norm: str, p: float,
@@ -399,34 +394,31 @@ def _exact_mean(walk: _Walk) -> EstimateWithCI:
     return _exact(math.fsum(partial), len(prefixes) * len(q))
 
 
-def choose_engine(engine: str, width: int | None, steps: int,
-                  no_moments: str | None = None) -> tuple[str, str]:
+def _check_cap(width: int, steps: int) -> None:
+    """EnumerationTooLargeError when steps steps of width atoms pass ENUM_CAP outcomes."""
+    if width**steps > ENUM_CAP:
+        raise EnumerationTooLargeError(f"{width**steps} outcomes exceed the cap of {ENUM_CAP:,}")
+
+
+def choose_engine(width: int | None, steps: int, no_moments: str | None = None,
+                  sample: bool = False) -> tuple[str, str]:
     """The engine choice, (engine, reason), for steps steps of width atoms each (None:
     a law that is not finitely supported).
 
-    Within ENUM_CAP outcomes auto, enumerate and montecarlo enumerate.  Past it
-    auto takes the moment backend, montecarlo samples and enumerate raises
-    EnumerationTooLargeError.  moments takes the moment backend everywhere.
-    no_moments, when given, says why the moment backend does not apply: auto
-    then samples, and moments raises MomentsUnavailableError.  Neither engine
-    has run when it is called.
+    Within ENUM_CAP outcomes it enumerates.  Past the cap it takes the moment
+    backend, or samples when sample is set or no_moments says why the moment
+    backend does not apply.  Neither engine has run when it is called.
     """
-    if engine not in ENGINES:
-        raise UsageError(f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}")
-    if engine == "moments":
-        if no_moments is not None:
-            raise MomentsUnavailableError(no_moments)
-        return "moments", "requested"
     total = math.inf if width is None else width**steps
     if total <= ENUM_CAP:
         return "enumerate", f"{width}^{steps} = {total:,} outcomes <= cap {ENUM_CAP:,}"
-    if engine == "enumerate":
-        raise EnumerationTooLargeError(f"{total} outcomes exceed the cap of {ENUM_CAP:,}")
     past = ("the law is not finitely supported" if width is None
             else f"{width}^{steps} outcomes > cap {ENUM_CAP:,}")
-    if engine == "auto" and no_moments is None:
+    if sample:
+        return "montecarlo", past
+    if no_moments is None:
         return "moments", past
-    return "montecarlo", past if engine == "montecarlo" else f"{past}; {no_moments}"
+    return "montecarlo", f"{past}; {no_moments}"
 
 
 def _interval(est) -> tuple[float, float]:
@@ -450,11 +442,26 @@ def moment_order(p: float) -> int:
     return max(4, 2 * math.ceil(p / 2.0))
 
 
-def _no_moments(p: float) -> str | None:
-    """Why the moment backend cannot enclose E||S||^p, or None."""
+def _closed_form_quantile(spec: dc.DistributionSpec) -> bool:
+    """Whether spec is uniform or exponential, or a positive scaling of one: the laws whose
+    comonotone joint moments the moment backend has in closed form."""
+    if spec.family == dc.SCALED:
+        return spec.scale > 0.0 and _closed_form_quantile(spec.base)
+    return spec.family in (dc.UNIFORM, dc.EXPONENTIAL)
+
+
+def _no_moments(p: float, dim: int, pair: PairSpec | None = None) -> str | None:
+    """Why the moment backend cannot enclose E||S||^p in dimension dim (of pair's sums,
+    when given), or None."""
     order = moment_order(p)
     if order > MAX_MOMENT_ORDER:
         return f"p = {p} needs moments of order {order} > {MAX_MOMENT_ORDER}"
+    if dim > MAX_MOMENT_DIM:
+        return f"d = {dim} > {MAX_MOMENT_DIM} for the moment engine's d x d second moments"
+    if (pair is not None and pair.coupling != "independent" and _pair_width(pair) is None
+            and not all(map(_closed_form_quantile, (pair.x_spec, *pair.b_specs)))):
+        return ("the moment engine has joint moments of a comonotone pair only for two "
+                "finite laws, or for uniform and exponential ones")
     return None
 
 
@@ -498,17 +505,17 @@ def estimate_lhs(
 
 
 def _sandwich_walk(spec: dc.DistributionSpec, coeffs: CoefficientSet, p: float) -> _Walk | None:
-    """The sandwich's walk; None for n = 0, whose one outcome is _lone_term, computed as
-    rhs_sum computes it, so the ratio is exactly 1."""
+    """The sandwich's walk; None for n = 0, whose one outcome, whatever the law, is
+    _lone_term, computed as rhs_sum computes it, so the ratio is exactly 1."""
+    if coeffs.n == 0:
+        return None
     support = dc.finite_support(spec)
     if support is None:
         raise ValueError("enumeration needs a finite-support factor law")
-    if coeffs.n == 0:
-        return None
     svals, sprobs = support
     vmat = coeffs.matrix()
     steps = [(svals, np.tile(v, (len(svals), 1)), sprobs) for v in vmat[:-1]]
-    choose_engine("enumerate", len(svals), coeffs.n)
+    _check_cap(len(svals), coeffs.n)
     return _walk(steps, vmat[-1], coeffs.dim, coeffs.norm, p)
 
 
@@ -527,24 +534,21 @@ def brute_force_lhs(spec, coeffs: CoefficientSet, p: float) -> EstimateWithCI:
     return _exact(_lone_term(coeffs, p), 1) if walk is None else _exact_mean(walk)
 
 
-def _sandwich_choice(spec, n: int, p: float, engine: str) -> tuple[str, str]:
-    """choose_engine for one coefficient set of n factors; n = 0 has its one outcome."""
+def _sandwich_choice(spec, coeffs: CoefficientSet, p: float,
+                     sample: bool = False) -> tuple[str, str]:
+    """choose_engine for coefficient sets of coeffs' n and d."""
     dc.check_order(p)
-    if n == 0:
-        return "enumerate", "n = 0: the one outcome ||v_0||^p"
     support = dc.finite_support(spec)
-    return choose_engine(engine, None if support is None else len(support[0]), n, _no_moments(p))
+    # n = 0 has the one outcome v_0, whatever the law
+    width = len(support[0]) if support is not None else (1 if coeffs.n == 0 else None)
+    return choose_engine(width, coeffs.n, _no_moments(p, coeffs.dim), sample)
 
 
-def _sandwich_lhs(spec, coeffs: CoefficientSet, p: float, reps: int, src,
-                  csv_path: str | None = None) -> EstimateWithCI:
-    """E||sum v_i R_i||^p as the montecarlo engine takes it, enumerated within the cap
-    and sampled past it; csv_path, if the set is sampled, receives its values."""
-    chosen, _ = _sandwich_choice(spec, coeffs.n, p, "montecarlo")
-    if chosen == "enumerate" and dc.finite_support(spec) is not None:
+def _sampled_lhs(spec, coeffs: CoefficientSet, p: float, reps: int, src) -> EstimateWithCI:
+    """E||sum v_i R_i||^p enumerated within the cap and sampled past it."""
+    if _sandwich_choice(spec, coeffs, p, sample=True)[0] == "enumerate":
         return brute_force_lhs(spec, coeffs, p)
-    # sampled, or the lone term of a continuous law, which estimate_lhs returns
-    return estimate_lhs(spec, coeffs, p, reps, src, csv_path)
+    return estimate_lhs(spec, coeffs, p, reps, src)
 
 
 def rhs_sum(spec, coeffs: CoefficientSet, p: float) -> float:
@@ -579,24 +583,25 @@ def _bracket_verdict(lhs: tuple[float, float], constants, base: tuple[float, flo
 
 def run_sandwiches(spec: dc.DistributionSpec, p: float, sets,
                    constants: tuple[float, float, bool], reps: int, srcs,
-                   csv_path: str | None = None, engine: str = "auto") -> list[SandwichReport]:
+                   csv_path: str | None = None) -> list[SandwichReport]:
     """run_sandwich over sets sharing n and d, each with its source in srcs; the moment
-    engine takes them all in one pass.  csv_path, which the first set's sampled values
-    fill, is a usage error, raised before any work, when that set is not sampled."""
+    engine takes them all in one pass.  A csv_path for the first set's sampled values
+    has them sampled past the enumeration cap; it is a usage error, raised before any
+    work, when that set is enumerated."""
     if not sets:
         return []
-    chosen, reason = _sandwich_choice(spec, sets[0].n, p, engine)
+    chosen, reason = _sandwich_choice(spec, sets[0], p, sample=csv_path is not None)
     if csv_path is not None and chosen != "montecarlo":
-        raise UsageError(
-            f"--csv {csv_path}: the first set is not sampled ({chosen}: {reason}); "
-            "only --engine montecarlo samples, and only past the enumeration cap"
-        )
+        raise UsageError(f"--csv {csv_path}: the first set is exact ({reason}), "
+                         "so no path is sampled")
     if chosen == "moments":
         from . import moments
 
         lhs = moments.sandwich_enclosures(spec, sets, p)
-    else:  # within the cap every other engine enumerates; past it they sample or raised
-        lhs = [_sandwich_lhs(spec, coeffs, p, reps, src, csv_path if d == 0 else None)
+    elif chosen == "enumerate":
+        lhs = [brute_force_lhs(spec, coeffs, p) for coeffs in sets]
+    else:
+        lhs = [estimate_lhs(spec, coeffs, p, reps, src, csv_path if d == 0 else None)
                for d, (coeffs, src) in enumerate(zip(sets, srcs))]
     reports = []
     for est, coeffs in zip(lhs, sets):
@@ -621,12 +626,11 @@ def run_sandwich(
     reps: int,
     src: dc.RandomSource,
     csv_path: str | None = None,
-    engine: str = "auto",
 ) -> SandwichReport:
     """Compare the LHS (an enumerated mean, a sampled estimate or a moment enclosure)
     against the bracket constants times rhs_sum; a sampled LHS writes its per-path
     values to csv_path, when given."""
-    return run_sandwiches(spec, p, [coeffs], constants, reps, [src], csv_path, engine)[0]
+    return run_sandwiches(spec, p, [coeffs], constants, reps, [src], csv_path)[0]
 
 
 def khintchine_counterexample(
@@ -639,19 +643,18 @@ def khintchine_counterexample(
     bound, which is exactly what a degenerate |X| (lambda = 1, mu = 0) does
     to any would-be two-sided comparison.  Pass another degenerate-|X| spec
     to watch the same blow-up there.  The ratio is enumerated within the cap
-    and sampled past it, as the montecarlo engine takes it; `reference` is the
-    moment engine's enclosure of it (3n - 2 at p = 4 for signs), or None past
-    MAX_MOMENT_ORDER.
+    and sampled past it; `reference` is the moment engine's enclosure of it
+    (3n - 2 at p = 4 for signs), or None past MAX_MOMENT_ORDER.
     """
     if n < 1:
         raise ValueError("need n >= 1 summands")
     if spec is None:
         spec = dc.rademacher_sign()
     coeffs = coefficient_set([0.0] + [1.0] * n)
-    lhs = _sandwich_lhs(spec, coeffs, p, reps, src)
+    lhs = _sampled_lhs(spec, coeffs, p, reps, src)
     rhs = rhs_sum(spec, coeffs, p)
     reference = None
-    if _no_moments(p) is None:
+    if _no_moments(p, 1) is None:
         from . import moments
 
         enc = moments.sandwich_enclosures(spec, [coeffs], p)[0]
@@ -738,18 +741,18 @@ def brute_force_perpetuity(pair: PairSpec, n: int, p: float) -> EstimateWithCI:
     width = _pair_width(pair)
     if width is None:
         raise ValueError("exact perpetuity needs finite-support X and B")
-    choose_engine("enumerate", width, n)
+    _check_cap(width, n)
     return _exact_mean(_walk([_pair_branches(pair)] * n, None, pair.dim, pair.norm, p))
 
 
-def _b_norm_moment(pair: PairSpec, p: float, reps: int, src: dc.RandomSource,
-                   engine: str = "auto") -> EstimateWithCI | MomentEnclosure:
+def _b_norm_moment(pair: PairSpec, p: float, reps: int,
+                   src: dc.RandomSource) -> EstimateWithCI | MomentEnclosure:
     """E||B||^p as the row n = 1, E||S_1||^p, taken by choose_engine; in closed form for
-    a scalar B that is not finite, under every engine."""
+    a scalar B that is not finite."""
     if pair.dim == 1 and dc.finite_support(pair.b_specs[0]) is None:
         return _exact(dc.abs_moment(pair.b_specs[0], p), 0)
     b_only = replace(pair, x_spec=dc.finitely_supported([(1.0, 1.0)]), coupling="independent")
-    chosen, _ = choose_engine(engine, _pair_width(b_only), 1, _no_moments(p))
+    chosen, _ = choose_engine(_pair_width(b_only), 1, _no_moments(p, pair.dim))
     if chosen == "moments":
         from . import moments
 
@@ -793,7 +796,6 @@ def goldie_bracket(
     reps: int,
     src: dc.RandomSource,
     require_normalized: bool = True,
-    engine: str = "auto",
 ) -> list[GoldieBracketRow]:
     """Bracket (1/n) E||S_n||^p between lower_c and upper_C times E||B||^p.
 
@@ -811,16 +813,16 @@ def goldie_bracket(
     if require_normalized:
         check_normalized(pair.x_spec, p)
     lower_c, upper_c, lower_certified = constants
-    b_mom = _b_norm_moment(pair, p, reps, src, engine)
+    b_mom = _b_norm_moment(pair, p, reps, src)
     b_lo, b_hi = _ends(b_mom)
-
-    from . import moments
-
-    width = _pair_width(pair)
-    no_moments = _no_moments(p) or moments.no_pair_moments(pair)
-    choices = [choose_engine(engine, width, n, no_moments) for n in n_list]
+    width, no_moments = _pair_width(pair), _no_moments(p, pair.dim, pair)
+    choices = [choose_engine(width, n, no_moments) for n in n_list]
     moment_rows = [n for n, (chosen, _) in zip(n_list, choices) if chosen == "moments"]
-    enclosures = moments.perpetuity_enclosures(pair, moment_rows, p) if moment_rows else {}
+    enclosures = {}
+    if moment_rows:
+        from . import moments
+
+        enclosures = moments.perpetuity_enclosures(pair, moment_rows, p)
     rows = []
     for idx, (n, (chosen, reason)) in enumerate(zip(n_list, choices)):
         if chosen == "moments":

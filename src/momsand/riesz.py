@@ -65,7 +65,7 @@ from .errors import (
     NotLacunaryError,
     TooFewPointsError,
 )
-from .montecarlo import EstimateWithCI, _exact, _sandwich_lhs, coefficient_set
+from .montecarlo import EstimateWithCI, _exact, _sampled_lhs, coefficient_set
 
 MAX_TERM = 2**20
 MIN_POINTS = 4096
@@ -270,9 +270,9 @@ def _probabilistic_side(
     if p == 2.0 or (p == 1.0 and all(a >= 0.0 for a in comb.coefficients)):
         from .moments import sandwich_moments
 
-        values, _ = sandwich_moments(spec, [coeffs], int(p))
-        return _exact(float(values[0, 0, 0, int(p), 0]), 0)
-    return _sandwich_lhs(spec, coeffs, p, reps, src)
+        (moments,) = sandwich_moments(spec, [coeffs], int(p))
+        return _exact(float(moments.coords[0, int(p)]), 0)
+    return _sampled_lhs(spec, coeffs, p, reps, src)
 
 
 def corollary_check(

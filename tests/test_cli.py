@@ -300,18 +300,6 @@ NONFINITE_CASES = [
     # E|S| is about 4e154, but the l2 norm squares the entries: exact enumeration
     (["verify", "--dist", TP, "--p", "1", "--n", "3", "--coeffs", "1e154,1e154,1e154,1e154"],
      "is not finite"),
-    # Monte Carlo: the sum of |S|^2 overflows, and for lognormal factors the squares do
-    (["verify", "--dist", "uniform:lo=0,hi=2", "--p", "2", "--n", "3",
-      "--coeffs", "1e153,1e153,1e153,1e153", "--reps", "2000", "--engine", "montecarlo"],
-     "is not finite"),
-    (["verify", "--dist", "lognormal:mu=0,sigma=1", "--p", "2", "--n", "3",
-      "--coeffs", "1e153,1e153,1e153,1e153", "--reps", "2000", "--engine", "montecarlo"],
-     "is not finite"),
-    # a perpetuity row and the Monte Carlo E||B||^p both overflow
-    (["perpetuity", "--dist", "uniform:lo=0,hi=2",
-      "--b-dist", "scaled:scale=1e200,base=(uniform:lo=0,hi=1)", "--b-dist", "uniform:lo=0,hi=1",
-      "--p", "2", "--n-list", "1", "--reps", "2000", "--engine", "montecarlo"],
-     "is not finite"),
     # the moment engine: v^4 passes the float range though sum ||v_i||^p does not,
     # and a component's E B^2 overflows before any row runs
     (["verify", "--dist", "uniform:lo=0,hi=2", "--p", "2.5", "--n", "2",
@@ -349,6 +337,35 @@ def test_nonfinite_results_are_usage_errors(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+# the sampled path past the cap: the sum of |S|^2 overflows, and for lognormal factors the
+# squares do; a perpetuity row and the Monte Carlo E||B||^p both overflow
+SAMPLED_NONFINITE_CASES = [
+    ["verify", "--dist", "uniform:lo=0,hi=2", "--p", "2", "--n", "3",
+     "--coeffs", "1e153,1e153,1e153,1e153", "--reps", "2000"],
+    ["verify", "--dist", "lognormal:mu=0,sigma=1", "--p", "2", "--n", "3",
+     "--coeffs", "1e153,1e153,1e153,1e153", "--reps", "2000"],
+    ["perpetuity", "--dist", "uniform:lo=0,hi=2",
+     "--b-dist", "scaled:scale=1e200,base=(uniform:lo=0,hi=1)", "--b-dist", "uniform:lo=0,hi=1",
+     "--p", "2", "--n-list", "1", "--reps", "2000"],
+]
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+@pytest.mark.parametrize("argv", SAMPLED_NONFINITE_CASES)
+def test_sampled_nonfinite_results_are_usage_errors_without_warnings(capsys, monkeypatch,
+                                                                     sampled, threads, argv):
+    if threads is None:
+        monkeypatch.delenv("MOMSAND_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("MOMSAND_THREADS", threads)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "is not finite" in err
 
 
 # finite Riesz moments past q = 510, where a quadrature raised an IntegrationWarning
@@ -477,7 +494,7 @@ def test_counterexample_command(capsys):
 def test_csv_dump_is_written_before_the_stats_consume_it(tmp_path, capsys):
     path = tmp_path / "draws.csv"
     argv = ["verify", "--dist", "uniform:lo=0,hi=2", "--p", "1.5", "--coeffs", "1,-0.5,0.25",
-            "--reps", "5000", "--seed", "3", "--csv", str(path), "--engine", "montecarlo"]
+            "--reps", "5000", "--seed", "3", "--csv", str(path)]
     assert main(argv) == 0
     data = path.read_bytes()
     assert data.startswith(b"rep,value\n") and data.count(b"\n") == 5001
@@ -489,7 +506,7 @@ def test_csv_dump_is_written_before_the_stats_consume_it(tmp_path, capsys):
 def test_csv_mean_is_the_reported_mean(tmp_path, capsys):
     path = tmp_path / "draws.csv"
     argv = ["verify", "--dist", "uniform:lo=0,hi=2", "--p", "1.5", "--coeffs", "1,-0.5,0.25",
-            "--reps", "5000", "--seed", "3", "--csv", str(path), "--engine", "montecarlo"]
+            "--reps", "5000", "--seed", "3", "--csv", str(path)]
     code, report, _ = run_cli(capsys, argv)
     assert code == 0
     values = np.array([float(line.split(",")[1]) for line in path.read_text().splitlines()[1:]])
@@ -1019,7 +1036,7 @@ MULTI_BLOCK_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(MULTI_BLOCK_CASES))
-def test_multi_block_reports_match_at_every_worker_count(capsys, monkeypatch, case):
+def test_multi_block_reports_match_at_every_worker_count(capsys, monkeypatch, sampled, case):
     monkeypatch.setattr(riesz, "_BLOCK", 128)
     block_counts = []
 
@@ -1030,9 +1047,8 @@ def test_multi_block_reports_match_at_every_worker_count(capsys, monkeypatch, ca
 
     for module in (mc, riesz):
         monkeypatch.setattr(module, "map_indexed", counting)
+    # the sampled fixture: past the cap, the sampled blocks are what is checked
     argv = [*MULTI_BLOCK_CASES[case], "--reps", "10000", "--seed", "11"]
-    if argv[0] != "riesz":
-        argv += ["--engine", "montecarlo"]  # the sampled blocks are what is checked
     reports = {}
     # frequent thread switches make a race between workers more likely to show
     interval = sys.getswitchinterval()
@@ -1112,46 +1128,26 @@ CONFIG_MISTAKES = {
     "bad_coupling": ("perpetuity", {"dist": UNIFORM, "b_dist": [UNIFORM], "coupling": "weird"},
                      "--coupling"),
     "bad_norm": ("verify", {"dist": TP, "p": 1, "n": 2, "norm": "l3"}, "--norm"),
-    "bad_engine_verify": ("verify", {"dist": TP, "p": 1, "n": 2, "engine": "exact"}, "--engine"),
-    "bad_engine_perpetuity": ("perpetuity", {"dist": UNIFORM, "b_dist": [UNIFORM],
-                                             "engine": "cells"}, "--engine"),
 }
 
 
-@pytest.mark.parametrize("command", ["verify", "perpetuity"])
-def test_bad_engine_flag_is_usage_error(capsys, tmp_path, command):
-    cfg = ({"dist": TP, "p": 1, "n": 2} if command == "verify"
-           else {"dist": UNIFORM, "b_dist": UNIFORM})
-    code, out, err = _run_with(capsys, tmp_path, command, {**cfg, "engine": "fast"}, via="flag")
-    assert (code, out) == (2, "")
-    assert re.search(rf"^momsand {command}: error: argument --engine: invalid choice",
-                     err.splitlines()[-1])
-
-
-def test_enumerate_engine_past_the_cap_is_its_typed_error(capsys, monkeypatch):
-    # 2^30 outcomes pass ENUM_CAP: the enumeration engine refuses before any work
-    monkeypatch.setattr(mc, "_walk", lambda *a: pytest.fail("walked past the cap"))
-    with pytest.raises(errors.EnumerationTooLargeError):
-        mc.run_sandwich(dc.two_point(0.5, 1.5, 0.5), 1.5, mc.coefficient_set([1.0] * 31),
-                        (0.0, 10.0, True), 1000, dc.RandomSource(1), engine="enumerate")
-    argv = ["verify", "--dist", TP, "--p", "1.5", "--n", "30", "--coeffs", "random:count=1,seed=7",
-            "--engine", "enumerate"]
-    line = _usage_error_line(capsys, argv)
-    assert line == "usage error: 1073741824 outcomes exceed the cap of 10,000,000"
-
-
-@pytest.mark.parametrize("engine, kind", [("auto", "moments"), ("moments", "moments"),
-                                          ("enumerate", "enumerate")])
-def test_csv_with_a_first_set_not_sampled_names_the_montecarlo_engine(tmp_path, capsys,
-                                                                      engine, kind):
+def test_csv_samples_past_the_cap_and_refuses_an_exact_first_set(tmp_path, capsys):
     path = tmp_path / "draws.csv"
-    law = UNIFORM if kind == "moments" else TP
-    argv = ["verify", "--dist", law, "--p", "1.5", "--coeffs", "1,-0.5,0.25", "--reps", "2000",
-            "--csv", str(path), "--engine", engine]
-    line = _usage_error_line(capsys, argv)
-    assert line.startswith(f"usage error: --csv {path}: the first set is not sampled ({kind}: ")
-    assert "--engine montecarlo" in line
-    assert not path.exists()
+    argv = ["verify", "--dist", UNIFORM, "--p", "1.5", "--coeffs", "1,-0.5,0.25", "--reps", "2000",
+            "--seed", "3"]
+    code, report, _ = run_cli(capsys, [*argv, "--csv", str(path)])
+    assert code == 0 and path.exists()
+    assert report["results"]["reports"][0]["report"]["engine"] == "montecarlo"
+    # without --csv the moment engine encloses the same set
+    code, report, _ = run_cli(capsys, argv)
+    assert report["results"]["reports"][0]["report"]["engine"] == "moments"
+    # 2^2 outcomes: the finite law's first set is enumerated, before any work
+    exact = tmp_path / "exact.csv"
+    line = _usage_error_line(capsys, ["verify", "--dist", TP, "--p", "1.5", "--coeffs",
+                                      "1,-0.5,0.25", "--csv", str(exact)])
+    assert line == (f"usage error: --csv {exact}: the first set is exact "
+                    "(2^2 = 4 outcomes <= cap 10,000,000), so no path is sampled")
+    assert not exact.exists()
 
 
 def test_overflowing_enclosure_is_its_typed_error(capsys):
@@ -1165,11 +1161,9 @@ def test_overflowing_enclosure_is_its_typed_error(capsys):
     assert line == "usage error: the moments of order up to 4 overflow"
 
 
-def test_moment_engine_without_joint_moments_is_usage_error_and_auto_samples(capsys):
+def test_a_pair_without_joint_moments_is_sampled(capsys):
     argv = ["perpetuity", "--dist", UNIFORM, "--b-dist", "lognormal:mu=0,sigma=0.5",
             "--coupling", "comonotone-scalar", "--p", "2", "--n-list", "40", "--reps", "2000"]
-    line = _usage_error_line(capsys, [*argv, "--engine", "moments"])
-    assert "joint moments of a comonotone pair only" in line
     code, report, _ = run_cli(capsys, argv)
     assert code == 0
     (row,) = report["results"]["rows"]

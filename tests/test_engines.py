@@ -3,8 +3,8 @@
 Exact moments by the backward Horner recursion in Fraction equal exact
 enumeration in Fraction; the float moment backend stays within its stated
 rounding bound of them; every moment enclosure contains the enumerated
-E||S||^p; and the montecarlo engine still writes the reports it wrote before
-the moment engine existed.  Fraction is a test oracle only.
+E||S||^p; and the sampled path still writes the reports it wrote before the
+moment engine existed.  Fraction is a test oracle only.
 """
 
 import itertools
@@ -12,9 +12,11 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from momsand import dist_core as dc
@@ -169,15 +171,21 @@ def test_fraction_horner_equals_fraction_enumeration_for_the_perpetuity(name):
         assert norm_moment(moms, pair.dim, k) == enumerate_perpetuity(pair, 3, k)
 
 
-def _within_bound(values, errors, exact):
-    dim = values.shape[0]
+def _within_bound(mom, exact):
+    """mom's E S_c^k and E||S||_2^4 lie within their bounds of the pair moments exact."""
+    dim, k1 = mom.coords.shape
+    rows = [(float(mom.coords[c, k]), float(mom.coord_errors[c, k]), exact[(c, c)][(k, 0)])
+            for c in range(dim) for k in range(k1)]
+    if dim == 1:
+        assert mom.norm4 is None
+    else:
+        want = sum(exact[pair][(2, 2)] for pair in itertools.product(range(dim), repeat=2))
+        rows.append((mom.norm4, mom.norm4_error, want))
     # the bound is a rounding bound, not a blanket tolerance
-    scale = max(abs(float(want)) for moms in exact.values() for want in moms.values())
-    for c, e in itertools.product(range(dim), repeat=2):
-        for (a, b), want in exact[(c, e)].items():
-            got, bound = float(values[c, e, a, b]), float(errors[c, e, a, b])
-            assert abs(Fraction(got) - want) <= Fraction(bound), (c, e, a, b, got, bound)
-            assert bound <= 1e-10 * scale
+    scale = max(abs(float(want)) for _, _, want in rows)
+    for got, bound, want in rows:
+        assert abs(Fraction(got) - want) <= Fraction(bound), (got, bound, want)
+        assert bound <= 1e-10 * scale
 
 
 SANDWICH_LAWS = [SIGNED, TWO_POINT, dc.uniform(-0.5, 2.0), dc.exponential(1.5),
@@ -187,17 +195,22 @@ SANDWICH_LAWS = [SIGNED, TWO_POINT, dc.uniform(-0.5, 2.0), dc.exponential(1.5),
 @pytest.mark.parametrize("spec", SANDWICH_LAWS, ids=lambda s: dc.spec_to_text(s))
 def test_float_sandwich_moments_stay_within_their_bound(spec):
     for coeffs in (SCALAR, VECTOR):
-        values, errors = mo.sandwich_moments(spec, [coeffs], 6)
-        _within_bound(values[0], errors[0], horner_sandwich(spec, coeffs, 6))
+        (mom,) = mo.sandwich_moments(spec, [coeffs], 6)
+        _within_bound(mom, horner_sandwich(spec, coeffs, 6))
 
 
-def test_float_sandwich_moments_batch_the_sets():
+@pytest.mark.parametrize("block", [mo._BLOCK, 1])
+def test_float_sandwich_moments_batch_the_sets(monkeypatch, block):
+    # one block of three sets, or a block per set
+    monkeypatch.setattr(mo, "_BLOCK", block)
     sets = [VECTOR, mc.coefficient_set([(0.5, -1.0)] * 5), mc.coefficient_set([(2.0, 1.0)] * 5)]
-    values, errors = mo.sandwich_moments(SIGNED, sets, 4)
-    for d, coeffs in enumerate(sets):
-        one, _ = mo.sandwich_moments(SIGNED, [coeffs], 4)
-        assert abs(values[d] - one[0]).max() <= errors[d].max()
-        _within_bound(values[d], errors[d], horner_sandwich(SIGNED, coeffs, 4))
+    batch = mo.sandwich_moments(SIGNED, sets, 4)
+    assert len(batch) == 3
+    for mom, coeffs in zip(batch, sets):
+        (one,) = mo.sandwich_moments(SIGNED, [coeffs], 4)
+        assert abs(mom.coords - one.coords).max() <= mom.coord_errors.max()
+        assert abs(mom.norm4 - one.norm4) <= mom.norm4_error
+        _within_bound(mom, horner_sandwich(SIGNED, coeffs, 4))
 
 
 CONTINUOUS_PAIRS = {
@@ -263,7 +276,7 @@ def test_float_perpetuity_moments_stay_within_their_bound(name):
     for n in (1, 3):
         exact = (horner_perpetuity(pair, n, 6) if name in PAIRS
                  else horner_continuous_pair(pair, n, 6))
-        _within_bound(*rows[n], exact)
+        _within_bound(rows[n], exact)
 
 
 P_GRID = (0.5, 0.9, 1.5, 2.5, 3.5, 5.5)
@@ -297,6 +310,18 @@ def test_perpetuity_enclosures_contain_the_enumerated_value(norm):
                 assert _contains(enc, want), (p, pair, n, enc, want)
 
 
+@pytest.mark.parametrize("norm", ["l2", "l1", "sup"])
+def test_vector_enclosures_past_the_norms_fourth_moment_contain_the_enumerated_value(norm):
+    # for d > 1, E||S||_2^k stops at k = 4; p = 7.5 and 9 lie past it
+    coeffs = mc.coefficient_set(VECTOR.vectors, norm)
+    pair = PairSpec(X_PAIR, PAIRS["independent_vector"].b_specs, norm=norm)
+    for p in (7.5, 9.0):
+        enc = mo.sandwich_enclosures(SIGNED, [coeffs], p)[0]
+        assert _contains(enc, mc.brute_force_lhs(SIGNED, coeffs, p).mean), (p, enc)
+        enc = mo.perpetuity_enclosures(pair, [3], p)[3]
+        assert _contains(enc, mc.brute_force_perpetuity(pair, 3, p).mean / 3), (p, enc)
+
+
 def test_nonnegative_sums_use_the_integer_orders_next_to_p():
     enc = mo.sandwich_enclosures(TWO_POINT, [POSITIVE], 2.5)[0]
     assert enc.orders in ((1, 2, 3), (2, 3, 4))
@@ -315,6 +340,32 @@ def _without_added_keys(text):
     return re.sub(r'\n *"(engine|reason)": [^\n]*,(?=\n)', "", text)
 
 
+def test_wide_sets_keep_the_moment_state_small():
+    # 20 sets in d = 200 at p = 2.5, and a d = 64 perpetuity at order 16: each holds
+    # d x d second moments and d (order + 1) coordinate moments, never d^2 order^2
+    rng = np.random.default_rng(3)
+    sets = [mc.coefficient_set(rng.standard_normal((21, 200))) for _ in range(20)]
+    pair = PairSpec(dc.uniform(0.0, 2.0), tuple(dc.uniform(-1.0, 1.0) for _ in range(64)))
+    tracemalloc.start()
+    try:
+        encs = mo.sandwich_enclosures(dc.uniform(0.0, 2.0), sets, 2.5)
+        rows = mo.perpetuity_enclosures(pair, [3], 15.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert all(0.0 < enc.lower <= enc.upper < math.inf for enc in [*encs, rows[3]])
+
+
+def test_past_the_top_dimension_the_sandwich_is_sampled():
+    coeffs = mc.coefficient_set([[1.0] * (mc.MAX_MOMENT_DIM + 1)] * 3)
+    rep = mc.run_sandwich(dc.uniform(0.0, 2.0), 2.5, coeffs, (0.0, 1e9, True), mc.MIN_REPS,
+                          dc.RandomSource(1))
+    assert rep.engine == "montecarlo"
+    assert rep.reason.endswith(f"d = {mc.MAX_MOMENT_DIM + 1} > {mc.MAX_MOMENT_DIM} for the "
+                               "moment engine's d x d second moments")
+
+
 @pytest.mark.parametrize("name, argv", [
     ("verify_montecarlo", ["verify", "--dist", "uniform:lo=0,hi=2", "--p", "2.5", "--n", "3",
                            "--coeffs", "random:count=2,seed=5", "--reps", "2000", "--seed", "3"]),
@@ -323,14 +374,13 @@ def _without_added_keys(text):
                                "--p", "1.5", "--n-list", "1,3", "--reps", "2000",
                                "--seed", "4"]),
 ])
-def test_montecarlo_engine_reproduces_the_sampled_reports(capsys, name, argv):
-    # the fixtures are the reports of the default engine before --engine existed
-    assert main([*argv, "--engine", "montecarlo"]) == 0
+def test_the_sampled_path_reproduces_its_reports(capsys, sampled, name, argv):
+    # the fixtures are the reports of these argvs before the moment engine existed
+    assert main(argv) == 0
     out = capsys.readouterr().out
     report = json.loads(out)
     rows = report["results"].get("reports") or report["results"]["rows"]
     assert {(row.get("report") or row)["engine"] for row in rows} == {"montecarlo"}
-    assert report["config"]["engine"] == "montecarlo"
     want = (FIXTURES / f"{name}.json").read_text().rstrip("\n")
     assert _without_added_keys(out.rstrip("\n")) == want
 

@@ -16,11 +16,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 TP = "twopoint:a=0.5,b=1.5,pa=0.5"
+PAST_THE_CAP = ["verify", "--dist", TP, "--p", "1.5", "--n", "30",
+                "--coeffs", "random:count=1,seed=3", "--reps", "2000"]
 
 COMMANDS = """
 import contextlib, io, json, sys
-from momsand import cli
+from momsand import cli, montecarlo
 
+if sys.argv[3] == "sampled":  # past the cap, sample as if the moment engine did not apply
+    montecarlo._no_moments = lambda *args: "sampled for the test"
 rows = []
 for argv in json.loads(sys.argv[1]):
     try:
@@ -47,9 +51,11 @@ print(est.mean.hex(), est.std_error.hex())
 """
 
 
-def _loads(runs, module="scipy"):
-    """[command, exit code, whether module is loaded after it] for each argv, in one interpreter."""
-    return json.loads(_python(COMMANDS, json.dumps(runs), module))
+def _loads(runs, module="scipy", sampled=False):
+    """[command, exit code, whether module is loaded after it] for each argv, in one
+    interpreter; sampled: past the enumeration cap, verify and perpetuity sample."""
+    return json.loads(_python(COMMANDS, json.dumps(runs), module,
+                              "sampled" if sampled else "moments"))
 
 
 def _python(code, *args, threads=None):
@@ -76,9 +82,8 @@ def test_finite_law_commands_never_load_scipy():
         ["counterexample", "--n", "30", "--p", "4", "--reps", "2000"],
         # exact enumeration: 2^10 outcomes
         ["verify", "--dist", TP, "--p", "2", "--n", "10", "--coeffs", "random:count=1,seed=3"],
-        # Monte Carlo: 2^30 outcomes exceed ENUM_CAP
-        ["verify", "--dist", TP, "--p", "1.5", "--n", "30", "--coeffs", "random:count=1,seed=3",
-         "--reps", "2000"],
+        # 2^30 outcomes exceed ENUM_CAP: exact moments
+        PAST_THE_CAP,
         ["certify", "--dist", TP, "--p", "1.0"],
         # the uniform law's truncated moments are powers, so no quadrature
         ["certify", "--dist", "uniform:lo=0,hi=2", "--p", "1.0"],
@@ -92,6 +97,8 @@ def test_finite_law_commands_never_load_scipy():
         ["certify", 0, False],
         ["certify", 0, False],
     ]
+    # the same verify sampled
+    assert _loads([PAST_THE_CAP], sampled=True) == [["verify", 0, False]]
 
 
 def test_certify_on_closed_form_continuous_laws_never_loads_scipy():
@@ -119,6 +126,9 @@ def test_no_command_loads_scipy_integrate():
     ]
     rows = _loads(runs, "scipy.integrate")
     assert rows == [[argv[0], 0, False] for argv in runs]
+    # the lognormal verify and the perpetuity sampled: ndtri loads scipy.special alone
+    assert _loads(runs[2:4], "scipy.integrate", sampled=True) == [["verify", 0, False],
+                                                                   ["perpetuity", 0, False]]
     # nor scipy.special: the incomplete gamma and beta functions are dist_core's own
     assert _loads(runs[:1]) == [["certify", 0, False]]
 
@@ -137,6 +147,8 @@ def test_closed_form_moment_commands_never_load_scipy():
          "--n-list", "1,2", "--reps", "2000"],
     ]
     assert _loads(runs) == [[argv[0], 0, False] for argv in runs]
+    # the perpetuity sampled
+    assert _loads(runs[-1:], sampled=True) == [["perpetuity", 0, False]]
 
 
 @pytest.mark.parametrize("threads", [2, 4])

@@ -29,17 +29,3 @@ def test_op_times_rejects_zero_repeats(capsys):
     with pytest.raises(SystemExit) as exc:
         op_times.main(["torus", "--repeat", "0"])
     assert exc.value.code == 2
-
-
-def test_op_times_appends_the_engine_to_verify_and_perpetuity_only():
-    ops = op_times.build("mc_paths", 1)
-    timed = op_times.with_engine(ops, "montecarlo")
-    for op, new in zip(ops, timed):
-        if op["argv"][0] in ("verify", "perpetuity"):
-            assert new["argv"] == [*op["argv"], "--engine", "montecarlo"]
-        else:
-            assert new == op
-    assert op_times.with_engine(ops, None) is ops
-    assert ops[1]["argv"][-2:] != ["--engine", "montecarlo"]  # the batch is not changed in place
-    best = op_times.time_ops([op for op in timed if op["id"] == "probe_perpetuity"], repeat=1)
-    assert list(best) == ["probe_perpetuity"]

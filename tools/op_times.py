@@ -1,11 +1,9 @@
 """Time every operation of one benchmark workload at one and at two workers.
 
-    PYTHONPATH=src python3 tools/op_times.py WORKLOAD [--seed S] [--repeat K] [--engine E]
+    PYTHONPATH=src python3 tools/op_times.py WORKLOAD [--seed S] [--repeat K]
 
-Builds WORKLOAD's batch for seed S (bench/workloads.py, default seed 1),
-appends `--engine E` to each `verify` and `perpetuity` operation when E is
-given, so that one harness times the sampled and the moment engines side by
-side, and runs every operation through `momsand.cli.main` in this process, K times
+Builds WORKLOAD's batch for seed S (bench/workloads.py, default seed 1) and
+runs every operation through `momsand.cli.main` in this process, K times
 (default 3) at MOMSAND_THREADS=1 and at MOMSAND_THREADS=2, the two
 settings alternating so that both see the same state of the machine.  It
 prints each operation's best wall time at each setting, their ratio and
@@ -35,17 +33,6 @@ def _run(main, argv) -> None:
             main(argv)
         except SystemExit:
             pass
-
-
-ENGINE_COMMANDS = ("verify", "perpetuity")
-
-
-def with_engine(ops, engine: str | None):
-    """ops with `--engine engine` appended to each verify and perpetuity argv."""
-    if engine is None:
-        return ops
-    return [{**op, "argv": [*op["argv"], "--engine", engine]}
-            if op["argv"][0] in ENGINE_COMMANDS else op for op in ops]
 
 
 def time_ops(ops, repeat: int) -> dict[str, dict[int, float]]:
@@ -87,12 +74,10 @@ def main(argv=None) -> int:
     parser.add_argument("workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--engine", choices=("auto", "enumerate", "moments", "montecarlo"))
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    ops = with_engine(build(args.workload, args.seed), args.engine)
-    print(table(time_ops(ops, args.repeat)))
+    print(table(time_ops(build(args.workload, args.seed), args.repeat)))
     return 0
 
 
