@@ -47,8 +47,8 @@ from .errors import NonfiniteMomentError
 from .montecarlo import MomentEnclosure, _pair_width, moment_order
 
 _U = 2.0**-53
-# floats in one layer of a block of sets' d x d second moments: 8 MB
-_BLOCK = 2**20
+# floats in one layer of a block of sets' d x d second moments: 2 MB
+_BLOCK = 2**18
 
 
 def _gamma(k: float) -> float:

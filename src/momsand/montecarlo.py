@@ -414,11 +414,9 @@ def choose_engine(width: int | None, steps: int, no_moments: str | None = None,
         return "enumerate", f"{width}^{steps} = {total:,} outcomes <= cap {ENUM_CAP:,}"
     past = ("the law is not finitely supported" if width is None
             else f"{width}^{steps} outcomes > cap {ENUM_CAP:,}")
-    if sample:
-        return "montecarlo", past
-    if no_moments is None:
-        return "moments", past
-    return "montecarlo", f"{past}; {no_moments}"
+    if no_moments is not None:
+        return "montecarlo", f"{past}; {no_moments}"
+    return ("montecarlo" if sample else "moments"), past
 
 
 def _interval(est) -> tuple[float, float]:
@@ -505,13 +503,13 @@ def estimate_lhs(
 
 
 def _sandwich_walk(spec: dc.DistributionSpec, coeffs: CoefficientSet, p: float) -> _Walk | None:
-    """The sandwich's walk; None for n = 0, whose one outcome, whatever the law, is
-    _lone_term, computed as rhs_sum computes it, so the ratio is exactly 1."""
-    if coeffs.n == 0:
-        return None
+    """The sandwich's walk; None for n = 0, whose one outcome is _lone_term, computed as
+    rhs_sum computes it, so the ratio is exactly 1."""
     support = dc.finite_support(spec)
     if support is None:
         raise ValueError("enumeration needs a finite-support factor law")
+    if coeffs.n == 0:
+        return None
     svals, sprobs = support
     vmat = coeffs.matrix()
     steps = [(svals, np.tile(v, (len(svals), 1)), sprobs) for v in vmat[:-1]]
@@ -539,9 +537,10 @@ def _sandwich_choice(spec, coeffs: CoefficientSet, p: float,
     """choose_engine for coefficient sets of coeffs' n and d."""
     dc.check_order(p)
     support = dc.finite_support(spec)
-    # n = 0 has the one outcome v_0, whatever the law
-    width = len(support[0]) if support is not None else (1 if coeffs.n == 0 else None)
-    return choose_engine(width, coeffs.n, _no_moments(p, coeffs.dim), sample)
+    # a continuous law's n = 0 goes to estimate_lhs, which returns the one outcome exactly
+    no_moments = "n = 0: the one outcome ||v_0||^p" if coeffs.n == 0 else _no_moments(p, coeffs.dim)
+    return choose_engine(None if support is None else len(support[0]), coeffs.n, no_moments,
+                         sample)
 
 
 def _sampled_lhs(spec, coeffs: CoefficientSet, p: float, reps: int, src) -> EstimateWithCI:
@@ -587,11 +586,11 @@ def run_sandwiches(spec: dc.DistributionSpec, p: float, sets,
     """run_sandwich over sets sharing n and d, each with its source in srcs; the moment
     engine takes them all in one pass.  A csv_path for the first set's sampled values
     has them sampled past the enumeration cap; it is a usage error, raised before any
-    work, when that set is enumerated."""
+    work, when that set is exact: enumerated, or n = 0."""
     if not sets:
         return []
     chosen, reason = _sandwich_choice(spec, sets[0], p, sample=csv_path is not None)
-    if csv_path is not None and chosen != "montecarlo":
+    if csv_path is not None and (chosen != "montecarlo" or sets[0].n == 0):
         raise UsageError(f"--csv {csv_path}: the first set is exact ({reason}), "
                          "so no path is sampled")
     if chosen == "moments":

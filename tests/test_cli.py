@@ -1147,6 +1147,10 @@ def test_csv_samples_past_the_cap_and_refuses_an_exact_first_set(tmp_path, capsy
                                       "1,-0.5,0.25", "--csv", str(exact)])
     assert line == (f"usage error: --csv {exact}: the first set is exact "
                     "(2^2 = 4 outcomes <= cap 10,000,000), so no path is sampled")
+    # n = 0: the one outcome v_0 of a continuous law
+    line = _usage_error_line(capsys, ["verify", "--dist", UNIFORM, "--p", "1.5", "--coeffs", "1.5",
+                                      "--csv", str(exact)])
+    assert line.endswith("n = 0: the one outcome ||v_0||^p), so no path is sampled")
     assert not exact.exists()
 
 

@@ -353,7 +353,7 @@ def test_wide_sets_keep_the_moment_state_small():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 32 * 2**20
     assert all(0.0 < enc.lower <= enc.upper < math.inf for enc in [*encs, rows[3]])
 
 
