@@ -501,17 +501,28 @@ def sample(spec: DistributionSpec, size, gen: np.random.Generator, out=None,
     and every other law's uniforms.  With out, a C-contiguous array of
     shape size and of the returned dtype, the draws are written into it
     (the uniforms too, which are mapped in place), so a caller that reuses
-    out allocates nothing of its size per draw.
+    out allocates nothing of its size per draw.  The raw draws of a 1-bit
+    law are its bits themselves, so they take one random_raw and one
+    np.unpackbits over all the draws: the same words, and so the same bits,
+    as the chunks, at one byte per draw.
     """
     table = dyadic_table(spec)
     if table is None:
         u = gen.random(size) if out is None else gen.random(out=out)
         return u if raw else quantile(spec, u, out=u)
-    if out is None:
-        out = np.empty(size, dtype=np.uint8 if raw else float)
-    elif not out.flags.c_contiguous:
+    if out is not None and not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous array")
     bits_per_draw = table.size.bit_length() - 1
+    if raw and bits_per_draw == 1:
+        count = int(np.prod(size)) if out is None else out.size
+        words = np.asarray(gen.bit_generator.random_raw(-(-count // 64)), dtype="<u8")
+        bits = np.unpackbits(words.view(np.uint8), count=count)
+        if out is None:
+            return bits.reshape(size)
+        out.reshape(-1)[:] = bits
+        return out
+    if out is None:
+        out = np.empty(size, dtype=np.uint8 if raw else float)
     flat = out.reshape(-1)
     for start in range(0, flat.size, GATHER_CHUNK):
         chunk = flat[start:start + GATHER_CHUNK]

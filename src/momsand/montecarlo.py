@@ -22,6 +22,15 @@ E||acc||^p is computed by one of three backends:
     Kernels are elementwise, so no BLAS threading reorders a sum, and a
     report depends on (seed, stream, reps), never on the worker count or
     the grouping.
+    A scalar sandwich with coefficients in {0, 1} over a sign law (a dyadic
+    table of -1.0 and +1.0 only), the counterexample's (0, 1, ..., 1) among
+    them, takes the sign walk (_sign_walk) instead of the float loop.  There
+    every acc and r the loop holds is a small integer, so float arithmetic
+    is exact and its result does not depend on the order of the additions:
+    acc = sum_i v_i - 2 * #{i >= 1 : v_i = 1, R_i = -1}.  The walk counts
+    that from the same draws with byte operations (a prefix XOR of the
+    steps' X_i = -1 flags gives R_i = -1), so its values are the loop's to
+    the bit, zeros included.
   * _walk, exact enumeration of finite per-step atoms (x, b, prob),
     lexicographic with step 1 most significant.  The last steps, at most
     1e5 paths of them (or the last step alone, if it is wider), are walked
@@ -233,24 +242,20 @@ def _check_run(p: float, reps: int) -> None:
 # the sampling and enumeration backends of the step model
 
 
-def _sample_paths(group_steps, group_cap: int, x_table, tail, dim: int, norm: str, p: float,
-                  reps: int, src: dc.RandomSource, csv_path: str | None) -> EstimateWithCI:
-    """Monte Carlo backend: mean of ||acc||^p over reps independent paths.
+def _sample_groups(run_group, group_cap: int, reps: int, src: dc.RandomSource,
+                   csv_path: str | None) -> EstimateWithCI:
+    """Monte Carlo over groups of blocks: mean of reps independent path values.
 
     reps are cut into blocks of CHUNK paths, and block j draws from
-    src.generator(block=j).  One pool task steps a group of G consecutive
-    blocks together, G = min(ceil(blocks / workers), group_cap), so each
-    step is one ufunc call over all the group's paths; group_cap is the most
-    blocks whose draw buffers fit in CHUNK * n * 8 bytes, one block's float
-    draws.  group_steps(gens, sizes, scratch) yields the group's steps
-    (x, b) in order: gens and sizes are its blocks' generators and path
-    counts, x runs over the blocks' paths in block order, b is (d, 1) or
-    (d, paths), and scratch(shape, dtype) is the calling worker's buffer,
-    allocated on its first request and reused by the later ones, which it
-    reallocates only when a request outgrows it.  With
-    x_table, x holds indices into it, gathered into the step temporary.
-    tail, when given, adds r * tail after the last step.  acc is held as
-    (d, paths), see the module docstring.
+    src.generator(block=j).  One pool task runs a group of G consecutive
+    blocks together, G = min(ceil(blocks / workers), group_cap), where
+    group_cap is the most blocks whose draw buffers fit in CHUNK * n * 8
+    bytes, one block's float draws.  run_group(gens, sizes, out, scratch)
+    gets the group's generators and path counts and writes its paths'
+    values, in block order, into out, the group's slice of one preallocated
+    array.  scratch(shape, dtype) is the calling worker's buffer, allocated
+    on its first request and reused by the later ones, which it reallocates
+    only when a request outgrows it.
     """
     values = np.empty(reps)
     local = threading.local()
@@ -263,13 +268,38 @@ def _sample_paths(group_steps, group_cap: int, x_table, tail, dim: int, norm: st
             buf = local.buf = np.empty(shape, dtype)
         return buf[:shape[0], :shape[1]]
 
-    def run_group(first: int) -> None:
+    def run(first: int) -> None:
         ids = range(first, min(first + group, blocks))
         sizes = [min(CHUNK, reps - j * CHUNK) for j in ids]
         lo = first * CHUNK
+        run_group([src.generator(block=j) for j in ids], sizes, values[lo:lo + sum(sizes)],
+                  scratch)
+
+    map_indexed(run, range(0, blocks, group))
+    if csv_path is not None:  # before _stats overwrites values
+        with open(csv_path, "w") as fh:
+            fh.write("rep,value\n")
+            fh.writelines(f"{r},{float(v)!r}\n" for r, v in enumerate(values))
+    return _stats(values, reps, src.seed)
+
+
+def _sample_paths(group_steps, group_cap: int, x_table, tail, dim: int, norm: str, p: float,
+                  reps: int, src: dc.RandomSource, csv_path: str | None) -> EstimateWithCI:
+    """Monte Carlo backend: mean of ||acc||^p over reps independent paths.
+
+    The paths run in groups of blocks (_sample_groups), and each step is
+    one ufunc call over all the group's paths.  group_steps(gens, sizes,
+    scratch) yields the group's steps (x, b) in order: x runs over the
+    blocks' paths in block order and b is (d, 1) or (d, paths).  With
+    x_table, x holds indices into it, gathered into the step temporary.
+    tail, when given, adds r * tail after the last step.  acc is held as
+    (d, paths), see the module docstring.
+    """
+
+    def run_group(gens, sizes, out, scratch) -> None:
         m = sum(sizes)
         # a sandwich draws its group here, before the step temporaries exist
-        steps = group_steps([src.generator(block=j) for j in ids], sizes, scratch)
+        steps = group_steps(gens, sizes, scratch)
         r = np.ones(m)
         acc = np.zeros((dim, m))
         tmp = np.empty((dim, m))
@@ -279,14 +309,50 @@ def _sample_paths(group_steps, group_cap: int, x_table, tail, dim: int, norm: st
                 r *= x if x_table is None else np.take(x_table, x, out=tmp[0], mode="clip")
             if tail is not None:
                 acc += np.multiply(tail[:, None], r, out=tmp)
-            np.power(holder_norm(acc.T, norm), p, out=values[lo:lo + m])
+            np.power(holder_norm(acc.T, norm), p, out=out)
 
-    map_indexed(run_group, range(0, blocks, group))
-    if csv_path is not None:  # before _stats overwrites values
-        with open(csv_path, "w") as fh:
-            fh.write("rep,value\n")
-            fh.writelines(f"{r},{float(v)!r}\n" for r, v in enumerate(values))
-    return _stats(values, reps, src.seed)
+    return _sample_groups(run_group, group_cap, reps, src, csv_path)
+
+
+def _sign_walk(spec: dc.DistributionSpec, coeffs: CoefficientSet, p: float):
+    """The group kernel, for _sample_groups, of a scalar sandwich with coefficients in
+    {0, 1} over a sign law (see the module docstring); None off that domain.
+
+    The law's dyadic table is sorted, so X_i = -1 exactly when its index is
+    below the count of -1 entries.  Per group the kernel moves the
+    blocks' indices into the worker's step-major (n, paths) byte buffer, flags
+    X_i = -1, turns row i into the parity of rows 0..i (R_{i+1} = -1) by an
+    in-place prefix XOR, over uint64 lanes when the width allows, clears the
+    rows whose coefficient is 0 and counts the rest in one reduction:
+    acc = sum_i v_i - 2 * count, +0.0 at zero as in the loop.
+    """
+    vec, table = coeffs.matrix()[:, 0], dc.dyadic_table(spec)
+    if (table is None or coeffs.dim != 1 or not np.all((vec == 0.0) | (vec == 1.0))
+            or not np.all(np.abs(table) == 1.0)):
+        return None
+    n = coeffs.n
+    negatives = int(np.count_nonzero(table < 0.0))
+    cleared = np.flatnonzero(vec[1:] == 0.0)
+    total = float(np.count_nonzero(vec))
+    count_type = np.min_scalar_type(n)
+
+    def run_group(gens, sizes, out, scratch) -> None:
+        flags = scratch((n, sum(sizes)), np.uint8)
+        lo = 0
+        for gen, m in zip(gens, sizes):
+            flags[:, lo:lo + m] = dc.sample(spec, (m, n), gen, raw=True).T
+            lo += m
+        np.less(flags, negatives, out=flags)
+        lanes = flags.view(np.uint64) if flags.shape[1] % 8 == 0 else flags
+        for i in range(1, n):
+            lanes[i] ^= lanes[i - 1]
+        flags[cleared] = 0
+        sums = np.multiply(np.add.reduce(flags, axis=0, dtype=count_type), -2.0, dtype=float)
+        sums += total
+        with np.errstate(over="ignore"):
+            np.power(holder_norm(sums[:, None], coeffs.norm), p, out=out)
+
+    return run_group
 
 
 @dataclass(frozen=True)
@@ -481,6 +547,12 @@ def estimate_lhs(
         return _exact(_lone_term(coeffs, p), 0, src.seed)
     n, vmat = coeffs.n, coeffs.matrix()
     table = dc.dyadic_table(spec)
+    # one block's float draws hold the one-byte indices of 8 blocks; one of those
+    # is the block being drawn, before it moves into the group's buffer
+    group_cap = 1 if table is None else np.dtype(float).itemsize - 1
+    signs = _sign_walk(spec, coeffs, p)
+    if signs is not None:
+        return _sample_groups(signs, group_cap, reps, src, csv_path)
 
     def group_steps(gens, sizes, scratch):
         if table is None:  # float draws fill the budget: one block, path-major
@@ -495,9 +567,6 @@ def estimate_lhs(
             lo += m
         return zip(idx, vmat[:-1, :, None])
 
-    # one block's float draws hold the one-byte indices of 8 blocks; one of those
-    # is the block being drawn, before it moves into the group's buffer
-    group_cap = 1 if table is None else np.dtype(float).itemsize - 1
     return _sample_paths(group_steps, group_cap, table, vmat[-1], coeffs.dim, coeffs.norm, p,
                          reps, src, csv_path)
 

@@ -1006,6 +1006,36 @@ def _without_wall_time(text):
     return re.sub(r'\n *"wall_time_s": [^\n]*', "", text)
 
 
+# verify's sign counterexample for a degenerate |X|, sampled (2^30 outcomes):
+# the float loop runs it for a law that is not dyadic or whose normalized
+# table is not exactly +-1, the sign walk for signs.  The digests of the
+# reports without wall_time_s were recorded before the sign walk existed.
+DEGENERATE_REPORTS = {
+    "twopoint:a=-1,b=1,pa=0.3": ("4", 1, "1765542dc630ad56"),
+    # normalized to the table +-(1 - 2^-53)
+    "twopoint:a=-1.1,b=1.1,pa=0.5": ("3", 1, "6e2884b55db10bef"),
+    # normalized to the table +-(1 + 2^-52)
+    "twopoint:a=-0.3,b=0.3,pa=0.5": ("2.5", 1, "4f780ae08076ed32"),
+    "rademacher": ("4", 0, "7a282168a49d73a3"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("law", sorted(DEGENERATE_REPORTS))
+def test_degenerate_verify_reports_pinned(capsys, monkeypatch, law, threads):
+    p, float_loops, digest = DEGENERATE_REPORTS[law]
+    monkeypatch.setenv("MOMSAND_THREADS", threads)
+    calls, loop = [], mc._sample_paths
+    monkeypatch.setattr(mc, "_sample_paths", lambda *a: calls.append(a) or loop(*a))
+    code, report, out = run_cli(capsys, ["verify", "--dist", law, "--p", p, "--n", "30",
+                                         "--reps", "5000", "--seed", "3"])
+    assert code == 1 and report["results"]["verdict"] == "FAIL"
+    assert not report["results"]["counterexample"]["lhs"]["exact"]
+    assert len(calls) == float_loops
+    text = _without_wall_time(out).encode()
+    assert hashlib.blake2b(text, digest_size=8).hexdigest() == digest
+
+
 @pytest.mark.parametrize("name", sorted(ONE_OF_EACH))
 def test_same_argv_twice_same_report(capsys, name):
     first = run_cli(capsys, ONE_OF_EACH[name])

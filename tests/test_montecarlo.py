@@ -184,6 +184,22 @@ def test_serial_dyadic_groups_stay_within_one_block_of_float_draws(monkeypatch):
     assert peak < 1.5 * mc.CHUNK * n * 8
 
 
+def test_serial_dyadic_float_loop_stays_within_one_block_of_float_draws(monkeypatch):
+    # the twin of the test above for a dyadic law that is no sign law, so its
+    # groups take the float loop and its per-step table gather
+    monkeypatch.setenv("MOMSAND_THREADS", "1")
+    n = 100
+    coeffs = mc.coefficient_set([1.0] * (n + 1))
+    mc.estimate_lhs(TWO_POINT, coeffs, 4.0, reps=mc.MIN_REPS, src=src(4))
+    tracemalloc.start()
+    try:
+        mc.estimate_lhs(TWO_POINT, coeffs, 4.0, reps=16 * mc.CHUNK, src=src(4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * mc.CHUNK * n * 8
+
+
 # 11 full blocks and a short one: at 1, 2 and 3 workers the groups split them
 # as 7 + 5, 6 + 6 and 4 + 4 + 4 blocks when the dyadic cap of 7 applies
 GROUPED_REPS = 11 * mc.CHUNK + 5
@@ -211,7 +227,9 @@ def _reference_values(reps, src_, block_steps, dim, tail, norm, p):
      [[1.0], [0.5], [-1.0], [2.0], [0.5], [0.25], [1.0], [-0.5], [1.0]]),
     (dc.two_point(0.5, 1.5, 0.3), [[1.0], [-0.5], [2.0], [0.25], [1.0], [0.5]]),
     (dc.uniform(0.0, 2.0), [[1.0, 0.5, -1.0], [0.25, 2.0, 0.0], [-1.5, 0.75, 1.0], [0.5, 0.5, 0.5]]),
-], ids=["rademacher", "dyadic_k3", "twopoint_pa03", "uniform_dim3"])
+    # signs with coefficients in {0, 1}: the sign walk, not the float loop
+    (dc.two_point(-1.0, 1.0, 0.375), [[1.0], [0.0], [1.0], [1.0], [0.0], [1.0], [1.0], [1.0]]),
+], ids=["rademacher", "dyadic_k3", "twopoint_pa03", "uniform_dim3", "sign_walk_k3"])
 def test_grouped_blocks_match_the_per_block_reference(monkeypatch, tmp_path, spec, vectors):
     coeffs = mc.CoefficientSet(tuple(map(tuple, vectors)), "l2")
     vmat = coeffs.matrix()
@@ -813,6 +831,76 @@ def test_monte_carlo_bits_pinned(case):
     est = _pinned_runs()[case]()
     assert not est.exact and est.replications == PIN_REPS
     assert (est.mean.hex(), est.std_error.hex()) == PINNED_BITS[case]
+
+
+# ---------------------------------------------------------------------------
+# the sign walk pinned: a scalar set with coefficients in {0, 1} over a sign
+# law is counted by mc._sign_walk instead of stepped by the float loop.  The
+# bits were recorded from the float loop before the sign walk existed, so it
+# must give them exactly, at every worker count.  From n = 256 the count is
+# wider than a byte; at n = 300 it stays below 256 in practice, and n = 600
+# takes it past (about 300 of its 600 signs are -1).  3 * CHUNK + 5 reps leave a
+# group whose width is no multiple of 8 (byte lanes, not uint64); 9 * CHUNK
+# reps leave a narrower last group, whose uint64 lanes view a slice of the
+# worker's buffer.  P(-1) = 3/8 is a 3-bit table, and v_0 = 1 sets (one with
+# zero coefficients among v_1 .. v_n) add R_0 to the count's base.
+
+SIGN_ODD_REPS = 3 * mc.CHUNK + 5
+SIGN_CASES = {
+    "n1_v0": (dc.rademacher_sign(), [1.0, 1.0], 4.0, 5000, "l2"),
+    "n7": (dc.rademacher_sign(), [0.0] + [1.0] * 7, 4.0, SIGN_ODD_REPS, "l2"),
+    "n100": (dc.rademacher_sign(), [0.0] + [1.0] * 100, 4.0, 9 * mc.CHUNK, "l2"),
+    "n300": (dc.rademacher_sign(), [0.0] + [1.0] * 300, 3.0, SIGN_ODD_REPS, "l2"),
+    "n600": (dc.rademacher_sign(), [0.0] + [1.0] * 600, 3.0, SIGN_ODD_REPS, "l2"),
+    "p38_n100": (dc.two_point(-1.0, 1.0, 0.375), [0.0] + [1.0] * 100, 4.0, SIGN_ODD_REPS, "l2"),
+    "v0_zeros_n20": (dc.rademacher_sign(),
+                     [1.0, 1.0, 0.0, 1.0, 0.0, 0.0] + [1.0, 0.0] * 7 + [1.0], 2.5, SIGN_ODD_REPS,
+                     "l1"),
+}
+PINNED_SIGN_BITS = {
+    "n1_v0": ("0x1.01205bc01a36ep+3", "0x1.cf738c71837b3p-4"),
+    "n7": ("0x1.0f9a953b1f2ccp+7", "0x1.967cf458e7e25p+1"),
+    "n100": ("0x1.db99b40000000p+14", "0x1.080261dd4de2ap+9"),
+    "n300": ("0x1.02ad85ecb7579p+13", "0x1.445eb28e01c06p+7"),
+    "n600": ("0x1.6e670e9925617p+14", "0x1.cd40c145a31f0p+8"),
+    "p38_n100": ("0x1.35342391a0d49p+16", "0x1.126409b177d85p+11"),
+    "v0_zeros_n20": ("0x1.8077e65166aadp+4", "0x1.6d18cf441f637p-2"),
+}
+
+
+def _float_loop_calls(monkeypatch) -> list:
+    """Record each call of mc._sample_paths, the float step loop, and let it run."""
+    calls, loop = [], mc._sample_paths
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return loop(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "_sample_paths", spy)
+    return calls
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(SIGN_CASES))
+def test_sign_walk_bits_pinned(monkeypatch, case, threads):
+    monkeypatch.setenv("MOMSAND_THREADS", threads)
+    calls = _float_loop_calls(monkeypatch)
+    spec, vec, p, reps, norm = SIGN_CASES[case]
+    est = mc.estimate_lhs(spec, mc.coefficient_set(vec, norm), p, reps, src(31))
+    assert not calls and not est.exact and est.replications == reps
+    assert (est.mean.hex(), est.std_error.hex()) == PINNED_SIGN_BITS[case]
+
+
+@pytest.mark.parametrize("spec, vec", [
+    (dc.two_point(-1.0, 1.0, 0.3), [0.0] + [1.0] * 30),  # not dyadic
+    (dc.scaled_copy(dc.rademacher_sign(), 0.5), [0.0] + [1.0] * 30),  # table +-0.5
+    (dc.rademacher_sign(), [0.0] + [1.0] * 29 + [2.0]),  # a coefficient outside {0, 1}
+    (dc.rademacher_sign(), [[0.0, 1.0]] + [[1.0, 1.0]] * 30),  # d = 2
+], ids=["pa_0.3", "half_signs", "coefficient_2", "dim_2"])
+def test_sign_walk_leaves_other_sets_to_the_float_loop(monkeypatch, spec, vec):
+    calls = _float_loop_calls(monkeypatch)
+    mc.estimate_lhs(spec, mc.coefficient_set(vec), 4.0, 2000, src(31))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,50 @@ def test_report_drift_lists_changed_leaves_keys_and_exit_codes(tmp_path, capsys)
         "  key b: only in new",
         "  key tag: only in old",
         "torus-7-term: exit 0 -> 2",
-        "  key stdout: dict -> NoneType",
+        "  type stdout: object -> null",
         "  stderr: '' -> 'usage error: x\\n'",
+        "type changes per op:",
+        "  term: 1 (first: torus-7-term stdout)",
     ]
+
+
+def test_report_drift_lists_and_counts_every_type_change(tmp_path, capsys):
+    # a ratio that became a [lower, upper] pair, an estimate that became an
+    # enclosure's number, a number that became null or text: each is listed,
+    # counted per op over seeds, and makes the exit code 1
+    old = {
+        "mc_paths-1-verify": _report(0, json.dumps(
+            {"ratio": 1.5, "rows": [{"middle": {"mean": 2.0}, "lo": 1.0, "tag": 3}]})),
+        "mc_paths-7-verify": _report(0, json.dumps({"ratio": 1.25, "rows": []})),
+        "mc_paths-1-bracket": _report(0, json.dumps({"edge": 1.0, "n": 1})),
+    }
+    new = {
+        "mc_paths-1-verify": _report(0, json.dumps(
+            {"ratio": [1.0, 2.0], "rows": [{"middle": 2.0, "lo": None, "tag": "3"}]})),
+        "mc_paths-7-verify": _report(0, json.dumps({"ratio": {"lower": 1.0}, "rows": []})),
+        "mc_paths-1-bracket": _report(0, json.dumps({"edge": 1.1, "n": 1.0})),
+    }
+    _write(tmp_path / "old", old)
+    _write(tmp_path / "new", new)
+    assert report_drift.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "mc_paths-1-bracket: exit 0 -> 0",
+        "  edge: 1.0 -> 1.1 (rel 0.1)",
+        "  n: 1 -> 1.0 (rel 0)",
+        "mc_paths-1-verify: exit 0 -> 0",
+        "  type ratio: number -> array",
+        "  type rows[0].lo: number -> null",
+        "  type rows[0].middle: object -> number",
+        "  type rows[0].tag: number -> string",
+        "mc_paths-7-verify: exit 0 -> 0",
+        "  type ratio: number -> object",
+        "largest relative change per op:",
+        "  bracket: 0.1 (mc_paths-1-bracket edge)",
+        "type changes per op:",
+        "  verify: 5 (first: mc_paths-1-verify ratio)",
+    ]
+    assert [report_drift.json_type(x) for x in (None, True, 0, 0.5, "", [], {})] == [
+        "null", "boolean", "number", "number", "string", "array", "object"]
 
 
 def test_bench_reports_stores_strict_json_without_wall_time():

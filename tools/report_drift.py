@@ -4,11 +4,14 @@
 
 OLD_DIR and NEW_DIR are outputs of tools/bench_reports.py, one file
 <workload>-<seed>-<op>.txt per operation.  For each report that differs this
-prints its exit codes, the JSON keys found on one side only, and every
+prints its exit codes, the JSON keys found on one side only, every value
+whose JSON type differs between the sides (a number that became an array or
+an object, say) as "type PATH: old type -> new type", and every other
 changed leaf as old -> new, with the relative change |new - old| / |old| of
-a numeric leaf.  It then prints the largest relative change per op, over
-workloads and seeds.  The exit code is 1 when a report, an exit code or a
-key set differs between the sides, and 0 otherwise.
+a numeric leaf.  It then prints, per op over workloads and seeds, the
+largest relative change and the count of type changes with the first of
+them.  The exit code is 1 when a report, an exit code, a key set or a
+JSON type differs between the sides, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -32,6 +35,19 @@ def parse_report(text: str):
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def json_type(x) -> str:
+    """The JSON type name of a parsed value."""
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "boolean"
+    if _is_number(x):
+        return "number"
+    if isinstance(x, str):
+        return "string"
+    return "array" if isinstance(x, list) else "object"
 
 
 def relative_change(old, new) -> float:
@@ -66,6 +82,7 @@ def compare(old_dir: str, new_dir: str) -> int:
     old_names, new_names = set(os.listdir(old_dir)), set(os.listdir(new_dir))
     status = 0
     largest = {}  # op -> (relative change, report, path)
+    retyped = {}  # op -> [type changes, first report, first path]
     for name in sorted(old_names | new_names):
         report = name.removesuffix(".txt")
         if name not in old_names or name not in new_names:
@@ -84,17 +101,18 @@ def compare(old_dir: str, new_dir: str) -> int:
         print(f"{report}: exit {old_code} -> {new_code}")
         if old_code != new_code:
             status = 1
+        op = report.split("-", 2)[-1]
         for path, old, new in walk(old_body, new_body):
             if old is MISSING or new is MISSING:
                 print(f"  key {path}: only in {'old' if new is MISSING else 'new'}")
                 status = 1
-            elif isinstance(old, (dict, list)) or isinstance(new, (dict, list)):
-                print(f"  key {path}: {type(old).__name__} -> {type(new).__name__}")
+            elif json_type(old) != json_type(new):
+                print(f"  type {path}: {json_type(old)} -> {json_type(new)}")
                 status = 1
+                retyped.setdefault(op, [0, report, path])[0] += 1
             elif _is_number(old) and _is_number(new):
                 rel = relative_change(old, new)
                 print(f"  {path}: {old!r} -> {new!r} (rel {rel:.2g})")
-                op = report.split("-", 2)[-1]
                 if rel > largest.get(op, (-1.0,))[0]:
                     largest[op] = (rel, report, path)
             else:
@@ -105,6 +123,10 @@ def compare(old_dir: str, new_dir: str) -> int:
         print("largest relative change per op:")
         for op, (rel, report, path) in sorted(largest.items()):
             print(f"  {op}: {rel:.2g} ({report} {path})")
+    if retyped:
+        print("type changes per op:")
+        for op, (count, report, path) in sorted(retyped.items()):
+            print(f"  {op}: {count} (first: {report} {path})")
     return status
 
 
