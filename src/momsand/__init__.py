@@ -106,6 +106,5 @@ from .riesz import (
     check_lacunary,
     corollary_check,
     corollary_ratio_scan,
-    riesz_eval,
     riesz_lp_norm,
 )

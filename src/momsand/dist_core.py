@@ -27,10 +27,6 @@ comonotonically.  sample pushes one uniform per draw through it, except for
 a dyadic finite law, whose probabilities are all multiples of 2^-k for some
 k <= DYADIC_MAX_BITS: it reads k random bits per draw and looks the value up
 in a table of 2^k quantiles (Knuth and Yao, 1976).
-A finite law finds its atom by a comparison ladder, idx = sum_c (u >= c)
-over the cumulative cut points c.  That equals searchsorted(c, u,
-side="right") and is cheaper up to LADDER_MAX_CUTS = 32 cut points;
-longer supports use searchsorted.
 
 Text form: specs parse from "family:key=value,..." strings, for example
 "twopoint:a=0.5,b=1.5,pa=0.5", "uniform:lo=0,hi=2", "riesz",
@@ -80,8 +76,6 @@ FAMILIES = (
 )
 
 _PROB_SUM_TOL = 1e-9
-# finite laws with more cut points than this sample by binary search
-LADDER_MAX_CUTS = 32
 # draws per chunk of a finite law's gather: a 256 KB index array at most
 GATHER_CHUNK = 2**15
 # a finite law reads k random bits per draw when k <= this makes it dyadic
@@ -405,15 +399,11 @@ def quantile(spec: DistributionSpec, u, out=None):
     """Inverse CDF, vectorized over u in [0, 1); monotone nondecreasing.
 
     A finite law with sorted values v_0 <= ... <= v_k and cut points
-    c_j = P(X <= v_j), j < k, maps u to v_idx with idx = #{j : c_j <= u}.
-    Up to LADDER_MAX_CUTS cut points idx is a comparison ladder,
-    sum_j (u >= c_j), one vectorized pass per cut point; above that it is
-    searchsorted(c, u, side="right").  Both count the same set, so the
-    ladder only saves time: for a few atoms it beats the binary search.
-    The atoms are gathered over flat chunks of GATHER_CHUNK draws, so the
-    index arrays stay small whatever the size of u.  Continuous families
-    evaluate their closed forms in place, with the same floating-point
-    operations as the plain expressions.
+    c_j = P(X <= v_j), j < k, maps u to v_idx with idx = #{j : c_j <= u},
+    that is searchsorted(c, u, side="right"), over flat chunks of
+    GATHER_CHUNK draws, so the index arrays stay small whatever the size of
+    u.  Continuous families evaluate their closed forms in place, with the
+    same floating-point operations as the plain expressions.
 
     out, when given, is a C-contiguous float array of u's shape that
     receives the values and is returned; it may be u itself, which is then
@@ -468,14 +458,7 @@ def _gather_atoms(support, u: np.ndarray, out: np.ndarray) -> None:
     cum = np.cumsum(probs[order])[:-1]
     flat_u, flat_out = u.reshape(-1), out.reshape(-1)
     for start in range(0, flat_u.size, GATHER_CHUNK):
-        chunk = flat_u[start:start + GATHER_CHUNK]
-        if len(cum) > LADDER_MAX_CUTS:
-            idx = np.searchsorted(cum, chunk, side="right")
-        else:
-            # one byte per count (at most LADDER_MAX_CUTS) keeps the passes cheap
-            idx = np.zeros(chunk.shape, dtype=np.uint8)
-            for c in cum:
-                idx += chunk >= c
+        idx = np.searchsorted(cum, flat_u[start:start + GATHER_CHUNK], side="right")
         # idx never leaves 0..k, so "clip" changes no value; unlike the default
         # "raise" it writes straight into out
         np.take(vals, idx, out=flat_out[start:start + GATHER_CHUNK], mode="clip")
@@ -496,12 +479,12 @@ def sample(spec: DistributionSpec, size, gen: np.random.Generator, out=None,
     are read in chunks of GATHER_CHUNK draws, each a whole number of words,
     so they are the bits of one call over all the draws.
 
-    raw=True stops before the last map and returns the raw draws, which
-    from_raw maps later, all at once: a dyadic law's table indices (uint8)
-    and every other law's uniforms.  With out, a C-contiguous array of
-    shape size and of the returned dtype, the draws are written into it
-    (the uniforms too, which are mapped in place), so a caller that reuses
-    out allocates nothing of its size per draw.  The raw draws of a 1-bit
+    raw=True stops before the last map and returns the raw draws: a dyadic
+    law's table indices (uint8) and every other law's uniforms.  With out,
+    a C-contiguous array of shape size and of the returned dtype, the draws
+    are written into it (the uniforms too, which are mapped in place), so a
+    caller that reuses out allocates nothing of its size per draw.  The raw
+    draws of a 1-bit
     law are its bits themselves, so they take one random_raw and one
     np.unpackbits over all the draws: the same words, and so the same bits,
     as the chunks, at one byte per draw.
@@ -537,19 +520,6 @@ def sample(spec: DistributionSpec, size, gen: np.random.Generator, out=None,
         if not raw:
             np.take(table, idx, out=chunk, mode="clip")
     return out
-
-
-def from_raw(spec: DistributionSpec, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """spec's values of the raw draws sample(spec, ..., raw=True) returned, written into out.
-
-    Table indices (uint8) are looked up in dyadic_table(spec); uniforms go
-    through quantile, and out may then be raw itself.
-    """
-    if raw.dtype == np.uint8:
-        # the indices never leave the table, so "clip" changes no value; unlike
-        # the default "raise" it writes straight into out
-        return np.take(dyadic_table(spec), raw, out=out, mode="clip")
-    return quantile(spec, raw, out=out)
 
 
 @functools.lru_cache(maxsize=64)

@@ -16,9 +16,8 @@ E||acc||^p is computed by one of three backends:
     step over all their paths, and writes their values into the group's
     slice of one preallocated array, which numpy's pairwise sums reduce.
     Each block still draws from its own key into its own part of the
-    group's buffers, so a group holds about what one block of float draws
-    did: a dyadic sandwich keeps one-byte table indices and steps 7 blocks,
-    a continuous one keeps its float draws and steps one.
+    group's buffers, and a group holds about one block's float draws: a
+    sandwich's task steps one block, a perpetuity's n / (1 + d) blocks.
     Kernels are elementwise, so no BLAS threading reorders a sum, and a
     report depends on (seed, stream, reps), never on the worker count or
     the grouping.
@@ -30,7 +29,7 @@ E||acc||^p is computed by one of three backends:
     acc = sum_i v_i - 2 * #{i >= 1 : v_i = 1, R_i = -1}.  The walk counts
     that from the same draws with byte operations (a prefix XOR of the
     steps' X_i = -1 flags gives R_i = -1), so its values are the loop's to
-    the bit, zeros included.
+    the bit, zeros included.  One byte per draw lets it step 7 blocks.
   * _walk, exact enumeration of finite per-step atoms (x, b, prob),
     lexicographic with step 1 most significant.  The last steps, at most
     1e5 paths of them (or the last step alone, if it is wider), are walked
@@ -180,21 +179,25 @@ class GoldieBracketRow:
 def holder_norm(points: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     """Row norms of an (m, d) array, accumulated column by column, into out when given.
 
+    For d = 1 every norm is |x|; the l2 norm squares nothing, so it does not
+    overflow where |x| is finite, and elsewhere sqrt(x * x) = |x| in binary64.
     A loop over the d columns is several times faster than a reduction along
     axis 1 for the small d used here.  For d <= 7 it adds in the order NumPy's
     reduction does, so the bits match; from d = 8 NumPy sums pairwise and the
     l1 and l2 norms may differ from it in the last bits.  out, an (m,) float
     array, gets the same bits as a fresh result.
     """
+    if kind not in NORM_KINDS:
+        raise ValueError(f"unknown norm {kind!r}")
     cols = points.T
+    if len(cols) == 1:
+        return np.abs(cols[0], out=out)
     if kind == "l2":
         out = np.multiply(cols[0], cols[0], out=out)
         for c in cols[1:]:
             out += c * c
         return np.sqrt(out, out=out)
-    fold = {"l1": np.add, "sup": np.maximum}.get(kind)
-    if fold is None:
-        raise ValueError(f"unknown norm {kind!r}")
+    fold = np.add if kind == "l1" else np.maximum
     out = np.abs(cols[0], out=out)
     for c in cols[1:]:
         fold(out, np.abs(c), out=out)
@@ -202,7 +205,9 @@ def holder_norm(points: np.ndarray, kind: str, out: np.ndarray | None = None) ->
 
 
 def _vector_norm(vec, kind: str) -> float:
-    return float(holder_norm(np.asarray([vec], dtype=float), kind)[0])
+    """||vec||; inf where the l2 norm's squares overflow, which the callers reject."""
+    with np.errstate(over="ignore"):
+        return float(holder_norm(np.asarray([vec], dtype=float), kind)[0])
 
 
 def _lone_term(coeffs: CoefficientSet, p: float) -> float:
@@ -283,16 +288,15 @@ def _sample_groups(run_group, group_cap: int, reps: int, src: dc.RandomSource,
     return _stats(values, reps, src.seed)
 
 
-def _sample_paths(group_steps, group_cap: int, x_table, tail, dim: int, norm: str, p: float,
-                  reps: int, src: dc.RandomSource, csv_path: str | None) -> EstimateWithCI:
+def _sample_paths(group_steps, group_cap: int, tail, dim: int, norm: str, p: float, reps: int,
+                  src: dc.RandomSource, csv_path: str | None) -> EstimateWithCI:
     """Monte Carlo backend: mean of ||acc||^p over reps independent paths.
 
     The paths run in groups of blocks (_sample_groups), and each step is
     one ufunc call over all the group's paths.  group_steps(gens, sizes,
     scratch) yields the group's steps (x, b) in order: x runs over the
-    blocks' paths in block order and b is (d, 1) or (d, paths).  With
-    x_table, x holds indices into it, gathered into the step temporary.
-    tail, when given, adds r * tail after the last step.  acc is held as
+    blocks' paths in block order and b is (d, 1) or (d, paths).  tail,
+    when given, adds r * tail after the last step.  acc is held as
     (d, paths), see the module docstring.
     """
 
@@ -306,7 +310,7 @@ def _sample_paths(group_steps, group_cap: int, x_table, tail, dim: int, norm: st
         with np.errstate(over="ignore", invalid="ignore"):
             for x, b in steps:
                 acc += np.multiply(b, r, out=tmp)
-                r *= x if x_table is None else np.take(x_table, x, out=tmp[0], mode="clip")
+                r *= x
             if tail is not None:
                 acc += np.multiply(tail[:, None], r, out=tmp)
             np.power(holder_norm(acc.T, norm), p, out=out)
@@ -546,29 +550,20 @@ def estimate_lhs(
     if coeffs.n == 0:
         return _exact(_lone_term(coeffs, p), 0, src.seed)
     n, vmat = coeffs.n, coeffs.matrix()
-    table = dc.dyadic_table(spec)
-    # one block's float draws hold the one-byte indices of 8 blocks; one of those
-    # is the block being drawn, before it moves into the group's buffer
-    group_cap = 1 if table is None else np.dtype(float).itemsize - 1
     signs = _sign_walk(spec, coeffs, p)
     if signs is not None:
-        return _sample_groups(signs, group_cap, reps, src, csv_path)
+        # one block's float draws hold the one-byte draws of 8 blocks; one of those
+        # is the block being drawn, before it moves into the group's buffer
+        return _sample_groups(signs, np.dtype(float).itemsize - 1, reps, src, csv_path)
 
     def group_steps(gens, sizes, scratch):
-        if table is None:  # float draws fill the budget: one block, path-major
-            (gen,), (m,) = gens, sizes
-            draws = dc.sample(spec, (m, n), gen, out=scratch((m, n)))
-            return zip(draws.T, vmat[:-1, :, None])
-        # one byte per draw, step-major, so each step reads one contiguous row
-        idx = scratch((n, sum(sizes)), np.uint8)
-        lo = 0
-        for gen, m in zip(gens, sizes):
-            idx[:, lo:lo + m] = dc.sample(spec, (m, n), gen, raw=True).T
-            lo += m
-        return zip(idx, vmat[:-1, :, None])
+        # float draws fill the budget: one block, path-major
+        (gen,), (m,) = gens, sizes
+        draws = dc.sample(spec, (m, n), gen, out=scratch((m, n)))
+        return zip(draws.T, vmat[:-1, :, None])
 
-    return _sample_paths(group_steps, group_cap, table, vmat[-1], coeffs.dim, coeffs.norm, p,
-                         reps, src, csv_path)
+    return _sample_paths(group_steps, 1, vmat[-1], coeffs.dim, coeffs.norm, p, reps, src,
+                         csv_path)
 
 
 def _sandwich_walk(spec: dc.DistributionSpec, coeffs: CoefficientSet, p: float) -> _Walk | None:
@@ -745,32 +740,27 @@ def perpetuity_lhs(
     _check_run(p, reps)
 
     comonotone = pair.coupling == "comonotone-scalar"
-    # what each block draws at every step, in order: X, then each B column; or
-    # the comonotone coupling's one shared uniform, the raw draw of U(0, 1)
-    laws = [dc.uniform(0.0, 1.0)] if comonotone else [pair.x_spec, *pair.b_specs]
-    x_table = None if comonotone else dc.dyadic_table(pair.x_spec)
 
     def group_steps(gens, sizes, scratch):
         m = sum(sizes)
-        b = np.empty((pair.dim, m))
-        # one raw row per law: a dyadic law's table indices, else its uniforms,
-        # which a B column draws into its own row of b and maps there
-        raws = [np.empty(m, np.uint8) if dc.dyadic_table(law) is not None else row
-                for law, row in zip(laws, [np.empty(m), *b])]
+        x, b = np.empty(m), np.empty((pair.dim, m))
         for _ in range(n):
             lo = 0
             for gen, size in zip(gens, sizes):
-                for law, raw in zip(laws, raws):
-                    dc.sample(law, size, gen, out=raw[lo:lo + size], raw=True)
+                if comonotone:  # one shared uniform, mapped through both quantiles below
+                    gen.random(out=x[lo:lo + size])
+                else:  # X, then each B column
+                    for law, row in zip((pair.x_spec, *pair.b_specs), (x, *b)):
+                        dc.sample(law, size, gen, out=row[lo:lo + size])
                 lo += size
-            for spec, raw, row in zip(pair.b_specs, raws[:1] if comonotone else raws[1:], b):
-                dc.from_raw(spec, raw, out=row)
-            x = raws[0]
-            yield x if x_table is not None else dc.quantile(pair.x_spec, x, out=x), b
+            if comonotone:
+                dc.quantile(pair.b_specs[0], x, out=b[0])
+                dc.quantile(pair.x_spec, x, out=x)
+            yield x, b
 
     # a step's draws take 1 + d floats per path, and one block's float draws n
-    return _sample_paths(group_steps, n // (1 + pair.dim), x_table, None, pair.dim, pair.norm,
-                         p, reps, src, None)
+    return _sample_paths(group_steps, n // (1 + pair.dim), None, pair.dim, pair.norm, p, reps,
+                         src, None)
 
 
 def _pair_width(pair: PairSpec) -> int | None:

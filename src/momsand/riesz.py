@@ -151,19 +151,6 @@ def check_lacunary(seq) -> dict:
     }
 
 
-def riesz_eval(seq: LacunarySequence, i: int, t):
-    """Rbar_i(t) = prod_{j <= i} (1 + cos(n_j t)); Rbar_0 = 1."""
-    if not 0 <= i <= seq.m:
-        raise ValueError(f"index i = {i} outside 0..{seq.m}")
-    arr = np.asarray(t, dtype=float)
-    out = np.ones_like(arr)
-    for j in range(i):
-        out = out * (1.0 + np.cos(seq.terms[j] * arr))
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
-
-
 def _combination_values(comb: RieszCombination, tables, n_pts: int, lo: int, hi: int):
     """sum a_i Rbar_i(2 pi k / N) for k = lo .. hi - 1, by the phase tables above."""
     coeffs = comb.coefficients

@@ -297,8 +297,9 @@ NONFINITE_CASES = [
      "probabilistic side"),
     (["verify", "--dist", TP, "--p", "4", "--n", "3", "--coeffs", "1e100,1e100,1e100,1e100"],
      "sum_i lambda^i ||v_i||^p overflows"),
-    # E|S| is about 4e154, but the l2 norm squares the entries: exact enumeration
-    (["verify", "--dist", TP, "--p", "1", "--n", "3", "--coeffs", "1e154,1e154,1e154,1e154"],
+    # E||S|| is about 4e154, but in d = 2 the l2 norm squares the entries: exact enumeration
+    (["verify", "--dist", TP, "--p", "1", "--n", "3",
+      "--coeffs", "1e154,0;1e154,0;1e154,0;1e154,0"],
      "is not finite"),
     # the moment engine: v^4 passes the float range though sum ||v_i||^p does not,
     # and a component's E B^2 overflows before any row runs
@@ -337,6 +338,21 @@ def test_nonfinite_results_are_usage_errors(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("argv, rhs", [
+    (["verify", "--dist", TP, "--p", "1", "--n", "3", "--coeffs", "1e154,1e154,1e154,1e154"],
+     4e154),
+    (["verify", "--dist", TP, "--p", "0.5", "--coeffs", "1e200,1e200"], 2e100),
+])
+def test_scalar_norms_square_nothing(capsys, argv, rhs):
+    # in d = 1 every norm is |x|, finite where the squares of the entries are not
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    (row,) = json.loads(out, parse_constant=_reject_constant)["results"]["reports"]
+    assert row["report"]["verdict"] == "PASS"
+    assert row["report"]["rhs_sum"] == pytest.approx(rhs, rel=1e-15)
 
 
 # the sampled path past the cap: the sum of |S|^2 overflows, and for lognormal factors the

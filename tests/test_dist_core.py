@@ -161,7 +161,8 @@ def test_riesz_quantile_range():
 
 
 def _searchsorted_quantile(spec, u):
-    # the binary-search inverse CDF the comparison ladder must reproduce bit for bit
+    # the plain binary-search inverse CDF, which the chunked gather must reproduce
+    # bit for bit
     if spec.family == dc.SCALED:
         inner = u if spec.scale >= 0.0 else 1.0 - u
         return spec.scale * _searchsorted_quantile(spec.base, inner)
@@ -181,7 +182,7 @@ def _atoms_law(k):
     return dc.finitely_supported(zip(vals, weights / weights.sum()))
 
 
-LADDER_LAWS = {
+FINITE_LAWS = {
     **{f"{k}_atoms": _atoms_law(k) for k in (2, 3, 4, 32, 33, 64)},
     "twopoint": dc.two_point(0.5, 1.5, 0.3),
     "rademacher": dc.rademacher_sign(),
@@ -189,9 +190,9 @@ LADDER_LAWS = {
 }
 
 
-@pytest.mark.parametrize("law", sorted(LADDER_LAWS))
+@pytest.mark.parametrize("law", sorted(FINITE_LAWS))
 def test_finite_quantile_matches_searchsorted(law):
-    spec = LADDER_LAWS[law]
+    spec = FINITE_LAWS[law]
     base = spec.base if spec.family == dc.SCALED else spec
     vals, probs = dc.finite_support(base)
     cuts = np.cumsum(probs[np.argsort(vals, kind="stable")])[:-1]

@@ -366,6 +366,7 @@ def test_past_the_top_dimension_the_sandwich_is_sampled():
                                "moment engine's d x d second moments")
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("name, argv", [
     ("verify_montecarlo", ["verify", "--dist", "uniform:lo=0,hi=2", "--p", "2.5", "--n", "3",
                            "--coeffs", "random:count=2,seed=5", "--reps", "2000", "--seed", "3"]),
@@ -373,9 +374,25 @@ def test_past_the_top_dimension_the_sandwich_is_sampled():
                                "--b-dist", "exponential:rate=1", "--b-dist", "uniform:lo=0,hi=1",
                                "--p", "1.5", "--n-list", "1,3", "--reps", "2000",
                                "--seed", "4"]),
+    # a dyadic law past the cap, a finite law that is not dyadic, and a perpetuity
+    # whose X and first B are dyadic, each over several blocks of paths
+    ("verify_dyadic_montecarlo", ["verify", "--dist", "twopoint:a=0.5,b=1.5,pa=0.5",
+                                  "--p", "2.5", "--n", "24", "--coeffs", "random:count=2,seed=5",
+                                  "--reps", "20000", "--seed", "3"]),
+    ("verify_finite_montecarlo", ["verify", "--dist", "finite:atoms=0.5@0.3|1@0.4|2@0.3",
+                                  "--p", "2.5", "--n", "15", "--coeffs", "random:count=2,seed=5",
+                                  "--reps", "20000", "--seed", "3"]),
+    ("perpetuity_dyadic_montecarlo", ["perpetuity", "--dist", "twopoint:a=0.5,b=1.5,pa=0.5",
+                                      "--b-dist", "twopoint:a=0.4,b=1.3,pa=0.25",
+                                      "--b-dist", "uniform:lo=0,hi=1", "--p", "1.5",
+                                      "--n-list", "1,4,9", "--reps", "20000", "--seed", "4"]),
 ])
-def test_the_sampled_path_reproduces_its_reports(capsys, sampled, name, argv):
-    # the fixtures are the reports of these argvs before the moment engine existed
+def test_the_sampled_path_reproduces_its_reports(capsys, monkeypatch, sampled, name, argv,
+                                                 threads):
+    # the first two fixtures are the reports of their argvs before the moment engine
+    # existed, the other three before the sampler lost its one-byte dyadic draws, its
+    # raw perpetuity rows and its quantile comparison ladder
+    monkeypatch.setenv("MOMSAND_THREADS", threads)
     assert main(argv) == 0
     out = capsys.readouterr().out
     report = json.loads(out)

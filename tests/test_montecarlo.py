@@ -185,8 +185,8 @@ def test_serial_dyadic_groups_stay_within_one_block_of_float_draws(monkeypatch):
 
 
 def test_serial_dyadic_float_loop_stays_within_one_block_of_float_draws(monkeypatch):
-    # the twin of the test above for a dyadic law that is no sign law, so its
-    # groups take the float loop and its per-step table gather
+    # the twin of the test above for a dyadic law that is no sign law, so it
+    # takes the float loop, whose task steps one block of float draws
     monkeypatch.setenv("MOMSAND_THREADS", "1")
     n = 100
     coeffs = mc.coefficient_set([1.0] * (n + 1))
@@ -200,8 +200,9 @@ def test_serial_dyadic_float_loop_stays_within_one_block_of_float_draws(monkeypa
     assert peak < 1.5 * mc.CHUNK * n * 8
 
 
-# 11 full blocks and a short one: at 1, 2 and 3 workers the groups split them
-# as 7 + 5, 6 + 6 and 4 + 4 + 4 blocks when the dyadic cap of 7 applies
+# 11 full blocks and a short one: at 1, 2 and 3 workers the sign walk's groups
+# split them as 7 + 5, 6 + 6 and 4 + 4 + 4 blocks; the float loop steps one block
+# per task
 GROUPED_REPS = 11 * mc.CHUNK + 5
 
 
