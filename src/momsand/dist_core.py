@@ -484,10 +484,9 @@ def sample(spec: DistributionSpec, size, gen: np.random.Generator, out=None,
     a C-contiguous array of shape size and of the returned dtype, the draws
     are written into it (the uniforms too, which are mapped in place), so a
     caller that reuses out allocates nothing of its size per draw.  The raw
-    draws of a 1-bit
-    law are its bits themselves, so they take one random_raw and one
-    np.unpackbits over all the draws: the same words, and so the same bits,
-    as the chunks, at one byte per draw.
+    draws of a 1-bit law are its bits themselves, so they take one
+    random_raw and one np.unpackbits over all the draws: the same words, and
+    so the same bits, as the chunks, at one byte per draw.
     """
     table = dyadic_table(spec)
     if table is None:

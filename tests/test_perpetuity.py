@@ -110,7 +110,7 @@ def test_perpetuity_determinism_and_threads(monkeypatch):
 @pytest.mark.parametrize("pair", [
     # a vector B with a dyadic and a continuous component
     PairSpec(x_spec=dc.uniform(0.0, 2.0), b_specs=(B_SPEC, dc.exponential(1.0))),
-    # a dyadic X, drawn as floats from its table like the dyadic B component
+    # a dyadic X, drawn as floats from its table
     PairSpec(x_spec=X_P2, b_specs=(dc.uniform(0.0, 1.0), dc.two_point(0.4, 1.3, 0.3))),
     PairSpec(x_spec=dc.uniform(0.0, 2.0), b_specs=(dc.exponential(1.0),),
              coupling="comonotone-scalar"),
