@@ -107,4 +107,5 @@ from .riesz import (
     corollary_check,
     corollary_ratio_scan,
     riesz_lp_norm,
+    riesz_lp_norms,
 )

@@ -29,13 +29,16 @@ The N/2 subgrid (even k) folds the same way over M/2 when M is even; when M
 is odd, 2k runs over every residue mod M, so the subgrid mean equals the
 N-point mean.  Only about N/(2g) points are evaluated.  Grids stream in fixed
 blocks of _BLOCK = 2^15 points so no full grid is ever stored, and partial
-sums combine in block order regardless of worker count.  A block keeps four
-arrays of 256 KB in flight per worker, which fit a 2 MB L2 cache, and the
-524,289 folded points of 4^1 .. 4^8 make 17 blocks to share among workers.
-Of 2^13 .. 2^19, 2^15 gave that grid its fastest two-worker pass (45 ms,
-against 100 ms at 2^19, on 2 vCPUs).  The block size sets how NumPy's
-pairwise sums group into the fsum partials, so it is part of the reported
-bits and must not follow the worker count.
+sums combine in block order regardless of worker count.  One pass serves rows
+of one length: a block forms prod = Rbar_i once and adds a_i prod to one
+accumulator per row, as the row alone would; a unit row (0, ..., 0, 1) is prod
+itself (0.0 + 1.0 x = x).  A block keeps prod, two scratch arrays and the
+accumulators, 256 KB each, in flight per worker; the corollary's passes take at
+most _ROWS_PER_PASS = 4 rows.  The 524,289 folded points of 4^1 .. 4^8 make 17
+blocks to share among workers.  Of 2^13 .. 2^19, 2^15 gave that grid its
+fastest two-worker pass (45 ms, against 100 ms at 2^19, on 2 vCPUs).  The
+block size sets how NumPy's pairwise sums group into the fsum partials, so it
+is part of the reported bits and must not follow the worker count.
 
 Factors use exact phases: cos(n_j t_k) depends only on the residue
 (n_j k) mod N, taken in int64 (N <= MAX_POINTS = 2^31 and n_j <= 2^20 keep
@@ -46,6 +49,9 @@ for 9 factors), each row s takes those of A_s = 2 pi ((n_j s) mod N) / N, and
 (12-15 ns).  Every argument is below 2 pi, so Rbar_8 on 4^1 .. 4^8 at p = 3
 reads 2.5^8 to 1.5e-16.  _BLOCK is a multiple of _SUB, so rows start at
 multiples of _SUB and a point's value does not depend on the block split.
+Row s's phase repeats every P_j = N / gcd(n_j _SUB, N) rows: where P_j divides
+a block's whole rows, P_j rows of the factor are formed and prod takes them
+broadcast, with the bits of every row, as equal residues give equal phases.
 """
 
 from __future__ import annotations
@@ -73,6 +79,7 @@ MAX_POINTS = 2**31
 POINTS_PER_FREQ = 64
 _BLOCK = 2**15
 _SUB = 2**10
+_ROWS_PER_PASS = 4
 
 RATIO_FLOOR = 3.0
 
@@ -151,37 +158,43 @@ def check_lacunary(seq) -> dict:
     }
 
 
-def _combination_values(comb: RieszCombination, tables, n_pts: int, lo: int, hi: int):
-    """sum a_i Rbar_i(2 pi k / N) for k = lo .. hi - 1, by the phase tables above."""
-    coeffs = comb.coefficients
+def _combination_values(terms, rows, tables, n_pts: int, lo: int, hi: int) -> list:
+    """sum a_i Rbar_i(2 pi k / N) for k = lo .. hi - 1 and each row, by the phase tables above."""
     n = hi - lo
-    acc = np.full(n, coeffs[0])
     prod = np.ones(n)
+    values = [prod if row[-1] == 1.0 and not any(row[:-1]) else np.full(n, row[0]) for row in rows]
     factor = np.empty(n)
     tmp = np.empty(n)
     full = n - n % _SUB
-    rows = [(a, b) for a, b in ((0, full), (full, n)) if b > a]  # whole rows, then the rest
-    for n_j, a_i, (cos_theta, sin_theta) in zip(comb.seq.terms, coeffs[1:], tables):
-        for a, b in rows:
-            w = min(_SUB, b - a)
-            starts = np.arange(lo + a, lo + b, _SUB, dtype=np.int64)
-            phase = (n_j * starts) % n_pts * (2.0 * math.pi / n_pts)
-            np.multiply(np.cos(phase)[:, None], cos_theta[:w], out=factor[a:b].reshape(-1, w))
-            np.multiply(np.sin(phase)[:, None], sin_theta[:w], out=tmp[a:b].reshape(-1, w))
-        factor -= tmp
-        factor += 1.0
-        prod *= factor
-        if a_i != 0.0:
-            np.multiply(a_i, prod, out=factor)
-            acc += factor
-    return acc
+    for j, (n_j, (cos_theta, sin_theta)) in enumerate(zip(terms, tables), 1):
+        period = n_pts // math.gcd(n_j * _SUB, n_pts) * _SUB  # of row phases, in points
+        span = period if full and full % period == 0 else full
+        for a, b in ((0, span), (full, n)):  # whole rows (one period of them), then the rest
+            if b > a:
+                w = min(_SUB, b - a)
+                starts = np.arange(lo + a, lo + b, _SUB, dtype=np.int64)
+                phase = (n_j * starts) % n_pts * (2.0 * math.pi / n_pts)
+                np.multiply(np.cos(phase)[:, None], cos_theta[:w], out=factor[a:b].reshape(-1, w))
+                np.multiply(np.sin(phase)[:, None], sin_theta[:w], out=tmp[a:b].reshape(-1, w))
+                factor[a:b] -= tmp[a:b]
+                factor[a:b] += 1.0
+        if full:
+            whole = prod[:full].reshape(-1, span)
+            whole *= factor[:span]
+        prod[full:] *= factor[full:]
+        for row, acc in zip(rows, values):
+            if acc is not prod and row[j] != 0.0:
+                np.multiply(row[j], prod, out=factor)
+                acc += factor
+    return values
 
 
-def riesz_lp_norm(
-    comb: RieszCombination, p: float, quad_points: int | None = None
-) -> QuadResult:
-    """Uniform-grid mean of |sum a_i Rbar_i|^p over the torus.
+def riesz_lp_norms(
+    seq: LacunarySequence, rows, p: float, quad_points: int | None = None
+) -> list[QuadResult]:
+    """Uniform-grid means of |sum a_i Rbar_i|^p over the torus, one per coefficient row.
 
+    The rows have one length k + 1 and share Rbar_k's grid and one pass.
     The N-point grid mean equals the trapezoid rule for periodic functions
     and integrates trigonometric polynomials of degree < N exactly; the
     error estimate is the difference against the N/2 subgrid.  Both means
@@ -191,7 +204,10 @@ def riesz_lp_norm(
     """
     if not 1.0 <= p < math.inf:  # nan fails every comparison
         raise InvalidOrderError(f"torus norms need a finite p >= 1, got p = {p}")
-    terms = comb.seq.terms[: len(comb.coefficients) - 1]
+    rows = [RieszCombination(seq, tuple(row)).coefficients for row in rows]
+    if not rows or len({len(row) for row in rows}) > 1:
+        raise ValueError("need one or more coefficient rows, all of one length")
+    terms = seq.terms[: len(rows[0]) - 1]
     n_max = terms[-1] if terms else 1
     floor = max(MIN_POINTS, POINTS_PER_FREQ * n_max)
     n_pts = floor if quad_points is None else int(quad_points)
@@ -207,12 +223,7 @@ def riesz_lp_norm(
     period = n_pts // math.gcd(math.gcd(*terms), n_pts)
     half = period // 2
 
-    blocks = []
-    start = 0
-    while start <= half:
-        stop = min(start + _BLOCK, half + 1)
-        blocks.append((start, stop))
-        start = stop
+    blocks = [(lo, min(lo + _BLOCK, half + 1)) for lo in range(0, half + 1, _BLOCK)]
 
     theta = np.multiply.outer(np.array(terms, dtype=np.int64), np.arange(_SUB)) % n_pts
     theta = theta * (2.0 * math.pi / n_pts)
@@ -222,25 +233,35 @@ def riesz_lp_norm(
         lo, hi = block
         # an overflow leaves inf in the value, which is rejected below
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = _combination_values(comb, tables, n_pts, lo, hi)
-            np.abs(vals, out=vals)
-            vals **= p
-            evens = vals[0::2] if lo % 2 == 0 else vals[1::2]
-            return float(np.sum(vals)), float(np.sum(evens)), float(vals[0]), float(vals[-1])
+            values = _combination_values(terms, rows, tables, n_pts, lo, hi)
+            for vals in {id(v): v for v in values}.values():  # unit rows share prod
+                np.abs(vals, out=vals)
+                vals **= p
+            return [(float(np.sum(v)), float(np.sum(v[lo % 2 :: 2])), float(v[0]), float(v[-1]))
+                    for v in values]
 
-    partials = map_indexed(run_block, blocks)
-    f_first = partials[0][2]
-    f_half = partials[-1][3] if period % 2 == 0 else 0.0
-    total = math.fsum(s for s, _, _, _ in partials)
-    value = (2.0 * total - f_first - f_half) / period
-    if not math.isfinite(value):
-        raise NonfiniteMomentError(f"torus L_p norm at p = {p} is not finite")
-    if period % 2:
-        half_value = value
-    else:
-        total_even = math.fsum(e for _, e, _, _ in partials)
-        half_value = (2.0 * total_even - f_first - (f_half if half % 2 == 0 else 0.0)) / half
-    return QuadResult(value=value, error_estimate=abs(value - half_value), points=n_pts)
+    results = []
+    for partials in zip(*map_indexed(run_block, blocks)):  # one row's block partials
+        f_first = partials[0][2]
+        f_half = partials[-1][3] if period % 2 == 0 else 0.0
+        total = math.fsum(s for s, _, _, _ in partials)
+        value = (2.0 * total - f_first - f_half) / period
+        if not math.isfinite(value):
+            raise NonfiniteMomentError(f"torus L_p norm at p = {p} is not finite")
+        if period % 2:
+            half_value = value
+        else:
+            total_even = math.fsum(e for _, e, _, _ in partials)
+            half_value = (2.0 * total_even - f_first - (f_half if half % 2 == 0 else 0.0)) / half
+        results.append(QuadResult(value, abs(value - half_value), n_pts))
+    return results
+
+
+def riesz_lp_norm(
+    comb: RieszCombination, p: float, quad_points: int | None = None
+) -> QuadResult:
+    """Uniform-grid mean of |sum a_i Rbar_i|^p over the torus: riesz_lp_norms of one row."""
+    return riesz_lp_norms(comb.seq, [comb.coefficients], p, quad_points)[0]
 
 
 def _probabilistic_side(
@@ -262,54 +283,57 @@ def _probabilistic_side(
     return _sampled_lhs(spec, coeffs, p, reps, src)
 
 
+def _corollary_reports(combs, p, reps, srcs, quad_points) -> list[dict]:
+    """corollary_check of combinations of one sequence and length, sharing grid passes."""
+    seq = combs[0].seq
+    verdict = check_lacunary(seq)
+    if not verdict["lacunary"]:
+        raise NotLacunaryError(
+            f"min ratio {verdict['min_ratio']} < 3; the comparison needs ratio >= 3"
+        )
+    k = len(combs[0].coefficients) - 1
+    rows = [comb.coefficients for comb in combs] + [(0.0,) * k + (1.0,)]
+    norms = []
+    for i in range(0, len(rows), _ROWS_PER_PASS):
+        norms += riesz_lp_norms(seq, rows[i : i + _ROWS_PER_PASS], p, quad_points)
+    factor_p = dc.abs_moment(dc.riesz_factor(), p)
+    lower = [riesz_lp_norm(RieszCombination(seq, (0.0,) * i + (1.0,)), p, quad_points)
+             for i in range(k)]
+    per_term = [{"i": i, "torus": out.value, "probabilistic": factor_p**i}
+                for i, out in enumerate([*lower, norms[-1]])]
+    reports = []
+    for comb, torus, src in zip(combs, norms, srcs):
+        prob = _probabilistic_side(comb, p, reps, src)
+        if not (math.isfinite(prob.mean) and math.isfinite(prob.std_error)):
+            raise NonfiniteMomentError(
+                f"probabilistic side E|sum a_i R_i|^p at p = {p} is not finite"
+            )
+        reports.append({
+            "p": p,
+            "sequence": list(seq.terms),
+            "coefficients": list(comb.coefficients),
+            "torus": torus,
+            "probabilistic": prob,
+            "per_term": per_term,
+            # None where the probabilistic side underflows to 0 (tiny coefficients)
+            "ratio": torus.value / prob.mean if prob.mean != 0.0 else None,
+        })
+    return reports
+
+
 def corollary_check(
     comb: RieszCombination,
     p: float,
     reps: int,
     src: dc.RandomSource,
     quad_points: int | None = None,
-    per_term_torus: list[float] | None = None,
 ) -> dict:
     """Torus norm vs probabilistic moment for one combination.
 
     Evidence, not certification: the comparison constants are not explicit,
     so the report carries both sides, their per-term norms, and the ratio.
-    per_term_torus, when given, holds the torus norms of Rbar_0 ..
-    Rbar_{len(coefficients)-1} at the same p and quad_points; a scan over
-    draws reuses the first draw's.
     """
-    verdict = check_lacunary(comb.seq)
-    if not verdict["lacunary"]:
-        raise NotLacunaryError(
-            f"min ratio {verdict['min_ratio']} < 3; the comparison needs ratio >= 3"
-        )
-    torus = riesz_lp_norm(comb, p, quad_points)
-    prob = _probabilistic_side(comb, p, reps, src)
-    if not (math.isfinite(prob.mean) and math.isfinite(prob.std_error)):
-        raise NonfiniteMomentError(
-            f"probabilistic side E|sum a_i R_i|^p at p = {p} is not finite"
-        )
-    factor_p = dc.abs_moment(dc.riesz_factor(), p)
-    if per_term_torus is None:
-        per_term_torus = [
-            riesz_lp_norm(RieszCombination(comb.seq, (0.0,) * i + (1.0,)), p, quad_points).value
-            for i in range(len(comb.coefficients))
-        ]
-    per_term = [
-        {"i": i, "torus": value, "probabilistic": factor_p**i}
-        for i, value in enumerate(per_term_torus)
-    ]
-    # None where the probabilistic side underflows to 0 (tiny coefficients)
-    ratio = torus.value / prob.mean if prob.mean != 0.0 else None
-    return {
-        "p": p,
-        "sequence": list(comb.seq.terms),
-        "coefficients": list(comb.coefficients),
-        "torus": torus,
-        "probabilistic": prob,
-        "per_term": per_term,
-        "ratio": ratio,
-    }
+    return _corollary_reports([comb], p, reps, [src], quad_points)[0]
 
 
 def corollary_ratio_scan(
@@ -327,17 +351,11 @@ def corollary_ratio_scan(
     """
     if draws < 1:
         raise ValueError("need at least one draw")
-    ratios = []
-    reports = []
-    per_term_torus = None  # depends only on (seq, p, quad_points): the first draw computes it
-    for d in range(draws):
-        gen = src.child(1000 + d).generator()
-        coeffs = tuple(float(c) for c in gen.standard_normal(seq.m + 1))
-        comb = RieszCombination(seq, coeffs)
-        rep = corollary_check(comb, p, reps, src.child(2000 + d), quad_points, per_term_torus)
-        per_term_torus = [term["torus"] for term in rep["per_term"]]
-        ratios.append(rep["ratio"])
-        reports.append(rep)
+    gens = (src.child(1000 + d).generator() for d in range(draws))
+    combs = [RieszCombination(seq, tuple(map(float, g.standard_normal(seq.m + 1)))) for g in gens]
+    srcs = [src.child(2000 + d) for d in range(draws)]
+    reports = _corollary_reports(combs, p, reps, srcs, quad_points)
+    ratios = [rep["ratio"] for rep in reports]
     return {
         "p": p,
         "draws": draws,

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,12 @@ def test_op_times_rejects_zero_repeats(capsys):
     with pytest.raises(SystemExit) as exc:
         op_times.main(["torus", "--repeat", "0"])
     assert exc.value.code == 2
+
+
+def test_op_times_exits_quietly_when_the_reader_leaves(monkeypatch):
+    monkeypatch.setattr(op_times, "time_ops", lambda ops, repeat: {"probe_enum": {1: 0.1, 2: 0.1}})
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # as `| head` does once it has its lines
+    with open(write_end, "w") as pipe:
+        monkeypatch.setattr(op_times.sys, "stdout", pipe)
+        assert op_times.main(["torus"]) == 0

@@ -3,7 +3,10 @@
 import dataclasses
 import json
 import math
+import tracemalloc
+from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from momsand.riesz import (
     corollary_check,
     corollary_ratio_scan,
     riesz_lp_norm,
+    riesz_lp_norms,
 )
 
 SEQ = LacunarySequence((4, 16, 64, 256, 1024))
@@ -231,10 +235,12 @@ def test_fold_evaluates_a_fraction_of_the_grid(monkeypatch, seq, g):
     evaluated = []
     real = rz._combination_values
 
-    def counting(comb_, *args):
-        vals = real(comb_, *args)
-        evaluated.append(len(vals))
-        return vals
+    def counting(*args):
+        values = real(*args)
+        lo, hi = args[-2:]
+        assert [len(vals) for vals in values] == [hi - lo]  # one row's values per grid point
+        evaluated.append(hi - lo)
+        return values
 
     monkeypatch.setattr(rz, "_combination_values", counting)
     out = riesz_lp_norm(comb((1.0, -0.5, 0.25, 0.75, -0.6), seq), 3.0)
@@ -245,16 +251,17 @@ def test_ratio_scan_matches_per_draw_checks(monkeypatch):
     seq = LacunarySequence((4, 16, 64, 256))
     base = src(23)
     calls = []
-    real = rz.riesz_lp_norm
+    real = rz.riesz_lp_norms
 
-    def counting(comb_, p, quad_points=None):
-        calls.append(len(comb_.coefficients))
-        return real(comb_, p, quad_points)
+    def counting(seq_, rows, p, quad_points=None):
+        calls.append([len(row) for row in rows])
+        return real(seq_, rows, p, quad_points)
 
-    monkeypatch.setattr(rz, "riesz_lp_norm", counting)
+    monkeypatch.setattr(rz, "riesz_lp_norms", counting)
     scan = corollary_ratio_scan(seq, 2.5, draws=3, reps=2000, src=base)
-    # one combination per draw, and the m + 1 per-term norms once per scan
-    assert len(calls) == 3 + seq.m + 1
+    monkeypatch.setattr(rz, "riesz_lp_norms", real)
+    # one shared pass for the three draws and Rbar_m, then one pass per lower term
+    assert calls == [[seq.m + 1] * 4] + [[i + 1] for i in range(seq.m)]
     for d, report in enumerate(scan["reports"]):
         gen = base.child(1000 + d).generator()
         coeffs = tuple(float(c) for c in gen.standard_normal(seq.m + 1))
@@ -303,3 +310,72 @@ def test_p2_norm_is_the_exact_bilinear_form(m):
         )
         out = riesz_lp_norm(comb(coeffs, POWERS_OF_4[m]), 2.0)
         assert out.value == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+
+# riesz_lp_norm's values as float.hex, recorded before the shared pass and the periodic
+# factor rows existed: two seeded Gaussian rows and every unit row on 4^1 .. 4^8 (p 2.5
+# and 3), 3^1 .. 3^8 (p 2.5, row periods that do not divide a block's 32 rows), GCD_ONE
+# (p 3.5) and SEQ at 3 * 2^16 points (one block of 24 rows, row periods 3) and at
+# 64 * 1024 + 2 (odd fold period), and Rbar_9 on 4^1 .. 4^9 at p 3
+GRID_VALUES = json.loads(
+    (Path(__file__).resolve().parent / "fixtures" / "torus_grid_values.json").read_text()
+)
+
+
+def _grid_groups():
+    """{(sequence, p, quad_points, length): [(coefficients, expected QuadResult fields)]}"""
+    groups = defaultdict(list)
+    for case in GRID_VALUES:
+        coeffs = tuple(float.fromhex(c) for c in case["coefficients"])
+        key = (tuple(case["sequence"]), case["p"], case["quad_points"], len(coeffs))
+        want = (float.fromhex(case["value"]), float.fromhex(case["error_estimate"]), case["points"])
+        groups[key].append((coeffs, want))
+    return groups
+
+
+def _fields(out):
+    return (out.value, out.error_estimate, out.points)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_grid_values_match_the_recorded_bits(monkeypatch, threads):
+    monkeypatch.setenv("MOMSAND_THREADS", threads)
+    groups = _grid_groups()
+    assert sum(map(len, groups.values())) == len(GRID_VALUES) == 57
+    for (terms, p, quad_points, _), cases in groups.items():
+        seq = LacunarySequence(terms)
+        for coeffs, want in cases:
+            assert _fields(riesz_lp_norm(comb(coeffs, seq), p, quad_points)) == want
+        shared = riesz_lp_norms(seq, [coeffs for coeffs, _ in cases], p, quad_points)
+        assert [_fields(out) for out in shared] == [want for _, want in cases]
+        # a unit row twice, and before a combination: each array takes abs and pow once
+        unit, unit_want = cases[-1]
+        assert unit == (0.0,) * (len(unit) - 1) + (1.0,)
+        rows = [unit, unit, *(coeffs for coeffs, _ in cases[:-1])]
+        wants = [unit_want, unit_want, *(want for _, want in cases[:-1])]
+        assert [_fields(out) for out in riesz_lp_norms(seq, rows, p, quad_points)] == wants
+
+
+def test_shared_pass_rejects_rows_of_different_lengths():
+    with pytest.raises(ValueError):
+        riesz_lp_norms(SEQ, [(1.0, 2.0), (1.0,)], 3.0)
+    with pytest.raises(ValueError):
+        riesz_lp_norms(SEQ, [], 3.0)
+
+
+def test_ratio_scan_caps_the_rows_of_a_pass(monkeypatch):
+    # 16 draws and Rbar_8 make 17 rows on the 524,289 folded points of 4^1 .. 4^8; in
+    # passes of at most four rows, each worker holds up to seven 256 KB block arrays
+    monkeypatch.setenv("MOMSAND_THREADS", "1")
+    seq = POWERS_OF_4[8]
+    corollary_ratio_scan(seq, 2.0, draws=1, reps=1000, src=src(24))  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        scan = corollary_ratio_scan(seq, 2.0, draws=16, reps=1000, src=src(24))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000  # one 17-row pass holds 20 such arrays: 5.4 MB
+    last = scan["reports"][-1]
+    assert last["torus"] == riesz_lp_norm(comb(last["coefficients"], seq), 2.0)
+    assert last["per_term"][8]["torus"] == riesz_lp_norm(comb((0.0,) * 8 + (1.0,), seq), 2.0).value

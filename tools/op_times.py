@@ -77,7 +77,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    print(table(time_ops(build(args.workload, args.seed), args.repeat)))
+    text = table(time_ops(build(args.workload, args.seed), args.repeat))
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader left early, as `| head` does
+        # point stdout at /dev/null so the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
