@@ -29,16 +29,15 @@ The N/2 subgrid (even k) folds the same way over M/2 when M is even; when M
 is odd, 2k runs over every residue mod M, so the subgrid mean equals the
 N-point mean.  Only about N/(2g) points are evaluated.  Grids stream in fixed
 blocks of _BLOCK = 2^15 points so no full grid is ever stored, and partial
-sums combine in block order regardless of worker count.  One pass serves rows
-of one length: a block forms prod = Rbar_i once and adds a_i prod to one
-accumulator per row, as the row alone would; a unit row (0, ..., 0, 1) is prod
-itself (0.0 + 1.0 x = x).  A block keeps prod, two scratch arrays and the
-accumulators, 256 KB each, in flight per worker; the corollary's passes take at
-most _ROWS_PER_PASS = 4 rows.  The 524,289 folded points of 4^1 .. 4^8 make 17
-blocks to share among workers.  Of 2^13 .. 2^19, 2^15 gave that grid its
-fastest two-worker pass (45 ms, against 100 ms at 2^19, on 2 vCPUs).  The
-block size sets how NumPy's pairwise sums group into the fsum partials, so it
-is part of the reported bits and must not follow the worker count.
+sums combine in block order regardless of worker count.  A pass serves rows of
+one length: a block forms prod = Rbar_i once, adds a_i prod to one accumulator
+per row as the row alone would, and gives a unit row (0, ..., 0, 1) prod itself.
+It keeps prod, two scratch arrays and the accumulators, 256 KB each, in flight
+per worker, so a corollary pass takes one combination.  The 524,289 folded
+points of 4^1 .. 4^8 make 17 blocks to share among workers.  Of 2^13 .. 2^19,
+2^15 gave that grid its fastest two-worker pass (45 ms, against 100 ms at 2^19,
+on 2 vCPUs).  The block size sets how NumPy's pairwise sums group into the fsum
+partials, so it is part of the reported bits and must not follow the worker count.
 
 Factors use exact phases: cos(n_j t_k) depends only on the residue
 (n_j k) mod N, taken in int64 (N <= MAX_POINTS = 2^31 and n_j <= 2^20 keep
@@ -49,9 +48,8 @@ for 9 factors), each row s takes those of A_s = 2 pi ((n_j s) mod N) / N, and
 (12-15 ns).  Every argument is below 2 pi, so Rbar_8 on 4^1 .. 4^8 at p = 3
 reads 2.5^8 to 1.5e-16.  _BLOCK is a multiple of _SUB, so rows start at
 multiples of _SUB and a point's value does not depend on the block split.
-Row s's phase repeats every P_j = N / gcd(n_j _SUB, N) rows: where P_j divides
-a block's whole rows, P_j rows of the factor are formed and prod takes them
-broadcast, with the bits of every row, as equal residues give equal phases.
+Where row s's phase repeats every P_j = N / gcd(n_j _SUB, N) rows and P_j rows
+divide _BLOCK, they are formed once per pass and broadcast over each block.
 """
 
 from __future__ import annotations
@@ -79,7 +77,6 @@ MAX_POINTS = 2**31
 POINTS_PER_FREQ = 64
 _BLOCK = 2**15
 _SUB = 2**10
-_ROWS_PER_PASS = 4
 
 RATIO_FLOOR = 3.0
 
@@ -158,7 +155,20 @@ def check_lacunary(seq) -> dict:
     }
 
 
-def _combination_values(terms, rows, tables, n_pts: int, lo: int, hi: int) -> list:
+def _factor_rows(n_j: int, table, n_pts: int, start: int, out, tmp):
+    """out = 1 + cos(2 pi n_j k / N), k = start, start + 1, ..., by the phase tables above."""
+    cos_theta, sin_theta = table
+    w = min(_SUB, len(out))
+    starts = np.arange(start, start + len(out), _SUB, dtype=np.int64)
+    phase = (n_j * starts) % n_pts * (2.0 * math.pi / n_pts)
+    np.multiply(np.cos(phase)[:, None], cos_theta[:w], out=out.reshape(-1, w))
+    np.multiply(np.sin(phase)[:, None], sin_theta[:w], out=tmp.reshape(-1, w))
+    out -= tmp
+    out += 1.0
+    return out
+
+
+def _combination_values(rows, factors, n_pts: int, lo: int, hi: int) -> list:
     """sum a_i Rbar_i(2 pi k / N) for k = lo .. hi - 1 and each row, by the phase tables above."""
     n = hi - lo
     prod = np.ones(n)
@@ -166,22 +176,14 @@ def _combination_values(terms, rows, tables, n_pts: int, lo: int, hi: int) -> li
     factor = np.empty(n)
     tmp = np.empty(n)
     full = n - n % _SUB
-    for j, (n_j, (cos_theta, sin_theta)) in enumerate(zip(terms, tables), 1):
-        period = n_pts // math.gcd(n_j * _SUB, n_pts) * _SUB  # of row phases, in points
-        span = period if full and full % period == 0 else full
-        for a, b in ((0, span), (full, n)):  # whole rows (one period of them), then the rest
+    for j, (n_j, table, once) in enumerate(factors, 1):
+        done = full if once is not None and full % once.size == 0 else 0
+        if done:  # the whole rows repeat once: equal phase residues, equal bits
+            whole = prod[:done].reshape(-1, once.size)
+            whole *= once
+        for a, b in ((done, full), (full, n)):  # whole rows, then the rest
             if b > a:
-                w = min(_SUB, b - a)
-                starts = np.arange(lo + a, lo + b, _SUB, dtype=np.int64)
-                phase = (n_j * starts) % n_pts * (2.0 * math.pi / n_pts)
-                np.multiply(np.cos(phase)[:, None], cos_theta[:w], out=factor[a:b].reshape(-1, w))
-                np.multiply(np.sin(phase)[:, None], sin_theta[:w], out=tmp[a:b].reshape(-1, w))
-                factor[a:b] -= tmp[a:b]
-                factor[a:b] += 1.0
-        if full:
-            whole = prod[:full].reshape(-1, span)
-            whole *= factor[:span]
-        prod[full:] *= factor[full:]
+                prod[a:b] *= _factor_rows(n_j, table, n_pts, lo + a, factor[a:b], tmp[a:b])
         for row, acc in zip(rows, values):
             if acc is not prod and row[j] != 0.0:
                 np.multiply(row[j], prod, out=factor)
@@ -227,13 +229,18 @@ def riesz_lp_norms(
 
     theta = np.multiply.outer(np.array(terms, dtype=np.int64), np.arange(_SUB)) % n_pts
     theta = theta * (2.0 * math.pi / n_pts)
-    tables = list(zip(np.cos(theta), np.sin(theta)))
+    factors = []
+    for n_j, table in zip(terms, zip(np.cos(theta), np.sin(theta))):
+        span = n_pts // math.gcd(n_j * _SUB, n_pts) * _SUB  # P_j rows, in points
+        fits = _BLOCK % span == 0  # then every block starts a period
+        once = _factor_rows(n_j, table, n_pts, 0, np.empty(span), np.empty(span)) if fits else None
+        factors.append((n_j, table, once))
 
     def run_block(block):
         lo, hi = block
         # an overflow leaves inf in the value, which is rejected below
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _combination_values(terms, rows, tables, n_pts, lo, hi)
+            values = _combination_values(rows, factors, n_pts, lo, hi)
             for vals in {id(v): v for v in values}.values():  # unit rows share prod
                 np.abs(vals, out=vals)
                 vals **= p
@@ -284,7 +291,7 @@ def _probabilistic_side(
 
 
 def _corollary_reports(combs, p, reps, srcs, quad_points) -> list[dict]:
-    """corollary_check of combinations of one sequence and length, sharing grid passes."""
+    """corollary_check of combinations of one sequence and length, sharing Rbar_i's norms."""
     seq = combs[0].seq
     verdict = check_lacunary(seq)
     if not verdict["lacunary"]:
@@ -292,17 +299,15 @@ def _corollary_reports(combs, p, reps, srcs, quad_points) -> list[dict]:
             f"min ratio {verdict['min_ratio']} < 3; the comparison needs ratio >= 3"
         )
     k = len(combs[0].coefficients) - 1
-    rows = [comb.coefficients for comb in combs] + [(0.0,) * k + (1.0,)]
-    norms = []
-    for i in range(0, len(rows), _ROWS_PER_PASS):
-        norms += riesz_lp_norms(seq, rows[i : i + _ROWS_PER_PASS], p, quad_points)
+    units = [(0.0,) * i + (1.0,) for i in range(k + 1)]
+    torus, top = riesz_lp_norms(seq, [combs[0].coefficients, units[k]], p, quad_points)
+    toruses = [torus] + [riesz_lp_norm(comb, p, quad_points) for comb in combs[1:]]
     factor_p = dc.abs_moment(dc.riesz_factor(), p)
-    lower = [riesz_lp_norm(RieszCombination(seq, (0.0,) * i + (1.0,)), p, quad_points)
-             for i in range(k)]
+    lower = [riesz_lp_norm(RieszCombination(seq, e), p, quad_points) for e in units[:k]]
     per_term = [{"i": i, "torus": out.value, "probabilistic": factor_p**i}
-                for i, out in enumerate([*lower, norms[-1]])]
+                for i, out in enumerate([*lower, top])]
     reports = []
-    for comb, torus, src in zip(combs, norms, srcs):
+    for comb, torus, src in zip(combs, toruses, srcs):
         prob = _probabilistic_side(comb, p, reps, src)
         if not (math.isfinite(prob.mean) and math.isfinite(prob.std_error)):
             raise NonfiniteMomentError(

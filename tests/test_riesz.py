@@ -260,8 +260,9 @@ def test_ratio_scan_matches_per_draw_checks(monkeypatch):
     monkeypatch.setattr(rz, "riesz_lp_norms", counting)
     scan = corollary_ratio_scan(seq, 2.5, draws=3, reps=2000, src=base)
     monkeypatch.setattr(rz, "riesz_lp_norms", real)
-    # one shared pass for the three draws and Rbar_m, then one pass per lower term
-    assert calls == [[seq.m + 1] * 4] + [[i + 1] for i in range(seq.m)]
+    # the first draw shares its pass with Rbar_m, the others take one pass each, and
+    # Rbar_0 .. Rbar_{m-1} one pass each for the whole scan
+    assert calls == [[seq.m + 1] * 2] + [[seq.m + 1]] * 2 + [[i + 1] for i in range(seq.m)]
     for d, report in enumerate(scan["reports"]):
         gen = base.child(1000 + d).generator()
         coeffs = tuple(float(c) for c in gen.standard_normal(seq.m + 1))
@@ -363,9 +364,9 @@ def test_shared_pass_rejects_rows_of_different_lengths():
         riesz_lp_norms(SEQ, [], 3.0)
 
 
-def test_ratio_scan_caps_the_rows_of_a_pass(monkeypatch):
-    # 16 draws and Rbar_8 make 17 rows on the 524,289 folded points of 4^1 .. 4^8; in
-    # passes of at most four rows, each worker holds up to seven 256 KB block arrays
+def test_ratio_scan_holds_one_combination_a_pass(monkeypatch):
+    # 16 draws and Rbar_8 make 17 rows on the 524,289 folded points of 4^1 .. 4^8; with
+    # one combination a pass, a worker holds four 256 KB block arrays at a time
     monkeypatch.setenv("MOMSAND_THREADS", "1")
     seq = POWERS_OF_4[8]
     corollary_ratio_scan(seq, 2.0, draws=1, reps=1000, src=src(24))  # lazy imports and caches
@@ -375,7 +376,7 @@ def test_ratio_scan_caps_the_rows_of_a_pass(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3_000_000  # one 17-row pass holds 20 such arrays: 5.4 MB
+    assert peak < 2_500_000  # 1.6 MB; one pass of all 17 rows holds 19 such arrays: 5.6 MB
     last = scan["reports"][-1]
     assert last["torus"] == riesz_lp_norm(comb(last["coefficients"], seq), 2.0)
     assert last["per_term"][8]["torus"] == riesz_lp_norm(comb((0.0,) * 8 + (1.0,), seq), 2.0).value
