@@ -380,3 +380,13 @@ def test_ratio_scan_holds_one_combination_a_pass(monkeypatch):
     last = scan["reports"][-1]
     assert last["torus"] == riesz_lp_norm(comb(last["coefficients"], seq), 2.0)
     assert last["per_term"][8]["torus"] == riesz_lp_norm(comb((0.0,) * 8 + (1.0,), seq), 2.0).value
+
+
+def test_repeating_rows_line_up_with_every_block():
+    # at N = 72,960 the phases of n = 1045 repeat every 3 rows, and the second block, of
+    # 3 whole rows, starts at row 32; a last coefficient of 1.0 beside others is no lone product
+    target = RieszCombination(LacunarySequence((259, 1045)), (0.5, -1.0, 1.0))
+    out = riesz_lp_norm(target, 3.0, quad_points=72960)
+    value, error = _unfolded(target, 3.0, out.points)
+    assert out.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert abs(out.error_estimate - error) <= 1e-11 * value
