@@ -334,7 +334,7 @@ def cmd_verify(resolved: dict):
         if n < 1:
             flag = f"--coeffs {text}" if text else f"--n {n}"
             raise ValueError(f"{flag}: the counterexample for a degenerate |X| needs n >= 1")
-        ce = mc.khintchine_counterexample(n, p, reps, src, spec=spec)
+        ce = mc.khintchine_counterexample(n, p, spec=spec)
         results = {
             "normalized_spec": dc.spec_to_text(spec),
             "degenerate": str(exc),
@@ -465,9 +465,8 @@ def cmd_perpetuity(resolved: dict):
 
 
 def cmd_counterexample(resolved: dict):
-    src = dc.RandomSource(resolved["seed"], 0)
-    report = mc.khintchine_counterexample(resolved["n"], resolved["p"], resolved["reps"], src)
-    return {"counterexample": report}, 0
+    # exact: --reps and --seed are echoed in the config and change nothing
+    return {"counterexample": mc.khintchine_counterexample(resolved["n"], resolved["p"])}, 0
 
 
 _DISPATCH = {

@@ -464,8 +464,7 @@ def _gather_atoms(support, u: np.ndarray, out: np.ndarray) -> None:
         np.take(vals, idx, out=flat_out[start:start + GATHER_CHUNK], mode="clip")
 
 
-def sample(spec: DistributionSpec, size, gen: np.random.Generator, out=None,
-           raw: bool = False) -> np.ndarray:
+def sample(spec: DistributionSpec, size, gen: np.random.Generator, out=None) -> np.ndarray:
     """Draw samples from gen: k random bits per draw for a dyadic finite law,
     one uniform per draw pushed through the quantile map for every other law.
 
@@ -479,45 +478,30 @@ def sample(spec: DistributionSpec, size, gen: np.random.Generator, out=None,
     are read in chunks of GATHER_CHUNK draws, each a whole number of words,
     so they are the bits of one call over all the draws.
 
-    raw=True stops before the last map and returns the raw draws: a dyadic
-    law's table indices (uint8) and every other law's uniforms.  With out,
-    a C-contiguous array of shape size and of the returned dtype, the draws
-    are written into it (the uniforms too, which are mapped in place), so a
-    caller that reuses out allocates nothing of its size per draw.  The raw
-    draws of a 1-bit law are its bits themselves, so they take one
-    random_raw and one np.unpackbits over all the draws: the same words, and
-    so the same bits, as the chunks, at one byte per draw.
+    With out, a C-contiguous float array of shape size, the draws are
+    written into it (the uniforms too, which are mapped in place), so a
+    caller that reuses out allocates nothing of its size per draw.
     """
     table = dyadic_table(spec)
     if table is None:
         u = gen.random(size) if out is None else gen.random(out=out)
-        return u if raw else quantile(spec, u, out=u)
+        return quantile(spec, u, out=u)
     if out is not None and not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous array")
     bits_per_draw = table.size.bit_length() - 1
-    if raw and bits_per_draw == 1:
-        count = int(np.prod(size)) if out is None else out.size
-        words = np.asarray(gen.bit_generator.random_raw(-(-count // 64)), dtype="<u8")
-        bits = np.unpackbits(words.view(np.uint8), count=count)
-        if out is None:
-            return bits.reshape(size)
-        out.reshape(-1)[:] = bits
-        return out
     if out is None:
-        out = np.empty(size, dtype=np.uint8 if raw else float)
+        out = np.empty(size)
     flat = out.reshape(-1)
     for start in range(0, flat.size, GATHER_CHUNK):
         chunk = flat[start:start + GATHER_CHUNK]
         count = chunk.size * bits_per_draw
         words = np.asarray(gen.bit_generator.random_raw(-(-count // 64)), dtype="<u8")
         bits = np.unpackbits(words.view(np.uint8), count=count).reshape(-1, bits_per_draw)
-        idx = chunk if raw else np.empty(chunk.size, dtype=np.uint8)
-        idx[:] = bits[:, 0]
+        idx = bits[:, 0].copy()
         for j in range(1, bits_per_draw):
             idx <<= 1
             idx |= bits[:, j]
-        if not raw:
-            np.take(table, idx, out=chunk, mode="clip")
+        np.take(table, idx, out=chunk, mode="clip")
     return out
 
 

@@ -21,15 +21,6 @@ E||acc||^p is computed by one of three backends:
     Kernels are elementwise, so no BLAS threading reorders a sum, and a
     report depends on (seed, stream, reps), never on the worker count or
     the grouping.
-    A scalar sandwich with coefficients in {0, 1} over a sign law (a dyadic
-    table of -1.0 and +1.0 only), the counterexample's (0, 1, ..., 1) among
-    them, takes the sign walk (_sign_walk) instead of the float loop.  There
-    every acc and r the loop holds is a small integer, so float arithmetic
-    is exact and its result does not depend on the order of the additions:
-    acc = sum_i v_i - 2 * #{i >= 1 : v_i = 1, R_i = -1}.  The walk counts
-    that from the same draws with byte operations (a prefix XOR of the
-    steps' X_i = -1 flags gives R_i = -1), so its values are the loop's to
-    the bit, zeros included.  One byte per draw lets it step 7 blocks.
   * _walk, exact enumeration of finite per-step atoms (x, b, prob),
     lexicographic with step 1 most significant.  The last steps, at most
     1e5 paths of them (or the last step alone, if it is wider), are walked
@@ -57,10 +48,15 @@ choose_engine alone picks the backend, for the sandwich, each perpetuity row
 and E||B||^p = E||S_1||^p: it enumerates when the step atoms are finite and
 their outcomes, counted from the supports' sizes before any atom is built,
 fit ENUM_CAP = 1e7, and past the cap takes the moment backend, or samples
-when the caller asks for samples (verify's --csv, the counterexample, the
-Riesz side) or the moment backend does not apply.  The sandwich verdict
-against sum_i ||v_i||^p (E|X|^p)^i, the perpetuity bracket and the signed
-counterexample for a degenerate |X| are built on top.
+when the caller asks for samples (verify's --csv, the Riesz side) or the
+moment backend does not apply.  The sandwich verdict against
+sum_i ||v_i||^p (E|X|^p)^i and the perpetuity bracket are built on top.
+
+The signed counterexample for a degenerate |X| needs none of the three: its
+factors are signs, R_i = eps_1 ... eps_i is a two-state Markov chain, and
+every partial sum of R_1 + ... + R_n is an integer in [-n, n].  _sign_chain
+takes the exact law of the sum from a dynamic program over (sign, partial
+sum) in integer counts, O(n^2) integer operations at any n.
 """
 
 from __future__ import annotations
@@ -247,63 +243,42 @@ def _check_run(p: float, reps: int) -> None:
 # the sampling and enumeration backends of the step model
 
 
-def _sample_groups(run_group, group_cap: int, reps: int, src: dc.RandomSource,
-                   csv_path: str | None) -> EstimateWithCI:
-    """Monte Carlo over groups of blocks: mean of reps independent path values.
+def _sample_paths(group_steps, group_cap: int, tail, dim: int, norm: str, p: float, reps: int,
+                  src: dc.RandomSource, csv_path: str | None) -> EstimateWithCI:
+    """Monte Carlo backend: mean of ||acc||^p over reps independent paths.
 
     reps are cut into blocks of CHUNK paths, and block j draws from
     src.generator(block=j).  One pool task runs a group of G consecutive
     blocks together, G = min(ceil(blocks / workers), group_cap), where
     group_cap is the most blocks whose draw buffers fit in CHUNK * n * 8
-    bytes, one block's float draws.  run_group(gens, sizes, out, scratch)
-    gets the group's generators and path counts and writes its paths'
-    values, in block order, into out, the group's slice of one preallocated
-    array.  scratch(shape, dtype) is the calling worker's buffer, allocated
-    on its first request and reused by the later ones, which it reallocates
-    only when a request outgrows it.
+    bytes, one block's float draws, and each step is one ufunc call over all
+    the group's paths.  group_steps(gens, sizes, scratch) gets the group's
+    generators and path counts and yields its steps (x, b) in order: x runs
+    over the blocks' paths in block order and b is (d, 1) or (d, paths).
+    scratch(shape) is the calling worker's float buffer, allocated on its
+    first request and reused by the later ones, which it reallocates only
+    when a request outgrows it.  tail, when given, adds r * tail after the
+    last step.  acc is held as (d, paths), see the module docstring, and
+    each group writes its paths' values, in block order, into its slice of
+    one preallocated array.
     """
     values = np.empty(reps)
     local = threading.local()
     blocks = -(-reps // CHUNK)
     group = max(1, min(-(-blocks // worker_count()), group_cap))
 
-    def scratch(shape, dtype=float) -> np.ndarray:
+    def scratch(shape) -> np.ndarray:
         buf = getattr(local, "buf", None)
         if buf is None or buf.shape[0] < shape[0] or buf.shape[1] < shape[1]:
-            buf = local.buf = np.empty(shape, dtype)
+            buf = local.buf = np.empty(shape)
         return buf[:shape[0], :shape[1]]
 
     def run(first: int) -> None:
         ids = range(first, min(first + group, blocks))
         sizes = [min(CHUNK, reps - j * CHUNK) for j in ids]
-        lo = first * CHUNK
-        run_group([src.generator(block=j) for j in ids], sizes, values[lo:lo + sum(sizes)],
-                  scratch)
-
-    map_indexed(run, range(0, blocks, group))
-    if csv_path is not None:  # before _stats overwrites values
-        with open(csv_path, "w") as fh:
-            fh.write("rep,value\n")
-            fh.writelines(f"{r},{float(v)!r}\n" for r, v in enumerate(values))
-    return _stats(values, reps, src.seed)
-
-
-def _sample_paths(group_steps, group_cap: int, tail, dim: int, norm: str, p: float, reps: int,
-                  src: dc.RandomSource, csv_path: str | None) -> EstimateWithCI:
-    """Monte Carlo backend: mean of ||acc||^p over reps independent paths.
-
-    The paths run in groups of blocks (_sample_groups), and each step is
-    one ufunc call over all the group's paths.  group_steps(gens, sizes,
-    scratch) yields the group's steps (x, b) in order: x runs over the
-    blocks' paths in block order and b is (d, 1) or (d, paths).  tail,
-    when given, adds r * tail after the last step.  acc is held as
-    (d, paths), see the module docstring.
-    """
-
-    def run_group(gens, sizes, out, scratch) -> None:
-        m = sum(sizes)
+        lo, m = first * CHUNK, sum(sizes)
         # a sandwich draws its group here, before the step temporaries exist
-        steps = group_steps(gens, sizes, scratch)
+        steps = group_steps([src.generator(block=j) for j in ids], sizes, scratch)
         r = np.ones(m)
         acc = np.zeros((dim, m))
         tmp = np.empty((dim, m))
@@ -313,50 +288,14 @@ def _sample_paths(group_steps, group_cap: int, tail, dim: int, norm: str, p: flo
                 r *= x
             if tail is not None:
                 acc += np.multiply(tail[:, None], r, out=tmp)
-            np.power(holder_norm(acc.T, norm), p, out=out)
+            np.power(holder_norm(acc.T, norm), p, out=values[lo:lo + m])
 
-    return _sample_groups(run_group, group_cap, reps, src, csv_path)
-
-
-def _sign_walk(spec: dc.DistributionSpec, coeffs: CoefficientSet, p: float):
-    """The group kernel, for _sample_groups, of a scalar sandwich with coefficients in
-    {0, 1} over a sign law (see the module docstring); None off that domain.
-
-    The law's dyadic table is sorted, so X_i = -1 exactly when its index is
-    below the count of -1 entries.  Per group the kernel moves the
-    blocks' indices into the worker's step-major (n, paths) byte buffer, flags
-    X_i = -1, turns row i into the parity of rows 0..i (R_{i+1} = -1) by an
-    in-place prefix XOR, over uint64 lanes when the width allows, clears the
-    rows whose coefficient is 0 and counts the rest in one reduction:
-    acc = sum_i v_i - 2 * count, +0.0 at zero as in the loop.
-    """
-    vec, table = coeffs.matrix()[:, 0], dc.dyadic_table(spec)
-    if (table is None or coeffs.dim != 1 or not np.all((vec == 0.0) | (vec == 1.0))
-            or not np.all(np.abs(table) == 1.0)):
-        return None
-    n = coeffs.n
-    negatives = int(np.count_nonzero(table < 0.0))
-    cleared = np.flatnonzero(vec[1:] == 0.0)
-    total = float(np.count_nonzero(vec))
-    count_type = np.min_scalar_type(n)
-
-    def run_group(gens, sizes, out, scratch) -> None:
-        flags = scratch((n, sum(sizes)), np.uint8)
-        lo = 0
-        for gen, m in zip(gens, sizes):
-            flags[:, lo:lo + m] = dc.sample(spec, (m, n), gen, raw=True).T
-            lo += m
-        np.less(flags, negatives, out=flags)
-        lanes = flags.view(np.uint64) if flags.shape[1] % 8 == 0 else flags
-        for i in range(1, n):
-            lanes[i] ^= lanes[i - 1]
-        flags[cleared] = 0
-        sums = np.multiply(np.add.reduce(flags, axis=0, dtype=count_type), -2.0, dtype=float)
-        sums += total
-        with np.errstate(over="ignore"):
-            np.power(holder_norm(sums[:, None], coeffs.norm), p, out=out)
-
-    return run_group
+    map_indexed(run, range(0, blocks, group))
+    if csv_path is not None:  # before _stats overwrites values
+        with open(csv_path, "w") as fh:
+            fh.write("rep,value\n")
+            fh.writelines(f"{r},{float(v)!r}\n" for r, v in enumerate(values))
+    return _stats(values, reps, src.seed)
 
 
 @dataclass(frozen=True)
@@ -550,11 +489,6 @@ def estimate_lhs(
     if coeffs.n == 0:
         return _exact(_lone_term(coeffs, p), 0, src.seed)
     n, vmat = coeffs.n, coeffs.matrix()
-    signs = _sign_walk(spec, coeffs, p)
-    if signs is not None:
-        # one block's float draws hold the one-byte draws of 8 blocks; one of those
-        # is the block being drawn, before it moves into the group's buffer
-        return _sample_groups(signs, np.dtype(float).itemsize - 1, reps, src, csv_path)
 
     def group_steps(gens, sizes, scratch):
         # float draws fill the budget: one block, path-major
@@ -696,35 +630,87 @@ def run_sandwich(
     return run_sandwiches(spec, p, [coeffs], constants, reps, [src], csv_path)[0]
 
 
-def khintchine_counterexample(
-    n: int, p: float, reps: int, src: dc.RandomSource, spec: dc.DistributionSpec | None = None
-) -> dict:
-    """Ratio E|R_1 + ... + R_n|^p / n for sign factors.
+# ---------------------------------------------------------------------------
+# the signed counterexample: the exact law of a sum of sign products
 
-    Products of independent signs are again independent signs, so the sum
-    behaves like a signed random walk: for p > 2 the ratio grows without
-    bound, which is exactly what a degenerate |X| (lambda = 1, mu = 0) does
-    to any would-be two-sided comparison.  Pass another degenerate-|X| spec
-    to watch the same blow-up there.  The ratio is enumerated within the cap
-    and sampled past it; `reference` is the moment engine's enclosure of it
-    (3n - 2 at p = 4 for signs), or None past MAX_MOMENT_ORDER.
+
+def _negative_mass(spec: dc.DistributionSpec) -> float:
+    """P(X < 0), the law of the sign of X.  A continuous law whose |X| is numerically
+    constant lies near one of c and -c, on the side its parameters show."""
+    support = dc.finite_support(spec)
+    if support is None:
+        return 0.0 if dc.is_nonnegative(spec) else 1.0
+    values, probs = support
+    # normalized probabilities of an all-negative law can add up to just above 1
+    return min(1.0, math.fsum(probs[values < 0.0]))
+
+
+def _sign_chain(n: int, q: float) -> tuple[list[tuple[int, int]], int]:
+    """The law of S = R_1 + ... + R_n, R_i = eps_1 ... eps_i for i.i.d. signs with
+    P(eps = -1) = q: the pairs (s, c) with c > 0 and P(S = s) = c / 2^bits, and bits.
+
+    q = a / 2^e exactly, so a step weighs a flip by a and a stay by 2^e - a and
+    every count is an integer.  After step i, plus[j] and minus[j] count the
+    paths with S_i = 2j - i and R_i = +1 and -1: O(n^2) integer operations.
+    A state's two successors weigh 2^e together, so the R = -1 one is that
+    total less the R = +1 one, a shift in place of two multiplications.
+    """
+    flip, denom = q.as_integer_ratio()
+    stay, e = denom - flip, denom.bit_length() - 1
+    plus, minus = [1], [0]  # S_0 = 0 and R_0 = 1
+    for _ in range(n):
+        up = [stay * u + flip * w for u, w in zip(plus, minus)]
+        plus, minus = [0] + up, [((u + w) << e) - x for u, w, x in zip(plus, minus, up)] + [0]
+    law = [(2 * j - n, u + w) for j, (u, w) in enumerate(zip(plus, minus)) if u + w]
+    return law, e * n
+
+
+def _sign_chain_moment(law: list[tuple[int, int]], bits: int, p: float) -> float:
+    """E|S|^p of the law _sign_chain gives, inf where it overflows.
+
+    At an integer p it is one correctly rounded division of the exact integer
+    sum of c |s|^p by 2^bits.  Otherwise each term is (c |s|^floor(p) / 2^bits)
+    |s|^(p - floor(p)), added by math.fsum, so no power overflows or
+    underflows ahead of its term.  Since E|S|^p >= 2^-bits top^p for the
+    largest |s|, top, a p with p log2(top) > bits + 1024 overflows, and is
+    decided before any power is taken; below it every integer has fewer than
+    2 bits + 1025 bits.
+    """
+    top = max(abs(s) for s, _ in law)
+    if top > 1 and p * math.log2(top) > bits + 1024:
+        return math.inf
+    whole = math.floor(p)
+    frac, denom = p - whole, 1 << bits
+    try:
+        if frac == 0.0:
+            return sum(c * abs(s) ** whole for s, c in law) / denom
+        return math.fsum(c * abs(s) ** whole / denom * abs(s) ** frac for s, c in law)
+    except OverflowError:
+        return math.inf
+
+
+def khintchine_counterexample(n: int, p: float, spec: dc.DistributionSpec | None = None) -> dict:
+    """Ratio E|R_1 + ... + R_n|^p / n for sign factors, exactly.
+
+    Products of independent signs are again signs, so the sum behaves like a
+    signed random walk: for p > 2 the ratio grows without bound (3n - 2 at
+    p = 4 for Rademacher signs), which is exactly what a degenerate |X|
+    (lambda = 1, mu = 0) does to any would-be two-sided comparison.  Pass
+    another degenerate-|X| spec, normalized to E|X|^p = 1, to watch the same
+    blow-up there: only its sign law P(X < 0) is read, so each factor is a
+    sign, sum_i E|R_i|^p = n and the sum's law is _sign_chain's.
     """
     if n < 1:
         raise ValueError("need n >= 1 summands")
-    if spec is None:
-        spec = dc.rademacher_sign()
-    coeffs = coefficient_set([0.0] + [1.0] * n)
-    lhs = _sampled_lhs(spec, coeffs, p, reps, src)
-    rhs = rhs_sum(spec, coeffs, p)
-    reference = None
-    if _no_moments(p, 1) is None:
-        from . import moments
-
-        enc = moments.sandwich_enclosures(spec, [coeffs], p)[0]
-        reference = {"engine": "moments", "ratio": (enc.lower / rhs, enc.upper / rhs),
-                     "orders": enc.orders, "rounding": enc.rounding}
-    return {"n": n, "p": p, "lhs": lhs, "rhs_sum": rhs, "ratio": lhs.mean / rhs,
-            "reference": reference}
+    dc.check_order(p)
+    q = 0.5 if spec is None else _negative_mass(spec)
+    law, bits = _sign_chain(n, q)
+    mean = _sign_chain_moment(law, bits, p)
+    rhs = float(n)
+    reason = (f"|X| is degenerate, so R_i is a sign chain with P(X < 0) = {q!r}: "
+              f"the exact law of S over its {len(law)} values")
+    return {"n": n, "p": p, "lhs": _exact(mean, len(law)), "rhs_sum": rhs, "ratio": mean / rhs,
+            "engine": "sign_chain", "reason": reason}
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,14 @@ from momsand import cli
 tracer = tracing.Tracer()
 tracing.install(tracer)
 runs = [["certify", "--dist", "uniform:lo=0,hi=2", "--p", p] for p in ("0.5", "2.5")]
-# Monte Carlo on a finite law (2^30 outcomes exceed the enumeration cap)
+# past the enumeration cap (2^30 outcomes): the moment engine
 runs.append(["verify", "--dist", "twopoint:a=0.5,b=1.5,pa=0.5", "--p", "1.5", "--n", "30",
              "--coeffs", "random:count=1,seed=3", "--reps", "2000"])
+# the exact sign chain, which samples nothing
 runs.append(["counterexample", "--n", "30", "--p", "4", "--reps", "2000"])
+# Monte Carlo: the Riesz side has no exact form at p = 2.5
+runs.append(["riesz", "--seq", "4,16,64", "--p", "2.5", "--coeffs", "1,0.5,-0.25",
+             "--reps", "2000"])
 # exact enumeration: a two-point sandwich and a two-point perpetuity
 runs.append(["verify", "--dist", "twopoint:a=0.5,b=1.5,pa=0.5", "--p", "2", "--n", "10",
              "--coeffs", "random:count=1,seed=3"])

@@ -182,8 +182,8 @@ def test_verify_degenerate_reports_counterexample(capsys):
     assert code == 1
     res = report["results"]
     assert res["verdict"] == "FAIL"
-    # exact over the 2^20 sign paths: E S^4 = 3 n^2 - 2n at n = 20, rhs_sum = n
-    assert res["counterexample"]["ratio"] == pytest.approx(58.0, abs=1e-9)
+    # the exact sign chain: E S^4 = 3 n^2 - 2n at n = 20, rhs_sum = n
+    assert res["counterexample"]["ratio"] == 58.0
 
 
 def test_verify_single_coefficient_ratio_one(capsys):
@@ -504,7 +504,7 @@ def test_counterexample_command(capsys):
         capsys, ["counterexample", "--n", "100", "--p", "4.0", "--reps", "100000"]
     )
     assert code == 0
-    assert report["results"]["counterexample"]["ratio"] > 250.0
+    assert report["results"]["counterexample"]["ratio"] == 298.0
 
 
 def test_csv_dump_is_written_before_the_stats_consume_it(tmp_path, capsys):
@@ -765,9 +765,9 @@ def test_degenerate_verify_runs_at_the_coefficients_n(capsys):
     res = report["results"]
     assert report["config"]["n"] == 2
     assert res["verdict"] == "FAIL"
-    # exact over the 2^2 sign paths: E S^4 = 3 n^2 - 2n = 8 at n = 2, rhs_sum = n
+    # the exact sign chain: E S^4 = 3 n^2 - 2n = 8 at n = 2, rhs_sum = n
     assert res["counterexample"]["n"] == 2
-    assert res["counterexample"]["ratio"] == pytest.approx(4.0, abs=1e-12)
+    assert res["counterexample"]["ratio"] == 4.0
 
 
 def test_degenerate_verify_single_coefficient_is_usage_error(capsys):
@@ -1022,34 +1022,53 @@ def _without_wall_time(text):
     return re.sub(r'\n *"wall_time_s": [^\n]*', "", text)
 
 
-# verify's sign counterexample for a degenerate |X|, sampled (2^30 outcomes):
-# the float loop runs it for a law that is not dyadic or whose normalized
-# table is not exactly +-1, the sign walk for signs.  The digests of the
-# reports without wall_time_s were recorded before the sign walk existed.
+# verify's sign counterexample for a degenerate |X| at n = 30, p and digest of
+# the report without wall_time_s: the exact sign chain, whatever the law's sign
+# probability (a dyadic or a 54-bit one) and however nearly its normalized
+# table is +-1, with no path sampled.
 DEGENERATE_REPORTS = {
-    "twopoint:a=-1,b=1,pa=0.3": ("4", 1, "1765542dc630ad56"),
+    "twopoint:a=-1,b=1,pa=0.3": ("4", "0191ca591217bf22"),
     # normalized to the table +-(1 - 2^-53)
-    "twopoint:a=-1.1,b=1.1,pa=0.5": ("3", 1, "6e2884b55db10bef"),
+    "twopoint:a=-1.1,b=1.1,pa=0.5": ("3", "2dbf9cffadb1ce40"),
     # normalized to the table +-(1 + 2^-52)
-    "twopoint:a=-0.3,b=0.3,pa=0.5": ("2.5", 1, "4f780ae08076ed32"),
-    "rademacher": ("4", 0, "7a282168a49d73a3"),
+    "twopoint:a=-0.3,b=0.3,pa=0.5": ("2.5", "07ef8a92485a6076"),
+    "rademacher": ("4", "ec05f01a4711bb31"),
 }
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("law", sorted(DEGENERATE_REPORTS))
 def test_degenerate_verify_reports_pinned(capsys, monkeypatch, law, threads):
-    p, float_loops, digest = DEGENERATE_REPORTS[law]
+    p, digest = DEGENERATE_REPORTS[law]
     monkeypatch.setenv("MOMSAND_THREADS", threads)
     calls, loop = [], mc._sample_paths
     monkeypatch.setattr(mc, "_sample_paths", lambda *a: calls.append(a) or loop(*a))
     code, report, out = run_cli(capsys, ["verify", "--dist", law, "--p", p, "--n", "30",
                                          "--reps", "5000", "--seed", "3"])
     assert code == 1 and report["results"]["verdict"] == "FAIL"
-    assert not report["results"]["counterexample"]["lhs"]["exact"]
-    assert len(calls) == float_loops
+    ce = report["results"]["counterexample"]
+    assert ce["engine"] == "sign_chain" and ce["lhs"]["exact"] and ce["lhs"]["std_error"] == 0.0
+    assert calls == []
     text = _without_wall_time(out).encode()
     assert hashlib.blake2b(text, digest_size=8).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", [["counterexample"], ["verify", "--dist", "rademacher"]])
+def test_counterexample_results_ignore_reps_and_seed(capsys, command):
+    # exact: --reps and --seed are echoed in the config and change no result
+    runs = [run_cli(capsys, [*command, "--n", "40", "--p", "3.5", "--reps", reps, "--seed", seed])
+            for reps, seed in (("1000", "0"), ("250000", "17"))]
+    assert [report["config"]["reps"] for _, report, _ in runs] == [1000, 250_000]
+    assert [report["config"]["seed"] for _, report, _ in runs] == [0, 17]
+    first, second = (cli._dumps(report["results"]) for _, report, _ in runs)
+    assert first == second
+
+
+@pytest.mark.parametrize("p", ["200", "1e300"])
+def test_counterexample_overflow_is_a_usage_error(capsys, p):
+    # E|S|^p overflows: inf, decided before any power is taken, and refused by the writer
+    line = _usage_error_line(capsys, ["counterexample", "--n", "100", "--p", p])
+    assert line == "usage error: Out of range float values are not JSON compliant: inf"
 
 
 @pytest.mark.parametrize("name", sorted(ONE_OF_EACH))

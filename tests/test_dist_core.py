@@ -342,32 +342,6 @@ def test_dyadic_draw_frequencies(law):
         assert abs(np.count_nonzero(x == v) - draws * pr) <= 5.0 * sd
 
 
-@pytest.mark.parametrize("law", ["twopoint_half", "rademacher"])
-@pytest.mark.parametrize("size", [1, 63, 3 * dc.GATHER_CHUNK + 5, (4096, 100)])
-def test_one_bit_raw_draws_are_the_bits_of_one_call(law, size):
-    # a 1-bit law's raw draws come from one random_raw and one np.unpackbits:
-    # the bits of the generator's words in order, and the generator ends where
-    # the chunked draw left it
-    spec, _ = DYADIC_LAWS[law]
-    count = math.prod(np.atleast_1d(size))
-    ref = dc.RandomSource(9, 4).generator(block=2)
-    words = ref.bit_generator.random_raw(-(-count // 64))
-    want = np.unpackbits(words.view(np.uint8), count=count).reshape(size)
-    after = ref.bit_generator.random_raw(2)
-    gen = dc.RandomSource(9, 4).generator(block=2)
-    fresh = dc.sample(spec, size, gen, raw=True)
-    assert fresh.dtype == np.uint8 and fresh.shape == want.shape
-    assert fresh.tobytes() == want.tobytes()
-    assert gen.bit_generator.random_raw(2).tolist() == after.tolist()
-    buf = np.full(count + 7, 255, np.uint8)
-    into = dc.sample(spec, size, dc.RandomSource(9, 4).generator(block=2),
-                     out=buf[:count].reshape(want.shape), raw=True)
-    assert np.shares_memory(into, buf) and into.tobytes() == want.tobytes()
-    assert (buf[count:] == 255).all()
-    with pytest.raises(ValueError, match="contiguous"):
-        dc.sample(spec, 10, gen, out=np.empty(20, np.uint8)[::2], raw=True)
-
-
 @pytest.mark.parametrize("spec", [dc.rademacher_sign(), dc.uniform(0.0, 1.0)], ids=["bits", "uniform"])
 def test_sample_rejects_an_out_it_cannot_fill(spec):
     with pytest.raises(ValueError, match="contiguous"):

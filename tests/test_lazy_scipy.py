@@ -1,5 +1,6 @@
 """SciPy stays off the import path and loads only where a command needs it:
-sampling a lognormal law, whose quantile is scipy.special.ndtri.
+sampling a lognormal law, whose quantile is scipy.special.ndtri.  The moment
+engine, momsand.moments, likewise loads only for a moment enclosure.
 
 Each check runs in a fresh interpreter: the test process itself has SciPy
 loaded already (other test modules import it).
@@ -149,6 +150,20 @@ def test_closed_form_moment_commands_never_load_scipy():
     assert _loads(runs) == [[argv[0], 0, False] for argv in runs]
     # the perpetuity sampled
     assert _loads(runs[-1:], sampled=True) == [["perpetuity", 0, False]]
+
+
+def test_the_counterexample_never_loads_the_moment_engine():
+    # the sign chain is exact on its own, in the command and in verify's degenerate branch
+    runs = [
+        ["counterexample", "--n", "30", "--p", "4", "--reps", "2000"],
+        ["counterexample", "--n", "100", "--p", "20"],
+        ["verify", "--dist", "rademacher", "--p", "4", "--n", "30"],
+        ["verify", "--dist", "twopoint:a=-1,b=1,pa=0.3", "--p", "2.5", "--n", "100"],
+    ]
+    assert _loads(runs, "momsand.moments") == (
+        [["counterexample", 0, False]] * 2 + [["verify", 1, False]] * 2)
+    # a verify past the cap on a law that is not degenerate does load it
+    assert _loads([PAST_THE_CAP], "momsand.moments") == [["verify", 0, True]]
 
 
 @pytest.mark.parametrize("threads", [2, 4])

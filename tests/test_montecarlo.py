@@ -3,12 +3,15 @@
 import hashlib
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import momsand
 from momsand import dist_core as dc
 from momsand import montecarlo as mc
 from momsand.assumptions import PairSpec, fit_large_p, fit_small_p
@@ -200,9 +203,7 @@ def test_serial_dyadic_float_loop_stays_within_one_block_of_float_draws(monkeypa
     assert peak < 1.5 * mc.CHUNK * n * 8
 
 
-# 11 full blocks and a short one: at 1, 2 and 3 workers the sign walk's groups
-# split them as 7 + 5, 6 + 6 and 4 + 4 + 4 blocks; the float loop steps one block
-# per task
+# 11 full blocks and a short one; the float loop steps one block per task
 GROUPED_REPS = 11 * mc.CHUNK + 5
 
 
@@ -228,9 +229,9 @@ def _reference_values(reps, src_, block_steps, dim, tail, norm, p):
      [[1.0], [0.5], [-1.0], [2.0], [0.5], [0.25], [1.0], [-0.5], [1.0]]),
     (dc.two_point(0.5, 1.5, 0.3), [[1.0], [-0.5], [2.0], [0.25], [1.0], [0.5]]),
     (dc.uniform(0.0, 2.0), [[1.0, 0.5, -1.0], [0.25, 2.0, 0.0], [-1.5, 0.75, 1.0], [0.5, 0.5, 0.5]]),
-    # signs with coefficients in {0, 1}: the sign walk, not the float loop
+    # signs with coefficients in {0, 1}: every value the float loop holds is an integer
     (dc.two_point(-1.0, 1.0, 0.375), [[1.0], [0.0], [1.0], [1.0], [0.0], [1.0], [1.0], [1.0]]),
-], ids=["rademacher", "dyadic_k3", "twopoint_pa03", "uniform_dim3", "sign_walk_k3"])
+], ids=["rademacher", "dyadic_k3", "twopoint_pa03", "uniform_dim3", "signs_k3"])
 def test_grouped_blocks_match_the_per_block_reference(monkeypatch, tmp_path, spec, vectors):
     coeffs = mc.CoefficientSet(tuple(map(tuple, vectors)), "l2")
     vmat = coeffs.matrix()
@@ -341,28 +342,26 @@ def test_run_sandwich_large_p_estimate_path():
 
 
 def test_khintchine_small_case_exact():
-    out = mc.khintchine_counterexample(2, 4.0, reps=10, src=src())
+    out = mc.khintchine_counterexample(2, 4.0)
     # (e1 + e1 e2)^4: values 0 or 16 with equal chance
     assert out["lhs"].exact
-    assert out["lhs"].mean == pytest.approx(8.0, abs=1e-12)
-    assert out["rhs_sum"] == pytest.approx(2.0, abs=1e-12)
-    assert out["ratio"] == pytest.approx(4.0, abs=1e-12)
+    assert out["lhs"].mean == 8.0
+    assert out["rhs_sum"] == 2.0
+    assert out["ratio"] == 4.0
 
 
 def test_khintchine_p2_no_growth():
     for n in (2, 5, 10):
-        out = mc.khintchine_counterexample(n, 2.0, reps=10, src=src())
-        assert out["ratio"] == pytest.approx(1.0, abs=1e-12)
+        out = mc.khintchine_counterexample(n, 2.0)
+        assert out["ratio"] == 1.0
 
 
 def test_khintchine_fourth_moment_growth():
-    out = mc.khintchine_counterexample(100, 4.0, reps=200_000, src=src(7))
-    exact = 3 * 100**2 - 2 * 100
-    est = out["lhs"]
-    assert not est.exact
-    assert est.std_error > 0
-    assert abs(est.mean - exact) <= 4.0 * est.std_error
-    assert out["ratio"] > 250.0
+    # E|R_1 + ... + R_n|^4 = 3n^2 - 2n for signs, exactly
+    out = mc.khintchine_counterexample(100, 4.0)
+    assert out["lhs"] == mc.EstimateWithCI(mean=29800.0, std_error=0.0, replications=101,
+                                           seed=None, exact=True)
+    assert (out["engine"], out["ratio"]) == ("sign_chain", 298.0)
 
 
 def test_csv_dump(tmp_path):
@@ -784,8 +783,7 @@ def _pin_coeffs(n, dim, norm):
 
 
 def _pinned_runs():
-    runs = {"khintchine_n24": lambda: mc.khintchine_counterexample(
-        24, 4.0, PIN_REPS, src(21))["lhs"]}
+    runs = {}
     for law, spec in PIN_LAWS.items():
         # in one dimension every norm is |.|, so sup is pinned at d = 3 only
         for dim, norm in ((1, "l2"), (3, "l2"), (3, "sup")):
@@ -806,7 +804,6 @@ PINNED_BITS = {
     "exponential_d1_l2": ("0x1.5d241bef7bae5p+7", "0x1.76b3b31ff3f83p+5"),
     "exponential_d3_l2": ("0x1.2ef6973eb0885p+9", "0x1.19b48d5949605p+7"),
     "exponential_d3_sup": ("0x1.62128560017f3p+8", "0x1.66223ff0460c1p+6"),
-    "khintchine_n24": ("0x1.a0cc63f141206p+10", "0x1.10692fd328e69p+6"),
     "lognormal_d1_l2": ("0x1.61ed929f1a842p+5", "0x1.9c8f75f836b7ep+2"),
     "lognormal_d3_l2": ("0x1.d9a92c08acf94p+6", "0x1.2f4ce1b78393cp+4"),
     "lognormal_d3_sup": ("0x1.235a9ccd3c0afp+6", "0x1.8bac5e3a12339p+3"),
@@ -832,76 +829,6 @@ def test_monte_carlo_bits_pinned(case):
     est = _pinned_runs()[case]()
     assert not est.exact and est.replications == PIN_REPS
     assert (est.mean.hex(), est.std_error.hex()) == PINNED_BITS[case]
-
-
-# ---------------------------------------------------------------------------
-# the sign walk pinned: a scalar set with coefficients in {0, 1} over a sign
-# law is counted by mc._sign_walk instead of stepped by the float loop.  The
-# bits were recorded from the float loop before the sign walk existed, so it
-# must give them exactly, at every worker count.  From n = 256 the count is
-# wider than a byte; at n = 300 it stays below 256 in practice, and n = 600
-# takes it past (about 300 of its 600 signs are -1).  3 * CHUNK + 5 reps leave a
-# group whose width is no multiple of 8 (byte lanes, not uint64); 9 * CHUNK
-# reps leave a narrower last group, whose uint64 lanes view a slice of the
-# worker's buffer.  P(-1) = 3/8 is a 3-bit table, and v_0 = 1 sets (one with
-# zero coefficients among v_1 .. v_n) add R_0 to the count's base.
-
-SIGN_ODD_REPS = 3 * mc.CHUNK + 5
-SIGN_CASES = {
-    "n1_v0": (dc.rademacher_sign(), [1.0, 1.0], 4.0, 5000, "l2"),
-    "n7": (dc.rademacher_sign(), [0.0] + [1.0] * 7, 4.0, SIGN_ODD_REPS, "l2"),
-    "n100": (dc.rademacher_sign(), [0.0] + [1.0] * 100, 4.0, 9 * mc.CHUNK, "l2"),
-    "n300": (dc.rademacher_sign(), [0.0] + [1.0] * 300, 3.0, SIGN_ODD_REPS, "l2"),
-    "n600": (dc.rademacher_sign(), [0.0] + [1.0] * 600, 3.0, SIGN_ODD_REPS, "l2"),
-    "p38_n100": (dc.two_point(-1.0, 1.0, 0.375), [0.0] + [1.0] * 100, 4.0, SIGN_ODD_REPS, "l2"),
-    "v0_zeros_n20": (dc.rademacher_sign(),
-                     [1.0, 1.0, 0.0, 1.0, 0.0, 0.0] + [1.0, 0.0] * 7 + [1.0], 2.5, SIGN_ODD_REPS,
-                     "l1"),
-}
-PINNED_SIGN_BITS = {
-    "n1_v0": ("0x1.01205bc01a36ep+3", "0x1.cf738c71837b3p-4"),
-    "n7": ("0x1.0f9a953b1f2ccp+7", "0x1.967cf458e7e25p+1"),
-    "n100": ("0x1.db99b40000000p+14", "0x1.080261dd4de2ap+9"),
-    "n300": ("0x1.02ad85ecb7579p+13", "0x1.445eb28e01c06p+7"),
-    "n600": ("0x1.6e670e9925617p+14", "0x1.cd40c145a31f0p+8"),
-    "p38_n100": ("0x1.35342391a0d49p+16", "0x1.126409b177d85p+11"),
-    "v0_zeros_n20": ("0x1.8077e65166aadp+4", "0x1.6d18cf441f637p-2"),
-}
-
-
-def _float_loop_calls(monkeypatch) -> list:
-    """Record each call of mc._sample_paths, the float step loop, and let it run."""
-    calls, loop = [], mc._sample_paths
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return loop(*args, **kwargs)
-
-    monkeypatch.setattr(mc, "_sample_paths", spy)
-    return calls
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("case", sorted(SIGN_CASES))
-def test_sign_walk_bits_pinned(monkeypatch, case, threads):
-    monkeypatch.setenv("MOMSAND_THREADS", threads)
-    calls = _float_loop_calls(monkeypatch)
-    spec, vec, p, reps, norm = SIGN_CASES[case]
-    est = mc.estimate_lhs(spec, mc.coefficient_set(vec, norm), p, reps, src(31))
-    assert not calls and not est.exact and est.replications == reps
-    assert (est.mean.hex(), est.std_error.hex()) == PINNED_SIGN_BITS[case]
-
-
-@pytest.mark.parametrize("spec, vec", [
-    (dc.two_point(-1.0, 1.0, 0.3), [0.0] + [1.0] * 30),  # not dyadic
-    (dc.scaled_copy(dc.rademacher_sign(), 0.5), [0.0] + [1.0] * 30),  # table +-0.5
-    (dc.rademacher_sign(), [0.0] + [1.0] * 29 + [2.0]),  # a coefficient outside {0, 1}
-    (dc.rademacher_sign(), [[0.0, 1.0]] + [[1.0, 1.0]] * 30),  # d = 2
-], ids=["pa_0.3", "half_signs", "coefficient_2", "dim_2"])
-def test_sign_walk_leaves_other_sets_to_the_float_loop(monkeypatch, spec, vec):
-    calls = _float_loop_calls(monkeypatch)
-    mc.estimate_lhs(spec, mc.coefficient_set(vec), 4.0, 2000, src(31))
-    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -997,12 +924,91 @@ def test_stats_allocates_no_copy_of_its_input():
     assert peak < 2**20
 
 
-def test_counterexample_reference_is_the_moment_enclosure_of_3n_minus_2():
-    # signs: E|R_1 + ... + R_n|^4 = 3n^2 - 2n against sum_i E|R_i|^4 = n
-    out = mc.khintchine_counterexample(100, 4.0, reps=1000, src=src(7))
-    ref = out["reference"]
-    assert ref["engine"] == "moments" and ref["orders"] == (4,)
-    lo, hi = ref["ratio"]
-    assert lo <= 298.0 <= hi and hi - lo <= 1e-8 * 298.0
-    # past the moment engine's top order there is no reference
-    assert mc.khintchine_counterexample(3, 20.0, reps=1000, src=src(7))["reference"] is None
+# ---------------------------------------------------------------------------
+# the exact sign chain of the counterexample against its oracles:
+#   * Rademacher signs: S = 2K - n with K ~ Binomial(n, 1/2), summed in Fraction,
+#     bit for bit at an integer p and within 2 ulp otherwise;
+#   * P(-1) = 3/8 and 0.3: brute-force enumeration of the same sum, to 1e-14;
+#   * X = 1 and X = -1: S = n, and S = -1 or 0 by the parity of n;
+#   * p = 4: the ratio 3n - 2, bit for bit.
+
+X_ONE, X_MINUS_ONE = dc.finitely_supported([(1.0, 1.0)]), dc.finitely_supported([(-1.0, 1.0)])
+SIGN_CHAIN_CASES = (
+    [("binomial", None, n, p) for n in (1, 2, 7, 50, 200) for p in (0.5, 1.0, 2.5, 3.0, 4.0, 7.5)]
+    + [("brute", dc.two_point(-1.0, 1.0, q), n, p)
+       for q in (0.375, 0.3) for n in (1, 5, 16) for p in (0.5, 2.5, 4.0)]
+    + [("constant", spec, n, p) for spec in (X_ONE, X_MINUS_ONE) for n in (1, 4, 7)
+       for p in (0.5, 4.0)]
+    + [("3n-2", None, n, 4.0) for n in (1, 2, 20, 100, 200)]
+)
+
+
+@pytest.mark.parametrize("kind, spec, n, p", SIGN_CHAIN_CASES)
+def test_sign_chain_matches_its_oracles(kind, spec, n, p):
+    out = mc.khintchine_counterexample(n, p, spec)
+    mean = out["lhs"].mean
+    assert out["rhs_sum"] == float(n) and out["ratio"] == mean / n
+    if kind == "binomial":
+        power = int(p) if p.is_integer() else p
+        total = sum(Fraction(math.comb(n, k)) * Fraction(abs(2 * k - n) ** power)
+                    for k in range(n + 1))
+        want = float(total / 2**n)
+        assert mean == want if p.is_integer() else abs(mean - want) <= 2 * math.ulp(want)
+        assert out["lhs"].replications == n + 1
+    elif kind == "brute":
+        want = mc.brute_force_lhs(spec, mc.coefficient_set([0.0] + [1.0] * n), p).mean
+        assert mean == pytest.approx(want, rel=1e-14, abs=0.0)
+    elif kind == "constant":
+        want = float(n) ** p if spec is X_ONE else float(n % 2)
+        assert mean == want and out["lhs"].replications == 1
+    else:
+        assert out["ratio"] == 3.0 * n - 2.0
+
+
+def test_sign_chain_counts_sum_to_the_denominator():
+    # twopoint pa 0.3: q = a / 2^54, so every path weighs a^k (2^54 - a)^(n - k)
+    law, bits = mc._sign_chain(30, 0.3)
+    assert bits == 54 * 30 and sum(c for _, c in law) == 2**bits
+    assert [s for s, _ in law] == list(range(-30, 31, 2))
+
+
+@pytest.mark.parametrize("n, p", [(100, 200.0), (100, 1e300), (1000, 1e300), (2, 1e308)])
+def test_sign_chain_overflow_is_inf_without_huge_powers(n, p):
+    # E|S|^p >= 2^-n n^p for signs, decided from p log2(n) before any power is taken
+    out = mc.khintchine_counterexample(n, p)
+    assert out["lhs"].mean == math.inf and out["ratio"] == math.inf
+
+
+def test_sign_chain_moment_past_float_powers_is_still_exact():
+    # 100^160 overflows a float, but P(S = s) |s|^160 does not: the mean is the
+    # correctly rounded quotient of the exact integer sum
+    law, bits = mc._sign_chain(100, 63 / 64)
+    want = float(Fraction(sum(c * abs(s) ** 160 for s, c in law), 2**bits))
+    assert math.isfinite(want) and mc._sign_chain_moment(law, bits, 160.0) == want
+    assert math.isfinite(mc._sign_chain_moment(law, bits, 160.5))
+    # X = -1: S = -1 at odd n, so every p is finite, p = 1e300 included
+    assert mc.khintchine_counterexample(101, 1e300, X_MINUS_ONE)["lhs"].mean == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 100])
+@pytest.mark.parametrize("p", [0.5, 2.0, 4.0, 20.0])
+def test_counterexample_samples_enumerates_and_encloses_nothing(monkeypatch, n, p):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sign chain called another engine")
+
+    for name in ("_sample_paths", "estimate_lhs", "brute_force_lhs"):
+        monkeypatch.setattr(mc, name, refuse)
+    # an import of the moment engine fails here
+    monkeypatch.delattr(momsand, "moments", raising=False)
+    monkeypatch.setitem(sys.modules, "momsand.moments", None)
+    out = mc.khintchine_counterexample(n, p)
+    assert out["lhs"].exact and out["lhs"].std_error == 0.0 and out["lhs"].seed is None
+
+
+def test_negative_mass_of_an_all_negative_law_is_one():
+    # normalized, these probabilities add up to just above 1 in math.fsum
+    probs = (0.0035937290600572126, 0.17959422324141228, 0.5369927384455012, 0.2798193092530292)
+    spec = dc.finitely_supported([(-1.0, pr) for pr in probs])
+    assert math.fsum(pr for _, pr in spec.atoms) > 1.0
+    # X = -1: S = -1 at odd n
+    assert mc.khintchine_counterexample(5, 4.0, spec)["lhs"].mean == 1.0
