@@ -49,7 +49,6 @@ from .errors import (
 DEFAULT_A_GRID_SMALL = (1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0)
 DEFAULT_A_GRID_LARGE = (1.5, 2.0, 3.0, 5.0, 10.0, 20.0)
 
-_SLACK = 1e-9
 _NORM_TOL = 1e-9
 _GRID_CELLS = 256
 
@@ -214,9 +213,9 @@ class LargePParts:
     chain: tuple[float, ...]
 
     def tail(self, a_val: float) -> float | None:
-        """E||X| - E|X|| 1{|X| > A ||X||_p} over ||X||_p if it is at most mu/4, else None."""
+        """E||X| - E|X|| 1{|X| > A ||X||_p} over ||X||_p if it is below mu/4, else None."""
         t_val = dc.expect(self.spec, 1.0, self.m1, a_val * self.norm_p) / self.norm_p
-        return t_val if t_val <= self.mu / 4.0 + _SLACK else None
+        return t_val if t_val < self.mu / 4.0 else None
 
     def lam(self, q: float):
         """lambda(q) = ||X||_q / ||X||_p for q strictly inside (max(p-1, 1), p), else None."""

@@ -234,6 +234,7 @@ def _verify_coefficients(resolved: dict) -> list[mc.CoefficientSet]:
             raise ValueError(
                 f"--dim {dim} differs from the row width {sets[0].dim} of --coeffs {text}"
             )
+        _check_coefficients(text, sets[0].matrix())
     elif text is not None or n is not None:
         params = {}
         body = (text or "random:count=20")[len("random:"):]
@@ -255,15 +256,10 @@ def _verify_coefficients(resolved: dict) -> list[mc.CoefficientSet]:
         for d in range(count):
             gen = dc.RandomSource(cseed, 500 + d).generator()
             mat = scale * gen.standard_normal((n + 1, dim))
-            sets.append(
-                mc.CoefficientSet(
-                    tuple(tuple(float(x) for x in row) for row in mat), norm
-                )
-            )
+            _check_coefficients(text, mat)
+            sets.append(mc.CoefficientSet(tuple(map(tuple, mat.tolist())), norm))
     else:
         return []
-    for coeffs in sets:
-        _check_coefficients(text, coeffs.matrix())
     return sets
 
 

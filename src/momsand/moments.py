@@ -8,10 +8,13 @@ reads and no more:
 
         E (b_c + X T_c)^a = sum_j C(a, j) E[b_c^(a-j) X^j] E T_c^j;
 
-  * for d > 1, E||T||_2^4.  With ||T'||^2 = ||b||^2 + 2 X <b, T> + X^2 ||T||^2
-    and X independent of b (the sandwich's fixed v, and the independent
-    coupling) it follows from m = E T, M = E[T T^t], m3 = E[T ||T||^2] and
-    q = E||T||^4, with mu_l = E X^l:
+  * for d > 1 and p != 2, E||T||_2^4.  At p = 2 the enclosure takes the
+    norm from orders 0 and 2 alone, E||S||_2^2 being the sum of the
+    coordinates' second moments, so nothing carries the fourth.  With
+    ||T'||^2 = ||b||^2 + 2 X <b, T> + X^2 ||T||^2 and X independent of b
+    (the sandwich's fixed v, and the independent coupling) it follows from
+    m = E T, M = E[T T^t], m3 = E[T ||T||^2] and q = E||T||^4, with
+    mu_l = E X^l:
 
         m'  = E b + mu_1 m
         M'  = E[b b^t] + mu_1 (E b m^t + m E b^t) + mu_2 M
@@ -59,7 +62,8 @@ def _gamma(k: float) -> float:
 @dataclass(frozen=True)
 class Moments:
     """E S_c^k for each coordinate c and k = 0 .. order, (d, order + 1), and
-    E||S||_2^4 when d > 1 (else None), each with a bound on its rounding."""
+    E||S||_2^4 when d > 1 and it is carried (else None), each with a bound on
+    its rounding."""
 
     coords: np.ndarray
     coord_errors: np.ndarray
@@ -132,8 +136,10 @@ def _norm_start(count: int, dim: int):
             np.zeros((2, count)))
 
 
-def sandwich_moments(spec: dc.DistributionSpec, sets, order: int) -> list[Moments]:
-    """The Moments of S = sum_i v_i R_i for each set, the sets sharing n and d.
+def sandwich_moments(spec: dc.DistributionSpec, sets, order: int,
+                     norm4: bool = True) -> list[Moments]:
+    """The Moments of S = sum_i v_i R_i for each set, the sets sharing n and d, with
+    E||S||^4 for d > 1 when norm4 is set.
 
     From T = 0 the steps v_n, ..., v_0 each do T <- v + X T; a coordinate's
     step is E (v_c + X T_c)^a = sum_j C(a,j) v_c^(a-j) E X^j E T_c^j, one
@@ -152,7 +158,7 @@ def sandwich_moments(spec: dc.DistributionSpec, sets, order: int) -> list[Moment
     block = max(1, _BLOCK // (dim * max(dim, (order + 1) ** 2)))
     out = []
     for lo in range(0, count, block):
-        out += _sandwich_block(law, vecs[lo:lo + block], order)
+        out += _sandwich_block(law, vecs[lo:lo + block], order, norm4)
     coord_err = _gamma(2 * steps * (4 * order + 8 + law_ulps))
     norm_err = _gamma(2 * steps * (4 * dim + 24 + law_ulps))
     return [Moments(values, coord_err * sizes, None if q is None else float(q[0]),
@@ -160,7 +166,7 @@ def sandwich_moments(spec: dc.DistributionSpec, sets, order: int) -> list[Moment
             for (values, sizes), q in out]
 
 
-def _sandwich_block(law: np.ndarray, vecs: np.ndarray, order: int):
+def _sandwich_block(law: np.ndarray, vecs: np.ndarray, order: int, norm4: bool):
     """[((values, magnitudes) of the coordinates' moments, (E||S||^4, its magnitude)
     or None)] for one block of sets."""
     k1 = order + 1
@@ -170,7 +176,7 @@ def _sandwich_block(law: np.ndarray, vecs: np.ndarray, order: int):
     mom = np.zeros((2, count, dim, k1))
     mom[..., 0] = 1.0
     powers = np.ones((count, dim, k1))
-    norm = _norm_start(count, dim) if dim > 1 else None
+    norm = _norm_start(count, dim) if dim > 1 and norm4 else None
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps - 1, -1, -1):
             v = vecs[:, i]
@@ -247,8 +253,9 @@ def _comonotone_moments(pair: PairSpec, order: int) -> tuple[np.ndarray, float]:
     return out, 10.0 * order + 20.0
 
 
-def perpetuity_moments(pair: PairSpec, n_list, order: int) -> dict:
-    """{n: Moments of S_n} for each row n, from one pass of max(n_list) steps.
+def perpetuity_moments(pair: PairSpec, n_list, order: int, norm4: bool = True) -> dict:
+    """{n: Moments of S_n} for each row n, from one pass of max(n_list) steps, with
+    E||S_n||^4 for d > 1 when norm4 is set.
 
     S_n has the law of n steps of T <- B + X T from T = 0, so a coordinate's
     step is E (B_c + X T_c)^a = sum_j C(a,j) E[B_c^(a-j) X^j] E T_c^j, one
@@ -275,7 +282,7 @@ def perpetuity_moments(pair: PairSpec, n_list, order: int) -> dict:
     mom = np.zeros((2, dim, k1))
     mom[..., 0] = 1.0
     norm = b_stats = None
-    if dim > 1:
+    if dim > 1 and norm4:
         norm, b_stats = _norm_start(1, dim), _independent_b(beta)
     coord_chain = k1 + 4 + joint_ulps
     norm_chain = 4 * dim + 24 + x_ulps + b_ulps
@@ -360,8 +367,9 @@ def _enclose(mom: Moments, p: float, norm: str, signs, divide: int = 1) -> Momen
     if dim > 1:
         total = float(values[:, 2].sum())
         err = float(errors[:, 2].sum()) + _gamma(dim) * float(np.abs(values[:, 2]).sum())
-        sums = {2: (total - err, total + err),
-                4: (mom.norm4 - mom.norm4_error, mom.norm4 + mom.norm4_error)}
+        sums = {2: (total - err, total + err)}
+        if mom.norm4 is not None:
+            sums[4] = (mom.norm4 - mom.norm4_error, mom.norm4 + mom.norm4_error)
         lo2, hi2, orders = _log_convex(p, {0: (1.0, 1.0), **sums}, 2)
         lo_c, hi_c = max(c[0] for c in coords), math.fsum(c[1] for c in coords)
         if norm == "l2":
@@ -403,10 +411,10 @@ def sandwich_enclosures(spec, sets, p: float) -> list[MomentEnclosure]:
         raise ValueError("the moment engine takes sets that share n and d")
     nonneg = dc.is_nonnegative(spec)
     out = []
-    for mom, coeffs in zip(sandwich_moments(spec, sets, moment_order(p)), sets):
+    for mom, coeffs in zip(sandwich_moments(spec, sets, moment_order(p), p != 2.0), sets):
         vmat = coeffs.matrix()
-        signs = [nonneg * (int(np.all(col >= 0.0)) - int(np.all(col <= 0.0))) for col in vmat.T]
-        out.append(_enclose(mom, p, coeffs.norm, signs))
+        signs = nonneg * (np.all(vmat >= 0.0, axis=0).astype(int) - np.all(vmat <= 0.0, axis=0))
+        out.append(_enclose(mom, p, coeffs.norm, signs.tolist()))
     return out
 
 
@@ -414,6 +422,6 @@ def perpetuity_enclosures(pair: PairSpec, n_list, p: float) -> dict:
     """{n: enclosure of (1/n) E||S_n||^p} for the rows n_list, from one moment pass.
 
     X >= 0, so a coordinate keeps the sign of its B component when that has one."""
-    moments = perpetuity_moments(pair, n_list, moment_order(p))
+    moments = perpetuity_moments(pair, n_list, moment_order(p), p != 2.0)
     signs = [_sign(spec) for spec in pair.b_specs]
     return {n: _enclose(mom, p, pair.norm, signs, n) for n, mom in moments.items()}

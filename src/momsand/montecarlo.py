@@ -64,7 +64,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,10 +89,14 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Vectors v_0 .. v_n in R^d plus the norm the sum is measured in."""
+    """Vectors v_0 .. v_n in R^d plus the norm the sum is measured in.
+
+    The (n + 1, d) float matrix of the vectors is built once, read-only, and
+    every engine reads it; equality and hashing stay on vectors and norm."""
 
     vectors: tuple[tuple[float, ...], ...]
     norm: str = "l2"
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.vectors:
@@ -102,6 +106,9 @@ class CoefficientSet:
             raise ValueError("all vectors must share one dimension d >= 1")
         if self.norm not in NORM_KINDS:
             raise ValueError(f"unknown norm {self.norm!r}")
+        matrix = np.asarray(self.vectors, dtype=float)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "_matrix", matrix)
 
     @property
     def dim(self) -> int:
@@ -112,7 +119,7 @@ class CoefficientSet:
         return len(self.vectors) - 1
 
     def matrix(self) -> np.ndarray:
-        return np.asarray(self.vectors, dtype=float)
+        return self._matrix
 
 
 def coefficient_set(vectors, norm: str = "l2") -> CoefficientSet:
@@ -200,16 +207,17 @@ def holder_norm(points: np.ndarray, kind: str, out: np.ndarray | None = None) ->
     return out
 
 
-def _vector_norm(vec, kind: str) -> float:
-    """||vec||; inf where the l2 norm's squares overflow, which the callers reject."""
+def _row_norms(coeffs: CoefficientSet) -> list[float]:
+    """||v_i|| for i = 0 .. n, from one pass over the matrix; inf where the l2 norm's
+    squares overflow, which the callers reject."""
     with np.errstate(over="ignore"):
-        return float(holder_norm(np.asarray([vec], dtype=float), kind)[0])
+        return holder_norm(coeffs.matrix(), coeffs.norm).tolist()
 
 
 def _lone_term(coeffs: CoefficientSet, p: float) -> float:
     """||v_0||^p of a set with n = 0; an overflowing float power is non-finite."""
     try:
-        return _vector_norm(coeffs.vectors[0], coeffs.norm) ** p
+        return _row_norms(coeffs)[0] ** p
     except OverflowError:
         raise NonfiniteMomentError(f"||v_0||^p overflows at p = {p}") from None
 
@@ -900,9 +908,7 @@ def goldie_bracket(
 def lambda_weighted_sum(coeffs: CoefficientSet, p: float, lam: float) -> float:
     """sum_i lambda^i ||v_i||^p, the scale the tail bounds are stated in."""
     try:
-        total = math.fsum(
-            _vector_norm(v, coeffs.norm) ** p * lam**i for i, v in enumerate(coeffs.vectors)
-        )
+        total = math.fsum(x**p * lam**i for i, x in enumerate(_row_norms(coeffs)))
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):

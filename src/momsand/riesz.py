@@ -33,11 +33,13 @@ sums combine in block order regardless of worker count.  A pass serves rows of
 one length: a block forms prod = Rbar_i once, adds a_i prod to one accumulator
 per row as the row alone would, and gives a unit row (0, ..., 0, 1) prod itself.
 It keeps prod, two scratch arrays and the accumulators, 256 KB each, in flight
-per worker, so a corollary pass takes one combination.  The 524,289 folded
-points of 4^1 .. 4^8 make 17 blocks to share among workers.  Of 2^13 .. 2^19,
-2^15 gave that grid its fastest two-worker pass (45 ms, against 100 ms at 2^19,
-on 2 vCPUs).  The block size sets how NumPy's pairwise sums group into the fsum
-partials, so it is part of the reported bits and must not follow the worker count.
+per worker, so a corollary pass takes at most _PASS_ROWS = 8 rows: the
+combinations and Rbar_k share passes of 8, and Rbar_0 .. Rbar_{k-1} take one
+pass each.  The 524,289 folded points of 4^1 .. 4^8 make 17 blocks to share
+among workers.  Of 2^13 .. 2^19, 2^15 gave that grid its fastest two-worker
+pass (45 ms, against 100 ms at 2^19, on 2 vCPUs).  The block size sets how
+NumPy's pairwise sums group into the fsum partials, so it is part of the
+reported bits and must not follow the worker count.
 
 Factors use exact phases: cos(n_j t_k) depends only on the residue
 (n_j k) mod N, taken in int64 (N <= MAX_POINTS = 2^31 and n_j <= 2^20 keep
@@ -69,7 +71,7 @@ from .errors import (
     NotLacunaryError,
     TooFewPointsError,
 )
-from .montecarlo import EstimateWithCI, _exact, _sampled_lhs, coefficient_set
+from .montecarlo import MAX_MOMENT_ORDER, EstimateWithCI, _exact, _sampled_lhs, coefficient_set
 
 MAX_TERM = 2**20
 MIN_POINTS = 4096
@@ -77,6 +79,8 @@ MAX_POINTS = 2**31
 POINTS_PER_FREQ = 64
 _BLOCK = 2**15
 _SUB = 2**10
+# rows of one grid pass in a corollary scan: 8 accumulators of _BLOCK floats, 2 MB a worker
+_PASS_ROWS = 8
 
 RATIO_FLOOR = 3.0
 
@@ -276,17 +280,19 @@ def _probabilistic_side(
 ) -> EstimateWithCI:
     """E|sum a_i R_i|^p for products of i.i.d. 1 + cos(U) factors.
 
-    At p = 2, and at p = 1 with nonnegative coefficients, |S|^p is S^p, and
-    the moment engine's exact value of that order is reported; every other p
-    is sampled.
+    Where |S|^p is a polynomial in S, the moment engine's exact |E S^p| is
+    reported: at every even integer p <= MAX_MOMENT_ORDER, and at every
+    integer p <= MAX_MOMENT_ORDER when the coefficients share one sign, which
+    S then keeps, as every R_i >= 0.  Every other p is sampled.
     """
     spec = dc.riesz_factor()
     coeffs = coefficient_set(list(comb.coefficients))
-    if p == 2.0 or (p == 1.0 and all(a >= 0.0 for a in comb.coefficients)):
+    one_sign = min(comb.coefficients) >= 0.0 or max(comb.coefficients) <= 0.0
+    if float(p).is_integer() and p <= MAX_MOMENT_ORDER and (p % 2 == 0 or one_sign):
         from .moments import sandwich_moments
 
         (moments,) = sandwich_moments(spec, [coeffs], int(p))
-        return _exact(float(moments.coords[0, int(p)]), 0)
+        return _exact(abs(float(moments.coords[0, int(p)])), 0)
     return _sampled_lhs(spec, coeffs, p, reps, src)
 
 
@@ -300,8 +306,9 @@ def _corollary_reports(combs, p, reps, srcs, quad_points) -> list[dict]:
         )
     k = len(combs[0].coefficients) - 1
     units = [(0.0,) * i + (1.0,) for i in range(k + 1)]
-    torus, top = riesz_lp_norms(seq, [combs[0].coefficients, units[k]], p, quad_points)
-    toruses = [torus] + [riesz_lp_norm(comb, p, quad_points) for comb in combs[1:]]
+    rows = [comb.coefficients for comb in combs] + [units[k]]
+    *toruses, top = [out for lo in range(0, len(rows), _PASS_ROWS)
+                     for out in riesz_lp_norms(seq, rows[lo:lo + _PASS_ROWS], p, quad_points)]
     factor_p = dc.abs_moment(dc.riesz_factor(), p)
     lower = [riesz_lp_norm(RieszCombination(seq, e), p, quad_points) for e in units[:k]]
     per_term = [{"i": i, "torus": out.value, "probabilistic": factor_p**i}

@@ -1,5 +1,6 @@
 """Certificate fitters: anchors, degeneracy paths, and the one-step lemmas."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from momsand.assumptions import (
     draw_pair,
     fit_large_p,
     fit_small_p,
+    large_p_parts,
     verify_large_p,
     verify_small_p,
 )
@@ -265,3 +267,20 @@ def test_nondegeneracy_decision_table(monkeypatch, pair, fixed_point, exact):
         assert report.fixed_point is None
     else:
         assert report.fixed_point == pytest.approx(fixed_point, rel=1e-12, abs=1e-12)
+
+
+def test_tail_condition_holds_only_strictly_below_mu_over_4():
+    # at A = 1 the atom sqrt(1.64) > A ||X||_2 = 1 carries the tail, 0.5 |sqrt(1.64) - E|X||
+    parts = large_p_parts(LARGE_SPEC, 2.0)
+    tail = dataclasses.replace(parts, mu=1.0).tail(1.0)
+    assert tail == pytest.approx(0.5 * (math.sqrt(1.64) - 0.6) / 2.0, rel=1e-12)
+    short = dataclasses.replace(parts, mu=4.0 * (tail - 1e-10))  # mu/4 1e-10 below tail(A)
+    assert short.mu / 4.0 < tail
+    assert short.tail(1.0) is None
+    with pytest.raises(EmptyWindowError):
+        short.check(1.0, short.tail(1.0), 1.5, short.lam(1.5))
+    at_edge = dataclasses.replace(parts, mu=4.0 * tail)  # no margin: not certified either
+    assert at_edge.tail(1.0) is None
+    clear = dataclasses.replace(parts, mu=4.0 * (tail + 1e-10))
+    assert clear.tail(1.0) == tail
+    clear.check(1.0, tail, 1.5, clear.lam(1.5))

@@ -24,6 +24,7 @@ from momsand import moments as mo
 from momsand import montecarlo as mc
 from momsand.assumptions import PairSpec
 from momsand.cli import main
+from momsand.errors import NonfiniteMomentError
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -418,3 +419,40 @@ def test_the_sampled_bench_ops_are_decided_by_moments(capsys, seed):
         results = json.loads(capsys.readouterr().out)["results"]
         rows = results.get("rows") or [row["report"] for row in results["reports"]]
         assert {(row["engine"], row["verdict"]) for row in rows} == {("moments", "PASS")}, op["id"]
+
+
+@pytest.mark.parametrize("norm", ["l2", "l1", "sup"])
+def test_p2_vector_sums_carry_no_fourth_norm_moment(monkeypatch, norm):
+    # at p = 2 the enclosure takes the norm from orders 0 and 2, so E||T||^4 is never
+    # stepped, and the enclosure is the one built with it
+    pair = PairSpec(dc.uniform(0.0, 2.0), (dc.uniform(0.0, 1.0), dc.exponential(1.0)),
+                    norm=norm)
+    coeffs = mc.coefficient_set(VECTOR.vectors, norm)
+    n_list, order = [1, 2, 4, 8, 16, 32, 64], mc.moment_order(2.0)
+    carried = mo.perpetuity_moments(pair, n_list, order, norm4=True)
+    want_rows = {n: mo._enclose(mom, 2.0, norm, [1, 1], n) for n, mom in carried.items()}
+    (with_norm4,) = mo.sandwich_moments(SIGNED, [coeffs], order, norm4=True)
+    want_set = mo._enclose(with_norm4, 2.0, norm, [0, 0])
+    steps = []
+    real = mo._norm_step
+    monkeypatch.setattr(mo, "_norm_step", lambda *args: steps.append(1) or real(*args))
+    assert mo.perpetuity_enclosures(pair, n_list, 2.0) == want_rows
+    assert mo.sandwich_enclosures(SIGNED, [coeffs], 2.0) == [want_set]
+    assert steps == []
+    assert all(mom.norm4 is None for mom in mo.perpetuity_moments(pair, [3], order, False).values())
+    mo.perpetuity_enclosures(pair, [3], 2.5)  # the spy sees the steps where p != 2
+    assert len(steps) == 3
+
+
+def test_p2_enclosure_survives_an_overflowing_fourth_norm_moment():
+    # B = (b, b) with b near 4e76: E S_c^4 is near 7.5e307 and E||S||^4, about four
+    # times that, overflows; E||S||^2 is near 1.6e154
+    b = dc.finitely_supported([(4e76, 0.5), (4.04e76, 0.5)])
+    pair = PairSpec(TWO_POINT, (b, b))
+    carried = mo.perpetuity_moments(pair, [2], mc.moment_order(2.0))[2]
+    assert carried.norm4 == math.inf and np.all(np.isfinite(carried.coords))
+    with pytest.raises(NonfiniteMomentError):  # the enclosure that read it
+        mo._enclose(carried, 2.0, "l2", [1, 1], 2)
+    enc = mo.perpetuity_enclosures(pair, [2], 2.0)[2]
+    assert enc.orders == (2,) and 0.0 < enc.lower <= enc.upper < math.inf
+    assert _contains(enc, mc.brute_force_perpetuity(pair, 2, 2.0).mean / 2)

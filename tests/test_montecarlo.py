@@ -1,5 +1,6 @@
 """Sum-of-products moments: enumeration oracles, MC agreement, sandwich verdicts."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -16,7 +17,7 @@ from momsand import dist_core as dc
 from momsand import montecarlo as mc
 from momsand.assumptions import PairSpec, fit_large_p, fit_small_p
 from momsand.constants import optimize_large_p, optimize_small_p
-from momsand.errors import EnumerationTooLargeError, InvalidOrderError
+from momsand.errors import EnumerationTooLargeError, InvalidOrderError, NonfiniteMomentError
 
 TWO_POINT = dc.two_point(0.5, 1.5, 0.5)
 LARGE_SPEC = dc.two_point(0.6, math.sqrt(1.64), 0.5)
@@ -1012,3 +1013,61 @@ def test_negative_mass_of_an_all_negative_law_is_one():
     assert math.fsum(pr for _, pr in spec.atoms) > 1.0
     # X = -1: S = -1 at odd n
     assert mc.khintchine_counterexample(5, 4.0, spec)["lhs"].mean == 1.0
+
+
+def _per_vector_weighted_sum(coeffs, p, lam):
+    """sum_i lambda^i ||v_i||^p with one holder_norm call per vector, as it was computed
+    before the row norms came from one pass: the reference for lambda_weighted_sum."""
+
+    def norm(vec):
+        with np.errstate(over="ignore"):
+            return float(mc.holder_norm(np.asarray([vec], dtype=float), coeffs.norm)[0])
+
+    try:
+        total = math.fsum(norm(v) ** p * lam**i for i, v in enumerate(coeffs.vectors))
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise NonfiniteMomentError(f"sum_i lambda^i ||v_i||^p overflows at p = {p}")
+    return total
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "sup"])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_weighted_sum_matches_the_per_vector_sum_bit_for_bit(norm, dim):
+    rng = np.random.default_rng(17 + dim)
+    sets = [mc.coefficient_set(rng.standard_normal((n + 1, dim)) * scale, norm)
+            for n in (0, 1, 20) for scale in (1e-3, 1.0, 1e5)]
+    for coeffs in sets:
+        for p in (0.5, 1.0, 2.0, 3.5, 7.25):
+            for lam in (0.0, 0.3, 1.0, 1.7):
+                want = _per_vector_weighted_sum(coeffs, p, lam)
+                assert mc.lambda_weighted_sum(coeffs, p, lam).hex() == want.hex()
+    huge = mc.coefficient_set([[1e200] * dim, [1.0] * dim], norm)
+    for p in (2.0, 3.5):
+        with pytest.raises(NonfiniteMomentError):
+            _per_vector_weighted_sum(huge, p, 0.5)
+        with pytest.raises(NonfiniteMomentError):
+            mc.lambda_weighted_sum(huge, p, 0.5)
+
+
+def test_coefficient_matrix_is_built_once_and_read_only():
+    vectors = ((1.0, -2.0), (0.5, 0.25), (-3.0, 4.0))
+    coeffs = mc.CoefficientSet(vectors, "l1")
+    matrix = coeffs.matrix()
+    assert matrix is coeffs.matrix()
+    assert matrix.dtype == np.float64 and matrix.tolist() == [list(v) for v in vectors]
+    assert not matrix.flags.writeable
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 7.0
+    assert coeffs.vectors == vectors
+    # equality and hashing see the vectors and the norm alone, as before
+    twin = mc.coefficient_set([list(v) for v in vectors], "l1")
+    assert twin == coeffs and twin.matrix() is not matrix
+    assert hash(twin) == hash(coeffs) == hash((vectors, "l1"))
+    assert mc.CoefficientSet(vectors, "l2") != coeffs
+    assert len({coeffs, twin, mc.CoefficientSet(vectors, "l2")}) == 2
+    assert "_matrix" not in repr(coeffs)
+    renormed = dataclasses.replace(coeffs, norm="sup")
+    assert renormed.norm == "sup" and not renormed.matrix().flags.writeable
+    assert renormed.matrix().tolist() == matrix.tolist()

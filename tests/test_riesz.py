@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from momsand import dist_core as dc
+from momsand import montecarlo as mc
 from momsand import riesz as rz
 from momsand.errors import NotIncreasingError, NotLacunaryError, TooFewPointsError
 from momsand.riesz import (
@@ -260,9 +261,9 @@ def test_ratio_scan_matches_per_draw_checks(monkeypatch):
     monkeypatch.setattr(rz, "riesz_lp_norms", counting)
     scan = corollary_ratio_scan(seq, 2.5, draws=3, reps=2000, src=base)
     monkeypatch.setattr(rz, "riesz_lp_norms", real)
-    # the first draw shares its pass with Rbar_m, the others take one pass each, and
-    # Rbar_0 .. Rbar_{m-1} one pass each for the whole scan
-    assert calls == [[seq.m + 1] * 2] + [[seq.m + 1]] * 2 + [[i + 1] for i in range(seq.m)]
+    # the three draws share one pass with Rbar_m, and Rbar_0 .. Rbar_{m-1} take one
+    # pass each for the whole scan
+    assert calls == [[seq.m + 1] * 4] + [[i + 1] for i in range(seq.m)]
     for d, report in enumerate(scan["reports"]):
         gen = base.child(1000 + d).generator()
         coeffs = tuple(float(c) for c in gen.standard_normal(seq.m + 1))
@@ -364,19 +365,29 @@ def test_shared_pass_rejects_rows_of_different_lengths():
         riesz_lp_norms(SEQ, [], 3.0)
 
 
-def test_ratio_scan_holds_one_combination_a_pass(monkeypatch):
-    # 16 draws and Rbar_8 make 17 rows on the 524,289 folded points of 4^1 .. 4^8; with
-    # one combination a pass, a worker holds four 256 KB block arrays at a time
+def test_ratio_scan_caps_the_rows_a_pass(monkeypatch):
+    # 16 draws and Rbar_8 make 17 rows on the 524,289 folded points of 4^1 .. 4^8; in
+    # passes of at most _PASS_ROWS = 8 rows a worker holds 8 accumulators, prod and two
+    # scratch arrays, 256 KB each, at a time: 3.4 MB in all here
     monkeypatch.setenv("MOMSAND_THREADS", "1")
     seq = POWERS_OF_4[8]
     corollary_ratio_scan(seq, 2.0, draws=1, reps=1000, src=src(24))  # lazy imports and caches
+    calls = []
+    real = rz.riesz_lp_norms
+    def counting(seq_, rows, *args):
+        calls.append(len(rows))
+        return real(seq_, rows, *args)
+
+    monkeypatch.setattr(rz, "riesz_lp_norms", counting)
     tracemalloc.start()
     try:
         scan = corollary_ratio_scan(seq, 2.0, draws=16, reps=1000, src=src(24))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2_500_000  # 1.6 MB; one pass of all 17 rows holds 19 such arrays: 5.6 MB
+    assert calls == [rz._PASS_ROWS, rz._PASS_ROWS, 1] + [1] * 8
+    # one pass of all 17 rows holds 19 such arrays: 5.6 MB
+    assert peak < (rz._PASS_ROWS + 3) * 8 * rz._BLOCK + 1_000_000
     last = scan["reports"][-1]
     assert last["torus"] == riesz_lp_norm(comb(last["coefficients"], seq), 2.0)
     assert last["per_term"][8]["torus"] == riesz_lp_norm(comb((0.0,) * 8 + (1.0,), seq), 2.0).value
@@ -390,3 +401,26 @@ def test_repeating_rows_line_up_with_every_block():
     value, error = _unfolded(target, 3.0, out.points)
     assert out.value == pytest.approx(value, rel=1e-12, abs=0.0)
     assert abs(out.error_estimate - error) <= 1e-11 * value
+
+
+@pytest.mark.parametrize("p, coeffs", [(4.0, (1.0, -0.5, 0.75, -1.25, 0.5)),
+                                       (3.0, (1.0, 0.5, 0.75, 1.25, 0.0))])
+def test_probabilistic_side_is_exact_where_the_power_is_a_polynomial(p, coeffs):
+    exact = rz._probabilistic_side(comb(coeffs), p, 1000, src(3))
+    assert exact.exact and exact.std_error == 0.0
+    est = mc.estimate_lhs(dc.riesz_factor(), mc.coefficient_set(coeffs), p, 200_000, src(4))
+    assert not est.exact
+    assert abs(est.mean - exact.mean) <= 4.0 * est.std_error, (exact.mean, est)
+    negated = rz._probabilistic_side(comb([-a for a in coeffs]), p, 1000, src(3))
+    assert negated == exact  # |E S^p| of -S, whose coefficients share one sign too
+
+
+def test_probabilistic_side_samples_where_the_power_is_no_polynomial():
+    mixed = (1.0, -0.5, 0.75, -1.25, 0.5)
+    for p in (2.5, 3.0, 5.0, 18.0):
+        assert not rz._probabilistic_side(comb(mixed), p, 1000, src(3)).exact, p
+    assert not rz._probabilistic_side(comb((1.0, 0.5, 2.0)), 17.0, 1000, src(3)).exact
+    assert rz._probabilistic_side(comb(mixed), 16.0, 1000, src(3)).exact
+    # E(1e100 (1 + R_1))^3 = 1e300 E(2 + cos U)^3 = 1.1e301, where sampling's SE overflows
+    big = rz._probabilistic_side(comb((1e100, 1e100)), 3.0, 1000, src(3))
+    assert big.exact and big.mean == pytest.approx(1.1e301, rel=1e-14)

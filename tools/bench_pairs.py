@@ -12,8 +12,9 @@ so each side runs its own bench/ and src/.  T is `run_seconds` from the
 change's BENCHMARK.json, the run length the benchmark sets.  For seed k the
 parent runs first when k is odd and the change first when k is even.  Per
 workload, OUT.json gives each side's median and quartiles of every
-end-to-end metric, every run's values and failed count, and the number of
-pairs the change won.
+end-to-end metric, every run's values and failed count, and a verdict per
+metric, judged by the metric's `better` and `bound` in BENCHMARK.json
+(`verdict` below).
 The --one-cpu workloads run a second set of pairs with the child pinned to
 one CPU: the pool's default is then one worker, which is the
 MOMSAND_THREADS=1 path, as run.py unsets MOMSAND_THREADS in its timed pass.
@@ -71,8 +72,41 @@ def _summary(rows: list[dict], names: list[str]) -> dict:
     return out
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """The change against the parent on one metric, from runs paired by index.
+
+    wins counts the pairs the change won, ties counting for neither side.  gain:
+    at least 9 in 10 pairs won and a median gap wider than the parent's quartile
+    spread.  regressed: the change's median worse than the parent's by more than
+    bound, a fraction of the parent's median.  unresolved: the parent's spread
+    wider than that bound, unless every change run beats every parent run.
+    """
+    if better not in ("lower", "higher"):
+        raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
+    if len(parent) != len(change) or len(parent) < 2:
+        raise ValueError("need two or more pairs of runs")
+    sign = 1.0 if better == "lower" else -1.0  # sign * (change - parent) < 0: the change won
+    wins = sum(sign * (c - p) < 0.0 for p, c in zip(parent, change))
+    q1, parent_median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    change_median = statistics.median(change)
+    spread = q3 - q1
+    gap = sign * (parent_median - change_median)  # positive where the change is better
+    allowed = bound * abs(parent_median)
+    beats_all = max(sign * c for c in change) < min(sign * p for p in parent)
+    return {
+        "change_wins": wins,
+        "pairs": len(parent),
+        "parent_median": parent_median,
+        "change_median": change_median,
+        "parent_spread": spread,
+        "gain": 10 * wins >= 9 * len(parent) and gap > spread,
+        "regressed": -gap > allowed,
+        "unresolved": spread > allowed and not beats_all,
+    }
+
+
 def _pairs(dirs: dict, workload: str, seeds: list[int], seconds: float, one_cpu: bool,
-           names: list[str]) -> dict:
+           metrics: list[dict]) -> dict:
     rows = {"parent": [], "change": []}
     for seed in seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
@@ -80,10 +114,12 @@ def _pairs(dirs: dict, workload: str, seeds: list[int], seconds: float, one_cpu:
             rows[side].append(_run(dirs[side], workload, seed, seconds, one_cpu))
             print(f"{workload} seed {seed} {side}{' one-cpu' if one_cpu else ''}: "
                   f"{rows[side][-1]}", file=sys.stderr)
-    wins = {name: sum(c[name] < p[name] for p, c in zip(rows["parent"], rows["change"]))
-            for name in names}
+    names = [m["name"] for m in metrics]
+    verdicts = {m["name"]: verdict([row[m["name"]] for row in rows["parent"]],
+                                   [row[m["name"]] for row in rows["change"]],
+                                   m["better"], m["bound"]) for m in metrics}
     return {"seeds": seeds, "pairs": len(seeds), "parent": _summary(rows["parent"], names),
-            "change": _summary(rows["change"], names), "change_lower_pairs": wins}
+            "change": _summary(rows["change"], names), "verdict": verdicts}
 
 
 def _seed_range(text: str) -> list[int]:
@@ -105,7 +141,7 @@ def main(argv=None) -> int:
     commits = {side: _git("rev-parse", getattr(args, side)).decode().strip()
                for side in ("parent", "change")}
     declared = json.loads(_git("show", f"{commits['change']}:BENCHMARK.json"))
-    names = [m["name"] for m in declared["end_to_end"]]
+    metrics = declared["end_to_end"]
     seconds = declared["run_seconds"]
     with tempfile.TemporaryDirectory() as tmp:
         dirs = {side: os.path.join(tmp, side) for side in commits}
@@ -114,10 +150,10 @@ def main(argv=None) -> int:
         workloads = {}
         for workload in args.workload or WORKLOADS:
             workloads[workload] = {
-                "default": _pairs(dirs, workload, args.seeds, seconds, False, names)}
+                "default": _pairs(dirs, workload, args.seeds, seconds, False, metrics)}
             if workload in args.one_cpu:
                 workloads[workload]["one_cpu"] = _pairs(
-                    dirs, workload, args.seeds, seconds, True, names)
+                    dirs, workload, args.seeds, seconds, True, metrics)
     report = {
         "argv": f"python3 {RUN}",
         "one_cpu": "the run's process pinned to one CPU, so the pool's default is one worker",
