@@ -11,16 +11,11 @@ the perpetuity's step i is (X_i, B_i) under the coupling PairSpec declares.
 E||acc||^p is computed by one of three backends:
 
   * _sample_paths, seeded Monte Carlo: reps are cut into fixed blocks of
-    4096 paths, and block j draws from RandomSource.generator(block=j).  A
-    worker steps a group of consecutive blocks together, one ufunc call per
-    step over all their paths, and writes their values into the group's
-    slice of one preallocated array, which numpy's pairwise sums reduce.
-    Each block still draws from its own key into its own part of the
-    group's buffers, and a group holds about one block's float draws: a
-    sandwich's task steps one block, a perpetuity's n / (1 + d) blocks.
+    4096 paths, one pool task each, and block j draws from
+    RandomSource.generator(block=j) into its own paths.  Its values go into
+    its slice of one preallocated array, which numpy's pairwise sums reduce.
     Kernels are elementwise, so no BLAS threading reorders a sum, and a
-    report depends on (seed, stream, reps), never on the worker count or
-    the grouping.
+    report depends on (seed, stream, reps), never on the worker count.
   * _walk, exact enumeration of finite per-step atoms (x, b, prob),
     lexicographic with step 1 most significant.  The last steps, at most
     1e5 paths of them (or the last step alone, if it is wider), are walked
@@ -69,7 +64,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dist_core as dc
-from ._pool import concurrency, map_indexed, worker_count
+from ._pool import concurrency, map_indexed
 from .assumptions import NORM_KINDS, LargePCertificate, PairSpec, check_normalized
 from .constants import LARGE_P, SMALL_P, ConstantBundle, dependent_upper_constant
 from .errors import EnumerationTooLargeError, NonfiniteMomentError, UsageError
@@ -251,29 +246,22 @@ def _check_run(p: float, reps: int) -> None:
 # the sampling and enumeration backends of the step model
 
 
-def _sample_paths(group_steps, group_cap: int, tail, dim: int, norm: str, p: float, reps: int,
+def _sample_paths(block_steps, tail, dim: int, norm: str, p: float, reps: int,
                   src: dc.RandomSource, csv_path: str | None) -> EstimateWithCI:
     """Monte Carlo backend: mean of ||acc||^p over reps independent paths.
 
-    reps are cut into blocks of CHUNK paths, and block j draws from
-    src.generator(block=j).  One pool task runs a group of G consecutive
-    blocks together, G = min(ceil(blocks / workers), group_cap), where
-    group_cap is the most blocks whose draw buffers fit in CHUNK * n * 8
-    bytes, one block's float draws, and each step is one ufunc call over all
-    the group's paths.  group_steps(gens, sizes, scratch) gets the group's
-    generators and path counts and yields its steps (x, b) in order: x runs
-    over the blocks' paths in block order and b is (d, 1) or (d, paths).
+    reps are cut into blocks of CHUNK paths, one pool task each, and block j
+    draws from src.generator(block=j).  block_steps(gen, m, scratch) gets
+    the block's generator and path count and yields its steps (x, b) in
+    order: x holds the m paths' factors and b is (d, 1) or (d, m).
     scratch(shape) is the calling worker's float buffer, allocated on its
     first request and reused by the later ones, which it reallocates only
     when a request outgrows it.  tail, when given, adds r * tail after the
-    last step.  acc is held as (d, paths), see the module docstring, and
-    each group writes its paths' values, in block order, into its slice of
-    one preallocated array.
+    last step.  acc is held as (d, m), see the module docstring, and each
+    block writes its values into its slice of one preallocated array.
     """
     values = np.empty(reps)
     local = threading.local()
-    blocks = -(-reps // CHUNK)
-    group = max(1, min(-(-blocks // worker_count()), group_cap))
 
     def scratch(shape) -> np.ndarray:
         buf = getattr(local, "buf", None)
@@ -281,12 +269,11 @@ def _sample_paths(group_steps, group_cap: int, tail, dim: int, norm: str, p: flo
             buf = local.buf = np.empty(shape)
         return buf[:shape[0], :shape[1]]
 
-    def run(first: int) -> None:
-        ids = range(first, min(first + group, blocks))
-        sizes = [min(CHUNK, reps - j * CHUNK) for j in ids]
-        lo, m = first * CHUNK, sum(sizes)
-        # a sandwich draws its group here, before the step temporaries exist
-        steps = group_steps([src.generator(block=j) for j in ids], sizes, scratch)
+    def run(j: int) -> None:
+        lo = j * CHUNK
+        m = min(CHUNK, reps - lo)
+        # a sandwich draws its block here, before the step temporaries exist
+        steps = block_steps(src.generator(block=j), m, scratch)
         r = np.ones(m)
         acc = np.zeros((dim, m))
         tmp = np.empty((dim, m))
@@ -298,7 +285,7 @@ def _sample_paths(group_steps, group_cap: int, tail, dim: int, norm: str, p: flo
                 acc += np.multiply(tail[:, None], r, out=tmp)
             np.power(holder_norm(acc.T, norm), p, out=values[lo:lo + m])
 
-    map_indexed(run, range(0, blocks, group))
+    map_indexed(run, range(-(-reps // CHUNK)))
     if csv_path is not None:  # before _stats overwrites values
         with open(csv_path, "w") as fh:
             fh.write("rep,value\n")
@@ -498,14 +485,11 @@ def estimate_lhs(
         return _exact(_lone_term(coeffs, p), 0, src.seed)
     n, vmat = coeffs.n, coeffs.matrix()
 
-    def group_steps(gens, sizes, scratch):
-        # float draws fill the budget: one block, path-major
-        (gen,), (m,) = gens, sizes
-        draws = dc.sample(spec, (m, n), gen, out=scratch((m, n)))
+    def block_steps(gen, m, scratch):
+        draws = dc.sample(spec, (m, n), gen, out=scratch((m, n)))  # path-major
         return zip(draws.T, vmat[:-1, :, None])
 
-    return _sample_paths(group_steps, 1, vmat[-1], coeffs.dim, coeffs.norm, p, reps, src,
-                         csv_path)
+    return _sample_paths(block_steps, vmat[-1], coeffs.dim, coeffs.norm, p, reps, src, csv_path)
 
 
 def _sandwich_walk(spec: dc.DistributionSpec, coeffs: CoefficientSet, p: float) -> _Walk | None:
@@ -547,13 +531,6 @@ def _sandwich_choice(spec, coeffs: CoefficientSet, p: float,
     no_moments = "n = 0: the one outcome ||v_0||^p" if coeffs.n == 0 else _no_moments(p, coeffs.dim)
     return choose_engine(None if support is None else len(support[0]), coeffs.n, no_moments,
                          sample)
-
-
-def _sampled_lhs(spec, coeffs: CoefficientSet, p: float, reps: int, src) -> EstimateWithCI:
-    """E||sum v_i R_i||^p enumerated within the cap and sampled past it."""
-    if _sandwich_choice(spec, coeffs, p, sample=True)[0] == "enumerate":
-        return brute_force_lhs(spec, coeffs, p)
-    return estimate_lhs(spec, coeffs, p, reps, src)
 
 
 def rhs_sum(spec, coeffs: CoefficientSet, p: float) -> float:
@@ -735,26 +712,19 @@ def perpetuity_lhs(
 
     comonotone = pair.coupling == "comonotone-scalar"
 
-    def group_steps(gens, sizes, scratch):
-        m = sum(sizes)
+    def block_steps(gen, m, scratch):
         x, b = np.empty(m), np.empty((pair.dim, m))
         for _ in range(n):
-            lo = 0
-            for gen, size in zip(gens, sizes):
-                if comonotone:  # one shared uniform, mapped through both quantiles below
-                    gen.random(out=x[lo:lo + size])
-                else:  # X, then each B column
-                    for law, row in zip((pair.x_spec, *pair.b_specs), (x, *b)):
-                        dc.sample(law, size, gen, out=row[lo:lo + size])
-                lo += size
-            if comonotone:
+            if comonotone:  # one shared uniform, mapped through both quantiles
+                gen.random(out=x)
                 dc.quantile(pair.b_specs[0], x, out=b[0])
                 dc.quantile(pair.x_spec, x, out=x)
+            else:  # X, then each B column
+                for law, row in zip((pair.x_spec, *pair.b_specs), (x, *b)):
+                    dc.sample(law, m, gen, out=row)
             yield x, b
 
-    # a step's draws take 1 + d floats per path, and one block's float draws n
-    return _sample_paths(group_steps, n // (1 + pair.dim), None, pair.dim, pair.norm, p, reps,
-                         src, None)
+    return _sample_paths(block_steps, None, pair.dim, pair.norm, p, reps, src, None)
 
 
 def _pair_width(pair: PairSpec) -> int | None:

@@ -71,7 +71,7 @@ from .errors import (
     NotLacunaryError,
     TooFewPointsError,
 )
-from .montecarlo import MAX_MOMENT_ORDER, EstimateWithCI, _exact, _sampled_lhs, coefficient_set
+from .montecarlo import MAX_MOMENT_ORDER, EstimateWithCI, _exact, coefficient_set, estimate_lhs
 
 MAX_TERM = 2**20
 MIN_POINTS = 4096
@@ -293,7 +293,7 @@ def _probabilistic_side(
 
         (moments,) = sandwich_moments(spec, [coeffs], int(p))
         return _exact(abs(float(moments.coords[0, int(p)])), 0)
-    return _sampled_lhs(spec, coeffs, p, reps, src)
+    return estimate_lhs(spec, coeffs, p, reps, src)
 
 
 def _corollary_reports(combs, p, reps, srcs, quad_points) -> list[dict]:

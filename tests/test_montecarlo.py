@@ -170,10 +170,9 @@ def test_serial_uniform_draws_reuse_one_block_buffer(monkeypatch):
     assert peak < 1.5 * mc.CHUNK * n * 8
 
 
-def test_serial_dyadic_groups_stay_within_one_block_of_float_draws(monkeypatch):
-    # 16 blocks at one thread form full groups: the group's one-byte indices,
-    # the draw moved into them and the step temporaries stay within the bound
-    # that one block of float draws set at one block per task
+def test_serial_sign_draws_stay_within_one_block_of_float_draws(monkeypatch):
+    # 16 blocks at one thread, one per task: a sign law's draws, taken as
+    # floats, and the step temporaries stay within one block of float draws
     monkeypatch.setenv("MOMSAND_THREADS", "1")
     n = 100
     coeffs = mc.coefficient_set([1.0] * (n + 1))
@@ -189,8 +188,7 @@ def test_serial_dyadic_groups_stay_within_one_block_of_float_draws(monkeypatch):
 
 
 def test_serial_dyadic_float_loop_stays_within_one_block_of_float_draws(monkeypatch):
-    # the twin of the test above for a dyadic law that is no sign law, so it
-    # takes the float loop, whose task steps one block of float draws
+    # the twin of the test above for a dyadic law that is no sign law
     monkeypatch.setenv("MOMSAND_THREADS", "1")
     n = 100
     coeffs = mc.coefficient_set([1.0] * (n + 1))
@@ -204,8 +202,8 @@ def test_serial_dyadic_float_loop_stays_within_one_block_of_float_draws(monkeypa
     assert peak < 1.5 * mc.CHUNK * n * 8
 
 
-# 11 full blocks and a short one; the float loop steps one block per task
-GROUPED_REPS = 11 * mc.CHUNK + 5
+# 11 full blocks and a short one, one pool task each
+BLOCK_REPS = 11 * mc.CHUNK + 5
 
 
 def _reference_values(reps, src_, block_steps, dim, tail, norm, p):
@@ -233,10 +231,10 @@ def _reference_values(reps, src_, block_steps, dim, tail, norm, p):
     # signs with coefficients in {0, 1}: every value the float loop holds is an integer
     (dc.two_point(-1.0, 1.0, 0.375), [[1.0], [0.0], [1.0], [1.0], [0.0], [1.0], [1.0], [1.0]]),
 ], ids=["rademacher", "dyadic_k3", "twopoint_pa03", "uniform_dim3", "signs_k3"])
-def test_grouped_blocks_match_the_per_block_reference(monkeypatch, tmp_path, spec, vectors):
+def test_sampled_blocks_match_the_per_block_reference(monkeypatch, tmp_path, spec, vectors):
     coeffs = mc.CoefficientSet(tuple(map(tuple, vectors)), "l2")
     vmat = coeffs.matrix()
-    p, reps = 2.5, GROUPED_REPS
+    p, reps = 2.5, BLOCK_REPS
 
     def block_steps(m, gen):
         draws = dc.sample(spec, (m, coeffs.n), gen)
@@ -250,6 +248,26 @@ def test_grouped_blocks_match_the_per_block_reference(monkeypatch, tmp_path, spe
         got = np.array([float(line.split(",")[1]) for line in path.read_text().split()[1:]])
         assert np.array_equal(got, expect)
         assert est == mc._stats(expect.copy(), reps, 21)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_each_block_is_one_pool_task(monkeypatch, threads):
+    # the sandwich and the perpetuity map the block indices, whatever the
+    # worker count or the number of steps
+    monkeypatch.setenv("MOMSAND_THREADS", threads)
+    mapped, loop = [], mc.map_indexed
+
+    def spy(fn, items):
+        items = list(items)
+        mapped.append(items)
+        return loop(fn, items)
+
+    monkeypatch.setattr(mc, "map_indexed", spy)
+    law = dc.uniform(0.0, 2.0)
+    mc.estimate_lhs(law, mc.coefficient_set([1.0, 0.5, -0.25]), 2.5, BLOCK_REPS, src(3))
+    pair = PairSpec(x_spec=law, b_specs=(dc.exponential(1.0),))
+    mc.perpetuity_lhs(pair, 30, 2.0, BLOCK_REPS, src(3))
+    assert mapped == [list(range(12))] * 2
 
 
 def test_scale_equivariance():

@@ -117,10 +117,10 @@ def test_perpetuity_determinism_and_threads(monkeypatch):
     # comonotone with a dyadic B: the shared uniform, never B's random bits
     PairSpec(x_spec=X_P2, b_specs=(B_SPEC,), coupling="comonotone-scalar"),
 ], ids=["independent_mixed_b", "independent_dyadic_x", "comonotone", "comonotone_dyadic"])
-def test_grouped_blocks_match_the_per_block_reference(monkeypatch, pair):
-    # 11 full blocks and a short one; at n = 30 the groups split them unevenly
-    # at 1, 2 and 3 workers.  The reference steps each block alone: block j
-    # draws every step's (X, B) from its own generator, in order
+def test_sampled_blocks_match_the_per_block_reference(monkeypatch, pair):
+    # 11 full blocks and a short one, one pool task each, which 2 and 3
+    # workers share out unevenly.  The reference steps each block alone:
+    # block j draws every step's (X, B) from its own generator, in order
     n, p, reps = 30, 2.0, 11 * mc.CHUNK + 5
     values = []
     for j, start in enumerate(range(0, reps, mc.CHUNK)):
