@@ -118,9 +118,9 @@ def test_perpetuity_determinism_and_threads(monkeypatch):
     PairSpec(x_spec=X_P2, b_specs=(B_SPEC,), coupling="comonotone-scalar"),
 ], ids=["independent_mixed_b", "independent_dyadic_x", "comonotone", "comonotone_dyadic"])
 def test_sampled_blocks_match_the_per_block_reference(monkeypatch, pair):
-    # 11 full blocks and a short one, one pool task each, which 2 and 3
-    # workers share out unevenly.  The reference steps each block alone:
-    # block j draws every step's (X, B) from its own generator, in order
+    # 11 full blocks and a short one, one pool task each, at 1, 2 and 3
+    # workers.  The reference steps each block alone: block j draws every
+    # step's (X, B) from its own generator, in order
     n, p, reps = 30, 2.0, 11 * mc.CHUNK + 5
     values = []
     for j, start in enumerate(range(0, reps, mc.CHUNK)):
