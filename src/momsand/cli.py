@@ -101,8 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--grid-a", dest="grid_a")
     sp.add_argument("--grid-q", dest="grid_q")
-    sp.add_argument("--csv", help="dump per-replication samples of the first draw, which "
-                    "is then sampled past the enumeration cap instead of enclosed by moments")
+    sp.add_argument("--csv", help="sample every coefficient set past the enumeration cap "
+                    "instead of enclosing it by moments, and dump the first set's "
+                    "per-replication samples")
     sp.set_defaults(reps=50_000, seed=0, norm="l2")
 
     sp = sub.add_parser("riesz", help="torus norms vs the probabilistic model")

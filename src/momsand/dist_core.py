@@ -22,11 +22,8 @@ specs the module provides
 Sampling is counter-based: a RandomSource is a (seed, stream_id) pair and
 every draw is a deterministic function of it, so identical sources reproduce
 bitwise-identical paths no matter how work is scheduled.  quantile is the
-inverse CDF of every family, so one shared uniform couples two specs
-comonotonically.  sample pushes one uniform per draw through it, except for
-a dyadic finite law, whose probabilities are all multiples of 2^-k for some
-k <= DYADIC_MAX_BITS: it reads k random bits per draw and looks the value up
-in a table of 2^k quantiles (Knuth and Yao, 1976).
+inverse CDF of every family, and a draw of any law is the quantile of its
+uniform, so one shared uniform couples any two specs comonotonically.
 
 Text form: specs parse from "family:key=value,..." strings, for example
 "twopoint:a=0.5,b=1.5,pa=0.5", "uniform:lo=0,hi=2", "riesz",
@@ -41,7 +38,6 @@ any work on the other laws never load it.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -78,8 +74,6 @@ FAMILIES = (
 _PROB_SUM_TOL = 1e-9
 # draws per chunk of a finite law's gather: a 256 KB index array at most
 GATHER_CHUNK = 2**15
-# a finite law reads k random bits per draw when k <= this makes it dyadic
-DYADIC_MAX_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -465,57 +459,29 @@ def _gather_atoms(support, u: np.ndarray, out: np.ndarray) -> None:
 
 
 def sample(spec: DistributionSpec, size, gen: np.random.Generator, out=None) -> np.ndarray:
-    """Draw samples from gen: k random bits per draw for a dyadic finite law,
-    one uniform per draw pushed through the quantile map for every other law.
+    """Draw samples from gen: one uniform per draw, mapped through quantile,
+    for every law.  A draw is the quantile of its uniform, so one shared
+    uniform couples any two specs.
 
-    A finite law is dyadic when every probability times 2^k is an integer
-    for some k in 1..DYADIC_MAX_BITS; the least such k is used.  Its draws
-    take ceil(size k / 64) words of gen.bit_generator.random_raw, spread
-    into size k bits by np.unpackbits.  Each group of k bits, first bit
-    most significant, is an index j into the table of the quantiles at the
-    midpoints (j + 1/2) / 2^k.  No midpoint is a cut point of the law, so
-    each atom fills exactly prob 2^k slots and the draw is exact.  The bits
-    are read in chunks of GATHER_CHUNK draws, each a whole number of words,
-    so they are the bits of one call over all the draws.
-
-    With out, a C-contiguous float array of shape size, the draws are
-    written into it (the uniforms too, which are mapped in place), so a
-    caller that reuses out allocates nothing of its size per draw.
+    With out, a C-contiguous float array of shape size, the uniforms are
+    drawn into it and mapped in place, so a caller that reuses out allocates
+    nothing of its size per draw.
     """
-    table = dyadic_table(spec)
-    if table is None:
-        u = gen.random(size) if out is None else gen.random(out=out)
-        return quantile(spec, u, out=u)
-    if out is not None and not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous array")
-    bits_per_draw = table.size.bit_length() - 1
-    if out is None:
-        out = np.empty(size)
-    flat = out.reshape(-1)
-    for start in range(0, flat.size, GATHER_CHUNK):
-        chunk = flat[start:start + GATHER_CHUNK]
-        count = chunk.size * bits_per_draw
-        words = np.asarray(gen.bit_generator.random_raw(-(-count // 64)), dtype="<u8")
-        bits = np.unpackbits(words.view(np.uint8), count=count).reshape(-1, bits_per_draw)
-        idx = bits[:, 0].copy()
-        for j in range(1, bits_per_draw):
-            idx <<= 1
-            idx |= bits[:, j]
-        np.take(table, idx, out=chunk, mode="clip")
-    return out
+    u = gen.random(size) if out is None else gen.random(out=out)
+    return quantile(spec, u, out=u)
 
 
-@functools.lru_cache(maxsize=64)
-def dyadic_table(spec: DistributionSpec):
-    """The 2^k midpoint quantiles of a dyadic finite law (see sample), else None."""
-    support = finite_support(spec)
-    if support is None:
-        return None
-    for k in range(1, DYADIC_MAX_BITS + 1):
-        if all(float(pr * 2**k).is_integer() for pr in support[1]):
-            table = quantile(spec, (np.arange(2**k) + 0.5) / 2**k)
-            table.flags.writeable = False
-            return table
+def quantile_poly(spec: DistributionSpec):
+    """spec's quantile at U as a polynomial {(t, k): coefficient} in U and
+    L = -log(1 - U), for uniform and exponential laws and positive scalings of
+    them; None for any other law."""
+    if spec.family == SCALED and spec.scale > 0.0:
+        base = quantile_poly(spec.base)
+        return None if base is None else {key: spec.scale * c for key, c in base.items()}
+    if spec.family == UNIFORM:
+        return {(0, 0): spec.lo, (1, 0): spec.hi - spec.lo}
+    if spec.family == EXPONENTIAL:
+        return {(0, 1): 1.0 / spec.rate}
     return None
 
 

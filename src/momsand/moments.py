@@ -190,20 +190,6 @@ def _sandwich_block(law: np.ndarray, vecs: np.ndarray, order: int, norm4: bool):
     return [((mom[0, s], mom[1, s]), q[s]) for s in range(count)]
 
 
-def _u_poly(spec: dc.DistributionSpec):
-    """spec's quantile at U as a polynomial {(t, k): coefficient} in U and
-    L = -log(1 - U), for uniform and exponential laws and positive scalings of
-    them; None for any other law."""
-    if spec.family == dc.SCALED and spec.scale > 0.0:
-        base = _u_poly(spec.base)
-        return None if base is None else {key: spec.scale * c for key, c in base.items()}
-    if spec.family == dc.UNIFORM:
-        return {(0, 0): spec.lo, (1, 0): spec.hi - spec.lo}
-    if spec.family == dc.EXPONENTIAL:
-        return {(0, 1): 1.0 / spec.rate}
-    return None
-
-
 def _u_moment(t: int, k: int) -> tuple[float, float]:
     """E[U^t L^k] = sum_i C(t, i) (-1)^i k! / (i + 1)^(k + 1) and the sum of its terms'
     magnitudes (substitute W = 1 - U: E[W^i (-log W)^k] = k! / (i + 1)^(k + 1))."""
@@ -241,8 +227,8 @@ def _comonotone_moments(pair: PairSpec, order: int) -> tuple[np.ndarray, float]:
         out[0] = np.einsum("k,kj,km->jm", widths, bp, xp)
         out[1] = np.einsum("k,kj,km->jm", widths, np.abs(bp), np.abs(xp))
         return out, 8.0 + len(widths)
-    x_pows = _poly_powers(_u_poly(pair.x_spec), order)
-    b_pows = _poly_powers(_u_poly(pair.b_specs[0]), order)
+    x_pows = _poly_powers(dc.quantile_poly(pair.x_spec), order)
+    b_pows = _poly_powers(dc.quantile_poly(pair.b_specs[0]), order)
     for j in range(k1):
         for m in range(k1 - j):
             for (t, k), (c, w) in b_pows[j].items():

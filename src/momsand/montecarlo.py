@@ -409,10 +409,13 @@ def choose_engine(width: int | None, steps: int, no_moments: str | None = None,
     """The engine choice, (engine, reason), for steps steps of width atoms each (None:
     a law that is not finitely supported).
 
-    Within ENUM_CAP outcomes it enumerates.  Past the cap it takes the moment
-    backend, or samples when sample is set or no_moments says why the moment
-    backend does not apply.  Neither engine has run when it is called.
+    Within ENUM_CAP outcomes it enumerates; zero steps are one outcome whatever
+    the law.  Past the cap it takes the moment backend, or samples when sample
+    is set or no_moments says why the moment backend does not apply.  Neither
+    engine has run when it is called.
     """
+    if width is None and steps == 0:
+        return "enumerate", f"0 steps = 1 outcome <= cap {ENUM_CAP:,}"
     total = math.inf if width is None else width**steps
     if total <= ENUM_CAP:
         return "enumerate", f"{width}^{steps} = {total:,} outcomes <= cap {ENUM_CAP:,}"
@@ -444,14 +447,6 @@ def moment_order(p: float) -> int:
     return max(4, 2 * math.ceil(p / 2.0))
 
 
-def _closed_form_quantile(spec: dc.DistributionSpec) -> bool:
-    """Whether spec is uniform or exponential, or a positive scaling of one: the laws whose
-    comonotone joint moments the moment backend has in closed form."""
-    if spec.family == dc.SCALED:
-        return spec.scale > 0.0 and _closed_form_quantile(spec.base)
-    return spec.family in (dc.UNIFORM, dc.EXPONENTIAL)
-
-
 def _no_moments(p: float, dim: int, pair: PairSpec | None = None) -> str | None:
     """Why the moment backend cannot enclose E||S||^p in dimension dim (of pair's sums,
     when given), or None."""
@@ -461,7 +456,7 @@ def _no_moments(p: float, dim: int, pair: PairSpec | None = None) -> str | None:
     if dim > MAX_MOMENT_DIM:
         return f"d = {dim} > {MAX_MOMENT_DIM} for the moment engine's d x d second moments"
     if (pair is not None and pair.coupling != "independent" and _pair_width(pair) is None
-            and not all(map(_closed_form_quantile, (pair.x_spec, *pair.b_specs)))):
+            and any(dc.quantile_poly(spec) is None for spec in (pair.x_spec, *pair.b_specs))):
         return ("the moment engine has joint moments of a comonotone pair only for two "
                 "finite laws, or for uniform and exponential ones")
     return None
@@ -494,12 +489,12 @@ def estimate_lhs(
 
 def _sandwich_walk(spec: dc.DistributionSpec, coeffs: CoefficientSet, p: float) -> _Walk | None:
     """The sandwich's walk; None for n = 0, whose one outcome is _lone_term, computed as
-    rhs_sum computes it, so the ratio is exactly 1."""
+    rhs_sum computes it, so the ratio is exactly 1, whatever the law."""
+    if coeffs.n == 0:
+        return None
     support = dc.finite_support(spec)
     if support is None:
         raise ValueError("enumeration needs a finite-support factor law")
-    if coeffs.n == 0:
-        return None
     svals, sprobs = support
     vmat = coeffs.matrix()
     steps = [(svals, np.tile(v, (len(svals), 1)), sprobs) for v in vmat[:-1]]
@@ -527,10 +522,8 @@ def _sandwich_choice(spec, coeffs: CoefficientSet, p: float,
     """choose_engine for coefficient sets of coeffs' n and d."""
     dc.check_order(p)
     support = dc.finite_support(spec)
-    # a continuous law's n = 0 goes to estimate_lhs, which returns the one outcome exactly
-    no_moments = "n = 0: the one outcome ||v_0||^p" if coeffs.n == 0 else _no_moments(p, coeffs.dim)
-    return choose_engine(None if support is None else len(support[0]), coeffs.n, no_moments,
-                         sample)
+    return choose_engine(None if support is None else len(support[0]), coeffs.n,
+                         _no_moments(p, coeffs.dim), sample)
 
 
 def rhs_sum(spec, coeffs: CoefficientSet, p: float) -> float:
@@ -569,11 +562,11 @@ def run_sandwiches(spec: dc.DistributionSpec, p: float, sets,
     """run_sandwich over sets sharing n and d, each with its source in srcs; the moment
     engine takes them all in one pass.  A csv_path for the first set's sampled values
     has them sampled past the enumeration cap; it is a usage error, raised before any
-    work, when that set is exact: enumerated, or n = 0."""
+    work, when that set is enumerated (within the cap, or n = 0)."""
     if not sets:
         return []
     chosen, reason = _sandwich_choice(spec, sets[0], p, sample=csv_path is not None)
-    if csv_path is not None and (chosen != "montecarlo" or sets[0].n == 0):
+    if csv_path is not None and chosen != "montecarlo":
         raise UsageError(f"--csv {csv_path}: the first set is exact ({reason}), "
                          "so no path is sampled")
     if chosen == "moments":

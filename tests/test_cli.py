@@ -1216,8 +1216,20 @@ def test_csv_samples_past_the_cap_and_refuses_an_exact_first_set(tmp_path, capsy
     # n = 0: the one outcome v_0 of a continuous law
     line = _usage_error_line(capsys, ["verify", "--dist", UNIFORM, "--p", "1.5", "--coeffs", "1.5",
                                       "--csv", str(exact)])
-    assert line.endswith("n = 0: the one outcome ||v_0||^p), so no path is sampled")
+    assert line.endswith("(0 steps = 1 outcome <= cap 10,000,000), so no path is sampled")
     assert not exact.exists()
+
+
+def test_zero_steps_of_a_continuous_law_are_one_exact_outcome(capsys):
+    # n = 0 draws nothing, so --reps below the Monte Carlo floor is no error
+    code, report, _ = run_cli(capsys, ["verify", "--dist", UNIFORM, "--p", "2.5", "--coeffs",
+                                       "1.5", "--reps", "10"])
+    assert code == 0
+    (row,) = report["results"]["reports"]
+    assert row["report"]["engine"] == "enumerate"
+    assert row["report"]["lhs"] == {"exact": True, "mean": 2.7556759606310752,
+                                    "replications": 1, "seed": None, "std_error": 0.0}
+    assert row["report"]["ratio"] == 1.0
 
 
 def test_overflowing_enclosure_is_its_typed_error(capsys):

@@ -245,32 +245,10 @@ SAMPLED_LAWS = {
 }
 
 
-def _dyadic_bits(spec):
-    """The least k <= 8 with every probability a multiple of 2^-k, or None."""
-    support = dc.finite_support(spec)
-    if support is None:
-        return None
-    return next(
-        (k for k in range(1, 9) if all((pr * 2**k).is_integer() for pr in support[1])), None
-    )
-
-
 def _reference_draws(spec, shape, gen):
-    """sample's contract by its letter, in one call over all the draws.
-
-    A dyadic law reads k bits per draw, ceil(draws k / 64) raw words spread
-    by np.unpackbits, and each group of k bits, first bit most significant,
-    picks the quantile at the midpoint (j + 1/2) / 2^k of slot j.  Any other
-    law maps one uniform per draw.
-    """
-    k = _dyadic_bits(spec)
-    if k is None:
-        return _plain_quantile(spec, gen.random(shape))
-    count = math.prod(shape) * k
-    words = gen.bit_generator.random_raw(-(-count // 64))
-    bits = np.unpackbits(words.view(np.uint8), count=count).reshape(-1, k)
-    idx = bits @ (1 << np.arange(k - 1, -1, -1))
-    return _plain_quantile(spec, (idx + 0.5) / 2**k).reshape(shape)
+    """sample's contract by its letter, in one call over all the draws: one uniform
+    per draw, mapped through the quantile."""
+    return _plain_quantile(spec, gen.random(shape))
 
 
 @pytest.mark.parametrize("law", sorted(SAMPLED_LAWS))
@@ -288,15 +266,32 @@ def test_in_place_sampling_matches_fresh_arrays(law):
     aliased = u.copy()
     assert dc.quantile(spec, aliased, out=aliased).tobytes() == want
 
-    # rademacher, eighths and scaled_quarters_negative are dyadic and draw
-    # from bits (past two chunks of draws); every other law, twopoint_pa_0.3
-    # and at_2^-9 among them, from one uniform each
+    # every law, the dyadic ones (rademacher, eighths, scaled_quarters_negative)
+    # among them, draws one uniform each
     src = dc.RandomSource(5, 2)
     drawn = dc.sample(spec, shape, src.generator(block=3))
     assert drawn.tobytes() == _reference_draws(spec, shape, src.generator(block=3)).tobytes()
     into = dc.sample(spec, shape, src.generator(block=3), out=buf[:700])
     assert into.tobytes() == drawn.tobytes()
     assert np.shares_memory(into, buf)
+
+
+@pytest.mark.parametrize("spec, closed", [
+    (dc.uniform(-1.0, 2.0), True),
+    (dc.exponential(2.5), True),
+    (dc.scaled_copy(dc.exponential(2.5), 1.5), True),
+    (dc.scaled_copy(dc.uniform(0.0, 2.0), -1.5), False),
+    (dc.log_normal(0.1, 0.7), False),
+    (dc.riesz_factor(), False),
+    (QUARTERS, False),
+], ids=["uniform", "exponential", "scaled", "scaled_negative", "lognormal", "riesz", "quarters"])
+def test_quantile_poly_is_the_quantile_in_u_and_l(spec, closed):
+    poly = dc.quantile_poly(spec)
+    assert (poly is not None) == closed
+    if closed:
+        u = np.linspace(0.0, 0.99, 100)
+        value = sum(c * u**t * (-np.log1p(-u)) ** k for (t, k), c in poly.items())
+        np.testing.assert_allclose(value, dc.quantile(spec, u), rtol=1e-14, atol=1e-15)
 
 
 def test_quantile_rejects_an_out_it_cannot_fill():
@@ -306,32 +301,16 @@ def test_quantile_rejects_an_out_it_cannot_fill():
             dc.quantile(dc.uniform(0.0, 1.0), u, out=out)
 
 
-DYADIC_LAWS = {
-    "twopoint_half": (dc.two_point(0.5, 1.5, 0.5), 1),
-    "rademacher": (dc.rademacher_sign(), 1),
-    "quarters_unsorted": (QUARTERS, 2),
-    "eighths": (EIGHTHS, 3),
-    "at_2^-8": (dc.finitely_supported([(0.25, 1 / 256), (4.0, 127 / 256), (-0.5, 0.5)]), 8),
-    "scaled_quarters_negative": (dc.scaled_copy(QUARTERS, -1.5), 2),
+FREQUENCY_LAWS = {
+    "twopoint_half": dc.two_point(0.5, 1.5, 0.5),
+    "quarters_unsorted": QUARTERS,
+    "eighths": EIGHTHS,
 }
 
 
-@pytest.mark.parametrize("law", sorted(DYADIC_LAWS))
-def test_dyadic_table_gives_each_atom_its_slots(law):
-    spec, k = DYADIC_LAWS[law]
-    table = dc.dyadic_table(spec)
-    assert table.size == 2**k and _dyadic_bits(spec) == k
-    assert np.all(np.diff(table) >= 0.0)
-    vals, probs = dc.finite_support(spec)
-    for v in np.unique(vals):
-        assert np.count_nonzero(table == v) == math.fsum(probs[vals == v]) * 2**k
-    # the table is cached and read-only
-    assert dc.dyadic_table(spec) is table and not table.flags.writeable
-
-
-@pytest.mark.parametrize("law", ["twopoint_half", "quarters_unsorted", "eighths"])
-def test_dyadic_draw_frequencies(law):
-    spec, _ = DYADIC_LAWS[law]
+@pytest.mark.parametrize("law", sorted(FREQUENCY_LAWS))
+def test_finite_draw_frequencies(law):
+    spec = FREQUENCY_LAWS[law]
     draws = 10**6
     x = dc.sample(spec, draws, dc.RandomSource(17, 3).generator())
     vals, probs = dc.finite_support(spec)
@@ -342,7 +321,7 @@ def test_dyadic_draw_frequencies(law):
         assert abs(np.count_nonzero(x == v) - draws * pr) <= 5.0 * sd
 
 
-@pytest.mark.parametrize("spec", [dc.rademacher_sign(), dc.uniform(0.0, 1.0)], ids=["bits", "uniform"])
+@pytest.mark.parametrize("spec", [dc.rademacher_sign(), dc.uniform(0.0, 1.0)], ids=["rademacher", "uniform"])
 def test_sample_rejects_an_out_it_cannot_fill(spec):
     with pytest.raises(ValueError, match="contiguous"):
         dc.sample(spec, 10, dc.RandomSource(1).generator(), out=np.empty(20)[::2])

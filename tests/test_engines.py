@@ -391,8 +391,9 @@ def test_past_the_top_dimension_the_sandwich_is_sampled():
 def test_the_sampled_path_reproduces_its_reports(capsys, monkeypatch, sampled, name, argv,
                                                  threads):
     # the first two fixtures are the reports of their argvs before the moment engine
-    # existed, the other three before the sampler lost its one-byte dyadic draws, its
-    # raw perpetuity rows and its quantile comparison ladder
+    # existed, verify_finite_montecarlo before the sampler lost its one-byte dyadic
+    # draws, its raw perpetuity rows and its quantile comparison ladder, and the two
+    # dyadic ones since every law draws one uniform per value
     monkeypatch.setenv("MOMSAND_THREADS", threads)
     assert main(argv) == 0
     out = capsys.readouterr().out

@@ -138,29 +138,14 @@ def test_estimate_thread_count_invariance(monkeypatch):
     assert serial.std_error == threaded.std_error
 
 
-def test_serial_draws_reuse_one_block_buffer(monkeypatch):
+@pytest.mark.parametrize("spec", [dc.rademacher_sign(), dc.two_point(-1.0, 1.0, 0.3)],
+                         ids=["rademacher", "twopoint_pa03"])
+def test_serial_draws_reuse_one_block_buffer(monkeypatch, spec):
     # serial: one (CHUNK, n) draw buffer serves both blocks, and the finite
     # law's gather adds only chunk-sized index arrays on top of it
     monkeypatch.setenv("MOMSAND_THREADS", "1")
     n = 100
     coeffs = mc.coefficient_set([1.0] * (n + 1))
-    tracemalloc.start()
-    try:
-        mc.estimate_lhs(dc.rademacher_sign(), coeffs, 4.0, reps=2 * mc.CHUNK, src=src(4))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * mc.CHUNK * n * 8
-
-
-def test_serial_uniform_draws_reuse_one_block_buffer(monkeypatch):
-    # the twin of the test above on a law that is not dyadic: its draws take
-    # the uniform and the quantile gather, which must stay within the same bound
-    monkeypatch.setenv("MOMSAND_THREADS", "1")
-    n = 100
-    coeffs = mc.coefficient_set([1.0] * (n + 1))
-    spec = dc.two_point(-1.0, 1.0, 0.3)
-    assert dc.dyadic_table(spec) is None
     tracemalloc.start()
     try:
         mc.estimate_lhs(spec, coeffs, 4.0, reps=2 * mc.CHUNK, src=src(4))
@@ -170,32 +155,18 @@ def test_serial_uniform_draws_reuse_one_block_buffer(monkeypatch):
     assert peak < 1.5 * mc.CHUNK * n * 8
 
 
-def test_serial_sign_draws_stay_within_one_block_of_float_draws(monkeypatch):
-    # 16 blocks at one thread, one per task: a sign law's draws, taken as
-    # floats, and the step temporaries stay within one block of float draws
+@pytest.mark.parametrize("spec", [dc.rademacher_sign(), TWO_POINT], ids=["rademacher", "twopoint"])
+def test_serial_draws_stay_within_one_block_of_float_draws(monkeypatch, spec):
+    # 16 blocks at one thread, one per task: the draws and the step temporaries
+    # stay within one block of float draws
     monkeypatch.setenv("MOMSAND_THREADS", "1")
     n = 100
     coeffs = mc.coefficient_set([1.0] * (n + 1))
     # a first small run loads numpy.random's modules, which are no buffer of the run
-    mc.estimate_lhs(dc.rademacher_sign(), coeffs, 4.0, reps=mc.MIN_REPS, src=src(4))
+    mc.estimate_lhs(spec, coeffs, 4.0, reps=mc.MIN_REPS, src=src(4))
     tracemalloc.start()
     try:
-        mc.estimate_lhs(dc.rademacher_sign(), coeffs, 4.0, reps=16 * mc.CHUNK, src=src(4))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * mc.CHUNK * n * 8
-
-
-def test_serial_dyadic_float_loop_stays_within_one_block_of_float_draws(monkeypatch):
-    # the twin of the test above for a dyadic law that is no sign law
-    monkeypatch.setenv("MOMSAND_THREADS", "1")
-    n = 100
-    coeffs = mc.coefficient_set([1.0] * (n + 1))
-    mc.estimate_lhs(TWO_POINT, coeffs, 4.0, reps=mc.MIN_REPS, src=src(4))
-    tracemalloc.start()
-    try:
-        mc.estimate_lhs(TWO_POINT, coeffs, 4.0, reps=16 * mc.CHUNK, src=src(4))
+        mc.estimate_lhs(spec, coeffs, 4.0, reps=16 * mc.CHUNK, src=src(4))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -339,6 +310,18 @@ def test_run_sandwich_single_term_ratio_one():
     report = mc.run_sandwich(TWO_POINT, 1.0, coeffs, constants, reps=1000, src=src())
     assert report.verdict == mc.PASS
     assert report.ratio == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [dc.uniform(0.0, 2.0), dc.log_normal(0.0, 0.5)],
+                         ids=["uniform", "lognormal"])
+def test_zero_steps_are_one_exact_outcome_whatever_the_law(spec):
+    coeffs = mc.coefficient_set([2.0])
+    report = mc.run_sandwich(spec, 2.5, coeffs, (0.5, 2.0, True), reps=10, src=src())
+    assert report.engine == "enumerate"
+    assert report.lhs == mc.brute_force_lhs(spec, coeffs, 2.5)
+    assert report.lhs == mc.EstimateWithCI(mean=2.0**2.5, std_error=0.0, replications=1,
+                                           seed=None, exact=True)
+    assert report.ratio == 1.0 and report.verdict == mc.PASS
 
 
 def test_run_sandwich_nonnegative_p1_is_tight():
@@ -781,9 +764,9 @@ def test_column_norms_into_out_match_fresh_bits(kind, dim):
 # Monte Carlo bits pinned: float.hex of mean and std_error, so a change to the
 # order or kind of any floating-point operation in sampling or in the path
 # kernel shows.  5000 reps give one full block of mc.CHUNK and one partial
-# block.  The Rademacher and two-point (pa 1/2) laws are dyadic: their cases
-# pin the bit-table draw, and every other law the uniform draw.  The continuous laws' values depend on how the NumPy/SciPy build
-# rounds exp, log1p, cos and ndtri; another build may need them re-recorded.
+# block.  Every law draws one uniform per value, mapped through its quantile.
+# The continuous laws' values depend on how the NumPy/SciPy build rounds exp,
+# log1p, cos and ndtri; another build may need them re-recorded.
 
 PIN_REPS = 5000
 PIN_LAWS = {
@@ -834,9 +817,9 @@ PINNED_BITS = {
     "scaled_d1_l2": ("0x1.c1aa7b9777f7dp+2", "0x1.7e249209ce514p+1"),
     "scaled_d3_l2": ("0x1.c636430da3766p+4", "0x1.6595f23e33303p+3"),
     "scaled_d3_sup": ("0x1.e712b9ae05a6fp+3", "0x1.90ae8c9817a55p+2"),
-    "twopoint_d1_l2": ("0x1.a1884bf7607f5p+2", "0x1.585089f97b087p-2"),
-    "twopoint_d3_l2": ("0x1.ef7e46a600bbdp+3", "0x1.6987599e4f28cp-1"),
-    "twopoint_d3_sup": ("0x1.05d8a8a6eba96p+3", "0x1.5b294375d1cfcp-2"),
+    "twopoint_d1_l2": ("0x1.d0b812b259d2cp+2", "0x1.724fa30abfd31p-2"),
+    "twopoint_d3_l2": ("0x1.0d025f102bfe6p+4", "0x1.8225f7c78aedbp-1"),
+    "twopoint_d3_sup": ("0x1.1b9b8ac136ac0p+3", "0x1.73ba74b41cffdp-2"),
     "uniform_d1_l2": ("0x1.6e8e8d2594126p+3", "0x1.b1b46bf98059ap-1"),
     "uniform_d3_l2": ("0x1.ca4ea386996c5p+4", "0x1.dff784c64497bp+0"),
     "uniform_d3_sup": ("0x1.fd405a643051bp+3", "0x1.0dd179df411d9p+0"),

@@ -110,11 +110,11 @@ def test_perpetuity_determinism_and_threads(monkeypatch):
 @pytest.mark.parametrize("pair", [
     # a vector B with a dyadic and a continuous component
     PairSpec(x_spec=dc.uniform(0.0, 2.0), b_specs=(B_SPEC, dc.exponential(1.0))),
-    # a dyadic X, drawn as floats from its table
+    # a dyadic X, drawn like every law from one uniform per value
     PairSpec(x_spec=X_P2, b_specs=(dc.uniform(0.0, 1.0), dc.two_point(0.4, 1.3, 0.3))),
     PairSpec(x_spec=dc.uniform(0.0, 2.0), b_specs=(dc.exponential(1.0),),
              coupling="comonotone-scalar"),
-    # comonotone with a dyadic B: the shared uniform, never B's random bits
+    # comonotone with a dyadic B: X and B read the one shared uniform
     PairSpec(x_spec=X_P2, b_specs=(B_SPEC,), coupling="comonotone-scalar"),
 ], ids=["independent_mixed_b", "independent_dyadic_x", "comonotone", "comonotone_dyadic"])
 def test_sampled_blocks_match_the_per_block_reference(monkeypatch, pair):
