@@ -436,9 +436,18 @@ def quantile(spec: DistributionSpec, u, out=None):
         np.negative(out, out=out)
         out /= spec.rate
     elif spec.family == RIESZ_FACTOR:
-        np.multiply(np.pi, u, out=out)
-        np.cos(out, out=out)
-        np.subtract(1.0, out, out=out)
+        # 1 - cos(pi u) in half-angle form: 2 sin^2(pi w / 2) with w = min(u, 1 - u),
+        # and 2 - 2 sin^2(pi w / 2) above 1/2, so nothing cancels near u = 0 and sin
+        # runs on [0, pi/4] only; w = |u - [u > 1/2]| is exact for every float u
+        upper = u > 0.5  # before out, which may be u, is written
+        np.subtract(u, upper, out=out)
+        np.abs(out, out=out)
+        out *= np.pi / 2.0
+        np.sin(out, out=out)
+        np.square(out, out=out)
+        out -= upper
+        np.abs(out, out=out)
+        out *= 2.0
     else:
         raise AssertionError(f"unhandled family {spec.family}")
     return out

@@ -14,9 +14,17 @@ both sides reduce to sum_{i,j} a_i a_j (3/2)^{min(i,j)}.
 
 L_p norms on the torus are computed by the uniform-grid mean over N points,
 which for periodic integrands is the trapezoid rule and is exact for
-trigonometric polynomials of degree below N.  |.|^p with non-integer p has
-kinks where the combination vanishes; the N vs N/2 Richardson difference is
-reported as the error estimate instead of special-casing roots.
+trigonometric polynomials of degree below N (Trefethen and Weideman 2014).
+Each coefficient row gets its own N.  Where |S|^p, S = sum a_i Rbar_i, is a
+trigonometric polynomial -- p an even integer, or an integer with the row's
+coefficients of one sign, as every Rbar_i >= 0 -- its degree is
+D = p (n_1 + ... + n_k), and N = max(MIN_POINTS, min(64 n_max, N_D)) with
+N_D the least multiple of 2 gcd(n_j) above 2D: the N-point mean and the
+N/2-point error estimate are then both exact, and N never exceeds the
+dense rule's.  Every other row takes the dense N = max(MIN_POINTS, 64 n_max):
+|.|^p has kinks where the combination vanishes, and the N vs N/2 Richardson
+difference is reported as the error estimate instead of special-casing
+roots.  An explicit quad_points must reach the row's N.
 
 The integrand depends on t only through cos(n_j t), so it is even and has
 period 2 pi / g with g = gcd(n_j).  On the grid t_k = 2 pi k / N its values
@@ -30,16 +38,17 @@ is odd, 2k runs over every residue mod M, so the subgrid mean equals the
 N-point mean.  Only about N/(2g) points are evaluated.  Grids stream in fixed
 blocks of _BLOCK = 2^15 points so no full grid is ever stored, and partial
 sums combine in block order regardless of worker count.  A pass serves rows of
-one length: a block forms prod = Rbar_i once, adds a_i prod to one accumulator
-per row as the row alone would, and gives a unit row (0, ..., 0, 1) prod itself.
-It keeps prod, two scratch arrays and the accumulators, 256 KB each, in flight
-per worker, so a corollary pass takes at most _PASS_ROWS = 8 rows: the
-combinations and Rbar_k share passes of 8, and Rbar_0 .. Rbar_{k-1} take one
-pass each.  The 524,289 folded points of 4^1 .. 4^8 make 17 blocks to share
-among workers.  Of 2^13 .. 2^19, 2^15 gave that grid its fastest two-worker
-pass (45 ms, against 100 ms at 2^19, on 2 vCPUs).  The block size sets how
-NumPy's pairwise sums group into the fsum partials, so it is part of the
-reported bits and must not follow the worker count.
+one length and one N: a block forms prod = Rbar_i once, adds a_i prod to one
+accumulator per row as the row alone would, and gives a unit row (0, ..., 0, 1)
+prod itself.  It keeps prod, two scratch arrays and the accumulators, 256 KB
+each, in flight per worker, so a corollary call takes at most _PASS_ROWS = 8
+rows: the combinations and Rbar_k share calls of 8, split into one pass per N,
+and Rbar_0 .. Rbar_{k-1} take one pass each.  The 524,289 folded points of
+4^1 .. 4^8's dense grid make 17 blocks to share among workers.  Of 2^13 .. 2^19,
+2^15 gave that grid its fastest two-worker pass (45 ms, against 100 ms at 2^19,
+on 2 vCPUs).  The block size sets how NumPy's pairwise sums group into the
+fsum partials, so it is part of the reported bits and must not follow the
+worker count.
 
 Factors use exact phases: cos(n_j t_k) depends only on the residue
 (n_j k) mod N, taken in int64 (N <= MAX_POINTS = 2^31 and n_j <= 2^20 keep
@@ -48,8 +57,9 @@ each call tabulates cos and sin of theta_i = 2 pi ((n_j i) mod N) / N (144 KB
 for 9 factors), each row s takes those of A_s = 2 pi ((n_j s) mod N) / N, and
 1 + cos A_s cos theta_i - sin A_s sin theta_i replaces a libm cos per point
 (12-15 ns).  Every argument is below 2 pi, so Rbar_8 on 4^1 .. 4^8 at p = 3
-reads 2.5^8 to 1.5e-16.  _BLOCK is a multiple of _SUB, so rows start at
-multiples of _SUB and a point's value does not depend on the block split.
+reads 2.5^8 to 1.5e-16 on the dense grid and exactly on its own exact-degree
+grid.  _BLOCK is a multiple of _SUB, so rows start at multiples of _SUB and a
+point's value does not depend on the block split.
 Where row s's phase repeats every P_j = N / gcd(n_j _SUB, N) rows and P_j rows
 divide _BLOCK, they are formed once per pass and broadcast over each block.
 """
@@ -71,7 +81,14 @@ from .errors import (
     NotLacunaryError,
     TooFewPointsError,
 )
-from .montecarlo import MAX_MOMENT_ORDER, EstimateWithCI, _exact, coefficient_set, estimate_lhs
+from .montecarlo import (
+    MAX_MOMENT_ORDER,
+    EstimateWithCI,
+    _exact,
+    brute_force_lhs,
+    coefficient_set,
+    estimate_lhs,
+)
 
 MAX_TERM = 2**20
 MIN_POINTS = 4096
@@ -195,18 +212,54 @@ def _combination_values(rows, factors, n_pts: int, lo: int, hi: int) -> list:
     return values
 
 
+def _polynomial(coefficients, p: float) -> bool:
+    """|sum a_i R_i|^p is a polynomial in the sum: p is an even integer, or an integer and
+    the coefficients share one sign, which the sum then keeps, as every R_i >= 0."""
+    one_sign = min(coefficients) >= 0.0 or max(coefficients) <= 0.0
+    return float(p).is_integer() and (p % 2 == 0 or one_sign)
+
+
+def _grid_floor(terms, row, p: float) -> tuple[int, str]:
+    """The fewest grid points row may take, and the rule that sets them.
+
+    A polynomial row's |S|^p is a trigonometric polynomial of degree
+    D = p (n_1 + ... + n_k) in multiples of g = gcd(n_j); N_D, the least
+    multiple of 2g with N_D / 2 > D, makes both the N-point and the N/2-point
+    means exact, and never gives more points than the dense rule.
+    """
+    n_max = terms[-1] if terms else 1
+    dense = POINTS_PER_FREQ * n_max
+    if not (terms and _polynomial(row, p)):
+        floor = max(MIN_POINTS, dense)
+        return floor, f"the dense rule max(4096, 64 * n_max) = {floor}"
+    g = math.gcd(*terms)
+    degree = int(p) * sum(terms)
+    exact = 2 * g * (degree // g + 1)
+    floor = max(MIN_POINTS, min(dense, exact))
+    return floor, (f"the exact-degree rule max(4096, min(64 * n_max, N_D)) = {floor}, "
+                   f"N_D = {exact} the least multiple of 2 gcd(n_j) = {2 * g} "
+                   f"above twice the degree {degree} of |S|^p")
+
+
 def riesz_lp_norms(
     seq: LacunarySequence, rows, p: float, quad_points: int | None = None
 ) -> list[QuadResult]:
     """Uniform-grid means of |sum a_i Rbar_i|^p over the torus, one per coefficient row.
 
-    The rows have one length k + 1 and share Rbar_k's grid and one pass.
-    The N-point grid mean equals the trapezoid rule for periodic functions
-    and integrates trigonometric polynomials of degree < N exactly; the
-    error estimate is the difference against the N/2 subgrid.  Both means
-    come from the values f_k at k = 0 .. floor(M/2), M = N / gcd(g, N),
-    g = gcd(n_j), by the fold (2 sum f_k - f_0 - [M even] f_{M/2}) / M; for
-    odd M the subgrid mean is the N-point mean.  `points` reports N.
+    The rows have one length k + 1.  Each row's grid is N = its floor, or
+    quad_points rounded up to even when that reaches every row's floor.  The
+    floor is max(4096, min(64 n_max, N_D)) where |S|^p is a trigonometric
+    polynomial of degree D (integer p that is even, or whose row's
+    coefficients share one sign), N_D the least multiple of 2 gcd(n_j) above
+    2D, and max(4096, 64 n_max) for every other row.  Rows of one N share
+    Rbar_k's grid and one pass, and a row reads the same bits in a shared
+    pass as alone.  The N-point grid mean equals the trapezoid rule for
+    periodic functions and integrates trigonometric polynomials of degree
+    < N exactly; the error estimate is the difference against the N/2
+    subgrid.  Both means come from the values f_k at k = 0 .. floor(M/2),
+    M = N / gcd(g, N), g = gcd(n_j), by the fold
+    (2 sum f_k - f_0 - [M even] f_{M/2}) / M; for odd M the subgrid mean is
+    the N-point mean.  `points` reports N.
     """
     if not 1.0 <= p < math.inf:  # nan fails every comparison
         raise InvalidOrderError(f"torus norms need a finite p >= 1, got p = {p}")
@@ -214,17 +267,26 @@ def riesz_lp_norms(
     if not rows or len({len(row) for row in rows}) > 1:
         raise ValueError("need one or more coefficient rows, all of one length")
     terms = seq.terms[: len(rows[0]) - 1]
-    n_max = terms[-1] if terms else 1
-    floor = max(MIN_POINTS, POINTS_PER_FREQ * n_max)
-    n_pts = floor if quad_points is None else int(quad_points)
-    if n_pts < floor:
-        raise TooFewPointsError(
-            f"{n_pts} grid points < required max(4096, 64 * n_max) = {floor}"
-        )
-    if n_pts > MAX_POINTS:  # also keeps n_j * k below 2^51 in int64
-        raise GridTooLargeError(f"{n_pts} grid points exceed the cap of 2^31 = {MAX_POINTS}")
-    if n_pts % 2:
-        n_pts += 1
+    passes: dict[int, list[int]] = {}
+    for idx, row in enumerate(rows):
+        floor, rule = _grid_floor(terms, row, p)
+        n_pts = floor if quad_points is None else int(quad_points)
+        if n_pts < floor:
+            raise TooFewPointsError(f"{n_pts} grid points < required {rule}")
+        if n_pts > MAX_POINTS:  # also keeps n_j * k below 2^51 in int64
+            raise GridTooLargeError(
+                f"{n_pts} grid points exceed the cap of 2^31 = {MAX_POINTS}"
+            )
+        passes.setdefault(n_pts + n_pts % 2, []).append(idx)
+    results: list[QuadResult] = [None] * len(rows)
+    for n_pts, idxs in passes.items():
+        for idx, out in zip(idxs, _grid_pass(terms, [rows[i] for i in idxs], p, n_pts)):
+            results[idx] = out
+    return results
+
+
+def _grid_pass(terms, rows, p: float, n_pts: int) -> list[QuadResult]:
+    """One streamed pass of the rows over the even N-point grid of riesz_lp_norms."""
     # math.gcd() of no terms is 0, so a constant folds onto the single point k = 0
     period = n_pts // math.gcd(math.gcd(*terms), n_pts)
     half = period // 2
@@ -283,16 +345,18 @@ def _probabilistic_side(
     Where |S|^p is a polynomial in S, the moment engine's exact |E S^p| is
     reported: at every even integer p <= MAX_MOMENT_ORDER, and at every
     integer p <= MAX_MOMENT_ORDER when the coefficients share one sign, which
-    S then keeps, as every R_i >= 0.  Every other p is sampled.
+    S then keeps, as every R_i >= 0.  Every other p is sampled, but for a lone
+    a_0, whose one outcome |a_0|^p enumeration gives.
     """
     spec = dc.riesz_factor()
     coeffs = coefficient_set(list(comb.coefficients))
-    one_sign = min(comb.coefficients) >= 0.0 or max(comb.coefficients) <= 0.0
-    if float(p).is_integer() and p <= MAX_MOMENT_ORDER and (p % 2 == 0 or one_sign):
+    if p <= MAX_MOMENT_ORDER and _polynomial(comb.coefficients, p):
         from .moments import sandwich_moments
 
         (moments,) = sandwich_moments(spec, [coeffs], int(p))
         return _exact(abs(float(moments.coords[0, int(p)])), 0)
+    if coeffs.n == 0:
+        return brute_force_lhs(spec, coeffs, p)
     return estimate_lhs(spec, coeffs, p, reps, src)
 
 

@@ -1232,6 +1232,17 @@ def test_zero_steps_of_a_continuous_law_are_one_exact_outcome(capsys):
     assert row["report"]["ratio"] == 1.0
 
 
+def test_one_coefficient_riesz_is_one_exact_outcome(capsys):
+    # a lone a_0 draws nothing on the probabilistic side either
+    code, report, _ = run_cli(capsys, ["riesz", "--seq", "4,16", "--p", "2.5", "--coeffs", "1.5",
+                                       "--reps", "10"])
+    assert code == 0
+    check = report["results"]["check"]
+    assert check["probabilistic"] == {"exact": True, "mean": 1.5**2.5, "replications": 1,
+                                      "seed": None, "std_error": 0.0}
+    assert check["ratio"] == 1.0
+
+
 def test_overflowing_enclosure_is_its_typed_error(capsys):
     # sum_i ||v_i||^p fits the float range, but the fourth moments pass it
     coeffs = mc.coefficient_set([1e80, 1e80, 1e80])

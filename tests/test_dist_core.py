@@ -86,6 +86,32 @@ def test_riesz_factor_moment_is_correctly_rounded_at_integer_order():
         assert dc.abs_moment(spec, float(k)) == float(Fraction(math.comb(2 * k, k), 2**k))
 
 
+def test_riesz_quantile_accuracy_vs_mpmath():
+    # 1 - cos(pi u) cancels near u = 0: in floats it reads 0.0 at u = 2^-30 and is off by
+    # 6e15 ulp at 1e-9; the half-angle form is within a few ulp on all of [0, 1)
+    spec = dc.riesz_factor()
+    rng = np.random.default_rng(11)
+    edges = [2.0**-53, 1e-9, 2.0**-30, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53]
+    us = [*edges, *rng.random(2000), *np.exp(rng.uniform(math.log(2.0**-53), 0.0, 2500))]
+    got = dc.quantile(spec, np.array(us))
+    assert dc.quantile(spec, 2.0**-30) > 0.0
+    with mpmath.workdps(80):  # 1 - cos(pi u) loses 32 of them at u = 2^-53
+        worst = max(
+            float(abs(mpmath.mpf(float(g)) - e) / math.ulp(float(e)))
+            for g, e in zip(got, (1 - mpmath.cos(mpmath.pi * mpmath.mpf(float(u))) for u in us))
+        )
+    assert worst <= 4.0
+
+
+def test_riesz_quantile_is_monotone():
+    spec = dc.riesz_factor()
+    u = np.sort(np.random.default_rng(12).random(10**6))
+    assert np.all(np.diff(dc.quantile(spec, u)) >= 0.0)
+    # across the switch to 2 - 2 sin^2 at u = 1/2 and at the ends of [0, 1)
+    edges = np.array([0.0, 2.0**-53, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
+    assert np.all(np.diff(dc.quantile(spec, edges)) > 0.0)
+
+
 @pytest.mark.parametrize("rate", [0.7, 1.0, 2.0])
 def test_exponential_moment_accuracy_vs_mpmath(rate):
     spec = dc.exponential(rate)
@@ -222,7 +248,7 @@ def _plain_quantile(spec, u):
     if spec.family == dc.EXPONENTIAL:
         return -np.log1p(-u) / spec.rate
     assert spec.family == dc.RIESZ_FACTOR
-    return 1.0 - np.cos(np.pi * u)
+    return 2.0 * np.abs(np.sin(np.abs(u - (u > 0.5)) * (np.pi / 2.0)) ** 2 - (u > 0.5))
 
 
 QUARTERS = dc.finitely_supported([(2.0, 0.25), (-1.0, 0.5), (0.5, 0.25)])

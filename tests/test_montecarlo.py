@@ -811,9 +811,9 @@ PINNED_BITS = {
     "lognormal_d3_sup": ("0x1.235a9ccd3c0afp+6", "0x1.8bac5e3a12339p+3"),
     "perpetuity_comonotone": ("0x1.0d205579aca29p+9", "0x1.6f133e854acd0p+6"),
     "perpetuity_independent_d2": ("0x1.b8bb8786b6d83p+7", "0x1.02ad339f49144p+3"),
-    "riesz_d1_l2": ("0x1.ccc7ff3d95b48p+4", "0x1.3ca1e5e392665p+1"),
-    "riesz_d3_l2": ("0x1.3a241f027aeffp+6", "0x1.90777ef14b672p+2"),
-    "riesz_d3_sup": ("0x1.55b395e1be551p+5", "0x1.bcb5fd65b1cc4p+1"),
+    "riesz_d1_l2": ("0x1.ccc7ff3d95b4cp+4", "0x1.3ca1e5e392667p+1"),
+    "riesz_d3_l2": ("0x1.3a241f027af01p+6", "0x1.90777ef14b674p+2"),
+    "riesz_d3_sup": ("0x1.55b395e1be554p+5", "0x1.bcb5fd65b1cc7p+1"),
     "scaled_d1_l2": ("0x1.c1aa7b9777f7dp+2", "0x1.7e249209ce514p+1"),
     "scaled_d3_l2": ("0x1.c636430da3766p+4", "0x1.6595f23e33303p+3"),
     "scaled_d3_sup": ("0x1.e712b9ae05a6fp+3", "0x1.90ae8c9817a55p+2"),

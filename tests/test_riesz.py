@@ -424,3 +424,65 @@ def test_probabilistic_side_samples_where_the_power_is_no_polynomial():
     # E(1e100 (1 + R_1))^3 = 1e300 E(2 + cos U)^3 = 1.1e301, where sampling's SE overflows
     big = rz._probabilistic_side(comb((1e100, 1e100)), 3.0, 1000, src(3))
     assert big.exact and big.mean == pytest.approx(1.1e301, rel=1e-14)
+
+
+# exact-degree grids: where |S|^p is a trigonometric polynomial of degree D = p sum n_j, a
+# row takes max(4096, min(64 n_max, N_D)) points, N_D the least multiple of 2 gcd(n_j)
+# above 2D; every other row takes max(4096, 64 n_max)
+def test_exact_degree_grid_points():
+    top = (0.0,) * 9 + (1.0,)
+    # D = 3 * (4 + ... + 4^9) = 1,048,572, so N_D = 2 * (D + 4) = 2^21, against 64 * 4^9 = 2^24
+    assert riesz_lp_norm(comb(top, POWERS_OF_4_TO_9), 3.0).points == 2**21
+    assert riesz_lp_norm(comb(top, POWERS_OF_4_TO_9), 2.5).points == 2**24
+    mixed = (1.0, -0.5, 0.75, -1.25, 0.5, 0.25, -1.0, 0.5, 1.5)
+    assert riesz_lp_norm(comb(mixed, POWERS_OF_4[8]), 3.0).points == 2**22
+    # even p takes the exact grid whatever the signs: D = 4 * 87,380, N_D = 699,048
+    assert riesz_lp_norm(comb(mixed, POWERS_OF_4[8]), 4.0).points == 699_048
+    # at p = 40, N_D = 6,990,408 passes 64 * 4^8 = 4,194,304, which stays
+    assert riesz_lp_norm(comb(top[1:], POWERS_OF_4[8]), 40.0).points == 2**22
+
+
+def test_exact_degree_unit_rows_read_the_factor_moment():
+    for i in range(10):
+        out = riesz_lp_norm(comb((0.0,) * i + (1.0,), POWERS_OF_4_TO_9), 3.0)
+        assert abs(out.value - 2.5**i) <= 4 * math.ulp(2.5**i), (i, out)
+
+
+@pytest.mark.parametrize("m", [6, 8])
+@pytest.mark.parametrize("p, one_sign", [(1.0, True), (2.0, False), (3.0, True), (4.0, False),
+                                         (6.0, False)])
+def test_exact_degree_grid_matches_the_dense_grid(m, p, one_sign):
+    seq = POWERS_OF_4[m]
+    rng = np.random.default_rng(int(10 * m + p))
+    for _ in range(2):
+        coeffs = rng.standard_normal(m + 1)
+        coeffs = np.abs(coeffs) if one_sign else coeffs
+        out = riesz_lp_norm(comb(coeffs, seq), p)
+        dense = riesz_lp_norm(comb(coeffs, seq), p, quad_points=64 * seq.terms[-1])
+        assert out.points < dense.points
+        assert out.value == pytest.approx(dense.value, rel=1e-15, abs=0.0)
+        assert out.error_estimate <= 1e-14 * out.value
+
+
+def test_a_pass_of_exact_and_dense_rows_gives_each_its_lone_bits():
+    seq = POWERS_OF_4[6]
+    rows = [(0.0,) * 6 + (1.0,), (1.0, -0.5, 0.75, -1.25, 0.5, 0.25, -1.0),
+            (0.5, 1.0, 0.25, 0.0, 2.0, 0.75, 1.5), (-1.0, -0.5, 0.0, -2.0, -0.25, -1.0, -0.5),
+            (0.25, -1.0, 0.5, 0.5, -0.75, 1.0, 2.0)]
+    shared = riesz_lp_norms(seq, rows, 3.0)
+    assert [out.points for out in shared] == [2**15, 2**18, 2**15, 2**15, 2**18]
+    assert shared == [riesz_lp_norm(comb(row, seq), 3.0) for row in rows]
+
+
+def test_explicit_points_meet_the_row_rule():
+    seq = POWERS_OF_4[6]
+    unit, mixed = (0.0,) * 6 + (1.0,), (1.0, -0.5, 0.75, -1.25, 0.5, 0.25, -1.0)
+    # D = 3 * (4 + ... + 4^6) = 16,380: N_D = 32,768 < 3 * 2^15 < 64 * 4^6 = 2^18
+    assert riesz_lp_norm(comb(unit, seq), 3.0, quad_points=3 * 2**15).points == 3 * 2**15
+    with pytest.raises(TooFewPointsError, match=r"< required the dense rule "
+                                                r"max\(4096, 64 \* n_max\) = 262144$"):
+        riesz_lp_norm(comb(mixed, seq), 3.0, quad_points=3 * 2**15)
+    with pytest.raises(TooFewPointsError, match=r"^32766 grid points < required the exact-degree "
+                                                r"rule max\(4096, min\(64 \* n_max, N_D\)\) = "
+                                                r"32768, N_D = 32768 .* degree 16380 of"):
+        riesz_lp_norm(comb(unit, seq), 3.0, quad_points=32766)
