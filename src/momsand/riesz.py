@@ -342,21 +342,21 @@ def _probabilistic_side(
 ) -> EstimateWithCI:
     """E|sum a_i R_i|^p for products of i.i.d. 1 + cos(U) factors.
 
+    A lone a_0 is its one outcome |a_0|^p, enumerated as `verify` does.
     Where |S|^p is a polynomial in S, the moment engine's exact |E S^p| is
     reported: at every even integer p <= MAX_MOMENT_ORDER, and at every
     integer p <= MAX_MOMENT_ORDER when the coefficients share one sign, which
-    S then keeps, as every R_i >= 0.  Every other p is sampled, but for a lone
-    a_0, whose one outcome |a_0|^p enumeration gives.
+    S then keeps, as every R_i >= 0.  Every other p is sampled.
     """
     spec = dc.riesz_factor()
     coeffs = coefficient_set(list(comb.coefficients))
+    if coeffs.n == 0:
+        return brute_force_lhs(spec, coeffs, p)
     if p <= MAX_MOMENT_ORDER and _polynomial(comb.coefficients, p):
         from .moments import sandwich_moments
 
         (moments,) = sandwich_moments(spec, [coeffs], int(p))
         return _exact(abs(float(moments.coords[0, int(p)])), 0)
-    if coeffs.n == 0:
-        return brute_force_lhs(spec, coeffs, p)
     return estimate_lhs(spec, coeffs, p, reps, src)
 
 

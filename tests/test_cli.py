@@ -1232,13 +1232,14 @@ def test_zero_steps_of_a_continuous_law_are_one_exact_outcome(capsys):
     assert row["report"]["ratio"] == 1.0
 
 
-def test_one_coefficient_riesz_is_one_exact_outcome(capsys):
-    # a lone a_0 draws nothing on the probabilistic side either
-    code, report, _ = run_cli(capsys, ["riesz", "--seq", "4,16", "--p", "2.5", "--coeffs", "1.5",
+@pytest.mark.parametrize("p", ["2.5", "3"])
+def test_one_coefficient_riesz_is_one_exact_outcome(capsys, p):
+    # a lone a_0 draws nothing on the probabilistic side either, and reads as verify's n = 0
+    code, report, _ = run_cli(capsys, ["riesz", "--seq", "4,16", "--p", p, "--coeffs", "1.5",
                                        "--reps", "10"])
     assert code == 0
     check = report["results"]["check"]
-    assert check["probabilistic"] == {"exact": True, "mean": 1.5**2.5, "replications": 1,
+    assert check["probabilistic"] == {"exact": True, "mean": 1.5 ** float(p), "replications": 1,
                                       "seed": None, "std_error": 0.0}
     assert check["ratio"] == 1.0
 
