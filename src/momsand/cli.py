@@ -115,10 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--coeffs", help="comma list a0,a1,...")
     mode.add_argument("--draws", type=int, help="random coefficient draws to scan")
     sp.add_argument("--quad-points", dest="quad_points", type=int,
-                    help="torus grid points N, rounded up to even; default and least "
-                    "allowed: max(4096, min(64*n_max, N_D)) where |S|^p is a trigonometric "
-                    "polynomial of degree D (N_D the least multiple of 2*gcd(n_j) above 2D), "
-                    "else max(4096, 64*n_max)")
+                    help="torus grid points N, rounded up to even; at least each row's "
+                    "default N (the exact-degree or dense rule, README: riesz)")
     sp.set_defaults(reps=200_000, seed=0)
 
     sp = sub.add_parser("perpetuity", help="partial-sum bracket for an (X, B) pair")

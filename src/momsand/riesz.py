@@ -219,26 +219,40 @@ def _polynomial(coefficients, p: float) -> bool:
     return float(p).is_integer() and (p % 2 == 0 or one_sign)
 
 
-def _grid_floor(terms, row, p: float) -> tuple[int, str]:
-    """The fewest grid points row may take, and the rule that sets them.
-
-    A polynomial row's |S|^p is a trigonometric polynomial of degree
-    D = p (n_1 + ... + n_k) in multiples of g = gcd(n_j); N_D, the least
-    multiple of 2g with N_D / 2 > D, makes both the N-point and the N/2-point
-    means exact, and never gives more points than the dense rule.
-    """
-    n_max = terms[-1] if terms else 1
-    dense = POINTS_PER_FREQ * n_max
+def _grid_floor(terms, row, p: float) -> tuple[int, int | None]:
+    """The fewest grid points row may take, by the rule of the module docstring, and
+    N_D where the row is polynomial (None where the dense rule applies)."""
+    dense = max(MIN_POINTS, POINTS_PER_FREQ * (terms[-1] if terms else 1))
     if not (terms and _polynomial(row, p)):
-        floor = max(MIN_POINTS, dense)
-        return floor, f"the dense rule max(4096, 64 * n_max) = {floor}"
+        return dense, None
     g = math.gcd(*terms)
-    degree = int(p) * sum(terms)
-    exact = 2 * g * (degree // g + 1)
-    floor = max(MIN_POINTS, min(dense, exact))
-    return floor, (f"the exact-degree rule max(4096, min(64 * n_max, N_D)) = {floor}, "
-                   f"N_D = {exact} the least multiple of 2 gcd(n_j) = {2 * g} "
-                   f"above twice the degree {degree} of |S|^p")
+    exact = 2 * g * (int(p) * sum(terms) // g + 1)
+    return max(MIN_POINTS, min(dense, exact)), exact
+
+
+def _grid_points(terms, rows, p: float, quad_points: int | None) -> list[int]:
+    """Each row's even grid size: its floor, or quad_points rounded up to even.
+
+    A row of length k + 1 uses n_1 .. n_k of terms.  Raises before any grid
+    work when p is outside [1, inf) or quad_points misses a row's floor or
+    exceeds MAX_POINTS.
+    """
+    if not 1.0 <= p < math.inf:  # nan fails every comparison
+        raise InvalidOrderError(f"torus norms need a finite p >= 1, got p = {p}")
+    points = []
+    for row in rows:
+        floor, exact = _grid_floor(terms[: len(row) - 1], row, p)
+        n_pts = floor if quad_points is None else int(quad_points)
+        if n_pts < floor:
+            rule = ("the dense rule max(4096, 64 * n_max)" if exact is None else
+                    f"the exact-degree rule max(4096, min(64 * n_max, N_D)), N_D = {exact}")
+            raise TooFewPointsError(f"{n_pts} grid points < required {floor} by {rule}")
+        if n_pts > MAX_POINTS:  # also keeps n_j * k below 2^51 in int64
+            raise GridTooLargeError(
+                f"{n_pts} grid points exceed the cap of 2^31 = {MAX_POINTS}"
+            )
+        points.append(n_pts + n_pts % 2)
+    return points
 
 
 def riesz_lp_norms(
@@ -246,38 +260,21 @@ def riesz_lp_norms(
 ) -> list[QuadResult]:
     """Uniform-grid means of |sum a_i Rbar_i|^p over the torus, one per coefficient row.
 
-    The rows have one length k + 1.  Each row's grid is N = its floor, or
-    quad_points rounded up to even when that reaches every row's floor.  The
-    floor is max(4096, min(64 n_max, N_D)) where |S|^p is a trigonometric
-    polynomial of degree D (integer p that is even, or whose row's
-    coefficients share one sign), N_D the least multiple of 2 gcd(n_j) above
-    2D, and max(4096, 64 n_max) for every other row.  Rows of one N share
-    Rbar_k's grid and one pass, and a row reads the same bits in a shared
-    pass as alone.  The N-point grid mean equals the trapezoid rule for
-    periodic functions and integrates trigonometric polynomials of degree
-    < N exactly; the error estimate is the difference against the N/2
-    subgrid.  Both means come from the values f_k at k = 0 .. floor(M/2),
-    M = N / gcd(g, N), g = gcd(n_j), by the fold
-    (2 sum f_k - f_0 - [M even] f_{M/2}) / M; for odd M the subgrid mean is
-    the N-point mean.  `points` reports N.
+    The rows have one length k + 1.  Each row's grid N is set by the rule of
+    the module docstring, or by quad_points rounded up to even where that
+    reaches the rule's N.  Rows of one N share Rbar_k's grid and one pass, and
+    a row reads the same bits in a shared pass as alone.  The error estimate
+    is the difference against the N/2 subgrid; both means come from the
+    folded values f_k, k = 0 .. floor(M/2), as the module docstring states.
+    `points` reports N.
     """
-    if not 1.0 <= p < math.inf:  # nan fails every comparison
-        raise InvalidOrderError(f"torus norms need a finite p >= 1, got p = {p}")
     rows = [RieszCombination(seq, tuple(row)).coefficients for row in rows]
     if not rows or len({len(row) for row in rows}) > 1:
         raise ValueError("need one or more coefficient rows, all of one length")
     terms = seq.terms[: len(rows[0]) - 1]
     passes: dict[int, list[int]] = {}
-    for idx, row in enumerate(rows):
-        floor, rule = _grid_floor(terms, row, p)
-        n_pts = floor if quad_points is None else int(quad_points)
-        if n_pts < floor:
-            raise TooFewPointsError(f"{n_pts} grid points < required {rule}")
-        if n_pts > MAX_POINTS:  # also keeps n_j * k below 2^51 in int64
-            raise GridTooLargeError(
-                f"{n_pts} grid points exceed the cap of 2^31 = {MAX_POINTS}"
-            )
-        passes.setdefault(n_pts + n_pts % 2, []).append(idx)
+    for idx, n_pts in enumerate(_grid_points(seq.terms, rows, p, quad_points)):
+        passes.setdefault(n_pts, []).append(idx)
     results: list[QuadResult] = [None] * len(rows)
     for n_pts, idxs in passes.items():
         for idx, out in zip(idxs, _grid_pass(terms, [rows[i] for i in idxs], p, n_pts)):
@@ -371,6 +368,7 @@ def _corollary_reports(combs, p, reps, srcs, quad_points) -> list[dict]:
     k = len(combs[0].coefficients) - 1
     units = [(0.0,) * i + (1.0,) for i in range(k + 1)]
     rows = [comb.coefficients for comb in combs] + [units[k]]
+    _grid_points(seq.terms, rows + units[:k], p, quad_points)  # every row, before any pass
     *toruses, top = [out for lo in range(0, len(rows), _PASS_ROWS)
                      for out in riesz_lp_norms(seq, rows[lo:lo + _PASS_ROWS], p, quad_points)]
     factor_p = dc.abs_moment(dc.riesz_factor(), p)

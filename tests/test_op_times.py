@@ -41,24 +41,8 @@ def test_op_times_exits_quietly_when_the_reader_leaves(monkeypatch):
         assert op_times.main(["torus"]) == 0
 
 
-def test_op_times_times_only_the_named_ops(monkeypatch, capsys):
-    timed = []
-
-    def fake(ops, repeat):
-        timed.extend(op["id"] for op in ops)
-        return {op["id"]: {1: 0.0123, 2: 0.00615} for op in ops}
-
-    monkeypatch.setattr(op_times, "time_ops", fake)
-    assert op_times.main(["torus", "--op", "probe_riesz", "--op", "riesz_term9"]) == 0
-    assert timed == ["riesz_term9", "probe_riesz"]  # in the batch's order
-    lines = capsys.readouterr().out.splitlines()
+def test_op_times_prints_milliseconds():
+    best = {"riesz_term9": {1: 0.0123, 2: 0.00615}, "probe_riesz": {1: 0.5, 2: 0.5}}
+    lines = op_times.table(best).splitlines()
     assert lines[1].split() == ["riesz_term9", "12.30", "ms", "6.15", "ms", "0.50"]
-    assert lines[3].split() == ["total", "24.60", "ms", "12.30", "ms", "0.50"]
-
-
-def test_op_times_rejects_an_unknown_op(monkeypatch, capsys):
-    monkeypatch.setattr(op_times, "time_ops", lambda ops, repeat: pytest.fail("timed"))
-    with pytest.raises(SystemExit) as exc:
-        op_times.main(["torus", "--op", "probe_riesz", "--op", "nosuch"])
-    assert exc.value.code == 2
-    assert "no op nosuch in torus" in capsys.readouterr().err
+    assert lines[3].split() == ["total", "512.30", "ms", "506.15", "ms", "0.99"]

@@ -479,10 +479,24 @@ def test_explicit_points_meet_the_row_rule():
     unit, mixed = (0.0,) * 6 + (1.0,), (1.0, -0.5, 0.75, -1.25, 0.5, 0.25, -1.0)
     # D = 3 * (4 + ... + 4^6) = 16,380: N_D = 32,768 < 3 * 2^15 < 64 * 4^6 = 2^18
     assert riesz_lp_norm(comb(unit, seq), 3.0, quad_points=3 * 2**15).points == 3 * 2**15
-    with pytest.raises(TooFewPointsError, match=r"< required the dense rule "
-                                                r"max\(4096, 64 \* n_max\) = 262144$"):
+    with pytest.raises(TooFewPointsError, match=r"^98304 grid points < required 262144 by the "
+                                                r"dense rule max\(4096, 64 \* n_max\)$"):
         riesz_lp_norm(comb(mixed, seq), 3.0, quad_points=3 * 2**15)
-    with pytest.raises(TooFewPointsError, match=r"^32766 grid points < required the exact-degree "
-                                                r"rule max\(4096, min\(64 \* n_max, N_D\)\) = "
-                                                r"32768, N_D = 32768 .* degree 16380 of"):
+    with pytest.raises(TooFewPointsError, match=r"^32766 grid points < required 32768 by the "
+                                                r"exact-degree rule max\(4096, min\(64 \* n_max, "
+                                                r"N_D\)\), N_D = 32768$"):
         riesz_lp_norm(comb(unit, seq), 3.0, quad_points=32766)
+
+
+def test_a_scan_checks_every_row_before_any_pass(monkeypatch):
+    # 16 one-signed draws fill two passes that 3 * 2^15 points serve; the 17th, of mixed
+    # signs, needs the dense 2^18, and no pass may run before that is known
+    def no_grid(*args):
+        raise AssertionError("a torus grid pass ran")
+
+    seq = POWERS_OF_4[6]
+    combs = [comb((1.0 + i,) + (0.5,) * 6, seq) for i in range(16)]
+    combs.append(comb((1.0, -0.5, 0.75, -1.25, 0.5, 0.25, -1.0), seq))
+    monkeypatch.setattr(rz, "_combination_values", no_grid)
+    with pytest.raises(TooFewPointsError, match="< required 262144 by the dense rule"):
+        rz._corollary_reports(combs, 3.0, 1000, [src(i) for i in range(17)], 3 * 2**15)

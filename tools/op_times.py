@@ -1,15 +1,14 @@
 """Time every operation of one benchmark workload at one and at two workers.
 
-    PYTHONPATH=src python3 tools/op_times.py WORKLOAD [--seed S] [--repeat K] [--op ID ...]
+    PYTHONPATH=src python3 tools/op_times.py WORKLOAD [--seed S] [--repeat K]
 
 Builds WORKLOAD's batch for seed S (bench/workloads.py, default seed 1) and
 runs every operation through `momsand.cli.main` in this process, K times
 (default 3) at MOMSAND_THREADS=1 and at MOMSAND_THREADS=2, the two
 settings alternating so that both see the same state of the machine.  It
 prints each operation's best wall time at each setting in milliseconds,
-their ratio and the totals.  --op ID, repeatable, times only the named
-operations, in the batch's order; an ID the batch does not hold is a usage
-error.  Reports go nowhere; tools/bench_reports.py keeps them.
+their ratio and the totals.  Reports go nowhere; tools/bench_reports.py
+keeps them.
 """
 
 from __future__ import annotations
@@ -76,19 +75,10 @@ def main(argv=None) -> int:
     parser.add_argument("workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--op", action="append", metavar="ID",
-                        help="time only this operation (repeatable)")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    ops = build(args.workload, args.seed)
-    if args.op:
-        unknown = sorted(set(args.op) - {op["id"] for op in ops})
-        if unknown:
-            parser.error(f"no op {', '.join(unknown)} in {args.workload}; it has "
-                         + ", ".join(op["id"] for op in ops))
-        ops = [op for op in ops if op["id"] in args.op]
-    text = table(time_ops(ops, args.repeat))
+    text = table(time_ops(build(args.workload, args.seed), args.repeat))
     try:
         print(text, flush=True)
     except BrokenPipeError:  # the reader left early, as `| head` does
