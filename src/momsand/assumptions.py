@@ -101,11 +101,12 @@ class PairSpec:
         return len(self.b_specs)
 
     def comonotone_cells(self):
-        """(midpoints, widths) of the cells the cut points of X and B split [0, 1] into.
+        """(x, b, widths): X's and B's quantiles at the midpoints of the cells the cut
+        points of X and B split [0, 1] into, and the cells' widths.
 
         A finite law cuts at its cumulative probabilities in increasing value
-        order, as dc.quantile does, so it is one atom on each cell; a
-        continuous law cuts at the fixed points k / _GRID_CELLS."""
+        order, as dc.quantile does, so it is one atom on each cell and these are
+        the step's atoms; a continuous law cuts at the points k / _GRID_CELLS."""
         cuts = [np.array([0.0, 1.0])]
         for spec in (self.x_spec, *self.b_specs):
             support = dc.finite_support(spec)
@@ -117,7 +118,8 @@ class PairSpec:
         cuts = np.unique(np.concatenate(cuts))
         widths = np.diff(cuts)
         keep = widths > 1e-15
-        return ((cuts[:-1] + cuts[1:]) / 2.0)[keep], widths[keep]
+        mids = ((cuts[:-1] + cuts[1:]) / 2.0)[keep]
+        return dc.quantile(self.x_spec, mids), dc.quantile(self.b_specs[0], mids), widths[keep]
 
 
 @dataclass(frozen=True)
@@ -345,9 +347,9 @@ def check_pair_nondegeneracy(pair: PairSpec) -> NondegeneracyReport:
 
     Independent coupling: B = v(1 - X) independent of X is constant, so v
     exists iff B == 0 (v = 0), or X == x0 != 1 and B == b0 (v = b0 / (1 - x0)).
-    Comonotone coupling: b = v(1 - x) at the midpoints of pair.comonotone_cells(),
-    v fitted by least squares, to 1e-9 times max |b|; exact for finite laws,
-    where X and B are one atom on each cell, and a grid check otherwise.
+    Comonotone coupling: b = v(1 - x) at pair.comonotone_cells(), v fitted
+    by least squares, to 1e-9 times max |b|; exact for finite laws, where X
+    and B are one atom on each cell, and a grid check otherwise.
     """
     if pair.coupling == "independent":
         x0, *b0 = (_point_mass(s) for s in (pair.x_spec, *pair.b_specs))
@@ -356,9 +358,8 @@ def check_pair_nondegeneracy(pair: PairSpec) -> NondegeneracyReport:
         if x0 is not None and x0 != 1.0 and None not in b0:
             return NondegeneracyReport(tuple(b / (1.0 - x0) for b in b0), True)
         return NondegeneracyReport(None, True)
-    mids, _ = pair.comonotone_cells()
-    gap = 1.0 - dc.quantile(pair.x_spec, mids)
-    b = dc.quantile(pair.b_specs[0], mids)
+    x, b, _ = pair.comonotone_cells()
+    gap = 1.0 - x
     with np.errstate(over="ignore", invalid="ignore"):
         norm2 = gap @ gap
         v = float(b @ gap / norm2) if norm2 > 0.0 else 0.0

@@ -606,6 +606,9 @@ def main(argv=None) -> int:
         }
         # strict JSON: a NaN or infinity left anywhere in the report is a ValueError
         text = _dumps(report)
+        if resolved.get("out"):  # an unwritable path is a usage error, before any output
+            with open(resolved["out"], "w") as fh:
+                fh.write(text + "\n")
     except HypothesisError as exc:
         print(f"hypothesis error: {exc}", file=sys.stderr)
         return 3
@@ -613,9 +616,6 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     print(text)
-    if resolved.get("out"):
-        with open(resolved["out"], "w") as fh:
-            fh.write(text + "\n")
     return code
 
 

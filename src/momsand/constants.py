@@ -217,13 +217,13 @@ def _small_p_lower(cert: SmallPCertificate, trace: list | None = None) -> tuple[
     return delta**3 / (16.0 * k), k
 
 
-def _small_p_score(cert: SmallPCertificate) -> float:
-    """The scan's lower_c at one point, built without a trace; when no k fits,
-    the point is built again with one, for the KTooLargeError to carry."""
+def _score(lower, *point) -> float:
+    """The scan's lower_c at one point, lower(*point)[0], built without a trace; when
+    no k fits, the point is built again with one, for the KTooLargeError to carry."""
     try:
-        return _small_p_lower(cert)[0]
+        return lower(*point)[0]
     except KTooLargeError:
-        return _small_p_lower(cert, [])[0]  # raises again, with the trace
+        return lower(*point, [])[0]  # raises again, with the trace
 
 
 def lower_constant_small_p(cert: SmallPCertificate) -> ConstantBundle:
@@ -303,15 +303,6 @@ def _large_p_lower(
             )
         lower_c = 0.0
     return lower_c, k, ln_c0, ln_lower
-
-
-def _large_p_score(p: float, mu: float, lam: float, q: float, a_param: float) -> float:
-    """The scan's lower_c at one point, built without a trace; when no k fits,
-    the point is built again with one, for the KTooLargeError to carry."""
-    try:
-        return _large_p_lower(p, mu, lam, q, a_param)[0]
-    except KTooLargeError:
-        return _large_p_lower(p, mu, lam, q, a_param, [])[0]  # raises again, with the trace
 
 
 def lower_constant_large_p(cert: LargePCertificate) -> ConstantBundle:
@@ -461,7 +452,7 @@ def optimize_small_p(
     certificate = functools.cache(small_p_parts(spec, p).certificate)
     return _scan(
         [(float(a),) for a in a_grid], ("a_param",), certificate,
-        lambda a: _small_p_score(certificate(a)), lower_constant_small_p,
+        lambda a: _score(_small_p_lower, certificate(a)), lower_constant_small_p,
         "a_scan", EmptyWindowError("empty A grid for the small-p scan"),
     )
 
@@ -481,7 +472,7 @@ def optimize_large_p(
 
     def score(a, q):
         parts.check(a, tails[a], q, lams[q])
-        return _large_p_score(p, parts.mu, lams[q], q, a)
+        return _score(_large_p_lower, p, parts.mu, lams[q], q, a)
 
     return _scan(
         [(a, q) for a in a_grid for q in q_grid], ("a_param", "q"),

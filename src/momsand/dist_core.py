@@ -342,7 +342,7 @@ def raw_moment(spec: DistributionSpec, l: int) -> RawMoment:
     """
     try:
         moment = _family_raw_moment(spec, int(l))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # a power that underflows to 0 divides
         moment = None
     if moment is None or not (math.isfinite(moment.value) and math.isfinite(moment.magnitude)):
         raise NonfiniteMomentError(f"E X^{l} overflows for {spec_to_text(spec)}")
@@ -517,12 +517,20 @@ def expect(spec: DistributionSpec, r: float, shift: float = 0.0, a: float = -1.0
         return c * expect(spec.base, r, shift / c, a / c, b / c)
     total = 0.0
     for t_lo, t_hi, upper in ((a, min(b, shift), False), (max(a, shift), b, True)):
-        x_lo, x_hi = max(t_lo, 0.0) ** (1.0 / r), max(t_hi, 0.0) ** (1.0 / r)
+        x_lo, x_hi = (_root(t, r) for t in (t_lo, t_hi))
         if x_lo < x_hi:
             side = (_truncated_moment(spec, r, x_lo, x_hi, upper)
                     - shift * _truncated_moment(spec, 0.0, x_lo, x_hi, upper))
             total += side if upper else -side
     return total
+
+
+def _root(t: float, r: float) -> float:
+    """max(t, 0)^(1/r), a window end in the units of |X|; one past every float is inf."""
+    try:
+        return max(t, 0.0) ** (1.0 / r)
+    except OverflowError:
+        return math.inf
 
 
 def _truncated_moment(spec: DistributionSpec, k: float, lo: float, hi: float,

@@ -23,9 +23,10 @@ reads and no more:
         q'  = E||b||^4 + 4 mu_2 <E[b b^t], M> + mu_4 q + 4 mu_1 <E[b ||b||^2], m>
               + 2 mu_2 E||b||^2 tr M + 4 mu_3 <E b, m3>.
 
-So a set holds O(d order + d^2) floats, whatever the order; sandwich_moments
-runs its sets in blocks of at most _BLOCK floats per d x d layer, and
-perpetuity_moments keeps every row of an n-list from one pass.  Both run in
+So a set holds O(d order + d^2) floats, whatever the order.  One loop, _backward,
+takes the steps: sandwich_moments gives it the point masses v_n, ..., v_0 of blocks
+of at most _BLOCK floats per d x d layer, and perpetuity_moments one kernel
+C(a, j) E[B^(a-j) X^j], keeping every row of an n-list from one pass.  Both run in
 float64, and the same recursions on magnitudes (|v|, the magnitudes of the
 raw moments and of the moments themselves) bound the rounding: each value
 lies within gamma(2N) = 2N u / (1 - 2N u) of its magnitude, N the longest
@@ -39,6 +40,7 @@ importing the package does not compile it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -71,15 +73,11 @@ class Moments:
     norm4_error: float | None = None
 
 
-def _binomials(order: int) -> np.ndarray:
-    """C(a, j) for a, j = 0 .. order, zero above the diagonal."""
-    return np.array([[math.comb(a, j) for j in range(order + 1)] for a in range(order + 1)],
-                    dtype=float)
-
-
-def _shift(order: int) -> np.ndarray:
-    """a - j for a, j = 0 .. order."""
-    return np.subtract.outer(np.arange(order + 1), np.arange(order + 1))
+def _pascal(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(a, j), zero above the diagonal, and a - j, for a, j = 0 .. order."""
+    idx = range(order + 1)
+    return (np.array([[math.comb(a, j) for j in idx] for a in idx], dtype=float),
+            np.subtract.outer(idx, idx))
 
 
 def _law_moments(spec: dc.DistributionSpec, order: int) -> tuple[np.ndarray, float]:
@@ -130,10 +128,33 @@ def _norm_step(state, mu: np.ndarray, b):
     return b1 + mu1[..., None] * m, mm_new, m3_new, q_new
 
 
-def _norm_start(count: int, dim: int):
-    """The state of T = 0 for count sets."""
-    return (np.zeros((2, count, dim)), np.zeros((2, count, dim, dim)), np.zeros((2, count, dim)),
-            np.zeros((2, count)))
+def _backward(steps, mu, law: np.ndarray):
+    """Yield, after each step T <- b + X T from T = 0, the coordinates' E T_c^a and
+    E||T||_2^4 (None unless carried), each stacked with its magnitude.  steps gives each
+    step's kernel k[..., c, a, j], for E T'_c^a = sum_j k[a, j] mu_j E T_c^j, and b's
+    moments as _fixed_b gives them, or None; law[:, l] = E X^l, l <= 4, is _norm_step's."""
+    mom = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kernel, b in steps:
+            if mom is None:  # T = 0
+                mom = np.zeros(kernel.shape[:-1])
+                mom[..., 0] = 1.0
+                norm = None if b is None else [np.zeros(b[i].shape) for i in (0, 1, 0, 3)]
+            mom = (kernel @ (mu * mom)[..., None])[..., 0]
+            if norm is not None:
+                norm = _norm_step(norm, law, b)
+            yield mom, None if norm is None else norm[3]
+
+
+def _point_steps(vecs: np.ndarray, order: int, norm4: bool):
+    """_backward's steps v_n, ..., v_0 for a block of sets, vecs (sets, n + 1, d): the
+    kernel C(a, j) v_c^(a-j) with its magnitude, and b's moments where norm4 is set."""
+    binom, shift = _pascal(order)
+    powers = np.ones(vecs[:, 0].shape + (order + 1,))
+    for v in np.moveaxis(vecs, 1, 0)[::-1]:
+        np.cumprod(np.repeat(v[..., None], order, axis=-1), axis=-1, out=powers[..., 1:])
+        coef = np.where(shift >= 0, binom * powers[..., np.maximum(shift, 0)], 0.0)
+        yield np.stack([coef, np.abs(coef)]), _fixed_b(np.stack([v, np.abs(v)])) if norm4 else None
 
 
 def sandwich_moments(spec: dc.DistributionSpec, sets, order: int,
@@ -156,38 +177,18 @@ def sandwich_moments(spec: dc.DistributionSpec, sets, order: int,
     vecs = np.stack([c.matrix() for c in sets])  # (sets, n + 1, d)
     count, steps, dim = vecs.shape
     block = max(1, _BLOCK // (dim * max(dim, (order + 1) ** 2)))
-    out = []
-    for lo in range(0, count, block):
-        out += _sandwich_block(law, vecs[lo:lo + block], order, norm4)
     coord_err = _gamma(2 * steps * (4 * order + 8 + law_ulps))
     norm_err = _gamma(2 * steps * (4 * dim + 24 + law_ulps))
-    return [Moments(values, coord_err * sizes, None if q is None else float(q[0]),
-                    None if q is None else norm_err * float(q[1]))
-            for (values, sizes), q in out]
-
-
-def _sandwich_block(law: np.ndarray, vecs: np.ndarray, order: int, norm4: bool):
-    """[((values, magnitudes) of the coordinates' moments, (E||S||^4, its magnitude)
-    or None)] for one block of sets."""
-    k1 = order + 1
-    binom, shift = _binomials(order), _shift(order)
-    mu = law[:, None, None, :k1]
-    count, steps, dim = vecs.shape
-    mom = np.zeros((2, count, dim, k1))
-    mom[..., 0] = 1.0
-    powers = np.ones((count, dim, k1))
-    norm = _norm_start(count, dim) if dim > 1 and norm4 else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps - 1, -1, -1):
-            v = vecs[:, i]
-            np.cumprod(np.repeat(v[..., None], order, axis=-1), axis=-1, out=powers[..., 1:])
-            coef = np.where(shift >= 0, binom * powers[..., np.maximum(shift, 0)], 0.0)
-            coef = np.stack([coef, np.abs(coef)])  # (2, sets, d, a, j)
-            mom = (coef @ (mu * mom)[..., None])[..., 0]
-            if norm is not None:
-                norm = _norm_step(norm, law, _fixed_b(np.stack([v, np.abs(v)])))
-    q = [None] * count if norm is None else norm[3].T
-    return [((mom[0, s], mom[1, s]), q[s]) for s in range(count)]
+    out = []
+    for lo in range(0, count, block):
+        for mom, q in _backward(_point_steps(vecs[lo:lo + block], order, dim > 1 and norm4),
+                                law[:, None, None, :order + 1], law):
+            pass
+        out += [Moments(mom[0, s], coord_err * mom[1, s],
+                        None if q is None else float(q[0, s]),
+                        None if q is None else norm_err * float(q[1, s]))
+                for s in range(mom.shape[1])]
+    return out
 
 
 def _u_moment(t: int, k: int) -> tuple[float, float]:
@@ -220,10 +221,9 @@ def _comonotone_moments(pair: PairSpec, order: int) -> tuple[np.ndarray, float]:
     k1 = order + 1
     out = np.zeros((2, k1, k1))
     if _pair_width(pair) is not None:
-        mids, widths = pair.comonotone_cells()
+        x, b, widths = pair.comonotone_cells()
         pw = np.arange(k1)
-        xp = dc.quantile(pair.x_spec, mids)[:, None] ** pw
-        bp = dc.quantile(pair.b_specs[0], mids)[:, None] ** pw
+        xp, bp = x[:, None] ** pw, b[:, None] ** pw
         out[0] = np.einsum("k,kj,km->jm", widths, bp, xp)
         out[1] = np.einsum("k,kj,km->jm", widths, np.abs(bp), np.abs(xp))
         return out, 8.0 + len(widths)
@@ -262,28 +262,21 @@ def perpetuity_moments(pair: PairSpec, n_list, order: int, norm4: bool = True) -
         b_ulps = max(u for _, u in laws)
         joint = beta[:, :, :k1, None] * x[:, None, None, :k1]
         joint_ulps = x_ulps + b_ulps + 1.0
-    shift = _shift(order)
+    binom, shift = _pascal(order)
     kernel = joint[..., np.maximum(shift, 0), np.arange(k1)]  # [a, j] = E[B^(a-j) X^j]
-    kernel = np.where(shift >= 0, _binomials(order) * kernel, 0.0)
-    mom = np.zeros((2, dim, k1))
-    mom[..., 0] = 1.0
-    norm = b_stats = None
-    if dim > 1 and norm4:
-        norm, b_stats = _norm_start(1, dim), _independent_b(beta)
+    kernel = np.where(shift >= 0, binom * kernel, 0.0)
+    b_stats = _independent_b(beta) if dim > 1 and norm4 else None
     coord_chain = k1 + 4 + joint_ulps
     norm_chain = 4 * dim + 24 + x_ulps + b_ulps
     wanted, out = set(n_list), {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, max(wanted) + 1):
-            mom = (kernel @ mom[..., None])[..., 0]
-            if norm is not None:
-                norm = _norm_step(norm, x, b_stats)
-            if step in wanted:
-                q = None if norm is None else norm[3][:, 0]
-                out[step] = Moments(
-                    mom[0], _gamma(2 * step * coord_chain) * mom[1],
-                    None if q is None else float(q[0]),
-                    None if q is None else _gamma(2 * step * norm_chain) * float(q[1]))
+    # the kernel holds E X^j already, so the state's factor is one, exactly
+    steps = itertools.repeat((kernel, b_stats), max(wanted))
+    for step, (mom, q) in enumerate(_backward(steps, 1.0, x), 1):
+        if step in wanted:
+            out[step] = Moments(
+                mom[0], _gamma(2 * step * coord_chain) * mom[1],
+                None if q is None else float(q[0, 0]),
+                None if q is None else _gamma(2 * step * norm_chain) * float(q[1, 0]))
     return out
 
 

@@ -7,7 +7,8 @@ one recursion: from acc = 0, r = 1, each step (x, b) does
     acc += r * b;  r *= x.
 
 The sandwich's step i is (X_i, v_{i-1}) and R_n v_n is added after step n;
-the perpetuity's step i is (X_i, B_i) under the coupling PairSpec declares.
+the perpetuity's step i is (X_i, B_i) under the coupling PairSpec declares,
+and PairSpec.comonotone_cells alone gives a comonotone pair's atoms.
 E||acc||^p is computed by one of three backends:
 
   * _sample_paths, seeded Monte Carlo: reps are cut into fixed blocks of
@@ -26,7 +27,8 @@ E||acc||^p is computed by one of three backends:
     with math.fsum in walk order, so the mean does not depend on the worker
     count; _outcomes writes every block into its slice of one pair of arrays.
   * the moment backend, in the module moments: the same steps taken
-    backward, T <- b + x T, carry each coordinate's exact moments E T_c^a
+    backward, T <- b + x T, in one loop for the sandwich's point masses and
+    the perpetuity's fixed kernel, carry each coordinate's exact moments E T_c^a
     (a <= moment_order(p)) and, for d > 1, E||T||_2^4, for all coefficient
     sets or every perpetuity row at once, and give a MomentEnclosure of
     E||acc||^p by the log-convexity of t -> log E|S|^t (Lyapunov), widened
@@ -41,7 +43,7 @@ layout.
 
 choose_engine alone picks the backend, for the sandwich, each perpetuity row
 and E||B||^p = E||S_1||^p: it enumerates when the step atoms are finite and
-their outcomes, counted from the supports' sizes before any atom is built,
+their outcomes, counted from the step's width before any outcome is built,
 fit ENUM_CAP = 1e7, and past the cap takes the moment backend, or samples
 when the caller asks for samples (verify's --csv, the Riesz side) or the
 moment backend does not apply.  The sandwich verdict against
@@ -721,22 +723,20 @@ def perpetuity_lhs(
 
 
 def _pair_width(pair: PairSpec) -> int | None:
-    """How many joint atoms one step has, counted without building them; None if not finite."""
+    """How many joint atoms one step has; None if not finite."""
     laws = [dc.finite_support(s) for s in (pair.x_spec, *pair.b_specs)]
     if any(law is None for law in laws):
         return None
     if pair.coupling == "comonotone-scalar":
-        return len(pair.comonotone_cells()[1])
+        return len(pair.comonotone_cells()[2])
     return math.prod(len(values) for values, _ in laws)
 
 
 def _pair_branches(pair: PairSpec):
     """Joint (x, B, prob) atoms of one step of a pair whose laws are all finite."""
     if pair.coupling == "comonotone-scalar":
-        mids, widths = pair.comonotone_cells()
-        x = dc.quantile(pair.x_spec, mids)
-        b = dc.quantile(pair.b_specs[0], mids)[:, None]
-        return x, b, widths
+        x, b, widths = pair.comonotone_cells()
+        return x, b[:, None], widths
     laws = [dc.finite_support(s) for s in (pair.x_spec, *pair.b_specs)]
     # independent laws: lexicographic joint atoms, X most significant, column j = law j
     grids = np.meshgrid(*[np.arange(len(v)) for v, _ in laws], indexing="ij")

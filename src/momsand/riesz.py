@@ -41,9 +41,10 @@ sums combine in block order regardless of worker count.  A pass serves rows of
 one length and one N: a block forms prod = Rbar_i once, adds a_i prod to one
 accumulator per row as the row alone would, and gives a unit row (0, ..., 0, 1)
 prod itself.  It keeps prod, two scratch arrays and the accumulators, 256 KB
-each, in flight per worker, so a corollary call takes at most _PASS_ROWS = 8
-rows: the combinations and Rbar_k share calls of 8, split into one pass per N,
-and Rbar_0 .. Rbar_{k-1} take one pass each.  The 524,289 folded points of
+each, in flight per worker, so riesz_lp_norms, which alone plans passes, gives
+the rows of one length and one N passes of at most _PASS_ROWS = 8: a corollary
+scan's combinations and Rbar_k share them, and Rbar_0 .. Rbar_{k-1} take one each.
+The 524,289 folded points of
 4^1 .. 4^8's dense grid make 17 blocks to share among workers.  Of 2^13 .. 2^19,
 2^15 gave that grid its fastest two-worker pass (45 ms, against 100 ms at 2^19,
 on 2 vCPUs).  The block size sets how NumPy's pairwise sums group into the
@@ -96,7 +97,7 @@ MAX_POINTS = 2**31
 POINTS_PER_FREQ = 64
 _BLOCK = 2**15
 _SUB = 2**10
-# rows of one grid pass in a corollary scan: 8 accumulators of _BLOCK floats, 2 MB a worker
+# rows of one grid pass: 8 accumulators of _BLOCK floats, 2 MB a worker
 _PASS_ROWS = 8
 
 RATIO_FLOOR = 3.0
@@ -260,26 +261,26 @@ def riesz_lp_norms(
 ) -> list[QuadResult]:
     """Uniform-grid means of |sum a_i Rbar_i|^p over the torus, one per coefficient row.
 
-    The rows have one length k + 1.  Each row's grid N is set by the rule of
-    the module docstring, or by quad_points rounded up to even where that
-    reaches the rule's N.  Rows of one N share Rbar_k's grid and one pass, and
-    a row reads the same bits in a shared pass as alone.  The error estimate
-    is the difference against the N/2 subgrid; both means come from the
-    folded values f_k, k = 0 .. floor(M/2), as the module docstring states.
-    `points` reports N.
+    A row of length k + 1, of any k, uses n_1 .. n_k.  Its grid N is set by the
+    rule of the module docstring, or by quad_points rounded up to even where that
+    reaches the rule's N, and every row's N is checked before any pass.  Rows of one
+    length and one N share passes of at most _PASS_ROWS rows, and a row reads the
+    same bits in a shared pass as alone.  The error estimate is the difference
+    against the N/2 subgrid; both means come from the folded values f_k, k = 0 ..
+    floor(M/2), as the module docstring states.  `points` reports N.
     """
     rows = [RieszCombination(seq, tuple(row)).coefficients for row in rows]
-    if not rows or len({len(row) for row in rows}) > 1:
-        raise ValueError("need one or more coefficient rows, all of one length")
-    terms = seq.terms[: len(rows[0]) - 1]
-    passes: dict[int, list[int]] = {}
+    if not rows:
+        raise ValueError("need one or more coefficient rows")
+    passes: dict[tuple[int, int], list[int]] = {}
     for idx, n_pts in enumerate(_grid_points(seq.terms, rows, p, quad_points)):
-        passes.setdefault(n_pts, []).append(idx)
-    results: list[QuadResult] = [None] * len(rows)
-    for n_pts, idxs in passes.items():
-        for idx, out in zip(idxs, _grid_pass(terms, [rows[i] for i in idxs], p, n_pts)):
-            results[idx] = out
-    return results
+        passes.setdefault((len(rows[idx]), n_pts), []).append(idx)
+    results: dict[int, QuadResult] = {}
+    for (length, n_pts), idxs in passes.items():
+        for chunk in (idxs[lo:lo + _PASS_ROWS] for lo in range(0, len(idxs), _PASS_ROWS)):
+            chunk_rows = [rows[i] for i in chunk]
+            results.update(zip(chunk, _grid_pass(seq.terms[: length - 1], chunk_rows, p, n_pts)))
+    return [results[idx] for idx in range(len(rows))]
 
 
 def _grid_pass(terms, rows, p: float, n_pts: int) -> list[QuadResult]:
@@ -367,14 +368,11 @@ def _corollary_reports(combs, p, reps, srcs, quad_points) -> list[dict]:
         )
     k = len(combs[0].coefficients) - 1
     units = [(0.0,) * i + (1.0,) for i in range(k + 1)]
-    rows = [comb.coefficients for comb in combs] + [units[k]]
-    _grid_points(seq.terms, rows + units[:k], p, quad_points)  # every row, before any pass
-    *toruses, top = [out for lo in range(0, len(rows), _PASS_ROWS)
-                     for out in riesz_lp_norms(seq, rows[lo:lo + _PASS_ROWS], p, quad_points)]
+    norms = riesz_lp_norms(seq, [comb.coefficients for comb in combs] + units, p, quad_points)
+    toruses, unit_norms = norms[: len(combs)], norms[len(combs):]
     factor_p = dc.abs_moment(dc.riesz_factor(), p)
-    lower = [riesz_lp_norm(RieszCombination(seq, e), p, quad_points) for e in units[:k]]
     per_term = [{"i": i, "torus": out.value, "probabilistic": factor_p**i}
-                for i, out in enumerate([*lower, top])]
+                for i, out in enumerate(unit_norms)]
     reports = []
     for comb, torus, src in zip(combs, toruses, srcs):
         prob = _probabilistic_side(comb, p, reps, src)

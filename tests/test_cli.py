@@ -314,6 +314,10 @@ NONFINITE_CASES = [
       "--b-dist", "scaled:scale=1e200,base=(uniform:lo=0,hi=1)", "--b-dist", "uniform:lo=0,hi=1",
       "--p", "2", "--n-list", "1"],
      "E X^2 overflows"),
+    # the normalized copy's E X^2 is scale^2 * 2 / rate^2, and rate^2 underflows to 0
+    (["verify", "--dist", "exponential:rate=1e-300", "--p", "0.5", "--n", "5",
+      "--coeffs", "random:count=2,seed=1", "--reps", "1000"],
+     "E X^2 overflows for scaled:"),
     # a single coefficient: ||v_0||^p is a Python float power, exact and Monte Carlo
     (["verify", "--dist", TP, "--p", "4", "--coeffs", "1e100"], "||v_0||^p overflows"),
     (["verify", "--dist", "uniform:lo=0,hi=2", "--p", "4", "--coeffs", "1e100"],
@@ -603,6 +607,29 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     )
     assert code == 0
     assert out_path.read_text() == text
+
+
+def test_unwritable_out_is_a_usage_error_with_nothing_printed(tmp_path, capsys):
+    code = main(["moments", "--dist", "riesz", "--out", str(tmp_path / "missing" / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dist", [
+    "exponential:rate=1e-300", "lognormal:mu=700,sigma=0.1", "uniform:lo=-1,hi=1e300"])
+def test_a_window_end_past_every_float_certifies(capsys, dist):
+    # at p = 0.01 the window's end |X|^p <= A m is |X| <= (A m)^100 in the base law's
+    # units, past every float: it is inf, and the certificate is scale-invariant
+    code, report, _ = run_cli(capsys, ["certify", "--dist", dist, "--p", "0.01"])
+    assert code == 0
+    recheck = report["results"]["recheck"]
+    assert recheck["lambda_slack"] == recheck["delta_gap"] == 0.0
+    if dist.startswith("exponential"):
+        _, unit, _ = run_cli(capsys, ["certify", "--dist", "exponential:rate=1", "--p", "0.01"])
+        want = unit["results"]["bundle"]["lower_c"]
+        assert report["results"]["bundle"]["lower_c"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_thread_count_does_not_change_report(tmp_path, capsys, monkeypatch):

@@ -92,10 +92,8 @@ def horner_sandwich(spec, coeffs, order):
 def _joint_atoms(pair):
     """The exact (x, b, prob) atoms of one step of a finite pair."""
     if pair.coupling == "comonotone-scalar":
-        mids, widths = pair.comonotone_cells()
-        return list(zip(_fractions(dc.quantile(pair.x_spec, mids)),
-                        [(b,) for b in _fractions(dc.quantile(pair.b_specs[0], mids))],
-                        _fractions(widths)))
+        x, b, widths = pair.comonotone_cells()
+        return list(zip(_fractions(x), [(v,) for v in _fractions(b)], _fractions(widths)))
     out = []
     for combo in itertools.product(*(_atoms(s) for s in (pair.x_spec, *pair.b_specs))):
         prob = math.prod(pr for _, pr in combo)

@@ -252,18 +252,18 @@ def test_ratio_scan_matches_per_draw_checks(monkeypatch):
     seq = LacunarySequence((4, 16, 64, 256))
     base = src(23)
     calls = []
-    real = rz.riesz_lp_norms
+    real = rz._grid_pass
 
-    def counting(seq_, rows, p, quad_points=None):
+    def counting(terms, rows, p, n_pts):
         calls.append([len(row) for row in rows])
-        return real(seq_, rows, p, quad_points)
+        return real(terms, rows, p, n_pts)
 
-    monkeypatch.setattr(rz, "riesz_lp_norms", counting)
+    monkeypatch.setattr(rz, "_grid_pass", counting)
     scan = corollary_ratio_scan(seq, 2.5, draws=3, reps=2000, src=base)
-    monkeypatch.setattr(rz, "riesz_lp_norms", real)
+    monkeypatch.setattr(rz, "_grid_pass", real)
     # the three draws share one pass with Rbar_m, and Rbar_0 .. Rbar_{m-1} take one
     # pass each for the whole scan
-    assert calls == [[seq.m + 1] * 4] + [[i + 1] for i in range(seq.m)]
+    assert sorted(calls) == sorted([[seq.m + 1] * 4] + [[i + 1] for i in range(seq.m)])
     for d, report in enumerate(scan["reports"]):
         gen = base.child(1000 + d).generator()
         coeffs = tuple(float(c) for c in gen.standard_normal(seq.m + 1))
@@ -358,11 +358,29 @@ def test_grid_values_match_the_recorded_bits(monkeypatch, threads):
         assert [_fields(out) for out in riesz_lp_norms(seq, rows, p, quad_points)] == wants
 
 
-def test_shared_pass_rejects_rows_of_different_lengths():
-    with pytest.raises(ValueError):
-        riesz_lp_norms(SEQ, [(1.0, 2.0), (1.0,)], 3.0)
+def test_shared_pass_rejects_an_empty_row_list():
     with pytest.raises(ValueError):
         riesz_lp_norms(SEQ, [], 3.0)
+
+
+def test_one_call_plans_rows_of_any_length(monkeypatch):
+    # 10 rows of length 9 and 3 shorter ones: each reads its lone bits, and the 10
+    # take passes of at most _PASS_ROWS rows
+    seq = POWERS_OF_4[8]
+    rng = np.random.default_rng(9)
+    rows = [tuple(rng.standard_normal(9)) for _ in range(10)]
+    rows[4:4] = [tuple(rng.standard_normal(length)) for length in (3, 6, 8)]
+    alone = [riesz_lp_norm(comb(row, seq), 3.0) for row in rows]
+    sizes = []
+    real = rz._grid_pass
+
+    def counting(terms, rows_, p, n_pts):
+        sizes.append(len(rows_))
+        return real(terms, rows_, p, n_pts)
+
+    monkeypatch.setattr(rz, "_grid_pass", counting)
+    assert riesz_lp_norms(seq, rows, 3.0) == alone
+    assert sorted(sizes) == [1, 1, 1, 2, rz._PASS_ROWS]
 
 
 def test_ratio_scan_caps_the_rows_a_pass(monkeypatch):
@@ -373,19 +391,19 @@ def test_ratio_scan_caps_the_rows_a_pass(monkeypatch):
     seq = POWERS_OF_4[8]
     corollary_ratio_scan(seq, 2.0, draws=1, reps=1000, src=src(24))  # lazy imports and caches
     calls = []
-    real = rz.riesz_lp_norms
-    def counting(seq_, rows, *args):
+    real = rz._grid_pass
+    def counting(terms, rows, *args):
         calls.append(len(rows))
-        return real(seq_, rows, *args)
+        return real(terms, rows, *args)
 
-    monkeypatch.setattr(rz, "riesz_lp_norms", counting)
+    monkeypatch.setattr(rz, "_grid_pass", counting)
     tracemalloc.start()
     try:
         scan = corollary_ratio_scan(seq, 2.0, draws=16, reps=1000, src=src(24))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert calls == [rz._PASS_ROWS, rz._PASS_ROWS, 1] + [1] * 8
+    assert sorted(calls) == sorted([rz._PASS_ROWS, rz._PASS_ROWS, 1] + [1] * 8)
     # one pass of all 17 rows holds 19 such arrays: 5.6 MB
     assert peak < (rz._PASS_ROWS + 3) * 8 * rz._BLOCK + 1_000_000
     last = scan["reports"][-1]
