@@ -4,8 +4,9 @@ Every subcommand prints one JSON report to stdout (and to --out when given)
 containing the tool version, the fully resolved configuration, and the
 results.  Reports are byte-identical across reruns with the same config,
 whatever MOMSAND_THREADS says, except for the wall_time_s field.  A report
-is written by _dumps, which gives the bytes json.dumps(report, indent=2,
-sort_keys=True) gives, in less time than json's pure-Python encoder takes.
+is strict JSON with sorted keys: "{", one line per top-level member, each
+value in json's compact form, then "}".  `python3 -m json.tool` pretty-prints
+one.
 
 Subcommands:
   moments         moment table for a distribution spec
@@ -31,7 +32,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 import time
 
@@ -491,101 +491,18 @@ def _encode(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-_escape = json.encoder.encode_basestring_ascii
+def _dumps(report: dict) -> str:
+    """report as strict JSON with sorted keys, one top-level member a line.
 
-
-def _scalar(value) -> str | None:
-    """The JSON text of a float, string, None, bool or int, None for anything else."""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    if isinstance(value, str):
-        return _escape(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return None
-
-
-@functools.cache
-def _line(level: int) -> str:
-    """A newline and the indent of level, one string shared by every member there."""
-    return "\n" + "  " * level
-
-
-@functools.cache
-def _comma_line(level: int) -> str:
-    return "," + _line(level)
-
-
-def _write(value, level: int, append, keys: dict) -> None:
-    """Append value's pieces at level; keys maps each str key met so far to its
-    text and ': '."""
-    text = _scalar(value)
-    if text is not None:
-        append(text)
-        return
-    is_dict = isinstance(value, dict)
-    if not (is_dict or isinstance(value, (list, tuple))):
-        _write(_encode(value), level, append, keys)
-        return
-    if not value:
-        append("{}" if is_dict else "[]")
-        return
-    inner = level + 1
-    sep, comma = _line(inner), _comma_line(inner)
-    if is_dict:
-        append("{")
-        for key, item in sorted(value.items()):
-            append(sep)
-            sep = comma
-            # only str keys are kept: True, 1 and 1.0 are one dict key but three texts
-            name = keys.get(key)
-            if name is None:
-                text = key if isinstance(key, str) else _scalar(key)
-                if text is None:
-                    raise TypeError(
-                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-                    )
-                name = _escape(text) + ": "
-                if text is key:
-                    keys[key] = name
-            append(name)
-            _write(item, inner, append, keys)
-        append(_line(level))
-        append("}")
-    else:
-        append("[")
-        for item in value:
-            append(sep)
-            sep = comma
-            _write(item, inner, append, keys)
-        append(_line(level))
-        append("]")
-
-
-def _dumps(report) -> str:
-    """report as json.dumps(report, indent=2, sort_keys=True, default=_encode,
-    allow_nan=False) writes it.
-
-    On Python 3.11 json.dumps with an indent runs its pure-Python encoder;
-    this writer takes the same steps with less work per member.  Scalars,
-    members and items come out as json writes them: strings through json's
-    own escaper, numbers through float.__repr__ and int.__repr__, tuples as
-    lists, dict members in sorted order, and anything else through _encode.
-    Each level's newline and indent, and each key with its ': ', is one
-    string shared by every member that uses it.  A NaN or an infinity raises
-    json's ValueError.
+    Each member's value is json.dumps's compact text (its C encoder), with
+    _encode for dataclasses and NumPy values; a NaN or an infinity raises
+    json's ValueError.  The two-space member lines are kept because the
+    benchmark finds and drops the "wall_time_s" line by them.
     """
-    pieces: list[str] = []
-    _write(report, 0, pieces.append, {})
-    return "".join(pieces)
+    members = [f"  {json.dumps(key)}: "
+               f"{json.dumps(report[key], sort_keys=True, default=_encode, allow_nan=False)}"
+               for key in sorted(report)]
+    return "{\n" + ",\n".join(members) + "\n}"
 
 
 def main(argv=None) -> int:

@@ -83,10 +83,11 @@ from .errors import (
     TooFewPointsError,
 )
 from .montecarlo import (
-    MAX_MOMENT_ORDER,
     EstimateWithCI,
     _exact,
+    _no_moments,
     brute_force_lhs,
+    choose_engine,
     coefficient_set,
     estimate_lhs,
 )
@@ -340,17 +341,19 @@ def _probabilistic_side(
 ) -> EstimateWithCI:
     """E|sum a_i R_i|^p for products of i.i.d. 1 + cos(U) factors.
 
-    A lone a_0 is its one outcome |a_0|^p, enumerated as `verify` does.
-    Where |S|^p is a polynomial in S, the moment engine's exact |E S^p| is
-    reported: at every even integer p <= MAX_MOMENT_ORDER, and at every
-    integer p <= MAX_MOMENT_ORDER when the coefficients share one sign, which
-    S then keeps, as every R_i >= 0.  Every other p is sampled.
+    choose_engine picks the engine.  A lone a_0 is its one outcome |a_0|^p,
+    enumerated as `verify` does.  Where |S|^p is a polynomial in S (an even
+    integer p, or an integer p and coefficients of one sign, which S then
+    keeps, as every R_i >= 0) and the moment engine reaches order p, its
+    exact |E S^p| is reported.  Every other p is sampled.
     """
     spec = dc.riesz_factor()
     coeffs = coefficient_set(list(comb.coefficients))
-    if coeffs.n == 0:
+    engine, _ = choose_engine(None, coeffs.n, _no_moments(p, 1),
+                              sample=not _polynomial(comb.coefficients, p))
+    if engine == "enumerate":
         return brute_force_lhs(spec, coeffs, p)
-    if p <= MAX_MOMENT_ORDER and _polynomial(comb.coefficients, p):
+    if engine == "moments":
         from .moments import sandwich_moments
 
         (moments,) = sandwich_moments(spec, [coeffs], int(p))

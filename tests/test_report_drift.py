@@ -1,5 +1,6 @@
-"""tools/report_drift.py on two small hand-written report directories, and the
-strict JSON that tools/bench_reports.py stores."""
+"""tools/report_drift.py on two small hand-written report directories, the
+strict JSON that tools/bench_reports.py stores, and the wall-time line that it
+and the benchmark's checks drop."""
 
 import importlib.util
 import json
@@ -8,8 +9,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+def _load(name, directory="tools"):
+    spec = importlib.util.spec_from_file_location(name, ROOT / directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -17,6 +18,7 @@ def _load(name):
 
 report_drift = _load("report_drift")
 bench_reports = _load("bench_reports")
+checks = _load("checks", "bench")
 
 
 def _report(code, stdout, stderr=""):
@@ -32,11 +34,13 @@ def _write(directory, reports):
 def test_report_drift_lists_changed_leaves_keys_and_exit_codes(tmp_path, capsys):
     same = _report(0, '{\n  "value": 1.0\n}\n')
     old = {
+        "torus-1-layout": _report(0, '{\n  "a": [\n    2.0\n  ]\n}\n'),
         "torus-1-same": same,
         "torus-1-term": _report(0, '{\n  "a": [2.0, 3.0],\n  "tag": "Quadrature"\n}\n'),
         "torus-7-term": _report(0, '{\n  "a": [2.0, 4.0]\n}\n'),
     }
     new = {
+        "torus-1-layout": _report(0, '{\n  "a": [2.0]\n}\n'),
         "torus-1-same": same,
         "torus-1-term": _report(0, '{\n  "a": [2.0, 3.0000000000000004],\n  "tag": "ClosedForm"\n}\n'),
         "torus-7-term": _report(0, '{\n  "a": [2.0, 4.4]\n}\n'),
@@ -51,6 +55,7 @@ def test_report_drift_lists_changed_leaves_keys_and_exit_codes(tmp_path, capsys)
         "  tag: 'Quadrature' -> 'ClosedForm'",
         "torus-7-term: exit 0 -> 0",
         "  a[1]: 4.0 -> 4.4 (rel 0.1)",
+        "1 reports differ in layout only",
         "largest relative change per op:",
         "  term: 0.1 (torus-7-term a[1])",
     ]
@@ -70,6 +75,7 @@ def test_report_drift_lists_changed_leaves_keys_and_exit_codes(tmp_path, capsys)
         "torus-7-term: exit 0 -> 2",
         "  type stdout: object -> null",
         "  stderr: '' -> 'usage error: x\\n'",
+        "1 reports differ in layout only",
         "type changes per op:",
         "  term: 1 (first: torus-7-term stdout)",
     ]
@@ -122,8 +128,10 @@ def test_bench_reports_stores_strict_json_without_wall_time():
     assert (code, err) == ("0", "")
     assert isinstance(body, dict) and "wall_time_s" not in body
     assert body["results"]["table"][1]["value"] == 1.5
-    # written back as the CLI writes it
-    assert f"--- stdout\n{json.dumps(body, indent=2, sort_keys=True)}\n--- stderr\n" in text
+    # as the CLI writes it: one top-level member a line, each value compact
+    members = ",\n".join(f"  {json.dumps(key)}: {json.dumps(body[key], sort_keys=True)}"
+                         for key in sorted(body))
+    assert f"--- stdout\n{{\n{members}\n}}\n--- stderr\n" in text
 
 
 def test_bench_reports_keeps_the_cli_bytes_but_the_top_level_wall_time():
@@ -137,3 +145,19 @@ def test_bench_reports_keeps_the_cli_bytes_but_the_top_level_wall_time():
     text = bench_reports.run_op(fake_main, [])
     kept = lines[:4] + ['  },', '  "z": "x"', '}']
     assert text == "exit: 1\n--- stdout\n" + "\n".join(kept) + "\n--- stderr\n"
+
+
+def test_the_benchmark_drops_the_wall_time_line_of_a_real_report(capsys):
+    from momsand.cli import main
+
+    argv = ["verify", "--dist", "uniform:lo=0,hi=2", "--p", "2.5", "--n", "4",
+            "--coeffs", "random:count=2,seed=3", "--reps", "2000"]
+    stripped, stored = [], []
+    for _ in range(2):
+        assert main(argv) == 0
+        stripped.append(checks.strip_wall_time(capsys.readouterr().out))
+        stored.append(bench_reports.run_op(main, argv))
+    assert stripped[0] == stripped[1]
+    assert all("wall_time_s" not in text for text in stripped + stored)
+    code, body, _ = report_drift.parse_report(stored[0])
+    assert code == "0" and isinstance(body, dict)

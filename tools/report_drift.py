@@ -3,10 +3,12 @@
     python3 tools/report_drift.py OLD_DIR NEW_DIR
 
 OLD_DIR and NEW_DIR are outputs of tools/bench_reports.py, one file
-<workload>-<seed>-<op>.txt per operation.  For each report that differs this
-prints its exit codes, the JSON keys found on one side only, every value
-whose JSON type differs between the sides (a number that became an array or
-an object, say) as "type PATH: old type -> new type", and every other
+<workload>-<seed>-<op>.txt per operation.  Reports whose texts differ but
+whose exit codes, parsed stdout and stderr agree differ in layout only; one
+line counts them.  For every other report that differs this prints its exit
+codes, the JSON keys found on one side only, every value whose JSON type
+differs between the sides (a number that became an array or an object,
+say) as "type PATH: old type -> new type", and every other
 changed leaf as old -> new, with the relative change |new - old| / |old| of
 a numeric leaf.  It then prints, per op over workloads and seeds, the
 largest relative change and the count of type changes with the first of
@@ -83,6 +85,7 @@ def compare(old_dir: str, new_dir: str) -> int:
     status = 0
     largest = {}  # op -> (relative change, report, path)
     retyped = {}  # op -> [type changes, first report, first path]
+    layout_only = 0  # reports whose text differs but not their exit code, JSON or stderr
     for name in sorted(old_names | new_names):
         report = name.removesuffix(".txt")
         if name not in old_names or name not in new_names:
@@ -98,11 +101,15 @@ def compare(old_dir: str, new_dir: str) -> int:
             continue
         old_code, old_body, old_err = parse_report(old_text)
         new_code, new_body, new_err = parse_report(new_text)
+        changes = list(walk(old_body, new_body))
+        if (old_code, old_err) == (new_code, new_err) and not changes:
+            layout_only += 1
+            continue
         print(f"{report}: exit {old_code} -> {new_code}")
         if old_code != new_code:
             status = 1
         op = report.split("-", 2)[-1]
-        for path, old, new in walk(old_body, new_body):
+        for path, old, new in changes:
             if old is MISSING or new is MISSING:
                 print(f"  key {path}: only in {'old' if new is MISSING else 'new'}")
                 status = 1
@@ -119,6 +126,8 @@ def compare(old_dir: str, new_dir: str) -> int:
                 print(f"  {path}: {old!r} -> {new!r}")
         if old_err != new_err:
             print(f"  stderr: {old_err!r} -> {new_err!r}")
+    if layout_only:
+        print(f"{layout_only} reports differ in layout only")
     if largest:
         print("largest relative change per op:")
         for op, (rel, report, path) in sorted(largest.items()):
