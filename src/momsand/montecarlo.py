@@ -6,9 +6,9 @@ one recursion: from acc = 0, r = 1, each step (x, b) does
 
     acc += r * b;  r *= x.
 
-The sandwich's step i is (X_i, v_{i-1}) and R_n v_n is added after step n;
-the perpetuity's step i is (X_i, B_i) under the coupling PairSpec declares,
-and PairSpec.comonotone_cells alone gives a comonotone pair's atoms.
+The sandwich's steps are (X_i, v_{i-1}), i <= n, and (1, v_n) in all three
+backends; the perpetuity's step i is (X_i, B_i) under the coupling PairSpec
+declares, and PairSpec.comonotone_cells alone gives a comonotone pair's atoms.
 E||acc||^p is computed by one of three backends:
 
   * _sample_paths, seeded Monte Carlo: reps are cut into fixed blocks of
@@ -18,14 +18,15 @@ E||acc||^p is computed by one of three backends:
     Kernels are elementwise, so no BLAS threading reorders a sum, and a
     report depends on (seed, stream, reps), never on the worker count.
   * _walk, exact enumeration of finite per-step atoms (x, b, prob),
-    lexicographic with step 1 most significant.  The last steps, at most
-    1e5 paths of them (or the last step alone, if it is wider), are walked
-    once from acc = 0, r = 1 into sums S; each prefix (acc0, r0) of the
-    earlier steps then makes one block acc0 + r0 * S, one fused pass per
-    outcome.  _exact_mean runs the blocks on the pool, each worker in one
-    set of buffers the calling thread allocates, and adds the blocks' sums
-    with math.fsum in walk order, so the mean does not depend on the worker
-    count; _outcomes writes every block into its slice of one pair of arrays.
+    lexicographic with step 1 most significant.  The last steps, at most 1e5
+    paths (or the last wide step and those after, if wider), are walked once
+    from acc = 0, r = 1 into sums S; the same loop lists the prefixes
+    (acc0, r0) of the earlier steps, each one block acc0 + r0 * S, one fused
+    pass per outcome.  _exact_mean runs the blocks on the pool, each worker
+    in one set of buffers the calling thread allocates, and adds the blocks'
+    sums with math.fsum in walk order, so the mean does not depend on the
+    worker count; _outcomes writes every block into its slice of one pair of
+    arrays.
   * the moment backend, in the module moments: the same steps taken
     backward, T <- b + x T, in one loop for the sandwich's point masses and
     the perpetuity's fixed kernel, carry each coordinate's exact moments E T_c^a
@@ -58,7 +59,6 @@ sum) in integer counts, O(n^2) integer operations at any n.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -211,14 +211,6 @@ def _row_norms(coeffs: CoefficientSet) -> list[float]:
         return holder_norm(coeffs.matrix(), coeffs.norm).tolist()
 
 
-def _lone_term(coeffs: CoefficientSet, p: float) -> float:
-    """||v_0||^p of a set with n = 0; an overflowing float power is non-finite."""
-    try:
-        return _row_norms(coeffs)[0] ** p
-    except OverflowError:
-        raise NonfiniteMomentError(f"||v_0||^p overflows at p = {p}") from None
-
-
 def _stats(values: np.ndarray, reps: int, seed: int | None) -> EstimateWithCI:
     """Mean and standard error of values, which it consumes: they end as squared deviations.
 
@@ -248,19 +240,18 @@ def _check_run(p: float, reps: int) -> None:
 # the sampling and enumeration backends of the step model
 
 
-def _sample_paths(block_steps, tail, dim: int, norm: str, p: float, reps: int,
+def _sample_paths(block_steps, dim: int, norm: str, p: float, reps: int,
                   src: dc.RandomSource, csv_path: str | None) -> EstimateWithCI:
     """Monte Carlo backend: mean of ||acc||^p over reps independent paths.
 
     reps are cut into blocks of CHUNK paths, one pool task each, and block j
-    draws from src.generator(block=j).  block_steps(gen, m, scratch) gets
-    the block's generator and path count and yields its steps (x, b) in
-    order: x holds the m paths' factors and b is (d, 1) or (d, m).
-    scratch(shape) is the calling worker's float buffer, allocated on its
-    first request and reused by the later ones, which it reallocates only
-    when a request outgrows it.  tail, when given, adds r * tail after the
-    last step.  acc is held as (d, m), see the module docstring, and each
-    block writes its values into its slice of one preallocated array.
+    draws from src.generator(block=j).  block_steps(gen, m, scratch) gets the
+    block's generator and path count and yields its steps (x, b) in order: x
+    holds the m paths' factors and b is (d, 1) or (d, m).  scratch(shape) is
+    the calling worker's float buffer, allocated on its first request and
+    reused by the later ones, which it reallocates only when a request outgrows
+    it.  acc is held as (d, m), see the module docstring, and each block writes
+    its values into its slice of one preallocated array.
     """
     values = np.empty(reps)
     local = threading.local()
@@ -283,8 +274,6 @@ def _sample_paths(block_steps, tail, dim: int, norm: str, p: float, reps: int,
             for x, b in steps:
                 acc += np.multiply(b, r, out=tmp)
                 r *= x
-            if tail is not None:
-                acc += np.multiply(tail[:, None], r, out=tmp)
             np.power(holder_norm(acc.T, norm), p, out=values[lo:lo + m])
 
     map_indexed(run, range(-(-reps // CHUNK)))
@@ -307,42 +296,40 @@ class _Walk:
     p: float
 
 
-def _walk(steps, tail, dim: int, norm: str, p: float) -> _Walk:
+def _paths(steps, dim: int):
+    """(acc, r, q) of every path through steps from acc = 0, r = 1, with the first
+    step most significant: acc is (d, M), r and q are (M,)."""
+    acc, r, q = np.zeros((dim, 1)), np.ones(1), np.ones(1)
+    for x, b, prob in steps:
+        count = len(r)
+        r_rep = np.repeat(r, len(x))
+        acc = np.repeat(acc, len(x), axis=1) + np.tile(b.T, (1, count)) * r_rep
+        r = r_rep * np.tile(x, count)
+        q = np.repeat(q, len(x)) * np.tile(prob, count)
+    return acc, r, q
+
+
+def _walk(steps, dim: int, norm: str, p: float) -> _Walk:
     """Enumeration backend: the suffix sums and the prefixes of a lexicographic walk.
 
-    steps lists each step's atoms (x, b, prob), b holding one row per atom;
-    tail, when given, adds r * tail after the last step.  The last steps, at
-    most ENUM_BLOCK paths of them, form the suffix; a last step wider than
-    ENUM_BLOCK forms it alone, so that its atoms make one block and not one
-    block each.  The suffix is walked once from acc = 0, r = 1, tail
-    included, giving its sums S and probabilities q; each prefix (acc0, r0,
-    p0) of the first `split` steps then makes one block.  S is held as
-    (d, M), see the module docstring.  Overflow gives inf or nan values,
-    which the verdicts reject, and no warning.
+    steps lists each step's atoms (x, b, prob), b holding one row per atom.
+    The last steps, at most ENUM_BLOCK paths of them, form the suffix, but
+    never a suffix of one path while there are more: a step wider than
+    ENUM_BLOCK followed by steps of one atom forms it with them, so that its
+    atoms make one block and not one block each.  _paths walks the suffix once, giving its sums S
+    and probabilities q, and the first `split` steps, giving each prefix
+    (acc0, r0, p0), which then makes one block.  S is held as (d, M), see
+    the module docstring.  Overflow gives inf or nan values, which the
+    verdicts reject, and no warning.
     """
     widths = [len(x) for x, _, _ in steps]
     split = 0
-    while split < len(widths) - 1 and math.prod(widths[split:]) > ENUM_BLOCK:
+    while math.prod(widths[split + 1:]) > 1 and math.prod(widths[split:]) > ENUM_BLOCK:
         split += 1
-    acc, r, q = np.zeros((dim, 1)), np.ones(1), np.ones(1)
-    prefixes = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for x, b, prob in steps[split:]:
-            count = len(r)
-            r_rep = np.repeat(r, len(x))
-            acc = np.repeat(acc, len(x), axis=1) + np.tile(b.T, (1, count)) * r_rep
-            r = r_rep * np.tile(x, count)
-            q = np.repeat(q, len(x)) * np.tile(prob, count)
-        if tail is not None:
-            acc += tail[:, None] * r
-        for combo in itertools.product(*(range(w) for w in widths[:split])):
-            acc0, r0, p0 = np.zeros(dim), 1.0, 1.0
-            for (x, b, prob), j in zip(steps, combo):
-                acc0 = acc0 + r0 * b[j]
-                r0 = r0 * float(x[j])
-                p0 = p0 * float(prob[j])
-            prefixes.append((acc0, r0, p0))
-    return _Walk(acc, q, prefixes, norm, p)
+        sums, _, q = _paths(steps[split:], dim)
+        acc0, r0, p0 = _paths(steps[:split], dim)
+    return _Walk(sums, q, list(zip(acc0.T, r0, p0)), norm, p)
 
 
 def _block_values(walk: _Walk, prefix, out=None, values=None) -> np.ndarray:
@@ -465,7 +452,7 @@ def _no_moments(p: float, dim: int, pair: PairSpec | None = None) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# the sandwich: steps (X_i, v_{i-1}) and the terminal term R_n v_n
+# the sandwich: steps (X_i, v_{i-1}) and the unit step (1, v_n)
 
 
 def estimate_lhs(
@@ -479,19 +466,19 @@ def estimate_lhs(
     """Monte Carlo mean of ||sum_i v_i R_i||^p over independent paths."""
     _check_run(p, reps)
     if coeffs.n == 0:
-        return _exact(_lone_term(coeffs, p), 0, src.seed)
+        return _exact(lambda_weighted_sum(coeffs, p, 1.0), 0, src.seed)
     n, vmat = coeffs.n, coeffs.matrix()
 
     def block_steps(gen, m, scratch):
         draws = dc.sample(spec, (m, n), gen, out=scratch((m, n)))  # path-major
-        return zip(draws.T, vmat[:-1, :, None])
+        return zip((*draws.T, 1.0), vmat[:, :, None])
 
-    return _sample_paths(block_steps, vmat[-1], coeffs.dim, coeffs.norm, p, reps, src, csv_path)
+    return _sample_paths(block_steps, coeffs.dim, coeffs.norm, p, reps, src, csv_path)
 
 
 def _sandwich_walk(spec: dc.DistributionSpec, coeffs: CoefficientSet, p: float) -> _Walk | None:
-    """The sandwich's walk; None for n = 0, whose one outcome is _lone_term, computed as
-    rhs_sum computes it, so the ratio is exactly 1, whatever the law."""
+    """The sandwich's walk; None for n = 0, whose one outcome is lambda_weighted_sum's,
+    computed as rhs_sum computes it, so the ratio is exactly 1, whatever the law."""
     if coeffs.n == 0:
         return None
     support = dc.finite_support(spec)
@@ -501,14 +488,14 @@ def _sandwich_walk(spec: dc.DistributionSpec, coeffs: CoefficientSet, p: float) 
     vmat = coeffs.matrix()
     steps = [(svals, np.tile(v, (len(svals), 1)), sprobs) for v in vmat[:-1]]
     _check_cap(len(svals), coeffs.n)
-    return _walk(steps, vmat[-1], coeffs.dim, coeffs.norm, p)
+    return _walk([*steps, (np.ones(1), vmat[-1:], np.ones(1))], coeffs.dim, coeffs.norm, p)
 
 
 def enumerate_lhs_distribution(spec, coeffs: CoefficientSet, p: float):
     """Full outcome distribution (values of ||sum v_i R_i||^p, probabilities)."""
     walk = _sandwich_walk(spec, coeffs, p)
     if walk is None:
-        return np.asarray([_lone_term(coeffs, p)]), np.ones(1)
+        return np.asarray([lambda_weighted_sum(coeffs, p, 1.0)]), np.ones(1)
     return _outcomes(walk)
 
 
@@ -516,16 +503,7 @@ def brute_force_lhs(spec, coeffs: CoefficientSet, p: float) -> EstimateWithCI:
     """Exact E||sum v_i R_i||^p by weighted enumeration."""
     dc.check_order(p)
     walk = _sandwich_walk(spec, coeffs, p)
-    return _exact(_lone_term(coeffs, p), 1) if walk is None else _exact_mean(walk)
-
-
-def _sandwich_choice(spec, coeffs: CoefficientSet, p: float,
-                     sample: bool = False) -> tuple[str, str]:
-    """choose_engine for coefficient sets of coeffs' n and d."""
-    dc.check_order(p)
-    support = dc.finite_support(spec)
-    return choose_engine(None if support is None else len(support[0]), coeffs.n,
-                         _no_moments(p, coeffs.dim), sample)
+    return _exact(lambda_weighted_sum(coeffs, p, 1.0), 1) if walk is None else _exact_mean(walk)
 
 
 def rhs_sum(spec, coeffs: CoefficientSet, p: float) -> float:
@@ -567,7 +545,10 @@ def run_sandwiches(spec: dc.DistributionSpec, p: float, sets,
     work, when that set is enumerated (within the cap, or n = 0)."""
     if not sets:
         return []
-    chosen, reason = _sandwich_choice(spec, sets[0], p, sample=csv_path is not None)
+    dc.check_order(p)
+    support = dc.finite_support(spec)
+    chosen, reason = choose_engine(None if support is None else len(support[0]), sets[0].n,
+                                   _no_moments(p, sets[0].dim), csv_path is not None)
     if csv_path is not None and chosen != "montecarlo":
         raise UsageError(f"--csv {csv_path}: the first set is exact ({reason}), "
                          "so no path is sampled")
@@ -719,7 +700,7 @@ def perpetuity_lhs(
                     dc.sample(law, m, gen, out=row)
             yield x, b
 
-    return _sample_paths(block_steps, None, pair.dim, pair.norm, p, reps, src, None)
+    return _sample_paths(block_steps, pair.dim, pair.norm, p, reps, src, None)
 
 
 def _pair_width(pair: PairSpec) -> int | None:
@@ -757,7 +738,7 @@ def brute_force_perpetuity(pair: PairSpec, n: int, p: float) -> EstimateWithCI:
     if width is None:
         raise ValueError("exact perpetuity needs finite-support X and B")
     _check_cap(width, n)
-    return _exact_mean(_walk([_pair_branches(pair)] * n, None, pair.dim, pair.norm, p))
+    return _exact_mean(_walk([_pair_branches(pair)] * n, pair.dim, pair.norm, p))
 
 
 def _b_norm_moment(pair: PairSpec, p: float, reps: int,
@@ -870,12 +851,15 @@ def goldie_bracket(
 
 def lambda_weighted_sum(coeffs: CoefficientSet, p: float, lam: float) -> float:
     """sum_i lambda^i ||v_i||^p, the scale the tail bounds are stated in."""
+    norms = _row_norms(coeffs)
     try:
-        total = math.fsum(x**p * lam**i for i, x in enumerate(_row_norms(coeffs)))
+        total = math.fsum(x**p * lam**i for i, x in enumerate(norms))
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):
         raise NonfiniteMomentError(f"sum_i lambda^i ||v_i||^p overflows at p = {p}")
+    if total == 0.0 and any(norms):
+        raise NonfiniteMomentError(f"sum_i lambda^i ||v_i||^p underflows to 0 at p = {p}")
     return total
 
 

@@ -186,6 +186,15 @@ def test_verify_degenerate_reports_counterexample(capsys):
     assert res["counterexample"]["ratio"] == 58.0
 
 
+def test_a_heavy_tail_is_not_a_degenerate_modulus(capsys):
+    # normalized to E X^10 = 1, E X = e^-40.5 and mu = 4.5e-18, yet the mean
+    # absolute deviation of X is 1.7 E X: far from a constant |X|
+    code, report, _ = run_cli(capsys, ["verify", "--dist", "lognormal:mu=0,sigma=3", "--p", "10",
+                                       "--n", "30", "--reps", "1000"])
+    assert code == 0
+    assert "degenerate" not in report["results"]
+
+
 def test_verify_single_coefficient_ratio_one(capsys):
     code, report, _ = run_cli(
         capsys, ["verify", "--dist", TP, "--p", "1.0", "--coeffs", "2", "--reps", "2000"]
@@ -319,9 +328,14 @@ NONFINITE_CASES = [
       "--coeffs", "random:count=2,seed=1", "--reps", "1000"],
      "E X^2 overflows for scaled:"),
     # a single coefficient: ||v_0||^p is a Python float power, exact and Monte Carlo
-    (["verify", "--dist", TP, "--p", "4", "--coeffs", "1e100"], "||v_0||^p overflows"),
+    (["verify", "--dist", TP, "--p", "4", "--coeffs", "1e100"],
+     "sum_i lambda^i ||v_i||^p overflows"),
     (["verify", "--dist", "uniform:lo=0,hi=2", "--p", "4", "--coeffs", "1e100"],
-     "||v_0||^p overflows"),
+     "sum_i lambda^i ||v_i||^p overflows"),
+    # ||v_0||^p underflows to 0 though v_0 is not 0: the ratio would be 0 / 0
+    (["verify", "--dist", "uniform:lo=-1,hi=1", "--p", "3", "--n", "5",
+      "--coeffs", "random:count=1,seed=1,scale=1e-200"],
+     "sum_i lambda^i ||v_i||^p underflows to 0"),
     # the large-p upper constant's product form passes the float range
     (["certify", "--dist", "uniform:lo=0,hi=2", "--p", "300"], "overflows at p = 300.0"),
     (["perpetuity", "--dist", "uniform:lo=0,hi=2", "--b-dist", "uniform:lo=0,hi=1",

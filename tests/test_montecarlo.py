@@ -453,7 +453,7 @@ def test_prefix_split_walk_matches_unsplit_perpetuity(monkeypatch, coupling):
     whole, split = _split_and_unsplit(
         monkeypatch,
         lambda: mc._outcomes(
-            mc._walk([mc._pair_branches(pair)] * 5, None, pair.dim, pair.norm, 2.5)
+            mc._walk([mc._pair_branches(pair)] * 5, pair.dim, pair.norm, 2.5)
         ),
     )
     assert len(whole[0]) == len(mc._pair_branches(pair)[0]) ** 5
@@ -461,15 +461,33 @@ def test_prefix_split_walk_matches_unsplit_perpetuity(monkeypatch, coupling):
     assert np.array_equal(whole[1], split[1])
 
 
-def test_walk_keeps_a_wide_last_step_in_one_block(monkeypatch):
-    # 2 x 400 x 400 = 320,000 joint atoms in the one step, past mc.ENUM_BLOCK:
-    # the step is the suffix, so the walk yields one block and not one per atom
-    def b_law(seed):
-        gen = np.random.default_rng(seed)
-        weights = gen.uniform(0.5, 2.0, 400)
-        return dc.finitely_supported(zip(gen.normal(size=400), weights / weights.sum()))
+def _random_law(seed, size):
+    gen = np.random.default_rng(seed)
+    weights = gen.uniform(0.5, 2.0, size)
+    return dc.finitely_supported(zip(gen.normal(size=size), weights / weights.sum()))
 
-    pair = PairSpec(TWO_POINT, (b_law(1), b_law(2)))
+
+def _wide_perpetuity():
+    # 2 x 400 x 400 = 320,000 joint atoms in the one step
+    pair = PairSpec(TWO_POINT, (_random_law(1, 400), _random_law(2, 400)))
+    outcomes = mc._outcomes(mc._walk([mc._pair_branches(pair)], 2, "l2", 2.0))
+    return (lambda: mc.brute_force_perpetuity(pair, 1, 2.0)), outcomes
+
+
+def _wide_sandwich():
+    # ENUM_BLOCK + 1 atoms at n = 1, then the unit step (1, v_1): the suffix is
+    # both steps, not the unit step alone with one prefix per atom
+    spec, coeffs = _random_law(3, mc.ENUM_BLOCK + 1), mc.coefficient_set([1.0, -0.5])
+    x, probs = dc.finite_support(spec)
+    values = np.abs(1.0 + -0.5 * x) ** 2.0
+    return (lambda: mc.brute_force_lhs(spec, coeffs, 2.0)), (values, probs)
+
+
+@pytest.mark.parametrize("case", [_wide_perpetuity, _wide_sandwich], ids=["perpetuity", "sandwich"])
+def test_walk_keeps_a_wide_last_step_in_one_block(monkeypatch, case):
+    # a step past mc.ENUM_BLOCK atoms is in the suffix, so the walk yields one
+    # block and not one per atom
+    run, (values, probs) = case()
     blocks = []
 
     def counting_mean(walk):
@@ -478,10 +496,9 @@ def test_walk_keeps_a_wide_last_step_in_one_block(monkeypatch):
 
     exact_mean = mc._exact_mean
     monkeypatch.setattr(mc, "_exact_mean", counting_mean)
-    est = mc.brute_force_perpetuity(pair, 1, 2.0)
+    est = run()
     assert blocks == [1]
-    assert est.exact and est.replications == 2 * 400 * 400
-    values, probs = mc._outcomes(mc._walk([mc._pair_branches(pair)], None, 2, "l2", 2.0))
+    assert est.exact and est.replications == len(values) > mc.ENUM_BLOCK
     assert est.mean == pytest.approx(math.fsum(values * probs), rel=2.0**-52, abs=0.0)
 
 
@@ -591,7 +608,7 @@ def test_walk_matches_naive_perpetuity(monkeypatch, pair, block):
         x, b, prob = mc._pair_branches(pair)
         step = list(zip(x, b.tolist(), prob))
     want = _naive_walk([step] * n, None, pair.norm, p)
-    walk = mc._walk([mc._pair_branches(pair)] * n, None, pair.dim, pair.norm, p)
+    walk = mc._walk([mc._pair_branches(pair)] * n, pair.dim, pair.norm, p)
     _assert_same_outcomes(mc._outcomes(walk), want)
     est = mc.brute_force_perpetuity(pair, n, p)
     assert est.exact and est.replications == len(want[0])
@@ -662,7 +679,7 @@ def test_perpetuity_exact_mean_bits_match_the_serial_reference(monkeypatch, pair
     n = 3
     got, want = _means_at_each_worker_count(
         monkeypatch, lambda: mc.brute_force_perpetuity(pair, n, p),
-        mc._walk([mc._pair_branches(pair)] * n, None, pair.dim, pair.norm, p),
+        mc._walk([mc._pair_branches(pair)] * n, pair.dim, pair.norm, p),
     )
     assert got == [want, want]
 
@@ -861,7 +878,7 @@ def _pinned_walks():
         runs[f"perpetuity_d2_{norm}"] = (
             lambda pair=pair: mc.brute_force_perpetuity(pair, 5, 2.5),
             lambda pair=pair: mc._outcomes(
-                mc._walk([mc._pair_branches(pair)] * 5, None, 2, pair.norm, 2.5)),
+                mc._walk([mc._pair_branches(pair)] * 5, 2, pair.norm, 2.5)),
         )
     return runs
 
