@@ -301,11 +301,10 @@ def _paths(steps, dim: int):
     step most significant: acc is (d, M), r and q are (M,)."""
     acc, r, q = np.zeros((dim, 1)), np.ones(1), np.ones(1)
     for x, b, prob in steps:
-        count = len(r)
-        r_rep = np.repeat(r, len(x))
-        acc = np.repeat(acc, len(x), axis=1) + np.tile(b.T, (1, count)) * r_rep
-        r = r_rep * np.tile(x, count)
-        q = np.repeat(q, len(x)) * np.tile(prob, count)
+        acc = np.repeat(acc, len(x), axis=1)
+        acc += (b.T[:, None, :] * r[:, None]).reshape(dim, -1)
+        r = (r[:, None] * x).ravel()
+        q = (q[:, None] * prob).ravel()
     return acc, r, q
 
 
