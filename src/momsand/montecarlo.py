@@ -298,7 +298,8 @@ class _Walk:
 
 def _paths(steps, dim: int):
     """(acc, r, q) of every path through steps from acc = 0, r = 1, with the first
-    step most significant: acc is (d, M), r and q are (M,)."""
+    step most significant: acc is (d, M), r and q are (M,).  Broadcasting, not
+    tiling, keeps one product array beside the sums at each step."""
     acc, r, q = np.zeros((dim, 1)), np.ones(1), np.ones(1)
     for x, b, prob in steps:
         acc = np.repeat(acc, len(x), axis=1)
@@ -315,11 +316,11 @@ def _walk(steps, dim: int, norm: str, p: float) -> _Walk:
     The last steps, at most ENUM_BLOCK paths of them, form the suffix, but
     never a suffix of one path while there are more: a step wider than
     ENUM_BLOCK followed by steps of one atom forms it with them, so that its
-    atoms make one block and not one block each.  _paths walks the suffix once, giving its sums S
-    and probabilities q, and the first `split` steps, giving each prefix
-    (acc0, r0, p0), which then makes one block.  S is held as (d, M), see
-    the module docstring.  Overflow gives inf or nan values, which the
-    verdicts reject, and no warning.
+    atoms make one block and not one block each.  _paths walks the suffix
+    once, giving its sums S and probabilities q, and the first `split`
+    steps, giving each prefix (acc0, r0, p0), which then makes one block.
+    S is held as (d, M), see the module docstring.  Overflow gives inf or
+    nan values, which the verdicts reject, and no warning.
     """
     widths = [len(x) for x, _, _ in steps]
     split = 0

@@ -332,10 +332,6 @@ NONFINITE_CASES = [
      "sum_i lambda^i ||v_i||^p overflows"),
     (["verify", "--dist", "uniform:lo=0,hi=2", "--p", "4", "--coeffs", "1e100"],
      "sum_i lambda^i ||v_i||^p overflows"),
-    # ||v_0||^p underflows to 0 though v_0 is not 0: the ratio would be 0 / 0
-    (["verify", "--dist", "uniform:lo=-1,hi=1", "--p", "3", "--n", "5",
-      "--coeffs", "random:count=1,seed=1,scale=1e-200"],
-     "sum_i lambda^i ||v_i||^p underflows to 0"),
     # the large-p upper constant's product form passes the float range
     (["certify", "--dist", "uniform:lo=0,hi=2", "--p", "300"], "overflows at p = 300.0"),
     (["perpetuity", "--dist", "uniform:lo=0,hi=2", "--b-dist", "uniform:lo=0,hi=1",
@@ -344,6 +340,10 @@ NONFINITE_CASES = [
     # E(1 + cos U)^q passes the float range at q = 1030; 10^9 must not run comb(2q, q)
     (["moments", "--dist", "riesz", "--q", "1100"], "overflows at q = 1100.0"),
     (["moments", "--dist", "riesz", "--q", "1000000000"], "overflows at q = 1000000000.0"),
+    # ||v_0||^p underflows to 0 though v_0 is not 0: the ratio would be 0 / 0
+    (["verify", "--dist", "uniform:lo=-1,hi=1", "--p", "3", "--n", "5",
+      "--coeffs", "random:count=1,seed=1,scale=1e-200"],
+     "sum_i lambda^i ||v_i||^p underflows to 0"),
 ]
 
 
