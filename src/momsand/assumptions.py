@@ -259,8 +259,9 @@ def large_p_parts(spec: dc.DistributionSpec, p: float) -> LargePParts:
         raise ValueError(f"large-p fitter needs p > 1, got {p}")
     norm_p = check_normalized(spec, p) ** (1.0 / p)
     m1 = dc.expect(spec, 1.0)
-    mu = dc.expect(spec, 1.0, m1) / norm_p
-    if mu * norm_p < 1e-9 * m1:
+    dev = dc.expect(spec, 1.0, m1)
+    mu = dev / norm_p
+    if dev < 1e-9 * m1:
         raise DegenerateModulusError(f"mu = {mu!r}: |X| is numerically constant")
     chain = tuple(
         _lp_norm(spec, p - k) / _lp_norm(spec, p - k + 1.0) for k in range(1, math.ceil(p))

@@ -471,7 +471,7 @@ def _wide_perpetuity():
     # 2 x 400 x 400 = 320,000 joint atoms in the one step
     pair = PairSpec(TWO_POINT, (_random_law(1, 400), _random_law(2, 400)))
     outcomes = mc._outcomes(mc._walk([mc._pair_branches(pair)], 2, "l2", 2.0))
-    return (lambda: mc.brute_force_perpetuity(pair, 1, 2.0)), outcomes
+    return (lambda: mc.brute_force_perpetuity(pair, 1, 2.0)), outcomes, 2 * 400 * 400
 
 
 def _wide_sandwich():
@@ -480,14 +480,14 @@ def _wide_sandwich():
     spec, coeffs = _random_law(3, mc.ENUM_BLOCK + 1), mc.coefficient_set([1.0, -0.5])
     x, probs = dc.finite_support(spec)
     values = np.abs(1.0 + -0.5 * x) ** 2.0
-    return (lambda: mc.brute_force_lhs(spec, coeffs, 2.0)), (values, probs)
+    return (lambda: mc.brute_force_lhs(spec, coeffs, 2.0)), (values, probs), mc.ENUM_BLOCK + 1
 
 
 @pytest.mark.parametrize("case", [_wide_perpetuity, _wide_sandwich], ids=["perpetuity", "sandwich"])
 def test_walk_keeps_a_wide_last_step_in_one_block(monkeypatch, case):
     # a step past mc.ENUM_BLOCK atoms is in the suffix, so the walk yields one
     # block and not one per atom
-    run, (values, probs) = case()
+    run, (values, probs), count = case()
     blocks = []
 
     def counting_mean(walk):
@@ -498,7 +498,7 @@ def test_walk_keeps_a_wide_last_step_in_one_block(monkeypatch, case):
     monkeypatch.setattr(mc, "_exact_mean", counting_mean)
     est = run()
     assert blocks == [1]
-    assert est.exact and est.replications == len(values) > mc.ENUM_BLOCK
+    assert est.exact and est.replications == count == len(values) > mc.ENUM_BLOCK
     assert est.mean == pytest.approx(math.fsum(values * probs), rel=2.0**-52, abs=0.0)
 
 
