@@ -276,8 +276,11 @@ def _check_coefficients(text, values) -> None:
 
 def _certify_pipeline(spec, p: float, resolved: dict):
     """Scan the grid for the best constants, then recheck the winning certificate."""
-    grid_a = _list(resolved, "grid_a")
-    grid_q = _list(resolved, "grid_q")
+    grid_a, grid_q = _list(resolved, "grid_a"), _list(resolved, "grid_q")
+    for key, grid in (("grid_a", grid_a), ("grid_q", grid_q)):
+        if grid is not None and not np.all(np.isfinite(grid)):
+            flag = key.replace("_", "-")
+            raise ValueError(f"--{flag} {resolved[key]}: grid values must be finite")
     if p <= 1.0:
         bundle, cert = optimize_small_p(spec, p, grid_a or DEFAULT_A_GRID_SMALL)
         return bundle, cert, verify_small_p(spec, cert)

@@ -539,10 +539,12 @@ def _bracket_verdict(lhs: tuple[float, float], constants, base: tuple[float, flo
 def run_sandwiches(spec: dc.DistributionSpec, p: float, sets,
                    constants: tuple[float, float, bool], reps: int, srcs,
                    csv_path: str | None = None) -> list[SandwichReport]:
-    """run_sandwich over sets sharing n and d, each with its source in srcs; the moment
-    engine takes them all in one pass.  A csv_path for the first set's sampled values
-    has them sampled past the enumeration cap; it is a usage error, raised before any
-    work, when that set is enumerated (within the cap, or n = 0)."""
+    """Compare each set's LHS (an enumerated mean, a sampled estimate from its source in
+    srcs, or a moment enclosure) against the bracket constants times its rhs_sum.  The
+    sets share n and d, so one engine serves them all; the moment engine takes them in one
+    pass.  A csv_path has the first set sampled past the enumeration cap and its per-path
+    values written there; it is a usage error, raised before any work, when that set is
+    enumerated (within the cap, or n = 0)."""
     if not sets:
         return []
     dc.check_order(p)
@@ -574,21 +576,6 @@ def run_sandwiches(spec: dc.DistributionSpec, p: float, sets,
         reports.append(SandwichReport(lhs=est, rhs_sum=rhs, verdict=verdict, ratio=ratio,
                                       engine=chosen, reason=reason))
     return reports
-
-
-def run_sandwich(
-    spec: dc.DistributionSpec,
-    p: float,
-    coeffs: CoefficientSet,
-    constants: tuple[float, float, bool],
-    reps: int,
-    src: dc.RandomSource,
-    csv_path: str | None = None,
-) -> SandwichReport:
-    """Compare the LHS (an enumerated mean, a sampled estimate or a moment enclosure)
-    against the bracket constants times rhs_sum; a sampled LHS writes its per-path
-    values to csv_path, when given."""
-    return run_sandwiches(spec, p, [coeffs], constants, reps, [src], csv_path)[0]
 
 
 # ---------------------------------------------------------------------------

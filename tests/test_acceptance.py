@@ -5,7 +5,6 @@ with criterion 9, so the tail checks run against exactly the distributions
 the sandwich checks certified.
 """
 
-import json
 import math
 import os
 import re

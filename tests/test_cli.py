@@ -921,6 +921,22 @@ def test_empty_list_flag_is_usage_error(capsys, argv, flag):
     assert _usage_error_line(capsys, argv).startswith(f"usage error: {flag} ")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--grid-a", "--grid-q"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["certify", "--dist", UNIFORM, "--p", "2.5"],
+        ["verify", "--dist", UNIFORM, "--p", "2.5", "--coeffs", "1,1"],
+        ["perpetuity", *BRACKET, "--p", "2.5"],
+    ],
+    ids=["certify", "verify", "perpetuity"],
+)
+def test_nonfinite_grid_value_is_usage_error(capsys, command, flag, value):
+    line = _usage_error_line(capsys, [*command, flag, f"2,{value}"])
+    assert line == f"usage error: {flag} 2,{value}: grid values must be finite"
+
+
 def test_overflowing_c0_is_null(capsys):
     # ln c0 passes 709 near p = 9.5, yet k exists and the certificate stands
     code, report, _ = run_cli(capsys, ["certify", "--dist", TP, "--p", "10"])
@@ -1296,8 +1312,8 @@ def test_overflowing_enclosure_is_its_typed_error(capsys):
     # sum_i ||v_i||^p fits the float range, but the fourth moments pass it
     coeffs = mc.coefficient_set([1e80, 1e80, 1e80])
     with pytest.raises(errors.NonfiniteMomentError):
-        mc.run_sandwich(dc.uniform(0.0, 2.0), 2.5, coeffs, (0.0, 10.0, True), 1000,
-                        dc.RandomSource(1))
+        mc.run_sandwiches(dc.uniform(0.0, 2.0), 2.5, [coeffs], (0.0, 10.0, True), 1000,
+                          [dc.RandomSource(1)])
     line = _usage_error_line(capsys, ["verify", "--dist", UNIFORM, "--p", "2.5",
                                       "--coeffs", "1e80,1e80,1e80"])
     assert line == "usage error: the moments of order up to 4 overflow"

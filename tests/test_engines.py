@@ -361,8 +361,8 @@ def test_wide_sets_keep_the_moment_state_small():
 
 def test_past_the_top_dimension_the_sandwich_is_sampled():
     coeffs = mc.coefficient_set([[1.0] * (mc.MAX_MOMENT_DIM + 1)] * 3)
-    rep = mc.run_sandwich(dc.uniform(0.0, 2.0), 2.5, coeffs, (0.0, 1e9, True), mc.MIN_REPS,
-                          dc.RandomSource(1))
+    rep = mc.run_sandwiches(dc.uniform(0.0, 2.0), 2.5, [coeffs], (0.0, 1e9, True),
+                            mc.MIN_REPS, [dc.RandomSource(1)])[0]
     assert rep.engine == "montecarlo"
     assert rep.reason.endswith(f"d = {mc.MAX_MOMENT_DIM + 1} > {mc.MAX_MOMENT_DIM} for the "
                                "moment engine's d x d second moments")

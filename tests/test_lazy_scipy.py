@@ -1,6 +1,7 @@
 """SciPy stays off the import path and loads only where a command needs it:
 sampling a lognormal law, whose quantile is scipy.special.ndtri.  The moment
-engine, momsand.moments, likewise loads only for a moment enclosure.
+engine, momsand.moments, likewise loads only for a moment enclosure, and the
+package itself loads no submodule and no NumPy.
 
 Each check runs in a fresh interpreter: the test process itself has SciPy
 loaded already (other test modules import it).
@@ -75,6 +76,14 @@ def _python(code, *args, threads=None):
 def test_importing_the_cli_leaves_scipy_unloaded():
     code = "import sys, momsand, momsand.cli; print('scipy' in sys.modules)"
     assert _python(code) == "False"
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    # each name lives only in the module that defines it: the package re-exports nothing
+    code = ("import json, sys, momsand; print(json.dumps([sorted(m for m in sys.modules "
+            "if m.startswith('momsand.') or m == 'numpy'), "
+            "[name for name in vars(momsand) if not name.startswith('_')]]))")
+    assert json.loads(_python(code)) == [[], []]
 
 
 def test_finite_law_commands_never_load_scipy():

@@ -289,7 +289,7 @@ def test_run_sandwich_alternating_passes():
     bundle, _ = optimize_small_p(TWO_POINT, 1.0)
     coeffs = mc.coefficient_set([1.0, -1.0, 1.0])
     constants = mc.bracket_constants(1.0, bundle)
-    report = mc.run_sandwich(TWO_POINT, 1.0, coeffs, constants, reps=10_000, src=src())
+    report = mc.run_sandwiches(TWO_POINT, 1.0, [coeffs], constants, 10_000, [src()])[0]
     assert report.verdict == mc.PASS
     assert report.lhs.exact
     assert report.ratio == pytest.approx(1.0 / 3.0, rel=1e-12)
@@ -307,7 +307,7 @@ def test_run_sandwich_single_term_ratio_one():
     bundle, _ = optimize_small_p(TWO_POINT, 1.0)
     coeffs = mc.coefficient_set([2.0])
     constants = mc.bracket_constants(1.0, bundle)
-    report = mc.run_sandwich(TWO_POINT, 1.0, coeffs, constants, reps=1000, src=src())
+    report = mc.run_sandwiches(TWO_POINT, 1.0, [coeffs], constants, 1000, [src()])[0]
     assert report.verdict == mc.PASS
     assert report.ratio == pytest.approx(1.0, rel=1e-12)
 
@@ -316,7 +316,7 @@ def test_run_sandwich_single_term_ratio_one():
                          ids=["uniform", "lognormal"])
 def test_zero_steps_are_one_exact_outcome_whatever_the_law(spec):
     coeffs = mc.coefficient_set([2.0])
-    report = mc.run_sandwich(spec, 2.5, coeffs, (0.5, 2.0, True), reps=10, src=src())
+    report = mc.run_sandwiches(spec, 2.5, [coeffs], (0.5, 2.0, True), 10, [src()])[0]
     assert report.engine == "enumerate"
     assert report.lhs == mc.brute_force_lhs(spec, coeffs, 2.5)
     assert report.lhs == mc.EstimateWithCI(mean=2.0**2.5, std_error=0.0, replications=1,
@@ -328,7 +328,7 @@ def test_run_sandwich_nonnegative_p1_is_tight():
     bundle, _ = optimize_small_p(TWO_POINT, 1.0)
     coeffs = mc.coefficient_set([0.3, 1.2, 0.7, 2.0])
     constants = mc.bracket_constants(1.0, bundle)
-    report = mc.run_sandwich(TWO_POINT, 1.0, coeffs, constants, reps=1000, src=src())
+    report = mc.run_sandwiches(TWO_POINT, 1.0, [coeffs], constants, 1000, [src()])[0]
     # nonnegative summands at p = 1: expectation is additive, ratio exactly 1
     assert report.ratio == pytest.approx(1.0, rel=1e-13)
     assert report.verdict == mc.PASS
@@ -338,7 +338,7 @@ def test_run_sandwich_large_p_estimate_path():
     bundle, _ = optimize_large_p(LARGE_SPEC, 2.0)
     coeffs = mc.coefficient_set([1.0, -1.0, 0.5, 0.25])
     constants = mc.bracket_constants(2.0, bundle)
-    report = mc.run_sandwich(LARGE_SPEC, 2.0, coeffs, constants, reps=5000, src=src(2))
+    report = mc.run_sandwiches(LARGE_SPEC, 2.0, [coeffs], constants, 5000, [src(2)])[0]
     assert report.lhs.exact  # two-point, 2^4 outcomes: enumerated, not sampled
     assert report.verdict == mc.PASS
 

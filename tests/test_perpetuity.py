@@ -7,7 +7,7 @@ import pytest
 
 from momsand import dist_core as dc
 from momsand import montecarlo as mc
-from momsand.assumptions import PairSpec, draw_pair, fit_large_p, fit_small_p
+from momsand.assumptions import PairSpec, draw_pair, fit_large_p
 from momsand.constants import lower_constant_large_p, optimize_small_p
 from momsand.errors import ChainLengthMismatchError, EnumerationTooLargeError, NotNormalizedError
 from momsand.montecarlo import (
